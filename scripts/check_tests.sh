@@ -2,8 +2,8 @@
 # Tiered test gate, as documented in docs/testing.md.
 #
 #   tier 1  fast correctness suite — the merge gate; excludes anything
-#           marked tier2 or timing.  Also runs the static source guards
-#           (below) and the executable-docs suite explicitly, so a
+#           marked tier2 or timing.  Runs the static source guards
+#           (below) first and the executable-docs suite explicitly, so a
 #           broken fenced example or a thread sneaking into the serve
 #           layer fails the merge gate even if someone narrows the
 #           pytest selection.
@@ -13,27 +13,26 @@
 #           dual-transport contract suite); marked `net`, run on
 #           ephemeral ports with a leaked-task guard
 #
-# Static guards (cheap, run first so violations fail in seconds):
-#   - no thread spawning inside src/repro/serve/ — the fleet's
-#     determinism contract requires every session to run on the
-#     discrete-event loop (tests/serve/test_no_threads.py is the
-#     authoritative AST-level check; the grep here is a fast first line
-#     that also catches files pytest cannot import).
-#   - no quantized kernels in the training path (optimizer, SR trainer,
-#     gradient checker, losses) — quantization is inference-only; the
-#     AST-level check is tests/nn/test_no_quant_in_training.py.
-#   - no unbounded temporal reuse cache in library code — every
-#     TileReuseCache must carry an explicit entry budget (an unbounded
-#     cache is a per-session memory leak); the AST-level check is
-#     tests/sr/test_no_unbounded_reuse.py.
-#   - no threading in src/repro/net/ — the real transport's loopback
-#     topology (client + origin on one event loop) and the chaos
-#     proxy's connection↔attempt mapping require a single thread of
-#     control; the AST-level check is tests/net/test_no_threads_net.py.
-#   - no upward imports from src/repro/control/ — the control plane is
-#     consumed by both the client and the fleet scheduler, so importing
-#     repro.serve or repro.cli from it would cycle the layer graph; the
-#     AST-level check is tests/control/test_no_upward_imports.py.
+# Static guards (AST tests, run first so violations fail in seconds; each
+# guard lives in exactly one place — its test file — and this script only
+# decides when it runs):
+#   - tests/serve/test_no_threads.py — no thread spawning inside
+#     src/repro/serve/: the fleet's determinism contract requires every
+#     session to run on the discrete-event loop.
+#   - tests/nn/test_no_quant_in_training.py — no quantized kernels in the
+#     training path (optimizer, SR trainer, gradient checker, losses):
+#     quantization is inference-only.
+#   - tests/sr/test_no_unbounded_reuse.py — no unbounded temporal reuse
+#     cache in library code: every TileReuseCache must carry an explicit
+#     entry budget (an unbounded cache is a per-session memory leak).
+#   - tests/net/test_no_threads_net.py — no threading in src/repro/net/:
+#     the real transport's loopback topology (client + origin on one
+#     event loop) and the chaos proxy's connection<->attempt mapping
+#     require a single thread of control.
+#   - tests/control/test_no_upward_imports.py — no upward imports from
+#     src/repro/control/: the control plane is consumed by both the
+#     client and the fleet scheduler, so importing repro.serve or
+#     repro.cli from it would cycle the layer graph.
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -47,49 +46,17 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 tier="${1:-all}"
 
+GUARDS=(
+    tests/serve/test_no_threads.py
+    tests/nn/test_no_quant_in_training.py
+    tests/sr/test_no_unbounded_reuse.py
+    tests/net/test_no_threads_net.py
+    tests/control/test_no_upward_imports.py
+)
+
 run_guards() {
     echo "== static guards =="
-    if grep -rnE 'threading\.Thread\(|ThreadPoolExecutor|ProcessPoolExecutor' \
-            src/repro/serve/ --include='*.py'; then
-        echo "error: thread-based execution found in src/repro/serve/" >&2
-        echo "       (fleet sessions must run on the EventLoop;" >&2
-        echo "       see tests/serve/test_no_threads.py)" >&2
-        exit 1
-    fi
-    echo "ok: no thread spawning in src/repro/serve/"
-    if grep -nE 'quantize_conv_weight|QuantizedConvWeight|conv2d_(gemm|shift_nhwc)_quant' \
-            src/repro/nn/optim.py src/repro/nn/gradcheck.py \
-            src/repro/nn/losses.py src/repro/sr/trainer.py; then
-        echo "error: quantized kernels referenced from the training path" >&2
-        echo "       (quantization is inference-only;" >&2
-        echo "       see tests/nn/test_no_quant_in_training.py)" >&2
-        exit 1
-    fi
-    echo "ok: no quantized kernels in the training path"
-    if grep -rnE 'TileReuseCache\(\)|TileReuseCache\(None\)|max_tiles\s*=\s*None' \
-            src/repro/ --include='*.py'; then
-        echo "error: unbounded TileReuseCache construction in src/repro/" >&2
-        echo "       (the reuse cache must carry an explicit entry budget;" >&2
-        echo "       see tests/sr/test_no_unbounded_reuse.py)" >&2
-        exit 1
-    fi
-    echo "ok: no unbounded reuse cache in library code"
-    if grep -rnE '^\s*(import threading|from threading import|from concurrent\.futures)' \
-            src/repro/net/ --include='*.py'; then
-        echo "error: threading found in src/repro/net/" >&2
-        echo "       (the net package is asyncio-only;" >&2
-        echo "       see tests/net/test_no_threads_net.py)" >&2
-        exit 1
-    fi
-    echo "ok: no threading in src/repro/net/"
-    if grep -rnE 'from \.\.(serve|cli)|from repro\.(serve|cli)|import repro\.(serve|cli)' \
-            src/repro/control/ --include='*.py'; then
-        echo "error: upward import in src/repro/control/" >&2
-        echo "       (the control plane must not import repro.serve or" >&2
-        echo "       repro.cli; see tests/control/test_no_upward_imports.py)" >&2
-        exit 1
-    fi
-    echo "ok: no upward imports in src/repro/control/"
+    python -m pytest -x -q --strict-markers "${GUARDS[@]}"
 }
 
 run_tier1() {
@@ -97,11 +64,7 @@ run_tier1() {
     echo "== tier 1: fast correctness gate =="
     python -m pytest -x -q --strict-markers -m "not tier2 and not timing"
     echo "== tier 1: executable docs =="
-    python -m pytest -x -q --strict-markers tests/test_docs.py \
-        tests/serve/test_no_threads.py tests/nn/test_no_quant_in_training.py \
-        tests/sr/test_no_unbounded_reuse.py \
-        tests/control/test_no_upward_imports.py \
-        tests/net/test_no_threads_net.py
+    python -m pytest -x -q --strict-markers tests/test_docs.py
 }
 
 run_tier2() {

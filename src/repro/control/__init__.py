@@ -8,7 +8,8 @@ never ``repro.serve`` or ``repro.cli`` (guarded by
 ``tests/control/test_no_upward_imports.py``).
 """
 
-from .bridge import LadderControllerPolicy, iframe_counts
+from .bridge import (LadderControllerPolicy, iframe_counts,
+                     segment_iframe_count)
 from .context import (SR_OFF, ControlContext, ControlDecision, SrOption,
                       tier_options)
 from .controller import (CONTROLLER_NAMES, FixedController,
@@ -31,4 +32,5 @@ __all__ = [
     "segment_energy",
     "LadderControllerPolicy",
     "iframe_counts",
+    "segment_iframe_count",
 ]

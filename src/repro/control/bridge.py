@@ -14,30 +14,33 @@ from ..abr.policies import JointChoice, JointPolicy
 from .context import ControlContext, tier_options
 from .controller import JointController
 
-__all__ = ["LadderControllerPolicy", "iframe_counts"]
+__all__ = ["LadderControllerPolicy", "iframe_counts",
+           "segment_iframe_count"]
+
+
+def segment_iframe_count(encoded, segment) -> int:
+    """Real SR inference count of one encoded segment.
+
+    dcSR runs one inference per I frame, so the count is the segment's
+    I-frame tally: from the per-frame metadata when present, else
+    re-derived from the GOP plan (packages saved before frame info was
+    persisted load with empty ``frames``).  The one counter every caller
+    prices SR with — the session fetch stage (client and fleet alike) and
+    :class:`LadderControllerPolicy`.
+    """
+    if segment.frames:
+        return sum(1 for fr in segment.frames if fr.ftype == "I")
+    from ..video.codec.gop import plan_segment
+    codec = encoded.config
+    plans = plan_segment(segment.start, segment.n_frames,
+                         codec.n_b_frames, codec.extra_i_interval)
+    return sum(1 for plan in plans if plan.ftype == "I")
 
 
 def iframe_counts(encoded) -> list[int]:
-    """Real per-segment SR inference counts of an encoded video.
-
-    dcSR runs one inference per I frame, so each segment's count is its
-    I-frame tally: from the per-frame metadata when present, else
-    re-derived from the GOP plan (packages saved before frame info was
-    persisted load with empty ``frames``) — the same two-source rule the
-    client and the fleet scheduler apply.
-    """
-    counts = []
-    for segment in encoded.segments:
-        if segment.frames:
-            counts.append(sum(1 for fr in segment.frames
-                              if fr.ftype == "I"))
-            continue
-        from ..video.codec.gop import plan_segment
-        codec = encoded.config
-        plans = plan_segment(segment.start, segment.n_frames,
-                             codec.n_b_frames, codec.extra_i_interval)
-        counts.append(sum(1 for plan in plans if plan.ftype == "I"))
-    return counts
+    """:func:`segment_iframe_count` of every segment, in order."""
+    return [segment_iframe_count(encoded, segment)
+            for segment in encoded.segments]
 
 
 class LadderControllerPolicy(JointPolicy):

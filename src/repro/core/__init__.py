@@ -25,6 +25,7 @@ from .manifest import SegmentRecord, VideoManifest
 from .network import (
     DownloadError,
     DownloadStats,
+    Network,
     NetworkConfig,
     RetryPolicy,
     SimulatedNetwork,
@@ -73,6 +74,7 @@ __all__ = [
     "SegmentPlayback",
     "PLAYBACK_STAGES",
     "NetworkConfig",
+    "Network",
     "SimulatedNetwork",
     "DownloadError",
     "DownloadStats",

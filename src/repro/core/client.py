@@ -3,10 +3,13 @@
 Plays a :class:`~repro.core.server.DcsrPackage` segment by segment as a
 bounded-memory generator session (:meth:`DcsrClient.iter_frames`):
 
-1. download the segment over the (optionally simulated) network, with
-   retry + exponential backoff on injected failures;
-2. check the manifest's model label against the cache; download the micro
-   model only on a miss (Algorithm 1), with the same retry budget;
+1. check the manifest's model label against the cache; download the micro
+   model only on a miss (Algorithm 1), with retry + exponential backoff
+   on injected failures;
+2. download the segment over the (optionally simulated) network, with
+   the same retry budget — steps 1-2 are the
+   :class:`~repro.core.session.FetchStage` the fleet's trace sessions
+   share;
 3. decode the segment with the SR hook installed: each I frame is pulled
    out of the decoded-picture buffer, converted YUV -> RGB, enhanced by the
    segment's micro model, converted back, and written back into the DPB so
@@ -36,30 +39,25 @@ model-cache hit rate, and the peak number of frames resident at once.
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from ..control import ControlContext, JointController, segment_energy, \
-    tier_options
+from ..control import JointController
 from ..nn.functional import PRECISIONS
-from ..obs import Observability, SimulatedClock
+from ..obs import Observability
 from ..sr.edsr import EDSR
 from ..sr.engine import ENGINE_KERNELS, InferenceEngine
 from ..video import rgb_to_yuv420, yuv420_to_rgb
 from ..video.frame import YuvFrame
 from ..video.quality import psnr, ssim
-from .cache import CacheStats, ModelCache
-from .network import (
-    DownloadError,
-    RetryPolicy,
-    SimulatedNetwork,
-    download_with_retry,
-)
+from .cache import CacheStats
+from .network import DownloadError, Network, RetryPolicy
 from .server import DcsrPackage
+from .session import (PLAYBACK_STAGES, FetchStage, PlayoutClock,
+                      SegmentFetch, SegmentPlayback, record_segment)
 
 __all__ = [
     "PLAYBACK_STAGES",
@@ -72,12 +70,6 @@ __all__ = [
     "DcsrClient",
     "enhance_yuv_frame",
 ]
-
-#: Stage names recorded in :attr:`PlaybackTelemetry.stage_seconds`, in
-#: playback order.  ``color`` is both YUV->RGB directions (display path
-#: and inside the SR hook).
-PLAYBACK_STAGES = ("download", "decode", "sr", "color")
-
 
 def enhance_yuv_frame(model: EDSR, frame: YuvFrame) -> YuvFrame:
     """Steps 2-5 of Figure 6: YUV -> RGB, SR, RGB -> YUV."""
@@ -95,8 +87,8 @@ class FastPathConfig:
     through the tiled NHWC :class:`~repro.sr.engine.InferenceEngine`
     instead of the reference forward, and — with ``prefetch > 0`` —
     overlaps download + decode + SR of upcoming segments with emission of
-    the current one behind a bounded queue.  ``None`` (the default client
-    behaviour) is the fully serial reference path.
+    the current one on a slot-bounded worker pool.  ``None`` (the default
+    client behaviour) is the fully serial reference path.
 
     Parameters
     ----------
@@ -109,9 +101,9 @@ class FastPathConfig:
         the GIL).  1 keeps SR in the decoding thread.
     prefetch:
         How many *future* segments may sit fully decoded in the pipeline
-        queue while the current segment plays.  0 disables the pipeline
-        (serial engine, fast SR only).  Memory grows by up to
-        ``prefetch`` segments of decoded frames.
+        while the current segment plays.  0 produces every segment inline
+        on the caller's thread (fast SR only, no worker).  Memory grows
+        by up to ``prefetch`` segments of decoded frames.
     calibrate:
         Measure the fast-over-reference speedup once per session on the
         first enhanced frame (one extra reference inference, excluded
@@ -131,8 +123,8 @@ class FastPathConfig:
         of the model.  ``None`` (default) disables the gate entirely —
         output stays bitwise identical to the ungated engine.
     sr_batch:
-        Number of segment pipeline workers.  1 (default) keeps the
-        single-worker prefetch pipeline.  ``> 1`` (requires
+        Number of segment pipeline workers.  1 (default) runs one
+        worker strictly in segment order.  ``> 1`` (requires
         ``prefetch >= 1``) decodes up to ``sr_batch`` segments
         concurrently, and their co-pending I-frames merge into one
         batched GEMM call through a session-local
@@ -140,6 +132,8 @@ class FastPathConfig:
         the fleet simulator uses across sessions, applied inside one.
         Downloads stay serialized in segment order, so the simulated
         network consumes its schedule exactly as the serial client does.
+        Composes with neither ``reuse`` nor a joint controller — both
+        need segments decoded one at a time, in order.
     reuse:
         Optional temporal tile reuse: a
         :class:`~repro.sr.engine.TileReuseConfig`, ``True`` (exact mode),
@@ -166,6 +160,11 @@ class FastPathConfig:
     kernel: str = "shift"
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self, controller=None) -> None:
+        """Every field and mode-combination check in one place, given
+        the joint ``controller`` the session runs under (if any)."""
         if self.precision not in PRECISIONS:
             raise ValueError(
                 f"precision must be one of {PRECISIONS}, "
@@ -184,71 +183,26 @@ class FastPathConfig:
                 and self.reuse < 0:
             raise ValueError(
                 f"reuse tolerance must be >= 0, got {self.reuse}")
+        if self.prefetch < 0:
+            raise ValueError(f"prefetch must be >= 0, got {self.prefetch}")
         if self.sr_batch < 1:
             raise ValueError(f"sr_batch must be >= 1, got {self.sr_batch}")
-        if self.sr_batch > 1 and self.prefetch < 1:
-            raise ValueError(
-                "sr_batch > 1 needs the pipeline: set prefetch >= 1")
-        if self.sr_batch > 1 and self.reuse not in (None, False):
-            raise ValueError(
-                "reuse needs in-order frames: sr_batch > 1 decodes "
-                "segments concurrently and is incompatible with it")
+        if self.sr_batch > 1:
+            if self.prefetch < 1:
+                raise ValueError(
+                    "sr_batch > 1 needs the pipeline: set prefetch >= 1")
+            if self.reuse not in (None, False):
+                raise ValueError(
+                    "reuse needs in-order frames: sr_batch > 1 decodes "
+                    "segments concurrently and is incompatible with it")
+            if controller is not None:
+                raise ValueError(
+                    "a joint controller needs each segment's feedback "
+                    "before the next fetch: sr_batch > 1 cannot give it")
 
 
-class PlayoutClock:
-    """The serial playout recurrence, shared by the reference client and
-    the fleet simulator's trace-mode sessions.
-
-    Segment ``i`` becomes ready ``download + compute`` seconds after
-    segment ``i-1`` did; it *should* be ready by the time segment
-    ``i-1`` finishes displaying at ``fps``.  The first segment's ready
-    time is the startup delay; any later segment's lateness accrues as
-    stall seconds; an early segment pushes the next deadline out by
-    exactly its display duration (no credit accumulates).  All inputs
-    are simulated (or measured) seconds — the recurrence itself is pure
-    arithmetic, so two runs fed identical per-segment seconds produce
-    bit-identical stall numbers.
-    """
-
-    def __init__(self, fps: float):
-        if fps <= 0:
-            raise ValueError(f"fps must be > 0, got {fps}")
-        self.fps = float(fps)
-        #: Session clock: when the most recent segment became ready.
-        self.position_s = 0.0
-        self.startup_s = 0.0
-        self.stall_s = 0.0
-        self._next_deadline: float | None = None
-
-    def segment_ready(self, seconds: float, n_frames: int) -> None:
-        """Advance past one segment that took ``seconds`` to be ready
-        and displays for ``n_frames / fps``."""
-        self.position_s += seconds
-        if self._next_deadline is None:
-            self.startup_s = self.position_s
-            self._next_deadline = self.position_s
-        self.stall_s += max(0.0, self.position_s - self._next_deadline)
-        self._next_deadline = max(self.position_s, self._next_deadline) \
-            + n_frames / self.fps
-
-
-@dataclass
-class SegmentPlayback:
-    """Per-segment telemetry of one streaming session."""
-
-    index: int
-    status: str = "ok"              # ok | concealed | fallback
-    n_frames: int = 0
-    download_attempts: int = 0
-    sr_inferences: int = 0
-    download_s: float = 0.0
-    decode_s: float = 0.0
-    sr_s: float = 0.0
-    color_s: float = 0.0
-    sr_tiles: int = 0
-    sr_skipped_tiles: int = 0
-    sr_reused_tiles: int = 0
-    sr_flops: float = 0.0
+#: Engine-factory knobs of a session without a fast path.
+_REFERENCE_KNOBS = FastPathConfig()
 
 
 @dataclass
@@ -424,10 +378,12 @@ class DcsrClient:
     cache_capacity:
         Optional LRU bound on the model cache.
     network:
-        Optional :class:`~repro.core.network.SimulatedNetwork`; when
-        given, every segment and model download goes through it (latency,
-        bandwidth, and failure injection).  ``None`` keeps downloads
-        instantaneous and infallible.
+        Optional :class:`~repro.core.network.Network` (a
+        :class:`~repro.core.network.SimulatedNetwork`, a fleet pool
+        session, or the real-socket transport); when given, every
+        segment and model download goes through it (latency, bandwidth,
+        and failure injection).  ``None`` keeps downloads instantaneous
+        and infallible.
     retry:
         :class:`~repro.core.network.RetryPolicy` for downloads over the
         simulated network (default: no retries).
@@ -438,9 +394,9 @@ class DcsrClient:
         Optional :class:`FastPathConfig`.  ``None`` (default) keeps the
         serial reference engine; a config switches SR to the tiled NHWC
         fast path and, with ``prefetch > 0``, pipelines
-        download + decode + SR of upcoming segments behind a bounded
-        queue.  Frame order, concealment/fallback semantics, and the
-        accounting contract are identical either way.
+        download + decode + SR of upcoming segments on a slot-bounded
+        worker pool.  Frame order, concealment/fallback semantics, and
+        the accounting contract are identical either way.
     obs:
         Optional :class:`~repro.obs.Observability` session the client
         records its spans and metrics into.  Defaults to the network's
@@ -477,12 +433,13 @@ class DcsrClient:
         ``None`` (the default) keeps the pre-controller code path
         bit-for-bit: no context is built, no energy is modelled, and the
         output frames are identical to a client without the feature.
-        Requires the serial engine (no ``prefetch``/``sr_batch``):
-        decisions are sequential by construction.
+        Composes with ``prefetch`` (one pipeline worker runs
+        fetch → decode → feedback strictly in order, bitwise-equal to the
+        serial controlled session) but not with ``sr_batch > 1``.
     """
 
     def __init__(self, package: DcsrPackage, cache_capacity: int | None = None,
-                 network: SimulatedNetwork | None = None,
+                 network: Network | None = None,
                  retry: RetryPolicy | None = None,
                  fallback: bool = False,
                  fast_path: FastPathConfig | None = None,
@@ -491,102 +448,61 @@ class DcsrClient:
                  engine_provider=None,
                  span_attrs: dict | None = None,
                  controller: JointController | None = None):
-        if fast_path is not None and fast_path.prefetch < 0:
-            raise ValueError("prefetch must be >= 0")
-        if controller is not None and fast_path is not None \
-                and (fast_path.prefetch > 0 or fast_path.sr_batch > 1):
-            raise ValueError(
-                "a joint controller needs the serial client path; "
-                "disable prefetch/sr_batch")
+        if fast_path is not None:
+            fast_path.validate(controller)
         self.package = package
-        self._controller = controller
-        if model_cache is not None:
-            self._cache = model_cache.session(self._download_model)
-        else:
-            self._cache = ModelCache(
-                fetch=self._download_model, capacity=cache_capacity)
+        self._stage = FetchStage(
+            package, network, retry, fallback,
+            precision=fast_path.precision if fast_path is not None else "fp32",
+            cache_capacity=cache_capacity, model_cache=model_cache,
+            controller=controller)
         self._engine_provider = engine_provider
         self._span_attrs = dict(span_attrs or {})
-        self._network = network
-        self._retry = retry
-        self._fallback = bool(fallback)
         self._fast = fast_path
         if obs is None and network is not None and network.obs is not None:
             obs = network.obs
         self.obs = obs or Observability(root_name="client")
         if network is not None and network.obs is None:
             network.obs = self.obs
-        # Simulated seconds (downloads, backoff) are recorded against this
-        # clock so their spans are tagged with a non-wall time domain.
-        self._sim_clock = network.clock if network is not None \
-            else SimulatedClock()
         self._session = None
-        self._engines: dict[int, InferenceEngine] = {}
+        self._engines: dict[tuple[int, str], InferenceEngine] = {}
         self._batcher = None
         self._speedup_sample = 0.0
-        self._model_bytes = 0
-        self._fetch_seconds = 0.0
-        self._fetch_attempts = 0
-        # Joint-controller session state: which (label, tier, precision)
-        # checkpoints were downloaded, their engines, and the engine the
-        # current segment's hook must use (serial path only, no races).
-        self._tier_downloaded: set[tuple[int, str, str]] = set()
-        self._tier_engines: dict[tuple[int, str, str], InferenceEngine] = {}
-        self._ctrl_engine: InferenceEngine | None = None
         self.last_result: PlaybackResult | None = None
 
-    def _engine_for(self, model: EDSR):
-        """The per-model fast-path engine (built once per session model).
+    def _engine_for(self, model: EDSR, precision: str | None = None):
+        """The per-(model, precision) engine, built once per session: the
+        one factory behind label engines and controller tier engines, so
+        every :class:`FastPathConfig` knob reaches both.  ``precision`` is
+        a controller's decided precision; ``None`` means a label engine at
+        the fast path's own, for which an injected ``engine_provider``
+        (cross-session batching) takes precedence.
 
         Engines live on the client, not the model, so a shared package's
         models are never mutated and concurrent sessions stay independent.
-        An injected ``engine_provider`` (cross-session batching) takes
-        precedence over the private per-session engine.
-
         With ``sr_batch > 1`` the engine (an adapter onto the session's
-        batcher, or the injected provider's product) is built fresh per
-        call instead of cached: adapters carry per-call ``stats``, so
-        concurrent decode workers must not share one.
+        batcher, or the provider's product) is built fresh per call:
+        adapters carry per-call ``stats``, so concurrent decode workers
+        must not share one.
         """
-        if self._fast is not None and self._fast.sr_batch > 1:
-            if self._engine_provider is not None:
-                return self._engine_provider(model)
-            return self._batcher.engine_for(model)
-        engine = self._engines.get(id(model))
+        fast = self._fast or _REFERENCE_KNOBS
+        provider = self._engine_provider if precision is None else None
+        if fast.sr_batch > 1:
+            return (provider or self._batcher.engine_for)(model)
+        key = (id(model), precision or fast.precision)
+        engine = self._engines.get(key)
         if engine is None:
-            if self._engine_provider is not None:
-                engine = self._engine_provider(model)
+            if provider is not None:
+                engine = provider(model)
             else:
-                engine = InferenceEngine(model, tile=self._fast.tile,
-                                         threads=self._fast.sr_threads,
-                                         obs=self.obs,
-                                         precision=self._fast.precision,
-                                         skip_gate=self._fast.skip_gate,
-                                         reuse=self._fast.reuse,
-                                         kernel=self._fast.kernel)
-            self._engines[id(model)] = engine
+                engine = InferenceEngine(model, tile=fast.tile,
+                                         threads=fast.sr_threads,
+                                         obs=self.obs, precision=key[1],
+                                         skip_gate=fast.skip_gate,
+                                         reuse=fast.reuse,
+                                         kernel=fast.kernel)
+            self._engines[key] = engine
         return engine
-
-    def _download_model(self, label: int) -> EDSR:
-        model = self.package.models.get(label)
-        if model is None:
-            raise KeyError(f"manifest references missing model {label}")
-        # A reduced-precision session downloads the quantized checkpoint:
-        # fewer bytes if (and only if) the manifest carries a calibrated
-        # record for that precision — otherwise the fp32 size is charged.
-        precision = self._fast.precision if self._fast is not None else "fp32"
-        manifest = self.package.manifest
-        if hasattr(manifest, "model_size_for"):
-            size = manifest.model_size_for(label, precision)
-        else:
-            size = manifest.model_sizes[label]
-        if self._network is not None:
-            seconds, attempts = download_with_retry(
-                self._network, self._retry, "model", label, size)
-            self._fetch_seconds += seconds
-            self._fetch_attempts += attempts
-        self._model_bytes += size
-        return model
 
     def play(self, reference_frames: np.ndarray | None = None) -> PlaybackResult:
         """Stream every segment; optionally score against ``reference_frames``.
@@ -608,28 +524,22 @@ class DcsrClient:
     ) -> Iterator[PlayedFrame]:
         """Bounded-memory streaming session: yield display-order frames.
 
-        At most one segment's decoded frames (plus one held concealment
-        frame) are resident at a time; the caller decides what to retain.
-        Accounting (bytes, quality, telemetry, degradation lists — all of
-        :class:`PlaybackResult` except ``frames``) accumulates into
-        ``result`` as the generator runs and is finalized when the
-        generator is exhausted or closed; the same object is exposed as
-        ``self.last_result``.
+        One consumer loop over one segment source (:meth:`_segments`):
+        whichever thread produced a segment, it is accounted, clocked and
+        emitted here, in segment order.  At most ``prefetch + sr_batch``
+        segments of decoded frames (plus one held concealment frame) are
+        resident; the caller decides what to retain.  Frame, quality and
+        degradation lists accumulate into ``result`` as the generator
+        runs; byte counts and telemetry totals are finalized when it is
+        exhausted or closed.  ``result`` is also ``self.last_result``.
         """
-        from ..video.codec import Decoder
-
         package = self.package
         result = result if result is not None else PlaybackResult()
         self.last_result = result
-        self._model_bytes = 0
         self._speedup_sample = 0.0
         self._engines = {}
         self._batcher = None
-        self._tier_downloaded = set()
-        self._tier_engines = {}
-        self._ctrl_engine = None
-        if self._controller is not None:
-            self._controller.reset()
+        self._stage.reset()
         fps = package.encoded.fps
         telemetry = PlaybackTelemetry(native_fps=fps, obs=self.obs)
         result.telemetry = telemetry
@@ -639,289 +549,124 @@ class DcsrClient:
         self._session = self.obs.tracer.begin(
             "play", segments=len(package.segments), **self._span_attrs)
 
-        decoder = Decoder(
-            hook_display_only=not package.manifest.enhance_in_loop)
-        prefetch = self._fast.prefetch if self._fast is not None else 0
-        sr_batch = self._fast.sr_batch if self._fast is not None else 1
-        if sr_batch > 1:
-            if self._engine_provider is None:
-                # Session-local leader–follower batcher: the same merge
-                # machinery the fleet uses across sessions, scoped to
-                # this session's decode workers.  Imported lazily — the
-                # serve layer imports this module at load time.
-                from ..serve.batching import BatchingInferenceEngine
-                self._batcher = BatchingInferenceEngine(
-                    max_batch=sr_batch, max_wait_s=0.005,
-                    tile=self._fast.tile, threads=self._fast.sr_threads,
-                    obs=self.obs, precision=self._fast.precision,
-                    skip_gate=self._fast.skip_gate)
-            inner = self._iter_batched(reference_frames, result, telemetry,
-                                       prefetch, sr_batch)
-        elif prefetch > 0:
-            inner = self._iter_prefetch(decoder, reference_frames, result,
-                                        telemetry, prefetch)
-        else:
-            inner = self._iter_serial(decoder, reference_frames, result,
-                                      telemetry)
+        fast = self._fast or _REFERENCE_KNOBS
+        prefetch, sr_batch = fast.prefetch, fast.sr_batch
+        if sr_batch > 1 and self._engine_provider is None:
+            # Session-local leader–follower batcher: the same merge
+            # machinery the fleet uses across sessions, scoped to this
+            # session's decode workers.  Imported lazily — the serve
+            # layer imports this module at load time.
+            from ..serve.batching import BatchingInferenceEngine
+            self._batcher = BatchingInferenceEngine(
+                max_batch=sr_batch, max_wait_s=0.005, tile=fast.tile,
+                threads=fast.sr_threads, obs=self.obs,
+                precision=fast.precision, skip_gate=fast.skip_gate,
+                kernel=fast.kernel)
+        # Each segment's decode+SR seconds are charged serially (measured
+        # wall time cannot be attributed across overlapping workers), so
+        # reported stalls are conservative.
+        playout = PlayoutClock(fps, window=prefetch + sr_batch - 1)
+        held: list[YuvFrame | None] = [None]
+        source = self._segments(prefetch, sr_batch)
         try:
-            yield from inner
+            for segment, fetched, decoded, resident in source:
+                seg_t = fetched.seg_t
+                if decoded is None:
+                    seg_t.status = "concealed"
+                record_segment(result, telemetry, playout, seg_t)
+                # The held concealment frame (or the single stand-in of a
+                # concealed segment) rides on top of the decoded frames.
+                extra = held[0] is not None or decoded is None
+                try:
+                    yield from self._emit_segment(
+                        segment, seg_t, decoded, held, reference_frames,
+                        result)
+                finally:
+                    # Read after emission: workers ran ahead meanwhile.
+                    telemetry.peak_resident_frames = max(
+                        telemetry.peak_resident_frames, resident[1] + extra)
         finally:
-            inner.close()
+            source.close()
             self._finalize(result, telemetry)
             self.obs.tracer.end(self._session)
 
-    def _iter_serial(self, decoder, reference_frames, result: PlaybackResult,
-                     telemetry: PlaybackTelemetry) -> Iterator[PlayedFrame]:
-        """The reference engine: strictly serial download → decode → emit."""
-        package = self.package
-        held: list[YuvFrame | None] = [None]
-        playout = PlayoutClock(package.encoded.fps)
+    def _segments(self, prefetch: int, sr_batch: int):
+        """The session's one segment source: yields ``(segment, fetched,
+        decoded, resident)`` in segment order — ``decoded is None`` means
+        conceal; ``resident[1]``, read once the segment has emitted, is
+        the most decoded frames alive at once since the previous one did.
 
-        for segment, encoded_segment in zip(package.segments,
-                                            package.encoded.segments):
-            seg_t, decoded = self._produce_segment(segment, encoded_segment,
-                                                   decoder, result, telemetry)
+        ``prefetch == 0`` produces each segment inline on the caller's
+        thread.  Anything else runs ``sr_batch`` workers, each with a
+        private :class:`~repro.video.codec.Decoder`; several workers'
+        co-pending I-frames merge into one batched GEMM through the
+        session's :class:`~repro.serve.BatchingInferenceEngine` (bitwise
+        identical per frame to the serial engine).  The pool's contract:
 
-            if decoded is None:
-                telemetry.peak_resident_frames = max(
-                    telemetry.peak_resident_frames, 1)
-            else:
-                telemetry.peak_resident_frames = max(
-                    telemetry.peak_resident_frames,
-                    len(decoded) + (1 if held[0] is not None else 0))
-
-            playout.segment_ready(
-                seg_t.download_s + seg_t.decode_s + seg_t.sr_s
-                + seg_t.color_s, segment.n_frames)
-            telemetry.startup_seconds = playout.startup_s
-            telemetry.stall_seconds = playout.stall_s
-
-            yield from self._emit_segment(segment, seg_t, decoded, held,
-                                          reference_frames, result)
-
-    def _iter_prefetch(self, decoder, reference_frames,
-                       result: PlaybackResult, telemetry: PlaybackTelemetry,
-                       prefetch: int) -> Iterator[PlayedFrame]:
-        """Stage-overlapped session: one background worker runs
-        download → decode → SR per segment *in order* (so the simulated
-        network consumes its failure schedule exactly as the serial
-        engine does), handing finished segments to this thread through a
-        queue bounded at ``prefetch`` entries.  Emission, colour
-        conversion, and quality scoring stay on the caller's thread,
-        preserving frame order and the bounded-memory contract (at most
-        ``prefetch + 1`` segments of decoded frames resident).
-
-        The playout clock generalizes the serial one: downloads of
-        upcoming segments proceed while earlier segments are computing,
-        gated by the queue bound; with ``prefetch = 0`` the recurrence
-        degenerates to the serial accumulation.  The simulated seconds
-        this saves are reported as ``prefetch_overlap_seconds``.
-        """
-        package = self.package
-        fps = package.encoded.fps
-        held: list[YuvFrame | None] = [None]
-        work_q: queue.Queue = queue.Queue(maxsize=prefetch)
-        stop = threading.Event()
-        resident_lock = threading.Lock()
-        resident = [0]          # decoded frames alive in queue + in flight
-
-        def note_resident(extra: int) -> None:
-            with resident_lock:
-                telemetry.peak_resident_frames = max(
-                    telemetry.peak_resident_frames, resident[0] + extra)
-
-        def offer(item) -> bool:
-            while not stop.is_set():
-                try:
-                    work_q.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def producer() -> None:
-            try:
-                for segment, encoded_segment in zip(package.segments,
-                                                    package.encoded.segments):
-                    if stop.is_set():
-                        return
-                    seg_t, decoded = self._produce_segment(
-                        segment, encoded_segment, decoder, result, telemetry)
-                    with resident_lock:
-                        resident[0] += len(decoded) if decoded else 0
-                    note_resident(0)
-                    if not offer(("seg", segment, seg_t, decoded)):
-                        return
-            except BaseException as exc:       # surfaced on the main thread
-                offer(("err", exc, None, None))
-            else:
-                offer(("done", None, None, None))
-
-        worker = threading.Thread(target=producer, name="dcsr-prefetch",
-                                  daemon=True)
-        worker.start()
-
-        dl_done = 0.0
-        comp_done = 0.0
-        serial_clock = 0.0
-        finish_times: list[float] = []
-        next_deadline: float | None = None
-
-        try:
-            while True:
-                kind, segment, seg_t, decoded = work_q.get()
-                if kind == "err":
-                    raise segment
-                if kind == "done":
-                    break
-                # The held concealment frame (or the single stand-in of a
-                # concealed segment) rides on top of the queued frames.
-                note_resident(1 if (held[0] is not None or decoded is None)
-                              else 0)
-
-                # Pipelined playout clock: the download of segment i may
-                # start once segment i-1 finished downloading *and* the
-                # queue had room (segment i-1-prefetch fully played).
-                i = len(finish_times)
-                gate = (finish_times[i - 1 - prefetch]
-                        if i - 1 - prefetch >= 0 else 0.0)
-                comp = seg_t.decode_s + seg_t.sr_s + seg_t.color_s
-                dl_done = max(dl_done, gate) + seg_t.download_s
-                comp_done = max(comp_done, dl_done) + comp
-                finish_times.append(comp_done)
-                serial_clock += seg_t.download_s + comp
-                telemetry.prefetch_overlap_seconds = serial_clock - comp_done
-                if next_deadline is None:
-                    telemetry.startup_seconds = comp_done
-                    next_deadline = comp_done
-                telemetry.stall_seconds += max(0.0, comp_done - next_deadline)
-                next_deadline = max(comp_done, next_deadline) \
-                    + segment.n_frames / fps
-
-                yield from self._emit_segment(segment, seg_t, decoded, held,
-                                              reference_frames, result)
-                with resident_lock:
-                    resident[0] -= len(decoded) if decoded else 0
-        finally:
-            stop.set()
-            # Keep draining so a producer blocked on a full queue can see
-            # the stop flag; finalization must not race a live producer.
-            while worker.is_alive():
-                try:
-                    work_q.get_nowait()
-                except queue.Empty:
-                    pass
-                worker.join(timeout=0.05)
-
-    def _iter_batched(self, reference_frames, result: PlaybackResult,
-                      telemetry: PlaybackTelemetry, prefetch: int,
-                      sr_batch: int) -> Iterator[PlayedFrame]:
-        """Multi-worker pipeline (``sr_batch > 1``): up to ``sr_batch``
-        segments decode concurrently, each on its own worker with a
-        private :class:`~repro.video.codec.Decoder`, and their co-pending
-        I-frames merge into one batched GEMM through the session's
-        :class:`~repro.serve.BatchingInferenceEngine` (bitwise identical
-        per frame to the serial engine).
-
-        Determinism and ordering contract:
-
-        - Downloads (model acquire + segment fetch) are serialized in
-          segment order behind a turn counter, so the simulated network
-          consumes its latency/failure schedule exactly as the
-          single-worker pipeline does; only decode + SR overlap.
-        - Emission, concealment bookkeeping, quality scoring, and
-          ``telemetry.segments`` appends all happen on the consumer
-          (caller's) thread in segment order.
-        - At most ``prefetch + sr_batch`` segments of decoded frames are
-          resident at once (a counting semaphore: workers acquire a slot
-          before claiming a segment, the consumer releases it after
-          emitting).
-        - A worker error surfaces at its segment index: segments before
-          it emit normally, then the error re-raises here.
-
-        The playout clock reuses the pipelined recurrence with a window
-        of ``prefetch + sr_batch - 1`` queued segments; it still charges
-        each segment's decode+SR seconds serially (measured wall time
-        cannot be attributed across overlapping workers), so reported
-        stalls are conservative.
+        - Fetches are turn-ordered: a worker claims the next segment and
+          runs its fetch stage under one lock, so the network consumes
+          its latency/failure schedule exactly as inline; only decode +
+          SR overlap.  A single worker runs fetch → decode → feedback
+          strictly in order, which lets a joint controller ride along.
+        - At most ``prefetch + sr_batch`` decoded segments are resident:
+          a worker takes a slot before claiming, and the slot frees when
+          the consumer comes back for the next segment.
+        - A worker error surfaces at its segment index: earlier segments
+          are yielded normally, then the error re-raises here.
         """
         from ..video.codec import Decoder
 
         package = self.package
-        fps = package.encoded.fps
-        held: list[YuvFrame | None] = [None]
         pairs = list(zip(package.segments, package.encoded.segments))
-        n_segments = len(pairs)
         hook_display_only = not package.manifest.enhance_in_loop
+        if prefetch == 0:
+            decoder = Decoder(hook_display_only=hook_display_only)
+            for segment, encoded_segment in pairs:
+                fetched = self._fetch_stage(segment, encoded_segment)
+                decoded = self._decode_stage(segment, encoded_segment,
+                                             fetched, decoder)
+                yield segment, fetched, decoded, (0, len(decoded or ()))
+            return
 
         stop = threading.Event()
         slots = threading.Semaphore(prefetch + sr_batch)
-        claim_lock = threading.Lock()
-        claim = [0]
-        turn_cv = threading.Condition()
-        turn = [0]
+        fetch_lock = threading.Lock()
+        unclaimed = iter(enumerate(pairs))
         done_cv = threading.Condition()
         done: dict[int, tuple] = {}
-        resident_lock = threading.Lock()
-        resident = [0]
-
-        def publish(index: int, item: tuple) -> None:
-            with done_cv:
-                done[index] = item
-                done_cv.notify_all()
+        resident = [0, 0]       # decoded frames alive: now / at the peak
 
         def worker() -> None:
             decoder = Decoder(hook_display_only=hook_display_only)
             while not stop.is_set():
                 if not slots.acquire(timeout=0.05):
-                    continue            # re-check stop while queue is full
-                with claim_lock:
-                    index = claim[0]
-                    if index >= n_segments:
-                        slots.release()
-                        return
-                    claim[0] = index + 1
-                segment, encoded_segment = pairs[index]
-                seg_t = SegmentPlayback(index=segment.index,
-                                        n_frames=segment.n_frames)
+                    continue            # re-check stop while no slot is free
                 try:
-                    with turn_cv:
-                        while turn[0] != index:
-                            if stop.is_set():
-                                return
-                            turn_cv.wait(0.05)
-                    try:
-                        model, have = self._fetch_stage(
-                            segment, encoded_segment, seg_t, result)
-                    finally:
-                        # Advance even on error so later turns never hang.
-                        with turn_cv:
-                            turn[0] = index + 1
-                            turn_cv.notify_all()
-                    decoded = self._decode_stage(
-                        segment, encoded_segment, seg_t, model, have,
-                        decoder)
+                    with fetch_lock:
+                        claim = next(unclaimed, None)
+                        if claim is None:
+                            slots.release()
+                            return
+                        index, (segment, encoded_segment) = claim
+                        fetched = self._fetch_stage(segment, encoded_segment)
+                    decoded = self._decode_stage(segment, encoded_segment,
+                                                 fetched, decoder)
                 except BaseException as exc:   # surfaced on main thread
-                    publish(index, ("err", exc, None, None))
+                    fetched, decoded = exc, None
+                with done_cv:
+                    resident[0] += len(decoded or ())
+                    resident[1] = max(resident)
+                    done[index] = (fetched, decoded)
+                    done_cv.notify_all()
+                if isinstance(fetched, BaseException):
                     return
-                with resident_lock:
-                    resident[0] += len(decoded) if decoded else 0
-                publish(index, ("seg", segment, seg_t, decoded))
 
-        workers = [threading.Thread(target=worker, name=f"dcsr-sr-batch-{i}",
+        workers = [threading.Thread(target=worker, name=f"dcsr-segment-{i}",
                                     daemon=True) for i in range(sr_batch)]
         for thread in workers:
             thread.start()
-
-        dl_done = 0.0
-        comp_done = 0.0
-        serial_clock = 0.0
-        finish_times: list[float] = []
-        next_deadline: float | None = None
-        window = prefetch + sr_batch - 1
-
         try:
-            for index in range(n_segments):
+            for index, (segment, _) in enumerate(pairs):
                 with done_cv:
                     while index not in done:
                         done_cv.wait(0.1)
@@ -930,39 +675,13 @@ class DcsrClient:
                             raise RuntimeError(
                                 f"pipeline workers exited without "
                                 f"producing segment {index}")
-                    kind, segment, seg_t, decoded = done.pop(index)
-                if kind == "err":
-                    raise segment
-                telemetry.segments.append(seg_t)
-                if decoded is None:
-                    self._note_unplayable(segment, seg_t, result)
-                with resident_lock:
-                    telemetry.peak_resident_frames = max(
-                        telemetry.peak_resident_frames,
-                        resident[0]
-                        + (1 if (held[0] is not None or decoded is None)
-                           else 0))
-
-                i = len(finish_times)
-                gate = (finish_times[i - 1 - window]
-                        if i - 1 - window >= 0 else 0.0)
-                comp = seg_t.decode_s + seg_t.sr_s + seg_t.color_s
-                dl_done = max(dl_done, gate) + seg_t.download_s
-                comp_done = max(comp_done, dl_done) + comp
-                finish_times.append(comp_done)
-                serial_clock += seg_t.download_s + comp
-                telemetry.prefetch_overlap_seconds = serial_clock - comp_done
-                if next_deadline is None:
-                    telemetry.startup_seconds = comp_done
-                    next_deadline = comp_done
-                telemetry.stall_seconds += max(0.0, comp_done - next_deadline)
-                next_deadline = max(comp_done, next_deadline) \
-                    + segment.n_frames / fps
-
-                yield from self._emit_segment(segment, seg_t, decoded, held,
-                                              reference_frames, result)
-                with resident_lock:
-                    resident[0] -= len(decoded) if decoded else 0
+                    fetched, decoded = done.pop(index)
+                if isinstance(fetched, BaseException):
+                    raise fetched
+                yield segment, fetched, decoded, resident
+                with done_cv:
+                    resident[0] -= len(decoded or ())
+                    resident[1] = resident[0]
                 slots.release()
         finally:
             stop.set()
@@ -973,195 +692,61 @@ class DcsrClient:
     # ------------------------------------------------------------------
     # Session internals.
 
-    def _produce_segment(self, segment, encoded_segment, decoder,
-                         result: PlaybackResult,
-                         telemetry: PlaybackTelemetry):
-        """Stages 1-3 for one segment: model fetch, segment fetch, decode
-        (with the SR hook in the loop).  Returns ``(seg_t, decoded)``;
-        ``decoded is None`` means the segment must be concealed."""
-        seg_t = SegmentPlayback(index=segment.index,
-                                n_frames=segment.n_frames)
-        telemetry.segments.append(seg_t)
-        if self._controller is not None:
-            decision, model, have = self._controlled_fetch(
-                segment, encoded_segment, seg_t, result)
-            decoded = self._decode_stage(segment, encoded_segment, seg_t,
-                                         model, have, decoder, pinned=False)
-            self._controller_feedback(segment, seg_t, decision, telemetry)
-        else:
-            model, have = self._fetch_stage(segment, encoded_segment, seg_t,
-                                            result)
-            decoded = self._decode_stage(segment, encoded_segment, seg_t,
-                                         model, have, decoder)
-        if decoded is None:
-            self._note_unplayable(segment, seg_t, result)
-        return seg_t, decoded
-
-    def _fetch_stage(self, segment, encoded_segment,
-                     seg_t: SegmentPlayback, result: PlaybackResult):
-        """Stages 1-2: model acquire + segment download.
-
-        Touches the network and the session's fetch accounting, so in a
-        multi-worker pipeline (``sr_batch > 1``) calls MUST be serialized
-        in segment order — the simulated network consumes a deterministic
-        schedule.  Returns ``(model, have_payload)``.
-        """
-        model = self._acquire_model(segment.index, seg_t, result)
-        have = self._fetch_segment(encoded_segment, seg_t, result)
-        return model, have
-
-    # ------------------------------------------------------------------
-    # Joint-controller path (serial engine only).
-
-    def _control_context(self, segment, encoded_segment,
-                         label: int) -> ControlContext:
-        """One segment boundary's decision context.
-
-        The solo client streams one pre-encoded rendition, so the ladder
-        collapses to a single rung (the segment's actual bits at a neutral
-        quality origin — tier gains are *relative* uplifts); buffer depth
-        is unbounded because the serial client has no playout buffer to
-        protect.  The SR options come from the manifest's tier table, with
-        already-downloaded checkpoints owing zero bits.
-        """
-        n_inferences = sum(1 for f in encoded_segment.frames
-                           if f.ftype == "I") or 1
-        cached = frozenset(
-            (tier, precision)
-            for (lab, tier, precision) in self._tier_downloaded
-            if lab == label)
-        bandwidth = None
-        if self._network is not None:
-            bandwidth = self._network.config.bandwidth_bps
-        return ControlContext(
-            segment=segment.index,
-            segment_seconds=segment.n_frames / self.package.encoded.fps,
-            throughput_bps=(float(bandwidth) if bandwidth
-                            else float("inf")),
-            buffer_s=float("inf"),
-            rung_bits=(encoded_segment.n_bytes * 8.0,),
-            rung_quality_db=(0.0,),
-            sr_options=tier_options(self.package.manifest, label,
-                                    cached=cached),
-            n_inferences=n_inferences,
-        )
-
-    def _controlled_fetch(self, segment, encoded_segment,
-                          seg_t: SegmentPlayback, result: PlaybackResult):
-        """Stages 1-2 under the joint controller: decide, then fetch the
-        chosen tier checkpoint (if any) and the segment."""
-        label = self.package.manifest.model_label_for(segment.index)
-        decision = self._controller.decide(
-            self._control_context(segment, encoded_segment, label))
-        self.obs.metrics.counter(
-            "dcsr_controller_decisions_total",
-            "Joint controller segment decisions by SR tier and precision",
-        ).inc(tier=decision.tier or "off", precision=decision.precision)
-        self._ctrl_engine = None
-        model = None
-        if decision.sr_enabled:
-            model = self._acquire_tier_model(label, decision, seg_t, result)
-            if model is not None:
-                self._ctrl_engine = self._tier_engine(label, decision, model)
-        have = self._fetch_segment(encoded_segment, seg_t, result)
-        return decision, model, have
-
-    def _acquire_tier_model(self, label: int, decision,
-                            seg_t: SegmentPlayback,
-                            result: PlaybackResult) -> EDSR | None:
-        """The decided tier's model, downloading its checkpoint (at the
-        manifest-recorded per-precision size) on first use.  Fetch
-        failures degrade exactly like base-model failures: fallback mode
-        plays the segment unenhanced, strict mode raises."""
-        key = (label, decision.tier, decision.precision)
-        tier_models = getattr(self.package, "tier_models", {})
-        model = tier_models.get(decision.tier, {}).get(label)
-        self._fetch_seconds = 0.0
-        self._fetch_attempts = 0
+    def _fetch_stage(self, segment, encoded_segment) -> SegmentFetch:
+        """Stages 1-2 through the shared :class:`FetchStage`, plus the
+        client's own ``download`` span per fetch and decision counter.
+        Consumes the network's schedule: call in segment order."""
         try:
-            if model is None:
-                raise KeyError(
-                    f"package has no tier {decision.tier!r} model for "
-                    f"label {label}")
-            if key not in self._tier_downloaded:
-                size = self.package.manifest.tier_size_for(
-                    label, decision.tier, decision.precision)
-                if self._network is not None:
-                    seconds, attempts = download_with_retry(
-                        self._network, self._retry, "model",
-                        f"{label}:{decision.tier}:{decision.precision}",
-                        size)
-                    self._fetch_seconds += seconds
-                    self._fetch_attempts += attempts
-                self._model_bytes += size
-                self._tier_downloaded.add(key)
-        except (KeyError, DownloadError) as exc:
-            if isinstance(exc, DownloadError):
-                self._fetch_seconds += exc.seconds
-                self._fetch_attempts += exc.attempts
-            self._record_download(seg_t, "model", seg_t.index, failed=True)
-            if not self._fallback:
-                raise
-            seg_t.status = "fallback"
-            result.fallback_segments.append(seg_t.index)
-            return None
-        self._record_download(seg_t, "model", seg_t.index)
-        return model
+            fetched = self._stage.fetch(segment, encoded_segment)
+        except DownloadError as exc:
+            # Strict mode: the fatal model fetch still shows in the trace.
+            self._download_span(segment.index, "model", exc.seconds,
+                                exc.attempts, failed=True)
+            raise
+        for download in fetched.downloads:
+            self._download_span(segment.index, *download)
+        if fetched.decision is not None:
+            self.obs.metrics.counter(
+                "dcsr_controller_decisions_total",
+                "Joint controller segment decisions by SR tier and precision",
+            ).inc(tier=fetched.decision.tier or "off",
+                  precision=fetched.decision.precision)
+        return fetched
 
-    def _tier_engine(self, label: int, decision, model: EDSR):
-        """Per-(label, tier, precision) inference engine, built once per
-        session.  Inherits the fast path's tiling/threading knobs when a
-        config is present; the *precision* always comes from the decision."""
-        key = (label, decision.tier, decision.precision)
-        engine = self._tier_engines.get(key)
-        if engine is None:
-            fast = self._fast
-            engine = InferenceEngine(
-                model,
-                tile=fast.tile if fast is not None else None,
-                threads=fast.sr_threads if fast is not None else 1,
-                obs=self.obs,
-                precision=decision.precision,
-                skip_gate=fast.skip_gate if fast is not None else None,
-                kernel=fast.kernel if fast is not None else "shift")
-            self._tier_engines[key] = engine
-        return engine
+    def _download_span(self, segment_index: int, kind: str, seconds: float,
+                       attempts: int, failed: bool) -> None:
+        """Download seconds are simulated, so the span is recorded against
+        the network's clock (``clock="simulated"``), not into wall time."""
+        attrs = {"kind": kind, "segment": segment_index,
+                 "attempts": attempts}
+        if failed:
+            attrs["failed"] = True
+        self.obs.tracer.record("download", seconds,
+                               parent=self._session,
+                               clock=self._stage.network.clock,
+                               stage="download", **attrs)
 
-    def _controller_feedback(self, segment, seg_t: SegmentPlayback,
-                             decision, telemetry: PlaybackTelemetry) -> None:
-        """Close the loop: realized energy from the device power model on
-        the segment's *actual* inference count."""
-        seconds = segment.n_frames / self.package.encoded.fps
-        flops = (decision.option.flops_per_inference
-                 if decision.sr_enabled else 0.0)
-        energy = segment_energy(self._controller.device, seconds, flops,
-                                seg_t.sr_inferences)
-        self._controller.feedback(energy.energy_j, seconds)
-        telemetry.energy_joules += energy.energy_j
-        if decision.sr_enabled and seg_t.sr_inferences:
-            telemetry.sr_segments += 1
-        self._ctrl_engine = None
-
-    def _decode_stage(self, segment, encoded_segment,
-                      seg_t: SegmentPlayback, model, have: bool, decoder,
-                      pinned: bool = True):
-        """Stage 3: decode with the SR hook in the loop; release the
-        model pin.  Thread-safe given a private ``decoder`` per caller —
-        decode workers run this concurrently.  ``pinned=False`` skips the
-        cache release (controller-chosen tier models live outside the
-        label-keyed model cache)."""
+    def _decode_stage(self, segment, encoded_segment, fetched: SegmentFetch,
+                      decoder):
+        """Stage 3: decode with the SR hook in the loop, then release the
+        model pin and feed the realized inference count back.  Thread-safe
+        given a private ``decoder`` per caller (decode workers run this
+        concurrently).  Returns ``None`` when the segment must conceal."""
         from ..video.codec import DecodeError
 
         package = self.package
+        seg_t = fetched.seg_t
         decoded = None
         try:
-            if have:
+            if seg_t.status != "concealed":     # the payload arrived
                 # Passthrough fallback decodes with no hook at all —
                 # bit-identical to the plain (LOW) decode.
+                decision = fetched.decision
                 decoder.i_frame_hook = (
-                    None if model is None
-                    else self._timed_hook(model, seg_t,
-                                          engine=self._ctrl_engine))
+                    None if fetched.model is None
+                    else self._timed_hook(
+                        fetched.model, seg_t,
+                        decision.precision if decision else None))
                 # The decode span nests the hook's sr/color spans (same
                 # thread), so its staged self-time equals decode_s below.
                 with self.obs.tracer.span("decode", parent=self._session,
@@ -1176,61 +761,51 @@ class DcsrClient:
                 seg_t.decode_s = max(
                     0.0, span.elapsed - seg_t.sr_s - seg_t.color_s)
         finally:
-            # The model was pinned by acquire for the duration of decode
-            # (where every SR inference happens); release the pin so a
-            # bounded shared cache may evict it again.
-            if model is not None and pinned:
-                self._cache.release(
-                    package.manifest.model_label_for(segment.index))
+            self._stage.release(fetched)
+        self._stage.feedback(fetched, seg_t.sr_inferences)
         return decoded
-
-    @staticmethod
-    def _note_unplayable(segment, seg_t: SegmentPlayback,
-                         result: PlaybackResult) -> None:
-        """Record that none of ``segment``'s frames will play."""
-        if seg_t.status == "fallback":
-            # Superseded: none of its frames play, so the
-            # segment is concealed, not degraded-but-played.
-            result.fallback_segments.remove(segment.index)
-        seg_t.status = "concealed"
-        result.skipped_segments.append(segment.index)
 
     def _emit_segment(self, segment, seg_t: SegmentPlayback, decoded,
                       held: list, reference_frames,
                       result: PlaybackResult) -> Iterator[PlayedFrame]:
         """Stage 4 for one segment: colour-convert, score, and yield the
         display-order frames.  ``held`` is a one-cell box carrying the
-        last good YUV frame across segments for concealment."""
+        last good YUV frame across segments for concealment: an
+        unplayable segment holds it (converted once, shared by every
+        concealed display); a loss before any good frame shows black."""
         package = self.package
-        if decoded is None:
-            emit = self._concealed_frames(
-                segment, held[0], package.encoded.height,
-                package.encoded.width)
+        concealed = decoded is None
+        if not concealed:
+            emit = [(d.display, d.ftype, d.frame)
+                    for d in sorted(decoded, key=lambda d: d.display)]
         else:
-            emit = sorted(decoded, key=lambda d: d.display)
+            stand_in = (yuv420_to_rgb(held[0]) if held[0] is not None
+                        else np.zeros((package.encoded.height,
+                                       package.encoded.width, 3),
+                                      dtype=np.float32))
+            emit = [(display, "C", None)
+                    for display in range(segment.start, segment.end)]
         tracer = self.obs.tracer
         emit_color = 0.0
         try:
-            for item in emit:
-                concealed = decoded is None
+            for display, ftype, frame in emit:
                 if concealed:
-                    rgb = item.rgb
+                    rgb = stand_in
                 else:
                     t0 = tracer.clock.now()
-                    rgb = yuv420_to_rgb(item.frame)
+                    rgb = yuv420_to_rgb(frame)
                     dt = tracer.clock.now() - t0
                     emit_color += dt
                     seg_t.color_s += dt
-                    held[0] = item.frame
-                result.frame_types.append(item.ftype)
+                    held[0] = frame
+                result.frame_types.append(ftype)
                 if reference_frames is not None:
-                    ref = reference_frames[item.display]
+                    ref = reference_frames[display]
                     result.psnr_per_frame.append(psnr(rgb, ref))
                     result.ssim_per_frame.append(ssim(rgb, ref))
-                yield PlayedFrame(display=item.display,
+                yield PlayedFrame(display=display,
                                   segment_index=segment.index,
-                                  ftype=item.ftype, rgb=rgb,
-                                  concealed=concealed)
+                                  ftype=ftype, rgb=rgb, concealed=concealed)
         finally:
             # One span per segment (the per-frame conversions are too
             # fine-grained to be useful nodes); emitted even when the
@@ -1241,89 +816,20 @@ class DcsrClient:
                               stage="color", segment=seg_t.index,
                               where="display")
 
-    def _acquire_model(self, segment_index: int, seg_t: SegmentPlayback,
-                       result: PlaybackResult) -> EDSR | None:
-        """The segment's micro model, or — on a fetch failure with
-        ``fallback=True`` — ``None`` (play unenhanced), with the
-        degradation recorded.  Strict mode re-raises."""
-        label = self.package.manifest.model_label_for(segment_index)
-        self._fetch_seconds = 0.0
-        self._fetch_attempts = 0
-        try:
-            model = self._cache.acquire(label)
-        except (KeyError, DownloadError) as exc:
-            if isinstance(exc, DownloadError):
-                self._fetch_seconds += exc.seconds
-                self._fetch_attempts += exc.attempts
-            self._record_download(seg_t, "model", segment_index, failed=True)
-            if not self._fallback:
-                raise
-            seg_t.status = "fallback"
-            result.fallback_segments.append(segment_index)
-            return None
-        self._record_download(seg_t, "model", segment_index)
-        return model
-
-    def _record_download(self, seg_t: SegmentPlayback, kind: str,
-                         segment_index: int, failed: bool = False) -> None:
-        """Fold the pending fetch accounting into ``seg_t`` and the trace.
-
-        Download seconds are simulated (the network's clock domain), so
-        the span is recorded against ``self._sim_clock`` and carries a
-        ``clock="simulated"`` attribute rather than mixing into wall time.
-        Cache hits (zero attempts) leave no span.
-        """
-        seg_t.download_s += self._fetch_seconds
-        seg_t.download_attempts += self._fetch_attempts
-        if self._fetch_attempts:
-            attrs = {"kind": kind, "segment": segment_index,
-                     "attempts": self._fetch_attempts}
-            if failed:
-                attrs["failed"] = True
-            self.obs.tracer.record("download", self._fetch_seconds,
-                                   parent=self._session,
-                                   clock=self._sim_clock,
-                                   stage="download", **attrs)
-        self._fetch_seconds = 0.0
-        self._fetch_attempts = 0
-
-    def _fetch_segment(self, encoded_segment, seg_t: SegmentPlayback,
-                       result: PlaybackResult) -> bool:
-        """Download one segment; ``False`` means conceal (budget exhausted)."""
-        if self._network is None:
-            result.video_bytes += encoded_segment.n_bytes
-            seg_t.download_attempts += 1
-            return True
-        try:
-            seconds, attempts = download_with_retry(
-                self._network, self._retry, "segment",
-                encoded_segment.index, encoded_segment.n_bytes)
-        except DownloadError as exc:
-            self._fetch_seconds, self._fetch_attempts = \
-                exc.seconds, exc.attempts
-            self._record_download(seg_t, "segment", encoded_segment.index,
-                                  failed=True)
-            return False
-        self._fetch_seconds, self._fetch_attempts = seconds, attempts
-        self._record_download(seg_t, "segment", encoded_segment.index)
-        result.video_bytes += encoded_segment.n_bytes
-        return True
-
-    def _timed_hook(self, model, seg_t: SegmentPlayback, engine=None):
+    def _timed_hook(self, model, seg_t: SegmentPlayback,
+                    precision: str | None = None):
         """Figure 6's enhancement hook with per-stage timing attached.
 
         With a :class:`FastPathConfig`, SR runs on the tiled NHWC engine;
         the first enhanced frame of the session optionally times the
         reference forward once on the same input (output discarded) to
         report the measured speedup.  Calibration seconds are measurement
-        overhead and are excluded from stage accounting.  An explicit
-        ``engine`` (the controller's per-tier engine) overrides the
-        session-level engine selection.
+        overhead and are excluded from stage accounting.  A controller's
+        decided ``precision`` always runs on an engine at that precision.
         """
-        if engine is None:
-            use_engine = (self._fast is not None
-                          or self._engine_provider is not None)
-            engine = self._engine_for(model) if use_engine else None
+        use_engine = (precision is not None or self._fast is not None
+                      or self._engine_provider is not None)
+        engine = self._engine_for(model, precision) if use_engine else None
         if engine is not None and hasattr(engine, "reset_reuse"):
             # One hook per segment: a segment boundary is a GOP boundary
             # (and where seeks/concealment land), so cross-segment content
@@ -1375,41 +881,11 @@ class DcsrClient:
             return out
         return hook
 
-    @staticmethod
-    def _concealed_frames(segment, last_good: YuvFrame | None,
-                          height: int, width: int):
-        """Display-order stand-ins for an unplayable segment.
-
-        Holds the last good frame (converted once, shared by every
-        concealed display); a loss before any good frame shows black.
-        """
-        @dataclass(frozen=True)
-        class _Held:
-            display: int
-            ftype: str
-            rgb: np.ndarray
-
-        if last_good is not None:
-            rgb = yuv420_to_rgb(last_good)
-        else:
-            rgb = np.zeros((height, width, 3), dtype=np.float32)
-        return [_Held(display=d, ftype="C", rgb=rgb)
-                for d in range(segment.start, segment.end)]
-
     def _finalize(self, result: PlaybackResult,
                   telemetry: PlaybackTelemetry) -> None:
-        result.model_bytes = self._model_bytes
-        result.model_downloads = list(self._cache.stats.downloaded_labels)
-        result.cache_stats = self._cache.stats
+        self._stage.settle(result, telemetry)
         result.sr_inferences = sum(s.sr_inferences
                                    for s in telemetry.segments)
-        for name in PLAYBACK_STAGES:
-            total = sum(getattr(s, f"{name}_s") for s in telemetry.segments)
-            if total or name in ("download", "decode"):
-                telemetry.stage_seconds[name] = total
-        telemetry.download_attempts = sum(s.download_attempts
-                                          for s in telemetry.segments)
-        telemetry.cache_hit_rate = self._cache.stats.hit_rate
         n_frames = sum(s.n_frames for s in telemetry.segments)
         compute = sum(telemetry.stage_seconds.get(k, 0.0)
                       for k in ("decode", "sr", "color"))
@@ -1442,16 +918,16 @@ class DcsrClient:
             "dcsr_playback_achieved_fps",
             "Frames per compute second of the most recent session",
         ).set(telemetry.achieved_fps)
-        if self._controller is not None:
+        if self._stage.controller is not None:
             metrics.counter(
                 "dcsr_controller_energy_joules_total",
                 "Simulated rail energy under the joint controller",
             ).inc(telemetry.energy_joules,
-                  device=self._controller.device.name)
+                  device=self._stage.controller.device.name)
             if telemetry.energy_joules > 0 and result.psnr_per_frame:
                 metrics.gauge(
                     "dcsr_controller_quality_per_joule",
                     "Mean PSNR per joule of the most recent session",
                 ).set(float(np.mean(result.psnr_per_frame))
                       / telemetry.energy_joules,
-                      device=self._controller.device.name)
+                      device=self._stage.controller.device.name)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Protocol, Sequence
 
 from ..obs import Observability, SimulatedClock
 
@@ -32,6 +32,7 @@ __all__ = [
     "NetworkConfig",
     "DownloadError",
     "DownloadStats",
+    "Network",
     "SimulatedNetwork",
     "RetryPolicy",
     "download_with_retry",
@@ -84,6 +85,37 @@ class DownloadStats:
     bytes_delivered: int = 0
 
 
+class Network(Protocol):
+    """The download contract the whole client stack is written against.
+
+    Implemented by :class:`SimulatedNetwork`, its fair-share subclass
+    :class:`repro.serve.PooledNetwork`, and the real-socket
+    :class:`repro.net.HttpTransport`; ``tests/net/test_transport_contract.py``
+    holds all three to identical behaviour.  A session's only clock is
+    :attr:`clock`: every second :meth:`download` returns (or burns on a
+    failed attempt) is also advanced onto it, as is retry backoff.
+    """
+
+    #: Link shape; consumers read ``bandwidth_bps`` as a throughput hint.
+    config: NetworkConfig
+    #: Attempt-level accounting across the network's lifetime.
+    stats: DownloadStats
+    clock: SimulatedClock
+    #: Metrics sink, bound by the owning client when left ``None``.
+    obs: Observability | None
+    #: Optional tag labelling every metric this network emits.
+    session: str | None
+
+    def download(self, kind: str, key: int | str, n_bytes: int) -> float:
+        """Attempt one download of ``kind`` (``"segment"``/``"model"``)
+        ``key``: return its seconds, or raise :class:`DownloadError`
+        carrying the seconds burnt."""
+
+    def count(self, name: str, value: float, help: str, **labels) -> None:
+        """Add ``value`` to counter ``name`` in :attr:`obs` (no-op when
+        unbound), labelled with :attr:`session` when set."""
+
+
 class SimulatedNetwork:
     """Failure- and latency-injecting stand-in for the CDN link.
 
@@ -114,7 +146,7 @@ class SimulatedNetwork:
         #: concurrent sessions and need per-session attribution.
         self.session = session
 
-    def _count(self, name: str, value: float, help: str, **labels) -> None:
+    def count(self, name: str, value: float, help: str, **labels) -> None:
         if self.obs is not None:
             if self.session is not None:
                 labels = {"session": self.session, **labels}
@@ -136,22 +168,22 @@ class SimulatedNetwork:
         labels the error), ``key`` the segment index or model label.
         """
         self.stats.attempts += 1
-        self._count("dcsr_download_attempts_total", 1,
-                    "Download attempts by payload kind", kind=kind)
+        self.count("dcsr_download_attempts_total", 1,
+                   "Download attempts by payload kind", kind=kind)
         if self._next_attempt_fails():
             self.stats.failures += 1
             self.clock.advance(self.config.latency_s)
-            self._count("dcsr_download_failures_total", 1,
-                        "Injected download failures by payload kind",
-                        kind=kind)
+            self.count("dcsr_download_failures_total", 1,
+                       "Injected download failures by payload kind",
+                       kind=kind)
             raise DownloadError(
                 f"injected failure downloading {kind} {key}",
                 seconds=self.config.latency_s)
         seconds = self.config.latency_s + self._transfer_seconds(n_bytes)
         self.clock.advance(seconds)
         self.stats.bytes_delivered += int(n_bytes)
-        self._count("dcsr_download_bytes_total", int(n_bytes),
-                    "Bytes delivered by payload kind", kind=kind)
+        self.count("dcsr_download_bytes_total", int(n_bytes),
+                   "Bytes delivered by payload kind", kind=kind)
         return seconds
 
     def _transfer_seconds(self, n_bytes: int) -> float:
@@ -196,7 +228,7 @@ class RetryPolicy:
 
 
 def download_with_retry(
-    network: SimulatedNetwork, retry: RetryPolicy | None,
+    network: Network, retry: RetryPolicy | None,
     kind: str, key: int | str, n_bytes: int,
 ) -> tuple[float, int]:
     """Download under a retry budget.
@@ -221,9 +253,9 @@ def download_with_retry(
                     seconds=elapsed, attempts=attempts) from exc
             backoff = retry.delay(attempts - 1)
             network.clock.advance(backoff)
-            network._count("dcsr_download_retries_total", 1,
-                           "Retries issued after failed attempts", kind=kind)
-            network._count("dcsr_backoff_seconds_total", backoff,
-                           "Simulated seconds spent in retry backoff",
-                           kind=kind)
+            network.count("dcsr_download_retries_total", 1,
+                          "Retries issued after failed attempts", kind=kind)
+            network.count("dcsr_backoff_seconds_total", backoff,
+                          "Simulated seconds spent in retry backoff",
+                          kind=kind)
             elapsed += backoff

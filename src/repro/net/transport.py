@@ -2,13 +2,13 @@
 does.
 
 :class:`HttpTransport` is the production-shaped half of the network seam:
-the same duck-typed surface the whole client stack is written against —
-``download(kind, key, n_bytes) -> seconds``, a ``clock``, ``stats``,
-``config``, ``obs``/``session`` attributes, and the private ``_count``
-hook :func:`repro.core.network.download_with_retry` uses — backed by real
-TCP sockets instead of a simulated schedule.  ``DcsrClient``, the model
+the :class:`repro.core.network.Network` contract the whole client stack
+is written against — ``download(kind, key, n_bytes) -> seconds``, a
+``clock``, ``stats``, ``config``, ``obs``/``session`` attributes, and the
+``count`` hook :func:`repro.core.network.download_with_retry` uses —
+backed by real TCP sockets instead of a simulated schedule.  ``DcsrClient``, the model
 caches, retry/backoff, and the fleet simulator's playback mode therefore
-run unmodified over either transport; the dual-transport contract suite
+run unmodified over either transport; the transport contract suite
 (``tests/net/test_transport_contract.py``) holds them to identical
 behavior.
 
@@ -185,9 +185,9 @@ class HttpTransport:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------- SimulatedNetwork duck type
+    # ------------------------------------------------- the Network contract
 
-    def _count(self, name: str, value: float, help: str, **labels) -> None:
+    def count(self, name: str, value: float, help: str, **labels) -> None:
         if self.obs is not None:
             if self.session is not None:
                 labels = {"session": self.session, **labels}
@@ -214,8 +214,8 @@ class HttpTransport:
         :meth:`SimulatedNetwork.download` exactly.
         """
         self.stats.attempts += 1
-        self._count("dcsr_download_attempts_total", 1,
-                    "Download attempts by payload kind", kind=kind)
+        self.count("dcsr_download_attempts_total", 1,
+                   "Download attempts by payload kind", kind=kind)
         path = self.path_for(kind, key)
         t0 = self._wall.now()
         try:
@@ -224,16 +224,16 @@ class HttpTransport:
             seconds = self._wall.now() - t0
             self.stats.failures += 1
             self.clock.advance(seconds)
-            self._count("dcsr_download_failures_total", 1,
-                        "Injected download failures by payload kind",
-                        kind=kind)
+            self.count("dcsr_download_failures_total", 1,
+                       "Injected download failures by payload kind",
+                       kind=kind)
             exc.seconds = seconds
             raise
         seconds = self._wall.now() - t0
         self.clock.advance(seconds)
         self.stats.bytes_delivered += len(body)
-        self._count("dcsr_download_bytes_total", len(body),
-                    "Bytes delivered by payload kind", kind=kind)
+        self.count("dcsr_download_bytes_total", len(body),
+                   "Bytes delivered by payload kind", kind=kind)
         self.last_payload = body
         return seconds
 

@@ -128,11 +128,12 @@ class BatchingInferenceEngine:
         co-arriving frames before dispatching a partial batch.  0 disables
         waiting: every frame dispatches immediately (batching then only
         merges frames that were already pending).
-    tile / threads / precision / skip_gate:
+    tile / threads / precision / skip_gate / kernel:
         Passed through to each underlying per-model
         :class:`~repro.sr.engine.InferenceEngine` (``precision`` selects
         the quantized GEMM kernels, ``skip_gate`` the low-detail tile
-        gate; the defaults are bitwise-identical to the plain engine).
+        gate, ``kernel`` the conv kernel; the defaults are
+        bitwise-identical to the plain engine).
     obs:
         Optional :class:`~repro.obs.Observability`: batch sizes land in
         the ``dcsr_batch_size`` histogram, totals in
@@ -142,7 +143,7 @@ class BatchingInferenceEngine:
     def __init__(self, max_batch: int = 8, max_wait_s: float = 0.002,
                  tile: int | None = None, threads: int = 1,
                  obs: Observability | None = None, precision: str = "fp32",
-                 skip_gate=None):
+                 skip_gate=None, kernel: str = "shift"):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_wait_s < 0:
@@ -153,6 +154,7 @@ class BatchingInferenceEngine:
         self.threads = int(threads)
         self.precision = precision
         self.skip_gate = skip_gate
+        self.kernel = kernel
         self.obs = obs
         self.stats = BatchingStats()
         self._clock = wall_clock()
@@ -269,7 +271,8 @@ class BatchingInferenceEngine:
                     InferenceEngine(model, tile=self.tile,
                                     threads=self.threads,
                                     precision=self.precision,
-                                    skip_gate=self.skip_gate),
+                                    skip_gate=self.skip_gate,
+                                    kernel=self.kernel),
                     threading.Lock())
             key = (id(model), shape)
             group = self._groups.get(key)

@@ -53,22 +53,19 @@ import numpy as np
 
 from ..control import (
     CONTROLLER_NAMES,
-    ControlContext,
     JointController,
     build_controller,
     segment_energy,
-    tier_options,
 )
 from ..core.client import (
     DcsrClient,
     FastPathConfig,
     PlaybackResult,
     PlaybackTelemetry,
-    PlayoutClock,
-    SegmentPlayback,
 )
-from ..core.network import DownloadError, RetryPolicy, download_with_retry
+from ..core.network import RetryPolicy
 from ..core.server import DcsrPackage
+from ..core.session import FetchStage, PlayoutClock, record_segment
 from ..core.streaming import session_goodput_bps, stall_ratio
 from ..devices import DEVICES, get_device
 from ..obs import Observability
@@ -453,21 +450,7 @@ class FleetSimulator:
             max_batch=config.max_batch, max_wait_s=config.max_wait_s,
             obs=self.obs) if config.batching else None)
         self.loop: EventLoop | None = None
-        self._fpp_cache: dict[int, float] = {}
-
-    def _i_frames_in(self, encoded_segment) -> int:
-        """I-frame count of a segment: from its per-frame metadata when
-        present, else re-derived from the GOP plan (packages saved
-        before frame info was persisted load with empty ``frames``)."""
-        if encoded_segment.frames:
-            return sum(1 for fr in encoded_segment.frames
-                       if fr.ftype == "I")
-        from ..video.codec.gop import plan_segment
-        codec = self.package.encoded.config
-        plans = plan_segment(encoded_segment.start,
-                             encoded_segment.n_frames,
-                             codec.n_b_frames, codec.extra_i_interval)
-        return sum(1 for plan in plans if plan.ftype == "I")
+        self._flops_cache: dict[int, float] = {}
 
     def _controller_for(self, session_id: int) -> JointController | None:
         """A fresh private controller for one session (or ``None``).
@@ -484,20 +467,22 @@ class FleetSimulator:
             tier=self.config.controller_tier,
             precision=self.config.controller_precision)
 
-    def _flops_per_pixel(self, label: int) -> float:
-        """Nominal forward FLOPs/input-pixel of one model label (trace
-        mode's SR-demand model; cached per label)."""
-        fpp = self._fpp_cache.get(label)
-        if fpp is None:
-            models = getattr(self.package, "models", None)
-            model = models.get(label) if models is not None else None
+    def _nominal_flops(self, label: int) -> float:
+        """Nominal FLOPs of one full-frame forward of ``label``'s base
+        model — the unit of trace mode's SR-demand model and of
+        uncontrolled sessions' energy model (cached per label)."""
+        flops = self._flops_cache.get(label)
+        if flops is None:
+            model = self.package.models.get(label)
             if model is None:
-                fpp = 0.0
+                flops = 0.0
             else:
                 from ..sr.engine import InferenceEngine
-                fpp = InferenceEngine(model).flops_per_pixel()
-            self._fpp_cache[label] = fpp
-        return fpp
+                encoded = self.package.encoded
+                flops = (InferenceEngine(model).flops_per_pixel()
+                         * (encoded.width * encoded.height))
+            self._flops_cache[label] = flops
+        return flops
 
     # -------------------------------------------------------------- admission
 
@@ -620,14 +605,12 @@ class FleetSimulator:
     def _model_session_energy(self, telemetry: PlaybackTelemetry,
                               device_name: str) -> None:
         device = get_device(device_name)
-        encoded = self.package.encoded
-        pixels = encoded.width * encoded.height
+        fps = self.package.encoded.fps
         manifest = self.package.manifest
         for seg_t in telemetry.segments:
             label = manifest.model_label_for(seg_t.index)
             telemetry.energy_joules += segment_energy(
-                device, seg_t.n_frames / encoded.fps,
-                self._flops_per_pixel(label) * pixels,
+                device, seg_t.n_frames / fps, self._nominal_flops(label),
                 seg_t.sr_inferences).energy_j
 
     # --------------------------------------------------------- trace sessions
@@ -635,40 +618,31 @@ class FleetSimulator:
     def _trace_session(self, shell: SessionResult):
         """One byte-trace session as an event-loop process.
 
-        Replays the package's manifest through the real serving
-        substrate — hierarchy admission, single-flightless edge sharing,
-        fair-share pool charges, token buckets, retry/backoff, playout
-        recurrence — while skipping decode/SR compute entirely.  Yields
-        back to the loop before each segment so sessions interleave in
-        sim-time order (the pool's charges arrive causally sorted, and
-        the watermark can prune dead intervals).
+        The client's session machine with a null decode stage: the same
+        :class:`~repro.core.session.FetchStage` (controller decision,
+        edge sharing, fair-share pool charges, token buckets,
+        retry/backoff, fallback/concealment) and playout clock, with
+        nothing between ``fetch`` and ``release``.  Only what is
+        fleet-side stays here: yielding to the loop before each segment
+        so sessions interleave in sim-time order (the pool's charges
+        arrive causally sorted, and the watermark can prune dead
+        intervals), the modelled SR demand, and one ``session`` span.
         """
         package = self.package
-        manifest = package.manifest
         config = self.config
         network = self.pool.session(shell.session_id,
                                     arrival_s=shell.start_s)
-        retry = RetryPolicy(retries=config.retries)
-        pending = {"seconds": 0.0, "attempts": 0, "bytes": 0}
-
-        def fetch(label: int):
-            size = manifest.model_sizes[label]
-            seconds, attempts = download_with_retry(
-                network, retry, "model", label, size)
-            pending["seconds"] += seconds
-            pending["attempts"] += attempts
-            pending["bytes"] += size
-            return ("model", label)     # byte-trace stand-in for the model
-
-        cache = self.cache.edge_for(shell.session_id).session(fetch)
+        device_name = config.device_name_for(shell.session_id)
+        stage = FetchStage(
+            package, network, RetryPolicy(retries=config.retries),
+            config.fallback,
+            model_cache=self.cache.edge_for(shell.session_id),
+            controller=self._controller_for(shell.session_id),
+            device=get_device(device_name) if device_name else None)
         fps = package.encoded.fps
         telemetry = PlaybackTelemetry(native_fps=fps, obs=self.obs)
         result = PlaybackResult(telemetry=telemetry)
         playout = PlayoutClock(fps)
-        controller = self._controller_for(shell.session_id)
-        device_name = config.device_name_for(shell.session_id)
-        device = get_device(device_name) if device_name is not None else None
-        tier_downloaded: set[tuple[int, str, str]] = set()
 
         for segment, encoded_segment in zip(package.segments,
                                             package.encoded.segments):
@@ -677,133 +651,32 @@ class FleetSimulator:
             now = yield Until(shell.start_s + network.clock.now())
             self.pool.advance_watermark(now)
 
-            seg_t = SegmentPlayback(index=segment.index,
-                                    n_frames=segment.n_frames)
-            telemetry.segments.append(seg_t)
-            label = manifest.model_label_for(segment.index)
-            n_i = self._i_frames_in(encoded_segment)
-            decision = None
-            acquired = False
-            if controller is not None:
-                # Joint path mirrors the client: the controller owns the
-                # SR decision, tier checkpoints are charged once per
-                # (label, tier, precision) outside the edge cache, and
-                # the base label model is never fetched.
-                decision = controller.decide(ControlContext(
-                    segment=segment.index,
-                    segment_seconds=segment.n_frames / fps,
-                    throughput_bps=(float(config.bandwidth_bps)
-                                    if config.bandwidth_bps
-                                    else float("inf")),
-                    buffer_s=float("inf"),
-                    rung_bits=(encoded_segment.n_bytes * 8.0,),
-                    rung_quality_db=(0.0,),
-                    sr_options=tier_options(manifest, label, cached=frozenset(
-                        (t, p) for (lab, t, p) in tier_downloaded
-                        if lab == label)),
-                    n_inferences=n_i,
-                ))
-                key = (label, decision.tier, decision.precision)
-                if decision.sr_enabled and key not in tier_downloaded:
-                    size = manifest.tier_size_for(
-                        label, decision.tier, decision.precision)
-                    try:
-                        seconds, attempts = download_with_retry(
-                            network, retry, "model",
-                            f"{label}:{decision.tier}:{decision.precision}",
-                            size)
-                        seg_t.download_s += seconds
-                        seg_t.download_attempts += attempts
-                        result.model_bytes += size
-                        tier_downloaded.add(key)
-                    except DownloadError as exc:
-                        seg_t.download_s += exc.seconds
-                        seg_t.download_attempts += exc.attempts
-                        if not config.fallback:
-                            raise
-                        seg_t.status = "fallback"
-                        result.fallback_segments.append(segment.index)
-                        decision = None     # SR cannot run this segment
-            else:
-                pending.update(seconds=0.0, attempts=0, bytes=0)
-                try:
-                    cache.acquire(label)
-                    acquired = True
-                except (KeyError, DownloadError) as exc:
-                    if isinstance(exc, DownloadError):
-                        pending["seconds"] += exc.seconds
-                        pending["attempts"] += exc.attempts
-                    if not config.fallback:
-                        raise
-                    seg_t.status = "fallback"
-                    result.fallback_segments.append(segment.index)
-                seg_t.download_s += pending["seconds"]
-                seg_t.download_attempts += pending["attempts"]
-                result.model_bytes += pending["bytes"]
-
-            try:
-                try:
-                    seconds, attempts = download_with_retry(
-                        network, retry, "segment", encoded_segment.index,
-                        encoded_segment.n_bytes)
-                    seg_t.download_s += seconds
-                    seg_t.download_attempts += attempts
-                    result.video_bytes += encoded_segment.n_bytes
-                except DownloadError as exc:
-                    seg_t.download_s += exc.seconds
-                    seg_t.download_attempts += exc.attempts
-                    if seg_t.status == "fallback":
-                        result.fallback_segments.remove(segment.index)
-                    seg_t.status = "concealed"
-                    result.skipped_segments.append(segment.index)
-            finally:
-                if acquired:
-                    cache.release(label)
-
-            if seg_t.status == "ok":
-                # Trace mode skips decode/SR, so model the segment's SR
-                # demand instead: one forward per I-frame (dcSR enhances
+            fetched = stage.fetch(segment, encoded_segment)
+            stage.release(fetched)      # the null decode stage
+            seg_t = fetched.seg_t
+            decision = fetched.decision
+            if seg_t.status == "ok" \
+                    and (decision is None or decision.sr_enabled):
+                # No decode/SR runs, so model the segment's SR demand
+                # instead: one forward per I-frame (dcSR enhances
                 # I-frames only), scaled by sr_demand_factor — the fleet
                 # knob for fast-path savings (skip gate + temporal reuse)
                 # measured in playback mode or via calibrate_reuse.
                 # Under a controller the tier's own FLOPs replace the
                 # base model's, and an SR-off decision demands nothing.
-                if controller is not None:
-                    if decision is not None and decision.sr_enabled:
-                        seg_t.sr_inferences = n_i
-                        seg_t.sr_flops = (
-                            decision.option.flops_per_inference * n_i
-                            * config.sr_demand_factor)
-                else:
-                    fpp = self._flops_per_pixel(label)
-                    seg_t.sr_inferences = n_i
-                    seg_t.sr_flops = (fpp * package.encoded.width
-                                      * package.encoded.height * n_i
-                                      * config.sr_demand_factor)
+                flops = (self._nominal_flops(fetched.label)
+                         if decision is None
+                         else decision.option.flops_per_inference)
+                seg_t.sr_inferences = fetched.n_inferences
+                seg_t.sr_flops = (flops * fetched.n_inferences
+                                  * config.sr_demand_factor)
+            if stage.device is not None:
+                stage.feedback(fetched, seg_t.sr_inferences,
+                               seg_t.sr_flops / seg_t.sr_inferences
+                               if seg_t.sr_inferences else 0.0)
+            record_segment(result, telemetry, playout, seg_t)
 
-            if device is not None:
-                seconds = segment.n_frames / fps
-                fpi = (seg_t.sr_flops / seg_t.sr_inferences
-                       if seg_t.sr_inferences else 0.0)
-                energy = segment_energy(device, seconds, fpi,
-                                        seg_t.sr_inferences)
-                telemetry.energy_joules += energy.energy_j
-                if controller is not None:
-                    controller.feedback(energy.energy_j, seconds)
-
-            playout.segment_ready(seg_t.download_s, segment.n_frames)
-
-        telemetry.startup_seconds = playout.startup_s
-        telemetry.stall_seconds = playout.stall_s
-        telemetry.stage_seconds = {
-            "download": sum(s.download_s for s in telemetry.segments),
-            "decode": 0.0,      # trace mode performs no media compute
-        }
-        telemetry.download_attempts = sum(s.download_attempts
-                                          for s in telemetry.segments)
-        telemetry.cache_hit_rate = cache.stats.hit_rate
-        result.model_downloads = list(cache.stats.downloaded_labels)
-        result.cache_stats = cache.stats
+        stage.settle(result, telemetry)
         # One span per session (per-download spans would dominate memory
         # at 5k sessions); stamped against the session's simulated clock
         # so it carries clock="simulated" like client download spans.

@@ -160,3 +160,66 @@ class TestPolicyPricing:
             choice = policy.choose_joint(_ladder(2), 0, 8e6, 5.0)
             energies[name] = choice.energy_j
         assert energies["three"] > energies["one"]
+
+
+class TestOneCounterEverywhere:
+    """Regression: the I-frame count was computed three ways — the
+    client's ``sum(...) or 1`` skipped the GOP-plan fallback the bridge
+    and the fleet applied.  On a package whose per-frame metadata is
+    empty (saved before frame info was persisted), a controlled client
+    session, a controlled trace session and ``LadderControllerPolicy``
+    must all price the same ``n_inferences``."""
+
+    @staticmethod
+    def _legacy(package):
+        """``package`` as a pre-frame-info load: empty ``frames``, and a
+        codec config whose GOP plan holds more than one I per segment
+        (only pricing reads the plan; decode reads the bitstream)."""
+        import dataclasses
+
+        from repro.core.persist import StoredPackage
+
+        encoded = dataclasses.replace(
+            package.encoded,
+            config=dataclasses.replace(package.encoded.config,
+                                       extra_i_interval=2),
+            segments=[dataclasses.replace(seg, frames=[])
+                      for seg in package.encoded.segments])
+        return StoredPackage(manifest=package.manifest, encoded=encoded,
+                             models=package.models,
+                             segments=package.segments,
+                             tier_models=package.tier_models)
+
+    def test_client_trace_and_policy_agree(self, tiered_package,
+                                           monkeypatch):
+        from repro.core.client import DcsrClient
+        from repro.serve import FleetConfig, FleetSimulator
+
+        legacy = self._legacy(tiered_package)
+        expected = iframe_counts(legacy.encoded)
+        assert max(expected) > 1      # `or 1` would get these wrong
+
+        client_ctrl = _CapturingController(get_device("desktop"),
+                                           tier="dcSR-1")
+        DcsrClient(legacy, controller=client_ctrl).play()
+        assert client_ctrl.seen_inferences == expected
+
+        trace_ctrl = _CapturingController(get_device("desktop"),
+                                          tier="dcSR-1")
+        fleet = FleetSimulator(legacy, FleetConfig(
+            sessions=1, mode="trace", devices=("desktop",),
+            controller="fixed", controller_tier="dcSR-1"))
+        monkeypatch.setattr(fleet, "_controller_for",
+                            lambda session_id: trace_ctrl)
+        fleet.run()
+        assert trace_ctrl.seen_inferences == expected
+
+        policy_ctrl = _CapturingController(get_device("desktop"),
+                                           tier="dcSR-1")
+        policy = LadderControllerPolicy(policy_ctrl, legacy.manifest,
+                                        encoded=legacy.encoded)
+        n = len(expected)
+        ladder = _ladder(n)
+        for segment in range(n):
+            policy.choose_joint(ladder, segment, 8e6, 5.0)
+        assert policy_ctrl.seen_inferences == expected

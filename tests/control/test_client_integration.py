@@ -59,11 +59,58 @@ class TestClientController:
         assert "dcsr_controller_decisions_total" in names
         assert "dcsr_controller_energy_joules_total" in names
 
-    def test_controller_rejects_pipelined_fast_path(self, tiered_package):
-        controller = GreedyKnapsackController(get_device("jetson"))
-        with pytest.raises(ValueError):
-            DcsrClient(tiered_package, controller=controller,
-                       fast_path=FastPathConfig(prefetch=2))
+    def test_controller_rejects_pipelined_fast_path(self, tiered_package,
+                                                    control_clip):
+        """Name kept from when this combination raised.  One pipeline
+        worker runs fetch -> decode -> feedback strictly in segment
+        order, so a controlled ``prefetch`` session is the serial
+        controlled session, bit for bit; only ``sr_batch > 1`` (fetching
+        ahead of the feedback a decision needs) is still rejected."""
+        def play(controller, fast_path):
+            result = DcsrClient(tiered_package, network=_network(),
+                                controller=controller,
+                                fast_path=fast_path
+                                ).play(control_clip.frames)
+            return result, [d.key() for d in controller.decisions]
+
+        # Always-on SR (every hook runs on the worker thread) and a
+        # budget-bound greedy (decisions depend on the energy fed back).
+        for make in (
+                lambda: FixedController(get_device("desktop"),
+                                        tier="dcSR-1"),
+                lambda: GreedyKnapsackController(get_device("jetson"),
+                                                 power_budget_w=2.0)):
+            serial, serial_keys = play(make(), FastPathConfig())
+            piped, piped_keys = play(make(), FastPathConfig(prefetch=2))
+            assert piped_keys == serial_keys
+            assert len(piped.frames) == len(serial.frames)
+            for ours, theirs in zip(piped.frames, serial.frames):
+                assert np.array_equal(ours, theirs)
+            assert piped.telemetry.energy_joules \
+                == serial.telemetry.energy_joules > 0.0
+            assert piped.model_bytes == serial.model_bytes
+            assert piped.sr_inferences == serial.sr_inferences
+
+        with pytest.raises(ValueError, match="sr_batch"):
+            DcsrClient(tiered_package,
+                       controller=GreedyKnapsackController(
+                           get_device("jetson")),
+                       fast_path=FastPathConfig(prefetch=2, sr_batch=2))
+
+    def test_tier_engines_come_from_the_engine_factory(self, tiered_package):
+        """Regression: tier engines were built beside the label-engine
+        factory and dropped ``reuse``."""
+        client = DcsrClient(
+            tiered_package,
+            controller=FixedController(get_device("desktop"), tier="dcSR-1",
+                                       precision="int8"),
+            fast_path=FastPathConfig(tile=24, reuse=True, kernel="blocked"))
+        client.play()
+        assert client._engines
+        for engine in client._engines.values():
+            assert engine.precision == "int8"    # the decision's, not fp32
+            assert engine.reuse is not None
+            assert engine.kernel == "blocked" and engine.tile == 24
 
     def test_sr_off_plays_passthrough(self, tiered_package, control_clip):
         # An unconstrained greedy on a package whose calibrated gains are

@@ -1,0 +1,210 @@
+"""The single playback pipeline: one consumer loop over one segment
+source, one fetch stage, one playout recurrence.
+
+``test_fast_playback.py`` pins the pipeline's *output* bitwise against
+the serial session; this file pins what the collapse of the three
+iterators fixed or made uniform: the slot-bounded memory contract under
+a slow consumer, consumer-side bookkeeping, fast-path knobs reaching
+every engine, and construction-time validation.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    DcsrClient,
+    FastPathConfig,
+    NetworkConfig,
+    RetryPolicy,
+    ServerConfig,
+    SimulatedNetwork,
+    build_package,
+)
+from repro.core.session import PlayoutClock
+from repro.features import VaeTrainConfig
+from repro.serve import FleetConfig
+from repro.sr import EdsrConfig, SrTrainConfig
+from repro.video import make_video
+from repro.video.codec import CodecConfig
+
+
+@pytest.fixture(scope="module")
+def uniform_package():
+    """Eight 4-frame segments: with every segment the same length the
+    slot bound is tight, so one segment too many resident shows."""
+    clip = make_video("uniform", "music", seed=7, size=(48, 64),
+                      duration_seconds=3.2, fps=10, n_distinct_scenes=3)
+    return build_package(clip, ServerConfig(
+        codec=CodecConfig(crf=48), fixed_segment_len=4, k_override=1,
+        vae_train=VaeTrainConfig(epochs=2, batch_size=4),
+        sr_train=SrTrainConfig(epochs=2, steps_per_epoch=2, batch_size=8,
+                               patch_size=16),
+        micro_config=EdsrConfig(n_resblocks=1, n_filters=4),
+        quantize_precisions=(), seed=0))
+
+
+class TestSlotBound:
+    @pytest.mark.parametrize("prefetch,sr_batch", [(1, 1), (2, 1), (2, 2)])
+    def test_slow_consumer_memory_bound(self, uniform_package, prefetch,
+                                        sr_batch):
+        """A consumer that stalls after the first frame lets the workers
+        run as far ahead as the slots allow — and no further: at most
+        ``prefetch + sr_batch`` decoded segments (plus the held
+        concealment frame) are ever resident."""
+        client = DcsrClient(uniform_package, fast_path=FastPathConfig(
+            prefetch=prefetch, sr_batch=sr_batch))
+        frames = client.iter_frames()
+        next(frames)
+        time.sleep(1.0)             # workers fill every slot they may
+        for _ in frames:
+            pass
+        peak = client.last_result.telemetry.peak_resident_frames
+        longest = max(seg.n_frames for seg in uniform_package.segments)
+        assert longest < peak <= (prefetch + sr_batch) * longest + 1
+
+    def test_oversubscribed_pool_keeps_order_and_bound(self, uniform_package):
+        """More workers than cores under a tiny switch interval: claims,
+        turn-ordered fetches and slot accounting must not lose an update
+        — every segment arrives once, in order, bitwise-equal to inline,
+        within the slot bound."""
+        import sys
+
+        def play(fast_path):
+            network = SimulatedNetwork(NetworkConfig(
+                fail_rate=0.3, bandwidth_bps=2e6, seed=5))
+            client = DcsrClient(uniform_package, network=network,
+                                retry=RetryPolicy(retries=1), fallback=True,
+                                fast_path=fast_path)
+            return client.play()
+
+        inline = play(FastPathConfig())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = play(FastPathConfig(prefetch=2, sr_batch=6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [s.index for s in pooled.telemetry.segments] \
+            == [s.index for s in inline.telemetry.segments]
+        assert [s.status for s in pooled.telemetry.segments] \
+            == [s.status for s in inline.telemetry.segments]
+        assert len(pooled.frames) == len(inline.frames)
+        for ours, theirs in zip(pooled.frames, inline.frames):
+            assert np.array_equal(ours, theirs)
+        assert pooled.total_bytes == inline.total_bytes
+        longest = max(seg.n_frames for seg in uniform_package.segments)
+        assert pooled.telemetry.peak_resident_frames <= 8 * longest + 1
+
+    def test_inline_source_spawns_no_thread(self, package):
+        import threading
+
+        before = set(threading.enumerate())
+        frames = DcsrClient(package,
+                            fast_path=FastPathConfig(tile=24)).iter_frames()
+        next(frames)
+        assert set(threading.enumerate()) == before
+        frames.close()
+
+
+class TestConsumerSideBookkeeping:
+    def test_abandoned_pipeline_reports_only_emitted_segments(self, package):
+        """Workers fetch and decode ahead, but telemetry rows and the
+        degradation lists are written by the consumer in segment order —
+        an abandoned generator never reports segments it did not emit."""
+        # Every download fails: each segment is concealed (and, with
+        # fallback, would first have been marked fallback by its fetch).
+        network = SimulatedNetwork(NetworkConfig(fail_rate=1.0, seed=0))
+        client = DcsrClient(package, network=network,
+                            retry=RetryPolicy(retries=0, backoff_s=0.0),
+                            fallback=True,
+                            fast_path=FastPathConfig(prefetch=3))
+        frames = client.iter_frames()
+        first = next(frames)
+        time.sleep(0.5)             # let the worker run ahead
+        frames.close()
+        result = client.last_result
+        assert [s.index for s in result.telemetry.segments] \
+            == [first.segment_index]
+        assert result.skipped_segments == [first.segment_index]
+        assert result.fallback_segments == []
+
+    def test_pipeline_and_inline_segments_rows_agree(self, package):
+        def rows(fast_path):
+            network = SimulatedNetwork(NetworkConfig(
+                fail_rate=0.4, bandwidth_bps=2e6, latency_s=0.01, seed=11))
+            result = DcsrClient(package, network=network, fallback=True,
+                                retry=RetryPolicy(retries=1),
+                                fast_path=fast_path).play()
+            return ([(s.index, s.status, s.download_attempts, s.download_s)
+                     for s in result.telemetry.segments],
+                    result.video_bytes, result.model_bytes)
+
+        inline = rows(FastPathConfig(tile=24))
+        assert rows(FastPathConfig(tile=24, prefetch=2)) == inline
+        assert rows(FastPathConfig(tile=24, prefetch=2, sr_batch=2)) == inline
+
+
+class TestKnobsReachEveryEngine:
+    def test_batched_session_honours_kernel(self, package):
+        """Regression: ``sr_batch > 1`` silently ran the shift kernel —
+        the session-local batcher never received ``kernel``."""
+        client = DcsrClient(package, fast_path=FastPathConfig(
+            prefetch=2, sr_batch=2, kernel="blocked"))
+        client.play()
+        engines = [engine for engine, _lock
+                   in client._batcher._engines.values()]
+        assert engines
+        assert all(engine.kernel == "blocked" for engine in engines)
+
+
+class TestValidationAtConstruction:
+    def test_negative_prefetch_fails_in_the_config(self):
+        with pytest.raises(ValueError, match="prefetch"):
+            FastPathConfig(prefetch=-1)
+
+    def test_fleet_config_rejects_it_before_any_session(self):
+        with pytest.raises(ValueError, match="prefetch"):
+            FleetConfig(fast_path=FastPathConfig(prefetch=-1))
+
+
+class TestPlayoutWindow:
+    def test_window_zero_is_the_serial_recurrence(self):
+        """``window=0`` reproduces the serial accumulation bit for bit
+        on simulated (compute-free) inputs, and saves nothing."""
+        downloads = [0.31, 0.07, 1.9, 0.0, 0.45]
+        clock = PlayoutClock(10.0)
+        position, deadline, stall = 0.0, None, 0.0
+        for seconds in downloads:
+            clock.segment_ready(seconds, 4)
+            position += seconds
+            if deadline is None:
+                deadline = position
+            stall += max(0.0, position - deadline)
+            deadline = max(position, deadline) + 4 / 10.0
+            assert clock.position_s == position
+        assert clock.startup_s == downloads[0]
+        assert clock.stall_s == stall
+        assert clock.overlap_s == 0.0
+
+    def test_wider_window_hides_downloads_under_compute(self):
+        def run(window):
+            clock = PlayoutClock(10.0, window=window)
+            for _ in range(4):
+                clock.segment_ready(1.0, 10, compute_s=1.0)
+            return clock
+
+        serial, piped = run(0), run(2)
+        assert serial.position_s == 8.0 and serial.overlap_s == 0.0
+        # Downloads 2..4 run under the compute of 1..3.
+        assert piped.position_s == 5.0
+        assert piped.overlap_s == 3.0
+        assert piped.stall_s < serial.stall_s
+        assert np.isclose(piped.startup_s, serial.startup_s)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            PlayoutClock(0.0)
+        with pytest.raises(ValueError):
+            PlayoutClock(10.0, window=-1)

@@ -1,10 +1,11 @@
-"""One contract, two transports.
+"""One contract (:class:`repro.core.network.Network`), three transports.
 
-Every test in :class:`TestTransportContract` runs twice — once against
-:class:`SimulatedNetwork`, once against a live :class:`HttpTransport`
-talking to a loopback origin (through a chaos proxy when failures are
-scheduled) — with byte-identical assertions.  This is the proof that the
-sim and the real transport are interchangeable: same duck-typed
+Every test in :class:`TestTransportContract` runs three times — against
+:class:`SimulatedNetwork`, against a fleet session's
+:class:`~repro.serve.PooledNetwork`, and against a live
+:class:`HttpTransport` talking to a loopback origin (through a chaos
+proxy when failures are scheduled) — with byte-identical assertions.
+This is the proof that the implementations are interchangeable: same
 ``download`` surface, same retry/backoff accounting, same typed errors,
 same telemetry counter names.
 """
@@ -31,6 +32,7 @@ from repro.net import (
     segment_path,
 )
 from repro.obs import Observability
+from repro.serve import SharedNetworkPool
 
 pytestmark = pytest.mark.net
 
@@ -68,6 +70,20 @@ class _SimCase:
         pass
 
 
+class _PooledCase(_SimCase):
+    """One fleet session's view of a shared pool: the simulated failure
+    schedule, transfer time from the fair-share model."""
+
+    name = "pooled"
+
+    def make(self, failures=(), obs=None):
+        network = SharedNetworkPool(obs=obs).session(0)
+        network._schedule = list(failures)
+        # Fleet sessions tag their series; the contract reads untagged.
+        network.session = None
+        return network
+
+
 class _HttpCase:
     """The real transport: failures become chaos-proxy connection resets,
     the payload is whatever the socket delivered."""
@@ -103,10 +119,12 @@ class _HttpCase:
         self.loop.run_until_complete(self.origin.stop())
 
 
-@pytest.fixture(params=["sim", "http"])
+@pytest.fixture(params=["sim", "pooled", "http"])
 def case(request, net_loop, package_dir):
-    built = (_SimCase(package_dir) if request.param == "sim"
-             else _HttpCase(net_loop, package_dir))
+    built = {"sim": lambda: _SimCase(package_dir),
+             "pooled": lambda: _PooledCase(package_dir),
+             "http": lambda: _HttpCase(net_loop, package_dir)
+             }[request.param]()
     yield built
     built.close()
 

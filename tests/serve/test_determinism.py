@@ -227,6 +227,29 @@ class TestEventDrivenDeterminism:
         assert trace.telemetry.cache_hit_rate == \
             play.telemetry.cache_hit_rate
 
+        # The mirror is gone: a trace session *is* the client's fetch
+        # stage with a null decode stage, so on a lossy link with
+        # fallback a one-session fleet degrades segment for segment the
+        # same way in both modes, down to the simulated download seconds.
+        lossy = dict(sessions=1, bandwidth_bps=2e6, latency_s=0.01,
+                     fail_rate=0.45, retries=1, fallback=True, seed=9)
+        play, trace = (
+            FleetSimulator(package, FleetConfig(mode=mode, **lossy)
+                           ).run().completed()[0].result
+            for mode in ("playback", "trace"))
+
+        def rows(result):
+            return [(s.index, s.status, s.download_attempts, s.download_s)
+                    for s in result.telemetry.segments]
+
+        assert rows(trace) == rows(play)
+        assert {"fallback", "concealed"} \
+            <= {status for _, status, _, _ in rows(play)}
+        assert trace.skipped_segments == play.skipped_segments
+        assert trace.fallback_segments == play.fallback_segments
+        assert (trace.model_bytes, trace.video_bytes) \
+            == (play.model_bytes, play.video_bytes)
+
     def test_trace_sessions_carry_simulated_clock_spans(self, package):
         sim = FleetSimulator(package, self._trace_config(sessions=2))
         fleet = sim.run()
