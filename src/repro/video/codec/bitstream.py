@@ -1,4 +1,4 @@
-"""Bit-level writer/reader for the codec bitstream.
+"""Bit-level writer/reader for the codec bitstream, and the decode errors.
 
 The encoder produces a real byte string that the decoder parses back, so
 compressed segment sizes used in the bandwidth experiments (Figure 10) are
@@ -7,7 +7,30 @@ measured, not estimated.
 
 from __future__ import annotations
 
-__all__ = ["BitWriter", "BitReader"]
+__all__ = ["BitWriter", "BitReader", "DecodeError", "CorruptStreamError",
+           "TruncatedStreamError", "SegmentMetadataError"]
+
+
+class DecodeError(ValueError):
+    """Base of all bitstream decode failures.
+
+    Subclasses ``ValueError`` so pre-typed callers keep working; the
+    streaming client catches this (plus ``EOFError``) to distinguish
+    *corrupt input* — concealable — from client bugs such as a broken
+    enhancement hook, which keep raising ``TypeError``/``RuntimeError``.
+    """
+
+
+class CorruptStreamError(DecodeError):
+    """The payload violates the bitstream grammar (bad code, missing ref)."""
+
+
+class TruncatedStreamError(CorruptStreamError, EOFError):
+    """The payload ended mid-frame (also an ``EOFError`` for old callers)."""
+
+
+class SegmentMetadataError(DecodeError):
+    """Segment header and out-of-band metadata disagree."""
 
 
 class BitWriter:
@@ -51,32 +74,75 @@ class BitWriter:
         return bytes(out)
 
 
+# Longest legal Exp-Golomb prefix (zeros before the terminating 1).
+_MAX_UE_PREFIX = 64
+# Bytes that always hold one whole code from any bit offset:
+# 7 + prefix + 1 + suffix bits, rounded up.
+_UE_WINDOW = (7 + 2 * _MAX_UE_PREFIX + 1 + 7) // 8
+
+
 class BitReader:
     """MSB-first bit reader over a byte string."""
 
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0  # bit position
+        self._end = len(data) * 8
 
     def read_bit(self) -> int:
-        byte_idx, bit_idx = divmod(self._pos, 8)
-        if byte_idx >= len(self._data):
+        pos = self._pos
+        if pos >= self._end:
             raise EOFError("bitstream exhausted")
-        self._pos += 1
-        return (self._data[byte_idx] >> (7 - bit_idx)) & 1
+        self._pos = pos + 1
+        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def read_bits(self, n_bits: int) -> int:
-        value = 0
-        for _ in range(n_bits):
-            value = (value << 1) | self.read_bit()
-        return value
+        pos = self._pos
+        stop = pos + n_bits
+        if stop > self._end:
+            self._pos = self._end
+            raise EOFError("bitstream exhausted")
+        self._pos = stop
+        last = (stop + 7) >> 3
+        window = int.from_bytes(self._data[pos >> 3:last], "big")
+        return (window >> (last * 8 - stop)) & ((1 << n_bits) - 1)
 
     def read_uint(self, n_bits: int = 32) -> int:
         return self.read_bits(n_bits)
 
+    def read_ue(self) -> int:
+        """One unsigned Exp-Golomb code.
+
+        The code's zero prefix is measured in one step, as the distance to
+        the leading 1 of a byte window, instead of one call per bit.  The
+        outcomes are those of the bit-by-bit read: ``CorruptStreamError``
+        once a 65th prefix zero is seen, ``EOFError`` when the data ends
+        inside the prefix or the suffix.
+        """
+        pos = self._pos
+        first = pos >> 3
+        chunk = self._data[first:first + _UE_WINDOW]
+        avail = len(chunk) * 8 - (pos & 7)      # window bits from ``pos`` on
+        window = int.from_bytes(chunk, "big") & ((1 << avail) - 1)
+        zeros = avail - window.bit_length()
+        if zeros > _MAX_UE_PREFIX:
+            raise CorruptStreamError(
+                "corrupt Exp-Golomb code (prefix too long)")
+        n_bits = 2 * zeros + 1
+        if not window or n_bits > avail:
+            self._pos = self._end
+            raise EOFError("bitstream exhausted")
+        self._pos = pos + n_bits
+        return (window >> (avail - n_bits)) - 1
+
+    def read_se(self) -> int:
+        """Signed Exp-Golomb code (H.264 mapping: 0, 1, -1, 2, -2, ...)."""
+        code = self.read_ue()
+        return (code + 1) >> 1 if code & 1 else -(code >> 1)
+
     @property
     def bits_remaining(self) -> int:
-        return len(self._data) * 8 - self._pos
+        return self._end - self._pos
 
     @property
     def bit_position(self) -> int:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..frame import YuvFrame
 from .dct import BLOCK
 from .quant import qstep_from_qp
 
-__all__ = ["deblock_plane", "deblock_strength"]
+__all__ = ["deblock_plane", "deblock_frame", "deblock_strength"]
 
 
 def deblock_strength(qp: int) -> tuple[float, float]:
@@ -36,31 +37,33 @@ def deblock_strength(qp: int) -> tuple[float, float]:
 
 
 def _filter_edges(plane: np.ndarray, qp: int, axis: int, block: int) -> None:
-    """Filter all block boundaries perpendicular to ``axis``, in place."""
-    alpha, tc = deblock_strength(qp)
-    size = plane.shape[axis]
-    for edge in range(block, size, block):
-        if axis == 0:
-            p1 = plane[edge - 2, :]
-            p0 = plane[edge - 1, :]
-            q0 = plane[edge, :]
-            q1 = plane[edge + 1, :] if edge + 1 < size else q0
-        else:
-            p1 = plane[:, edge - 2]
-            p0 = plane[:, edge - 1]
-            q0 = plane[:, edge]
-            q1 = plane[:, edge + 1] if edge + 1 < plane.shape[1] else q0
+    """Filter all block boundaries perpendicular to ``axis``, in place.
 
-        step = q0 - p0
-        # Artifact test: small boundary step, locally flat on both sides.
-        smooth = (np.abs(step) < alpha) & (np.abs(p1 - p0) < alpha) & (
-            np.abs(q1 - q0) < alpha)
-        delta = np.clip(step / 4.0, -tc, tc) * smooth
-        p0 += delta
-        q0 -= delta
-        # Soft second-tap correction pulls p1/q1 toward the filtered edge.
-        p1 += np.clip((p0 - p1) / 4.0, -tc / 2, tc / 2) * smooth
-        q1 -= np.clip((q1 - q0) / 4.0, -tc / 2, tc / 2) * smooth
+    An edge touches the two samples on each side of it, so with edges at
+    least four samples apart no two edges share a sample and every edge of
+    the axis is filtered in one vectorised step.
+    """
+    alpha, tc = deblock_strength(qp)
+    lines = plane if axis == 0 else plane.T     # edges lie between lines
+    edges = np.arange(block, lines.shape[0], block)
+    # An edge on the plane's last line has no q1; q0 stands in for it.
+    outer = np.minimum(edges + 1, lines.shape[0] - 1)
+    p1, p0, q0, q1 = (lines[edges - 2], lines[edges - 1], lines[edges],
+                      lines[outer])
+
+    step = q0 - p0
+    # Artifact test: small boundary step, locally flat on both sides.
+    smooth = (np.abs(step) < alpha) & (np.abs(p1 - p0) < alpha) & (
+        np.abs(q1 - q0) < alpha)
+    delta = np.clip(step / 4.0, -tc, tc) * smooth
+    p0 += delta
+    q0 -= delta
+    # Soft second-tap correction pulls p1/q1 toward the filtered edge.
+    p1 += np.clip((p0 - p1) / 4.0, -tc / 2, tc / 2) * smooth
+    q1 -= np.clip((q1 - q0) / 4.0, -tc / 2, tc / 2) * smooth
+    lines[edges - 2], lines[edges - 1] = p1, p0
+    lines[outer] = q1
+    lines[edges] = q0       # after q1: wins where q0 stood in for it
 
 
 def deblock_plane(plane: np.ndarray, qp: int, block: int = BLOCK) -> np.ndarray:
@@ -71,7 +74,17 @@ def deblock_plane(plane: np.ndarray, qp: int, block: int = BLOCK) -> np.ndarray:
     """
     if plane.dtype != np.uint8:
         raise ValueError(f"expected uint8 plane, got {plane.dtype}")
+    if block < 4:
+        raise ValueError(f"block size {block} puts edges closer than the "
+                         f"four samples each one filters")
     work = plane.astype(np.float64)
     _filter_edges(work, qp, axis=1, block=block)
     _filter_edges(work, qp, axis=0, block=block)
     return np.clip(np.rint(work), 0, 255).astype(np.uint8)
+
+
+def deblock_frame(frame: YuvFrame, qp: int) -> YuvFrame:
+    """Apply the in-loop deblocking filter to all three planes."""
+    return YuvFrame(deblock_plane(frame.y, qp),
+                    deblock_plane(frame.u, qp),
+                    deblock_plane(frame.v, qp))

@@ -1,5 +1,11 @@
 """Video decoder with a decoded-picture buffer and an I-frame enhancement hook.
 
+A frame is decoded in three passes rather than block by block: one
+sequential *parse* of its bits into level/mode/vector arrays (where every
+grammar check lives), one batched *transform + motion compensation* over
+the whole frame, and — for I frames — *intra prediction by anti-diagonal
+wavefront*.  See docs/codec.md, "Decoding in three passes".
+
 This is the integration point of client-side dcSR (Figure 6): after an I
 frame is reconstructed into the DPB, an optional ``i_frame_hook`` is invoked
 with the YUV frame.  The (possibly super-resolved) frame the hook returns is
@@ -17,12 +23,16 @@ from typing import Callable
 import numpy as np
 
 from ..frame import YuvFrame
-from .bitstream import BitReader
-from .encoder import EncodedSegment, EncodedVideo, _deblock_frame, _predict_from_refs
-from .entropy import read_se, read_ue
-from .motion import MB
-from .quant import qp_for_frame_type
-from .residual import decode_mb_residual, decode_plane_intra
+from .bitstream import (BitReader, CorruptStreamError, DecodeError,
+                        SegmentMetadataError, TruncatedStreamError)
+from .dct import BLOCK
+from .deblock import deblock_frame
+from .encoder import EncodedSegment, EncodedVideo
+from .motion import MB, predict_frame, vectors_leave_frame
+from .quant import MAX_CRF, qp_for_frame_type
+from .residual import (add_residual, blocks_to_plane,
+                       parse_inter_macroblocks, parse_intra_blocks,
+                       reconstruct_plane_intra)
 
 __all__ = [
     "DecodeError",
@@ -35,27 +45,6 @@ __all__ = [
     "IFrameHook",
 ]
 
-
-class DecodeError(ValueError):
-    """Base of all bitstream decode failures.
-
-    Subclasses ``ValueError`` so pre-typed callers keep working; the
-    streaming client catches this (plus ``EOFError``) to distinguish
-    *corrupt input* — concealable — from client bugs such as a broken
-    enhancement hook, which keep raising ``TypeError``/``RuntimeError``.
-    """
-
-
-class CorruptStreamError(DecodeError):
-    """The payload violates the bitstream grammar (bad code, missing ref)."""
-
-
-class TruncatedStreamError(CorruptStreamError, EOFError):
-    """The payload ended mid-frame (also an ``EOFError`` for old callers)."""
-
-
-class SegmentMetadataError(DecodeError):
-    """Segment header and out-of-band metadata disagree."""
 
 #: Hook signature: ``(frame, display_index) -> enhanced frame``.
 IFrameHook = Callable[[YuvFrame, int], YuvFrame]
@@ -169,10 +158,13 @@ class Decoder:
         width: int, height: int,
     ) -> list[DecodedFrame]:
         qp = reader.read_uint(8)
+        if qp > MAX_CRF:
+            raise CorruptStreamError(
+                f"corrupt stream: QP {qp} exceeds {MAX_CRF}")
         flags = reader.read_uint(8)
         deblock = bool(flags & 1)
         half_pel = bool(flags & 2)
-        n_frames = read_ue(reader)
+        n_frames = reader.read_ue()
         if n_frames != segment.n_frames:
             raise SegmentMetadataError(
                 f"segment {segment.index}: header says {n_frames} frames, "
@@ -181,12 +173,14 @@ class Decoder:
 
         dpb: dict[int, YuvFrame] = {}
         out: list[DecodedFrame] = []
+        pending = set(range(segment.start, segment.start + n_frames))
         for _ in range(n_frames):
             bits_before = reader.bit_position
             display, ftype, frame = self._decode_frame(
-                reader, segment.start, width, height, qp, dpb, half_pel)
+                reader, segment.start, width, height, qp, dpb, half_pel,
+                pending)
             if deblock:
-                frame = _deblock_frame(frame, qp_for_frame_type(qp, ftype))
+                frame = deblock_frame(frame, qp_for_frame_type(qp, ftype))
             reference = frame  # what dependent P/B frames will predict from
             if ftype == "I" and self.i_frame_hook is not None:
                 frame = self._apply_hook(frame, display)
@@ -222,28 +216,33 @@ class Decoder:
 
     def _decode_frame(
         self, reader: BitReader, seg_start: int, width: int, height: int,
-        qp: int, dpb: dict[int, YuvFrame], half_pel: bool = False,
+        qp: int, dpb: dict[int, YuvFrame], half_pel: bool,
+        pending: set[int],
     ) -> tuple[int, str, YuvFrame]:
-        code = read_ue(reader)
+        """Decode the next frame; ``pending`` holds the segment's display
+        indices not decoded yet and loses this frame's."""
+        read_ue = reader.read_ue
+        code = read_ue()
         if code not in _TYPE_FROM_CODE:
             raise CorruptStreamError(
                 f"corrupt stream: unknown frame type code {code}")
         ftype = _TYPE_FROM_CODE[code]
-        display = seg_start + read_ue(reader)
+        display = seg_start + read_ue()
+        if display not in pending:
+            raise CorruptStreamError(
+                f"corrupt stream: display index {display} is outside the "
+                f"segment or already decoded")
+        pending.remove(display)
         qp = qp_for_frame_type(qp, ftype)
 
         if ftype == "I":
-            y = decode_plane_intra(reader, height, width, qp)
-            u = decode_plane_intra(reader, height // 2, width // 2, qp)
-            v = decode_plane_intra(reader, height // 2, width // 2, qp)
-            return display, ftype, YuvFrame(y, u, v)
-
+            return display, ftype, self._decode_intra(reader, width, height, qp)
         if ftype == "P":
-            fwd = display - read_ue(reader)
+            fwd = display - read_ue()
             refs = [self._ref(dpb, fwd)]
         else:
-            fwd = display - read_ue(reader)
-            bwd = display + read_ue(reader)
+            fwd = display - read_ue()
+            bwd = display + read_ue()
             refs = [self._ref(dpb, fwd), self._ref(dpb, bwd)]
         frame = self._decode_inter(reader, refs, width, height, qp, half_pel)
         return display, ftype, frame
@@ -255,34 +254,44 @@ class Decoder:
                 f"corrupt stream: reference frame {display} not in DPB")
         return dpb[display]
 
-    def _decode_inter(
-        self, reader: BitReader, refs: list[YuvFrame], width: int, height: int,
-        qp: int, half_pel: bool = False,
+    @staticmethod
+    def _decode_intra(
+        reader: BitReader, width: int, height: int, qp: int,
     ) -> YuvFrame:
-        rec_y = np.empty((height, width), dtype=np.float64)
-        rec_u = np.empty((height // 2, width // 2), dtype=np.float64)
-        rec_v = np.empty_like(rec_u)
-        half = MB // 2
+        """Parse all three planes, then transform and rebuild each plane by
+        wavefront."""
+        n_luma = (height // BLOCK) * (width // BLOCK)
+        n_chroma = n_luma // 4
+        modes, coded, levels = parse_intra_blocks(reader, n_luma + 2 * n_chroma)
+        planes = []
+        start = 0
+        for count, shrink in ((n_luma, 1), (n_chroma, 2), (n_chroma, 2)):
+            stop = start + count
+            lo, hi = np.searchsorted(coded, (start, stop))
+            planes.append(reconstruct_plane_intra(
+                modes[start:stop], coded[lo:hi] - start, levels[lo:hi], qp,
+                height // shrink, width // shrink))
+            start = stop
+        return YuvFrame(*planes)
 
-        for y0 in range(0, height, MB):
-            for x0 in range(0, width, MB):
-                if len(refs) == 2:
-                    mode = read_ue(reader)
-                    if mode not in (0, 1, 2):
-                        raise CorruptStreamError(
-                            f"corrupt stream: B-frame mode {mode}")
-                else:
-                    mode = 0
-                n_mvs = 2 if mode == 2 else 1
-                mvs = [(read_se(reader), read_se(reader)) for _ in range(n_mvs)]
-                pred_y, pred_u, pred_v = _predict_from_refs(
-                    refs, mode, mvs, y0, x0, half_pel=half_pel)
-                rl, ru, rv = decode_mb_residual(reader, MB, qp)
-                cy, cx = y0 // 2, x0 // 2
-                rec_y[y0:y0 + MB, x0:x0 + MB] = np.clip(pred_y + rl, 0, 255)
-                rec_u[cy:cy + half, cx:cx + half] = np.clip(pred_u + ru, 0, 255)
-                rec_v[cy:cy + half, cx:cx + half] = np.clip(pred_v + rv, 0, 255)
-
-        return YuvFrame(np.rint(rec_y).astype(np.uint8),
-                        np.rint(rec_u).astype(np.uint8),
-                        np.rint(rec_v).astype(np.uint8))
+    @staticmethod
+    def _decode_inter(
+        reader: BitReader, refs: list[YuvFrame], width: int, height: int,
+        qp: int, half_pel: bool,
+    ) -> YuvFrame:
+        """Parse every macroblock, predict the whole frame, add the coded
+        blocks' residual into the prediction, then assemble the planes."""
+        rows, cols = height // MB, width // MB
+        modes, mvs, coded, levels = parse_inter_macroblocks(
+            reader, rows * cols, bidirectional=len(refs) == 2)
+        leaving = vectors_leave_frame(height, width, modes, mvs, half_pel)
+        if leaving.any():
+            k = int(leaving.argmax())
+            raise CorruptStreamError(
+                f"corrupt stream: motion vectors {mvs[k].tolist()} of "
+                f"macroblock {k} leave the reference frame")
+        prediction = predict_frame(refs, modes, mvs, half_pel)
+        add_residual(prediction, coded, levels, qp)
+        return YuvFrame(*(
+            blocks_to_plane(plane.reshape(rows, cols, *plane.shape[1:]))
+            for plane in prediction))

@@ -18,18 +18,25 @@ from ..color import rgb_to_yuv420
 from ..frame import YuvFrame
 from ..segment import Segment
 from .bitstream import BitWriter
-from .deblock import deblock_plane
-from .entropy import write_se, write_ue
+from .dct import BLOCK, forward_dct, to_blocks
+from .deblock import deblock_frame
+from .entropy import encode_coeff_block, write_se, write_ue
 from .gop import FramePlan, plan_segment
-from .motion import (MB, chroma_vector, chroma_vector_halfpel, compensate,
-                     compensate_halfpel, motion_search, motion_search_halfpel)
-from .quant import qp_for_frame_type, qp_from_crf
-from .residual import encode_mb_residual, encode_plane_intra
+from .motion import (MB, compensate, compensate_halfpel, motion_search,
+                     motion_search_halfpel, predict_frame, vectors_leave_frame)
+from .quant import qp_for_frame_type, qp_from_crf, quantize
+from .residual import (add_residual, blocks_to_plane, encode_plane_intra,
+                       macroblock_blocks)
 
 __all__ = ["CodecConfig", "EncodedFrameInfo", "EncodedSegment",
            "EncodedVideo", "Encoder", "FRAME_TYPE_CODES"]
 
 FRAME_TYPE_CODES = {"I": 0, "P": 1, "B": 2}
+
+# Macroblocks of an inter frame transformed per batch: enough to amortise
+# numpy dispatch, few enough that the float temporaries stay ~0.8 MB
+# instead of one frame each.
+_BAND = 256
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,7 @@ class Encoder:
             recon = self._encode_frame(writer, yuv[plan.display], plan,
                                        seg.start, dpb, qp)
             if cfg.deblock:
-                recon = _deblock_frame(recon, qp_for_frame_type(qp, plan.ftype))
+                recon = deblock_frame(recon, qp_for_frame_type(qp, plan.ftype))
             if plan.ftype in ("I", "P"):
                 dpb[plan.display] = recon
             infos.append(EncodedFrameInfo(
@@ -235,41 +242,64 @@ class Encoder:
     def _encode_inter(
         self, writer: BitWriter, frame: YuvFrame, refs: list[YuvFrame], qp: int,
     ) -> YuvFrame:
-        """Motion-compensated coding against one (P) or two (B) references."""
+        """Motion-compensated coding against one (P) or two (B) references.
+
+        Macroblocks of an inter frame depend on the references only, never
+        on each other, so after the per-macroblock search the whole frame
+        is predicted at once, and the residual is transformed, written and
+        reconstructed a band of macroblocks at a time — all through the
+        routines the decoder uses.
+        """
         height, width = frame.size
-        rec_y = np.empty((height, width), dtype=np.float64)
-        rec_u = np.empty((height // 2, width // 2), dtype=np.float64)
-        rec_v = np.empty_like(rec_u)
-        orig_y = frame.y.astype(np.float64)
-        orig_u = frame.u.astype(np.float64)
-        orig_v = frame.v.astype(np.float64)
+        half_pel = self.config.half_pel
+        choices = [self._choose_prediction(frame, refs, y0, x0)
+                   for y0 in range(0, height, MB)
+                   for x0 in range(0, width, MB)]
+        modes = np.array([mode for mode, _ in choices], dtype=np.intp)
+        mvs = np.zeros((len(choices), 2, 2), dtype=np.int64)
+        for k, (_, vectors) in enumerate(choices):
+            mvs[k, :len(vectors)] = vectors
+        # A refined vector whose chroma compensation would leave the frame
+        # (a rare alignment corner) falls back to its integer-pel part.
+        mvs[vectors_leave_frame(height, width, modes, mvs, half_pel)] &= ~1
 
-        for y0 in range(0, height, MB):
-            for x0 in range(0, width, MB):
-                pred_y, pred_u, pred_v = self._predict_mb(
-                    writer, frame, refs, y0, x0)
-                cy, cx, half = y0 // 2, x0 // 2, MB // 2
-                res_y = orig_y[y0:y0 + MB, x0:x0 + MB] - pred_y
-                res_u = orig_u[cy:cy + half, cx:cx + half] - pred_u
-                res_v = orig_v[cy:cy + half, cx:cx + half] - pred_v
-                rl, ru, rv = encode_mb_residual(writer, res_y, res_u, res_v, qp)
-                rec_y[y0:y0 + MB, x0:x0 + MB] = np.clip(pred_y + rl, 0, 255)
-                rec_u[cy:cy + half, cx:cx + half] = np.clip(pred_u + ru, 0, 255)
-                rec_v[cy:cy + half, cx:cx + half] = np.clip(pred_v + rv, 0, 255)
+        prediction = predict_frame(refs, modes, mvs, half_pel)
+        rows, cols = height // MB, width // MB
+        original = [to_blocks(plane, size).reshape(-1, size, size)
+                    for plane, size in zip((frame.y, frame.u, frame.v),
+                                           (MB, MB // 2, MB // 2))]
+        headers = zip(modes.tolist(), mvs.tolist())
+        for start in range(0, rows * cols, _BAND):
+            band = slice(start, start + _BAND)
+            predicted = tuple(plane[band] for plane in prediction)
+            levels = quantize(forward_dct(macroblock_blocks(*(
+                orig[band] - pred
+                for orig, pred in zip(original, predicted)))), qp)
+            for blocks in levels:
+                mode, vectors = next(headers)
+                if len(refs) == 2:
+                    write_ue(writer, mode)  # 0 = fwd, 1 = bwd, 2 = bi
+                for dy, dx in vectors[:2 if mode == 2 else 1]:
+                    write_se(writer, dy)
+                    write_se(writer, dx)
+                skip = not blocks.any()
+                writer.write_bit(1 if skip else 0)
+                if not skip:
+                    for block in blocks:
+                        encode_coeff_block(writer, block)
+            levels = levels.reshape(-1, BLOCK * BLOCK)
+            coded = np.flatnonzero(levels.any(axis=1))
+            add_residual(predicted, coded, levels[coded], qp)
+        return YuvFrame(*(
+            blocks_to_plane(plane.reshape(rows, cols, *plane.shape[1:]))
+            for plane in prediction))
 
-        return YuvFrame(np.rint(rec_y).astype(np.uint8),
-                        np.rint(rec_u).astype(np.uint8),
-                        np.rint(rec_v).astype(np.uint8))
+    def _choose_prediction(
+        self, frame: YuvFrame, refs: list[YuvFrame], y0: int, x0: int,
+    ) -> tuple[int, list[tuple[int, int]]]:
+        """Search one macroblock; returns its ``(mode, motion vectors)``.
 
-    def _predict_mb(
-        self, writer: BitWriter, frame: YuvFrame, refs: list[YuvFrame],
-        y0: int, x0: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Choose the prediction mode for one macroblock and write it.
-
-        With half-pel enabled, motion vectors are in half-pel units; if the
-        refined vector's chroma compensation would leave the frame (a rare
-        alignment corner), the vector falls back to its integer-pel part.
+        With half-pel enabled, motion vectors are in half-pel units.
         """
         search = self.config.search_range
         half_pel = self.config.half_pel
@@ -289,57 +319,5 @@ class Encoder:
                 frame.y[y0:y0 + MB, x0:x0 + MB].astype(np.float64) - pred_bi
             ).sum())
             candidates.append((sad_bi, 2, [mv_f[0], mv_b[0]]))
-
         _, mode, mvs = min(candidates, key=lambda c: c[0])
-        try:
-            pred = _predict_from_refs(refs, mode, mvs, y0, x0,
-                                      half_pel=half_pel)
-        except ValueError:
-            # Chroma out of bounds at a half-pel corner: drop to integer pel.
-            mvs = [(dy & ~1, dx & ~1) for dy, dx in mvs]
-            pred = _predict_from_refs(refs, mode, mvs, y0, x0,
-                                      half_pel=half_pel)
-        if len(refs) == 2:
-            write_ue(writer, mode)  # 0 = fwd, 1 = bwd, 2 = bi
-        for dy, dx in mvs:
-            write_se(writer, dy)
-            write_se(writer, dx)
-        return pred
-
-
-def _predict_from_refs(
-    refs: list[YuvFrame], mode: int, mvs: list[tuple[int, int]],
-    y0: int, x0: int, half_pel: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build the (luma, u, v) prediction for a macroblock.
-
-    Shared with the decoder so both sides are bit-exact.  With ``half_pel``,
-    vectors are in half-pel units and bilinear interpolation applies.
-    """
-    half = MB // 2
-    cy, cx = y0 // 2, x0 // 2
-
-    def one(ref: YuvFrame, mv: tuple[int, int]):
-        dy, dx = mv
-        if half_pel:
-            cdy, cdx = chroma_vector_halfpel(dy, dx)
-            return (compensate_halfpel(ref.y, y0, x0, dy, dx, MB, MB),
-                    compensate_halfpel(ref.u, cy, cx, cdy, cdx, half, half),
-                    compensate_halfpel(ref.v, cy, cx, cdy, cdx, half, half))
-        cdy, cdx = chroma_vector(dy, dx)
-        return (compensate(ref.y, y0, x0, dy, dx, MB, MB),
-                compensate(ref.u, cy, cx, cdy, cdx, half, half),
-                compensate(ref.v, cy, cx, cdy, cdx, half, half))
-
-    if mode == 2:
-        py0, pu0, pv0 = one(refs[0], mvs[0])
-        py1, pu1, pv1 = one(refs[1], mvs[1])
-        return 0.5 * (py0 + py1), 0.5 * (pu0 + pu1), 0.5 * (pv0 + pv1)
-    return one(refs[mode], mvs[0])
-
-
-def _deblock_frame(frame: YuvFrame, qp: int) -> YuvFrame:
-    """Apply the in-loop deblocking filter to all three planes."""
-    return YuvFrame(deblock_plane(frame.y, qp),
-                    deblock_plane(frame.u, qp),
-                    deblock_plane(frame.v, qp))
+        return mode, mvs

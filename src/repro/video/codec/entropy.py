@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter
+from .bitstream import BitReader, BitWriter, CorruptStreamError
 
 __all__ = [
     "write_ue",
@@ -21,6 +21,8 @@ __all__ = [
     "zigzag_order",
     "encode_coeff_block",
     "decode_coeff_block",
+    "read_block_levels",
+    "scatter_levels",
 ]
 
 
@@ -35,15 +37,7 @@ def write_ue(writer: BitWriter, value: int) -> None:
 
 
 def read_ue(reader: BitReader) -> int:
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
-        if zeros > 64:
-            raise ValueError("corrupt Exp-Golomb code (prefix too long)")
-    value = 1
-    for _ in range(zeros):
-        value = (value << 1) | reader.read_bit()
-    return value - 1
+    return reader.read_ue()
 
 
 def write_se(writer: BitWriter, value: int) -> None:
@@ -55,9 +49,7 @@ def write_se(writer: BitWriter, value: int) -> None:
 
 
 def read_se(reader: BitReader) -> int:
-    code = read_ue(reader)
-    magnitude = (code + 1) // 2
-    return magnitude if code % 2 == 1 else -magnitude
+    return reader.read_se()
 
 
 def _build_zigzag(n: int) -> np.ndarray:
@@ -100,20 +92,62 @@ def encode_coeff_block(writer: BitWriter, coeffs: np.ndarray) -> None:
         prev = pos
 
 
+def read_block_levels(
+    reader: BitReader, base: int, positions: list[int], levels: list[int],
+    n_coeffs: int = 64,
+) -> None:
+    """Parse one block's run-level pairs into two growing lists.
+
+    Each nonzero coefficient appends ``base + zigzag position`` to
+    ``positions`` and its value to ``levels``; a frame's blocks share the
+    lists (``base`` advancing by ``n_coeffs``) and :func:`scatter_levels`
+    turns them into arrays in one step.
+    """
+    read_ue, read_se = reader.read_ue, reader.read_se
+    n_nonzero = read_ue()
+    if n_nonzero > n_coeffs:
+        raise CorruptStreamError(
+            f"corrupt block: {n_nonzero} nonzeros in {n_coeffs} coefficients")
+    pos = base - 1
+    limit = base + n_coeffs
+    for _ in range(n_nonzero):
+        pos += read_ue() + 1
+        level = read_se()
+        if pos >= limit:
+            raise CorruptStreamError(
+                "corrupt block: zigzag position out of range")
+        positions.append(pos)
+        levels.append(level)
+
+
+def scatter_levels(
+    positions: list[int], levels: list[int], n: int = 8,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level arrays of the blocks that have any, from the parsed lists.
+
+    Returns ``(coded, levels)``: the ascending indices of the blocks with at
+    least one nonzero coefficient, and their ``(len(coded), n * n)``
+    raster-order levels.  Every other block of the frame is all zero.
+    """
+    n_coeffs = n * n
+    try:
+        values = np.array(levels, dtype=np.int64)
+    except OverflowError as exc:
+        raise CorruptStreamError(
+            "corrupt block: coefficient level exceeds 64 bits") from exc
+    scan = np.array(positions, dtype=np.intp)
+    coded, row = np.unique(scan // n_coeffs, return_inverse=True)
+    out = np.zeros((len(coded), n_coeffs), dtype=np.int64)
+    out[row, zigzag_order(n)[scan % n_coeffs]] = values
+    return coded, out
+
+
 def decode_coeff_block(reader: BitReader, n: int = 8) -> np.ndarray:
     """Decode one block written by :func:`encode_coeff_block`."""
-    n_nonzero = read_ue(reader)
-    if n_nonzero > n * n:
-        raise ValueError(f"corrupt block: {n_nonzero} nonzeros in {n}x{n}")
-    scan = np.zeros(n * n, dtype=np.int64)
-    pos = -1
-    for _ in range(n_nonzero):
-        run = read_ue(reader)
-        level = read_se(reader)
-        pos += run + 1
-        if pos >= n * n:
-            raise ValueError("corrupt block: zigzag position out of range")
-        scan[pos] = level
-    block = np.zeros(n * n, dtype=np.int64)
-    block[zigzag_order(n)] = scan
-    return block.reshape(n, n)
+    positions: list[int] = []
+    levels: list[int] = []
+    read_block_levels(reader, 0, positions, levels, n * n)
+    coded, block_levels = scatter_levels(positions, levels, n)
+    if not len(coded):
+        return np.zeros((n, n), dtype=np.int64)
+    return block_levels[0].reshape(n, n)

@@ -2,9 +2,14 @@
 
 Full-search block matching over a +/-R window with SAD cost, fully
 vectorised per macroblock via ``sliding_window_view``.  Motion vectors are
-integer-pel and restricted so the compensated block stays inside the
-reference frame (no border extension), which keeps encoder and decoder
-bit-exactly in sync.
+restricted so the compensated block stays inside the reference frame (no
+border extension), which keeps encoder and decoder bit-exactly in sync.
+
+The search works one macroblock at a time (:func:`compensate`,
+:func:`compensate_halfpel`); once every macroblock has its mode and
+vectors, :func:`predict_frame` builds the whole frame's prediction —
+batched gathers per (reference, half-pel phase) — and is the single routine
+the encoder's reconstruction and the decoder share.
 """
 
 from __future__ import annotations
@@ -12,11 +17,16 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..frame import YuvFrame
+
 __all__ = ["MB", "motion_search", "compensate", "chroma_vector",
            "motion_search_halfpel", "compensate_halfpel",
-           "chroma_vector_halfpel"]
+           "chroma_vector_halfpel", "vectors_leave_frame", "predict_frame"]
 
 MB = 16  # luma macroblock size
+# Macroblocks compensated per batch: bounds the gathered windows (and their
+# interpolation temporaries) at ~0.6 MB of float64.
+_SLAB = 256
 
 
 def motion_search(
@@ -145,3 +155,118 @@ def chroma_vector_halfpel(dy_hp: int, dx_hp: int) -> tuple[int, int]:
     half-pel with floor division keeps both sides deterministic.
     """
     return dy_hp // 2, dx_hp // 2
+
+
+# ------------------------------------------------------------ whole frame
+
+
+def _sources(
+    origins: np.ndarray, vectors: np.ndarray, half_pel: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer source corner and half-sample phase of each ``(dy, dx)``."""
+    if half_pel:
+        return origins + (vectors >> 1), vectors & 1
+    return origins + vectors, np.zeros_like(vectors)
+
+
+def _mb_origins(height: int, width: int) -> np.ndarray:
+    """``(n_mb, 2)`` luma top-left corners in raster macroblock order."""
+    ys, xs = np.mgrid[0:height:MB, 0:width:MB]
+    return np.stack([ys.reshape(-1), xs.reshape(-1)], axis=1)
+
+
+def vectors_leave_frame(
+    height: int, width: int, modes: np.ndarray, mvs: np.ndarray,
+    half_pel: bool,
+) -> np.ndarray:
+    """Which macroblocks' vectors read outside a ``height x width`` frame.
+
+    ``modes`` is ``(n_mb,)`` and ``mvs`` ``(n_mb, 2, 2)`` as
+    ``[slot, (dy, dx)]`` in raster macroblock order; slot 1 counts for
+    bidirectional (mode 2) macroblocks only.  Luma and the derived chroma
+    vectors are both tested, the latter against the half-size planes.
+    """
+    origins = _mb_origins(height, width)
+    leaving = np.zeros(len(modes), dtype=bool)
+    for slot in (0, 1):
+        bad = np.zeros_like(leaving)
+        for shrink in (1, 2):       # luma, then 4:2:0 chroma
+            corner, phase = _sources(origins // shrink,
+                                     mvs[:, slot] // shrink, half_pel)
+            limit = np.array([height, width]) // shrink - MB // shrink
+            bad |= ((corner < 0) | (corner + phase > limit)).any(axis=1)
+        leaving |= bad if slot == 0 else bad & (modes == 2)
+    return leaving
+
+
+def _gather(
+    plane: np.ndarray, origins: np.ndarray, vectors: np.ndarray, size: int,
+    half_pel: bool,
+) -> np.ndarray:
+    """``(K, size, size)`` compensated blocks of one reference plane.
+
+    Blocks sharing a half-sample phase are gathered together and
+    interpolated as one batch (rows first, then columns, like
+    :func:`compensate_halfpel`), so no full-frame half-pel plane is built.
+    """
+    corner, phase = _sources(origins, vectors, half_pel)
+    out = np.empty((len(origins), size, size))
+    phase_code = 2 * phase[:, 0] + phase[:, 1]
+    for code in np.unique(phase_code).tolist():
+        fy, fx = divmod(code, 2)
+        chosen = phase_code == code
+        windows = sliding_window_view(plane, (size + fy, size + fx))[
+            corner[chosen, 0], corner[chosen, 1]]
+        if fy:
+            windows = windows[:, :-1, :].astype(np.float64) + windows[:, 1:, :]
+            windows *= 0.5
+        if fx:
+            windows = windows[:, :, :-1].astype(np.float64) + windows[:, :, 1:]
+            windows *= 0.5
+        out[chosen] = windows
+    return out
+
+
+def predict_frame(
+    refs: list[YuvFrame], modes: np.ndarray, mvs: np.ndarray, half_pel: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Motion-compensated prediction of a whole frame, macroblock-major.
+
+    Returns the Y, U and V predictions as ``(n_mb, 16, 16)``, ``(n_mb, 8, 8)``
+    and ``(n_mb, 8, 8)`` float arrays in raster macroblock order — the
+    layout the residual is coded in; nothing frame-sized is built beside
+    them.  ``refs`` holds one (P) or two (B) reference frames; ``modes`` /
+    ``mvs`` are as in :func:`vectors_leave_frame`: mode 0 or 1 predicts from
+    that reference with the slot-0 vector, mode 2 averages reference 0 at
+    slot 0 and reference 1 at slot 1.  With ``half_pel`` vectors are in
+    half-pel units and bilinear interpolation applies.  Chroma vectors are
+    the luma vectors floor-halved (:func:`chroma_vector`).
+    """
+    height, width = refs[0].y.shape
+    leaving = vectors_leave_frame(height, width, modes, mvs, half_pel)
+    if leaving.any():
+        k = int(leaving.argmax())
+        raise ValueError(
+            f"motion vectors {mvs[k].tolist()} of macroblock {k} leave the "
+            f"reference frame of size {(height, width)}")
+    origins = _mb_origins(height, width)
+    both = modes == 2
+    prediction = []
+    for name, shrink in (("y", 1), ("u", 2), ("v", 2)):
+        size = MB // shrink
+        pred = np.empty((len(modes), size, size))
+        for r, ref in enumerate(refs):
+            uses = np.flatnonzero(both | (modes == r))
+            vectors = np.where(both[:, None], mvs[:, r], mvs[:, 0])
+            for start in range(0, len(uses), _SLAB):
+                idx = uses[start:start + _SLAB]
+                blocks = _gather(getattr(ref, name), origins[idx] // shrink,
+                                 vectors[idx] // shrink, size, half_pel)
+                if r == 0:
+                    pred[idx] = blocks
+                else:
+                    bi = both[idx]
+                    pred[idx[~bi]] = blocks[~bi]
+                    pred[idx[bi]] = 0.5 * (pred[idx[bi]] + blocks[bi])
+        prediction.append(pred)
+    return prediction[0], prediction[1], prediction[2]

@@ -1,163 +1,236 @@
-"""Residual transform coding shared by the encoder and decoder.
+"""Frame-level residual coding shared by the encoder and decoder.
 
-Two layers:
+A frame is handled in whole-frame passes rather than block by block:
 
-- whole-plane intra coding (I frames): raster 8x8 blocks, spatial
-  prediction, DCT, quantization, entropy coding, closed-loop reconstruction;
-- per-macroblock residual coding (P/B frames): the motion-compensated
-  residual of one macroblock (16x16 luma + two 8x8 chroma blocks) with a
-  skip flag when everything quantizes to zero.
+- **parse** (:func:`parse_intra_blocks`, :func:`parse_inter_macroblocks`):
+  one sequential walk over the frame's bits yields the quantised levels of
+  every 8x8 block that has any, plus intra modes or B modes / motion
+  vectors.  Every grammar check is made here, at the bit that violates it.
+- **transform** (:func:`transformed`): dequantisation and the inverse DCT
+  run over all coded blocks of the frame, a large slab at a time.
+- **intra reconstruction** (:func:`reconstruct_plane_intra`,
+  :func:`encode_plane_intra`): spatial prediction needs the reconstructed
+  neighbours, so it advances by anti-diagonal wavefront
+  (:mod:`~repro.video.codec.intra`), one vectorised step per diagonal.
+- **inter reconstruction** (:func:`add_residual`): the motion-compensated
+  prediction arrives macroblock-major from
+  :func:`~repro.video.codec.motion.predict_frame`; the residual of the coded
+  blocks is added into it in place, and each plane is clipped, rounded and
+  assembled once (:func:`blocks_to_plane`).
+
+Inter frames carry six blocks per macroblock — four luma in raster order,
+then U, then V — so block ``b`` of a frame belongs to macroblock
+``b // BLOCKS_PER_MB``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-from .bitstream import BitReader, BitWriter
-from .dct import BLOCK, forward_dct, inverse_dct
-from .entropy import decode_coeff_block, encode_coeff_block, read_ue, write_ue
-from .intra import choose_mode, predict_block
+from .bitstream import BitReader, BitWriter, CorruptStreamError
+from .dct import BLOCK, forward_dct, from_blocks, inverse_dct, to_blocks
+from .entropy import (encode_coeff_block, read_block_levels, scatter_levels,
+                      write_ue)
+from .intra import (INTRA_MODES, choose_modes, neighbours, predict_blocks,
+                    wavefront)
+from .motion import MB
 from .quant import dequantize, quantize
 
 __all__ = [
+    "BLOCKS_PER_MB",
+    "parse_intra_blocks",
+    "parse_inter_macroblocks",
+    "transformed",
+    "reconstruct_plane_intra",
     "encode_plane_intra",
-    "decode_plane_intra",
-    "encode_block_residual",
-    "decode_block_residual",
-    "encode_mb_residual",
-    "decode_mb_residual",
+    "macroblock_blocks",
+    "add_residual",
+    "blocks_to_plane",
 ]
+
+_N_COEFFS = BLOCK * BLOCK
+_LUMA_SIDE = MB // BLOCK
+_LUMA_PER_MB = _LUMA_SIDE ** 2
+#: Coded 8x8 blocks of one macroblock: 2x2 luma, then U, then V.
+BLOCKS_PER_MB = _LUMA_PER_MB + 2
+# Coded blocks inverse-transformed per batch (0.5 MB of float64 each).
+_SLAB = 1024
+
+
+# -------------------------------------------------------------------- parse
+#
+# Both parsers return the frame's levels the way ``entropy.scatter_levels``
+# builds them: ``coded``, the ascending indices of the blocks with at least
+# one coefficient, and their ``(len(coded), 64)`` raster-order levels.  All
+# other blocks (a skipped macroblock's six among them) are zero.
+
+def parse_intra_blocks(
+    reader: BitReader, n_blocks: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read ``n_blocks`` intra blocks: ``ue(mode)`` + coefficients each.
+
+    Returns ``(modes, coded, levels)`` with ``modes`` of shape ``(n_blocks,)``.
+    """
+    read_ue = reader.read_ue
+    modes: list[int] = []
+    positions: list[int] = []
+    values: list[int] = []
+    for base in range(0, n_blocks * _N_COEFFS, _N_COEFFS):
+        mode = read_ue()
+        read_block_levels(reader, base, positions, values)
+        if mode >= len(INTRA_MODES):
+            raise CorruptStreamError(f"corrupt stream: unknown intra mode {mode}")
+        modes.append(mode)
+    return (np.array(modes, dtype=np.intp),
+            *scatter_levels(positions, values))
+
+
+def parse_inter_macroblocks(
+    reader: BitReader, n_mb: int, bidirectional: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read the ``n_mb`` macroblocks of a P or B frame.
+
+    Returns ``(modes, mvs, coded, levels)``: per macroblock the prediction
+    mode (0 forward, 1 backward, 2 bidirectional; always 0 in a P frame) and
+    its ``(2, 2)`` motion vectors ``[slot, (dy, dx)]`` (slot 1 is used by
+    mode 2 only), then the levels of the frame's
+    ``n_mb * BLOCKS_PER_MB`` blocks.
+    """
+    read_ue, read_se, read_bit = reader.read_ue, reader.read_se, reader.read_bit
+    modes: list[int] = []
+    mvs: list[tuple[int, int, int, int]] = []
+    positions: list[int] = []
+    values: list[int] = []
+    mb_coeffs = BLOCKS_PER_MB * _N_COEFFS
+    for mb_base in range(0, n_mb * mb_coeffs, mb_coeffs):
+        mode = 0
+        if bidirectional:
+            mode = read_ue()
+            if mode > 2:
+                raise CorruptStreamError(f"corrupt stream: B-frame mode {mode}")
+        if mode == 2:
+            mvs.append((read_se(), read_se(), read_se(), read_se()))
+        else:
+            mvs.append((read_se(), read_se(), 0, 0))
+        modes.append(mode)
+        if not read_bit():      # skip flag
+            for base in range(mb_base, mb_base + mb_coeffs, _N_COEFFS):
+                read_block_levels(reader, base, positions, values)
+    try:
+        vectors = np.array(mvs, dtype=np.int64).reshape(n_mb, 2, 2)
+    except OverflowError as exc:
+        raise CorruptStreamError(
+            "corrupt stream: motion vector exceeds 64 bits") from exc
+    return (np.array(modes, dtype=np.intp), vectors,
+            *scatter_levels(positions, values))
+
+
+# ---------------------------------------------------------------- transform
+
+def transformed(
+    coded: np.ndarray, levels: np.ndarray, qp: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Dequantise and inverse-transform a frame's coded blocks in batches.
+
+    Yields ``(block indices, (K, 8, 8) float residual)`` a slab at a time,
+    so the float temporaries stay small beside the frame.
+    """
+    for start in range(0, len(coded), _SLAB):
+        stop = start + _SLAB
+        yield coded[start:stop], inverse_dct(dequantize(
+            levels[start:stop].reshape(-1, BLOCK, BLOCK), qp))
+
+
+def blocks_to_plane(blocks: np.ndarray) -> np.ndarray:
+    """Clip and round ``(rows, cols, b, b)`` reconstructed blocks — once,
+    in place — and assemble the uint8 plane."""
+    np.clip(blocks, 0, 255, out=blocks)
+    return from_blocks(np.rint(blocks, out=blocks).astype(np.uint8))
+
+
+# -------------------------------------------------------------------- intra
+
+def reconstruct_plane_intra(
+    modes: np.ndarray, coded: np.ndarray, levels: np.ndarray, qp: int,
+    height: int, width: int,
+) -> np.ndarray:
+    """Rebuild an intra plane from its parsed blocks (raster block order,
+    ``coded`` counted from the plane's first block); returns uint8."""
+    rows, cols = height // BLOCK, width // BLOCK
+    modes = modes.reshape(rows, cols)
+    residual = np.zeros((rows * cols, BLOCK, BLOCK))
+    for index, blocks in transformed(coded, levels, qp):
+        residual[index] = blocks
+    residual = residual.reshape(rows, cols, BLOCK, BLOCK)
+    recon = np.zeros((rows, cols, BLOCK, BLOCK))
+    for by, bx in wavefront(rows, cols):
+        preds = predict_blocks(*neighbours(recon, by, bx))
+        pred = preds[modes[by, bx], np.arange(len(by))]
+        # Clipped per step: the next diagonal predicts from these samples.
+        recon[by, bx] = np.clip(pred + residual[by, bx], 0, 255)
+    return blocks_to_plane(recon)
 
 
 def encode_plane_intra(writer: BitWriter, plane: np.ndarray, qp: int) -> np.ndarray:
-    """Intra-code a full plane; returns the reconstructed plane (uint8)."""
-    h, w = plane.shape
-    if h % BLOCK or w % BLOCK:
-        raise ValueError(f"plane {(h, w)} not divisible by {BLOCK}")
-    original = plane.astype(np.float64)
-    recon = np.zeros((h, w), dtype=np.float64)
-    for by in range(h // BLOCK):
-        for bx in range(w // BLOCK):
-            mode, pred = choose_mode(recon, original, by, bx)
-            y0, x0 = by * BLOCK, bx * BLOCK
-            target = original[y0:y0 + BLOCK, x0:x0 + BLOCK]
-            levels = quantize(forward_dct(target - pred), qp)
-            write_ue(writer, mode)
-            encode_coeff_block(writer, levels)
-            rec = pred + inverse_dct(dequantize(levels, qp))
-            recon[y0:y0 + BLOCK, x0:x0 + BLOCK] = np.clip(rec, 0, 255)
-    return np.rint(recon).astype(np.uint8)
+    """Intra-code a full plane; returns the reconstructed plane (uint8).
+
+    Mode decision, transform and closed-loop reconstruction advance by
+    wavefront; the bits are then written in raster block order.
+    """
+    original = to_blocks(plane.astype(np.float64))
+    rows, cols = original.shape[:2]
+    modes = np.empty((rows, cols), dtype=np.intp)
+    levels = np.empty(original.shape, dtype=np.int64)
+    recon = np.zeros(original.shape)
+    for by, bx in wavefront(rows, cols):
+        targets = original[by, bx]
+        chosen, pred = choose_modes(
+            predict_blocks(*neighbours(recon, by, bx)), targets)
+        coded = quantize(forward_dct(targets - pred), qp)
+        modes[by, bx] = chosen
+        levels[by, bx] = coded
+        recon[by, bx] = np.clip(
+            pred + inverse_dct(dequantize(coded, qp)), 0, 255)
+    for mode, block in zip(modes.reshape(-1).tolist(),
+                           levels.reshape(-1, BLOCK, BLOCK)):
+        write_ue(writer, mode)
+        encode_coeff_block(writer, block)
+    return blocks_to_plane(recon)
 
 
-def decode_plane_intra(reader: BitReader, height: int, width: int, qp: int) -> np.ndarray:
-    """Decode a plane written by :func:`encode_plane_intra`."""
-    recon = np.zeros((height, width), dtype=np.float64)
-    for by in range(height // BLOCK):
-        for bx in range(width // BLOCK):
-            mode = read_ue(reader)
-            levels = decode_coeff_block(reader, BLOCK)
-            pred = predict_block(recon, by, bx, mode)
-            rec = pred + inverse_dct(dequantize(levels, qp))
-            y0, x0 = by * BLOCK, bx * BLOCK
-            recon[y0:y0 + BLOCK, x0:x0 + BLOCK] = np.clip(rec, 0, 255)
-    return np.rint(recon).astype(np.uint8)
+# -------------------------------------------------------------------- inter
 
-
-def _blocks_of(residual: np.ndarray) -> list[np.ndarray]:
-    """Split a 16x16 or 8x8 residual into 8x8 blocks in raster order."""
-    h, w = residual.shape
-    out = []
-    for y0 in range(0, h, BLOCK):
-        for x0 in range(0, w, BLOCK):
-            out.append(residual[y0:y0 + BLOCK, x0:x0 + BLOCK])
+def macroblock_blocks(
+    luma: np.ndarray, u: np.ndarray, v: np.ndarray,
+) -> np.ndarray:
+    """Macroblock-major samples -> ``(K, BLOCKS_PER_MB, 8, 8)`` coding-order
+    blocks, from ``(K, 16, 16)`` luma and ``(K, 8, 8)`` chroma."""
+    k = len(luma)
+    out = np.empty((k, BLOCKS_PER_MB, BLOCK, BLOCK), dtype=luma.dtype)
+    out[:, :_LUMA_PER_MB] = (
+        luma.reshape(k, _LUMA_SIDE, BLOCK, _LUMA_SIDE, BLOCK)
+        .transpose(0, 1, 3, 2, 4).reshape(k, _LUMA_PER_MB, BLOCK, BLOCK))
+    out[:, _LUMA_PER_MB] = u
+    out[:, _LUMA_PER_MB + 1] = v
     return out
 
 
-def encode_block_residual(
-    writer: BitWriter, residual: np.ndarray, qp: int,
-) -> np.ndarray:
-    """Transform-code one residual array (any 8-divisible size).
-
-    Returns the reconstructed residual (float64).
-    """
-    recon = np.empty_like(residual, dtype=np.float64)
-    h, w = residual.shape
-    for y0 in range(0, h, BLOCK):
-        for x0 in range(0, w, BLOCK):
-            block = residual[y0:y0 + BLOCK, x0:x0 + BLOCK]
-            levels = quantize(forward_dct(block), qp)
-            encode_coeff_block(writer, levels)
-            recon[y0:y0 + BLOCK, x0:x0 + BLOCK] = inverse_dct(
-                dequantize(levels, qp))
-    return recon
-
-
-def decode_block_residual(
-    reader: BitReader, height: int, width: int, qp: int,
-) -> np.ndarray:
-    """Decode a residual written by :func:`encode_block_residual`."""
-    recon = np.empty((height, width), dtype=np.float64)
-    for y0 in range(0, height, BLOCK):
-        for x0 in range(0, width, BLOCK):
-            levels = decode_coeff_block(reader, BLOCK)
-            recon[y0:y0 + BLOCK, x0:x0 + BLOCK] = inverse_dct(
-                dequantize(levels, qp))
-    return recon
-
-
-def _quantize_blocks(residual: np.ndarray, qp: int) -> list[tuple[int, int, np.ndarray]]:
-    """Quantize every 8x8 block of a residual; returns (y0, x0, levels)."""
-    out = []
-    h, w = residual.shape
-    for y0 in range(0, h, BLOCK):
-        for x0 in range(0, w, BLOCK):
-            block = residual[y0:y0 + BLOCK, x0:x0 + BLOCK]
-            out.append((y0, x0, quantize(forward_dct(block), qp)))
-    return out
-
-
-def encode_mb_residual(
-    writer: BitWriter, luma_res: np.ndarray, u_res: np.ndarray,
-    v_res: np.ndarray, qp: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Code one macroblock's residual with a leading skip flag.
-
-    Returns the reconstructed residual triple ``(luma, u, v)``.
-    """
-    quantized = [
-        (res, _quantize_blocks(res, qp)) for res in (luma_res, u_res, v_res)
-    ]
-    skip = all(
-        not np.any(levels)
-        for _, blocks in quantized
-        for _, _, levels in blocks
-    )
-    writer.write_bit(1 if skip else 0)
-    if skip:
-        return (np.zeros_like(luma_res, dtype=np.float64),
-                np.zeros_like(u_res, dtype=np.float64),
-                np.zeros_like(v_res, dtype=np.float64))
-    recons = []
-    for res, blocks in quantized:
-        recon = np.empty_like(res, dtype=np.float64)
-        for y0, x0, levels in blocks:
-            encode_coeff_block(writer, levels)
-            recon[y0:y0 + BLOCK, x0:x0 + BLOCK] = inverse_dct(
-                dequantize(levels, qp))
-        recons.append(recon)
-    return recons[0], recons[1], recons[2]
-
-
-def decode_mb_residual(
-    reader: BitReader, mb: int, qp: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode a macroblock residual written by :func:`encode_mb_residual`."""
-    skip = reader.read_bit()
-    half = mb // 2
-    if skip:
-        return (np.zeros((mb, mb)), np.zeros((half, half)),
-                np.zeros((half, half)))
-    luma = decode_block_residual(reader, mb, mb, qp)
-    u = decode_block_residual(reader, half, half, qp)
-    v = decode_block_residual(reader, half, half, qp)
-    return luma, u, v
+def add_residual(
+    prediction: tuple[np.ndarray, np.ndarray, np.ndarray],
+    coded: np.ndarray, levels: np.ndarray, qp: int,
+) -> None:
+    """Add the coded blocks' residual into a macroblock-major prediction,
+    in place (``coded`` counted from the prediction's first macroblock)."""
+    pred_y, pred_u, pred_v = prediction
+    # [macroblock, block row, y, block column, x]
+    luma = pred_y.reshape(len(pred_y), _LUMA_SIDE, BLOCK, _LUMA_SIDE, BLOCK)
+    for index, blocks in transformed(coded, levels, qp):
+        mb, which = np.divmod(index, BLOCKS_PER_MB)
+        in_luma = which < _LUMA_PER_MB
+        row, col = np.divmod(which[in_luma], _LUMA_SIDE)
+        luma[mb[in_luma], row, :, col, :] += blocks[in_luma]
+        for plane, slot in ((pred_u, _LUMA_PER_MB), (pred_v, _LUMA_PER_MB + 1)):
+            chosen = which == slot
+            plane[mb[chosen]] += blocks[chosen]

@@ -196,6 +196,9 @@ def scene_schedule(
     """
     if n_distinct_scenes < 1:
         raise ValueError("need at least one distinct scene")
+    if n_distinct_scenes == 1:
+        # No other scene to cut to: the clip is one shot.
+        return [(0, n_frames)]
     params = GENRES[genre]
     rng = np.random.default_rng(seed ^ 0xC0FFEE)
     mean_len = max(int(params["scene_seconds"] * fps), 2)

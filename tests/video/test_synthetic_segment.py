@@ -63,6 +63,24 @@ class TestScheduleAndVideo:
         ids = [s for s, _ in sched]
         assert len(ids) > len(set(ids))  # some scene appears twice
 
+    def test_one_scene_is_a_single_shot(self):
+        """Regression: the second shot used to draw from an empty set of
+        scenes other than the previous one."""
+        assert scene_schedule(300, 30.0, "music", seed=5,
+                              n_distinct_scenes=1) == [(0, 300)]
+        clip = make_video("one", "news", seed=1, size=(32, 48),
+                          duration_seconds=30.0, fps=10, n_distinct_scenes=1)
+        assert clip.n_frames == 300
+        assert not clip.scene_ids.any()
+
+    def test_multi_scene_schedules_are_pinned(self):
+        """The RNG draws of schedules with two or more scenes are part of
+        every seeded clip in the repo; they must not move."""
+        assert scene_schedule(300, 30.0, "music", seed=5, n_distinct_scenes=4) == [
+            (0, 102), (1, 77), (0, 58), (1, 45), (2, 18)]
+        assert scene_schedule(120, 10.0, "sports", seed=9, n_distinct_scenes=2) == [
+            (0, 44), (1, 38), (0, 38)]
+
     def test_schedule_bad_args(self):
         with pytest.raises(ValueError):
             scene_schedule(10, 30.0, "music", 0, n_distinct_scenes=0)
