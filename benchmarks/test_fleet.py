@@ -13,10 +13,6 @@ regimes, all on the single-threaded discrete-event scheduler:
 - **trace** fleets at sizes 100/1,000/5,000: byte-trace sessions through
   the same CDN cache hierarchy and network pool, recording the aggregate
   goodput and origin-offload curves that only emerge at scale.
-
-A final batched run checks that cross-session SR batching is a pure
-throughput optimisation — frames stay bitwise equal to the per-session
-engine path.
 """
 
 import os
@@ -26,7 +22,6 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.bench import print_table, save_results
 from repro.core import DcsrClient, ServerConfig, build_package
-from repro.core.client import FastPathConfig
 from repro.core.network import NetworkConfig, RetryPolicy, SimulatedNetwork
 from repro.features import VaeTrainConfig
 from repro.obs import Observability
@@ -100,16 +95,9 @@ def test_fleet_scaling(benchmark):
         for sessions in SCALE_SIZES:
             sim = FleetSimulator(package, _scale_config(sessions))
             scale[sessions] = sim.run()
-        batched = FleetSimulator(
-            package,
-            FleetConfig(sessions=3, batching=True, max_batch=4,
-                        max_wait_s=0.01)).run()
-        engine_solo = DcsrClient(
-            package, fast_path=FastPathConfig(calibrate=False)).play()
-        return solo, runs, plain, scale, batched, engine_solo, obs
+        return solo, runs, plain, scale, obs
 
-    solo, runs, plain, scale, batched, engine_solo, obs = \
-        run_once(benchmark, experiment)
+    solo, runs, plain, scale, obs = run_once(benchmark, experiment)
 
     rows = []
     for sessions in FLEET_SIZES:
@@ -189,10 +177,6 @@ def test_fleet_scaling(benchmark):
                 "sim_duration_s": scale[sessions].telemetry.sim_duration_s,
             } for sessions in SCALE_SIZES
         },
-        "batched": {
-            "n_batches": batched.telemetry.n_batches,
-            "mean_batch_size": batched.telemetry.mean_batch_size,
-        },
     }, trace=obs)  # the result file carries the 8-session span tree
 
     # The event-driven scheduler is invisible at N=1: frames, bytes, and
@@ -226,9 +210,3 @@ def test_fleet_scaling(benchmark):
     assert top.origin_offload > 0.95
     assert all(scale[s].telemetry.aggregate_goodput_bps > 0
                for s in SCALE_SIZES)
-
-    # Batching is a pure optimisation: bitwise-equal frames.
-    assert batched.telemetry.n_batches > 0
-    for shell in batched.completed():
-        for ours, theirs in zip(shell.result.frames, engine_solo.frames):
-            assert np.array_equal(ours, theirs)

@@ -382,14 +382,14 @@ def test_blocked_gemm_block_size_sweep(benchmark):
     weight = (rng.standard_normal((cout, cin, k, k)) * 0.3).astype(np.float32)
     bias = rng.standard_normal(cout).astype(np.float32)
     packed = F.pack_conv_weight(weight, bias)
-    qw = F.quantize_conv_weight(weight, bias, "int8")
+    qw = F.pack_conv_weight(weight, bias, "int8")
     repeats = 2 if FAST else 3
     flops = 2.0 * h * w * cin * cout * k * k
     default_rows = F.im2col_block_rows(w, cin, k, k)
 
     def experiment():
         reference = F.conv2d_im2col_nhwc(x, packed, block_rows=0)
-        ref_int8 = F.conv2d_im2col_nhwc_quant(x, qw, block_rows=0)
+        ref_int8 = F.conv2d_im2col_nhwc(x, qw, block_rows=0)
         rows = []
         for block_rows in (1, 4, default_rows, 64, 128, 0):
             label = ("unblocked" if block_rows == 0 else
@@ -398,8 +398,7 @@ def test_blocked_gemm_block_size_sweep(benchmark):
             out = F.conv2d_im2col_nhwc(x, packed, block_rows=block_rows)
             fp32_max_diff = float(np.abs(out - reference).max())
             assert fp32_max_diff <= 1e-5, (block_rows, fp32_max_diff)
-            out_int8 = F.conv2d_im2col_nhwc_quant(x, qw,
-                                                  block_rows=block_rows)
+            out_int8 = F.conv2d_im2col_nhwc(x, qw, block_rows=block_rows)
             assert np.array_equal(out_int8, ref_int8), block_rows
             best = min(_timed(lambda f: F.conv2d_im2col_nhwc(
                 x, packed, block_rows=block_rows), None)

@@ -19,9 +19,9 @@
 #   - tests/serve/test_no_threads.py — no thread spawning inside
 #     src/repro/serve/: the fleet's determinism contract requires every
 #     session to run on the discrete-event loop.
-#   - tests/nn/test_no_quant_in_training.py — no quantized kernels in the
+#   - tests/nn/test_no_quant_in_training.py — no packed weight in the
 #     training path (optimizer, SR trainer, gradient checker, losses):
-#     quantization is inference-only.
+#     packing — where a reduced precision lives — is inference-only.
 #   - tests/sr/test_no_unbounded_reuse.py — no unbounded temporal reuse
 #     cache in library code: every TileReuseCache must carry an explicit
 #     entry budget (an unbounded cache is a per-session memory leak).
@@ -30,9 +30,10 @@
 #     event loop) and the chaos proxy's connection<->attempt mapping
 #     require a single thread of control.
 #   - tests/control/test_no_upward_imports.py — no upward imports from
-#     src/repro/control/: the control plane is consumed by both the
-#     client and the fleet scheduler, so importing repro.serve or
-#     repro.cli from it would cycle the layer graph.
+#     src/repro/{control,core,sr,nn,video}/: they are consumed by the
+#     fleet scheduler, the real transport and the CLI, so importing
+#     repro.serve, repro.net or repro.cli from them would cycle the
+#     layer graph.
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test

@@ -203,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--admission", choices=("queue", "reject"),
                        default="queue",
                        help="what to do with arrivals over --max-sessions")
-    serve.add_argument("--batching", action="store_true",
-                       help="batch SR frames across sessions into one "
-                            "GEMM call (bit-identical output)")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="largest cross-session SR batch")
     serve.add_argument("--fallback", action="store_true",
                        help="sessions play segments whose model fetch "
                             "fails unenhanced instead of raising")
@@ -517,7 +512,6 @@ def _cmd_serve(args) -> int:
         cache_admission=args.cache_admission,
         cache_capacity=args.cache_capacity,
         max_sessions=args.max_sessions, admission=args.admission,
-        batching=args.batching, max_batch=args.max_batch,
         fallback=args.fallback, seed=args.seed,
         fast_path=fast_path, sr_demand_factor=args.sr_demand_factor,
         devices=devices, controller=args.controller,

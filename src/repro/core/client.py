@@ -48,6 +48,7 @@ import numpy as np
 from ..control import JointController
 from ..nn.functional import PRECISIONS
 from ..obs import Observability
+from ..sr.batching import BatchingInferenceEngine
 from ..sr.edsr import EDSR
 from ..sr.engine import ENGINE_KERNELS, InferenceEngine
 from ..video import rgb_to_yuv420, yuv420_to_rgb
@@ -128,8 +129,7 @@ class FastPathConfig:
         ``prefetch >= 1``) decodes up to ``sr_batch`` segments
         concurrently, and their co-pending I-frames merge into one
         batched GEMM call through a session-local
-        :class:`~repro.serve.BatchingInferenceEngine` — same mechanism
-        the fleet simulator uses across sessions, applied inside one.
+        :class:`~repro.sr.batching.BatchingInferenceEngine`.
         Downloads stay serialized in segment order, so the simulated
         network consumes its schedule exactly as the serial client does.
         Composes with neither ``reuse`` nor a joint controller — both
@@ -413,12 +413,6 @@ class DcsrClient:
         duration of each segment so eviction can never drop a model
         mid-SR.  ``cache_capacity`` is ignored (the shared cache carries
         its own bound).
-    engine_provider:
-        Optional ``model -> engine`` factory overriding how SR engines are
-        built (``engine.enhance(rgb)`` plus an ``EngineStats``-shaped
-        ``stats`` attribute).  The fleet simulator injects
-        :class:`repro.serve.BatchingInferenceEngine` adapters here so
-        I-frame tiles from many sessions share one GEMM call.
     span_attrs:
         Extra attributes stamped on the session's ``play`` span (fleet
         runs tag each session's subtree with its session id).
@@ -445,7 +439,6 @@ class DcsrClient:
                  fast_path: FastPathConfig | None = None,
                  obs: Observability | None = None,
                  model_cache=None,
-                 engine_provider=None,
                  span_attrs: dict | None = None,
                  controller: JointController | None = None):
         if fast_path is not None:
@@ -456,7 +449,6 @@ class DcsrClient:
             precision=fast_path.precision if fast_path is not None else "fp32",
             cache_capacity=cache_capacity, model_cache=model_cache,
             controller=controller)
-        self._engine_provider = engine_provider
         self._span_attrs = dict(span_attrs or {})
         self._fast = fast_path
         if obs is None and network is not None and network.obs is not None:
@@ -475,33 +467,24 @@ class DcsrClient:
         one factory behind label engines and controller tier engines, so
         every :class:`FastPathConfig` knob reaches both.  ``precision`` is
         a controller's decided precision; ``None`` means a label engine at
-        the fast path's own, for which an injected ``engine_provider``
-        (cross-session batching) takes precedence.
+        the fast path's own.
 
         Engines live on the client, not the model, so a shared package's
         models are never mutated and concurrent sessions stay independent.
-        With ``sr_batch > 1`` the engine (an adapter onto the session's
-        batcher, or the provider's product) is built fresh per call:
-        adapters carry per-call ``stats``, so concurrent decode workers
-        must not share one.
+        With ``sr_batch > 1`` the engine is an adapter onto the session's
+        batcher, built fresh per call: adapters carry per-call ``stats``,
+        so concurrent decode workers must not share one.
         """
         fast = self._fast or _REFERENCE_KNOBS
-        provider = self._engine_provider if precision is None else None
         if fast.sr_batch > 1:
-            return (provider or self._batcher.engine_for)(model)
+            return self._batcher.engine_for(model)
         key = (id(model), precision or fast.precision)
         engine = self._engines.get(key)
         if engine is None:
-            if provider is not None:
-                engine = provider(model)
-            else:
-                engine = InferenceEngine(model, tile=fast.tile,
-                                         threads=fast.sr_threads,
-                                         obs=self.obs, precision=key[1],
-                                         skip_gate=fast.skip_gate,
-                                         reuse=fast.reuse,
-                                         kernel=fast.kernel)
-            self._engines[key] = engine
+            engine = self._engines[key] = InferenceEngine(
+                model, tile=fast.tile, threads=fast.sr_threads, obs=self.obs,
+                precision=key[1], skip_gate=fast.skip_gate, reuse=fast.reuse,
+                kernel=fast.kernel)
         return engine
 
     def play(self, reference_frames: np.ndarray | None = None) -> PlaybackResult:
@@ -551,12 +534,9 @@ class DcsrClient:
 
         fast = self._fast or _REFERENCE_KNOBS
         prefetch, sr_batch = fast.prefetch, fast.sr_batch
-        if sr_batch > 1 and self._engine_provider is None:
-            # Session-local leader–follower batcher: the same merge
-            # machinery the fleet uses across sessions, scoped to this
-            # session's decode workers.  Imported lazily — the serve
-            # layer imports this module at load time.
-            from ..serve.batching import BatchingInferenceEngine
+        if sr_batch > 1:
+            # Session-local leader–follower batcher: co-pending I-frames
+            # of this session's decode workers merge into one engine call.
             self._batcher = BatchingInferenceEngine(
                 max_batch=sr_batch, max_wait_s=0.005, tile=fast.tile,
                 threads=fast.sr_threads, obs=self.obs,
@@ -600,7 +580,7 @@ class DcsrClient:
         thread.  Anything else runs ``sr_batch`` workers, each with a
         private :class:`~repro.video.codec.Decoder`; several workers'
         co-pending I-frames merge into one batched GEMM through the
-        session's :class:`~repro.serve.BatchingInferenceEngine` (bitwise
+        session's :class:`~repro.sr.batching.BatchingInferenceEngine` (bitwise
         identical per frame to the serial engine).  The pool's contract:
 
         - Fetches are turn-ordered: a worker claims the next segment and
@@ -827,8 +807,7 @@ class DcsrClient:
         overhead and are excluded from stage accounting.  A controller's
         decided ``precision`` always runs on an engine at that precision.
         """
-        use_engine = (precision is not None or self._fast is not None
-                      or self._engine_provider is not None)
+        use_engine = precision is not None or self._fast is not None
         engine = self._engine_for(model, precision) if use_engine else None
         if engine is not None and hasattr(engine, "reset_reuse"):
             # One hook per segment: a segment boundary is a GOP boundary

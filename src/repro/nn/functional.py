@@ -29,13 +29,8 @@ __all__ = [
     "IM2COL_SCRATCH_BYTES",
     "im2col_block_rows",
     "conv2d_im2col_nhwc",
-    "conv2d_im2col_nhwc_quant",
     "PRECISIONS",
     "INT8_EXACT_ACC_BOUND",
-    "QuantizedConvWeight",
-    "quantize_conv_weight",
-    "conv2d_gemm_quant",
-    "conv2d_shift_nhwc_quant",
     "pixel_shuffle",
     "pixel_unshuffle",
     "pixel_shuffle_nhwc",
@@ -165,13 +160,15 @@ def conv2d_backward(
 # GEMM inference fast path.
 #
 # ``conv2d_forward`` stays the reference and training implementation; the
-# functions below are the inference-only path.  Two kernels are provided:
+# functions below are the inference-only path.  Three kernels share one
+# packed operand (:class:`PackedConvWeight`) and one fused epilogue:
 #
 # - :func:`conv2d_gemm` — classic im2col + one BLAS matmul over NCHW
-#   tensors.  It reproduces ``conv2d_forward`` *bitwise* because the packed
-#   operands use exactly the ``(Cin, KH, KW)`` contraction order and operand
-#   layouts ``tensordot`` reduces to internally, so the same sgemm runs on
-#   the same bits.  General stride/padding; used by ``Conv2d`` inference.
+#   tensors.  At fp32 it reproduces ``conv2d_forward`` *bitwise* because
+#   the packed operands use exactly the ``(Cin, KH, KW)`` contraction order
+#   and operand layouts ``tensordot`` reduces to internally, so the same
+#   sgemm runs on the same bits.  General stride/padding; used by
+#   ``Conv2d`` inference.
 # - :func:`conv2d_shift_nhwc` — the conv decomposed into one small GEMM per
 #   kernel tap on shifted NHWC views of the padded input.  It never
 #   materializes the KH*KW-times-larger im2col matrix, which on
@@ -179,28 +176,67 @@ def conv2d_backward(
 #   the price is a different summation order, i.e. float32 reassociation
 #   differences of a few ULP per layer.  Stride 1 / 'same' only — the SR
 #   engine's kernel.
+# - :func:`conv2d_im2col_nhwc` — the cache-blocked im2col GEMM (below).
 #
-# Both fuse the bias / ReLU / residual + res_scale epilogues so the
-# activation is touched once while hot in cache.
+# Precision rides in the packed weight.  numpy has no int8 GEMM, so both
+# reduced precisions run the accumulation through the same float32 sgemm
+# as fp32 — but on operands constrained to the reduced-precision grid,
+# which makes the arithmetic *bit-exact* to what dedicated hardware
+# kernels would produce:
+#
+# - ``fp16``: weights and activations are rounded to the nearest float16
+#   (round-to-nearest-even) and the products accumulate in float32.  Every
+#   float16 value is exactly representable in float32, so fp32 sgemm over
+#   fp16-rounded operands computes exactly the fp16-multiplicand /
+#   fp32-accumulator GEMM of tensor-core style mixed precision.
+# - ``int8``: weights use symmetric per-output-channel scales
+#   ``s[o] = max|w[o]| / 127`` and activations a dynamic *per-frame* scale
+#   ``s_x[n] = max|x[n]| / 127`` (so an ``(N, ...)`` call equals N
+#   single-frame calls bit for bit); both are rounded to integer codes in
+#   [-127, 127] stored as float32.  Products and partial sums are then
+#   integers, and float32 adds integers exactly while the running sum
+#   stays below 2^24 — guaranteed by requiring
+#   ``Cin*KH*KW * 127^2 < 2^24`` at pack time (Cin*KH*KW <= 1040, ample
+#   for micro-EDSR's 3x3/16-filter convs).  The dequantized output
+#   ``acc * (s_x[n] * s[o])`` is therefore bitwise what an
+#   int8xint8->int32 kernel with per-channel dequant would return.
+#
+# Every kernel quantizes its input once, runs its GEMMs, dequantizes the
+# accumulator, then applies the bias / ReLU / ``res_scale`` / residual
+# epilogue in float32 (:func:`_apply_epilogue`) while the activation is
+# hot in cache, so residual skip paths never lose precision.
+
+#: Precisions understood by ``pack_conv_weight`` / the inference engine.
+PRECISIONS = ("fp32", "fp16", "int8")
+
+#: Largest integer magnitude float32 carries exactly; the int8 reduction
+#: ``Cin*KH*KW * 127^2`` must stay strictly below it.
+INT8_EXACT_ACC_BOUND = 2 ** 24
 
 
 @dataclass(frozen=True)
 class PackedConvWeight:
-    """A conv kernel pre-packed for the GEMM fast path.
+    """A conv kernel pre-packed for the GEMM fast path at one precision.
 
     Built once per weight version (:attr:`~repro.nn.tensor.Parameter.version`)
-    and reused across frames; see ``Conv2d.packed``.
+    and reused across frames; see ``Conv2d.packed``.  Operands are float32
+    arrays constrained to ``precision``'s grid (see the comment above).
     """
 
     #: ``(Cout, Cin*KH*KW)`` — the kernel flattened in im2col K-order.
     mat: np.ndarray
     #: ``(Cin*KH*KW, Cout)`` C-contiguous — the right-hand GEMM operand
-    #: (same bits ``tensordot`` feeds to sgemm in ``conv2d_forward``).
+    #: (at fp32 the same bits ``tensordot`` feeds to sgemm in
+    #: ``conv2d_forward``).
     mat_t: np.ndarray
     #: ``(KH, KW, Cin, Cout)`` — per-tap matrices for the NHWC shift kernel.
     taps: np.ndarray
+    #: Bias stays float32 — it is added after dequantization.
     bias: np.ndarray | None
     kernel: tuple[int, int]
+    precision: str = "fp32"
+    #: ``(Cout,)`` per-output-channel weight scales (int8 only).
+    scales: np.ndarray | None = None
 
     @property
     def out_channels(self) -> int:
@@ -211,21 +247,66 @@ class PackedConvWeight:
         return self.taps.shape[2]
 
 
-def pack_conv_weight(weight: np.ndarray,
-                     bias: np.ndarray | None) -> PackedConvWeight:
-    """Pack a ``(Cout, Cin, KH, KW)`` kernel for :func:`conv2d_gemm` /
-    :func:`conv2d_shift_nhwc`."""
+def pack_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
+                     precision: str = "fp32") -> PackedConvWeight:
+    """Pack a ``(Cout, Cin, KH, KW)`` kernel for the inference kernels.
+
+    fp16 rounds the weights to the float16 grid; int8 derives symmetric
+    per-output-channel scales ``max|w[o]| / 127`` and stores integer codes.
+    Raises ``ValueError`` for unknown precisions and when the int8
+    reduction depth would overflow exact float32 integer accumulation.
+    """
     cout, cin, kh, kw = weight.shape
+    scales = None
     # Explicit copy: a view of the live weight would silently track later
     # in-place updates, defeating version-keyed cache invalidation.
-    mat = weight.reshape(cout, cin * kh * kw).astype(np.float32, copy=True)
+    q = weight.astype(np.float32, copy=True)
+    if precision == "fp16":
+        q = q.astype(np.float16).astype(np.float32)
+    elif precision == "int8":
+        depth = cin * kh * kw
+        if depth * 127 * 127 >= INT8_EXACT_ACC_BOUND:
+            raise ValueError(
+                f"int8 reduction depth Cin*KH*KW = {depth} overflows exact "
+                f"float32 integer accumulation (needs depth * 127^2 < 2^24, "
+                f"i.e. depth <= {INT8_EXACT_ACC_BOUND // (127 * 127)})")
+        amax = np.abs(q).reshape(cout, -1).max(axis=1)
+        scales = np.where(amax > 0.0, amax / 127.0, 1.0).astype(np.float32)
+        q = np.clip(np.rint(q / scales[:, None, None, None]), -127.0, 127.0)
+    elif precision != "fp32":
+        raise ValueError(f"unknown precision {precision!r}; "
+                         f"expected one of {PRECISIONS}")
+    mat = q.reshape(cout, cin * kh * kw)
     return PackedConvWeight(
         mat=mat,
         mat_t=np.ascontiguousarray(mat.T),
-        taps=np.ascontiguousarray(weight.transpose(2, 3, 1, 0)),
-        bias=None if bias is None else np.ascontiguousarray(bias),
+        taps=np.ascontiguousarray(q.transpose(2, 3, 1, 0)),
+        bias=None if bias is None else np.ascontiguousarray(
+            bias, dtype=np.float32),
         kernel=(kh, kw),
+        precision=precision,
+        scales=scales,
     )
+
+
+def _quantize_activations(
+        x: np.ndarray, precision: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Constrain a 4-D activation batch to the precision's grid.
+
+    Returns ``(xq, scale)``: fp32 passes through and fp16 rounds, both with
+    no scale; int8 returns integer codes plus the dynamic scale of each
+    frame, shaped ``(N, 1, 1, 1)`` — one quantizer per frame, so no frame
+    of a batch depends on its neighbours.
+    """
+    if precision == "fp32":
+        return x, None
+    if precision == "fp16":
+        return x.astype(np.float16).astype(np.float32), None
+    amax = np.abs(x).reshape(len(x), -1).max(axis=1, initial=0.0)
+    amax = amax.astype(np.float64).reshape(-1, 1, 1, 1)
+    scale = np.where(amax > 0.0, amax / 127.0, 1.0)
+    xq = np.rint(x * (1.0 / scale).astype(np.float32))
+    return xq, scale.astype(np.float32)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1,
@@ -243,15 +324,19 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1,
     return col, oh, ow
 
 
-def _apply_epilogue(out: np.ndarray, bias: np.ndarray | None, relu: bool,
+def _apply_epilogue(out: np.ndarray, packed: PackedConvWeight,
+                    x_scale: np.ndarray | None, relu: bool,
                     residual: np.ndarray | None, res_scale: float,
                     channel_axis: int) -> np.ndarray:
-    """Fused conv epilogue: bias add, then ReLU, then ``res_scale`` and the
-    residual skip add — all in place on ``out``."""
-    if bias is not None:
-        shape = [1] * out.ndim
-        shape[channel_axis] = bias.size
-        out += bias.reshape(shape)
+    """Fused conv epilogue: int8 dequantization of the accumulator, bias
+    add, then ReLU, then ``res_scale`` and the residual skip add — all in
+    place on ``out``."""
+    shape = [1] * out.ndim
+    shape[channel_axis] = packed.out_channels
+    if packed.scales is not None:
+        out *= x_scale * packed.scales.reshape(shape)
+    if packed.bias is not None:
+        out += packed.bias.reshape(shape)
     if relu:
         np.maximum(out, 0.0, out=out)
     if res_scale != 1.0:
@@ -268,19 +353,20 @@ def conv2d_gemm(
 ) -> np.ndarray:
     """im2col + single-GEMM convolution over NCHW tensors.
 
-    Bitwise-equal to ``conv2d_forward`` followed by the (optional) ReLU /
-    ``residual + res_scale * out`` epilogue, without retaining anything for
-    a backward pass.
+    With an fp32 ``packed`` it is bitwise-equal to ``conv2d_forward``
+    followed by the (optional) ReLU / ``residual + res_scale * out``
+    epilogue, without retaining anything for a backward pass.
     """
     kh, kw = packed.kernel
     cin = packed.in_channels
     if x.shape[1] != cin:
         raise ValueError(f"input has {x.shape[1]} channels, kernel expects {cin}")
-    col, oh, ow = im2col(x, kh, kw, stride, padding)
+    xq, x_scale = _quantize_activations(x, packed.precision)
+    col, oh, ow = im2col(xq, kh, kw, stride, padding)
     out = col @ packed.mat_t                       # (N*OH*OW, Cout)
     out = out.reshape(x.shape[0], oh, ow, packed.out_channels)
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    return _apply_epilogue(out, packed.bias, relu, residual, res_scale,
+    return _apply_epilogue(out, packed, x_scale, relu, residual, res_scale,
                            channel_axis=1)
 
 
@@ -291,16 +377,18 @@ def conv2d_shift_nhwc(
     """Tap-decomposed convolution over NHWC tensors (stride 1, 'same').
 
     One ``(W, Cin) @ (Cin, Cout)`` GEMM per kernel tap, accumulated over
-    shifted views of the zero-padded input.  Epilogues are fused as in
-    :func:`conv2d_gemm`; output differs from the reference only by float32
-    reassociation (a few ULP per layer).
+    shifted views of the zero-padded input (quantized once per conv at a
+    reduced precision).  Epilogues are fused as in :func:`conv2d_gemm`;
+    fp32 output differs from the reference only by float32 reassociation
+    (a few ULP per layer).
     """
     kh, kw = packed.kernel
     n, h, w, cin = x.shape
     if cin != packed.in_channels:
         raise ValueError(f"input has {cin} channels, kernel expects "
                          f"{packed.in_channels}")
-    xp = np.pad(x, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
+    xq, x_scale = _quantize_activations(x, packed.precision)
+    xp = np.pad(xq, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
     taps = packed.taps
     acc = np.empty((n, h, w, packed.out_channels), dtype=np.float32)
     tmp = np.empty_like(acc)
@@ -312,7 +400,7 @@ def conv2d_shift_nhwc(
             if not first:
                 acc += tmp
             first = False
-    return _apply_epilogue(acc, packed.bias, relu, residual, res_scale,
+    return _apply_epilogue(acc, packed, x_scale, relu, residual, res_scale,
                            channel_axis=3)
 
 
@@ -396,8 +484,9 @@ def conv2d_im2col_nhwc(
     row ranges of one GEMM, but BLAS selects M-dependent fp32 kernels, so
     the blocked result matches the unblocked one (and ``conv2d_forward``)
     within reassociation tolerance — not bitwise; see the module comment
-    above.  Under int8 quantization the accumulation is exact and every
-    block size is bitwise-identical.  Epilogues are fused as in
+    above.  With an int8 ``packed`` the accumulation is exact, so every
+    block size is bitwise-identical (and equal to the shift kernel).
+    Activations are quantized once per conv and epilogues fused, as in
     :func:`conv2d_shift_nhwc`.
     """
     kh, kw = packed.kernel
@@ -406,218 +495,11 @@ def conv2d_im2col_nhwc(
         raise ValueError(f"input has {cin} channels, kernel expects "
                          f"{packed.in_channels}")
     rows = _resolve_block_rows(block_rows, h, w, cin, kh, kw)
-    xp = np.pad(x, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
+    xq, x_scale = _quantize_activations(x, packed.precision)
+    xp = np.pad(xq, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
     out = np.empty((n, h, w, packed.out_channels), dtype=np.float32)
     _im2col_nhwc_blocked(xp, packed.mat_t, out, kh, kw, rows)
-    return _apply_epilogue(out, packed.bias, relu, residual, res_scale,
-                           channel_axis=3)
-
-
-# ---------------------------------------------------------------------------
-# Quantized inference kernels.
-#
-# numpy has no int8 GEMM, so both reduced-precision paths run the actual
-# accumulation through the same float32 sgemm as the fp32 kernels — but on
-# operands constrained to the reduced-precision grid, which makes the
-# arithmetic *bit-exact* to what dedicated hardware kernels would produce:
-#
-# - ``fp16``: weights and activations are rounded to the nearest float16
-#   (round-to-nearest-even) and the products accumulate in float32.  Every
-#   float16 value is exactly representable in float32, so fp32 sgemm over
-#   fp16-rounded operands computes exactly the fp16-multiplicand /
-#   fp32-accumulator GEMM of tensor-core style mixed precision.
-# - ``int8``: weights use symmetric per-output-channel scales
-#   ``s[o] = max|w[o]| / 127`` and activations a dynamic per-tensor scale
-#   ``s_x = max|x| / 127``; both are rounded to integer codes in
-#   [-127, 127] stored as float32.  Products and partial sums are then
-#   integers, and float32 adds integers exactly while the running sum
-#   stays below 2^24 — guaranteed by requiring
-#   ``Cin*KH*KW * 127^2 < 2^24`` at quantization time (Cin*KH*KW <= 1040,
-#   ample for micro-EDSR's 3x3/16-filter convs).  The dequantized output
-#   ``acc * (s_x * s[o])`` is therefore bitwise what an int8xint8->int32
-#   kernel with per-channel dequant would return.
-#
-# Epilogues (bias, ReLU, res_scale, residual) run in float32 after the
-# dequant, in exactly the order of :func:`_apply_epilogue`, so residual
-# skip paths never lose precision.
-
-#: Precisions understood by ``Conv2d.packed`` / the inference engine.
-PRECISIONS = ("fp32", "fp16", "int8")
-
-#: Largest integer magnitude float32 carries exactly; the int8 reduction
-#: ``Cin*KH*KW * 127^2`` must stay strictly below it.
-INT8_EXACT_ACC_BOUND = 2 ** 24
-
-
-@dataclass(frozen=True)
-class QuantizedConvWeight:
-    """A conv kernel quantized for the reduced-precision GEMM path.
-
-    Operands are stored as float32 arrays constrained to the target
-    precision's grid (see the module comment above); ``scales`` carries the
-    per-output-channel dequantization factors for int8 (``None`` for fp16).
-    """
-
-    precision: str
-    #: ``(KH, KW, Cin, Cout)`` — per-tap matrices on the quantized grid.
-    taps: np.ndarray
-    #: ``(Cin*KH*KW, Cout)`` — right-hand operand for the im2col path.
-    mat_t: np.ndarray
-    #: ``(Cout,)`` per-output-channel weight scales (int8) or ``None`` (fp16).
-    scales: np.ndarray | None
-    #: Bias stays float32 — it is added after dequantization.
-    bias: np.ndarray | None
-    kernel: tuple[int, int]
-
-    @property
-    def out_channels(self) -> int:
-        return self.taps.shape[3]
-
-    @property
-    def in_channels(self) -> int:
-        return self.taps.shape[2]
-
-
-def quantize_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
-                         precision: str) -> QuantizedConvWeight:
-    """Quantize a ``(Cout, Cin, KH, KW)`` kernel for ``precision``.
-
-    fp16 rounds the weights to the float16 grid; int8 derives symmetric
-    per-output-channel scales ``max|w[o]| / 127`` and stores integer codes.
-    Raises ``ValueError`` for unknown precisions and when the int8
-    reduction depth would overflow exact float32 integer accumulation.
-    """
-    cout, cin, kh, kw = weight.shape
-    w = np.asarray(weight, dtype=np.float32)
-    bias = None if bias is None else np.ascontiguousarray(
-        np.asarray(bias, dtype=np.float32))
-    if precision == "fp16":
-        q = w.astype(np.float16).astype(np.float32)
-        scales = None
-    elif precision == "int8":
-        depth = cin * kh * kw
-        if depth * 127 * 127 >= INT8_EXACT_ACC_BOUND:
-            raise ValueError(
-                f"int8 reduction depth Cin*KH*KW = {depth} overflows exact "
-                f"float32 integer accumulation (needs depth * 127^2 < 2^24, "
-                f"i.e. depth <= {INT8_EXACT_ACC_BOUND // (127 * 127)})")
-        amax = np.abs(w).reshape(cout, -1).max(axis=1)
-        scales = np.where(amax > 0.0, amax / 127.0, 1.0).astype(np.float32)
-        q = np.clip(np.rint(w / scales[:, None, None, None]), -127.0, 127.0)
-        q = q.astype(np.float32)
-    else:
-        raise ValueError(f"unknown precision {precision!r}; "
-                         f"expected one of {PRECISIONS[1:]}")
-    mat = q.reshape(cout, cin * kh * kw)
-    return QuantizedConvWeight(
-        precision=precision,
-        taps=np.ascontiguousarray(q.transpose(2, 3, 1, 0)),
-        mat_t=np.ascontiguousarray(mat.T),
-        scales=scales,
-        bias=bias,
-        kernel=(kh, kw),
-    )
-
-
-def _quantize_activations(x: np.ndarray,
-                          precision: str) -> tuple[np.ndarray, float]:
-    """Constrain activations to the precision's grid.
-
-    Returns ``(xq, scale)``: fp16 rounds in place of a scale (scale 1.0);
-    int8 returns integer codes plus the dynamic per-tensor scale.
-    """
-    if precision == "fp16":
-        return x.astype(np.float16).astype(np.float32), 1.0
-    amax = float(np.max(np.abs(x))) if x.size else 0.0
-    if amax == 0.0:
-        return np.zeros_like(x, dtype=np.float32), 1.0
-    scale = amax / 127.0
-    return np.rint(x * (1.0 / scale)).astype(np.float32, copy=False), scale
-
-
-def conv2d_gemm_quant(
-    x: np.ndarray, qw: QuantizedConvWeight, stride: int = 1,
-    padding: int = 0, relu: bool = False,
-    residual: np.ndarray | None = None, res_scale: float = 1.0,
-) -> np.ndarray:
-    """Reduced-precision counterpart of :func:`conv2d_gemm` (NCHW)."""
-    kh, kw = qw.kernel
-    if x.shape[1] != qw.in_channels:
-        raise ValueError(f"input has {x.shape[1]} channels, kernel expects "
-                         f"{qw.in_channels}")
-    xq, x_scale = _quantize_activations(np.asarray(x, dtype=np.float32),
-                                        qw.precision)
-    col, oh, ow = im2col(xq, kh, kw, stride, padding)
-    out = col @ qw.mat_t                          # exact on the quant grid
-    out = out.reshape(x.shape[0], oh, ow, qw.out_channels)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    if qw.scales is not None:
-        out *= (x_scale * qw.scales)[None, :, None, None]
-    return _apply_epilogue(out, qw.bias, relu, residual, res_scale,
-                           channel_axis=1)
-
-
-def conv2d_shift_nhwc_quant(
-    x: np.ndarray, qw: QuantizedConvWeight, relu: bool = False,
-    residual: np.ndarray | None = None, res_scale: float = 1.0,
-) -> np.ndarray:
-    """Reduced-precision counterpart of :func:`conv2d_shift_nhwc` (NHWC).
-
-    The padded input is quantized once per conv; every tap GEMM then runs
-    on grid-constrained operands, and for int8 the integer accumulator is
-    dequantized by ``x_scale * scales[o]`` before the fused epilogue.
-    """
-    kh, kw = qw.kernel
-    n, h, w, cin = x.shape
-    if cin != qw.in_channels:
-        raise ValueError(f"input has {cin} channels, kernel expects "
-                         f"{qw.in_channels}")
-    xq, x_scale = _quantize_activations(x, qw.precision)
-    xp = np.pad(xq, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
-    taps = qw.taps
-    acc = np.empty((n, h, w, qw.out_channels), dtype=np.float32)
-    tmp = np.empty_like(acc)
-    first = True
-    for i in range(kh):
-        for j in range(kw):
-            np.matmul(xp[:, i:i + h, j:j + w, :], taps[i, j],
-                      out=acc if first else tmp)
-            if not first:
-                acc += tmp
-            first = False
-    if qw.scales is not None:
-        acc *= x_scale * qw.scales
-    return _apply_epilogue(acc, qw.bias, relu, residual, res_scale,
-                           channel_axis=3)
-
-
-def conv2d_im2col_nhwc_quant(
-    x: np.ndarray, qw: QuantizedConvWeight, relu: bool = False,
-    residual: np.ndarray | None = None, res_scale: float = 1.0,
-    block_rows: int | None = None,
-) -> np.ndarray:
-    """Reduced-precision counterpart of :func:`conv2d_im2col_nhwc` (NHWC).
-
-    Activations are quantized once per conv (same per-tensor scale as the
-    shift kernel), then each row block runs the grid-constrained GEMM; for
-    int8 the exact integer accumulator is dequantized before the fused
-    epilogue, so int8 blocked output is bitwise-equal to unblocked at any
-    block size.  fp16 accumulates in general float32 and matches unblocked
-    within reassociation tolerance only (see the module comment above).
-    """
-    kh, kw = qw.kernel
-    n, h, w, cin = x.shape
-    if cin != qw.in_channels:
-        raise ValueError(f"input has {cin} channels, kernel expects "
-                         f"{qw.in_channels}")
-    rows = _resolve_block_rows(block_rows, h, w, cin, kh, kw)
-    xq, x_scale = _quantize_activations(x, qw.precision)
-    xp = np.pad(xq, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
-    out = np.empty((n, h, w, qw.out_channels), dtype=np.float32)
-    _im2col_nhwc_blocked(xp, qw.mat_t, out, kh, kw, rows)
-    if qw.scales is not None:
-        out *= x_scale * qw.scales
-    return _apply_epilogue(out, qw.bias, relu, residual, res_scale,
+    return _apply_epilogue(out, packed, x_scale, relu, residual, res_scale,
                            channel_axis=3)
 
 

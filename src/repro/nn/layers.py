@@ -119,16 +119,14 @@ class Conv2d(Layer):
         self.bias = Parameter(winit.zeros((out_channels,)), name=f"{name}.bias") if bias else None
         self._x: np.ndarray | None = None
         self.needs_input_grad = True
-        self._packed: dict[str, F.PackedConvWeight | F.QuantizedConvWeight] = {}
+        self._packed: dict[str, F.PackedConvWeight] = {}
         self._packed_key: tuple[int, int] | None = None
 
-    def packed(self, precision: str = "fp32"
-               ) -> F.PackedConvWeight | F.QuantizedConvWeight:
+    def packed(self, precision: str = "fp32") -> F.PackedConvWeight:
         """The kernel pre-packed for the GEMM inference path.
 
-        ``precision="fp32"`` returns the exact :class:`PackedConvWeight`;
-        ``"fp16"``/``"int8"`` return a :class:`QuantizedConvWeight` (see
-        :func:`repro.nn.functional.quantize_conv_weight` — scales derive
+        ``"fp16"``/``"int8"`` pack onto the reduced-precision grid (see
+        :func:`repro.nn.functional.pack_conv_weight` — scales derive
         deterministically from the fp32 weights, so clients recompute them
         rather than downloading a second checkpoint).  Each precision is
         packed once and cached; any weight or bias update (tracked through
@@ -144,12 +142,8 @@ class Conv2d(Layer):
         entry = self._packed.get(precision)
         if entry is None:
             bias = self.bias.data if self.bias is not None else None
-            if precision == "fp32":
-                entry = F.pack_conv_weight(self.weight.data, bias)
-            else:
-                entry = F.quantize_conv_weight(self.weight.data, bias,
-                                               precision)
-            self._packed[precision] = entry
+            entry = self._packed[precision] = F.pack_conv_weight(
+                self.weight.data, bias, precision)
         return entry
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:

@@ -111,7 +111,7 @@ def quantized_size_bytes(model: Layer, precision: str) -> int:
     Mirrors what a quantized serialization would ship: fp16 stores every
     parameter at 2 bytes; int8 stores weight tensors as 1-byte codes plus
     float32 per-output-channel scales (axis 0, matching
-    :func:`repro.nn.functional.quantize_conv_weight`) while biases and
+    :func:`repro.nn.functional.pack_conv_weight`) while biases and
     other 1-D tensors stay float32.  Container overhead per tensor is the
     same as :func:`model_size_bytes`.
     """

@@ -15,8 +15,6 @@ Everything in this package scales the single-viewer pieces of
 - :class:`SharedNetworkPool` / :class:`PooledNetwork` — one simulated
   uplink split fairly among active transfers, optionally behind
   per-session :class:`TokenBucket` rate limits;
-- :class:`BatchingInferenceEngine` — cross-session SR batching with
-  bit-identical per-frame output;
 - :class:`FleetSimulator` — N sessions (full
   :class:`~repro.core.client.DcsrClient` playback, or byte-trace
   replicas for thousand-session runs) over all of the above, with
@@ -27,7 +25,6 @@ Dependencies run one way: ``repro.serve`` imports ``repro.core`` /
 (clients accept the shared pieces duck-typed).
 """
 
-from .batching import BatchingInferenceEngine, BatchingStats
 from .events import EventLoop, Process, Timeout, TokenBucket, Until
 from .netpool import PooledNetwork, SharedNetworkPool
 from .scheduler import (
@@ -64,8 +61,6 @@ __all__ = [
     "HierarchyStats",
     "SharedNetworkPool",
     "PooledNetwork",
-    "BatchingInferenceEngine",
-    "BatchingStats",
     "FLEET_MODES",
     "FleetConfig",
     "FleetResult",

@@ -11,9 +11,7 @@ serving substrate:
   and the origin-offload curve is measurable;
 - one :class:`~repro.serve.netpool.SharedNetworkPool` — sessions split a
   single simulated uplink fairly instead of each getting a private link,
-  optionally behind per-session token-bucket rate limits;
-- optionally one :class:`~repro.serve.batching.BatchingInferenceEngine` —
-  I-frame tiles from co-playing sessions ride one GEMM call.
+  optionally behind per-session token-bucket rate limits.
 
 **Everything runs on one thread.**  All time a result depends on is
 simulated seconds, so sessions are processes on a deterministic
@@ -69,7 +67,6 @@ from ..core.session import FetchStage, PlayoutClock, record_segment
 from ..core.streaming import session_goodput_bps, stall_ratio
 from ..devices import DEVICES, get_device
 from ..obs import Observability
-from .batching import BatchingInferenceEngine
 from .events import EventLoop, Until
 from .netpool import SharedNetworkPool
 from .shared_cache import ADMISSION_POLICIES, CacheHierarchy
@@ -128,12 +125,6 @@ class FleetConfig:
         queued until a slot frees (``"queue"``) or turned away
         (``"reject"``).  ``max_sessions=None`` admits everyone at their
         arrival instant.
-    batching / max_batch / max_wait_s:
-        Cross-session SR batching, playback mode only (off by default:
-        every session runs the reference per-frame SR path, which keeps
-        fleet frames bit-equal to a solo client).  On the single-threaded
-        scheduler the ``max_wait_s`` door only costs wall-clock — it can
-        never change a simulated number.
     fallback:
         Per-session model-fetch fallback (play unenhanced instead of
         raising), as in :class:`~repro.core.client.DcsrClient`.
@@ -188,9 +179,6 @@ class FleetConfig:
     cache_capacity: int | None = None
     max_sessions: int | None = None
     admission: str = "queue"
-    batching: bool = False
-    max_batch: int = 8
-    max_wait_s: float = 0.002
     fallback: bool = False
     fast_path: FastPathConfig | None = None
     sr_demand_factor: float = 1.0
@@ -326,8 +314,6 @@ class FleetTelemetry:
     #: (stall_seconds, cumulative fraction) quantiles across sessions.
     stall_cdf: list[tuple[float, float]] = field(default_factory=list)
     mean_stall_ratio: float = 0.0
-    n_batches: int = 0
-    mean_batch_size: float = 0.0
     peak_network_concurrency: int = 0
     #: Simulated seconds sessions idled in their token buckets.
     rate_limit_wait_s: float = 0.0
@@ -382,9 +368,6 @@ class FleetTelemetry:
         if self.queue_wait_s:
             rows.append(["admission",
                          f"{self.queue_wait_s:.2f}s total queue wait"])
-        if self.n_batches:
-            rows.append(["batching", f"{self.n_batches} batches, "
-                         f"{self.mean_batch_size:.2f} frames/batch"])
         lines = [f"fleet of {self.sessions} sessions:"]
         lines += ["  " + line
                   for line in format_table("", ["metric", "value"],
@@ -410,8 +393,7 @@ class FleetSimulator:
     """Run one package through a fleet of concurrent streaming sessions.
 
     All sessions share this simulator's :class:`CacheHierarchy`,
-    :class:`SharedNetworkPool`, optional
-    :class:`BatchingInferenceEngine`, and :class:`~repro.obs.Observability`
+    :class:`SharedNetworkPool`, and :class:`~repro.obs.Observability`
     session (per-session subtrees are tagged ``session=<id>`` on their
     ``play``/``session`` spans and network counters).  Execution is a
     single-threaded :class:`~repro.serve.events.EventLoop`; after
@@ -446,9 +428,6 @@ class FleetSimulator:
             bandwidth_bps=config.bandwidth_bps, latency_s=config.latency_s,
             fail_rate=config.fail_rate, seed=config.seed, obs=self.obs,
             rate_limit_bps=config.rate_limit_bps)
-        self.batcher = (BatchingInferenceEngine(
-            max_batch=config.max_batch, max_wait_s=config.max_wait_s,
-            obs=self.obs) if config.batching else None)
         self.loop: EventLoop | None = None
         self._flops_cache: dict[int, float] = {}
 
@@ -588,8 +567,6 @@ class FleetSimulator:
             obs=self.obs,
             fast_path=self.config.fast_path,
             model_cache=self.cache.edge_for(shell.session_id),
-            engine_provider=(self.batcher.engine_for
-                             if self.batcher is not None else None),
             span_attrs={"session": shell.session_id},
             controller=controller,
         )
@@ -708,9 +685,6 @@ class FleetSimulator:
         if self.loop is not None:
             t.events_processed = self.loop.events_processed
             t.sim_duration_s = self.loop.now
-        if self.batcher is not None:
-            t.n_batches = self.batcher.stats.n_batches
-            t.mean_batch_size = self.batcher.stats.mean_batch_size
 
         goodputs, stall_ratios, stalls, dbs_per_joule = [], [], [], []
         download_s = 0.0

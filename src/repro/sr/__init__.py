@@ -1,6 +1,7 @@
 """Super-resolution: EDSR models, training, configurations, and the
 minimum-working-model search."""
 
+from .batching import BatchingInferenceEngine, BatchingStats
 from .bicubic import BicubicSR
 from .configs import (
     DCSR_CONFIGS,
@@ -46,6 +47,8 @@ __all__ = [
     "TileReuseConfig",
     "TileReuseCache",
     "ENGINE_KERNELS",
+    "BatchingInferenceEngine",
+    "BatchingStats",
     "QUANT_PRECISIONS",
     "CalibrationResult",
     "calibrate_quantized",

@@ -1,19 +1,18 @@
-"""Cross-session SR batching: many sessions, one GEMM call.
+"""Multi-frame SR batching: several decode workers, one GEMM call.
 
-Concurrent sessions playing the same video enhance I frames with the same
-per-cluster micro model.  The tap-decomposed NHWC forward
-(:class:`~repro.sr.engine.InferenceEngine`) is batch-transparent: each 3x3
-conv is nine ``(W, Cin) @ (Cin, Cout)`` GEMMs applied per row of each
-frame, so an ``(N, H, W, C)`` batch runs the *same* per-row GEMMs as N
-single-frame calls — only with better kernel amortization and cache
-behaviour.  That makes batched output **bitwise identical** per frame to
-the per-session engine (asserted by ``tests/serve/test_fleet.py`` and the
-fleet benchmark), which is what lets the fleet simulator batch across
-session boundaries without changing what any viewer sees.
+With ``FastPathConfig(sr_batch > 1)`` a client decodes several segments
+on worker threads, and their I frames are enhanced by the same
+per-cluster micro model.  The NHWC forward
+(:class:`~repro.sr.engine.InferenceEngine`) is batch-transparent: each
+conv runs the same per-row GEMMs on an ``(N, H, W, C)`` batch as on N
+single-frame calls, and reduced-precision activations are quantized per
+frame — so batched output is **bitwise identical** per frame to the
+serial engine at every precision (asserted by
+``tests/sr/test_batching.py`` and ``tests/core/test_fast_playback.py``).
 
 :class:`BatchingInferenceEngine` implements leader–follower batching:
 
-- Sessions submit frames through per-session adapter engines
+- Workers submit frames through per-worker adapter engines
   (:meth:`BatchingInferenceEngine.engine_for`), duck-typed to the
   ``enhance(rgb)`` / ``stats`` protocol the streaming client speaks.
 - Requests group by ``(model, frame shape)``.  The first submitter of a
@@ -24,17 +23,10 @@ session boundaries without changing what any viewer sees.
   the batched output plus their per-frame share of the engine counters.
 
 All waiting is :class:`threading.Condition` based with deadlines read
-from the process wall clock — no raw ``time`` usage (the static
-no-raw-timers guard covers this module too).
-
-This module spawns no threads of its own (the serve-layer no-threads
-guard applies); it only *synchronizes* whatever threads its callers
-bring.  Under the single-threaded fleet :class:`~repro.serve.events.
-EventLoop`, sessions execute one at a time, so every submitter is its
-own leader: the ``max_wait_s`` door can only expire (costing bounded
-wall time, never correctness) and batches hold one frame.  Cross-session
-merging — and the bitwise-equality guarantee that makes it safe — is
-exercised directly by multi-threaded callers in the test suite.
+from the process wall clock.  The module spawns no threads of its own;
+it only *synchronizes* the threads its callers bring, which is why it
+has no place under a single-threaded event loop (a lone submitter is
+always its own leader and only ever waits out the door).
 """
 
 from __future__ import annotations
@@ -45,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import Observability, wall_clock
-from ..sr.edsr import EDSR
-from ..sr.engine import EngineStats, InferenceEngine
+from .edsr import EDSR
+from .engine import EngineStats, InferenceEngine
 
 __all__ = ["BatchingInferenceEngine", "BatchingStats"]
 
@@ -97,7 +89,7 @@ class _Group:
 
 
 class _SessionEngine:
-    """One session's view of the shared batcher.
+    """One decode worker's view of the shared batcher.
 
     Duck-typed to :class:`~repro.sr.engine.InferenceEngine`'s client
     contract: ``enhance(rgb)`` plus a ``stats`` attribute holding the most
@@ -117,7 +109,7 @@ class _SessionEngine:
 
 
 class BatchingInferenceEngine:
-    """Fleet-shared SR executor batching frames across sessions.
+    """Session-shared SR executor batching frames across decode workers.
 
     Parameters
     ----------
@@ -163,14 +155,14 @@ class BatchingInferenceEngine:
         self._groups: dict[tuple, _Group] = {}
 
     def engine_for(self, model: EDSR) -> _SessionEngine:
-        """A fresh per-session adapter (the client's ``engine_provider``)."""
+        """A fresh per-worker adapter."""
         return _SessionEngine(self, model)
 
     # ------------------------------------------------------------- batching
 
     def submit(self, model: EDSR,
                rgb: np.ndarray) -> tuple[np.ndarray, EngineStats]:
-        """Enhance one frame, possibly riding a cross-session batch.
+        """Enhance one frame, possibly riding a multi-frame batch.
 
         Blocks until the frame's batch has run; returns the enhanced frame
         and its per-frame share of the batched call's counters.
@@ -239,8 +231,7 @@ class BatchingInferenceEngine:
         with group.engine_lock:
             outputs = group.engine.enhance_batch(frames)
             # Per-rider shares are sum-consistent: summing them reproduces
-            # the batched call's aggregate, so fleet rollups no longer
-            # inflate tile counts N× per batch.
+            # the batched call's aggregate.
             per_frame = [group.engine.stats.per_frame(i)
                          for i in range(len(batch))]
         with self._lock:
@@ -251,11 +242,11 @@ class BatchingInferenceEngine:
         if self.obs is not None:
             metrics = self.obs.metrics
             metrics.histogram(
-                "dcsr_batch_size", "Frames per cross-session SR batch",
+                "dcsr_batch_size", "Frames per SR batch",
                 buckets=tuple(float(b) for b in range(1, self.max_batch + 1)),
             ).observe(len(batch))
             metrics.counter("dcsr_batches_total",
-                            "Cross-session SR batches dispatched").inc()
+                            "SR batches dispatched").inc()
             metrics.counter("dcsr_batched_frames_total",
                             "Frames enhanced through the batcher"
                             ).inc(len(batch))

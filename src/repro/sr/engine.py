@@ -221,9 +221,9 @@ class EngineStats:
     def per_frame(self, index: int = 0) -> "EngineStats":
         """Frame ``index``'s share of a batched call's counters.
 
-        Cross-session batching (:class:`repro.serve.BatchingInferenceEngine`)
-        runs N sessions' frames through one call and attributes the stats
-        back per session.  Shares are sum-consistent: summing
+        :class:`repro.sr.batching.BatchingInferenceEngine` runs N decode
+        workers' frames through one call and attributes the stats back per
+        frame.  Shares are sum-consistent: summing
         ``per_frame(i)`` over ``i in range(frames)`` reproduces the
         aggregate exactly — FLOPs split evenly, integer counters split
         evenly with the remainder attributed to the lowest frame indices.
@@ -264,14 +264,12 @@ class InferenceEngine:
         counters (per-call numbers stay in :attr:`stats`).
     precision:
         ``"fp32"`` (default, bitwise-identical to the original engine),
-        ``"fp16"`` or ``"int8"`` — routes every conv through the
-        reduced-precision GEMM kernels
-        (:func:`repro.nn.functional.conv2d_shift_nhwc_quant`) with packed
-        operands cached per precision on each layer.
+        ``"fp16"`` or ``"int8"`` — every conv runs on operands packed at
+        that precision (:func:`repro.nn.functional.pack_conv_weight`),
+        cached per precision on each layer.
     skip_gate:
-        ``None`` (default — off, the execution path is unchanged) or a
-        :class:`SkipGateConfig` / plain variance threshold routing
-        low-detail tiles to bicubic upscaling.
+        ``None`` (default — off) or a :class:`SkipGateConfig` / plain
+        variance threshold routing low-detail tiles to bicubic upscaling.
     reuse:
         ``None`` (default — off) or a :class:`TileReuseConfig` / ``True``
         (exact mode) / plain float tolerance enabling the temporal tile
@@ -418,12 +416,8 @@ class InferenceEngine:
     def _forward(self, x: np.ndarray) -> np.ndarray:
         """Run the fused plan on one NHWC tensor (a frame batch or a tile)."""
         p = self.precision
-        if self.kernel == "blocked":
-            conv = F.conv2d_im2col_nhwc if p == "fp32" \
-                else F.conv2d_im2col_nhwc_quant
-        else:
-            conv = F.conv2d_shift_nhwc if p == "fp32" \
-                else F.conv2d_shift_nhwc_quant
+        conv = (F.conv2d_im2col_nhwc if self.kernel == "blocked"
+                else F.conv2d_shift_nhwc)
         x = conv(x - _PIXEL_SHIFT, self._plan[0][1].packed(p))  # head
         skip = x                                                # global skip
         for op in self._plan[1:]:
@@ -449,72 +443,22 @@ class InferenceEngine:
 
     def infer_nhwc(self, x: np.ndarray) -> np.ndarray:
         """Enhance an ``(N, H, W, C)`` float32 batch; returns NHWC scaled by
-        ``config.scale``, tiled/threaded/gated per the engine configuration."""
-        n, h, w, _ = x.shape
-        s = self.scale
-        fpp = self.flops_per_pixel()
-        if self.skip_gate is not None or self.reuse is not None:
-            return self._infer_tiles(x)
-        if self.tile is None or (self.tile >= h and self.tile >= w):
-            # Whole-frame: every frame is one (frame, tile) execution.
-            self.stats = EngineStats(tile_count=n, frames=n,
-                                     flops=fpp * n * h * w)
-            self._count_stats()
-            return self._forward(x)
+        ``config.scale``.
 
-        spans = self._tile_spans(h, w)
-        out = np.empty((n, h * s, w * s, self.model.config.in_channels),
-                       dtype=np.float32)
-        halo = self.halo
-
-        def expand(span):
-            y0, y1, x0, x1 = span
-            return (max(0, y0 - halo), min(h, y1 + halo),
-                    max(0, x0 - halo), min(w, x1 + halo))
-
-        def run_tile(span):
-            y0, y1, x0, x1 = span
-            ey0, ey1, ex0, ex1 = expand(span)
-            result = self._forward(x[:, ey0:ey1, ex0:ex1, :])
-            out[:, y0 * s:y1 * s, x0 * s:x1 * s, :] = result[
-                :, (y0 - ey0) * s:(y1 - ey0) * s,
-                (x0 - ex0) * s:(x1 - ex0) * s, :]
-
-        if self.threads > 1 and len(spans) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            for op in self._plan:       # pre-pack outside the worker race
-                for layer in op[1:]:
-                    if isinstance(layer, nn.Conv2d):
-                        layer.packed(self.precision)
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(run_tile, spans))
-        else:
-            for span in spans:
-                run_tile(span)
-        # FLOPs over the pixels actually convolved: each tile computes its
-        # halo-expanded extent, so overlap compute is counted, not the
-        # nominal h*w (which silently under-counted before).
-        expanded_pixels = sum((ey1 - ey0) * (ex1 - ex0)
-                              for ey0, ey1, ex0, ex1 in map(expand, spans))
-        self.stats = EngineStats(tile_count=n * len(spans), frames=n,
-                                 flops=fpp * n * expanded_pixels)
-        self._count_stats()
-        return out
-
-    def _infer_tiles(self, x: np.ndarray) -> np.ndarray:
-        """Tiled execution with the gates deciding, per (frame, tile) pair,
-        between the reuse cache, bicubic upscaling, and the conv stack.
-
-        The three gates share this one dispatch path: temporal reuse runs
-        first (a tile whose halo-expanded LR content matches the previous
-        anchor emits the anchor's SR output), the variance skip gate next
-        (bicubic for low-detail tiles), and whatever survives runs through
-        the (possibly quantized) GEMM kernels in one stacked forward.
+        The one execution path: every (frame, tile) pair is routed between
+        the reuse cache, bicubic upscaling, and the conv stack.  Temporal
+        reuse runs first (a tile whose halo-expanded LR content matches
+        the previous anchor emits the anchor's SR output), the variance
+        skip gate next (bicubic for low-detail tiles), and whatever
+        survives runs through the GEMM kernels in one stacked forward.
+        With both gates off every pair runs, and a frame that fits one
+        tile is the one-span case of the same loop.
 
         Exact-mode reuse (tolerance 0) is bitwise-identical to running
-        without reuse: content is compared over the *halo-expanded* region
-        — everything the tile's output depends on — and the batched GEMMs
-        compute each frame's slice independently, so removing reused
+        without reuse at every precision: content is compared over the
+        *halo-expanded* region — everything the tile's output depends on —
+        the batched GEMMs compute each frame's slice independently and
+        int8 activations are quantized per frame, so removing reused
         frames from the batch does not change the surviving frames' bits.
         Within a batch, frame ``i`` compares against the most recent
         anchor (the last frame that produced fresh output), so tolerance
@@ -529,8 +473,12 @@ class InferenceEngine:
         cache = self.reuse_cache
         tolerance = self.reuse.tolerance if self.reuse is not None else 0.0
         spans = self._tile_spans(h, w)
-        out = np.empty((n, h * s, w * s, self.model.config.in_channels),
-                       dtype=np.float32)
+        # One ungated span: every frame runs and the forward's result *is*
+        # the output — no buffer to crop into, no copy.
+        direct = len(spans) == 1 and gate is None and cache is None
+        out = None if direct else np.empty(
+            (n, h * s, w * s, self.model.config.in_channels),
+            dtype=np.float32)
         ran = [0] * len(spans)
         hits = [0] * len(spans)
         flops = [0.0] * len(spans)
@@ -543,6 +491,7 @@ class InferenceEngine:
             return bool(np.max(np.abs(a - b)) <= tolerance)
 
         def run_tile(item):
+            nonlocal out
             idx, (y0, y1, x0, x1) = item
             ey0, ex0 = max(0, y0 - halo), max(0, x0 - halo)
             ey1, ex1 = min(h, y1 + halo), min(w, x1 + halo)
@@ -597,9 +546,14 @@ class InferenceEngine:
             ran[idx] = n_run
             hits[idx] = n - n_run - int(skip.sum())
             if n_run:
-                result = self._forward(region[run])
-                out[run, oy, ox, :] = result[:, ry, rx, :]
+                # FLOPs over the pixels actually convolved: the tile's
+                # halo-expanded extent, overlap compute included.
                 flops[idx] = fpp * n_run * (ey1 - ey0) * (ex1 - ex0)
+                result = self._forward(region if n_run == n else region[run])
+                if direct:
+                    out = result
+                else:
+                    out[run, oy, ox, :] = result[:, ry, rx, :]
             for fi in np.nonzero(skip)[0]:
                 if s == 1:
                     out[fi, oy, ox, :] = interior[fi]
@@ -620,7 +574,7 @@ class InferenceEngine:
         items = list(enumerate(spans))
         if self.threads > 1 and len(spans) > 1:
             from concurrent.futures import ThreadPoolExecutor
-            for op in self._plan:
+            for op in self._plan:       # pre-pack outside the worker race
                 for layer in op[1:]:
                     if isinstance(layer, nn.Conv2d):
                         layer.packed(self.precision)

@@ -1,25 +1,32 @@
-"""Layering guard: the control plane never imports upward.
+"""Layering guard: the lower layers never import upward.
 
-``repro.control`` is consumed by both the solo client (``repro.core``)
-and the fleet scheduler (``repro.serve``); if it ever imported either —
-or the CLI — the dependency graph would cycle and the controller could
-no longer be reused across call sites.  This test walks the package's
-ASTs and fails on any import of ``repro.serve`` or ``repro.cli``
-(absolute or relative).  ``scripts/check_tests.sh`` runs a grep version
-of the same rule as a fast first line.
+``repro.control``, ``repro.core``, ``repro.sr``, ``repro.nn`` and
+``repro.video`` are consumed by the fleet scheduler (``repro.serve``),
+the real transport (``repro.net``) and the CLI; if any of them imported
+one of those back, the dependency graph would cycle and the piece could
+no longer be reused across call sites (upper layers hand their parts
+down duck-typed instead).  This test walks each package's ASTs and fails
+on any import of ``repro.serve``, ``repro.net`` or ``repro.cli``,
+absolute or relative, at module level or inside a function.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-import repro.control
+import pytest
 
-CONTROL_DIR = Path(repro.control.__file__).parent
+#: Packages that sit below the serving / transport / CLI layers.
+LOWER_LAYERS = ("repro.control", "repro.core", "repro.sr", "repro.nn",
+                "repro.video")
+#: Layers they must never reach into, as relative (``from .. import``)
+#: targets; absolute imports carry a ``repro.`` prefix.
+BANNED_RELATIVE = ("serve", "net", "cli")
+BANNED_PREFIXES = tuple(f"repro.{name}" for name in BANNED_RELATIVE)
 
-#: Layers the control plane must never reach into.
-BANNED_PREFIXES = ("repro.serve", "repro.cli")
-#: The same layers as relative (``from .. import``) targets.
-BANNED_RELATIVE = ("serve", "cli")
+
+def _package_dir(package: str) -> Path:
+    return Path(importlib.import_module(package).__file__).parent
 
 
 def _violations(path: Path) -> list[str]:
@@ -46,15 +53,25 @@ def _violations(path: Path) -> list[str]:
     return out
 
 
-def test_control_never_imports_serve_or_cli():
-    violations = []
-    for path in sorted(CONTROL_DIR.rglob("*.py")):
-        violations.extend(_violations(path))
+@pytest.mark.parametrize("package", LOWER_LAYERS)
+def test_lower_layer_never_imports_upward(package):
+    violations = [v for path in sorted(_package_dir(package).rglob("*.py"))
+                  for v in _violations(path)]
     assert not violations, (
-        "repro.control must not import repro.serve or repro.cli "
-        "(layering: control is below both):\n" + "\n".join(violations))
+        f"{package} must not import {', '.join(BANNED_PREFIXES)} "
+        f"(layering: it sits below all three):\n" + "\n".join(violations))
 
 
 def test_guard_sees_the_package():
     # The guard is only meaningful if it actually walks source files.
-    assert list(CONTROL_DIR.rglob("*.py"))
+    for package in LOWER_LAYERS:
+        assert list(_package_dir(package).rglob("*.py")), package
+
+
+def test_guard_catches_lazy_and_relative_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def f():\n"
+                   "    from ..serve.batching import BatchingInferenceEngine\n"
+                   "from .. import net\n"
+                   "import repro.cli\n")
+    assert len(_violations(bad)) == 3

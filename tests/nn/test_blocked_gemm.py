@@ -78,20 +78,19 @@ class TestQuantizedBlocked:
         rng = np.random.default_rng(3)
         x, weight, bias = _case(rng, 8, 8, 3, 18, 22)
         x = np.abs(x) % 1.0
-        qw = F.quantize_conv_weight(weight, bias, "int8")
-        blocked = F.conv2d_im2col_nhwc_quant(x, qw, block_rows=3)
-        shift = F.conv2d_shift_nhwc_quant(x, qw)
+        qw = F.pack_conv_weight(weight, bias, "int8")
+        blocked = F.conv2d_im2col_nhwc(x, qw, block_rows=3)
+        shift = F.conv2d_shift_nhwc(x, qw)
         assert np.array_equal(blocked, shift)
 
     @pytest.mark.parametrize("precision", ["fp16", "int8"])
     def test_blocked_equals_unblocked_per_precision(self, precision):
         rng = np.random.default_rng(4)
         x, weight, bias = _case(rng, 4, 8, 3, 14, 26)
-        qw = F.quantize_conv_weight(weight, bias, precision)
-        whole = F.conv2d_im2col_nhwc_quant(x, qw, block_rows=0)
+        qw = F.pack_conv_weight(weight, bias, precision)
+        whole = F.conv2d_im2col_nhwc(x, qw, block_rows=0)
         for block_rows in (1, 4, 9, None):
-            blocked = F.conv2d_im2col_nhwc_quant(x, qw,
-                                                 block_rows=block_rows)
+            blocked = F.conv2d_im2col_nhwc(x, qw, block_rows=block_rows)
             if precision == "int8":        # exact integer accumulation
                 assert np.array_equal(blocked, whole), block_rows
             else:                          # fp16 accumulates general fp32
@@ -104,22 +103,21 @@ class TestQuantizedBlocked:
         rng = np.random.default_rng(7)
         x = rng.random((1, 352, 640, 8), dtype=np.float32)
         weight = (rng.standard_normal((8, 8, 3, 3)) * 0.3).astype(np.float32)
-        qw = F.quantize_conv_weight(weight, None, "int8")
-        whole = F.conv2d_im2col_nhwc_quant(x, qw, block_rows=0)
+        qw = F.pack_conv_weight(weight, None, "int8")
+        whole = F.conv2d_im2col_nhwc(x, qw, block_rows=0)
         for block_rows in (1, 64, None):
-            blocked = F.conv2d_im2col_nhwc_quant(x, qw,
-                                                 block_rows=block_rows)
+            blocked = F.conv2d_im2col_nhwc(x, qw, block_rows=block_rows)
             assert np.array_equal(blocked, whole), block_rows
 
     def test_quant_epilogues(self):
         rng = np.random.default_rng(5)
         x, weight, bias = _case(rng, 6, 6, 3, 12, 16)
-        qw = F.quantize_conv_weight(weight, bias, "int8")
+        qw = F.pack_conv_weight(weight, bias, "int8")
         res = rng.standard_normal(x.shape[:3] + (6,)).astype(np.float32)
-        blocked = F.conv2d_im2col_nhwc_quant(x, qw, block_rows=2, relu=True,
-                                             residual=res, res_scale=0.5)
-        shift = F.conv2d_shift_nhwc_quant(x, qw, relu=True, residual=res,
-                                          res_scale=0.5)
+        blocked = F.conv2d_im2col_nhwc(x, qw, block_rows=2, relu=True,
+                                       residual=res, res_scale=0.5)
+        shift = F.conv2d_shift_nhwc(x, qw, relu=True, residual=res,
+                                    res_scale=0.5)
         assert np.array_equal(blocked, shift)
 
 

@@ -1,12 +1,14 @@
-"""Static guard: the training path never touches quantized kernels.
+"""Static guard: the training path never touches a packed weight.
 
-Quantized weights are an *inference-only* artifact: gradients flow
-through the fp32 parameters, and the per-channel scales are derived from
-them at packaging/inference time.  If the optimizer, the SR trainer, or
-the numerical gradient checker ever imported or invoked the quantized
-kernel surface, training could silently optimize against a rounded
-forward — a bug class this AST walk makes structurally impossible
-(mirrors ``tests/serve/test_no_threads.py``).
+Packed weights — the only carrier of a reduced precision — are an
+*inference-only* artifact: gradients flow through the fp32 parameters
+and ``conv2d_forward``/``conv2d_backward``, and the per-channel scales
+are derived from the parameters at packaging/inference time.  Training
+needs no packed weight at all, so if the optimizer, the SR trainer, the
+losses or the numerical gradient checker ever referenced the packing
+surface, training could silently optimize against a rounded forward — a
+bug class this AST walk makes structurally impossible (mirrors
+``tests/serve/test_no_threads.py``).
 """
 
 import ast
@@ -15,12 +17,13 @@ from pathlib import Path
 import repro.nn
 import repro.sr
 
-#: The quantized inference surface, banned from the training path.
+#: The packing surface (where precision lives), banned from the training
+#: path: the packer, its product, ``Conv2d.packed`` and the quantized
+#: checkpoint size.
 BANNED_NAMES = {
-    "quantize_conv_weight",
-    "QuantizedConvWeight",
-    "conv2d_gemm_quant",
-    "conv2d_shift_nhwc_quant",
+    "pack_conv_weight",
+    "PackedConvWeight",
+    "packed",
     "quantized_size_bytes",
 }
 
@@ -54,21 +57,22 @@ def test_training_path_never_uses_quantized_kernels():
         assert path.exists(), f"training-path module moved: {path}"
     problems = [v for src in TRAINING_SOURCES for v in _violations(src)]
     assert not problems, (
-        "quantized kernels are inference-only; the training path must "
-        "stay on the fp32 forward:\n  " + "\n  ".join(problems))
+        "packed (possibly quantized) weights are inference-only; the "
+        "training path must stay on the fp32 forward:\n  " + "\n  ".join(problems))
 
 
 def test_guard_catches_an_import(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("from repro.nn.functional import conv2d_gemm_quant\n")
+    bad.write_text("from repro.nn.functional import pack_conv_weight\n")
     assert _violations(bad)
 
 
 def test_guard_catches_an_attribute_call(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import repro.nn.functional as F\n"
-                   "w = F.quantize_conv_weight(None, None, 'int8')\n")
-    assert _violations(bad)
+                   "w = F.pack_conv_weight(None, None, 'int8')\n"
+                   "p = conv.packed('int8')\n")
+    assert len(_violations(bad)) == 2
 
 
 def test_training_forward_passes_training_flag():

@@ -203,6 +203,66 @@ class TestPerFrameStats:
         assert sum(s.skipped_tiles for s in shares) == agg.skipped_tiles
 
 
+class TestInt8BatchInvariance:
+    """int8 activations take one scale per frame, so an ``(N, ...)`` call
+    is N single-frame calls bit for bit.  It used to take one scale over
+    the batch (max |delta| 0.3 on an untrained model), which also broke
+    exact-mode reuse over a batch: dropping a reused frame changed the
+    survivors' scale."""
+
+    def _setup(self):
+        model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8), seed=30)
+        rng = np.random.default_rng(31)
+        frames = rng.random((3, 24, 32, 3), dtype=np.float32)
+        frames[1] *= 0.1                   # a dark frame between bright ones
+        return model, frames
+
+    @pytest.mark.parametrize("tile", [None, 10])
+    @pytest.mark.parametrize("kernel", ["shift", "blocked"])
+    def test_batch_equals_per_frame(self, tile, kernel):
+        model, frames = self._setup()
+        engine = InferenceEngine(model, tile=tile, precision="int8",
+                                 kernel=kernel)
+        batch = engine.enhance_batch(frames)
+        for i, frame in enumerate(frames):
+            assert np.array_equal(batch[i], engine.enhance(frame))
+
+    def test_exact_reuse_over_a_batch_is_invisible(self):
+        """The brightest frame of the batch is served from the cache, so
+        the conv stack sees only the darker survivors — whose bits must
+        not depend on who else was in the batch."""
+        model, frames = self._setup()
+        frames[2] *= 0.5
+        plain = InferenceEngine(model, tile=10, precision="int8")
+        reusing = InferenceEngine(model, tile=10, precision="int8",
+                                  reuse=True)
+        reusing.enhance(frames[0])                  # anchor for the batch
+        out = reusing.enhance_batch(frames)
+        assert reusing.stats.reused_tiles == 12
+        assert np.array_equal(out, plain.enhance_batch(frames))
+
+
+class TestOneExecutionPath:
+    def test_engine_has_one_tile_loop_and_one_thread_pool(self):
+        """The acceptance shape of the merge: whole-frame, tiled and gated
+        execution are one method, not three kept equal by tests."""
+        import inspect
+
+        source = inspect.getsource(InferenceEngine)
+        assert source.count("ThreadPoolExecutor(") == 1
+        assert source.count("self._tile_spans(") == 1
+
+    def test_one_span_returns_the_forward_result_without_a_copy(self):
+        model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4), seed=32)
+        engine = InferenceEngine(model)
+        seen = []
+        forward = engine._forward
+        engine._forward = lambda x: seen.append(forward(x)) or seen[-1]
+        x = np.random.default_rng(33).random((2, 12, 16, 3), dtype=np.float32)
+        out = engine.infer_nhwc(x)
+        assert out is seen[0]
+
+
 def model_reference(model, frame):
     engine, model._engine = model._engine, None
     try:
