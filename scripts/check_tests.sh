@@ -12,6 +12,10 @@
 #   net     real-socket tests (loopback asyncio origin, chaos proxy,
 #           dual-transport contract suite); marked `net`, run on
 #           ephemeral ports with a leaked-task guard
+#   perfbench  the benchmark's own tests (perfbench/tests, outside the
+#           tier-1 testpaths): the only in-repo check that every name
+#           perfbench/ imports from repro still exists and that each
+#           workload still runs end to end at smoke size
 #
 # Static guards (AST tests, run first so violations fail in seconds; each
 # guard lives in exactly one place — its test file — and this script only
@@ -39,7 +43,7 @@
 # collection error, so a typo'd tier mark cannot silently drop a test
 # out of the gate.
 #
-# Usage: scripts/check_tests.sh [tier1|tier2|net|all]   (default: all)
+# Usage: scripts/check_tests.sh [tier1|tier2|net|perfbench|all]   (default: all)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -78,10 +82,16 @@ run_net() {
     python -m pytest -q --strict-markers tests/net
 }
 
+run_perfbench() {
+    echo "== perfbench: the benchmark's own tests =="
+    python3 -m pytest -q perfbench/tests
+}
+
 case "$tier" in
     tier1) run_tier1 ;;
     tier2) run_tier2 ;;
     net)   run_net ;;
-    all)   run_tier1; run_tier2; run_net ;;
-    *) echo "usage: $0 [tier1|tier2|net|all]" >&2; exit 2 ;;
+    perfbench) run_perfbench ;;
+    all)   run_tier1; run_tier2; run_net; run_perfbench ;;
+    *) echo "usage: $0 [tier1|tier2|net|perfbench|all]" >&2; exit 2 ;;
 esac

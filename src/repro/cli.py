@@ -430,21 +430,18 @@ def _cmd_play(args) -> int:
             network = SimulatedNetwork(NetworkConfig(
                 fail_rate=args.fail_rate, latency_s=args.latency,
                 bandwidth_bps=args.bandwidth, seed=args.net_seed))
-    fast = None
-    reuse = args.reuse_tol if args.reuse_tol is not None \
-        else (True if args.reuse else None)
-    if (args.tile is not None or args.sr_threads is not None
-            or args.prefetch is not None or args.precision is not None
-            or args.skip_gate is not None or args.sr_batch is not None
-            or reuse is not None or args.sr_kernel is not None):
-        fast = FastPathConfig(tile=args.tile,
-                              sr_threads=args.sr_threads or 1,
-                              prefetch=args.prefetch or 0,
-                              precision=args.precision or "fp32",
-                              skip_gate=args.skip_gate,
-                              sr_batch=args.sr_batch or 1,
-                              reuse=reuse,
-                              kernel=args.sr_kernel or "shift")
+    # Only what the user typed reaches the config: its own defaults fill
+    # the rest, and an explicit invalid value (``--sr-batch 0``) reaches
+    # its checks instead of being mistaken for "unset".
+    typed = {"tile": args.tile, "sr_threads": args.sr_threads,
+             "prefetch": args.prefetch, "precision": args.precision,
+             "skip_gate": args.skip_gate, "sr_batch": args.sr_batch,
+             "reuse": args.reuse_tol if args.reuse_tol is not None
+             else (True if args.reuse else None),
+             "kernel": args.sr_kernel}
+    typed = {name: value for name, value in typed.items()
+             if value is not None}
+    fast = FastPathConfig(**typed) if typed else None
     controller = None
     if args.controller != "off":
         if args.device is None:

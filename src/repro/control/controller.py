@@ -253,7 +253,7 @@ def build_controller(
     if name == "fixed":
         return FixedController(device, tier=tier, precision=precision,
                                power_budget_w=power_budget_w, safety=safety)
-    if name in ("off", "none"):
+    if name == "off":
         return None
     raise ValueError(
         f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")

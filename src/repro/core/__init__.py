@@ -10,7 +10,7 @@ from .baselines import (
     play_nemo_adaptive,
     train_big_model,
 )
-from .cache import CacheStats, ModelCache, simulate_caching
+from .cache import CacheSession, CacheStats, ModelCache, simulate_caching
 from .client import (
     PLAYBACK_STAGES,
     DcsrClient,
@@ -54,6 +54,7 @@ __all__ = [
     "VideoManifest",
     "CacheStats",
     "ModelCache",
+    "CacheSession",
     "simulate_caching",
     "ServerConfig",
     "DcsrPackage",

@@ -54,7 +54,7 @@ from ..sr.engine import ENGINE_KERNELS, InferenceEngine
 from ..video import rgb_to_yuv420, yuv420_to_rgb
 from ..video.frame import YuvFrame
 from ..video.quality import psnr, ssim
-from .cache import CacheStats
+from .cache import CacheStats, ModelCache
 from .network import DownloadError, Network, RetryPolicy
 from .server import DcsrPackage
 from .session import (PLAYBACK_STAGES, FetchStage, PlayoutClock,
@@ -404,15 +404,15 @@ class DcsrClient:
         network is bound to the same session so download counters land in
         the same registry.
     model_cache:
-        Optional *shared* model cache (duck-typed to
-        :class:`repro.serve.SharedModelCache`: must expose
-        ``session(fetch)`` returning a per-session view with
-        ``acquire``/``release``/``stats``).  When given, Algorithm 1 runs
-        against the fleet-wide cache — a model another session already
-        downloaded is a hit here, and the entry is refcount-pinned for the
-        duration of each segment so eviction can never drop a model
-        mid-SR.  ``cache_capacity`` is ignored (the shared cache carries
-        its own bound).
+        Optional *shared* :class:`~repro.core.cache.ModelCache` (a store
+        several clients are given, or one edge of a
+        :class:`repro.serve.CacheHierarchy`).  When given, Algorithm 1
+        runs against it through this client's own ``session(fetch)`` view
+        — a model another session already downloaded is a hit here, and
+        the entry is refcount-pinned for the duration of each segment so
+        eviction can never drop a model mid-SR.  ``cache_capacity`` is
+        ignored (the shared cache carries its own bound).  ``None`` gives
+        the client a private store bounded by ``cache_capacity``.
     span_attrs:
         Extra attributes stamped on the session's ``play`` span (fleet
         runs tag each session's subtree with its session id).
@@ -438,7 +438,7 @@ class DcsrClient:
                  fallback: bool = False,
                  fast_path: FastPathConfig | None = None,
                  obs: Observability | None = None,
-                 model_cache=None,
+                 model_cache: ModelCache | None = None,
                  span_attrs: dict | None = None,
                  controller: JointController | None = None):
         if fast_path is not None:

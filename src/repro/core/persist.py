@@ -111,7 +111,7 @@ def save_package(package, root: str | Path) -> Path:
     }
     # Tier table + tier checkpoints are additive optional keys: packages
     # built without tiers keep the exact v1 layout.
-    tier_models = getattr(package, "tier_models", {})
+    tier_models = package.tier_models
     if manifest.tiers:
         meta["tiers"] = {
             str(label): {

@@ -173,8 +173,11 @@ class FetchStage:
     precision:
         Which published checkpoint precision label models download at.
     cache_capacity / model_cache:
-        A private LRU :class:`~repro.core.cache.ModelCache`, or a shared
-        cache's ``session(fetch)`` view (``cache_capacity`` ignored).
+        The :class:`~repro.core.cache.ModelCache` the session's models live
+        in: a shared store (or CDN edge) when given — ``cache_capacity`` is
+        then ignored, the store carries its own bound — else a private one
+        with that LRU bound.  Either way each session works through its own
+        :class:`~repro.core.cache.CacheSession` view.
     controller:
         Optional :class:`~repro.control.JointController` consulted at
         every segment boundary.
@@ -193,7 +196,7 @@ class FetchStage:
     def __init__(self, package, network: Network | None = None,
                  retry: RetryPolicy | None = None, fallback: bool = False, *,
                  precision: str = "fp32", cache_capacity: int | None = None,
-                 model_cache=None,
+                 model_cache: ModelCache | None = None,
                  controller: JointController | None = None, device=None):
         self.package = package
         self.network = network
@@ -203,23 +206,25 @@ class FetchStage:
         self.controller = controller
         self.device = device if device is not None \
             else getattr(controller, "device", None)
+        # ``is None``, not ``or``: a store that is still empty is falsy.
+        self._store = (ModelCache(capacity=cache_capacity)
+                       if model_cache is None else model_cache)
         # The cache calls back into the stage; a weak reference keeps the
         # pair out of a reference cycle, so a finished session (and its
         # network) is freed at once, not by the cycle collector.
         download = weakref.WeakMethod(self._download_model)
-        if model_cache is not None:
-            self.cache = model_cache.session(lambda label: download()(label))
-        else:
-            self.cache = ModelCache(fetch=lambda label: download()(label),
-                                    capacity=cache_capacity)
+        self._fetch_model = lambda label: download()(label)
         # ``(seconds, attempts)`` of the model download the cache callback
         # performed, picked up by the acquire that triggered it.
         self._delivered: tuple[float, int] | None = None
         self.reset()
 
     def reset(self) -> None:
-        """Start a new session: zero the ledger and forget controller
-        state (the model cache persists for the owner's lifetime)."""
+        """Start a new session: zero the ledger, take a fresh view of the
+        model store (its models persist for the owner's lifetime, the
+        hit/download statistics are this session's alone) and forget
+        controller state."""
+        self.cache = self._store.session(self._fetch_model)
         self.model_bytes = 0
         self.video_bytes = 0
         self.energy_joules = 0.0
@@ -343,19 +348,14 @@ class FetchStage:
         # A reduced-precision session downloads the quantized checkpoint:
         # fewer bytes if (and only if) the manifest carries a calibrated
         # record for that precision — otherwise the fp32 size is charged.
-        manifest = self.package.manifest
-        if hasattr(manifest, "model_size_for"):
-            size = manifest.model_size_for(label, self.precision)
-        else:
-            size = manifest.model_sizes[label]
-        self._download(label, size)
+        self._download(label, self.package.manifest.model_size_for(
+            label, self.precision))
         return model
 
     def _tier_model(self, label: int, decision: ControlDecision):
         """The decided tier's model; its checkpoint downloads on first use
         (at the manifest's per-precision size), outside the label cache."""
-        tier_models = getattr(self.package, "tier_models", {})
-        model = tier_models.get(decision.tier, {}).get(label)
+        model = self.package.tier_models.get(decision.tier, {}).get(label)
         if model is None:
             raise KeyError(f"package has no tier {decision.tier!r} model "
                            f"for label {label}")

@@ -75,11 +75,7 @@ def startup_comparison(package, big_model_bytes: int,
     """
     first_segment = package.encoded.segments[0].n_bytes
     first_label = package.manifest.label_sequence()[0]
-    manifest = package.manifest
-    if hasattr(manifest, "model_size_for"):
-        first_micro = manifest.model_size_for(first_label, precision)
-    else:
-        first_micro = manifest.model_sizes[first_label]
+    first_micro = package.manifest.model_size_for(first_label, precision)
     return {
         "NAS": startup_delay(bandwidth_bps, first_segment, big_model_bytes),
         "NEMO": startup_delay(bandwidth_bps, first_segment, big_model_bytes),

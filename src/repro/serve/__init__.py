@@ -6,12 +6,12 @@ Everything in this package scales the single-viewer pieces of
 - :class:`EventLoop` / :class:`Process` — the deterministic
   discrete-event scheduler every fleet runs on (one thread, one event
   heap, ``(time, seq)`` ordering);
-- :class:`SharedModelCache` / :class:`CacheSession` — one fleet-wide
-  micro-model cache (locked, LRU, refcount-pinned, single-flight
-  fetches);
 - :class:`CacheHierarchy` / :class:`EdgeBinding` /
-  :class:`HierarchySession` — per-edge caches in front of an origin
-  shield, with configurable admission (:data:`ADMISSION_POLICIES`);
+  :class:`HierarchySession` — per-edge
+  :class:`~repro.core.cache.ModelCache` stores (the client's own cache
+  class: locked, LRU, refcount-pinned, single-flight fetches) in front of
+  an origin shield, with configurable admission
+  (:data:`ADMISSION_POLICIES`);
 - :class:`SharedNetworkPool` / :class:`PooledNetwork` — one simulated
   uplink split fairly among active transfers, optionally behind
   per-session :class:`TokenBucket` rate limits;
@@ -22,7 +22,8 @@ Everything in this package scales the single-viewer pieces of
 
 Dependencies run one way: ``repro.serve`` imports ``repro.core`` /
 ``repro.sr`` / ``repro.obs``; nothing below imports ``repro.serve``
-(clients accept the shared pieces duck-typed).
+(a client is handed its edge as a ``ModelCache`` and its pool session as
+a :class:`~repro.core.network.Network`).
 """
 
 from .events import EventLoop, Process, Timeout, TokenBucket, Until
@@ -39,11 +40,9 @@ from .scheduler import (
 from .shared_cache import (
     ADMISSION_POLICIES,
     CacheHierarchy,
-    CacheSession,
     EdgeBinding,
     HierarchySession,
     HierarchyStats,
-    SharedModelCache,
 )
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "Timeout",
     "Until",
     "TokenBucket",
-    "SharedModelCache",
-    "CacheSession",
     "ADMISSION_POLICIES",
     "CacheHierarchy",
     "EdgeBinding",

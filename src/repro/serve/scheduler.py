@@ -224,11 +224,11 @@ class FleetConfig:
             if name.lower() not in DEVICES:
                 raise ValueError(f"unknown device {name!r}; "
                                  f"choose from {sorted(DEVICES)}")
-        if self.controller not in CONTROLLER_NAMES + ("none",):
+        if self.controller not in CONTROLLER_NAMES:
             raise ValueError(
                 f"controller must be one of {CONTROLLER_NAMES}, "
                 f"got {self.controller!r}")
-        if self.controller not in ("off", "none") and not self.devices:
+        if self.controller != "off" and not self.devices:
             raise ValueError("a joint controller needs --device classes "
                              "(energy has no meaning without a power model)")
         if self.power_budget_w is not None and self.power_budget_w <= 0:
@@ -300,7 +300,13 @@ class FleetTelemetry:
     queue_wait_s: float = 0.0           # summed across queued sessions
     aggregate_goodput_bps: float = 0.0  # delivered bits / summed download s
     mean_session_goodput_bps: float = 0.0
-    cache_hit_rate: float = 0.0         # edge-hit fraction, cross-session
+    #: Edge hits over *all* model requests, failed fetches included
+    #: (``HierarchyStats.requests``).  A session's own
+    #: ``PlaybackTelemetry.cache_hit_rate`` divides by the requests that
+    #: were served (``CacheStats.requests`` = hits + downloads), so under
+    #: ``fail_rate > 0`` the two are not the same ratio even for one
+    #: session.
+    cache_hit_rate: float = 0.0
     cache_downloads: int = 0
     cache_evictions: int = 0
     #: Fraction of model requests that never read origin storage
@@ -417,13 +423,11 @@ class FleetSimulator:
         #: instead of a :class:`SharedNetworkPool` session.  The serve
         #: layer never imports ``repro.net`` — callers inject it.
         self.network_factory = network_factory
-        manifest = getattr(package, "manifest", None)
         self.cache: CacheHierarchy = CacheHierarchy(
             edges=config.edges,
             edge_capacity=config.cache_capacity,
             admission=config.cache_admission,
-            model_sizes=(dict(manifest.model_sizes)
-                         if manifest is not None else None))
+            model_sizes=package.manifest.model_sizes)
         self.pool = SharedNetworkPool(
             bandwidth_bps=config.bandwidth_bps, latency_s=config.latency_s,
             fail_rate=config.fail_rate, seed=config.seed, obs=self.obs,
@@ -438,7 +442,7 @@ class FleetSimulator:
         controllers are never shared between sessions.
         """
         device_name = self.config.device_name_for(session_id)
-        if device_name is None or self.config.controller in ("off", "none"):
+        if device_name is None or self.config.controller == "off":
             return None
         return build_controller(
             self.config.controller, get_device(device_name),
@@ -673,13 +677,14 @@ class FleetSimulator:
         t.completed = len(completed)
         t.rejected = sum(1 for s in fleet.sessions if s.status == "rejected")
         t.queue_wait_s = sum(s.queue_wait_s for s in completed)
-        t.cache_hit_rate = self.cache.stats.hit_rate
-        t.cache_downloads = self.cache.stats.downloads
+        cache = self.cache.stats
+        t.cache_hit_rate = cache.hit_rate
+        t.cache_downloads = cache.downloads
         t.cache_evictions = self.cache.evictions
-        t.origin_offload = self.cache.stats.origin_offload
-        t.edge_hits = self.cache.stats.edge_hits
-        t.origin_fetches = self.cache.stats.origin_fetches
-        t.cache_admission_denied = self.cache.stats.denied
+        t.origin_offload = cache.origin_offload
+        t.edge_hits = cache.edge_hits
+        t.origin_fetches = cache.origin_fetches
+        t.cache_admission_denied = cache.denied
         t.peak_network_concurrency = self.pool.peak_concurrency
         t.rate_limit_wait_s = self.pool.rate_limit_wait_s
         if self.loop is not None:

@@ -1,55 +1,30 @@
-"""Fleet-scale model cache: Algorithm 1 shared across sessions.
+"""Two-tier CDN cache hierarchy: per-edge model caches, one origin shield.
 
-The paper's bandwidth numbers (§5, Fig. 10) assume each client caches its
-own micro models; at fleet scale the same per-cluster models are requested
-by *every* session playing the video, so one shared cache amortizes each
-download across the fleet.  :class:`SharedModelCache` promotes the
-single-owner :class:`~repro.core.cache.ModelCache` to that role:
+:class:`CacheHierarchy` composes :class:`~repro.core.cache.ModelCache`
+stores into a CDN shape for the discrete-event fleet: one store per edge
+(sessions shard across them by id) in front of an origin shield, with
+configurable edge admission (:data:`ADMISSION_POLICIES`) and an
+origin-offload metric.  Algorithm 1 itself — hit / download / failed-fetch
+counting, pinning, LRU eviction, the single-flight election — lives only
+in ``ModelCache``; this module adds what a hierarchy alone knows: which
+edge serves a session, how often an edge saw a label, whether an
+edge-missed model is stored, and whether origin storage was read.
 
-- **Locked**: store and counter mutations happen under one lock, so the
-  hit/miss/failure accounting is exact under arbitrary thread interleaving
-  (``hits + downloads + failed_fetches == requests``, always).
-- **Single-flight fetches**: concurrent misses on one label elect a single
-  fetcher; the others wait on an event and then count a *hit* — they paid
-  no bytes.  A failed fetch wakes the waiters, each of which retries (and
-  may become the next fetcher), so one session's network failure is never
-  charged to another.
-- **Refcount pinning**: ``acquire`` pins the entry until ``release``.  LRU
-  eviction only ever considers unpinned entries, so a model is never
-  evicted while a session is mid-SR with it; when every entry is pinned
-  the cache temporarily overflows its capacity rather than corrupt an
-  in-use entry.
-
-Each playing session holds a :class:`CacheSession` view: same
-``acquire``/``release``/``stats`` protocol as :class:`ModelCache`, with a
-per-session :class:`~repro.core.cache.CacheStats` (this session's hits,
-downloads, downloaded labels) next to the fleet-wide aggregate.
-
-:class:`CacheHierarchy` composes these stores into a two-tier CDN shape
-for the discrete-event fleet: per-edge :class:`SharedModelCache`
-instances (sessions shard across them by id) in front of one unbounded
-origin shield, with configurable edge admission
-(:data:`ADMISSION_POLICIES`) and an origin-offload metric.  Sessions
-bind to an edge through :class:`EdgeBinding`/:class:`HierarchySession`,
-which speak the same duck-typed protocol as :class:`CacheSession` — the
-client never learns the hierarchy exists.  Unlike the flat shared cache,
-the hierarchy's composite hit-then-fetch path assumes the fleet's
-single-threaded event loop (individual tier operations stay locked, but
-cross-tier sequences are not atomic).
+Each edge is an :class:`EdgeBinding` — a ``ModelCache`` whose
+:meth:`~EdgeBinding.session` hands out :class:`HierarchySession` views, so
+the client is given its edge as an ordinary ``model_cache`` and never
+learns the hierarchy exists.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Generic, TypeVar
 
-from ..core.cache import CacheStats
+from ..core.cache import CacheSession, ModelCache
 
 __all__ = [
-    "SharedModelCache",
-    "CacheSession",
     "ADMISSION_POLICIES",
     "HierarchyStats",
     "CacheHierarchy",
@@ -58,225 +33,6 @@ __all__ = [
 ]
 
 M = TypeVar("M")
-
-
-@dataclass
-class _Entry(Generic[M]):
-    model: M
-    refcount: int = 0
-
-
-class SharedModelCache(Generic[M]):
-    """Thread-safe, LRU-evicting, refcount-pinning model cache.
-
-    Parameters
-    ----------
-    fetch:
-        Optional default ``label -> model`` used when a caller passes no
-        per-call fetch.  Fleet sessions normally pass their own fetch (so
-        the downloading session is the one charged simulated network time
-        and bytes) via :meth:`session`.
-    capacity:
-        Maximum cached models; ``None`` is unbounded.  The bound applies
-        to *unpinned* entries — pinned entries may push the cache over
-        capacity until they are released.
-    """
-
-    def __init__(self, fetch: Callable[[int], M] | None = None,
-                 capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self._fetch = fetch
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._store: "OrderedDict[int, _Entry[M]]" = OrderedDict()
-        self._inflight: dict[int, threading.Event] = {}
-        self.stats = CacheStats()
-        #: Peak number of resident entries (pinned overflow shows up here).
-        self.peak_entries = 0
-
-    # ------------------------------------------------------------- protocol
-
-    def session(self, fetch: Callable[[int], M]) -> "CacheSession[M]":
-        """A per-session view bound to that session's fetch function."""
-        return CacheSession(self, fetch)
-
-    def acquire(self, label: int, fetch: Callable[[int], M] | None = None,
-                stats: CacheStats | None = None) -> M:
-        """Algorithm 1 against the shared store, pinning the entry.
-
-        Exactly one of hit / download / failed fetch is counted per call,
-        into both the aggregate :attr:`stats` and the caller's per-session
-        ``stats``.  The returned model stays pinned (refcount held) until
-        the caller's matching :meth:`release`.
-        """
-        return self._get(label, fetch, stats, pin=True)
-
-    def release(self, label: int) -> None:
-        """Drop one pin; a fully released entry is evictable again."""
-        with self._lock:
-            entry = self._store.get(label)
-            if entry is None or entry.refcount <= 0:
-                raise ValueError(f"release of unpinned cache entry {label}")
-            entry.refcount -= 1
-            self._evict_over_capacity()
-
-    def get(self, label: int, fetch: Callable[[int], M] | None = None,
-            stats: CacheStats | None = None) -> M:
-        """Unpinned read: :meth:`acquire` immediately followed by release."""
-        model = self._get(label, fetch, stats, pin=True)
-        self.release(label)
-        return model
-
-    def put(self, label: int, model: M, pin: bool = False) -> None:
-        """Insert an externally fetched model (no hit/download counted).
-
-        The CDN hierarchy uses this to admit a model at an edge after the
-        requesting session already paid for the fetch — accounting for
-        that download belongs to the caller, not to this store.  With
-        ``pin=True`` the entry is refcount-pinned exactly as by
-        :meth:`acquire` and must be balanced by :meth:`release`.
-        """
-        with self._lock:
-            entry = self._store.get(label)
-            if entry is None:
-                entry = self._store[label] = _Entry(model)
-            if pin:
-                entry.refcount += 1
-            self._store.move_to_end(label)
-            self._evict_over_capacity()
-
-    def refcount(self, label: int) -> int:
-        with self._lock:
-            entry = self._store.get(label)
-            return entry.refcount if entry is not None else 0
-
-    def __contains__(self, label: int) -> bool:
-        with self._lock:
-            return label in self._store
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def clear(self) -> None:
-        """Drop every *unpinned* entry (pinned entries stay resident)."""
-        with self._lock:
-            for label in [lb for lb, e in self._store.items()
-                          if e.refcount == 0]:
-                del self._store[label]
-
-    # ------------------------------------------------------------ internals
-
-    def _get(self, label: int, fetch: Callable[[int], M] | None,
-             stats: CacheStats | None, pin: bool) -> M:
-        fetch = fetch or self._fetch
-        if fetch is None:
-            raise ValueError("no fetch function (constructor or per-call)")
-        while True:
-            leader = False
-            with self._lock:
-                entry = self._store.get(label)
-                if entry is not None:
-                    if pin:
-                        entry.refcount += 1
-                    self._store.move_to_end(label)
-                    self._note_hit(stats)
-                    return entry.model
-                event = self._inflight.get(label)
-                if event is None:
-                    # This caller is the single fetcher for the label.
-                    event = self._inflight[label] = threading.Event()
-                    leader = True
-            if not leader:
-                # Another caller is fetching: wait, then re-check the store
-                # (a hit if the fetch landed, a fresh election if it failed).
-                event.wait()
-                continue
-            return self._fetch_as_leader(label, fetch, stats, pin, event)
-
-    def _fetch_as_leader(self, label: int, fetch, stats, pin: bool,
-                         event: threading.Event) -> M:
-        try:
-            model = fetch(label)
-        except Exception:
-            with self._lock:
-                self.stats.failed_fetches += 1
-                if stats is not None:
-                    stats.failed_fetches += 1
-                self._inflight.pop(label, None)
-            event.set()
-            raise
-        with self._lock:
-            entry = self._store.get(label)
-            if entry is None:
-                entry = self._store[label] = _Entry(model)
-            if pin:
-                entry.refcount += 1
-            self._store.move_to_end(label)
-            self.stats.downloads += 1
-            self.stats.downloaded_labels.append(label)
-            if stats is not None:
-                stats.downloads += 1
-                stats.downloaded_labels.append(label)
-            self._inflight.pop(label, None)
-            self._evict_over_capacity()
-        event.set()
-        return entry.model
-
-    def _note_hit(self, stats: CacheStats | None) -> None:
-        self.stats.hits += 1
-        if stats is not None:
-            stats.hits += 1
-
-    def _evict_over_capacity(self) -> None:
-        """LRU-evict unpinned entries down to capacity (lock held).
-
-        Pinned entries are skipped, never evicted: if everything resident
-        is pinned the store stays over capacity until a release.
-        """
-        self.peak_entries = max(self.peak_entries, len(self._store))
-        if self._capacity is None:
-            return
-        while len(self._store) > self._capacity:
-            victim = next((lb for lb, e in self._store.items()
-                           if e.refcount == 0), None)
-            if victim is None:
-                return
-            del self._store[victim]
-            self.stats.evictions += 1
-
-
-class CacheSession(Generic[M]):
-    """One session's view of a :class:`SharedModelCache`.
-
-    Duck-typed to the single-owner :class:`~repro.core.cache.ModelCache`
-    protocol the streaming client speaks (``acquire``/``release``/``get``/
-    ``stats``), with per-session accounting: this session's ``stats``
-    count its own hits and the downloads *it* performed — a model another
-    session fetched is a hit here, which is exactly the cross-session
-    amortization the fleet benchmark measures.
-    """
-
-    def __init__(self, shared: SharedModelCache[M],
-                 fetch: Callable[[int], M]):
-        self.shared = shared
-        self._fetch = fetch
-        self.stats = CacheStats()
-
-    def acquire(self, label: int) -> M:
-        return self.shared.acquire(label, fetch=self._fetch,
-                                   stats=self.stats)
-
-    def release(self, label: int) -> None:
-        self.shared.release(label)
-
-    def get(self, label: int) -> M:
-        return self.shared.get(label, fetch=self._fetch, stats=self.stats)
-
-    def __contains__(self, label: int) -> bool:
-        return label in self.shared
-
 
 # --------------------------------------------------------------------------
 # Two-tier CDN hierarchy: per-edge caches in front of one origin tier.
@@ -293,7 +49,7 @@ class HierarchyStats:
     the session's edge cache, zero bytes for the session), a **download**
     (edge miss — the session pays the fetch over its own link), or a
     **failed fetch**.  Downloads are further split by what the *origin*
-    saw: an ``origin_hit`` means the origin's shield cache already held
+    saw: an ``origin_hit`` means the origin shield already held
     the label (another edge pulled it earlier — no origin-storage read),
     an ``origin_fetch`` is a cold read from origin storage.
     """
@@ -328,17 +84,19 @@ class HierarchyStats:
 
 
 class CacheHierarchy(Generic[M]):
-    """Per-edge :class:`SharedModelCache` tier in front of an origin tier.
+    """Per-edge :class:`~repro.core.cache.ModelCache` tier in front of an
+    origin shield.
 
     Sessions are sharded across ``edges`` edge caches by
     ``session_id % edges``; sessions on the same edge amortize each
-    other's model downloads exactly as with the flat
-    :class:`SharedModelCache` (an edge hit costs the session nothing).
+    other's model downloads exactly as with one flat shared
+    ``ModelCache`` (an edge hit costs the session nothing).
     An edge *miss* makes the requesting session download the model over
-    its own simulated link, and the origin tier — an unbounded shield
-    cache shared by every edge — records whether origin storage was read
-    (cold fetch) or the label was already shielded by another edge's
-    earlier pull.
+    its own simulated link, and the origin shield — shared by every edge
+    — records whether origin storage was read (cold fetch) or the label
+    was already shielded by another edge's earlier pull.  The shield only
+    *accounts* for what the backbone saw, it never spares a session the
+    transfer, so it is a set of labels, not a second model store.
 
     ``admission`` controls whether an edge-missed model is *stored* at
     the edge afterwards:
@@ -382,9 +140,8 @@ class CacheHierarchy(Generic[M]):
             raise ValueError("size-aware admission needs model_sizes "
                              "or an explicit admit_bytes")
         self.admission = admission
-        self.edges: list[SharedModelCache[M]] = [
-            SharedModelCache(capacity=edge_capacity) for _ in range(edges)]
-        self.origin: SharedModelCache[M] = SharedModelCache()
+        self.edges: list[EdgeBinding[M]] = [
+            EdgeBinding(self, index, edge_capacity) for index in range(edges)]
         self.model_sizes = dict(model_sizes or {})
         if admit_bytes is None and self.model_sizes:
             admit_bytes = (sum(self.model_sizes.values())
@@ -392,16 +149,55 @@ class CacheHierarchy(Generic[M]):
         self.admit_bytes = admit_bytes
         self._edge_requests: list[dict[int, int]] = [
             {} for _ in range(edges)]
+        self._shielded: set[int] = set()
+        # Guards the request counts, the shield and ``_counts``.  An edge
+        # asks for a verdict with no edge lock held, so the two locks are
+        # never nested.
         self._lock = threading.Lock()
-        self.stats = HierarchyStats()
+        #: What the hierarchy itself counts; :attr:`stats` adds the rest.
+        self._counts = HierarchyStats()
 
     def edge_for(self, session_id: int) -> "EdgeBinding[M]":
         """The edge serving ``session_id`` (sharded by id modulo edges)."""
-        return EdgeBinding(self, session_id % len(self.edges))
+        return self.edges[session_id % len(self.edges)]
+
+    @property
+    def stats(self) -> HierarchyStats:
+        """A snapshot: the hierarchy's own counters plus the edge hits and
+        failed fetches that only the edge stores count."""
+        edge_stats = [edge.stats for edge in self.edges]
+        with self._lock:
+            return replace(
+                self._counts,
+                edge_hits=sum(s.hits for s in edge_stats),
+                failed_fetches=sum(s.failed_fetches for s in edge_stats))
 
     @property
     def evictions(self) -> int:
         return sum(edge.stats.evictions for edge in self.edges)
+
+    def _note_request(self, edge_index: int, label: int) -> None:
+        with self._lock:
+            self._counts.requests += 1
+            counts = self._edge_requests[edge_index]
+            counts[label] = counts.get(label, 0) + 1
+
+    def _admit_download(self, edge_index: int, label: int) -> bool:
+        """Book one edge-missed download — shield hit or cold storage
+        read — and decide whether the edge stores it."""
+        counts = self._counts
+        with self._lock:
+            if label in self._shielded:
+                counts.origin_hits += 1
+            else:
+                self._shielded.add(label)
+                counts.origin_fetches += 1
+            admitted = self._admit(edge_index, label)
+            if admitted:
+                counts.admitted += 1
+            else:
+                counts.denied += 1
+        return admitted
 
     def _admit(self, edge_index: int, label: int) -> bool:
         """Should an edge-missed ``label`` be stored at this edge?
@@ -415,106 +211,62 @@ class CacheHierarchy(Generic[M]):
             or size <= self.admit_bytes
 
 
-class EdgeBinding(Generic[M]):
-    """One edge of a :class:`CacheHierarchy`, bound for a session group.
+class EdgeBinding(ModelCache[M]):
+    """One edge of a :class:`CacheHierarchy`: a ``ModelCache`` whose
+    sessions are :class:`HierarchySession` views.
 
-    Duck-typed to the ``model_cache`` argument of
-    :class:`~repro.core.client.DcsrClient` (exposes ``session(fetch)``),
-    so the fleet can hand a client its edge without the client knowing
-    the hierarchy exists.
+    It is what the fleet passes as the ``model_cache`` argument of
+    :class:`~repro.core.client.DcsrClient`, so a client is handed its
+    edge without knowing the hierarchy exists.
     """
 
-    def __init__(self, hierarchy: CacheHierarchy[M], edge_index: int):
+    def __init__(self, hierarchy: CacheHierarchy[M], edge_index: int,
+                 capacity: int | None = None):
+        super().__init__(capacity=capacity)
         self.hierarchy = hierarchy
         self.edge_index = edge_index
 
     def session(self, fetch: Callable[[int], M]) -> "HierarchySession[M]":
-        return HierarchySession(self.hierarchy, self.edge_index, fetch)
+        return HierarchySession(self, fetch)
 
 
-class HierarchySession(Generic[M]):
+class HierarchySession(CacheSession[M]):
     """One session's view of a :class:`CacheHierarchy` edge.
 
-    Same ``acquire``/``release``/``get``/``stats`` protocol as
-    :class:`CacheSession`: per-session stats count this session's edge
-    hits and the downloads *it* paid for.  Pins are tracked per label so
-    ``release`` unpins the edge entry only when the model was actually
-    admitted there.
+    A :class:`~repro.core.cache.CacheSession` of the edge store — edge
+    hits, the downloads this session paid for and every pin are the
+    store's — that adds the two things the hierarchy decides: each
+    request is counted at its edge, and each download asks the hierarchy
+    whether the edge keeps the model.
     """
 
-    def __init__(self, hierarchy: CacheHierarchy[M], edge_index: int,
-                 fetch: Callable[[int], M]):
-        self.hierarchy = hierarchy
-        self.edge_index = edge_index
-        self._fetch = fetch
-        self.stats = CacheStats()
-        #: label -> stack of True (edge-pinned) / False (unpinned) flags,
-        #: one per outstanding acquire.
-        self._pins: dict[int, list[bool]] = {}
+    def __init__(self, edge: EdgeBinding[M], fetch: Callable[[int], M]):
+        super().__init__(edge, fetch)
+        #: Labels of outstanding acquires whose download the edge did not
+        #: store: nothing is pinned for them, so ``release`` only forgets
+        #: them.  (``append``/``remove`` are atomic; a session's workers
+        #: release concurrently with its next fetch.)
+        self._unstored: list[int] = []
 
     def acquire(self, label: int) -> M:
-        h = self.hierarchy
-        edge = h.edges[self.edge_index]
-        with h._lock:
-            h.stats.requests += 1
-            counts = h._edge_requests[self.edge_index]
-            counts[label] = counts.get(label, 0) + 1
-        if label in edge:
-            model = edge.acquire(label, fetch=_hit_only, stats=self.stats)
-            with h._lock:
-                h.stats.edge_hits += 1
-            self._pins.setdefault(label, []).append(True)
-            return model
-        # Edge miss: this session downloads over its own link (the fetch
-        # charges its simulated network and byte counters).  The origin
-        # tier only *accounts* for what the backbone saw — shield hit or
-        # cold storage read — it never spares the session the transfer.
-        try:
-            model = self._fetch(label)
-        except Exception:
-            with h._lock:
-                h.stats.failed_fetches += 1
-            self.stats.failed_fetches += 1
-            raise
-        with h._lock:
-            shielded = label in h.origin
-            if shielded:
-                h.stats.origin_hits += 1
-            else:
-                h.stats.origin_fetches += 1
-            admitted = h._admit(self.edge_index, label)
-            if admitted:
-                h.stats.admitted += 1
-            else:
-                h.stats.denied += 1
-        h.origin.put(label, model)
-        if admitted:
-            edge.put(label, model, pin=True)
-        self.stats.downloads += 1
-        self.stats.downloaded_labels.append(label)
-        self._pins.setdefault(label, []).append(admitted)
-        return model
+        edge = self.store
+        edge.hierarchy._note_request(edge.edge_index, label)
+        # On an edge miss this session downloads over its own link (the
+        # fetch charges its simulated network and byte counters).
+        return edge.acquire(label, self._fetch, self.stats, self._admit)
+
+    def _admit(self, label: int) -> bool:
+        edge = self.store
+        admitted = edge.hierarchy._admit_download(edge.edge_index, label)
+        if not admitted:
+            self._unstored.append(label)
+        return admitted
 
     def release(self, label: int) -> None:
-        stack = self._pins.get(label)
-        if not stack:
-            raise ValueError(f"release of unpinned cache entry {label}")
-        pinned_at_edge = stack.pop()
-        if not stack:
-            del self._pins[label]
-        if pinned_at_edge:
-            self.hierarchy.edges[self.edge_index].release(label)
-
-    def get(self, label: int) -> M:
-        model = self.acquire(label)
-        self.release(label)
-        return model
-
-    def __contains__(self, label: int) -> bool:
-        return label in self.hierarchy.edges[self.edge_index]
-
-
-def _hit_only(label: int):
-    raise AssertionError(
-        f"edge cache fetch for {label} on a hit path — the hierarchy "
-        "performs all fetches itself")
+        try:
+            self._unstored.remove(label)
+        except ValueError:
+            pass
+        else:
+            return
+        super().release(label)

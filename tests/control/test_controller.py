@@ -201,9 +201,9 @@ class TestFactory:
         fixed = build_controller("fixed", JETSON, tier="dcSR-1")
         assert isinstance(fixed, FixedController) and fixed.tier == "dcSR-1"
         assert build_controller("off", JETSON) is None
-        assert build_controller("none", JETSON) is None
-        with pytest.raises(ValueError):
-            build_controller("mpc", JETSON)
+        for unknown in ("mpc", "none"):     # one spelling of "off"
+            with pytest.raises(ValueError):
+                build_controller(unknown, JETSON)
 
 
 class _FakeManifest:

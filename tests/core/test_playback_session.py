@@ -196,6 +196,27 @@ class TestGeneratorContract:
         assert client.last_result.telemetry is not None
         assert client.last_result.model_bytes > 0
 
+    def test_replay_reports_its_own_cache_session(self, package):
+        """A second ``play()`` on one client runs against the models the
+        first one left in the store: it downloads nothing, and says so —
+        in every field, without rewriting the first result."""
+        client = DcsrClient(package)
+        first = client.play()
+        downloads, hit_rate = first.cache_stats.downloads, \
+            first.cache_stats.hit_rate
+        assert downloads == len(first.model_downloads) > 0
+        second = client.play()
+        assert second.model_bytes == 0
+        assert second.model_downloads == []
+        assert second.cache_stats.downloads == 0
+        assert second.telemetry.cache_hit_rate == 1.0
+        # The first session's numbers are frozen, not a shared object.
+        assert second.cache_stats is not first.cache_stats
+        assert first.cache_stats.downloads == downloads
+        assert first.cache_stats.hit_rate == hit_rate
+        for a, b in zip(first.frames, second.frames):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestConcealment:
     def test_corrupt_midstream_segment_is_concealed(self, package, small_clip):

@@ -25,7 +25,8 @@ def _stub_package(n_frames=80, fps=10.0, n_segments=4):
     per = n_frames // n_segments
     segments = [SimpleNamespace(n_frames=per) for _ in range(n_segments)]
     return SimpleNamespace(encoded=SimpleNamespace(segments=segments,
-                                                   fps=fps))
+                                                   fps=fps),
+                           manifest=SimpleNamespace(model_sizes={}))
 
 
 class TestArrivalSchedules:

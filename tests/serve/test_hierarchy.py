@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serve import ADMISSION_POLICIES, CacheHierarchy, SharedModelCache
+from repro.core import ModelCache
+from repro.serve import ADMISSION_POLICIES, CacheHierarchy
 
 
 def make_fetch(log=None):
@@ -49,9 +50,9 @@ class TestCacheHierarchyRouting:
 
     def test_one_edge_always_reduces_to_flat_shared_cache(self):
         # The regression anchor: edges=1 + admission=always must be
-        # indistinguishable from the flat SharedModelCache the fleet
+        # indistinguishable from the flat shared ModelCache the fleet
         # used before the hierarchy existed.
-        flat = SharedModelCache()
+        flat = ModelCache()
         h = CacheHierarchy(edges=1, admission="always")
         sequence = [3, 3, 5, 3, 5, 9, 9, 3]
         flat_log, h_log = [], []
@@ -163,6 +164,32 @@ class TestPinningAndEviction:
         with pytest.raises(ValueError, match="unpinned"):
             s.release(1)
 
+    def test_eviction_between_probe_and_acquire_is_not_an_error(
+            self, monkeypatch):
+        """Deterministic form of the check-then-act race: the session used
+        to ask ``label in edge`` and then acquire with a fetch that must
+        never run, so an eviction landing between the two raised
+        AssertionError.  Here every membership probe is followed by such
+        an eviction; the lookup must not depend on one."""
+        h = CacheHierarchy(edges=1)
+        edge = h.edge_for(0)
+        log = []
+        s = edge.session(make_fetch(log))
+        s.get(1)
+        probe = type(edge).__contains__
+
+        def probe_then_evict(self, label):
+            found = probe(self, label)
+            self.clear()
+            return found
+
+        monkeypatch.setattr(type(edge), "__contains__", probe_then_evict)
+        assert s.acquire(1) == ("model", 1)
+        s.release(1)
+        assert h.stats.requests == 2
+        assert h.stats.edge_hits + h.stats.downloads == 2
+        assert h.stats.failed_fetches == s.stats.failed_fetches == 0
+
     def test_failed_fetch_counts_both_tiers(self):
         h = CacheHierarchy(edges=1)
 
@@ -175,13 +202,6 @@ class TestPinningAndEviction:
         assert h.stats.failed_fetches == 1
         assert s.stats.failed_fetches == 1
         assert h.stats.origin_fetches == 0      # nothing was stored
-
-    def test_put_inserts_without_accounting(self):
-        cache = SharedModelCache()
-        cache.put(5, "model-5")
-        assert 5 in cache
-        assert cache.stats.downloads == 0
-        assert cache.stats.hits == 0
 
 
 class TestHierarchyStats:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,6 +88,20 @@ class TestPrepareInfoPlay:
     def test_play_without_reference(self, package_dir, capsys):
         assert main(["play", str(package_dir)]) == 0
         assert "quality" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--sr-batch", "sr_batch must be >= 1"),
+        ("--sr-threads", "threads must be >= 1"),
+    ])
+    def test_play_rejects_an_explicit_zero(self, package_dir, flag, message):
+        """``0`` is an invalid value the user typed, not "unset": it must
+        reach the config's own check instead of playing as the default."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "play", str(package_dir),
+             flag, "0"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert message in proc.stderr
 
 
 class TestPrepareParallel:
