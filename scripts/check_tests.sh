@@ -17,9 +17,9 @@
 #           perfbench/ imports from repro still exists and that each
 #           workload still runs end to end at smoke size
 #
-# Static guards (AST tests, run first so violations fail in seconds; each
-# guard lives in exactly one place — its test file — and this script only
-# decides when it runs):
+# Guards (run first so violations fail in seconds; each guard lives in
+# exactly one place — its test file — and this script only decides when
+# it runs).  The first five are static AST tests:
 #   - tests/serve/test_no_threads.py — no thread spawning inside
 #     src/repro/serve/: the fleet's determinism contract requires every
 #     session to run on the discrete-event loop.
@@ -37,7 +37,12 @@
 #     src/repro/{control,core,sr,nn,video}/: they are consumed by the
 #     fleet scheduler, the real transport and the CLI, so importing
 #     repro.serve, repro.net or repro.cli from them would cycle the
-#     layer graph.
+#     layer graph.  Nor does any library layer (those five plus obs,
+#     serve, net) import repro.bench, which sits just under the CLI.
+#   - tests/core/test_build_digests.py — the server build contract: three
+#     tiny configs built at workers=1, thread x2 and process x2 must
+#     reproduce, bit for bit, the artifact digests recorded before the
+#     stages moved onto one runner (~10 s, not static — it builds).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -57,10 +62,11 @@ GUARDS=(
     tests/sr/test_no_unbounded_reuse.py
     tests/net/test_no_threads_net.py
     tests/control/test_no_upward_imports.py
+    tests/core/test_build_digests.py
 )
 
 run_guards() {
-    echo "== static guards =="
+    echo "== guards =="
     python -m pytest -x -q --strict-markers "${GUARDS[@]}"
 }
 

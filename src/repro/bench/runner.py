@@ -11,40 +11,11 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ..obs import cdf_points, format_table
+from ..obs.export import _root_of, span_to_dict
+
 __all__ = ["format_table", "print_table", "print_series", "save_results",
            "cdf_points"]
-
-
-def format_table(
-    title: str, headers: Sequence[str], rows: Iterable[Sequence],
-) -> str:
-    """Render an aligned text table.
-
-    An empty ``title`` omits the ``== title ==`` banner, so callers that
-    carry their own heading (the telemetry summaries) can still render
-    their rows through the one shared table formatter.
-    """
-    str_rows = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [f"== {title} =="] if title else []
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        if cell == 0:
-            return "0"
-        if abs(cell) >= 1000 or abs(cell) < 0.01:
-            return f"{cell:.3g}"
-        return f"{cell:.2f}"
-    return str(cell)
 
 
 def print_table(title: str, headers: Sequence[str],
@@ -61,28 +32,6 @@ def print_series(title: str, xs: Sequence, ys_by_name: dict[str, Sequence]) -> N
     print_table(title, headers, rows)
 
 
-def cdf_points(values: Sequence[float], n_points: int = 11) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) pairs at evenly spaced quantiles.
-
-    Degenerate inputs are well-defined instead of crashing: an empty
-    ``values`` yields ``[]``, and ``n_points=1`` yields the single
-    ``(max, 1.0)`` point (no zero-division on the quantile spacing).
-    """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
-    ordered = sorted(values)
-    if not ordered:
-        return []
-    if n_points == 1:
-        return [(ordered[-1], 1.0)]
-    out = []
-    for i in range(n_points):
-        frac = i / (n_points - 1)
-        idx = min(int(frac * (len(ordered) - 1)), len(ordered) - 1)
-        out.append((ordered[idx], frac))
-    return out
-
-
 def save_results(name: str, payload: dict, directory: str | Path = "bench_results",
                  trace=None) -> Path:
     """Persist one experiment's numbers as JSON for EXPERIMENTS.md.
@@ -94,7 +43,6 @@ def save_results(name: str, payload: dict, directory: str | Path = "bench_result
     next to the numbers it explains.
     """
     if trace is not None:
-        from ..obs.export import _root_of, span_to_dict
         root = _root_of(trace)
         payload = dict(payload)
         payload["trace"] = root if isinstance(root, dict) else span_to_dict(root)

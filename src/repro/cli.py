@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .obs import format_table
+
 __all__ = ["main", "build_parser"]
 
 
@@ -49,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the silhouette-selected K")
     prep.add_argument("--workers", type=int, default=1,
                       help="parallel build workers (1 = serial, 0 = all cores)")
-    prep.add_argument("--backend", choices=("process", "thread", "serial"),
-                      default=None,
-                      help="pool backend (default: process when workers > 1)")
+    prep.add_argument("--backend", choices=("process", "thread"),
+                      default="process",
+                      help="pool flavour when more than one worker runs")
     prep.add_argument("--tiers", default=None, metavar="LIST",
                       help="also train per-cluster model tiers, e.g. "
                            "'dcSR-1,dcSR-2,dcSR-3'; the manifest then "
@@ -306,9 +308,6 @@ def _cmd_prepare(args) -> int:
 
     clip = _load_clip(args.video)
     workers = None if args.workers == 0 else args.workers
-    backend = args.backend
-    if backend is None:
-        backend = "serial" if workers == 1 else "process"
     tiers = tuple(t.strip() for t in args.tiers.split(",") if t.strip()) \
         if args.tiers else ()
     config = ServerConfig(
@@ -319,7 +318,7 @@ def _cmd_prepare(args) -> int:
                                learning_rate=5e-3,
                                lr_decay_epochs=max(5, args.epochs // 3)),
         k_override=args.k,
-        parallel=ParallelConfig(workers=workers, backend=backend),
+        parallel=ParallelConfig(workers=workers, backend=args.backend),
         train_cache_dir=args.train_cache,
         model_tiers=tiers,
     )
@@ -365,8 +364,6 @@ def _cmd_info(args) -> int:
                       f"({record.size_bytes / fp32_bytes:.2f}x of fp32), "
                       f"delta {record.delta_db:+.3f} dB")
     if manifest.has_tiers:
-        from .bench.runner import format_table
-
         print("model tiers (per cluster, calibrated at build time):")
         rows = []
         for label in sorted(manifest.tiers):
@@ -578,7 +575,6 @@ def _cmd_serve_origin(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .bench.runner import format_table
     from .devices import OutOfMemory, get_device, inference_seconds, playback_fps
     from .sr import EDSR, RESOLUTIONS, big_model_config, dcsr_config
 

@@ -55,12 +55,34 @@ def train_big_model(
     return BigModelBaseline(model=model)
 
 
-def _score(result: PlaybackResult, reference: np.ndarray | None) -> None:
-    if reference is None:
-        return
-    for display, rgb in enumerate(result.frames):
-        result.psnr_per_frame.append(psnr(rgb, reference[display]))
-        result.ssim_per_frame.append(ssim(rgb, reference[display]))
+def _play(
+    package: DcsrPackage, decoder: Decoder,
+    reference_frames: np.ndarray | None,
+    baseline: BigModelBaseline | None = None, enhance=None,
+) -> PlaybackResult:
+    """The loop every baseline shares: decode with ``decoder`` (its hook,
+    if any, is the in-decoder SR), convert to RGB, apply the per-frame
+    ``enhance`` if any, score against the reference.  ``baseline`` is the
+    big model the session downloaded up front."""
+    result = PlaybackResult()
+    result.video_bytes = package.encoded.total_bytes
+    if baseline is not None:
+        result.model_bytes = baseline.size_bytes
+        result.model_downloads = [0]
+    decoded = decoder.decode_video(package.encoded)
+    result.sr_inferences = decoded.hook_invocations
+    for ftype, frame in zip(decoded.frame_types, decoded.frames):
+        rgb = yuv420_to_rgb(frame)
+        if enhance is not None:
+            rgb = enhance(rgb)
+            result.sr_inferences += 1
+        result.frames.append(rgb)
+        result.frame_types.append(ftype)
+    if reference_frames is not None:
+        for display, rgb in enumerate(result.frames):
+            result.psnr_per_frame.append(psnr(rgb, reference_frames[display]))
+            result.ssim_per_frame.append(ssim(rgb, reference_frames[display]))
+    return result
 
 
 def play_nas(
@@ -68,19 +90,8 @@ def play_nas(
     reference_frames: np.ndarray | None = None,
 ) -> PlaybackResult:
     """NAS playback: download the big model once, SR every decoded frame."""
-    result = PlaybackResult()
-    result.video_bytes = package.encoded.total_bytes
-    result.model_bytes = baseline.size_bytes
-    result.model_downloads = [0]
-
-    decoded = Decoder().decode_video(package.encoded)
-    for ftype, frame in zip(decoded.frame_types, decoded.frames):
-        rgb = yuv420_to_rgb(frame)
-        result.frames.append(baseline.model.enhance(rgb))
-        result.frame_types.append(ftype)
-        result.sr_inferences += 1
-    _score(result, reference_frames)
-    return result
+    return _play(package, Decoder(), reference_frames, baseline,
+                 enhance=baseline.model.enhance)
 
 
 def play_nemo(
@@ -88,21 +99,11 @@ def play_nemo(
     reference_frames: np.ndarray | None = None,
 ) -> PlaybackResult:
     """NEMO playback: big model applied to I frames only, via the DPB hook."""
-    result = PlaybackResult()
-    result.video_bytes = package.encoded.total_bytes
-    result.model_bytes = baseline.size_bytes
-    result.model_downloads = [0]
-
     def hook(frame, display):
-        result.sr_inferences += 1
         return enhance_yuv_frame(baseline.model, frame)
 
-    decoded = Decoder(i_frame_hook=hook).decode_video(package.encoded)
-    for ftype, frame in zip(decoded.frame_types, decoded.frames):
-        result.frames.append(yuv420_to_rgb(frame))
-        result.frame_types.append(ftype)
-    _score(result, reference_frames)
-    return result
+    return _play(package, Decoder(i_frame_hook=hook), reference_frames,
+                 baseline)
 
 
 def play_nemo_adaptive(
@@ -120,34 +121,18 @@ def play_nemo_adaptive(
 
     plan = select_anchors(package.encoded, baseline.model, reference_frames,
                           budget_per_segment=budget_per_segment)
-    result = PlaybackResult()
-    result.video_bytes = package.encoded.total_bytes
-    result.model_bytes = baseline.size_bytes
-    result.model_downloads = [0]
 
     def hook(frame, display, ftype):
         if display in plan.anchors:
-            result.sr_inferences += 1
             return enhance_yuv_frame(baseline.model, frame)
         return None
 
-    decoded = Decoder(anchor_hook=hook).decode_video(package.encoded)
-    for ftype, frame in zip(decoded.frame_types, decoded.frames):
-        result.frames.append(yuv420_to_rgb(frame))
-        result.frame_types.append(ftype)
-    _score(result, reference_frames)
-    return result
+    return _play(package, Decoder(anchor_hook=hook), reference_frames,
+                 baseline)
 
 
 def play_low(
     package: DcsrPackage, reference_frames: np.ndarray | None = None,
 ) -> PlaybackResult:
     """LOW playback: the decoded CRF-degraded video, no enhancement."""
-    result = PlaybackResult()
-    result.video_bytes = package.encoded.total_bytes
-    decoded = Decoder().decode_video(package.encoded)
-    for ftype, frame in zip(decoded.frame_types, decoded.frames):
-        result.frames.append(yuv420_to_rgb(frame))
-        result.frame_types.append(ftype)
-    _score(result, reference_frames)
-    return result
+    return _play(package, Decoder(), reference_frames)

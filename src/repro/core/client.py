@@ -47,7 +47,7 @@ import numpy as np
 
 from ..control import JointController
 from ..nn.functional import PRECISIONS
-from ..obs import Observability
+from ..obs import Observability, format_table
 from ..sr.batching import BatchingInferenceEngine
 from ..sr.edsr import EDSR
 from ..sr.engine import ENGINE_KERNELS, InferenceEngine
@@ -271,12 +271,10 @@ class PlaybackTelemetry:
     def summary_lines(self) -> list[str]:
         """A printable per-stage breakdown (CLI ``play``).
 
-        The stage table renders through
-        :func:`repro.bench.runner.format_table` — the same renderer the
-        build summary and the benchmark tables use.
+        The stage table renders through :func:`repro.obs.format_table`
+        — the same renderer the build summary and the benchmark tables
+        use.
         """
-        from ..bench.runner import format_table
-
         rows = [[name, self.stage_seconds[name]]
                 for name in PLAYBACK_STAGES if name in self.stage_seconds]
         rows.append(["total", self.total_seconds])

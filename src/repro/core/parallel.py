@@ -3,25 +3,28 @@
 The server pipeline's expensive stages are embarrassingly parallel: every
 segment encodes and decodes independently (closed GOPs), every I-frame
 chunk embeds independently, and every cluster's micro model trains
-independently.  :class:`ParallelConfig` selects how that independence is
-exploited; :class:`BuildTelemetry` records where the wall-clock went.
+independently.  Each such stage is an ordered task list handed to
+:func:`run_tasks`; :class:`ParallelConfig` says how many workers run it
+and :class:`BuildTelemetry` records where the wall-clock went.
 
-Determinism contract: the parallel build computes exactly the same
-floating-point operations as the serial build, in the same per-task order,
-so a package built with any worker count is bit-identical to the serial
-one for the same :class:`~repro.core.server.ServerConfig` seed.  Models
-cross the process boundary through :mod:`repro.nn.serialize`, which
-round-trips float32 parameters losslessly.
+Determinism contract: there is one task function per stage, and
+:func:`run_tasks` calls it with the same arguments, in the same per-task
+order, whether one worker runs the list inline or a pool fans it out, so
+a package built with any worker count is bit-identical for the same
+:class:`~repro.core.server.ServerConfig` seed.  Models cross the task
+boundary through :mod:`repro.nn.serialize`, which round-trips float32
+parameters losslessly.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
-from ..obs import Observability
+from ..obs import Observability, format_table
 
 __all__ = [
     "BACKENDS",
@@ -29,12 +32,13 @@ __all__ = [
     "ParallelConfig",
     "BuildTelemetry",
     "ClusterTrainingError",
-    "make_executor",
+    "run_tasks",
     "stage_timer",
 ]
 
-#: Accepted values of :attr:`ParallelConfig.backend`.
-BACKENDS = ("process", "thread", "serial")
+#: Accepted values of :attr:`ParallelConfig.backend`, and the pool each
+#: names.
+BACKENDS = {"process": ProcessPoolExecutor, "thread": ThreadPoolExecutor}
 
 #: Stage names recorded in :attr:`BuildTelemetry.stage_seconds`, in
 #: pipeline order.
@@ -46,66 +50,45 @@ BUILD_STAGES = ("split", "encode", "embed", "cluster", "train", "quantize",
 class ParallelConfig:
     """How the server build fans out its independent stages.
 
-    ``workers=None`` resolves to ``os.cpu_count()``.  ``backend`` picks the
-    pool flavour: ``process`` (true CPU parallelism, the default choice for
-    training-dominated builds), ``thread`` (lower task overhead, useful
-    when numpy releases the GIL), or ``serial`` (the exact pre-parallel
-    code path, also used automatically when only one worker resolves).
-    ``chunk_size`` is the number of I frames embedded per VAE feature-
-    extraction task.
+    ``workers`` is the number of tasks in flight: 1 (the default) runs
+    every task inline — the serial build — and ``None`` asks for one per
+    core.  ``backend`` picks the pool flavour used when more than one
+    worker resolves: ``process`` (true CPU parallelism, the choice for
+    training-dominated builds) or ``thread`` (lower task overhead, useful
+    when numpy releases the GIL).  ``chunk_size`` is the number of I
+    frames embedded per VAE feature-extraction task.
 
-    With ``auto_calibrate`` (the default), a pool backend additionally
-    self-calibrates to ``serial`` on single-core hosts: when
-    ``os.cpu_count() == 1``, no pool can beat the serial path — it can
-    only add IPC and serialization overhead — so the build runs (and,
-    crucially, *reports*) serial rather than publishing a "process x2"
-    row whose measured speedup can never exceed 1.0x.  Set
-    ``auto_calibrate=False`` to force the requested pool regardless
-    (pool-mechanics tests do this; results are bit-identical either way
-    by the determinism contract).
+    The request is capped at ``os.cpu_count()``: past one worker per core
+    a pool can only add IPC and serialization overhead, and on a
+    single-core host it cannot beat the inline path at all — so such a
+    build runs (and, crucially, *reports*) ``serial x1`` rather than
+    publishing a "process x2" row whose measured speedup can never exceed
+    1.0x.  Results are bit-identical either way by the determinism
+    contract.
     """
 
-    workers: int | None = None
-    backend: str = "serial"
+    workers: int | None = 1
+    backend: str = "process"
     chunk_size: int = 16
-    auto_calibrate: bool = True
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}")
+                f"backend must be one of {tuple(BACKENDS)}, "
+                f"got {self.backend!r}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     def resolve_workers(self) -> int:
-        """The concrete worker count (1 whenever the build runs serial)."""
-        if self.backend == "serial":
-            return 1
-        workers = self.workers if self.workers is not None \
-            else (os.cpu_count() or 1)
-        if self.auto_calibrate and (os.cpu_count() or 1) == 1:
-            return 1
-        return workers
-
-    def effective_backend(self) -> str:
-        """``serial`` whenever a pool would not help.
-
-        One resolved worker never benefits from a pool — including any
-        pool on a single-core host under ``auto_calibrate``.
-        """
-        if self.backend == "serial" or self.resolve_workers() == 1:
-            return "serial"
-        return self.backend
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.effective_backend() != "serial"
+        """The concrete worker count: the request, at most one per core."""
+        cores = os.cpu_count() or 1
+        return min(cores if self.workers is None else self.workers, cores)
 
 
 class ClusterTrainingError(RuntimeError):
-    """A pool worker failed while training one cluster's micro model.
+    """Training one cluster's micro model failed (on any backend).
 
     Carries the cluster ``label`` so build failures are attributable; the
     original exception is chained as ``__cause__``.
@@ -140,6 +123,15 @@ class BuildTelemetry:
     obs: Observability = field(default_factory=Observability,
                                repr=False, compare=False)
 
+    @classmethod
+    def for_build(cls, parallel: ParallelConfig,
+                  obs: Observability) -> "BuildTelemetry":
+        """Telemetry labelled with what ``parallel`` resolves to on this
+        host: one worker is ``serial x1`` whatever pool was asked for."""
+        workers = parallel.resolve_workers()
+        return cls(backend=parallel.backend if workers > 1 else "serial",
+                   workers=workers, obs=obs)
+
     @property
     def total_seconds(self) -> float:
         return sum(self.stage_seconds.values())
@@ -147,12 +139,10 @@ class BuildTelemetry:
     def summary_lines(self) -> list[str]:
         """A printable per-stage breakdown (CLI ``prepare`` and quickstart).
 
-        The stage table renders through
-        :func:`repro.bench.runner.format_table` — the same renderer the
-        playback summary and the benchmark tables use.
+        The stage table renders through :func:`repro.obs.format_table`
+        — the same renderer the playback summary and the benchmark tables
+        use.
         """
-        from ..bench.runner import format_table
-
         rows = [[name, self.stage_seconds[name]]
                 for name in BUILD_STAGES if name in self.stage_seconds]
         rows.append(["total", self.total_seconds])
@@ -169,16 +159,13 @@ class BuildTelemetry:
 
 
 @contextmanager
-def stage_timer(telemetry: BuildTelemetry | None, name: str):
+def stage_timer(telemetry: BuildTelemetry, name: str):
     """Accumulate wall-clock of the enclosed block into ``telemetry``.
 
     Opens a staged span on the telemetry's tracer (so the block nests any
     spans it creates) and mirrors the elapsed seconds into
     ``stage_seconds`` and the ``dcsr_build_stage_seconds_total`` counter.
     """
-    if telemetry is None:
-        yield
-        return
     obs = telemetry.obs
     span = None
     try:
@@ -194,12 +181,37 @@ def stage_timer(telemetry: BuildTelemetry | None, name: str):
             ).inc(span.elapsed, stage=name)
 
 
-def make_executor(config: ParallelConfig) -> Executor | None:
-    """An executor for ``config``, or ``None`` for the serial path."""
-    backend = config.effective_backend()
-    if backend == "serial":
-        return None
+def _settle(call, task, wrap):
+    try:
+        return call()
+    except Exception as exc:
+        if wrap is None:
+            raise
+        raise wrap(task, exc) from exc
+
+
+def run_tasks(config: ParallelConfig, fn, tasks: list, wrap=None) -> list:
+    """``[fn(*task) for task in tasks]``, on as many workers as resolve.
+
+    One worker calls ``fn`` inline; more submit the same calls to a
+    ``config.backend`` pool and collect in submission order — so ``fn``
+    must be a module-level function taking and returning picklable
+    values, whichever way it ends up running.
+
+    A task exception aborts the stage: pending tasks are cancelled and
+    the failure re-raised — as ``wrap(task, exc)`` chained to the original
+    when ``wrap`` is given (training attaches the cluster id this way),
+    raw otherwise — so a bad task is attributable instead of hanging the
+    build.
+    """
     workers = config.resolve_workers()
-    if backend == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    return ThreadPoolExecutor(max_workers=workers)
+    if workers == 1:
+        return [_settle(partial(fn, *task), task, wrap) for task in tasks]
+    with BACKENDS[config.backend](max_workers=workers) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        try:
+            return [_settle(future.result, task, wrap)
+                    for task, future in zip(tasks, futures)]
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise

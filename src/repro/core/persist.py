@@ -11,7 +11,11 @@ Layout::
     <root>/
       manifest.json
       segments/segment-0000.bin ...
-      models/model-00.npz ...
+      models/model-00.npz ...            (model-00-<tier>.npz for tiers)
+
+The path helpers below are the one spelling of that layout; the HTTP
+transport (:mod:`repro.net.transport`) serves and mirrors packages
+through them.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import nn
 from ..sr import EDSR, EdsrConfig, SrTrainConfig
 from ..video.codec import (CodecConfig, EncodedFrameInfo, EncodedSegment,
                            EncodedVideo)
@@ -31,9 +36,40 @@ from ..video.segment import Segment
 from .manifest import (ModelTierRecord, QuantizationRecord, SegmentRecord,
                        VideoManifest)
 
-__all__ = ["StoredPackage", "TrainingCache", "save_package", "load_package"]
+__all__ = ["StoredPackage", "TrainingCache", "save_package", "load_package",
+           "MANIFEST_PATH", "segment_path", "model_path", "make_package_dirs"]
 
 _FORMAT_VERSION = 1
+
+#: Path of the manifest, relative to the package root (as all paths here).
+MANIFEST_PATH = "manifest.json"
+
+
+def segment_path(index: int) -> str:
+    """Relative path of one segment bitstream."""
+    return f"segments/segment-{int(index):04d}.bin"
+
+
+def model_path(key: int | str, tier: str | None = None) -> str:
+    """Relative path of one micro-model checkpoint.
+
+    ``key`` is a bare label (with ``tier`` naming a tier checkpoint, the
+    base model otherwise) or the client's tier key
+    ``"label:tier:precision"`` — the tier checkpoint file is shared
+    across precisions (quantized kernels derive deterministically from
+    the fp32 weights, so no separate artifact exists to ship).
+    """
+    if isinstance(key, str) and ":" in key:
+        key, tier, _precision = key.split(":", 2)
+    suffix = f"-{tier}" if tier else ""
+    return f"models/model-{int(key):02d}{suffix}.npz"
+
+
+def make_package_dirs(root: str | Path) -> Path:
+    """Create the (empty) directories of the layout under ``root``."""
+    for path in (segment_path(0), model_path(0)):
+        (Path(root) / path).parent.mkdir(parents=True, exist_ok=True)
+    return Path(root)
 
 
 @dataclass
@@ -58,9 +94,7 @@ class StoredPackage:
 
 def save_package(package, root: str | Path) -> Path:
     """Persist a package's client-facing artifacts under ``root``."""
-    root = Path(root)
-    (root / "segments").mkdir(parents=True, exist_ok=True)
-    (root / "models").mkdir(parents=True, exist_ok=True)
+    root = make_package_dirs(root)
 
     manifest = package.manifest
     meta = {
@@ -77,11 +111,7 @@ def save_package(package, root: str | Path) -> Path:
             "search_range": package.encoded.config.search_range,
             "extra_i_interval": package.encoded.config.extra_i_interval,
         },
-        "segments": [
-            {"index": s.index, "start": s.start, "n_frames": s.n_frames,
-             "model_label": s.model_label}
-            for s in manifest.segments
-        ],
+        "segments": [asdict(s) for s in manifest.segments],
         # Per-frame accounting (display, type, coded bits) so loaded
         # packages keep i_frame_displays / bits_by_type — and so the
         # fleet's trace-mode SR-demand model can count I frames.
@@ -98,16 +128,7 @@ def save_package(package, root: str | Path) -> Path:
             }
             for label, records in manifest.quantization.items()
         },
-        "model_configs": {
-            str(label): {
-                "n_resblocks": model.config.n_resblocks,
-                "n_filters": model.config.n_filters,
-                "scale": model.config.scale,
-                "res_scale": model.config.res_scale,
-                "kernel_size": model.config.kernel_size,
-            }
-            for label, model in package.models.items()
-        },
+        "model_configs": _model_configs(package.models),
     }
     # Tier table + tier checkpoints are additive optional keys: packages
     # built without tiers keep the exact v1 layout.
@@ -129,33 +150,41 @@ def save_package(package, root: str | Path) -> Path:
         }
     if tier_models:
         meta["tier_model_configs"] = {
-            tier: {
-                str(label): {
-                    "n_resblocks": model.config.n_resblocks,
-                    "n_filters": model.config.n_filters,
-                    "scale": model.config.scale,
-                    "res_scale": model.config.res_scale,
-                    "kernel_size": model.config.kernel_size,
-                }
-                for label, model in models.items()
-            }
-            for tier, models in tier_models.items()
-        }
-    with open(root / "manifest.json", "w") as handle:
+            tier: _model_configs(models)
+            for tier, models in tier_models.items()}
+    with open(root / MANIFEST_PATH, "w") as handle:
         json.dump(meta, handle, indent=2)
 
     for segment in package.encoded.segments:
-        path = root / "segments" / f"segment-{segment.index:04d}.bin"
-        path.write_bytes(segment.payload)
-
-    from .. import nn
-    for label, model in package.models.items():
-        nn.save_model(model, root / "models" / f"model-{label:02d}.npz")
-    for tier, models in tier_models.items():
+        (root / segment_path(segment.index)).write_bytes(segment.payload)
+    for tier, models in [(None, package.models), *tier_models.items()]:
         for label, model in models.items():
-            nn.save_model(model,
-                          root / "models" / f"model-{label:02d}-{tier}.npz")
+            nn.save_model(model, root / model_path(label, tier))
     return root
+
+
+def _model_configs(models: dict[int, EDSR]) -> dict[str, dict]:
+    """The manifest's per-label architecture block for ``models``."""
+    return {
+        str(label): {
+            "n_resblocks": model.config.n_resblocks,
+            "n_filters": model.config.n_filters,
+            "scale": model.config.scale,
+            "res_scale": model.config.res_scale,
+            "kernel_size": model.config.kernel_size,
+        }
+        for label, model in models.items()
+    }
+
+
+def _load_models(root: Path, configs: dict[str, dict],
+                 tier: str | None = None) -> dict[int, EDSR]:
+    """The checkpoints a ``_model_configs`` block describes."""
+    models: dict[int, EDSR] = {}
+    for label, cfg in configs.items():
+        models[int(label)] = EDSR(EdsrConfig(**cfg))
+        nn.load_model(models[int(label)], root / model_path(label, tier))
+    return models
 
 
 class TrainingCache:
@@ -212,14 +241,12 @@ class TrainingCache:
         path = self.path(key)
         if not path.exists():
             return None
-        from .. import nn
         model = EDSR(config)
         nn.load_model(model, path)
         return model
 
     def put(self, key: str, model: EDSR) -> Path:
         """Store ``model`` under ``key`` (atomic; last writer wins)."""
-        from .. import nn
         path = self.path(key)
         tmp = path.with_name(f".tmp-{os.getpid()}-{key}.npz")
         nn.save_model(model, tmp)
@@ -230,7 +257,7 @@ class TrainingCache:
 def load_package(root: str | Path) -> StoredPackage:
     """Load a package previously written by :func:`save_package`."""
     root = Path(root)
-    manifest_path = root / "manifest.json"
+    manifest_path = root / MANIFEST_PATH
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest at {manifest_path}")
     with open(manifest_path) as handle:
@@ -265,18 +292,13 @@ def load_package(root: str | Path) -> StoredPackage:
         enhance_in_loop=bool(meta.get("enhance_in_loop", True)),
     )
 
-    codec = CodecConfig(
-        crf=meta["codec"]["crf"], n_b_frames=meta["codec"]["n_b_frames"],
-        search_range=meta["codec"]["search_range"],
-        extra_i_interval=meta["codec"]["extra_i_interval"],
-    )
     encoded = EncodedVideo(width=meta["width"], height=meta["height"],
-                           fps=meta["fps"], config=codec)
+                           fps=meta["fps"],
+                           config=CodecConfig(**meta["codec"]))
     frame_info = meta.get("frame_info", {})  # absent in older packages
     segments = []
     for record in manifest.segments:
-        payload = (root / "segments"
-                   / f"segment-{record.index:04d}.bin").read_bytes()
+        payload = (root / segment_path(record.index)).read_bytes()
         frames = [EncodedFrameInfo(display=d, ftype=t, n_bits=b)
                   for d, t, b in frame_info.get(str(record.index), [])]
         encoded.segments.append(EncodedSegment(
@@ -285,24 +307,9 @@ def load_package(root: str | Path) -> StoredPackage:
         segments.append(Segment(index=record.index, start=record.start,
                                 end=record.end))
 
-    from .. import nn
-    models: dict[int, EDSR] = {}
-    for label_str, cfg in meta["model_configs"].items():
-        label = int(label_str)
-        model = EDSR(EdsrConfig(**cfg))
-        nn.load_model(model, root / "models" / f"model-{label:02d}.npz")
-        models[label] = model
-
-    tier_models: dict[str, dict[int, EDSR]] = {}
-    for tier, configs in meta.get("tier_model_configs", {}).items():
-        by_label: dict[int, EDSR] = {}
-        for label_str, cfg in configs.items():
-            label = int(label_str)
-            model = EDSR(EdsrConfig(**cfg))
-            nn.load_model(model,
-                          root / "models" / f"model-{label:02d}-{tier}.npz")
-            by_label[label] = model
-        tier_models[tier] = by_label
-
-    return StoredPackage(manifest=manifest, encoded=encoded, models=models,
+    tier_models = {
+        tier: _load_models(root, configs, tier)
+        for tier, configs in meta.get("tier_model_configs", {}).items()}
+    return StoredPackage(manifest=manifest, encoded=encoded,
+                         models=_load_models(root, meta["model_configs"]),
                          segments=segments, tier_models=tier_models)

@@ -13,22 +13,24 @@ The result, a :class:`DcsrPackage`, is what a CDN would host: the encoded
 segments, the manifest, and the micro models.
 
 The independent stages — per-segment encode/decode, per-chunk VAE feature
-extraction, per-cluster training — fan out over a
-:class:`~repro.core.parallel.ParallelConfig`-selected worker pool, and
+extraction, per-cluster training — are each one task list run through
+:func:`~repro.core.parallel.run_tasks` (inline at one worker, over a
+:class:`~repro.core.parallel.ParallelConfig`-selected pool otherwise), and
 per-cluster training runs are memoized in an optional content-addressed
-:class:`~repro.core.persist.TrainingCache`.  Serial and parallel builds
-are bit-identical for the same seed (see ``docs/performance.md`` for the
-determinism contract); the serial backend is the exact sequential code
-path.
+:class:`~repro.core.persist.TrainingCache`.  Builds are bit-identical for
+the same seed at any worker count because there is only the one task
+function per stage (see ``docs/performance.md`` for the determinism
+contract).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .. import nn
 from ..obs import MonotonicClock, Observability
 
 from ..clustering import KSelection, max_k_for_budget, select_k
@@ -42,7 +44,6 @@ from ..features import (
 from ..sr import (
     EDSR,
     EdsrConfig,
-    InferenceEngine,
     QUALITY_BIG_CONFIG,
     QUANT_PRECISIONS,
     SrTrainConfig,
@@ -51,7 +52,7 @@ from ..sr import (
     train_sr,
     training_flops_estimate,
 )
-from ..video.quality import psnr
+from ..sr.quantize import CALIBRATION_FRAMES, clamped_psnr
 from ..video import VideoClip, detect_segments, fixed_length_segments, yuv420_to_rgb
 from ..video.codec import (
     CodecConfig,
@@ -68,7 +69,7 @@ from .parallel import (
     BuildTelemetry,
     ClusterTrainingError,
     ParallelConfig,
-    make_executor,
+    run_tasks,
     stage_timer,
 )
 from .persist import TrainingCache
@@ -86,7 +87,7 @@ class ServerConfig:
     budget (Eq. 3) — it is the single model NAS/NEMO would ship.
 
     ``parallel`` fans the independent stages out over a worker pool (the
-    default is the serial code path); ``train_cache_dir`` enables the
+    default is one worker, inline); ``train_cache_dir`` enables the
     content-addressed training cache so rebuilding a video with unchanged
     clusters skips training.
     """
@@ -150,64 +151,35 @@ class DcsrPackage:
 
 
 # ----------------------------------------------------------------------
-# Pool worker tasks.  Module-level so they pickle by reference for the
-# process backend; each receives everything it needs (no shared state) and
-# performs exactly the operations of the serial path, so results are
-# bit-identical at any worker count.
+# Stage tasks, run through ``run_tasks``.  Module-level so they pickle by
+# reference for the process backend; each receives everything it needs (no
+# shared state) and is the only implementation of its stage, so results
+# are bit-identical at any worker count.
 
-def _encode_segment_task(args) -> EncodedSegment:
-    codec, frames, segment = args
+def _encode_segment_task(codec, frames, segment) -> EncodedSegment:
     return Encoder(codec).encode_segment(frames, segment)
 
 
-def _decode_segment_task(args):
-    segment, width, height = args
-    return segment.index, Decoder().decode_segment(segment, width, height)
+def _decode_segment_task(segment, width, height):
+    return Decoder().decode_segment(segment, width, height)
 
 
-def _embed_chunk_task(args) -> np.ndarray:
-    blob, latent_dim, input_size, frames = args
-    from .. import nn
+def _embed_chunk_task(blob, latent_dim, input_size, frames) -> np.ndarray:
     vae = ConvVAE(latent_dim=latent_dim, input_size=input_size)
     nn.deserialize_from_bytes(vae, blob)
     return extract_features(vae, frames)
 
 
-def _train_cluster_task(args):
-    label, model_config, seed, lq, hr, train_config = args
-    from .. import nn
+def _train_cluster_task(label, model_config, seed, lq, hr, train_config):
     model = EDSR(model_config, seed=seed)
     # An Observability session holds locks and cannot cross the process
-    # boundary; workers time against a local clock and the parent records
+    # boundary; the task times against a local clock and the parent records
     # the measured seconds into its own trace.
     clock = MonotonicClock()
     t0 = clock.now()
-    train_sr(model, lq, hr, train_config)
-    return label, nn.serialize_to_bytes(model), clock.now() - t0
-
-
-def _run_pool(executor: Executor, fn, tasks, labels, wrap=None):
-    """Submit ``tasks`` and collect results in submission order.
-
-    A worker exception aborts the build: pending tasks are cancelled and
-    the failure re-raised — wrapped via ``wrap(label, exc)`` when given
-    (training attaches the cluster id this way), raw otherwise — so a bad
-    task is attributable instead of hanging the build.
-    """
-    futures = [executor.submit(fn, task) for task in tasks]
-    results = []
-    try:
-        for label, future in zip(labels, futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                if wrap is None or isinstance(exc, ClusterTrainingError):
-                    raise
-                raise wrap(label, exc) from exc
-    except BaseException:
-        executor.shutdown(wait=True, cancel_futures=True)
-        raise
-    return results
+    history = train_sr(model, lq, hr, train_config)
+    return (label, nn.serialize_to_bytes(model), clock.now() - t0,
+            history.epoch_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +190,7 @@ def prepare_video(
     telemetry: BuildTelemetry | None = None,
 ) -> tuple[list[Segment], EncodedVideo, DecodedVideo]:
     """Steps 1-2: split and encode the video, then decode the LQ version."""
+    telemetry = telemetry or BuildTelemetry()
     with stage_timer(telemetry, "split"):
         if config.fixed_segment_len is not None:
             segments = fixed_length_segments(clip.n_frames,
@@ -228,96 +201,47 @@ def prepare_video(
                 min_length=config.min_segment_len,
                 max_length=config.max_segment_len)
     with stage_timer(telemetry, "encode"):
-        executor = make_executor(config.parallel)
-        if executor is None:
-            encoded = Encoder(config.codec).encode(clip.frames, segments,
-                                                   fps=clip.fps)
-            decoded = Decoder().decode_video(encoded)
-        else:
-            with executor:
-                encoded = _encode_parallel(clip, segments, config, executor)
-                decoded = _decode_parallel(encoded, executor)
+        encoded = EncodedVideo(width=clip.width, height=clip.height,
+                               fps=clip.fps, config=config.codec)
+        encoded.segments.extend(run_tasks(
+            config.parallel, _encode_segment_task,
+            [(config.codec, clip.frames[seg.start:seg.end], seg)
+             for seg in sorted(segments, key=lambda s: s.start)]))
+        decoded = DecodedVideo.in_display_order(encoded, [
+            frame for frames in run_tasks(
+                config.parallel, _decode_segment_task,
+                [(seg, encoded.width, encoded.height)
+                 for seg in encoded.segments])
+            for frame in frames])
     return segments, encoded, decoded
-
-
-def _encode_parallel(
-    clip: VideoClip, segments: list[Segment], config: ServerConfig,
-    executor: Executor,
-) -> EncodedVideo:
-    ordered = sorted(segments, key=lambda s: s.start)
-    tasks = [(config.codec, clip.frames[seg.start:seg.end], seg)
-             for seg in ordered]
-    coded = _run_pool(executor, _encode_segment_task, tasks,
-                      [seg.index for seg in ordered])
-    video = EncodedVideo(width=clip.width, height=clip.height, fps=clip.fps,
-                         config=config.codec)
-    video.segments.extend(coded)
-    return video
-
-
-def _decode_parallel(encoded: EncodedVideo, executor: Executor) -> DecodedVideo:
-    tasks = [(seg, encoded.width, encoded.height) for seg in encoded.segments]
-    decoded_segments = _run_pool(executor, _decode_segment_task, tasks,
-                                 [seg.index for seg in encoded.segments])
-    by_display = {}
-    for _index, frames in decoded_segments:
-        for item in frames:
-            by_display[item.display] = item
-    result = DecodedVideo(width=encoded.width, height=encoded.height,
-                          fps=encoded.fps)
-    for display in sorted(by_display):
-        item = by_display[display]
-        result.frames.append(item.frame)
-        result.frame_types.append(item.ftype)
-        result.frame_bits.append(item.n_bits)
-    return result
-
-
-def _extract_features_parallel(
-    vae: ConvVAE, frames: np.ndarray, config: ParallelConfig,
-    executor: Executor,
-) -> np.ndarray:
-    from .. import nn
-    blob = nn.serialize_to_bytes(vae)
-    chunk = config.chunk_size
-    starts = list(range(0, len(frames), chunk))
-    tasks = [(blob, vae.latent_dim, vae.input_size, frames[s:s + chunk])
-             for s in starts]
-    parts = _run_pool(executor, _embed_chunk_task, tasks, starts)
-    return np.concatenate(parts, axis=0)
 
 
 def _train_models(
     config: ServerConfig, labels: np.ndarray,
     lq_i: np.ndarray, hr_i: np.ndarray, telemetry: BuildTelemetry,
-    model_config: EdsrConfig | None = None, seed_base: int | None = None,
-    tier: str | None = None,
+    model_config: EdsrConfig, seed_base: int, tier: str | None = None,
 ) -> dict[int, EDSR]:
-    """Stage 5: one micro model per cluster, cache-aware and pool-aware.
+    """Stage 5: one ``model_config`` model per cluster, cache-aware.
 
-    ``model_config`` / ``seed_base`` override the architecture and the
-    seed origin (tier training passes the tier's preset and a
-    tier-specific seed base so tier weights never alias the base micro
-    models); ``tier`` tags the per-cluster spans.
+    ``seed_base`` is the seed origin (tier training passes a tier-specific
+    one so tier weights never alias the base micro models); ``tier`` tags
+    the per-cluster spans.
     """
-    model_config = model_config if model_config is not None \
-        else config.micro_config
-    seed_base = seed_base if seed_base is not None else config.seed
     cache = (TrainingCache(config.train_cache_dir)
              if config.train_cache_dir is not None else None)
     obs = telemetry.obs
     span_extra = {} if tier is None else {"tier": tier}
     models: dict[int, EDSR] = {}
-    pending = []  # (label, seed, lq_member, hr_member, cache_key)
+    tasks = []
+    keys = {}  # label -> cache key of a cluster that has to train
     for label in sorted(set(int(l) for l in labels)):
         member = labels == label
         lq_m, hr_m = lq_i[member], hr_i[member]
         seed = seed_base + label
-        key = None
         if cache is not None:
-            key = cache.key(lq_m, hr_m, model_config, config.sr_train,
-                            seed)
-            cached = cache.get(key, model_config)
+            keys[label] = cache.key(lq_m, hr_m, model_config,
+                                    config.sr_train, seed)
+            cached = cache.get(keys[label], model_config)
             if cached is not None:
                 models[label] = cached
                 telemetry.cache_hits += 1
@@ -329,49 +253,34 @@ def _train_models(
             obs.metrics.counter(
                 "dcsr_train_cache_misses_total",
                 "Clusters trained because the cache had no entry").inc()
-        pending.append((label, seed, lq_m, hr_m, key))
+        tasks.append((label, model_config, seed, lq_m, hr_m, config.sr_train))
 
-    executor = make_executor(config.parallel)
-    if executor is None:
-        for label, seed, lq_m, hr_m, key in pending:
-            model = EDSR(model_config, seed=seed)
-            # Unstaged child of the open "train" stage span, so the train
-            # stage keeps its full duration while each cluster stays
-            # attributable in the tree.
-            with obs.tracer.span("train_cluster", cluster=label,
-                                 **span_extra) as sp:
-                train_sr(model, lq_m, hr_m, config.sr_train, obs=obs)
-            if tier is None:
-                telemetry.train_seconds_per_cluster[label] = sp.elapsed
-            models[label] = model
-            if cache is not None:
-                cache.put(key, model)
-    else:
-        from .. import nn
-        seeds = {label: seed for label, seed, _l, _h, _key in pending}
-        tasks = [(label, model_config, seed, lq_m, hr_m,
-                  config.sr_train)
-                 for label, seed, lq_m, hr_m, _key in pending]
-        with executor:
-            results = _run_pool(
-                executor, _train_cluster_task, tasks,
-                [label for label, *_rest in pending],
-                wrap=lambda label, exc: ClusterTrainingError(label, str(exc)))
-        keys = {label: key for label, _s, _l, _h, key in pending}
-        for label, blob, seconds in results:
-            model = EDSR(model_config, seed=seeds[int(label)])
-            nn.deserialize_from_bytes(model, blob)
-            if tier is None:
-                telemetry.train_seconds_per_cluster[int(label)] = seconds
-            obs.tracer.record("train_cluster", seconds, cluster=int(label),
-                              worker="process", **span_extra)
-            models[int(label)] = model
-            if cache is not None:
-                cache.put(keys[int(label)], model)
+    results = run_tasks(
+        config.parallel, _train_cluster_task, tasks,
+        wrap=lambda task, exc: ClusterTrainingError(task[0], str(exc)))
+    for label, blob, seconds, epoch_seconds in results:
+        model = EDSR(model_config)
+        nn.deserialize_from_bytes(model, blob)
+        # Unstaged children of the open "train" stage span, so the train
+        # stage keeps its full duration while each cluster stays
+        # attributable in the tree.
+        span = obs.tracer.record("train_cluster", seconds, cluster=label,
+                                 **span_extra)
+        obs.tracer.record("train_sr", sum(epoch_seconds), parent=span,
+                          epochs=len(epoch_seconds))
+        epoch_hist = obs.metrics.histogram(
+            "dcsr_sr_epoch_seconds", "Wall seconds per SR training epoch")
+        for epoch in epoch_seconds:
+            epoch_hist.observe(epoch)
+        if tier is None:
+            telemetry.train_seconds_per_cluster[label] = seconds
+        models[label] = model
+        if cache is not None:
+            cache.put(keys[label], model)
 
     telemetry.train_flops += (
         training_flops_estimate(EDSR(model_config), config.sr_train)
-        * len(pending))
+        * len(tasks))
     return models
 
 
@@ -387,9 +296,8 @@ def build_package(clip: VideoClip, config: ServerConfig | None = None,
     tree carries the stages as its children.
     """
     config = config or ServerConfig()
-    telemetry = BuildTelemetry(backend=config.parallel.effective_backend(),
-                               workers=config.parallel.resolve_workers(),
-                               obs=obs or Observability(root_name="server"))
+    telemetry = BuildTelemetry.for_build(
+        config.parallel, obs or Observability(root_name="server"))
     with telemetry.obs.tracer.span("build", video=clip.name):
         return _build_package(clip, config, telemetry)
 
@@ -415,14 +323,11 @@ def _build_package(clip: VideoClip, config: ServerConfig,
         # Chunk boundaries are fixed by ``chunk_size`` — never by worker
         # count — because BLAS kernels differ by matrix shape, so only
         # identical per-call batches embed bit-identically.
-        executor = make_executor(config.parallel)
-        if executor is None:
-            features = extract_features(vae, hr_i,
-                                        chunk_size=config.parallel.chunk_size)
-        else:
-            with executor:
-                features = _extract_features_parallel(
-                    vae, hr_i, config.parallel, executor)
+        blob, chunk = nn.serialize_to_bytes(vae), config.parallel.chunk_size
+        features = np.concatenate(run_tasks(
+            config.parallel, _embed_chunk_task,
+            [(blob, vae.latent_dim, vae.input_size, hr_i[s:s + chunk])
+             for s in range(0, len(hr_i), chunk)]), axis=0)
 
     # Constrained K selection (Eq. 2-3).
     with stage_timer(telemetry, "cluster"):
@@ -441,7 +346,8 @@ def _build_package(clip: VideoClip, config: ServerConfig,
 
     # One micro model per cluster, trained on the cluster's I frames only.
     with stage_timer(telemetry, "train"):
-        models = _train_models(config, labels, lq_i, hr_i, telemetry)
+        models = _train_models(config, labels, lq_i, hr_i, telemetry,
+                               config.micro_config, config.seed)
 
     # Quantization calibration: measure, per model and precision, the PSNR
     # cost of the reduced-precision kernels on the cluster's own I-frames
@@ -465,11 +371,13 @@ def _build_package(clip: VideoClip, config: ServerConfig,
                 # Tier seed bases are spaced far beyond any plausible label
                 # count so tier weights never alias the base micro models.
                 tier_models[tier] = _train_models(
-                    config, labels, lq_i, hr_i, telemetry,
-                    model_config=tier_config,
-                    seed_base=config.seed + 1000 * (offset + 1), tier=tier)
-            tiers = _calibrate_tiers(config, labels, tier_models,
-                                     tier_configs, lq_i, hr_i, telemetry)
+                    config, labels, lq_i, hr_i, telemetry, tier_config,
+                    config.seed + 1000 * (offset + 1), tier=tier)
+            for tier in sorted(tier_models):
+                for label, records in _calibrate_models(
+                        config, labels, tier_models[tier], lq_i, hr_i,
+                        telemetry, tier=tier).items():
+                    tiers.setdefault(label, {})[tier] = records
 
     manifest = VideoManifest(
         video_name=clip.name, width=clip.width, height=clip.height,
@@ -498,85 +406,56 @@ def _build_package(clip: VideoClip, config: ServerConfig,
 def _calibrate_models(
     config: ServerConfig, labels: np.ndarray, models: dict[int, EDSR],
     lq_i: np.ndarray, hr_i: np.ndarray, telemetry: BuildTelemetry,
+    tier: str | None = None,
 ) -> dict[int, dict[str, QuantizationRecord]]:
-    """Per-model quantization calibration on each cluster's own I-frames."""
-    obs = telemetry.obs
-    quantization: dict[int, dict[str, QuantizationRecord]] = {}
-    for label, model in sorted(models.items()):
-        member = labels == label
-        with obs.tracer.span("calibrate_cluster", cluster=label):
-            results = calibrate_quantized(
-                model, lq_i[member], hr_i[member],
-                precisions=config.quantize_precisions)
-        quantization[label] = {
-            precision: QuantizationRecord(precision=precision,
-                                          size_bytes=r.size_bytes,
-                                          delta_db=r.delta_db)
-            for precision, r in results.items()
-        }
-        for precision, r in results.items():
-            obs.metrics.histogram(
-                "dcsr_quant_delta_db",
-                "Calibrated PSNR delta of quantized micro models (dB)",
-                buckets=(0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0),
-            ).observe(max(0.0, r.delta_db))
-    return quantization
+    """Per-model calibration on each cluster's own I-frames.
 
-
-#: PSNR clamp matching ``repro.sr.quantize`` so a perfect reconstruction
-#: still yields a finite, JSON-serializable gain.
-_TIER_PSNR_CLAMP_DB = 99.0
-
-#: Calibration frame cap matching ``calibrate_quantized``'s default.
-_TIER_CALIB_FRAMES = 4
-
-
-def _calibrate_tiers(
-    config: ServerConfig, labels: np.ndarray,
-    tier_models: dict[str, dict[int, EDSR]],
-    tier_configs: dict[str, EdsrConfig],
-    lq_i: np.ndarray, hr_i: np.ndarray, telemetry: BuildTelemetry,
-) -> dict[int, dict[str, dict[str, ModelTierRecord]]]:
-    """Per-(tier, cluster) calibration on the cluster's own I-frames.
-
-    ``gain_db`` is the fp32 tier model's PSNR uplift over the plain decode;
-    the per-precision ``size_bytes``/``delta_db`` come from the same
-    :func:`~repro.sr.quantize.calibrate_quantized` pass the base models use.
+    Base models (``tier is None``) get one :class:`QuantizationRecord`
+    per ``config.quantize_precisions``.  A tier's models get
+    :class:`ModelTierRecord` rows from the same
+    :func:`~repro.sr.quantize.calibrate_quantized` pass — ``fp32`` first,
+    as one more precision whose delta is 0 — each carrying the tier's
+    architecture and ``gain_db``, the fp32 tier model's PSNR uplift over
+    the plain decode.
     """
     obs = telemetry.obs
-    tiers: dict[int, dict[str, dict[str, ModelTierRecord]]] = {}
-    for tier, models in sorted(tier_models.items()):
-        tier_config = tier_configs[tier]
-        for label, model in sorted(models.items()):
-            member = labels == label
-            lq_m = lq_i[member][:_TIER_CALIB_FRAMES]
-            hr_m = hr_i[member][:_TIER_CALIB_FRAMES]
-            with obs.tracer.span("calibrate_tier", cluster=label, tier=tier):
-                base_db = min(psnr(lq_m, hr_m), _TIER_PSNR_CLAMP_DB)
-                out = InferenceEngine(model).enhance_batch(lq_m)
-                gain_db = min(psnr(out, hr_m), _TIER_PSNR_CLAMP_DB) - base_db
-                quant = (calibrate_quantized(
-                             model, lq_i[member], hr_i[member],
-                             precisions=config.quantize_precisions)
-                         if config.quantize_precisions else {})
-            records = {"fp32": ModelTierRecord(
-                precision="fp32", size_bytes=model.size_bytes(),
-                delta_db=0.0, tier=tier,
-                n_resblocks=tier_config.n_resblocks,
-                n_filters=tier_config.n_filters, gain_db=gain_db)}
-            for precision, r in quant.items():
-                records[precision] = ModelTierRecord(
-                    precision=precision, size_bytes=r.size_bytes,
-                    delta_db=r.delta_db, tier=tier,
-                    n_resblocks=tier_config.n_resblocks,
-                    n_filters=tier_config.n_filters, gain_db=gain_db)
-            tiers.setdefault(label, {})[tier] = records
+    precisions = config.quantize_precisions
+    span_name, span_extra = "calibrate_cluster", {}
+    if tier is not None:
+        precisions = ("fp32",) + precisions
+        span_name, span_extra = "calibrate_tier", {"tier": tier}
+    table: dict[int, dict[str, QuantizationRecord]] = {}
+    for label, model in sorted(models.items()):
+        member = labels == label
+        lq_m, hr_m = lq_i[member], hr_i[member]
+        with obs.tracer.span(span_name, cluster=label, **span_extra):
+            results = calibrate_quantized(model, lq_m, hr_m,
+                                          precisions=precisions)
+        record = QuantizationRecord
+        if tier is not None:
+            gain_db = results["fp32"].psnr_fp32 - clamped_psnr(
+                lq_m[:CALIBRATION_FRAMES], hr_m[:CALIBRATION_FRAMES])
+            record = partial(ModelTierRecord, tier=tier, gain_db=gain_db,
+                             n_resblocks=model.config.n_resblocks,
+                             n_filters=model.config.n_filters)
             obs.metrics.histogram(
                 "dcsr_tier_gain_db",
                 "Calibrated fp32 PSNR uplift of tier models (dB)",
                 buckets=(0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
             ).observe(max(0.0, gain_db))
-    return tiers
+        table[label] = {
+            precision: record(precision=precision, size_bytes=r.size_bytes,
+                              delta_db=r.delta_db)
+            for precision, r in results.items()
+        }
+        if tier is None:
+            for r in results.values():
+                obs.metrics.histogram(
+                    "dcsr_quant_delta_db",
+                    "Calibrated PSNR delta of quantized micro models (dB)",
+                    buckets=(0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0),
+                ).observe(max(0.0, r.delta_db))
+    return table
 
 
 def _validate_in_loop(package: DcsrPackage, clip: VideoClip) -> bool:

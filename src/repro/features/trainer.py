@@ -110,21 +110,11 @@ def train_vae(
     return history
 
 
-def extract_features(
-    vae: ConvVAE, frames: np.ndarray, chunk_size: int | None = None,
-) -> np.ndarray:
+def extract_features(vae: ConvVAE, frames: np.ndarray) -> np.ndarray:
     """Embed RGB frames ``(N, H, W, 3)`` into ``(N, latent_dim)`` features.
 
-    ``chunk_size`` embeds the frames in batches of that many.  Each frame's
-    embedding is an independent row of the underlying GEMMs, so chunked and
-    whole-batch extraction are bit-identical — which is what lets the
-    parallel server build fan chunks out across workers.
+    Each frame's embedding is an independent row of the underlying GEMMs,
+    which is what lets the server build embed the I frames in fixed-size
+    chunks, one task per chunk.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    batch = frames_to_batch(frames, vae.input_size)
-    if chunk_size is None or chunk_size >= batch.shape[0]:
-        return vae.embed(batch)
-    return np.concatenate(
-        [vae.embed(batch[start:start + chunk_size])
-         for start in range(0, batch.shape[0], chunk_size)], axis=0)
+    return vae.embed(frames_to_batch(frames, vae.input_size))

@@ -16,6 +16,7 @@ and is asyncio-only — no ``threading`` (AST-guarded by
 ``tests/net/test_no_threads_net.py``).
 """
 
+from ..core.persist import model_path, segment_path
 from .chaos import FAULTS, ChaosConfig, ChaosProxy
 from .origin import DcsrOrigin, OriginConfig
 from .transport import (
@@ -26,8 +27,6 @@ from .transport import (
     TransportError,
     TruncatedBody,
     mirror_package,
-    model_path,
-    segment_path,
 )
 
 __all__ = [

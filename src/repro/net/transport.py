@@ -44,6 +44,8 @@ import json
 from pathlib import Path
 
 from ..core.network import DownloadError, DownloadStats, NetworkConfig
+from ..core.persist import (MANIFEST_PATH, make_package_dirs, model_path,
+                            segment_path)
 from ..obs import Observability, SimulatedClock, wall_clock
 
 __all__ = [
@@ -53,8 +55,6 @@ __all__ = [
     "StalledRead",
     "HttpStatusError",
     "HttpTransport",
-    "segment_path",
-    "model_path",
     "mirror_package",
 ]
 
@@ -81,25 +81,6 @@ class HttpStatusError(TransportError):
     def __init__(self, message: str, status: int, **kwargs):
         super().__init__(message, **kwargs)
         self.status = int(status)
-
-
-def segment_path(index: int) -> str:
-    """URL path of one segment bitstream (mirrors the on-disk layout)."""
-    return f"segments/segment-{int(index):04d}.bin"
-
-
-def model_path(key: int | str) -> str:
-    """URL path of one micro-model checkpoint.
-
-    ``key`` is a bare label (base model) or the client's tier key
-    ``"label:tier:precision"`` — the tier checkpoint file is shared
-    across precisions (quantized kernels derive deterministically from
-    the fp32 weights, so no separate artifact exists to ship).
-    """
-    if isinstance(key, str) and ":" in key:
-        label, tier, _precision = key.split(":", 2)
-        return f"models/model-{int(label):02d}-{tier}.npz"
-    return f"models/model-{int(key):02d}.npz"
 
 
 class HttpTransport:
@@ -200,7 +181,7 @@ class HttpTransport:
         if kind == "model":
             return model_path(key)
         if kind == "manifest":
-            return "manifest.json"
+            return MANIFEST_PATH
         raise ValueError(f"unknown payload kind {kind!r}")
 
     def download(self, kind: str, key: int | str, n_bytes: int) -> float:
@@ -369,21 +350,16 @@ def mirror_package(transport: HttpTransport, dest: str | Path) -> Path:
     reads.  The transferred bytes are the package — a client playing the
     mirror is playing what the socket delivered, bit for bit.
     """
-    dest = Path(dest)
-    (dest / "segments").mkdir(parents=True, exist_ok=True)
-    (dest / "models").mkdir(parents=True, exist_ok=True)
+    dest = make_package_dirs(dest)
     manifest_bytes = transport.fetch("manifest", "")
-    (dest / "manifest.json").write_bytes(manifest_bytes)
+    (dest / MANIFEST_PATH).write_bytes(manifest_bytes)
     meta = json.loads(manifest_bytes)
-    for record in meta["segments"]:
-        path = segment_path(record["index"])
-        (dest / path).write_bytes(transport.fetch("segment", record["index"]))
-    for label in meta["model_configs"]:
-        path = model_path(int(label))
-        (dest / path).write_bytes(transport.fetch("model", int(label)))
-    for tier, configs in meta.get("tier_model_configs", {}).items():
-        for label in configs:
-            key = f"{int(label)}:{tier}:fp32"
-            (dest / model_path(key)).write_bytes(
-                transport.fetch("model", key))
+    keys = [("segment", record["index"]) for record in meta["segments"]]
+    keys += [("model", int(label)) for label in meta["model_configs"]]
+    keys += [("model", f"{int(label)}:{tier}:fp32")
+             for tier, configs in meta.get("tier_model_configs", {}).items()
+             for label in configs]
+    for kind, key in keys:
+        (dest / transport.path_for(kind, key)).write_bytes(
+            transport.fetch(kind, key))
     return dest

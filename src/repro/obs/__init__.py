@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from .clock import Clock, MonotonicClock, SimulatedClock, wall_clock
 from .export import (
+    cdf_points,
+    format_table,
     prometheus_text,
     render_trace_summary,
     span_from_dict,
@@ -47,6 +49,8 @@ __all__ = [
     "stage_totals",
     "prometheus_text",
     "write_metrics",
+    "format_table",
+    "cdf_points",
     "render_trace_summary",
 ]
 

@@ -10,8 +10,10 @@ Three consumers, one substrate:
   :class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus text
   exposition format (``--metrics-out``);
 - :func:`render_trace_summary` prints the per-stage breakdown through
-  :func:`repro.bench.runner.format_table` — the same renderer the
-  telemetry summaries and benchmark tables use.
+  :func:`format_table` — the same renderer the telemetry summaries and
+  benchmark tables use (it and :func:`cdf_points` live here, below every
+  layer that prints, so no layer reaches up into ``repro.bench`` for
+  them).
 
 :func:`stage_totals` defines the canonical per-stage accounting rule:
 spans carrying a ``stage`` attribute contribute their duration *minus*
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .metrics import Histogram, MetricsRegistry
 from .trace import Span, Tracer
@@ -39,6 +42,8 @@ __all__ = [
     "stage_totals",
     "prometheus_text",
     "write_metrics",
+    "format_table",
+    "cdf_points",
     "render_trace_summary",
 ]
 
@@ -200,10 +205,62 @@ def write_metrics(path: str | Path, registry: MetricsRegistry) -> Path:
 
 # ----------------------------------------------------------------- summary
 
-def render_trace_summary(trace, title: str = "trace summary") -> str:
-    """One-screen per-stage table, rendered via ``bench.runner.format_table``."""
-    from ..bench.runner import format_table     # lazy: bench imports obs
+def format_table(
+    title: str, headers: Sequence[str], rows: Iterable[Sequence],
+) -> str:
+    """Render an aligned text table.
 
+    An empty ``title`` omits the ``== title ==`` banner, so callers that
+    carry their own heading (the telemetry summaries) can still render
+    their rows through the one shared table formatter.
+    """
+    str_rows = [[_fmt(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [f"== {title} =="] if title else []
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _fmt(cell) -> str:
+    if isinstance(cell, float):
+        if cell == 0:
+            return "0"
+        if abs(cell) >= 1000 or abs(cell) < 0.01:
+            return f"{cell:.3g}"
+        return f"{cell:.2f}"
+    return str(cell)
+
+
+def cdf_points(values: Sequence[float], n_points: int = 11) -> list[tuple[float, float]]:
+    """(value, cumulative fraction) pairs at evenly spaced quantiles.
+
+    Degenerate inputs are well-defined instead of crashing: an empty
+    ``values`` yields ``[]``, and ``n_points=1`` yields the single
+    ``(max, 1.0)`` point (no zero-division on the quantile spacing).
+    """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    ordered = sorted(values)
+    if not ordered:
+        return []
+    if n_points == 1:
+        return [(ordered[-1], 1.0)]
+    out = []
+    for i in range(n_points):
+        frac = i / (n_points - 1)
+        idx = min(int(frac * (len(ordered) - 1)), len(ordered) - 1)
+        out.append((ordered[idx], frac))
+    return out
+
+
+def render_trace_summary(trace, title: str = "trace summary") -> str:
+    """One-screen per-stage table, rendered via :func:`format_table`."""
     totals = stage_totals(trace)
     counts = _stage_counts(trace)
     grand = sum(totals.values())

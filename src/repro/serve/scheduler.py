@@ -66,7 +66,7 @@ from ..core.server import DcsrPackage
 from ..core.session import FetchStage, PlayoutClock, record_segment
 from ..core.streaming import session_goodput_bps, stall_ratio
 from ..devices import DEVICES, get_device
-from ..obs import Observability
+from ..obs import Observability, cdf_points, format_table
 from .events import EventLoop, Until
 from .netpool import SharedNetworkPool
 from .shared_cache import ADMISSION_POLICIES, CacheHierarchy
@@ -337,9 +337,7 @@ class FleetTelemetry:
 
     def summary_lines(self) -> list[str]:
         """Printable fleet summary (CLI ``serve``), via the shared
-        :func:`~repro.bench.runner.format_table` renderer."""
-        from ..bench.runner import format_table
-
+        :func:`~repro.obs.format_table` renderer."""
         rows = [
             ["sessions", f"{self.completed}/{self.sessions} completed"
              + (f", {self.rejected} rejected" if self.rejected else "")],
@@ -716,7 +714,6 @@ class FleetSimulator:
             t.aggregate_goodput_bps = (
                 8.0 * (t.total_model_bytes + t.total_video_bytes)
                 / download_s)
-        from ..bench.runner import cdf_points
         t.stall_cdf = cdf_points(stalls)
 
         metrics = self.obs.metrics

@@ -29,11 +29,16 @@ from ..video.quality import psnr
 from .edsr import EDSR
 from .engine import InferenceEngine, TileReuseConfig
 
-__all__ = ["QUANT_PRECISIONS", "CalibrationResult", "calibrate_quantized",
-           "ReuseCalibration", "calibrate_reuse"]
+__all__ = ["QUANT_PRECISIONS", "CALIBRATION_FRAMES", "CalibrationResult",
+           "clamped_psnr", "calibrate_quantized", "ReuseCalibration",
+           "calibrate_reuse"]
 
 #: The reduced precisions the calibration pass measures by default.
 QUANT_PRECISIONS = ("fp16", "int8")
+
+#: Frames of a cluster a calibration pass looks at: it needs
+#: representative content, not the whole cluster.
+CALIBRATION_FRAMES = 4
 
 # PSNRs are clamped here before differencing so a perfect reconstruction
 # (infinite PSNR) still yields a finite, JSON-serializable delta.
@@ -51,13 +56,15 @@ class CalibrationResult:
     psnr_quant: float
 
 
-def _clamped_psnr(a: np.ndarray, b: np.ndarray) -> float:
+def clamped_psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """PSNR as the calibration passes difference it: finite, in dB."""
     return float(min(psnr(a, b), _PSNR_CLAMP_DB))
 
 
 def calibrate_quantized(
     model: EDSR, lq_frames: np.ndarray, hr_frames: np.ndarray,
-    precisions: tuple[str, ...] = QUANT_PRECISIONS, max_frames: int = 4,
+    precisions: tuple[str, ...] = QUANT_PRECISIONS,
+    max_frames: int = CALIBRATION_FRAMES,
 ) -> dict[str, CalibrationResult]:
     """Measure the per-precision PSNR delta and checkpoint size of ``model``.
 
@@ -65,7 +72,9 @@ def calibrate_quantized(
     decoded low-quality inputs and pristine references of the cluster the
     model was trained on (at most ``max_frames`` are used; calibration
     needs representative content, not the whole cluster).  Returns
-    ``{precision: CalibrationResult}``.
+    ``{precision: CalibrationResult}``.  ``"fp32"`` is accepted as a
+    precision: its row is the reference forward itself (delta exactly 0,
+    full checkpoint size), not a second fp32 pass.
     """
     lq = np.asarray(lq_frames, dtype=np.float32)[:max_frames]
     hr = np.asarray(hr_frames, dtype=np.float32)[:max_frames]
@@ -75,13 +84,15 @@ def calibrate_quantized(
         raise ValueError("calibration needs at least one frame")
 
     ref_out = InferenceEngine(model).enhance_batch(lq)
-    psnr_fp32 = _clamped_psnr(ref_out, hr)
+    psnr_fp32 = clamped_psnr(ref_out, hr)
 
     results: dict[str, CalibrationResult] = {}
     for precision in precisions:
-        engine = InferenceEngine(model, precision=precision)
-        quant_out = engine.enhance_batch(lq)
-        psnr_quant = _clamped_psnr(quant_out, hr)
+        if precision == "fp32":
+            psnr_quant = psnr_fp32
+        else:
+            engine = InferenceEngine(model, precision=precision)
+            psnr_quant = clamped_psnr(engine.enhance_batch(lq), hr)
         results[precision] = CalibrationResult(
             precision=precision,
             size_bytes=nn.quantized_size_bytes(model, precision),
@@ -131,14 +142,14 @@ def calibrate_reuse(
                          "frames")
 
     exact_out = InferenceEngine(model, tile=tile).enhance_batch(lq)
-    psnr_exact = _clamped_psnr(exact_out, hr)
+    psnr_exact = clamped_psnr(exact_out, hr)
 
     engine = InferenceEngine(model, tile=tile,
                              reuse=TileReuseConfig(tolerance=tolerance))
     reuse_out = engine.enhance_batch(lq)
     stats = engine.stats
     total = stats.tile_count + stats.skipped_tiles + stats.reused_tiles
-    psnr_reuse = _clamped_psnr(reuse_out, hr)
+    psnr_reuse = clamped_psnr(reuse_out, hr)
     return ReuseCalibration(
         tolerance=float(tolerance),
         reuse_rate=stats.reused_tiles / max(total, 1),

@@ -8,12 +8,12 @@ training-set-size behaviour with this trainer.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import nn
+from ..obs import wall_clock
 from ..video.quality import psnr, ssim
 from .edsr import EDSR
 from .patches import sample_patch_pairs
@@ -47,10 +47,11 @@ class SrTrainConfig:
 
 @dataclass
 class SrHistory:
-    """Per-epoch mean training loss plus the step count."""
+    """Per-epoch mean training loss and wall seconds, plus the step count."""
 
     losses: list[float] = field(default_factory=list)
     n_steps: int = 0
+    epoch_seconds: list[float] = field(default_factory=list)
 
     @property
     def final_loss(self) -> float:
@@ -59,7 +60,7 @@ class SrHistory:
 
 def train_sr(
     model: EDSR, lr_frames: np.ndarray, hr_frames: np.ndarray,
-    config: SrTrainConfig | None = None, obs=None,
+    config: SrTrainConfig | None = None,
 ) -> SrHistory:
     """Train ``model`` to map ``lr_frames`` to ``hr_frames``.
 
@@ -71,11 +72,11 @@ def train_sr(
     memoizable by its inputs in :class:`~repro.core.persist.TrainingCache`.
     Frame *order* matters: the patch sampler draws frames by index.
 
-    ``obs`` (an optional :class:`~repro.obs.Observability`) wraps the run
-    in a ``train_sr`` span and feeds per-epoch wall seconds into the
-    ``dcsr_sr_epoch_seconds`` histogram.  Pool workers pass ``None`` (the
-    session does not cross process boundaries); timing never affects the
-    trained parameters.
+    The run times its own epochs into ``SrHistory.epoch_seconds`` rather
+    than into an observability session — a session does not cross process
+    boundaries, a list of floats does — and the server build records them
+    (``train_sr`` span, ``dcsr_sr_epoch_seconds`` histogram) in the parent.
+    Timing never affects the trained parameters.
     """
     config = config or SrTrainConfig()
     loss_fn = nn.l1_loss if config.loss == "l1" else nn.mse_loss
@@ -84,32 +85,27 @@ def train_sr(
     schedule = nn.StepLR(optimizer, config.lr_decay_epochs,
                          config.lr_decay_gamma)
     patch = min(config.patch_size, lr_frames.shape[1], lr_frames.shape[2])
-    epoch_hist = (obs.metrics.histogram(
-        "dcsr_sr_epoch_seconds", "Wall seconds per SR training epoch")
-        if obs is not None else None)
+    clock = wall_clock()
 
     history = SrHistory()
-    with (obs.tracer.span("train_sr", epochs=config.epochs)
-          if obs is not None else nullcontext()):
-        for _ in range(config.epochs):
-            e0 = obs.clock.now() if obs is not None else 0.0
-            epoch_loss = 0.0
-            for _ in range(config.steps_per_epoch):
-                lr_b, hr_b = sample_patch_pairs(
-                    lr_frames, hr_frames, patch, config.batch_size, rng,
-                    scale=model.scale)
-                optimizer.zero_grad()
-                pred = model.forward(lr_b)
-                loss, grad = loss_fn(pred, hr_b)
-                model.backward(grad)
-                nn.clip_grad_norm(model.parameters(), config.grad_clip)
-                optimizer.step()
-                epoch_loss += loss
-                history.n_steps += 1
-            history.losses.append(epoch_loss / config.steps_per_epoch)
-            schedule.step()
-            if epoch_hist is not None:
-                epoch_hist.observe(obs.clock.now() - e0)
+    for _ in range(config.epochs):
+        e0 = clock.now()
+        epoch_loss = 0.0
+        for _ in range(config.steps_per_epoch):
+            lr_b, hr_b = sample_patch_pairs(
+                lr_frames, hr_frames, patch, config.batch_size, rng,
+                scale=model.scale)
+            optimizer.zero_grad()
+            pred = model.forward(lr_b)
+            loss, grad = loss_fn(pred, hr_b)
+            model.backward(grad)
+            nn.clip_grad_norm(model.parameters(), config.grad_clip)
+            optimizer.step()
+            epoch_loss += loss
+            history.n_steps += 1
+        history.losses.append(epoch_loss / config.steps_per_epoch)
+        schedule.step()
+        history.epoch_seconds.append(clock.now() - e0)
     return history
 
 

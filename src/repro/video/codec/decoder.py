@@ -18,7 +18,7 @@ describes.  NEMO's "SR only on key frames" uses the same hook; NAS-style
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -87,6 +87,20 @@ class DecodedVideo:
     def i_frame_indices(self) -> list[int]:
         return [i for i, t in enumerate(self.frame_types) if t == "I"]
 
+    @classmethod
+    def in_display_order(cls, encoded: EncodedVideo,
+                         decoded: Iterable[DecodedFrame]) -> "DecodedVideo":
+        """Every segment's decoded frames, in any order, as one video."""
+        by_display = {item.display: item for item in decoded}
+        result = cls(width=encoded.width, height=encoded.height,
+                     fps=encoded.fps)
+        for display in sorted(by_display):
+            item = by_display[display]
+            result.frames.append(item.frame)
+            result.frame_types.append(item.ftype)
+            result.frame_bits.append(item.n_bits)
+        return result
+
 
 class Decoder:
     """Decode segment bitstreams produced by :class:`~.encoder.Encoder`."""
@@ -115,18 +129,11 @@ class Decoder:
     def decode_video(self, encoded: EncodedVideo) -> DecodedVideo:
         """Decode all segments into display order."""
         total_invocations = 0
-        by_display: dict[int, DecodedFrame] = {}
+        decoded: list[DecodedFrame] = []
         for seg in encoded.segments:
-            for decoded in self.decode_segment(seg, encoded.width, encoded.height):
-                by_display[decoded.display] = decoded
+            decoded += self.decode_segment(seg, encoded.width, encoded.height)
             total_invocations += self._hook_invocations
-        result = DecodedVideo(width=encoded.width, height=encoded.height,
-                              fps=encoded.fps)
-        for display in sorted(by_display):
-            item = by_display[display]
-            result.frames.append(item.frame)
-            result.frame_types.append(item.ftype)
-            result.frame_bits.append(item.n_bits)
+        result = DecodedVideo.in_display_order(encoded, decoded)
         self._hook_invocations = total_invocations
         result.hook_invocations = total_invocations
         return result

@@ -36,3 +36,21 @@ def small_config():
 @pytest.fixture(scope="session")
 def package(small_clip, small_config):
     return build_package(small_clip, small_config)
+
+
+@pytest.fixture
+def host_cores(monkeypatch):
+    """``host_cores(n)`` pins the core count the server build's worker cap
+    sees (``ParallelConfig.resolve_workers`` reads ``os.cpu_count``)."""
+    import repro.core.parallel as parallel_mod
+
+    def pin(n):
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: n)
+    return pin
+
+
+@pytest.fixture
+def four_cores(host_cores):
+    """Enough cores that ``x2``-``x4`` pool requests run as real pools on
+    any CI box."""
+    host_cores(4)

@@ -2,9 +2,9 @@
 
 The determinism contract (docs/performance.md): for a fixed ``ServerConfig``
 — including ``ParallelConfig.chunk_size`` — the built package is
-bit-identical at any worker count and backend, because every pool task
-performs exactly the serial path's operations and models cross the process
-boundary through the lossless ``repro.nn.serialize`` round-trip.
+bit-identical at any worker count and backend, because each stage has one
+task function, run inline or on a pool, and models cross the task boundary
+through the lossless ``repro.nn.serialize`` round-trip.
 """
 
 import numpy as np
@@ -66,26 +66,27 @@ def serial_package(tiny_clip):
     return build_package(tiny_clip, tiny_config())
 
 
+@pytest.mark.usefixtures("four_cores")
 class TestDeterminism:
     def test_process_pool_bit_identical(self, tiny_clip, serial_package):
         pooled = build_package(tiny_clip, tiny_config(
             parallel=ParallelConfig(workers=2, backend="process",
-                                    chunk_size=2, auto_calibrate=False)))
+                                    chunk_size=2)))
         assert_identical_packages(serial_package, pooled)
 
     def test_thread_pool_bit_identical(self, tiny_clip, serial_package):
         pooled = build_package(tiny_clip, tiny_config(
             parallel=ParallelConfig(workers=3, backend="thread",
-                                    chunk_size=2, auto_calibrate=False)))
+                                    chunk_size=2)))
         assert_identical_packages(serial_package, pooled)
 
     def test_worker_count_does_not_matter(self, tiny_clip):
         two = build_package(tiny_clip, tiny_config(
             parallel=ParallelConfig(workers=2, backend="thread",
-                                    chunk_size=2, auto_calibrate=False)))
+                                    chunk_size=2)))
         four = build_package(tiny_clip, tiny_config(
             parallel=ParallelConfig(workers=4, backend="thread",
-                                    chunk_size=2, auto_calibrate=False)))
+                                    chunk_size=2)))
         assert_identical_packages(two, four)
 
 
@@ -102,19 +103,21 @@ class TestParallelConfig:
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelConfig(chunk_size=0)
 
-    def test_one_worker_degrades_to_serial(self):
-        config = ParallelConfig(workers=1, backend="process")
-        assert config.effective_backend() == "serial"
-        assert not config.is_parallel
+    def test_one_worker_degrades_to_serial(self, tiny_clip, four_cores):
+        package = build_package(tiny_clip, tiny_config(
+            parallel=ParallelConfig(workers=1, backend="thread",
+                                    chunk_size=2)))
+        assert package.telemetry.backend == "serial"
+        assert package.telemetry.workers == 1
 
     def test_default_is_serial(self):
         config = ParallelConfig()
-        assert config.effective_backend() == "serial"
+        assert config.workers == 1
         assert config.resolve_workers() == 1
 
     def test_workers_none_resolves_to_cpu_count(self):
         import os
-        config = ParallelConfig(backend="process", auto_calibrate=False)
+        config = ParallelConfig(workers=None, backend="process")
         assert config.resolve_workers() == (os.cpu_count() or 1)
 
 
@@ -122,44 +125,39 @@ class TestAutoCalibration:
     """Honesty gate: a pool that cannot win must not *report* a pool.
 
     ``parallel_build.json`` once published "process x2" rows measured on
-    a single-core host — speedups structurally <= 1.0x.  With
-    ``auto_calibrate`` (the default) such a config runs and reports
-    serial; forcing the pool remains possible for mechanics tests.
+    a single-core host — speedups structurally <= 1.0x.  Worker requests
+    are capped at the host's cores, so such a config runs and reports
+    serial.
     """
 
-    def _patch_cores(self, monkeypatch, n):
-        import repro.core.parallel as parallel_mod
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: n)
+    def test_single_core_host_calibrates_to_serial(self, host_cores):
+        host_cores(1)
+        assert ParallelConfig(workers=2).resolve_workers() == 1
+        assert ParallelConfig(workers=None).resolve_workers() == 1
 
-    def test_single_core_host_calibrates_to_serial(self, monkeypatch):
-        self._patch_cores(monkeypatch, 1)
-        config = ParallelConfig(workers=2, backend="process")
-        assert config.effective_backend() == "serial"
-        assert config.resolve_workers() == 1
-        assert not config.is_parallel
+    def test_multi_core_host_keeps_the_pool(self, tiny_clip, four_cores):
+        package = build_package(tiny_clip, tiny_config(
+            parallel=ParallelConfig(workers=2, backend="process",
+                                    chunk_size=2)))
+        assert package.telemetry.backend == "process"
+        assert package.telemetry.workers == 2
 
-    def test_multi_core_host_keeps_the_pool(self, monkeypatch):
-        self._patch_cores(monkeypatch, 4)
-        config = ParallelConfig(workers=2, backend="process")
-        assert config.effective_backend() == "process"
-        assert config.resolve_workers() == 2
+    def test_request_above_cores_is_capped(self, four_cores):
+        assert ParallelConfig(workers=16).resolve_workers() == 4
+        assert ParallelConfig(workers=3).resolve_workers() == 3
 
-    def test_opt_out_forces_the_pool(self, monkeypatch):
-        self._patch_cores(monkeypatch, 1)
-        config = ParallelConfig(workers=2, backend="thread",
-                                auto_calibrate=False)
-        assert config.effective_backend() == "thread"
-        assert config.resolve_workers() == 2
-
-    def test_calibrated_build_reports_serial(self, tiny_clip, monkeypatch):
-        self._patch_cores(monkeypatch, 1)
+    def test_calibrated_build_reports_serial(self, tiny_clip, host_cores):
+        host_cores(1)
         package = build_package(tiny_clip, tiny_config(
             parallel=ParallelConfig(workers=2, backend="process",
                                     chunk_size=2)))
         assert package.telemetry.backend == "serial"
         assert package.telemetry.workers == 1
+        assert package.telemetry.summary_lines()[0] == \
+            "build stages (serial x1):"
 
 
+@pytest.mark.usefixtures("four_cores")
 class TestErrorPropagation:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_pool_failure_carries_cluster_id(self, tiny_clip, monkeypatch,
@@ -170,8 +168,8 @@ class TestErrorPropagation:
         monkeypatch.setattr(server_mod, "train_sr", failing_train)
         with pytest.raises(ClusterTrainingError, match="cluster 0"):
             build_package(tiny_clip, tiny_config(
-                parallel=ParallelConfig(workers=2, backend=backend, chunk_size=2,
-                                        auto_calibrate=False)))
+                parallel=ParallelConfig(workers=2, backend=backend,
+                                        chunk_size=2)))
 
     def test_error_label_attribute(self, tiny_clip, monkeypatch):
         monkeypatch.setattr(
@@ -179,19 +177,22 @@ class TestErrorPropagation:
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
         with pytest.raises(ClusterTrainingError) as excinfo:
             build_package(tiny_clip, tiny_config(
-                parallel=ParallelConfig(workers=2, backend="thread", chunk_size=2,
-                                        auto_calibrate=False)))
+                parallel=ParallelConfig(workers=2, backend="thread",
+                                        chunk_size=2)))
         assert excinfo.value.label == 0
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
-    def test_serial_path_raises_original_exception(self, tiny_clip,
-                                                   monkeypatch):
-        """workers=1/serial is the pre-pool code path: no wrapping."""
+    def test_serial_failure_carries_cluster_id(self, tiny_clip, monkeypatch):
+        """One error contract: the inline worker attributes a training
+        failure exactly as a pool does (it used to raise the bare
+        exception)."""
         monkeypatch.setattr(
             server_mod, "train_sr",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
-        with pytest.raises(RuntimeError, match="boom"):
+        with pytest.raises(ClusterTrainingError, match="boom") as excinfo:
             build_package(tiny_clip, tiny_config())
+        assert excinfo.value.label == 0
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 class TestTelemetry:
@@ -210,14 +211,42 @@ class TestTelemetry:
         package = build_package(tiny_clip, tiny_config(validate_in_loop=True))
         assert "validate" in package.telemetry.stage_seconds
 
-    def test_parallel_metadata(self, tiny_clip):
+    def test_parallel_metadata(self, tiny_clip, four_cores):
         package = build_package(tiny_clip, tiny_config(
             parallel=ParallelConfig(workers=2, backend="thread",
-                                    chunk_size=2, auto_calibrate=False)))
+                                    chunk_size=2)))
         telemetry = package.telemetry
         assert telemetry.backend == "thread"
         assert telemetry.workers == 2
         assert set(telemetry.train_seconds_per_cluster) == set(package.models)
+
+    @pytest.mark.parametrize("parallel", [
+        ParallelConfig(chunk_size=2),
+        ParallelConfig(workers=2, backend="thread", chunk_size=2),
+        ParallelConfig(workers=2, backend="process", chunk_size=2),
+    ], ids=["serial", "thread", "process"])
+    def test_training_trace_is_the_same_on_every_backend(
+            self, tiny_clip, four_cores, parallel):
+        """The task returns what it timed and the parent records it, so a
+        pool build's trace carries the per-cluster ``train_sr`` span and
+        the epoch histogram exactly as the inline build's does (pools
+        used to record neither)."""
+        config = tiny_config(parallel=parallel)
+        package = build_package(tiny_clip, config)
+        obs = package.telemetry.obs
+        clusters = obs.tracer.root.find("train_cluster")
+        assert len(clusters) == package.n_models
+        assert sorted(s.attrs["cluster"] for s in clusters) == \
+            sorted(package.models)
+        for span in clusters:
+            (train_sr,) = span.find("train_sr")
+            assert train_sr.attrs["epochs"] == config.sr_train.epochs
+            assert 0 < train_sr.elapsed <= span.elapsed
+            assert span.elapsed == pytest.approx(
+                package.telemetry.train_seconds_per_cluster[
+                    span.attrs["cluster"]])
+        assert obs.metrics.histogram("dcsr_sr_epoch_seconds").count() == \
+            package.n_models * config.sr_train.epochs
 
     def test_summary_lines_printable(self, serial_package):
         lines = serial_package.telemetry.summary_lines()

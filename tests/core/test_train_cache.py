@@ -67,11 +67,10 @@ class TestCacheHits:
                     == serialize_to_bytes(second.models[label]))
         assert first.manifest == second.manifest
 
-    def test_hits_bypass_the_pool_too(self, tiny_clip, tmp_path):
+    def test_hits_bypass_the_pool_too(self, tiny_clip, tmp_path, four_cores):
         build_package(tiny_clip, cached_config(tmp_path))
         warm = build_package(tiny_clip, cached_config(
-            tmp_path, parallel=ParallelConfig(workers=2, backend="process",
-                                              auto_calibrate=False)))
+            tmp_path, parallel=ParallelConfig(workers=2, backend="process")))
         assert warm.telemetry.cache_hits == warm.n_models
         assert warm.telemetry.cache_misses == 0
 

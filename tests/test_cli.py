@@ -48,7 +48,7 @@ class TestParser:
         args = build_parser().parse_args(
             ["prepare", "v.npz", "--out", "pkg"])
         assert args.workers == 1
-        assert args.backend is None
+        assert args.backend == "process"
         assert args.train_cache is None
 
     def test_prepare_parallel_flags(self):
@@ -113,12 +113,13 @@ class TestPrepareParallel:
                    "--train-cache", str(cache)])
         assert rc == 0
         first = capsys.readouterr().out
-        # The reported backend self-calibrates to the host: a pool is
-        # requested, but a single-core machine runs (and reports) serial.
-        from repro.core import ParallelConfig
-        requested = ParallelConfig(workers=2, backend="process")
-        assert (f"build stages ({requested.effective_backend()} "
-                f"x{requested.resolve_workers()}):") in first
+        # The reported backend follows the host: a pool is requested, but
+        # a single-core machine runs (and reports) serial.
+        from repro.core import BuildTelemetry, ParallelConfig
+        from repro.obs import Observability
+        ran = BuildTelemetry.for_build(ParallelConfig(workers=2),
+                                       Observability())
+        assert f"build stages ({ran.backend} x{ran.workers}):" in first
         assert "train" in first
         assert "hits" in first
         assert list(cache.glob("*.npz"))
