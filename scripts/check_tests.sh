@@ -43,6 +43,11 @@
 #     tiny configs built at workers=1, thread x2 and process x2 must
 #     reproduce, bit for bit, the artifact digests recorded before the
 #     stages moved onto one runner (~10 s, not static — it builds).
+#   - tests/serve/test_pool_reference.py — the fair-share pool's
+#     arithmetic: every duration equal to the pair-list reference pool's
+#     over 200 seeded sequences, and pool / fleet digests recorded from
+#     it (seconds; the only recorded-value check on fleet arithmetic —
+#     every other serve test compares a run with itself).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -63,11 +68,13 @@ GUARDS=(
     tests/net/test_no_threads_net.py
     tests/control/test_no_upward_imports.py
     tests/core/test_build_digests.py
+    tests/serve/test_pool_reference.py
 )
 
 run_guards() {
     echo "== guards =="
-    python -m pytest -x -q --strict-markers "${GUARDS[@]}"
+    python -m pytest -x -q --strict-markers -m "not tier2 and not timing" \
+        "${GUARDS[@]}"
 }
 
 run_tier1() {

@@ -30,19 +30,46 @@ Each session draws a :class:`PooledNetwork` from the pool: a
   refill-and-drain throttler — a transfer finding the bucket short waits
   out the deficit before joining the pool.
 
+**Data structure and cost.**  The pool keeps the boundaries of the
+transfers it has charged — not the transfers — as two sorted lists of
+floats, every start and every end still ahead of the watermark.  A
+charge walks them merged from its own start, visiting each distinct
+boundary once and stopping at the one inside which its payload drains;
+the transfers in flight at an instant ``t`` are the ends after ``t``
+minus the starts after ``t`` (every transfer has ``start <= end``), two
+bisections.  So a charge costs *boundaries crossed* x ``log k`` plus two
+``insort`` calls for ``k`` recorded transfers — where the list of
+``(start, end)`` pairs this replaced rescanned all ``k`` at each of up to
+``2k`` boundaries — and a fleet whose sessions all overlap is quadratic
+in its size where it used to be cubic (a ``timing`` guard in
+``tests/serve/test_pool_reference.py`` holds the ratio).
+
+**The arithmetic order is part of the contract.**  Durations feed
+session clocks, which feed event order, stalls and every fleet number,
+so they are defined as the exact doubles of one float sequence: time is
+an *offset* from the transfer's start; boundaries are the distinct
+values of ``p - start``; occupancy is counted at ``t = start + offset``
+(not at ``p``, which that sum does not always reproduce); bits drain
+slice by slice in boundary order.  Merging two slices, skipping a
+zero-byte transfer's boundary or counting occupancy along the walk
+changes roundings, then event order.  ``tests/serve/reference_pool.py``
+keeps the pair-list pool as the definition, and ``pool_digests.json``
+its recorded bits.
+
 For event-driven fleets the pool also supports **watermark pruning**:
 :meth:`SharedNetworkPool.advance_watermark` declares that every future
 charge starts at or after a given sim instant, letting the pool drop
-transfer intervals that can no longer overlap anything.  This keeps the
-per-charge interval scan bounded by the number of *concurrently active*
-transfers instead of the total transfer history, which is what makes
-5,000-session runs linear-time.  Pruning never changes any computed
-duration — dropped intervals are exactly those with zero future overlap.
+every boundary at or before it (two bisections, two prefix deletes) and
+so keep at most one entry pair per transfer still in flight.  Pruning
+never changes any computed duration: a boundary at or before the
+watermark is neither a boundary of, nor after any instant of, a later
+charge.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right, insort
 
 from ..core.network import NetworkConfig, SimulatedNetwork
 from ..obs import Observability
@@ -99,9 +126,12 @@ class SharedNetworkPool:
         self.rate_limit_bps = rate_limit_bps
         self.rate_limit_burst_bits = rate_limit_burst_bits
         self._lock = threading.Lock()
-        #: Finalized transfer intervals ``(start, end)`` on the pool
-        #: timeline, used to compute overlap for new transfers.
-        self._intervals: list[tuple[float, float]] = []
+        #: Starts and ends (pool timeline, each list sorted) of the charged
+        #: transfers, minus what the watermark pruned.  Boundaries, not
+        #: pairs: a transfer is in flight at ``t`` iff its end is after
+        #: ``t`` and its start is not, so counting needs no pairing.
+        self._starts: list[float] = []
+        self._ends: list[float] = []
         self._watermark = float("-inf")
         self.peak_concurrency = 0
         self.total_transfers = 0
@@ -130,36 +160,45 @@ class SharedNetworkPool:
 
     def advance_watermark(self, now_s: float) -> None:
         """Promise that every future :meth:`charge` starts at or after
-        ``now_s``; prune intervals that ended before it.
+        ``now_s``; prune the boundaries at or before it.
 
         The event-driven fleet calls this as its loop advances (charges
-        happen at the loop's ``now`` or later), bounding the interval
-        list by the active transfer count.  Callers issuing charges out
-        of sim-time order must simply not advance the watermark past
-        their earliest future start.
+        happen at the loop's ``now`` or later), bounding both lists by
+        the active transfer count.  Callers issuing charges out of
+        sim-time order must simply not advance the watermark past their
+        earliest future start.
         """
         with self._lock:
             if now_s <= self._watermark:
                 return
             self._watermark = now_s
-            self._intervals = [iv for iv in self._intervals
-                               if iv[1] > now_s]
+            del self._starts[:bisect_right(self._starts, now_s)]
+            del self._ends[:bisect_right(self._ends, now_s)]
 
-    def charge(self, start_s: float, n_bytes: int) -> float:
+    def charge(self, start_s: float, n_bytes: int,
+               bucket_wait_s: float = 0.0) -> float:
         """Fair-share transfer seconds for ``n_bytes`` starting at
         ``start_s`` on the pool timeline.
 
         Drains the payload piecewise: between overlap boundaries of the
         transfers already in flight, progress runs at
         ``bandwidth / (1 + overlapping)``; the share is recomputed at each
-        boundary (join or leave).  The finalized interval is recorded so
-        later transfers see this one.
+        boundary (join or leave).  The finalized transfer is recorded so
+        later transfers see this one.  ``bucket_wait_s`` is what the
+        session idled in its token bucket before ``start_s``; it is only
+        added to :attr:`rate_limit_wait_s`.
         """
         with self._lock:
             self.total_transfers += 1
-            if self.bandwidth_bps is None or n_bytes <= 0:
-                end = start_s
-                self._intervals.append((start_s, end))
+            self.rate_limit_wait_s += bucket_wait_s
+            bandwidth = self.bandwidth_bps
+            if bandwidth is None:
+                return 0.0      # nothing ever reads an infinite pool's record
+            starts, ends = self._starts, self._ends
+            if n_bytes <= 0:
+                # Occupies nothing, but is a boundary for later charges.
+                insort(starts, start_s)
+                insort(ends, start_s)
                 return 0.0
             remaining_bits = 8.0 * n_bytes
             # Time is tracked as an offset from start_s, not absolutely:
@@ -167,23 +206,49 @@ class SharedNetworkPool:
             # ``8 * n_bytes / bandwidth`` with zero float drift, so a
             # single-session pool is bit-identical to a dedicated link.
             elapsed = 0.0
+            n_starts, n_ends = len(starts), len(ends)
             # Every instant an already-known transfer joins or leaves the
-            # pool after our start is a point where our share changes.
-            boundaries = sorted(
-                {p - start_s for (s, e) in self._intervals
-                 for p in (s, e) if p > start_s})
-            for boundary in boundaries + [None]:
-                t = start_s + elapsed
-                active = sum(1 for (s, e) in self._intervals if s <= t < e)
-                self.peak_concurrency = max(self.peak_concurrency, active + 1)
-                share = self.bandwidth_bps / (1 + active)
+            # pool after our start is a point where our share changes:
+            # i, j are the next start / end to visit as such a boundary,
+            # started / ended how many starts / ends are <= t, the start
+            # of the current slice.
+            started = i = bisect_right(starts, start_s)
+            ended = j = bisect_right(ends, start_s)
+            peak = self.peak_concurrency
+            while True:
+                active = (n_ends - ended) - (n_starts - started)
+                if active >= peak:
+                    peak = active + 1
+                share = bandwidth / (1 + active)
                 needed = remaining_bits / share
+                # The next distinct offset (several transfers can share a
+                # boundary, and distinct instants can round to one offset).
+                # A start is never after its own end, so the starts run
+                # out first and the ends alone say when the walk is over.
+                boundary = None
+                while j < n_ends:
+                    if i < n_starts and starts[i] <= ends[j]:
+                        offset = starts[i] - start_s
+                        i += 1
+                    else:
+                        offset = ends[j] - start_s
+                        j += 1
+                    if offset > elapsed:
+                        boundary = offset
+                        break
                 if boundary is None or elapsed + needed <= boundary:
                     elapsed += needed
                     break
                 remaining_bits -= share * (boundary - elapsed)
                 elapsed = boundary
-            self._intervals.append((start_s, start_s + elapsed))
+                # Counted at the slice start as the sum computes it, which
+                # is not always the instant the offset came from.
+                t = start_s + elapsed
+                started = bisect_right(starts, t, started)
+                ended = bisect_right(ends, t, ended)
+            self.peak_concurrency = peak
+            insort(starts, start_s)
+            insort(ends, start_s + elapsed)
             return elapsed
 
 
@@ -222,7 +287,5 @@ class PooledNetwork(SimulatedNetwork):
         wait = 0.0
         if self.bucket is not None:
             wait = self.bucket.consume(8.0 * n_bytes, start)
-            if wait:
-                with self.pool._lock:
-                    self.pool.rate_limit_wait_s += wait
-        return wait + self.pool.charge(start + wait, n_bytes)
+        return wait + self.pool.charge(start + wait, n_bytes,
+                                       bucket_wait_s=wait)

@@ -396,13 +396,16 @@ class FleetResult:
 class FleetSimulator:
     """Run one package through a fleet of concurrent streaming sessions.
 
-    All sessions share this simulator's :class:`CacheHierarchy`,
-    :class:`SharedNetworkPool`, and :class:`~repro.obs.Observability`
-    session (per-session subtrees are tagged ``session=<id>`` on their
-    ``play``/``session`` spans and network counters).  Execution is a
-    single-threaded :class:`~repro.serve.events.EventLoop`; after
-    :meth:`run`, :attr:`loop` exposes the drained loop (event count,
-    final sim instant, optional history).
+    All sessions of a run share one :class:`CacheHierarchy`, one
+    :class:`SharedNetworkPool`, and this simulator's
+    :class:`~repro.obs.Observability` session (per-session subtrees are
+    tagged ``session=<id>`` on their ``play``/``session`` spans and
+    network counters).  Execution is a single-threaded
+    :class:`~repro.serve.events.EventLoop`.  Loop, hierarchy and pool are
+    state of one run — each :meth:`run` starts from an empty timeline and
+    cold caches — and stay readable afterwards: :attr:`loop` is the
+    drained loop (event count, final sim instant, optional history),
+    :attr:`cache` and :attr:`pool` what the sessions left behind.
     """
 
     def __init__(self, package: DcsrPackage, config: FleetConfig,
@@ -421,16 +424,10 @@ class FleetSimulator:
         #: instead of a :class:`SharedNetworkPool` session.  The serve
         #: layer never imports ``repro.net`` — callers inject it.
         self.network_factory = network_factory
-        self.cache: CacheHierarchy = CacheHierarchy(
-            edges=config.edges,
-            edge_capacity=config.cache_capacity,
-            admission=config.cache_admission,
-            model_sizes=package.manifest.model_sizes)
-        self.pool = SharedNetworkPool(
-            bandwidth_bps=config.bandwidth_bps, latency_s=config.latency_s,
-            fail_rate=config.fail_rate, seed=config.seed, obs=self.obs,
-            rate_limit_bps=config.rate_limit_bps)
+        # The most recent run's state, built by run().
         self.loop: EventLoop | None = None
+        self.cache: CacheHierarchy | None = None
+        self.pool: SharedNetworkPool | None = None
         self._flops_cache: dict[int, float] = {}
 
     def _controller_for(self, session_id: int) -> JointController | None:
@@ -521,6 +518,18 @@ class FleetSimulator:
                     "dcsr_fleet_rejected_total",
                     "Sessions turned away by admission control").inc()
 
+        # Built per run, like the loop: a pool carried over would charge
+        # this run against the previous run's transfers (and, with its
+        # watermark already past every start, never prune again).
+        self.cache = CacheHierarchy(
+            edges=config.edges,
+            edge_capacity=config.cache_capacity,
+            admission=config.cache_admission,
+            model_sizes=self.package.manifest.model_sizes)
+        self.pool = SharedNetworkPool(
+            bandwidth_bps=config.bandwidth_bps, latency_s=config.latency_s,
+            fail_rate=config.fail_rate, seed=config.seed, obs=self.obs,
+            rate_limit_bps=config.rate_limit_bps)
         loop = self.loop = EventLoop(trace=trace_events)
         for shell in admitted:
             if config.mode == "trace":

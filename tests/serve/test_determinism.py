@@ -278,6 +278,24 @@ class TestEventDrivenDeterminism:
         assert sum(first[0]) > sum(
             s.result.telemetry.stall_seconds for s in fast.completed())
 
+    def test_second_run_on_one_simulator_repeats_the_first(self, package):
+        # Pool and cache hierarchy are state of a run, like the loop: a
+        # second run() must not be charged against the first run's
+        # transfers or find its models already at the edges.
+        sim = FleetSimulator(package, self._trace_config(
+            sessions=40, arrival="poisson:500.0", bandwidth_bps=1e6,
+            latency_s=0.005, fail_rate=0.02, edges=8,
+            cache_admission="second-hit", seed=3))
+
+        def run():
+            fleet = sim.run(trace_events=True)
+            return (sim.loop.history, fleet.telemetry,
+                    sim.pool.total_transfers)
+
+        first, second = run(), run()
+        assert first == second
+        assert first[1].peak_network_concurrency > 20
+
 
 @pytest.mark.tier2
 class TestFleetScale:
@@ -297,3 +315,16 @@ class TestFleetScale:
         assert t.stall_cdf[-1][1] == 1.0
         assert all(s.result.telemetry.stage_seconds["download"] > 0
                    for s in fleet.completed())
+
+    def test_eight_hundred_contended_sessions(self, package):
+        # The fleet_contended shape at the size its issue asked for: every
+        # session overlaps every other on a 1 Mbit/s uplink.  Seconds with
+        # the sorted pool; the rescanning pool took most of a minute.
+        config = FleetConfig(sessions=800, mode="trace",
+                             arrival="poisson:500.0", bandwidth_bps=1e6,
+                             latency_s=0.005, fail_rate=0.02, retries=3,
+                             edges=8, cache_admission="second-hit",
+                             fallback=True, seed=3)
+        t = FleetSimulator(package, config).run().telemetry
+        assert t.completed == 800
+        assert t.peak_network_concurrency >= 500
