@@ -39,6 +39,9 @@
 #     repro.serve, repro.net or repro.cli from them would cycle the
 #     layer graph.  Nor does any library layer (those five plus obs,
 #     serve, net) import repro.bench, which sits just under the CLI.
+#     Nor do the link modules (core/network.py, serve/netpool.py,
+#     net/transport.py) mention Observability or a metrics registry:
+#     a link counts in its own stats, the session ledger feeds metrics.
 #   - tests/core/test_build_digests.py — the server build contract: three
 #     tiny configs built at workers=1, thread x2 and process x2 must
 #     reproduce, bit for bit, the artifact digests recorded before the

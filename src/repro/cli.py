@@ -416,7 +416,7 @@ def _cmd_play(args) -> int:
 
         from .net import HttpTransport, mirror_package
 
-        network = HttpTransport(args.url, obs=obs, timeout_s=args.timeout)
+        network = HttpTransport(args.url, timeout_s=args.timeout)
         mirror_dir = args.mirror or tempfile.mkdtemp(prefix="dcsr-mirror-")
         package = load_package(mirror_package(network, mirror_dir))
         print(f"mirrored {args.url} -> {mirror_dir}")
@@ -528,8 +528,7 @@ def _cmd_serve(args) -> int:
         from .net import HttpTransport
 
         def network_factory(session_id: int, arrival_s: float):
-            return HttpTransport(args.origin, obs=obs,
-                                 session=str(session_id))
+            return HttpTransport(args.origin)
     simulator = FleetSimulator(package, config, obs=obs,
                                network_factory=network_factory)
     fleet = simulator.run(reference)

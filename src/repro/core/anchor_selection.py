@@ -38,10 +38,6 @@ class AnchorPlan:
     quality_db: float = 0.0                          # final mean luma PSNR
     history: list = field(default_factory=list)      # (added, quality) steps
 
-    @property
-    def n_anchors(self) -> int:
-        return len(self.anchors)
-
 
 def _segment_quality(
     segment: EncodedSegment, width: int, height: int, model: EDSR,

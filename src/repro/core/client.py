@@ -58,7 +58,8 @@ from .cache import CacheStats, ModelCache
 from .network import DownloadError, Network, RetryPolicy
 from .server import DcsrPackage
 from .session import (PLAYBACK_STAGES, FetchStage, PlayoutClock,
-                      SegmentFetch, SegmentPlayback, record_segment)
+                      SegmentFetch, SegmentPlayback, count_downloads,
+                      record_segment)
 
 __all__ = [
     "PLAYBACK_STAGES",
@@ -397,10 +398,10 @@ class DcsrClient:
         the accounting contract are identical either way.
     obs:
         Optional :class:`~repro.obs.Observability` session the client
-        records its spans and metrics into.  Defaults to the network's
-        session when it has one, else a fresh session; either way the
-        network is bound to the same session so download counters land in
-        the same registry.
+        records its spans and metrics into (default: a fresh one).  The
+        download counters land there too, rendered from the fetch
+        stage's ledger when a session ends — completed, aborted or
+        abandoned — and labelled with ``span_attrs``.
     model_cache:
         Optional *shared* :class:`~repro.core.cache.ModelCache` (a store
         several clients are given, or one edge of a
@@ -412,8 +413,9 @@ class DcsrClient:
         ignored (the shared cache carries its own bound).  ``None`` gives
         the client a private store bounded by ``cache_capacity``.
     span_attrs:
-        Extra attributes stamped on the session's ``play`` span (fleet
-        runs tag each session's subtree with its session id).
+        Extra attributes stamped on the session's ``play`` span and, as
+        labels, on its download counters (fleet runs tag each session's
+        subtree and series with its session id).
     controller:
         Optional :class:`~repro.control.JointController`.  When given, the
         client consults it at every segment boundary: the controller picks
@@ -449,11 +451,7 @@ class DcsrClient:
             controller=controller)
         self._span_attrs = dict(span_attrs or {})
         self._fast = fast_path
-        if obs is None and network is not None and network.obs is not None:
-            obs = network.obs
         self.obs = obs or Observability(root_name="client")
-        if network is not None and network.obs is None:
-            network.obs = self.obs
         self._session = None
         self._engines: dict[tuple[int, str], InferenceEngine] = {}
         self._batcher = None
@@ -879,6 +877,8 @@ class DcsrClient:
         telemetry.fast_path_speedup = self._speedup_sample
 
         metrics = self.obs.metrics
+        count_downloads(metrics, self._stage.download_ledger,
+                        **self._span_attrs)
         for name, total in telemetry.stage_seconds.items():
             metrics.counter(
                 "dcsr_playback_stage_seconds_total",

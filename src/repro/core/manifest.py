@@ -196,12 +196,6 @@ class VideoManifest:
                 seen[tier] = max(seen.get(tier, 0), size)
         return tuple(sorted(seen, key=lambda t: (seen[t], t)))
 
-    def tier_record(self, label: int, tier: str,
-                    precision: str = "fp32") -> ModelTierRecord | None:
-        """The per-tier record, or ``None`` when the server published no
-        such (tier, precision) variant for ``label``."""
-        return self.tiers.get(label, {}).get(tier, {}).get(precision)
-
     def tier_size_for(self, label: int, tier: str,
                       precision: str = "fp32") -> int:
         """Download bytes for ``label``'s ``tier`` model at ``precision``.
@@ -215,12 +209,6 @@ class VideoManifest:
             raise KeyError(f"model {label} has no tier {tier!r}")
         record = records.get(precision)
         return (record or records["fp32"]).size_bytes
-
-    def quant_delta_db(self, label: int, precision: str) -> float | None:
-        """The calibrated PSNR delta for ``label`` at ``precision``, or
-        ``None`` when no calibration record exists."""
-        record = self.quantization.get(label, {}).get(precision)
-        return None if record is None else record.delta_db
 
     def model_label_for(self, segment_index: int) -> int:
         for seg in self.segments:

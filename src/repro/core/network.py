@@ -1,4 +1,11 @@
-"""Simulated download path for the streaming client.
+"""The download path of the streaming client: a link moves bytes on a clock.
+
+:class:`Link` is the one ``download()`` every transport shares: count the
+attempt in :attr:`~Link.stats`, ask the subclass for one attempt's
+``(seconds, bytes delivered)``, advance :attr:`~Link.clock`.  A link knows
+nothing about observability — what a *session* downloaded is the fetch
+stage's ledger (:mod:`repro.core.session`), rendered into metrics once
+when the session settles.
 
 The paper assumes a well-behaved CDN; a deployable client does not get
 one.  :class:`SimulatedNetwork` models the transfer a
@@ -26,13 +33,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from ..obs import Observability, SimulatedClock
+from ..obs import SimulatedClock
 
 __all__ = [
     "NetworkConfig",
     "DownloadError",
     "DownloadStats",
     "Network",
+    "Link",
     "SimulatedNetwork",
     "RetryPolicy",
     "download_with_retry",
@@ -88,12 +96,13 @@ class DownloadStats:
 class Network(Protocol):
     """The download contract the whole client stack is written against.
 
-    Implemented by :class:`SimulatedNetwork`, its fair-share subclass
-    :class:`repro.serve.PooledNetwork`, and the real-socket
-    :class:`repro.net.HttpTransport`; ``tests/net/test_transport_contract.py``
-    holds all three to identical behaviour.  A session's only clock is
-    :attr:`clock`: every second :meth:`download` returns (or burns on a
-    failed attempt) is also advanced onto it, as is retry backoff.
+    Implemented by :class:`Link` for :class:`SimulatedNetwork`, its
+    fair-share subclass :class:`repro.serve.PooledNetwork`, and the
+    real-socket :class:`repro.net.HttpTransport`;
+    ``tests/net/test_transport_contract.py`` holds all three to identical
+    behaviour.  A session's only clock is :attr:`clock`: every second
+    :meth:`download` returns (or burns on a failed attempt) is also
+    advanced onto it, as is retry backoff.
     """
 
     #: Link shape; consumers read ``bandwidth_bps`` as a throughput hint.
@@ -101,56 +110,62 @@ class Network(Protocol):
     #: Attempt-level accounting across the network's lifetime.
     stats: DownloadStats
     clock: SimulatedClock
-    #: Metrics sink, bound by the owning client when left ``None``.
-    obs: Observability | None
-    #: Optional tag labelling every metric this network emits.
-    session: str | None
 
     def download(self, kind: str, key: int | str, n_bytes: int) -> float:
         """Attempt one download of ``kind`` (``"segment"``/``"model"``)
         ``key``: return its seconds, or raise :class:`DownloadError`
         carrying the seconds burnt."""
 
-    def count(self, name: str, value: float, help: str, **labels) -> None:
-        """Add ``value`` to counter ``name`` in :attr:`obs` (no-op when
-        unbound), labelled with :attr:`session` when set."""
 
+class Link:
+    """The one attempt body behind every :class:`Network`.
 
-class SimulatedNetwork:
-    """Failure- and latency-injecting stand-in for the CDN link.
-
-    Every simulated second the link charges advances :attr:`clock`, a
-    dedicated :class:`~repro.obs.SimulatedClock` — the network's time
-    domain is explicit, so callers recording those seconds into a trace
-    tag them as simulated rather than mixing them into wall time.
-
-    ``obs`` (usually bound by the :class:`~repro.core.client.DcsrClient`
-    that owns the session) routes attempt/failure/byte accounting into
-    the shared metrics registry; :attr:`stats` keeps the in-object
-    counters regardless.
+    Every second an attempt takes advances :attr:`clock`, a dedicated
+    :class:`~repro.obs.SimulatedClock` — the link's time domain is
+    explicit, so callers recording those seconds into a trace tag them as
+    simulated rather than mixing them into wall time.  Subclasses supply
+    :meth:`_attempt` only.
     """
 
-    def __init__(self, config: NetworkConfig | None = None,
-                 failure_schedule: Sequence[bool] | None = None,
-                 obs: Observability | None = None,
-                 session: str | None = None):
+    def __init__(self, config: NetworkConfig | None = None):
         self.config = config or NetworkConfig()
+        self.stats = DownloadStats()
+        self.clock = SimulatedClock()
+
+    def download(self, kind: str, key: int | str, n_bytes: int) -> float:
+        """Attempt one download; return its seconds or raise.
+
+        ``kind`` is ``"segment"`` or ``"model"``, ``key`` the segment
+        index or model label, ``n_bytes`` the manifest's accounting size.
+        """
+        stats = self.stats
+        stats.attempts += 1
+        try:
+            seconds, delivered = self._attempt(kind, key, n_bytes)
+        except DownloadError as exc:
+            stats.failures += 1
+            self.clock.advance(exc.seconds)
+            raise
+        self.clock.advance(seconds)
+        stats.bytes_delivered += delivered
+        return seconds
+
+    def _attempt(self, kind: str, key: int | str,
+                 n_bytes: int) -> tuple[float, int]:
+        """One attempt: ``(seconds, bytes delivered)``, or a
+        :class:`DownloadError` carrying the seconds the failure burnt."""
+        raise NotImplementedError
+
+
+class SimulatedNetwork(Link):
+    """Failure- and latency-injecting stand-in for the CDN link."""
+
+    def __init__(self, config: NetworkConfig | None = None,
+                 failure_schedule: Sequence[bool] | None = None):
+        super().__init__(config)
         self._schedule = list(failure_schedule or [])
         self._schedule_pos = 0
         self._rng = random.Random(self.config.seed)
-        self.stats = DownloadStats()
-        self.clock = SimulatedClock()
-        self.obs = obs
-        #: Optional session tag added to every metric this network emits —
-        #: fleet runs (:mod:`repro.serve`) share one registry across many
-        #: concurrent sessions and need per-session attribution.
-        self.session = session
-
-    def count(self, name: str, value: float, help: str, **labels) -> None:
-        if self.obs is not None:
-            if self.session is not None:
-                labels = {"session": self.session, **labels}
-            self.obs.metrics.counter(name, help).inc(value, **labels)
 
     def _next_attempt_fails(self) -> bool:
         if self._schedule_pos < len(self._schedule):
@@ -161,30 +176,14 @@ class SimulatedNetwork:
             return False
         return self._rng.random() < self.config.fail_rate
 
-    def download(self, kind: str, key: int | str, n_bytes: int) -> float:
-        """Attempt one download; return simulated seconds or raise.
-
-        ``kind`` is ``"segment"`` or ``"model"`` (free-form — it only
-        labels the error), ``key`` the segment index or model label.
-        """
-        self.stats.attempts += 1
-        self.count("dcsr_download_attempts_total", 1,
-                   "Download attempts by payload kind", kind=kind)
+    def _attempt(self, kind: str, key: int | str,
+                 n_bytes: int) -> tuple[float, int]:
         if self._next_attempt_fails():
-            self.stats.failures += 1
-            self.clock.advance(self.config.latency_s)
-            self.count("dcsr_download_failures_total", 1,
-                       "Injected download failures by payload kind",
-                       kind=kind)
             raise DownloadError(
                 f"injected failure downloading {kind} {key}",
                 seconds=self.config.latency_s)
-        seconds = self.config.latency_s + self._transfer_seconds(n_bytes)
-        self.clock.advance(seconds)
-        self.stats.bytes_delivered += int(n_bytes)
-        self.count("dcsr_download_bytes_total", int(n_bytes),
-                   "Bytes delivered by payload kind", kind=kind)
-        return seconds
+        return (self.config.latency_s + self._transfer_seconds(n_bytes),
+                int(n_bytes))
 
     def _transfer_seconds(self, n_bytes: int) -> float:
         """Simulated transfer time of one successful payload (no latency).
@@ -253,9 +252,4 @@ def download_with_retry(
                     seconds=elapsed, attempts=attempts) from exc
             backoff = retry.delay(attempts - 1)
             network.clock.advance(backoff)
-            network.count("dcsr_download_retries_total", 1,
-                          "Retries issued after failed attempts", kind=kind)
-            network.count("dcsr_backoff_seconds_total", backoff,
-                          "Simulated seconds spent in retry backoff",
-                          kind=kind)
             elapsed += backoff

@@ -12,6 +12,15 @@ energy feedback) and :class:`PlayoutClock` (the startup/stall recurrence).
 (:mod:`repro.serve.scheduler`) put nothing there.  The stage records no
 spans and no metrics — it returns what it did (:class:`SegmentFetch`) and
 each caller decides what to trace.
+
+The stage is also where a download is *counted*, once: links
+(:mod:`repro.core.network`) only move bytes on a clock, and every
+download that reaches one — failed ones and strict-mode aborts included —
+passes through :meth:`FetchStage._charge`, which keeps a per-kind row of
+attempts, failures, bytes, retries and backoff seconds.
+:func:`count_downloads` renders such a ledger into the five
+``dcsr_download_*`` / ``dcsr_backoff_*`` counter families when the
+session settles.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .cache import ModelCache
 from .network import DownloadError, Network, RetryPolicy, download_with_retry
 
 __all__ = ["PLAYBACK_STAGES", "PlayoutClock", "SegmentPlayback",
-           "SegmentFetch", "FetchStage", "record_segment"]
+           "SegmentFetch", "FetchStage", "record_segment", "count_downloads"]
 
 #: Stage names recorded in ``PlaybackTelemetry.stage_seconds``, in
 #: playback order.  ``color`` is both YUV->RGB directions (display path
@@ -160,6 +169,28 @@ def record_segment(result, telemetry, playout: PlayoutClock,
     telemetry.prefetch_overlap_seconds = playout.overlap_s
 
 
+#: The download counter families, in the column order of a ledger row.
+_DOWNLOAD_FAMILIES = (
+    ("dcsr_download_attempts_total", "Download attempts by payload kind"),
+    ("dcsr_download_failures_total",
+     "Injected download failures by payload kind"),
+    ("dcsr_download_bytes_total", "Bytes delivered by payload kind"),
+    ("dcsr_download_retries_total", "Retries issued after failed attempts"),
+    ("dcsr_backoff_seconds_total",
+     "Simulated seconds spent in retry backoff"),
+)
+
+
+def count_downloads(metrics, ledger: dict[str, list], **labels) -> None:
+    """Render one session's :attr:`FetchStage.download_ledger` into the
+    download counter families of ``metrics``, labelled ``kind`` plus
+    ``labels``.  A zero cell emits no series."""
+    for kind, row in ledger.items():
+        for (name, help), value in zip(_DOWNLOAD_FAMILIES, row):
+            if value:
+                metrics.counter(name, help).inc(value, kind=kind, **labels)
+
+
 class FetchStage:
     """Stages 1-2 of a session plus its byte/energy ledger.
 
@@ -214,9 +245,9 @@ class FetchStage:
         # network) is freed at once, not by the cycle collector.
         download = weakref.WeakMethod(self._download_model)
         self._fetch_model = lambda label: download()(label)
-        # ``(seconds, attempts)`` of the model download the cache callback
-        # performed, picked up by the acquire that triggered it.
-        self._delivered: tuple[float, int] | None = None
+        # ``(seconds, attempts, bytes)`` of the model download the cache
+        # callback performed, picked up by the acquire that triggered it.
+        self._delivered: tuple[float, int, int] | None = None
         self.reset()
 
     def reset(self) -> None:
@@ -229,6 +260,9 @@ class FetchStage:
         self.video_bytes = 0
         self.energy_joules = 0.0
         self.sr_segments = 0
+        #: kind -> ``[attempts, failures, bytes, retries, backoff seconds]``
+        #: of every download that reached the network.
+        self.download_ledger: dict[str, list] = {}
         #: label -> {(tier, precision)} tier checkpoints already downloaded.
         self._tier_downloaded: dict[int, set[tuple[str, str]]] = {}
         if self.controller is not None:
@@ -255,7 +289,7 @@ class FetchStage:
                     out.model = self._tier_model(label, out.decision)
         except (KeyError, DownloadError) as exc:
             if isinstance(exc, DownloadError):
-                self._charge(out, "model", exc.seconds, exc.attempts, True)
+                self._charge(out, "model", exc.seconds, exc.attempts)
             if not self.fallback:
                 raise
             out.seg_t.status = "fallback"
@@ -270,10 +304,11 @@ class FetchStage:
                     self.network, self.retry, "segment",
                     encoded_segment.index, encoded_segment.n_bytes)
             except DownloadError as exc:
-                self._charge(out, "segment", exc.seconds, exc.attempts, True)
+                self._charge(out, "segment", exc.seconds, exc.attempts)
                 out.seg_t.status = "concealed"
                 return out
-            self._charge(out, "segment", seconds, attempts)
+            self._charge(out, "segment", seconds, attempts,
+                         encoded_segment.n_bytes)
         self.video_bytes += encoded_segment.n_bytes
         return out
 
@@ -326,18 +361,33 @@ class FetchStage:
 
     # -------------------------------------------------------------- internals
 
-    @staticmethod
-    def _charge(out: SegmentFetch, kind: str, seconds: float, attempts: int,
-                failed: bool = False) -> None:
+    def _charge(self, out: SegmentFetch, kind: str, seconds: float,
+                attempts: int, n_bytes: int | None = None) -> None:
+        """Account one download, retries folded in; ``n_bytes`` is what
+        it delivered (the manifest's accounting size), ``None`` when it
+        ran out of budget.  Every attempt but a delivering last one
+        failed, and every attempt but the last was followed by a retry."""
+        failed = n_bytes is None
         out.seg_t.download_s += seconds
         out.seg_t.download_attempts += attempts
         out.downloads.append((kind, seconds, attempts, failed))
+        row = self.download_ledger.get(kind)
+        if row is None:
+            row = self.download_ledger[kind] = [0, 0, 0, 0, 0.0]
+        row[0] += attempts
+        row[1] += attempts if failed else attempts - 1
+        row[2] += n_bytes or 0
+        row[3] += attempts - 1
+        # One backoff at a time, in the order they were waited out: the
+        # per-kind float sum is the one a counter bumped per retry held.
+        for retry_index in range(attempts - 1):
+            row[4] += self.retry.delay(retry_index)
 
     def _download(self, key: int | str, size: int) -> None:
         """Download one model checkpoint and charge its bytes."""
         if self.network is not None:
-            self._delivered = download_with_retry(
-                self.network, self.retry, "model", key, size)
+            self._delivered = (*download_with_retry(
+                self.network, self.retry, "model", key, size), size)
         self.model_bytes += size
 
     def _download_model(self, label: int):

@@ -17,7 +17,8 @@ client actually leans on:
   ``416`` with ``Content-Range: bytes */size``, a malformed header is
   ignored per RFC 9110 and answered with the full ``200``);
 - **keep-alive** connection reuse (closed on ``Connection: close`` or
-  client EOF) and **HEAD**.
+  client EOF), **pipelining** (requests written back to back are read
+  one head at a time and answered in order) and **HEAD**.
 
 Every request lands in the origin's :class:`~repro.obs.Observability`
 registry (``dcsr_origin_requests_total`` by method/status,
@@ -60,8 +61,9 @@ class OriginConfig:
     port: int = 0
     #: Drop a connection whose request head exceeds this many bytes.
     max_request_bytes: int = 16384
-    #: Seconds to wait for the next request on a kept-alive connection
-    #: before closing it.  ``None`` waits forever (CLI default).
+    #: Seconds to wait for the next complete request head on a
+    #: connection before answering 408 and closing it (a dribbled head
+    #: gets no extra time).  ``None`` waits forever (CLI default).
     idle_timeout_s: float | None = 30.0
 
     def __post_init__(self):
@@ -116,7 +118,7 @@ class DcsrOrigin:
         """Bind the listener; resolves the ephemeral port."""
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host,
-            port=self.config.port)
+            port=self.config.port, limit=self.config.max_request_bytes)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self
@@ -188,25 +190,21 @@ class DcsrOrigin:
     # ------------------------------------------------------------- requests
 
     async def _read_head(self, reader: asyncio.StreamReader) -> bytes:
-        limit = self.config.max_request_bytes
-        head = b""
-        while b"\r\n\r\n" not in head:
-            if len(head) > limit:
-                raise _BadRequest(431, "request head too large")
-            try:
-                if self.config.idle_timeout_s is not None and not head:
-                    chunk = await asyncio.wait_for(
-                        reader.read(4096), self.config.idle_timeout_s)
-                else:
-                    chunk = await reader.read(4096)
-            except asyncio.TimeoutError:
-                raise _BadRequest(408, "idle connection") from None
-            if not chunk:
-                if head:
-                    raise _BadRequest(400, "truncated request head")
-                raise EOFError                # clean close between requests
-            head += chunk
-        return head.split(b"\r\n\r\n", 1)[0]
+        """The next request head, without its blank line.  Bytes after it
+        (a pipelined request) stay in the reader for the next call;
+        ``idle_timeout_s`` bounds the wait for the whole head."""
+        try:
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
+                                          self.config.idle_timeout_s)
+        except asyncio.TimeoutError:
+            raise _BadRequest(408, "idle connection") from None
+        except asyncio.LimitOverrunError:
+            raise _BadRequest(431, "request head too large") from None
+        except asyncio.IncompleteReadError as exc:
+            if exc.partial:
+                raise _BadRequest(400, "truncated request head") from None
+            raise EOFError from None          # clean close between requests
+        return head[:-4]
 
     @staticmethod
     def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:

@@ -4,11 +4,11 @@ does.
 :class:`HttpTransport` is the production-shaped half of the network seam:
 the :class:`repro.core.network.Network` contract the whole client stack
 is written against — ``download(kind, key, n_bytes) -> seconds``, a
-``clock``, ``stats``, ``config``, ``obs``/``session`` attributes, and the
-``count`` hook :func:`repro.core.network.download_with_retry` uses —
-backed by real TCP sockets instead of a simulated schedule.  ``DcsrClient``, the model
-caches, retry/backoff, and the fleet simulator's playback mode therefore
-run unmodified over either transport; the transport contract suite
+``clock``, ``stats`` and ``config`` — backed by real TCP sockets instead
+of a simulated schedule.  It is a :class:`repro.core.network.Link` whose
+one attempt is a wall-timed socket fetch, so ``DcsrClient``, the model
+caches, retry/backoff, and the fleet simulator's playback mode run
+unmodified over either transport; the transport contract suite
 (``tests/net/test_transport_contract.py``) holds them to identical
 behavior.
 
@@ -35,6 +35,10 @@ Design notes:
   (:class:`OriginUnreachable`, :class:`TruncatedBody`,
   :class:`StalledRead`, :class:`HttpStatusError`), so the client's
   existing retry / concealment / fallback paths engage with no changes.
+- **No telemetry of its own.**  Like every link, the transport counts
+  attempts only in :attr:`stats` (``bytes_delivered`` is wire bytes);
+  the session's download counters come from the fetch stage's ledger in
+  the manifest's accounting bytes, whichever transport carried them.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ import asyncio
 import json
 from pathlib import Path
 
-from ..core.network import DownloadError, DownloadStats, NetworkConfig
+from ..core.network import DownloadError, Link, NetworkConfig
 from ..core.persist import (MANIFEST_PATH, make_package_dirs, model_path,
                             segment_path)
-from ..obs import Observability, SimulatedClock, wall_clock
+from ..obs import wall_clock
 
 __all__ = [
     "TransportError",
@@ -83,7 +87,7 @@ class HttpStatusError(TransportError):
         self.status = int(status)
 
 
-class HttpTransport:
+class HttpTransport(Link):
     """Real-socket drop-in for :class:`~repro.core.network.SimulatedNetwork`.
 
     Parameters
@@ -96,10 +100,6 @@ class HttpTransport:
         duck-type parity — consumers read ``config.bandwidth_bps`` as a
         throughput hint (``None`` = unknown).  Failure injection fields
         are ignored: real faults come from the wire (or the chaos proxy).
-    obs / session:
-        Same contract as the simulated network: per-attempt counters
-        land in ``obs`` under the identical metric names, labelled with
-        ``session`` when set.
     timeout_s:
         Per-read (and connect) stall budget; an attempt that stays
         silent this long raises :class:`StalledRead`.
@@ -110,7 +110,6 @@ class HttpTransport:
     """
 
     def __init__(self, base_url: str, *, config: NetworkConfig | None = None,
-                 obs: Observability | None = None, session: str | None = None,
                  timeout_s: float = 5.0,
                  loop: asyncio.AbstractEventLoop | None = None):
         if timeout_s <= 0:
@@ -125,11 +124,7 @@ class HttpTransport:
             raise ValueError(f"no host in {base_url!r}")
         self.host = host
         self.port = int(port) if port else 80
-        self.config = config or NetworkConfig()
-        self.stats = DownloadStats()
-        self.clock = SimulatedClock()
-        self.obs = obs
-        self.session = session
+        super().__init__(config)
         self.timeout_s = float(timeout_s)
         self._wall = wall_clock()
         self._loop = loop
@@ -168,12 +163,6 @@ class HttpTransport:
 
     # ------------------------------------------------- the Network contract
 
-    def count(self, name: str, value: float, help: str, **labels) -> None:
-        if self.obs is not None:
-            if self.session is not None:
-                labels = {"session": self.session, **labels}
-            self.obs.metrics.counter(name, help).inc(value, **labels)
-
     def path_for(self, kind: str, key: int | str) -> str:
         """Map the client's ``(kind, key)`` naming onto origin URL paths."""
         if kind == "segment":
@@ -184,39 +173,24 @@ class HttpTransport:
             return MANIFEST_PATH
         raise ValueError(f"unknown payload kind {kind!r}")
 
-    def download(self, kind: str, key: int | str, n_bytes: int) -> float:
-        """Fetch one payload over TCP; return measured wall seconds.
+    def _attempt(self, kind: str, key: int | str,
+                 n_bytes: int) -> tuple[float, int]:
+        """Fetch one payload over TCP, timed on the wall clock.
 
         ``n_bytes`` is the manifest's accounting size; the wire transfers
         the actual artifact (they differ for quantized checkpoints, whose
         reduced size is an accounting convention — the shipped ``.npz``
-        is the fp32 one the kernels derive from).  Counter names, the
-        error taxonomy, and the ``(seconds, raise)`` contract match
-        :meth:`SimulatedNetwork.download` exactly.
+        is the fp32 one the kernels derive from).
         """
-        self.stats.attempts += 1
-        self.count("dcsr_download_attempts_total", 1,
-                   "Download attempts by payload kind", kind=kind)
         path = self.path_for(kind, key)
         t0 = self._wall.now()
         try:
             body = self._run(self._fetch(path))
         except DownloadError as exc:
-            seconds = self._wall.now() - t0
-            self.stats.failures += 1
-            self.clock.advance(seconds)
-            self.count("dcsr_download_failures_total", 1,
-                       "Injected download failures by payload kind",
-                       kind=kind)
-            exc.seconds = seconds
+            exc.seconds = self._wall.now() - t0
             raise
-        seconds = self._wall.now() - t0
-        self.clock.advance(seconds)
-        self.stats.bytes_delivered += len(body)
-        self.count("dcsr_download_bytes_total", len(body),
-                   "Bytes delivered by payload kind", kind=kind)
         self.last_payload = body
-        return seconds
+        return self._wall.now() - t0, len(body)
 
     # ------------------------------------------------------------ HTTP core
 

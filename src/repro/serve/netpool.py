@@ -24,7 +24,6 @@ Each session draws a :class:`PooledNetwork` from the pool: a
   across runs regardless of how the OS interleaves session threads;
 - its **own simulated clock** (per-session time domain), offset by the
   session's arrival time when mapped onto the pool timeline;
-- per-session metric labels (``session="3"``) on every download counter;
 - optionally its **own token bucket** (``rate_limit_bps``): a per-session
   cap below the pool's fair share, modelled as the classic
   refill-and-drain throttler — a transfer finding the bucket short waits
@@ -72,7 +71,6 @@ import threading
 from bisect import bisect_right, insort
 
 from ..core.network import NetworkConfig, SimulatedNetwork
-from ..obs import Observability
 from .events import TokenBucket
 
 __all__ = ["SharedNetworkPool", "PooledNetwork"]
@@ -94,9 +92,6 @@ class SharedNetworkPool:
         Per-session link shape, as in
         :class:`~repro.core.network.NetworkConfig`.  ``seed`` is the fleet
         seed; each session derives its own disjoint RNG stream from it.
-    obs:
-        Shared :class:`~repro.obs.Observability` the per-session download
-        counters land in (labelled per session).
     rate_limit_bps:
         Optional per-session token-bucket rate cap in bit/s: each
         session's transfers drain a private
@@ -109,8 +104,7 @@ class SharedNetworkPool:
 
     def __init__(self, bandwidth_bps: float | None = None,
                  latency_s: float = 0.0, fail_rate: float = 0.0,
-                 seed: int = 0, obs: Observability | None = None,
-                 rate_limit_bps: float | None = None,
+                 seed: int = 0, rate_limit_bps: float | None = None,
                  rate_limit_burst_bits: float | None = None):
         # Validation is delegated to NetworkConfig (same error messages).
         NetworkConfig(fail_rate=fail_rate, bandwidth_bps=bandwidth_bps,
@@ -122,7 +116,6 @@ class SharedNetworkPool:
         self.latency_s = latency_s
         self.fail_rate = fail_rate
         self.seed = seed
-        self.obs = obs
         self.rate_limit_bps = rate_limit_bps
         self.rate_limit_burst_bits = rate_limit_burst_bits
         self._lock = threading.Lock()
@@ -153,8 +146,7 @@ class SharedNetworkPool:
         bucket = (TokenBucket(self.rate_limit_bps,
                               burst_bits=self.rate_limit_burst_bits)
                   if self.rate_limit_bps is not None else None)
-        return PooledNetwork(self, session_id, arrival_s, config,
-                             obs=self.obs, bucket=bucket)
+        return PooledNetwork(self, session_id, arrival_s, config, bucket)
 
     # ------------------------------------------------------------- charging
 
@@ -268,9 +260,8 @@ class PooledNetwork(SimulatedNetwork):
 
     def __init__(self, pool: SharedNetworkPool, session_id: int,
                  arrival_s: float, config: NetworkConfig,
-                 obs: Observability | None = None,
                  bucket: TokenBucket | None = None):
-        super().__init__(config=config, obs=obs, session=str(session_id))
+        super().__init__(config)
         self.pool = pool
         self.session_id = session_id
         self.arrival_s = float(arrival_s)

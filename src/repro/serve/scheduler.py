@@ -63,7 +63,8 @@ from ..core.client import (
 )
 from ..core.network import RetryPolicy
 from ..core.server import DcsrPackage
-from ..core.session import FetchStage, PlayoutClock, record_segment
+from ..core.session import (FetchStage, PlayoutClock, count_downloads,
+                            record_segment)
 from ..core.streaming import session_goodput_bps, stall_ratio
 from ..devices import DEVICES, get_device
 from ..obs import Observability, cdf_points, format_table
@@ -400,7 +401,7 @@ class FleetSimulator:
     :class:`SharedNetworkPool`, and this simulator's
     :class:`~repro.obs.Observability` session (per-session subtrees are
     tagged ``session=<id>`` on their ``play``/``session`` spans and
-    network counters).  Execution is a single-threaded
+    download counters).  Execution is a single-threaded
     :class:`~repro.serve.events.EventLoop`.  Loop, hierarchy and pool are
     state of one run — each :meth:`run` starts from an empty timeline and
     cold caches — and stay readable afterwards: :attr:`loop` is the
@@ -419,10 +420,11 @@ class FleetSimulator:
         self.config = config
         self.obs = obs or Observability(root_name="fleet")
         #: Optional ``(session_id, arrival_s) -> network`` override: when
-        #: set, playback sessions download through the returned transport
-        #: (e.g. :class:`repro.net.HttpTransport` against a real origin)
-        #: instead of a :class:`SharedNetworkPool` session.  The serve
-        #: layer never imports ``repro.net`` — callers inject it.
+        #: set, each playback session downloads through the returned
+        #: transport (e.g. :class:`repro.net.HttpTransport` against a real
+        #: origin) instead of a :class:`SharedNetworkPool` session, and
+        #: ``close()``s it when the session ends.  The serve layer never
+        #: imports ``repro.net`` — callers inject it.
         self.network_factory = network_factory
         # The most recent run's state, built by run().
         self.loop: EventLoop | None = None
@@ -528,7 +530,7 @@ class FleetSimulator:
             model_sizes=self.package.manifest.model_sizes)
         self.pool = SharedNetworkPool(
             bandwidth_bps=config.bandwidth_bps, latency_s=config.latency_s,
-            fail_rate=config.fail_rate, seed=config.seed, obs=self.obs,
+            fail_rate=config.fail_rate, seed=config.seed,
             rate_limit_bps=config.rate_limit_bps)
         loop = self.loop = EventLoop(trace=trace_events)
         for shell in admitted:
@@ -564,11 +566,11 @@ class FleetSimulator:
 
     def _run_session(self, shell: SessionResult,
                      reference) -> PlaybackResult:
-        if self.network_factory is not None:
-            network = self.network_factory(shell.session_id, shell.start_s)
-        else:
-            network = self.pool.session(shell.session_id,
-                                        arrival_s=shell.start_s)
+        factory = self.network_factory
+        network = (factory(shell.session_id, shell.start_s)
+                   if factory is not None
+                   else self.pool.session(shell.session_id,
+                                          arrival_s=shell.start_s))
         controller = self._controller_for(shell.session_id)
         client = DcsrClient(
             self.package,
@@ -581,7 +583,13 @@ class FleetSimulator:
             span_attrs={"session": shell.session_id},
             controller=controller,
         )
-        result = client.play(reference)
+        try:
+            result = client.play(reference)
+        finally:
+            # A factory-made transport owns an event loop (three file
+            # descriptors) that outlives the session unless released here.
+            if factory is not None:
+                network.close()
         device_name = self.config.device_name_for(shell.session_id)
         if controller is None and device_name is not None:
             # Device class without a controller: the client modeled no
@@ -665,6 +673,8 @@ class FleetSimulator:
             record_segment(result, telemetry, playout, seg_t)
 
         stage.settle(result, telemetry)
+        count_downloads(self.obs.metrics, stage.download_ledger,
+                        session=shell.session_id)
         # One span per session (per-download spans would dominate memory
         # at 5k sessions); stamped against the session's simulated clock
         # so it carries clock="simulated" like client download spans.

@@ -51,10 +51,6 @@ class BatchingStats:
     n_frames: int = 0
     max_batch_seen: int = 0
 
-    @property
-    def mean_batch_size(self) -> float:
-        return self.n_frames / self.n_batches if self.n_batches else 0.0
-
 
 class _Request:
     """One pending frame: filled in by the group leader."""

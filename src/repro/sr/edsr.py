@@ -82,7 +82,6 @@ class EDSR(nn.Layer):
             nn.Conv2d(cfg.n_filters, cfg.in_channels, cfg.kernel_size,
                       rng=rng, name="tail.out"),
         )
-        self._engine = None
 
     # ----------------------------------------------------------- Layer API
 
@@ -116,33 +115,9 @@ class EDSR(nn.Layer):
     def size_mb(self) -> float:
         return nn.model_size_mb(self)
 
-    def use_fast_path(self, tile: int | None = None, threads: int = 1,
-                      precision: str = "fp32", skip_gate=None):
-        """Route :meth:`enhance` / :meth:`enhance_batch` through the tiled
-        NHWC :class:`~repro.sr.engine.InferenceEngine`; returns the engine.
-
-        ``precision`` and ``skip_gate`` select the quantized kernels and
-        the low-detail tile gate (see :class:`~repro.sr.engine.SkipGateConfig`);
-        the defaults keep the engine bitwise-identical to the fp32 path.
-        The engine reads packed weights through the conv layers, so
-        training after attaching it stays safe — the next enhance repacks.
-        """
-        from .engine import InferenceEngine
-
-        self._engine = InferenceEngine(self, tile=tile, threads=threads,
-                                       precision=precision,
-                                       skip_gate=skip_gate)
-        return self._engine
-
-    def clear_fast_path(self) -> None:
-        """Detach the fast path; ``enhance`` reverts to the reference forward."""
-        self._engine = None
-
     def enhance(self, rgb: np.ndarray) -> np.ndarray:
         """Enhance one ``(H, W, 3)`` RGB float frame; returns the same layout
         (scaled spatially by ``config.scale``)."""
-        if self._engine is not None:
-            return self._engine.enhance(rgb)
         if rgb.ndim != 3 or rgb.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) RGB frame, got {rgb.shape}")
         # asarray: only converts when the frame is not float32 already; the
@@ -154,8 +129,6 @@ class EDSR(nn.Layer):
 
     def enhance_batch(self, frames: np.ndarray) -> np.ndarray:
         """Enhance ``(N, H, W, 3)`` frames at once."""
-        if self._engine is not None:
-            return self._engine.enhance_batch(frames)
         if frames.ndim != 4 or frames.shape[3] != 3:
             raise ValueError(f"expected (N, H, W, 3) frames, got {frames.shape}")
         batch = np.ascontiguousarray(frames.transpose(0, 3, 1, 2),

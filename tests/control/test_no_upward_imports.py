@@ -13,10 +13,17 @@ absolute or relative, at module level or inside a function.
 no library layer may import it, the serving and transport layers and
 ``repro.obs`` included — the two pure helpers they once borrowed from it
 lazily (``format_table``, ``cdf_points``) live in ``repro.obs`` now.
+
+Links sit below telemetry: the three modules that implement
+``repro.core.network.Network`` move bytes on a clock and count attempts
+in their own ``stats``; what a session downloaded is rendered into the
+registry from the fetch stage's ledger.  None of them may mention
+``Observability`` or a metrics registry, in code or in prose.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -32,6 +39,10 @@ BANNED_RELATIVE = ("serve", "net", "cli", "bench")
 BANS = {**{package: BANNED_RELATIVE for package in LOWER_LAYERS},
         "repro.obs": ("bench",), "repro.serve": ("bench",),
         "repro.net": ("bench",)}
+#: The link modules, as (package, file).
+LINK_MODULES = (("repro.core", "network.py"), ("repro.serve", "netpool.py"),
+                ("repro.net", "transport.py"))
+_TELEMETRY = re.compile(r"Observability|MetricsRegistry|\.metrics\b")
 
 
 def _package_dir(package: str) -> Path:
@@ -71,6 +82,18 @@ def test_lower_layer_never_imports_upward(package):
         f"{package} must not import "
         f"{', '.join(f'repro.{name}' for name in BANS[package])} "
         f"(layering: it sits below them):\n" + "\n".join(violations))
+
+
+@pytest.mark.parametrize("package, name", LINK_MODULES)
+def test_links_know_nothing_about_telemetry(package, name):
+    source = (_package_dir(package) / name).read_text()
+    hits = [f"{name}:{number}: {line.strip()}"
+            for number, line in enumerate(source.splitlines(), 1)
+            if _TELEMETRY.search(line)]
+    assert not hits, (
+        "a link counts in its own stats; the session ledger "
+        "(repro.core.session.count_downloads) feeds the registry:\n"
+        + "\n".join(hits))
 
 
 def test_guard_sees_the_package():

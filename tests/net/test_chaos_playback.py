@@ -38,12 +38,12 @@ def chaos(net_loop, origin):
     everything built here is torn down through the leak-guarded loop."""
     built = []
 
-    def build(schedule=None, config=None, obs=None, timeout_s=0.25):
+    def build(schedule=None, config=None, timeout_s=0.25):
         proxy = ChaosProxy(origin.host, origin.port, config=config,
                            schedule=schedule)
         net_loop.run_until_complete(proxy.start())
         built.append(proxy)
-        transport = HttpTransport(proxy.base_url, obs=obs, loop=net_loop,
+        transport = HttpTransport(proxy.base_url, loop=net_loop,
                                   timeout_s=timeout_s)
         return proxy, transport
 
@@ -76,7 +76,7 @@ class TestTypedFaults:
 class TestPlaybackPaths:
     def test_reset_retries_then_plays_fully(self, chaos, net_package):
         obs = Observability(root_name="chaos")
-        proxy, transport = chaos(schedule=["reset"], obs=obs)
+        proxy, transport = chaos(schedule=["reset"])
         result = DcsrClient(net_package, network=transport,
                             retry=RetryPolicy(retries=2), obs=obs).play()
         assert result.skipped_segments == []

@@ -94,6 +94,15 @@ class TestETag:
         assert transport.revalidated == 1
 
 
+async def _read_response(reader):
+    """``(status, body)`` of the next response on a raw connection."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    lines = head.lower().split(b"\r\n")
+    length = int(next(line.split(b":")[1] for line in lines
+                      if line.startswith(b"content-length:")))
+    return int(lines[0].split(b" ")[1]), await reader.readexactly(length)
+
+
 class TestProtocol:
     def test_head_carries_length_but_no_body(self, transport, package_dir):
         size = len((package_dir / "manifest.json").read_bytes())
@@ -140,13 +149,9 @@ class TestProtocol:
                     writer.write(b"GET /manifest.json HTTP/1.1\r\n"
                                  b"Host: test\r\n\r\n")
                     await writer.drain()
-                    head = await reader.readuntil(b"\r\n\r\n")
-                    assert b" 200 " in head.split(b"\r\n", 1)[0]
-                    length = int(next(
-                        line.split(b":")[1]
-                        for line in head.lower().split(b"\r\n")
-                        if line.startswith(b"content-length:")))
-                    bodies.append(await reader.readexactly(length))
+                    status, body = await _read_response(reader)
+                    assert status == 200
+                    bodies.append(body)
                 return bodies
             finally:
                 writer.close()
@@ -154,3 +159,64 @@ class TestProtocol:
 
         bodies = net_loop.run_until_complete(two_gets())
         assert bodies == [expected, expected]
+
+
+def _raw_exchange(net_loop, origin, payload: bytes, n_responses: int,
+                  half_close: bool = False):
+    """Write ``payload`` in one piece on a fresh connection and read
+    ``n_responses`` responses back."""
+    async def exchange():
+        reader, writer = await asyncio.open_connection(origin.host,
+                                                       origin.port)
+        try:
+            writer.write(payload)
+            await writer.drain()
+            if half_close:
+                writer.write_eof()
+            return [await asyncio.wait_for(_read_response(reader), 5.0)
+                    for _ in range(n_responses)]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+    return net_loop.run_until_complete(exchange())
+
+
+class TestRequestHead:
+    """One head at a time: what follows a head in the same read is the
+    next request, not garbage (the origin used to drop it and answer the
+    second of two pipelined GETs with a 408 once the idle timer fired)."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pipelined_requests_answered_in_order(self, net_loop, origin,
+                                                  package_dir, n):
+        paths = ["manifest.json", SEGMENT, "no-such-file"][:n]
+        payload = b"".join(f"GET /{path} HTTP/1.1\r\nHost: test\r\n\r\n"
+                           .encode() for path in paths)
+        responses = _raw_exchange(net_loop, origin, payload, n)
+        expected = [(200, (package_dir / "manifest.json").read_bytes()),
+                    (200, (package_dir / SEGMENT).read_bytes()),
+                    (404, b"not found")][:n]
+        assert responses == expected
+
+    def test_oversize_head_is_431(self, net_loop, origin):
+        payload = (b"GET /manifest.json HTTP/1.1\r\nX-Padding: "
+                   + b"a" * (2 * origin.config.max_request_bytes))
+        assert _raw_exchange(net_loop, origin, payload, 1) == [(431, b"")]
+
+    def test_truncated_head_is_400(self, net_loop, origin):
+        payload = b"GET /manifest.json HTTP/1.1\r\nHost: te"
+        assert _raw_exchange(net_loop, origin, payload, 1,
+                             half_close=True) == [(400, b"")]
+
+    def test_dribbled_head_ends_in_408(self, net_loop, package_dir):
+        """``idle_timeout_s`` bounds the whole head: a first fragment
+        buys no extra time."""
+        from repro.net import OriginConfig
+
+        slow = DcsrOrigin(package_dir, OriginConfig(idle_timeout_s=0.2))
+        net_loop.run_until_complete(slow.start())
+        try:
+            assert _raw_exchange(net_loop, slow, b"GET /manifest.json HT",
+                                 1) == [(408, b"")]
+        finally:
+            net_loop.run_until_complete(slow.stop())

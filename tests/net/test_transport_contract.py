@@ -6,8 +6,10 @@ Every test in :class:`TestTransportContract` runs three times — against
 :class:`HttpTransport` talking to a loopback origin (through a chaos
 proxy when failures are scheduled) — with byte-identical assertions.
 This is the proof that the implementations are interchangeable: same
-``download`` surface, same retry/backoff accounting, same typed errors,
-same telemetry counter names.
+``download`` surface, same retry/backoff accounting, same typed errors.
+None of them knows about telemetry: the download counters are rendered
+from the session's fetch-stage ledger, so their relations to
+``network.stats`` and the result's byte totals hold on every transport.
 """
 
 from pathlib import Path
@@ -23,6 +25,7 @@ from repro.core import (
     load_package,
 )
 from repro.core.network import DownloadError, download_with_retry
+from repro.core.session import count_downloads
 from repro.net import (
     ChaosProxy,
     DcsrOrigin,
@@ -31,19 +34,19 @@ from repro.net import (
     model_path,
     segment_path,
 )
-from repro.obs import Observability
+from repro.obs import MetricsRegistry
 from repro.serve import SharedNetworkPool
 
 pytestmark = pytest.mark.net
 
-#: The complete download counter vocabulary both transports must emit.
-DOWNLOAD_COUNTERS = {
+#: The complete download counter vocabulary, in ledger-row order.
+DOWNLOAD_COUNTERS = (
     "dcsr_download_attempts_total",
     "dcsr_download_failures_total",
     "dcsr_download_bytes_total",
     "dcsr_download_retries_total",
     "dcsr_backoff_seconds_total",
-}
+)
 
 
 class _SimCase:
@@ -55,9 +58,8 @@ class _SimCase:
     def __init__(self, package_dir: Path):
         self.package_dir = Path(package_dir)
 
-    def make(self, failures=(), obs=None):
-        return SimulatedNetwork(NetworkConfig(), failure_schedule=failures,
-                                obs=obs)
+    def make(self, failures=()):
+        return SimulatedNetwork(NetworkConfig(), failure_schedule=failures)
 
     def disk(self, kind, key) -> bytes:
         path = segment_path(key) if kind == "segment" else model_path(key)
@@ -76,11 +78,9 @@ class _PooledCase(_SimCase):
 
     name = "pooled"
 
-    def make(self, failures=(), obs=None):
-        network = SharedNetworkPool(obs=obs).session(0)
+    def make(self, failures=()):
+        network = SharedNetworkPool().session(0)
         network._schedule = list(failures)
-        # Fleet sessions tag their series; the contract reads untagged.
-        network.session = None
         return network
 
 
@@ -97,14 +97,13 @@ class _HttpCase:
         loop.run_until_complete(self.origin.start())
         self._proxies = []
 
-    def make(self, failures=(), obs=None):
+    def make(self, failures=()):
         schedule = ["reset" if fails else "ok" for fails in failures]
         proxy = ChaosProxy(self.origin.host, self.origin.port,
                            schedule=schedule)
         self.loop.run_until_complete(proxy.start())
         self._proxies.append(proxy)
-        return HttpTransport(proxy.base_url, obs=obs, loop=self.loop,
-                             timeout_s=2.0)
+        return HttpTransport(proxy.base_url, loop=self.loop, timeout_s=2.0)
 
     def disk(self, kind, key) -> bytes:
         path = segment_path(key) if kind == "segment" else model_path(key)
@@ -149,8 +148,7 @@ class TestTransportContract:
         assert case.payload(network, "model", label) == disk
 
     def test_retry_counts_under_injected_failure(self, case):
-        obs = Observability(root_name="contract")
-        network = case.make(failures=[True, False], obs=obs)
+        network = case.make(failures=[True, False])
         disk = case.disk("segment", 1)
         seconds, attempts = download_with_retry(
             network, RetryPolicy(retries=2), "segment", 1, len(disk))
@@ -158,15 +156,6 @@ class TestTransportContract:
         assert network.stats.attempts == 2
         assert network.stats.failures == 1
         assert seconds >= 0.0
-        registry = obs.metrics
-        assert registry.counter("dcsr_download_attempts_total").value(
-            kind="segment") == 2
-        assert registry.counter("dcsr_download_failures_total").value(
-            kind="segment") == 1
-        assert registry.counter("dcsr_download_retries_total").value(
-            kind="segment") == 1
-        assert registry.counter("dcsr_backoff_seconds_total").value(
-            kind="segment") > 0
         assert case.payload(network, "segment", 1) == disk
 
     def test_exhausted_budget_raises_typed_error(self, case):
@@ -185,13 +174,49 @@ class TestTransportContract:
         assert err.value.seconds >= 0.0
         assert network.stats.failures == 1
 
-    def test_counter_vocabulary_is_identical(self, case):
-        obs = Observability(root_name="contract")
-        network = case.make(failures=[True, False], obs=obs)
-        download_with_retry(network, RetryPolicy(retries=1), "segment", 0,
-                            len(case.disk("segment", 0)))
-        names = {metric.name for metric in obs.metrics.metrics()}
-        assert names == DOWNLOAD_COUNTERS
+    def test_counter_vocabulary_is_identical(self, case, package):
+        """A lossy session's counters: the five families and nothing
+        else download-shaped, attempts and failures equal to what the
+        link itself saw, bytes equal to what the result accounts."""
+        network = case.make(failures=[False, True, False, True, True])
+        client = DcsrClient(package, network=network,
+                            retry=RetryPolicy(retries=1), fallback=True)
+        result = client.play()
+        # Whichever download the double failure hit ran out of budget.
+        assert len(result.skipped_segments + result.fallback_segments) == 1
+        registry = client.obs.metrics
+        names = {metric.name for metric in registry.metrics()}
+        assert {n for n in names if "download" in n or "backoff" in n} \
+            == set(DOWNLOAD_COUNTERS)
+
+        def total(name):
+            return sum(registry.counter(name).series().values())
+        attempts, failures, n_bytes, retries, backoff = map(
+            total, DOWNLOAD_COUNTERS)
+        assert attempts == network.stats.attempts
+        assert failures == network.stats.failures == 3
+        assert n_bytes == result.video_bytes + result.model_bytes
+        assert retries == 2 and backoff > 0
+
+
+def test_count_downloads_renders_a_ledger():
+    """Zero cells emit no series; labels pass through."""
+    registry = MetricsRegistry()
+    count_downloads(registry, {"model": [3, 1, 900, 1, 0.05],
+                               "segment": [2, 0, 64, 0, 0.0]}, session=7)
+    rows = {(metric.name, key): value for metric in registry.metrics()
+            for key, value in metric.series().items()}
+    model = (("kind", "model"), ("session", "7"))
+    segment = (("kind", "segment"), ("session", "7"))
+    assert rows == {
+        ("dcsr_download_attempts_total", model): 3.0,
+        ("dcsr_download_attempts_total", segment): 2.0,
+        ("dcsr_download_failures_total", model): 1.0,
+        ("dcsr_download_bytes_total", model): 900.0,
+        ("dcsr_download_bytes_total", segment): 64.0,
+        ("dcsr_download_retries_total", model): 1.0,
+        ("dcsr_backoff_seconds_total", model): 0.05,
+    }
 
 
 def test_playback_bitwise_equal_across_transports(net_loop, package_dir,
