@@ -122,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "VAR to bicubic upscaling (fast path; default "
                            "off = bitwise-identical output)")
     play.add_argument("--sr-batch", type=int, default=None, metavar="N",
-                      help="decode N segments concurrently and merge "
-                           "their I-frames into one batched GEMM (fast "
-                           "path; needs --prefetch >= 1; default 1)")
+                      help="segment pipeline workers: decode and enhance "
+                           "N segments concurrently, each on its own "
+                           "decoder and SR engines (fast path; needs "
+                           "--prefetch >= 1; default 1)")
     play.add_argument("--reuse", action="store_true",
                       help="temporal tile reuse: emit the previous "
                            "frame's SR output for tiles whose decoded "
@@ -401,6 +402,19 @@ def _cmd_play(args) -> int:
         print("play needs exactly one source: a package directory "
               "or --url", file=sys.stderr)
         return 2
+    # Only what the user typed reaches the config: its own defaults fill
+    # the rest, and an explicit invalid value (``--sr-batch 0``) reaches
+    # its checks instead of being mistaken for "unset" — here, before
+    # anything is mirrored or downloaded.
+    typed = {"tile": args.tile, "sr_threads": args.sr_threads,
+             "prefetch": args.prefetch, "precision": args.precision,
+             "skip_gate": args.skip_gate, "sr_batch": args.sr_batch,
+             "reuse": args.reuse_tol if args.reuse_tol is not None
+             else (True if args.reuse else None),
+             "kernel": args.sr_kernel}
+    typed = {name: value for name, value in typed.items()
+             if value is not None}
+    fast = FastPathConfig(**typed) if typed else None
     obs = Observability(root_name="play")
     reference = _load_clip(args.reference).frames if args.reference else None
     network = None
@@ -427,18 +441,6 @@ def _cmd_play(args) -> int:
             network = SimulatedNetwork(NetworkConfig(
                 fail_rate=args.fail_rate, latency_s=args.latency,
                 bandwidth_bps=args.bandwidth, seed=args.net_seed))
-    # Only what the user typed reaches the config: its own defaults fill
-    # the rest, and an explicit invalid value (``--sr-batch 0``) reaches
-    # its checks instead of being mistaken for "unset".
-    typed = {"tile": args.tile, "sr_threads": args.sr_threads,
-             "prefetch": args.prefetch, "precision": args.precision,
-             "skip_gate": args.skip_gate, "sr_batch": args.sr_batch,
-             "reuse": args.reuse_tol if args.reuse_tol is not None
-             else (True if args.reuse else None),
-             "kernel": args.sr_kernel}
-    typed = {name: value for name, value in typed.items()
-             if value is not None}
-    fast = FastPathConfig(**typed) if typed else None
     controller = None
     if args.controller != "off":
         if args.device is None:
@@ -494,6 +496,11 @@ def _cmd_serve(args) -> int:
              else (True if args.reuse else None))
     fast_path = None
     if reuse is not None:
+        if args.mode != "playback":
+            print("--reuse/--reuse-tol configure the sessions' SR engines "
+                  "and need --mode playback (trace mode runs no SR)",
+                  file=sys.stderr)
+            return 2
         from .core import FastPathConfig
         fast_path = FastPathConfig(reuse=reuse)
     devices = tuple(d.strip() for d in args.device.split(",") if d.strip()) \

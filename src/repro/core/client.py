@@ -46,11 +46,9 @@ from typing import Iterator
 import numpy as np
 
 from ..control import JointController
-from ..nn.functional import PRECISIONS
 from ..obs import Observability, format_table
-from ..sr.batching import BatchingInferenceEngine
 from ..sr.edsr import EDSR
-from ..sr.engine import ENGINE_KERNELS, InferenceEngine
+from ..sr.engine import InferenceEngine, check_engine_knobs
 from ..video import rgb_to_yuv420, yuv420_to_rgb
 from ..video.frame import YuvFrame
 from ..video.quality import psnr, ssim
@@ -128,13 +126,14 @@ class FastPathConfig:
         Number of segment pipeline workers.  1 (default) runs one
         worker strictly in segment order.  ``> 1`` (requires
         ``prefetch >= 1``) decodes up to ``sr_batch`` segments
-        concurrently, and their co-pending I-frames merge into one
-        batched GEMM call through a session-local
-        :class:`~repro.sr.batching.BatchingInferenceEngine`.
-        Downloads stay serialized in segment order, so the simulated
-        network consumes its schedule exactly as the serial client does.
-        Composes with neither ``reuse`` nor a joint controller — both
-        need segments decoded one at a time, in order.
+        concurrently, each worker on a private decoder and private
+        engines; nothing is merged across workers (dcSR enhances about
+        one frame per GOP, and measured sessions found next to nothing
+        to merge — see ``docs/performance.md``).  Downloads stay
+        serialized in segment order, so the simulated network consumes
+        its schedule exactly as the serial client does.  Does not
+        compose with a joint controller, which needs segment *n*'s
+        feedback before it fetches *n + 1*.
     reuse:
         Optional temporal tile reuse: a
         :class:`~repro.sr.engine.TileReuseConfig`, ``True`` (exact mode),
@@ -142,9 +141,9 @@ class FastPathConfig:
         content matches the previous frame emit the cached SR output
         instead of running the conv stack; the cache resets at every
         segment boundary so seeks and concealment stay correct.  Exact
-        mode is bitwise-identical to playing without reuse.  Incompatible
-        with ``sr_batch > 1`` — concurrent segment decode breaks the
-        temporal ordering reuse relies on.
+        mode is bitwise-identical to playing without reuse, at any
+        ``sr_batch``: a pipeline worker decodes whole segments in order
+        on its own engine, which is all the ordering reuse relies on.
     kernel:
         SR conv kernel: ``"shift"`` (default, the tap-decomposed NHWC
         kernel) or ``"blocked"`` (cache-blocked im2col GEMM).
@@ -165,25 +164,11 @@ class FastPathConfig:
 
     def validate(self, controller=None) -> None:
         """Every field and mode-combination check in one place, given
-        the joint ``controller`` the session runs under (if any)."""
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, "
-                f"got {self.precision!r}")
-        if self.kernel not in ENGINE_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {ENGINE_KERNELS}, "
-                f"got {self.kernel!r}")
-        if isinstance(self.skip_gate, (int, float)) \
-                and not isinstance(self.skip_gate, bool) \
-                and self.skip_gate < 0:
-            raise ValueError(
-                f"skip_gate threshold must be >= 0, got {self.skip_gate}")
-        if isinstance(self.reuse, (int, float)) \
-                and not isinstance(self.reuse, bool) \
-                and self.reuse < 0:
-            raise ValueError(
-                f"reuse tolerance must be >= 0, got {self.reuse}")
+        the joint ``controller`` the session runs under (if any).  The
+        engine knobs go through the engine's own check, so what a config
+        accepts is exactly what an engine can be built with."""
+        check_engine_knobs(self.tile, self.sr_threads, self.precision,
+                           self.skip_gate, self.reuse, self.kernel)
         if self.prefetch < 0:
             raise ValueError(f"prefetch must be >= 0, got {self.prefetch}")
         if self.sr_batch < 1:
@@ -192,10 +177,6 @@ class FastPathConfig:
             if self.prefetch < 1:
                 raise ValueError(
                     "sr_batch > 1 needs the pipeline: set prefetch >= 1")
-            if self.reuse not in (None, False):
-                raise ValueError(
-                    "reuse needs in-order frames: sr_batch > 1 decodes "
-                    "segments concurrently and is incompatible with it")
             if controller is not None:
                 raise ValueError(
                     "a joint controller needs each segment's feedback "
@@ -454,30 +435,29 @@ class DcsrClient:
         self.obs = obs or Observability(root_name="client")
         self._session = None
         self._engines: dict[tuple[int, str], InferenceEngine] = {}
-        self._batcher = None
         self._speedup_sample = 0.0
         self.last_result: PlaybackResult | None = None
 
-    def _engine_for(self, model: EDSR, precision: str | None = None):
-        """The per-(model, precision) engine, built once per session: the
-        one factory behind label engines and controller tier engines, so
-        every :class:`FastPathConfig` knob reaches both.  ``precision`` is
-        a controller's decided precision; ``None`` means a label engine at
-        the fast path's own.
+    def _engine_for(self, model: EDSR, precision: str | None,
+                    engines: dict) -> InferenceEngine:
+        """The per-(model, precision) engine in ``engines``, built on
+        first use: the one factory behind label engines and controller
+        tier engines, so every :class:`FastPathConfig` knob reaches both.
+        ``precision`` is a controller's decided precision; ``None`` means
+        a label engine at the fast path's own.
 
-        Engines live on the client, not the model, so a shared package's
-        models are never mutated and concurrent sessions stay independent.
-        With ``sr_batch > 1`` the engine is an adapter onto the session's
-        batcher, built fresh per call: adapters carry per-call ``stats``,
-        so concurrent decode workers must not share one.
+        Engines live with whoever decodes, not on the model, so a shared
+        package's models are never mutated and concurrent sessions stay
+        independent.  ``engines`` is the client's own dict on the inline
+        source and a private dict per pipeline worker: an engine's
+        ``stats`` and reuse cache are per-call state, so two threads must
+        not share one.
         """
         fast = self._fast or _REFERENCE_KNOBS
-        if fast.sr_batch > 1:
-            return self._batcher.engine_for(model)
         key = (id(model), precision or fast.precision)
-        engine = self._engines.get(key)
+        engine = engines.get(key)
         if engine is None:
-            engine = self._engines[key] = InferenceEngine(
+            engine = engines[key] = InferenceEngine(
                 model, tile=fast.tile, threads=fast.sr_threads, obs=self.obs,
                 precision=key[1], skip_gate=fast.skip_gate, reuse=fast.reuse,
                 kernel=fast.kernel)
@@ -517,7 +497,6 @@ class DcsrClient:
         self.last_result = result
         self._speedup_sample = 0.0
         self._engines = {}
-        self._batcher = None
         self._stage.reset()
         fps = package.encoded.fps
         telemetry = PlaybackTelemetry(native_fps=fps, obs=self.obs)
@@ -530,14 +509,6 @@ class DcsrClient:
 
         fast = self._fast or _REFERENCE_KNOBS
         prefetch, sr_batch = fast.prefetch, fast.sr_batch
-        if sr_batch > 1:
-            # Session-local leader–follower batcher: co-pending I-frames
-            # of this session's decode workers merge into one engine call.
-            self._batcher = BatchingInferenceEngine(
-                max_batch=sr_batch, max_wait_s=0.005, tile=fast.tile,
-                threads=fast.sr_threads, obs=self.obs,
-                precision=fast.precision, skip_gate=fast.skip_gate,
-                kernel=fast.kernel)
         # Each segment's decode+SR seconds are charged serially (measured
         # wall time cannot be attributed across overlapping workers), so
         # reported stalls are conservative.
@@ -574,10 +545,10 @@ class DcsrClient:
 
         ``prefetch == 0`` produces each segment inline on the caller's
         thread.  Anything else runs ``sr_batch`` workers, each with a
-        private :class:`~repro.video.codec.Decoder`; several workers'
-        co-pending I-frames merge into one batched GEMM through the
-        session's :class:`~repro.sr.batching.BatchingInferenceEngine` (bitwise
-        identical per frame to the serial engine).  The pool's contract:
+        private :class:`~repro.video.codec.Decoder` and private engines,
+        so a worker decodes and enhances whole segments exactly as the
+        inline source would and shares no per-call state with the others.
+        The pool's contract:
 
         - Fetches are turn-ordered: a worker claims the next segment and
           runs its fetch stage under one lock, so the network consumes
@@ -600,7 +571,7 @@ class DcsrClient:
             for segment, encoded_segment in pairs:
                 fetched = self._fetch_stage(segment, encoded_segment)
                 decoded = self._decode_stage(segment, encoded_segment,
-                                             fetched, decoder)
+                                             fetched, decoder, self._engines)
                 yield segment, fetched, decoded, (0, len(decoded or ()))
             return
 
@@ -614,6 +585,7 @@ class DcsrClient:
 
         def worker() -> None:
             decoder = Decoder(hook_display_only=hook_display_only)
+            engines = {}
             while not stop.is_set():
                 if not slots.acquire(timeout=0.05):
                     continue            # re-check stop while no slot is free
@@ -626,7 +598,7 @@ class DcsrClient:
                         index, (segment, encoded_segment) = claim
                         fetched = self._fetch_stage(segment, encoded_segment)
                     decoded = self._decode_stage(segment, encoded_segment,
-                                                 fetched, decoder)
+                                                 fetched, decoder, engines)
                 except BaseException as exc:   # surfaced on main thread
                     fetched, decoded = exc, None
                 with done_cv:
@@ -703,11 +675,12 @@ class DcsrClient:
                                stage="download", **attrs)
 
     def _decode_stage(self, segment, encoded_segment, fetched: SegmentFetch,
-                      decoder):
+                      decoder, engines: dict):
         """Stage 3: decode with the SR hook in the loop, then release the
         model pin and feed the realized inference count back.  Thread-safe
-        given a private ``decoder`` per caller (decode workers run this
-        concurrently).  Returns ``None`` when the segment must conceal."""
+        given a ``decoder`` and an ``engines`` dict no concurrent caller
+        shares (decode workers run this concurrently).  Returns ``None``
+        when the segment must conceal."""
         from ..video.codec import DecodeError
 
         package = self.package
@@ -722,7 +695,7 @@ class DcsrClient:
                     None if fetched.model is None
                     else self._timed_hook(
                         fetched.model, seg_t,
-                        decision.precision if decision else None))
+                        decision.precision if decision else None, engines))
                 # The decode span nests the hook's sr/color spans (same
                 # thread), so its staged self-time equals decode_s below.
                 with self.obs.tracer.span("decode", parent=self._session,
@@ -793,7 +766,7 @@ class DcsrClient:
                               where="display")
 
     def _timed_hook(self, model, seg_t: SegmentPlayback,
-                    precision: str | None = None):
+                    precision: str | None, engines: dict):
         """Figure 6's enhancement hook with per-stage timing attached.
 
         With a :class:`FastPathConfig`, SR runs on the tiled NHWC engine;
@@ -804,8 +777,9 @@ class DcsrClient:
         decided ``precision`` always runs on an engine at that precision.
         """
         use_engine = precision is not None or self._fast is not None
-        engine = self._engine_for(model, precision) if use_engine else None
-        if engine is not None and hasattr(engine, "reset_reuse"):
+        engine = (self._engine_for(model, precision, engines)
+                  if use_engine else None)
+        if engine is not None:
             # One hook per segment: a segment boundary is a GOP boundary
             # (and where seeks/concealment land), so cross-segment content
             # coincidence must never be mistaken for temporal continuity.

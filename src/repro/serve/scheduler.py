@@ -133,7 +133,8 @@ class FleetConfig:
         Optional :class:`~repro.core.client.FastPathConfig` every
         playback-mode session plays with (tiling, quantized kernels, the
         skip gate, temporal reuse).  ``None`` keeps the reference SR
-        path.  Ignored in trace mode — see ``sr_demand_factor``.
+        path.  Ignored in trace mode — see ``sr_demand_factor`` (``cli
+        serve --mode trace`` refuses ``--reuse`` rather than ignore it).
     sr_demand_factor:
         Trace mode's model of the client fast path: the fraction of a
         session's *nominal* per-I-frame SR FLOPs it would actually

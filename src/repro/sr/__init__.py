@@ -1,7 +1,6 @@
 """Super-resolution: EDSR models, training, configurations, and the
 minimum-working-model search."""
 
-from .batching import BatchingInferenceEngine, BatchingStats
 from .bicubic import BicubicSR
 from .configs import (
     DCSR_CONFIGS,
@@ -47,8 +46,6 @@ __all__ = [
     "TileReuseConfig",
     "TileReuseCache",
     "ENGINE_KERNELS",
-    "BatchingInferenceEngine",
-    "BatchingStats",
     "QUANT_PRECISIONS",
     "CalibrationResult",
     "calibrate_quantized",

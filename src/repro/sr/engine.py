@@ -30,6 +30,12 @@ reassociation, well below the guaranteed 1e-5); frame borders keep the
 reference zero-padding because there the tile edge *is* the frame edge.
 Tiles bound peak working-set memory and are independent, so they can fan
 out across a thread pool (the GEMMs release the GIL).
+
+An engine has one owner at a time — :attr:`InferenceEngine.stats` is
+per-call state and the reuse cache follows one frame stream — so each of
+the client's concurrent segment workers builds its own.  Engines of one
+model share only the model: its packed weights are a pure function of the
+checkpoint, so packing them twice under a race yields the same taps.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .edsr import _PIXEL_SHIFT, EDSR, EdsrConfig
 
 __all__ = ["InferenceEngine", "EngineStats", "SkipGateConfig",
            "TileReuseConfig", "TileReuseCache", "ENGINE_KERNELS",
-           "receptive_field_radius"]
+           "check_engine_knobs", "receptive_field_radius"]
 
 #: Conv kernels the engine can route the fused plan through: the
 #: tap-decomposed shift kernel (default) or the cache-blocked im2col GEMM.
@@ -218,25 +224,41 @@ class EngineStats:
     skipped_tiles: int = 0
     reused_tiles: int = 0
 
-    def per_frame(self, index: int = 0) -> "EngineStats":
-        """Frame ``index``'s share of a batched call's counters.
 
-        :class:`repro.sr.batching.BatchingInferenceEngine` runs N decode
-        workers' frames through one call and attributes the stats back per
-        frame.  Shares are sum-consistent: summing
-        ``per_frame(i)`` over ``i in range(frames)`` reproduces the
-        aggregate exactly — FLOPs split evenly, integer counters split
-        evenly with the remainder attributed to the lowest frame indices.
-        """
-        f = max(1, self.frames)
+def check_engine_knobs(tile, threads, precision, skip_gate, reuse, kernel):
+    """Check an engine's arguments; return ``(skip_gate, reuse)`` coerced
+    to a :class:`SkipGateConfig` / :class:`TileReuseConfig` (or ``None``).
 
-        def split(count: int) -> int:
-            return count // f + (1 if index < count % f else 0)
-
-        return EngineStats(tile_count=split(self.tile_count), frames=1,
-                           flops=self.flops / f,
-                           skipped_tiles=split(self.skipped_tiles),
-                           reused_tiles=split(self.reused_tiles))
+    The one copy of these checks: :class:`InferenceEngine` runs it at
+    construction and :meth:`repro.core.client.FastPathConfig.validate`
+    when a config is built, so a bad knob fails before a session downloads
+    anything rather than inside its first I frame's hook.
+    """
+    if tile is not None and tile < 1:
+        raise ValueError("tile must be >= 1 pixel")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if precision not in F.PRECISIONS:
+        raise ValueError(f"unknown precision {precision!r}; "
+                         f"expected one of {F.PRECISIONS}")
+    if kernel not in ENGINE_KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; "
+                         f"expected one of {ENGINE_KERNELS}")
+    if isinstance(skip_gate, (int, float)) and not isinstance(skip_gate, bool):
+        skip_gate = SkipGateConfig(var_threshold=float(skip_gate))
+    if skip_gate is not None and not isinstance(skip_gate, SkipGateConfig):
+        raise TypeError("skip_gate must be a SkipGateConfig, a float "
+                        "threshold, or None")
+    if reuse is True:
+        reuse = TileReuseConfig()
+    elif reuse is False:
+        reuse = None
+    elif isinstance(reuse, (int, float)):
+        reuse = TileReuseConfig(tolerance=float(reuse))
+    if reuse is not None and not isinstance(reuse, TileReuseConfig):
+        raise TypeError("reuse must be a TileReuseConfig, a float "
+                        "tolerance, a bool, or None")
+    return skip_gate, reuse
 
 
 class InferenceEngine:
@@ -288,30 +310,8 @@ class InferenceEngine:
                  skip_gate: SkipGateConfig | float | None = None,
                  reuse: TileReuseConfig | float | bool | None = None,
                  kernel: str = "shift"):
-        if tile is not None and tile < 1:
-            raise ValueError("tile must be >= 1 pixel")
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        if precision not in F.PRECISIONS:
-            raise ValueError(f"unknown precision {precision!r}; "
-                             f"expected one of {F.PRECISIONS}")
-        if kernel not in ENGINE_KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; "
-                             f"expected one of {ENGINE_KERNELS}")
-        if isinstance(skip_gate, (int, float)) and not isinstance(skip_gate, bool):
-            skip_gate = SkipGateConfig(var_threshold=float(skip_gate))
-        if skip_gate is not None and not isinstance(skip_gate, SkipGateConfig):
-            raise TypeError("skip_gate must be a SkipGateConfig, a float "
-                            "threshold, or None")
-        if reuse is True:
-            reuse = TileReuseConfig()
-        elif reuse is False:
-            reuse = None
-        elif isinstance(reuse, (int, float)) and not isinstance(reuse, bool):
-            reuse = TileReuseConfig(tolerance=float(reuse))
-        if reuse is not None and not isinstance(reuse, TileReuseConfig):
-            raise TypeError("reuse must be a TileReuseConfig, a float "
-                            "tolerance, a bool, or None")
+        skip_gate, reuse = check_engine_knobs(tile, threads, precision,
+                                              skip_gate, reuse, kernel)
         self.model = model
         self.tile = tile
         self.threads = int(threads)

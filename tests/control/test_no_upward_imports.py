@@ -105,7 +105,7 @@ def test_guard_sees_the_package():
 def test_guard_catches_lazy_and_relative_imports(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f():\n"
-                   "    from ..serve.batching import BatchingInferenceEngine\n"
+                   "    from ..serve.netpool import SharedNetworkPool\n"
                    "from .. import net\n"
                    "import repro.cli\n"
                    "def g():\n"

@@ -18,8 +18,32 @@ from repro.core import (
     FastPathConfig,
     NetworkConfig,
     RetryPolicy,
+    ServerConfig,
     SimulatedNetwork,
+    build_package,
 )
+from repro.features import VaeTrainConfig
+from repro.sr import EdsrConfig, SrTrainConfig
+from repro.video import make_video
+from repro.video.codec import CodecConfig
+
+
+@pytest.fixture(scope="module")
+def static_package():
+    """A static camera, one model, three segments of several I frames
+    each (``extra_i_interval=1``): the one shape on which temporal reuse
+    fires inside a session — default GOPs carry one I frame per segment
+    and the cache resets at every segment boundary."""
+    clip = make_video("static", "news", seed=5, size=(48, 64),
+                      duration_seconds=2.4, fps=10, n_distinct_scenes=2)
+    return build_package(clip, ServerConfig(
+        codec=CodecConfig(crf=45, extra_i_interval=1), max_segment_len=8,
+        k_override=1,
+        vae_train=VaeTrainConfig(epochs=2, batch_size=4),
+        sr_train=SrTrainConfig(epochs=2, steps_per_epoch=4, batch_size=4,
+                               patch_size=16, lr_decay_epochs=2),
+        micro_config=EdsrConfig(n_resblocks=1, n_filters=4),
+        validate_in_loop=False))
 
 
 def _play(package, frames, fast=None, network=None, fallback=False,
@@ -131,7 +155,7 @@ class TestQuantizedGatedPlayback:
         with pytest.raises(ValueError):
             FastPathConfig(sr_batch=0)
         with pytest.raises(ValueError):
-            # the batched pipeline needs prefetch workers to merge frames
+            # segment workers are the prefetch pipeline's workers
             FastPathConfig(sr_batch=2, prefetch=0)
 
     def test_sr_batch_bitwise_equals_prefetch(self, package, small_clip):
@@ -294,22 +318,63 @@ class TestTemporalReusePlayback:
             diff = np.abs(ours.astype(np.int16) - theirs.astype(np.int16))
             assert diff.max() <= 1
 
-    def test_segment_boundary_resets_the_cache(self, package):
-        """A new segment means a new model and a GOP boundary — the hook
-        factory must clear the reuse cache before the segment decodes."""
-        from repro.core.client import SegmentPlayback
+    def test_segment_boundary_resets_the_cache(self, static_package):
+        """A segment boundary is a GOP boundary (and where seeks and
+        concealment land): a session's reuse starts over there even when
+        the next segment opens on the very content — and the very model —
+        the last one closed on."""
+        from repro.sr import InferenceEngine
+        from repro.video import rgb_to_yuv420, yuv420_to_rgb
+        from repro.video.codec import Decoder
 
-        client = DcsrClient(package,
-                            fast_path=FastPathConfig(reuse=True))
-        label = package.manifest.model_label_for(0)
-        model = package.models[label]
-        engine = client._engine_for(model)
-        frame = np.random.default_rng(31).random((24, 32, 3),
-                                                 dtype=np.float32)
-        engine.enhance(frame)
-        assert len(engine.reuse_cache) > 0
-        client._timed_hook(model, SegmentPlayback(index=1))
-        assert len(engine.reuse_cache) == 0
+        package = static_package
+
+        def reused_per_segment(reset):
+            """The session's decode replayed on one engine by hand."""
+            model = package.models[package.manifest.model_label_for(0)]
+            engine = InferenceEngine(model, tile=16, reuse=True)
+            decoder = Decoder(
+                hook_display_only=not package.manifest.enhance_in_loop)
+            rows = []
+
+            def hook(frame, display):
+                enhanced = engine.enhance(yuv420_to_rgb(frame))
+                rows[-1] += engine.stats.reused_tiles
+                return rgb_to_yuv420(enhanced)
+
+            decoder.i_frame_hook = hook
+            for payload in package.encoded.segments:
+                if reset:
+                    engine.reset_reuse()
+                rows.append(0)
+                decoder.decode_segment(payload, package.encoded.width,
+                                       package.encoded.height)
+            return rows
+
+        session = _play(package, None, FastPathConfig(tile=16, reuse=True))
+        played = [s.sr_reused_tiles for s in session.telemetry.segments]
+        assert played == reused_per_segment(reset=True)
+        # The boundary coincidence is real: an engine that is never reset
+        # replays tiles across it.
+        assert sum(reused_per_segment(reset=False)) > sum(played) > 0
+
+    def test_reuse_composes_with_segment_workers(self, static_package):
+        """``reuse`` x ``sr_batch > 1`` used to raise.  A worker decodes
+        whole segments in order on its own engine, so exact reuse under
+        two workers replays the tiles the serial reuse session replays
+        and emits the frames of a session without reuse."""
+        plain = _play(static_package, None, FastPathConfig(tile=16))
+        serial = _play(static_package, None,
+                       FastPathConfig(tile=16, reuse=True))
+        pooled = _play(static_package, None,
+                       FastPathConfig(tile=16, reuse=True, prefetch=2,
+                                      sr_batch=2))
+        assert serial.telemetry.reused_tiles > 0
+        assert [s.sr_reused_tiles for s in pooled.telemetry.segments] \
+            == [s.sr_reused_tiles for s in serial.telemetry.segments]
+        assert len(pooled.frames) == len(plain.frames)
+        for ours, theirs in zip(pooled.frames, plain.frames):
+            assert np.array_equal(ours, theirs)
 
     def test_reuse_telemetry_rolls_up(self, package, small_clip):
         result = _play(package, small_clip.frames,
@@ -319,9 +384,6 @@ class TestTemporalReusePlayback:
         # The three-way partition holds at session scope too.
         assert t.tile_count + t.skipped_tiles + t.reused_tiles > 0
 
-    def test_reuse_validation(self, package):
-        with pytest.raises(ValueError, match="sr_batch"):
-            DcsrClient(package,
-                       fast_path=FastPathConfig(reuse=True, sr_batch=2))
+    def test_reuse_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
-            DcsrClient(package, fast_path=FastPathConfig(reuse=-0.5))
+            FastPathConfig(reuse=-0.5)

@@ -8,6 +8,7 @@ a slow consumer, consumer-side bookkeeping, fast-path knobs reaching
 every engine, and construction-time validation.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.core import (
 from repro.core.session import PlayoutClock
 from repro.features import VaeTrainConfig
 from repro.serve import FleetConfig
-from repro.sr import EdsrConfig, SrTrainConfig
+from repro.sr import EDSR, EdsrConfig, InferenceEngine, SrTrainConfig
 from repro.video import make_video
 from repro.video.codec import CodecConfig
 
@@ -147,19 +148,106 @@ class TestConsumerSideBookkeeping:
 
 
 class TestKnobsReachEveryEngine:
-    def test_batched_session_honours_kernel(self, package):
-        """Regression: ``sr_batch > 1`` silently ran the shift kernel —
-        the session-local batcher never received ``kernel``."""
-        client = DcsrClient(package, fast_path=FastPathConfig(
-            prefetch=2, sr_batch=2, kernel="blocked"))
-        client.play()
-        engines = [engine for engine, _lock
-                   in client._batcher._engines.values()]
-        assert engines
-        assert all(engine.kernel == "blocked" for engine in engines)
+    def test_batched_session_honours_kernel(self, package, monkeypatch):
+        """Regression: ``sr_batch > 1`` silently ran the shift kernel.
+        Every engine a session builds — on whichever worker — must be
+        built with every engine knob of its config."""
+        import repro.core.client as client_mod
+
+        built = []
+
+        class Recording(client_mod.InferenceEngine):
+            def __init__(self, model, **knobs):
+                built.append(knobs)
+                super().__init__(model, **knobs)
+
+        monkeypatch.setattr(client_mod, "InferenceEngine", Recording)
+        knobs = dict(tile=24, precision="fp16", skip_gate=1e-4, reuse=True,
+                     kernel="blocked")
+        for pipeline in (dict(), dict(prefetch=2),
+                         dict(prefetch=2, sr_batch=2)):
+            built.clear()
+            DcsrClient(package, fast_path=FastPathConfig(
+                sr_threads=2, **knobs, **pipeline)).play()
+            assert built
+            for engine_knobs in built:
+                assert engine_knobs["threads"] == 2
+                assert {k: engine_knobs[k] for k in knobs} == knobs
+
+
+class TestEngineOwnership:
+    def test_workers_sharing_one_model_play_the_serial_session(
+            self, uniform_package):
+        """Every worker of a ``k_override=1`` package enhances with the
+        same model object: the lazily packed int8 weights (cold here —
+        nothing in this module played int8 before) and the per-call
+        ``engine.stats`` are what concurrent workers could trample.  Each
+        worker owns its engines, so every session is the serial one: same
+        frames, same per-segment tile accounting."""
+        knobs = dict(tile=16, precision="int8", skip_gate=2e-3,
+                     calibrate=False)
+
+        def play(**pipeline):
+            result = DcsrClient(uniform_package, fast_path=FastPathConfig(
+                **knobs, **pipeline)).play()
+            return result.frames, [
+                (s.index, s.sr_inferences, s.sr_tiles, s.sr_flops,
+                 s.sr_skipped_tiles) for s in result.telemetry.segments]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the workers' bytecode
+        try:
+            pooled = [play(prefetch=2, sr_batch=3) for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        frames, rows = play()
+        assert sum(row[2] for row in rows) > 0      # tiles ran ...
+        assert sum(row[4] for row in rows) > 0      # ... and tiles gated
+        for pooled_frames, pooled_rows in pooled:
+            assert pooled_rows == rows
+            assert len(pooled_frames) == len(frames)
+            for ours, theirs in zip(pooled_frames, frames):
+                assert np.array_equal(ours, theirs)
+
+
+#: Engine knobs no engine can be built with, as ``InferenceEngine``
+#: keywords (``FastPathConfig`` spells ``threads`` ``sr_threads``).
+BAD_ENGINE_KNOBS = [
+    (dict(tile=0), ValueError, "tile must be >= 1"),
+    (dict(tile=-5), ValueError, "tile must be >= 1"),
+    (dict(threads=0), ValueError, "threads must be >= 1"),
+    (dict(precision="fp64"), ValueError, "unknown precision"),
+    (dict(kernel="winograd"), ValueError, "unknown kernel"),
+    (dict(skip_gate="x"), TypeError, "skip_gate must be"),
+    (dict(skip_gate=-1.0), ValueError, "var_threshold must be >= 0"),
+    (dict(reuse="yes"), TypeError, "reuse must be"),
+    (dict(reuse=-0.5), ValueError, "tolerance must be >= 0"),
+]
+
+BAD_KNOB_IDS = [f"{name}={value}" for knobs, _, _ in BAD_ENGINE_KNOBS
+                for name, value in knobs.items()]
 
 
 class TestValidationAtConstruction:
+    @pytest.mark.parametrize("knobs, error, message", BAD_ENGINE_KNOBS,
+                             ids=BAD_KNOB_IDS)
+    def test_engine_rejects_a_bad_knob(self, knobs, error, message):
+        model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4), seed=0)
+        with pytest.raises(error, match=message):
+            InferenceEngine(model, **knobs)
+
+    @pytest.mark.parametrize("knobs, error, message", BAD_ENGINE_KNOBS,
+                             ids=BAD_KNOB_IDS)
+    def test_config_rejects_what_the_engine_rejects(self, knobs, error,
+                                                    message):
+        """The config runs the engine's own check, so a bad knob fails
+        where the config is built — not inside the first I frame's hook,
+        after the manifest, a model and a segment were downloaded."""
+        if "threads" in knobs:
+            knobs = {"sr_threads": knobs["threads"]}
+        with pytest.raises(error, match=message):
+            FastPathConfig(**knobs)
+
     def test_negative_prefetch_fails_in_the_config(self):
         with pytest.raises(ValueError, match="prefetch"):
             FastPathConfig(prefetch=-1)

@@ -161,23 +161,10 @@ class TestFlopAccounting:
 
 
 class TestPerFrameStats:
-    def test_split_is_sum_consistent(self):
-        """Regression: ``per_frame`` used to hand every frame the batch's
-        *whole* tile_count, so summing rider shares inflated fleet
-        rollups N-fold.  The shares must now partition the aggregate."""
-        model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4), seed=24)
-        frames = np.random.default_rng(25).random((3, 24, 32, 3),
-                                                  dtype=np.float32)
-        engine = InferenceEngine(model, tile=10)
-        engine.enhance_batch(frames)
-        agg = engine.stats
-        shares = [agg.per_frame(i) for i in range(agg.frames)]
-        assert sum(s.tile_count for s in shares) == agg.tile_count
-        assert sum(s.skipped_tiles for s in shares) == agg.skipped_tiles
-        assert sum(s.flops for s in shares) == pytest.approx(agg.flops)
-        assert all(s.frames == 1 for s in shares)
-
     def test_split_with_gate(self):
+        """The gate decides per (frame, tile) pair of a batched call: the
+        flat frame's grid is skipped, the textured frame's grid runs, and
+        the call's counters partition the pairs."""
         from repro.sr import SkipGateConfig
 
         model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4), seed=26)
@@ -187,10 +174,10 @@ class TestPerFrameStats:
                                  skip_gate=SkipGateConfig(1e-4))
         engine.enhance_batch(frames)
         agg = engine.stats
+        assert agg.frames == 2
         assert agg.skipped_tiles == 4          # the all-zero frame's grid
-        shares = [agg.per_frame(i) for i in range(2)]
-        assert sum(s.tile_count for s in shares) == agg.tile_count
-        assert sum(s.skipped_tiles for s in shares) == agg.skipped_tiles
+        assert agg.tile_count == 4             # the textured frame's
+        assert agg.reused_tiles == 0
 
 
 class TestInt8BatchInvariance:

@@ -112,18 +112,6 @@ class TestInvariantAndStats:
         assert stats.skipped_tiles == 11         # flat tiles, first frame
         assert stats.tile_count == 1
 
-    def test_per_frame_split_partitions_reused_tiles(self):
-        model = _model()
-        frame = _frame(7)
-        engine = InferenceEngine(model, tile=TILE, reuse=True)
-        engine.enhance_batch(np.stack([frame, frame, frame]))
-        agg = engine.stats
-        shares = [agg.per_frame(i) for i in range(agg.frames)]
-        assert sum(s.reused_tiles for s in shares) == agg.reused_tiles
-        assert sum(s.tile_count for s in shares) == agg.tile_count
-        assert sum(s.skipped_tiles for s in shares) == agg.skipped_tiles
-        assert all(_total(s) == 12 for s in shares)
-
     def test_reused_counter_recorded(self):
         from repro.obs import Observability
 

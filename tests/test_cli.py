@@ -104,6 +104,20 @@ class TestPrepareInfoPlay:
         assert message in proc.stderr
 
 
+class TestServe:
+    @pytest.mark.parametrize("flags", [["--reuse"], ["--reuse-tol", "0.01"]])
+    def test_trace_mode_refuses_reuse(self, package_dir, flags, capsys):
+        """Trace sessions run no SR engine, so ``--reuse`` used to print
+        capacity numbers the flag never touched.  It is answered like
+        ``--origin`` without playback mode: stderr and rc 2."""
+        rc = main(["serve", str(package_dir), "--sessions", "2",
+                   "--mode", "trace"] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--mode playback" in captured.err
+        assert "completed" not in captured.out
+
+
 class TestPrepareParallel:
     def test_parallel_prepare_with_cache(self, video_file, tmp_path, capsys):
         out = tmp_path / "pkg"
