@@ -51,6 +51,12 @@
 #     over 200 seeded sequences, and pool / fleet digests recorded from
 #     it (seconds; the only recorded-value check on fleet arithmetic —
 #     every other serve test compares a run with itself).
+#   - tests/nn/test_shift_reference.py — the SR conv kernel's arithmetic:
+#     output equal, bit for bit, to the per-row kernel it replaced
+#     (tests/nn/reference_shift.py) over a seeded sweep of shapes,
+#     channels, kernel sizes, precisions and epilogues, one in-place
+#     sgemm per tap and frame, zero pad pixels after every layer
+#     (seconds).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -72,6 +78,7 @@ GUARDS=(
     tests/control/test_no_upward_imports.py
     tests/core/test_build_digests.py
     tests/serve/test_pool_reference.py
+    tests/nn/test_shift_reference.py
 )
 
 run_guards() {

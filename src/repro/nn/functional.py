@@ -26,6 +26,9 @@ __all__ = [
     "pack_conv_weight",
     "conv2d_gemm",
     "conv2d_shift_nhwc",
+    "conv2d_shift_padded",
+    "pad_nhwc",
+    "unpad_nhwc",
     "IM2COL_SCRATCH_BYTES",
     "im2col_block_rows",
     "conv2d_im2col_nhwc",
@@ -169,13 +172,21 @@ def conv2d_backward(
 #   and operand layouts ``tensordot`` reduces to internally, so the same
 #   sgemm runs on the same bits.  General stride/padding; used by
 #   ``Conv2d`` inference.
-# - :func:`conv2d_shift_nhwc` — the conv decomposed into one small GEMM per
-#   kernel tap on shifted NHWC views of the padded input.  It never
-#   materializes the KH*KW-times-larger im2col matrix, which on
-#   memory-bound CPUs makes it several times faster than the im2col path;
-#   the price is a different summation order, i.e. float32 reassociation
-#   differences of a few ULP per layer.  Stride 1 / 'same' only — the SR
-#   engine's kernel.
+# - :func:`conv2d_shift_nhwc` — one GEMM per kernel tap; the KH*KW-times-
+#   larger im2col matrix is never built, at the price of a different
+#   summation order (float32 reassociation, a few ULP per layer).  Stride
+#   1 / 'same' only — the SR engine's kernel.  Activations sit
+#   *padded-stride*: pixels are rows of a flat ``(L, C)`` buffer, each
+#   image row followed by ``2*pad`` zero pixels, with ``pad*(W+2*pad) +
+#   pad`` zero rows before and after — so a tap is one contiguous run for
+#   all pixels at once and a conv is KH*KW sgemm calls accumulated in
+#   place by BLAS (tile-sized ones by a numpy add), not KH*KW*H row GEMMs
+#   plus a frame-sized add pass.  Same bits as that per-row kernel
+#   (``tests/nn/reference_shift.py``): same taps, K = Cin in one
+#   micro-kernel pass whatever M is, ``C += AB`` rounding as ``acc += tmp``
+#   did.  This rests on the BLAS build; the reference sweep and the
+#   engine-digest canary pin it.  (Cout = 1 went to sgemv, whose sums
+#   depend on the row count: 1e-6-close only.)
 # - :func:`conv2d_im2col_nhwc` — the cache-blocked im2col GEMM (below).
 #
 # Precision rides in the packed weight.  numpy has no int8 GEMM, so both
@@ -291,11 +302,11 @@ def pack_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
 
 def _quantize_activations(
         x: np.ndarray, precision: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Constrain a 4-D activation batch to the precision's grid.
+    """Constrain an ``(N, ...)`` activation batch to the precision's grid.
 
     Returns ``(xq, scale)``: fp32 passes through and fp16 rounds, both with
     no scale; int8 returns integer codes plus the dynamic scale of each
-    frame, shaped ``(N, 1, 1, 1)`` — one quantizer per frame, so no frame
+    frame, shaped ``(N, 1, ...)`` — one quantizer per frame, so no frame
     of a batch depends on its neighbours.
     """
     if precision == "fp32":
@@ -303,7 +314,7 @@ def _quantize_activations(
     if precision == "fp16":
         return x.astype(np.float16).astype(np.float32), None
     amax = np.abs(x).reshape(len(x), -1).max(axis=1, initial=0.0)
-    amax = amax.astype(np.float64).reshape(-1, 1, 1, 1)
+    amax = amax.astype(np.float64).reshape((-1,) + (1,) * (x.ndim - 1))
     scale = np.where(amax > 0.0, amax / 127.0, 1.0)
     xq = np.rint(x * (1.0 / scale).astype(np.float32))
     return xq, scale.astype(np.float32)
@@ -370,38 +381,85 @@ def conv2d_gemm(
                            channel_axis=1)
 
 
+def pad_nhwc(x: np.ndarray, pad: int) -> np.ndarray:
+    """Copy an ``(N, H, W, C)`` batch into a zeroed padded-stride float32
+    ``(N, L, C)`` buffer (layout: see the comment above)."""
+    n, h, w, c = x.shape
+    buf = np.zeros((n, (h + 2 * pad) * (w + 2 * pad) + 2 * pad, c),
+                   dtype=np.float32)
+    unpad_nhwc(buf, w, pad)[...] = x
+    return buf
+
+
+def unpad_nhwc(buf: np.ndarray, w: int, pad: int) -> np.ndarray:
+    """The ``(N, H, W, C)`` image inside a padded-stride buffer (a view)."""
+    n, length, c = buf.shape
+    wp = w + 2 * pad
+    lead = pad * wp + pad
+    return buf[:, lead:length - lead].reshape(n, -1, wp, c)[:, :, :w]
+
+
+def conv2d_shift_padded(
+    buf: np.ndarray, w: int, pad: int, packed: PackedConvWeight,
+    relu: bool = False, residual: np.ndarray | None = None,
+    res_scale: float = 1.0,
+) -> np.ndarray:
+    """Tap-decomposed convolution (stride 1, 'same') from one padded-stride
+    buffer of ``w``-pixel image rows to a new one (``residual`` likewise):
+    ``KH*KW`` sgemm calls per frame, each over every pixel of the frame.
+    The pad pixels of the output rows come out as wrapped-around sums and
+    are zeroed again last — the next conv's taps, and its int8 ``amax``,
+    read them as padding."""
+    # Bound on first use: scipy.linalg costs ~6 MB of RSS at import, which
+    # processes that never run SR (fleet, origin) must not pay.
+    from scipy.linalg.blas import sgemm
+    kh, kw = packed.kernel
+    n, length, cin = buf.shape
+    if cin != packed.in_channels or pad < max(kh, kw) // 2:
+        raise ValueError(f"input has {cin} channels padded by {pad}, kernel "
+                         f"expects {packed.in_channels} and {kh}x{kw} taps")
+    wp = w + 2 * pad
+    lead = pad * wp + pad
+    m = length - 2 * lead
+    xq, x_scale = _quantize_activations(buf, packed.precision)
+    out = np.zeros((n, length, packed.out_channels), dtype=np.float32)
+    body = out[:, lead:lead + m]
+    # Up to ~1e6 multiply-adds OpenBLAS runs an unpacked small-matrix
+    # kernel whose beta=1 form is 2-4x slower than its beta=0 form; there
+    # (the activation is cache-resident) numpy adds the tap instead.
+    small = m * cin * packed.out_channels <= 1_000_000
+    for frame in range(n):
+        for i in range(kh):
+            for j in range(kw):
+                start = lead + (i - kh // 2) * wp + j - kw // 2
+                tap, run = packed.taps[i, j].T, xq[frame, start:start + m].T
+                if small:
+                    body[frame] += sgemm(1.0, tap, run).T
+                else:   # F-ordered views: f2py passes pointers, no copies;
+                    # beta=0 first spares a read of untouched pages.
+                    sgemm(1.0, tap, run, beta=float(i + j > 0),
+                          c=body[frame].T, overwrite_c=1)
+    if residual is not None:
+        residual = residual[:, lead:lead + m]
+    _apply_epilogue(body, packed, x_scale, relu, residual, res_scale,
+                    channel_axis=2)
+    body.reshape(n, -1, wp, packed.out_channels)[:, :, w:] = 0.0
+    return out
+
+
 def conv2d_shift_nhwc(
     x: np.ndarray, packed: PackedConvWeight, relu: bool = False,
     residual: np.ndarray | None = None, res_scale: float = 1.0,
 ) -> np.ndarray:
-    """Tap-decomposed convolution over NHWC tensors (stride 1, 'same').
-
-    One ``(W, Cin) @ (Cin, Cout)`` GEMM per kernel tap, accumulated over
-    shifted views of the zero-padded input (quantized once per conv at a
-    reduced precision).  Epilogues are fused as in :func:`conv2d_gemm`;
-    fp32 output differs from the reference only by float32 reassociation
-    (a few ULP per layer).
-    """
-    kh, kw = packed.kernel
-    n, h, w, cin = x.shape
-    if cin != packed.in_channels:
-        raise ValueError(f"input has {cin} channels, kernel expects "
-                         f"{packed.in_channels}")
-    xq, x_scale = _quantize_activations(x, packed.precision)
-    xp = np.pad(xq, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
-    taps = packed.taps
-    acc = np.empty((n, h, w, packed.out_channels), dtype=np.float32)
-    tmp = np.empty_like(acc)
-    first = True
-    for i in range(kh):
-        for j in range(kw):
-            np.matmul(xp[:, i:i + h, j:j + w, :], taps[i, j],
-                      out=acc if first else tmp)
-            if not first:
-                acc += tmp
-            first = False
-    return _apply_epilogue(acc, packed, x_scale, relu, residual, res_scale,
-                           channel_axis=3)
+    """:func:`conv2d_shift_padded` over plain NHWC tensors (taken as
+    float32): pad in, convolve, crop out.  Epilogues are fused as in
+    :func:`conv2d_gemm`; the bits are the per-row kernel's (see above)."""
+    pad, w = max(packed.kernel) // 2, x.shape[2]
+    if residual is not None:
+        residual = pad_nhwc(residual, pad)
+    out = conv2d_shift_padded(pad_nhwc(x, pad), w, pad, packed, relu,
+                              residual, res_scale)
+    return np.ascontiguousarray(unpad_nhwc(out, w, pad))
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,17 @@
 This is the fast path behind real-time playback (the paper's >30 FPS
 client claim): the training framework's per-layer NCHW forward is replaced
 by a single NHWC sweep over the network using the tap-decomposed GEMM
-kernel (:func:`repro.nn.functional.conv2d_shift_nhwc`) with the bias /
+kernel (:func:`repro.nn.functional.conv2d_shift_padded`) with the bias /
 ReLU / residual epilogues fused into each convolution.  Three properties
 make it fast on CPU:
 
-- **NHWC end to end** — an ``(H, W, 3)`` RGB frame enters as a zero-copy
-  ``(1, H, W, 3)`` view; there are no layout transposes anywhere in the
-  forward, and every per-row GEMM runs over contiguous channel vectors.
-- **No im2col materialization** — each 3x3 conv is nine ``(W, Cin) @
-  (Cin, Cout)`` GEMMs on shifted views of the padded input, so the
-  activation is read from cache-resident rows instead of a 9x-inflated
-  patch matrix.
+- **NHWC end to end, padded once** — an ``(H, W, 3)`` RGB frame is copied
+  into the kernel's padded-stride layout (zero padding inside the row
+  stride) and every intermediate stays there until the final crop: no
+  layer pads, crops or transposes (only a pixel shuffle re-lays out).
+- **No im2col materialization** — there each kernel tap is one contiguous
+  run of pixels, so a 3x3 conv is nine ``(H*(W+2), Cin) @ (Cin, Cout)``
+  GEMMs that BLAS accumulates in place, not a 9x-inflated patch matrix.
 - **Zero retention** — nothing is cached for a backward pass; peak memory
   is a handful of activation-sized buffers (and with tiling, a handful of
   *tile*-sized buffers).
@@ -29,7 +29,9 @@ inference reproduces whole-frame output exactly (up to float32
 reassociation, well below the guaranteed 1e-5); frame borders keep the
 reference zero-padding because there the tile edge *is* the frame edge.
 Tiles bound peak working-set memory and are independent, so they can fan
-out across a thread pool (the GEMMs release the GIL).
+out across a thread pool — which overlaps the elementwise passes only:
+scipy's ``sgemm`` wrapper holds the GIL, and a GEMM that spans a tile is
+large enough for BLAS to split across its own threads instead.
 
 An engine has one owner at a time — :attr:`InferenceEngine.stats` is
 per-call state and the reuse cache follows one frame stream — so each of
@@ -326,6 +328,9 @@ class InferenceEngine:
         self.scale = model.config.scale
         self.stats = EngineStats()
         self._plan = self._build_plan(model)
+        # One layout for the whole plan: the widest kernel's padding.
+        self._pad = max(layer.padding for op in self._plan
+                        for layer in op[1:] if isinstance(layer, nn.Conv2d))
 
     def reset_reuse(self) -> None:
         """Invalidate the temporal reuse cache.
@@ -374,6 +379,11 @@ class InferenceEngine:
                                 f"{type(layer).__name__}")
             if layer.stride != 1:
                 raise ValueError(f"engine supports stride 1 only ({where})")
+            k = layer.weight.shape[2]
+            if k % 2 == 0 or layer.padding != k // 2:
+                raise ValueError(
+                    f"engine supports 'same' convolutions only ({where}: "
+                    f"kernel {k}, padding {layer.padding})")
             return layer
 
         plan: list[tuple] = [("conv", conv_of(model.head, "head"))]
@@ -414,25 +424,39 @@ class InferenceEngine:
     # ------------------------------------------------------------ execution
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the fused plan on one NHWC tensor (a frame batch or a tile)."""
-        p = self.precision
-        conv = (F.conv2d_im2col_nhwc if self.kernel == "blocked"
-                else F.conv2d_shift_nhwc)
-        x = conv(x - _PIXEL_SHIFT, self._plan[0][1].packed(p))  # head
+        """Run the fused plan on one NHWC tensor (a frame batch or a tile);
+        on the shift kernel, padded-stride from the head to the crop."""
+        p, pad, w = self.precision, self._pad, x.shape[2]
+        blocked = self.kernel == "blocked"      # plain NHWC throughout
+
+        def conv(a, layer, **epilogue):
+            if blocked:
+                return F.conv2d_im2col_nhwc(a, layer.packed(p), **epilogue)
+            return F.conv2d_shift_padded(a, w, pad, layer.packed(p),
+                                         **epilogue)
+
+        def lay(a):
+            return a if blocked else F.pad_nhwc(a, pad)
+
+        def crop(a):
+            return a if blocked else F.unpad_nhwc(a, w, pad)
+
+        x = conv(lay(x - _PIXEL_SHIFT), self._plan[0][1])       # head
         skip = x                                                # global skip
         for op in self._plan[1:]:
             kind = op[0]
             if kind == "resblock":
-                t = conv(x, op[1].packed(p), relu=True)
-                x = conv(t, op[2].packed(p), residual=x, res_scale=op[3])
+                t = conv(x, op[1], relu=True)
+                x = conv(t, op[2], residual=x, res_scale=op[3])
             elif kind == "conv_skip":
-                x = conv(x, op[1].packed(p), residual=skip)
+                x = conv(x, op[1], residual=skip)
             elif kind == "conv":
-                x = conv(x, op[1].packed(p))
+                x = conv(x, op[1])
             else:                       # shuffle
-                x = F.pixel_shuffle_nhwc(x, op[1])
-        x += _PIXEL_SHIFT
-        return x
+                x = F.pixel_shuffle_nhwc(crop(x), op[1])
+                w = x.shape[2]
+                x = lay(x)
+        return crop(x) + _PIXEL_SHIFT
 
     def _tile_spans(self, h: int, w: int) -> list[tuple[int, int, int, int]]:
         tile = self.tile

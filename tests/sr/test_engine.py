@@ -64,6 +64,17 @@ class TestEngineEquivalence:
                                    threads=threads).enhance(frame)
             assert np.array_equal(one, many)
 
+    def test_upscaling_tiles_and_threads(self):
+        """Scale 2 re-lays the activation out at the pixel shuffle: tiles
+        still reproduce the whole frame, threads still change no bit."""
+        model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8, scale=2), seed=3)
+        frame = _frame(np.random.default_rng(4), h=25, w=37)
+        whole = InferenceEngine(model).enhance(frame)
+        one = InferenceEngine(model, tile=12, threads=1).enhance(frame)
+        two = InferenceEngine(model, tile=12, threads=2).enhance(frame)
+        assert np.abs(one - whole).max() <= 1e-5
+        assert np.array_equal(one, two)
+
     def test_batch_matches_per_frame(self):
         model = EDSR(EdsrConfig(n_resblocks=1, n_filters=8), seed=5)
         rng = np.random.default_rng(6)
@@ -112,6 +123,18 @@ class TestHaloAndStats:
             InferenceEngine(model, tile=0)
         with pytest.raises(ValueError):
             InferenceEngine(model, threads=0)
+
+    @pytest.mark.parametrize("layer, padding", [
+        ("head", 0), ("head", 2), ("tail.out", 0)])
+    def test_rejects_a_conv_that_is_not_same(self, layer, padding):
+        """The engine's layout bakes 'same' padding in; it used to run a
+        ``padding=0`` head as 'same' and return (16, 16, 3) where the
+        model's own forward returns (14, 14, 3)."""
+        model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4), seed=14)
+        conv = model.head if layer == "head" else model.tail.layers[1]
+        conv.padding = padding
+        with pytest.raises(ValueError, match=f"'same'.*{layer}"):
+            InferenceEngine(model)
 
     def test_weight_update_reflected_without_rebuild(self):
         model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4), seed=16)

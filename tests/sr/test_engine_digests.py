@@ -12,7 +12,9 @@ batches at fp32/fp16 only — an int8 batch deliberately changed (per-frame
 activation scale, see ``TestInt8BatchInvariance`` in ``test_engine.py``).
 
 fp32/fp16 bits depend on the BLAS build, so the file also records a
-canary sgemm digest; on a different BLAS the suite skips instead of
+canary digest over both BLAS builds the kernels call — numpy's (the
+blocked kernel's ``matmul``) and scipy's own (the shift kernel's
+accumulating ``sgemm``); on a different BLAS the suite skips instead of
 failing.  Regenerate (only for a deliberate numerical change) with
 ``PYTHONPATH=src python tests/sr/test_engine_digests.py``.
 """
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import sgemm
 
 from repro.sr import EDSR, EdsrConfig, InferenceEngine
 
@@ -54,7 +57,17 @@ def _canary() -> str:
     rng = np.random.default_rng(0)
     a = rng.standard_normal((40, 72)).astype(np.float32)
     b = rng.standard_normal((72, 8)).astype(np.float32)
-    return _digest(a @ b)
+    parts = [a @ b]
+    # The shift kernel's calls at the engine's K = Cin — AB for numpy to
+    # add (tiles) and C += AB in place (frames) — with pixel counts either
+    # side of OpenBLAS's small-matrix and threading thresholds.
+    for k, m in ((8, 300), (8, 20000), (12, 300), (12, 20000)):
+        x = rng.standard_normal((m, k)).astype(np.float32)
+        tap = rng.standard_normal((k, k)).astype(np.float32)
+        c = rng.standard_normal((m, k)).astype(np.float32)
+        parts.append(sgemm(1.0, tap.T, x.T))
+        parts.append(sgemm(1.0, tap.T, x.T, beta=1.0, c=c.T, overwrite_c=1))
+    return _digest(*parts)
 
 
 def _frames(scale: int) -> np.ndarray:
