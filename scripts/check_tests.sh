@@ -57,6 +57,13 @@
 #     channels, kernel sizes, precisions and epilogues, one in-place
 #     sgemm per tap and frame, zero pad pixels after every layer
 #     (seconds).
+#   - tests/codec/test_vector_parse.py — the I-frame decode's array
+#     passes: (modes, coded, levels, end bit) equal to the per-symbol walk
+#     kept in tests/codec/reference_intra.py on every I frame of the oracle
+#     and fuzz streams and one 352x640 frame, one hand-built stream per
+#     anomaly class ending as the scalar reference does, no
+#     BitReader.read_ue call after an intact I frame's header, fused
+#     Y/U/V wavefront equal to the per-plane one (seconds).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -79,6 +86,7 @@ GUARDS=(
     tests/core/test_build_digests.py
     tests/serve/test_pool_reference.py
     tests/nn/test_shift_reference.py
+    tests/codec/test_vector_parse.py
 )
 
 run_guards() {

@@ -97,8 +97,10 @@ class FastPathConfig:
         expanded by the model's receptive-field halo, so output equals
         whole-frame inference; smaller tiles bound peak SR memory.
     sr_threads:
-        Thread-pool width tiles fan out across (the conv GEMMs release
-        the GIL).  1 keeps SR in the decoding thread.
+        Thread-pool width tiles fan out across.  The conv GEMMs hold the
+        GIL (scipy's ``sgemm`` wrapper), so tile threads overlap only the
+        elementwise passes: measured at most 1x the one-thread rate on
+        the 2-core reference box.  1 keeps SR in the decoding thread.
     prefetch:
         How many *future* segments may sit fully decoded in the pipeline
         while the current segment plays.  0 produces every segment inline

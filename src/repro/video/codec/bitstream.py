@@ -3,9 +3,15 @@
 The encoder produces a real byte string that the decoder parses back, so
 compressed segment sizes used in the bandwidth experiments (Figure 10) are
 measured, not estimated.
+
+Exp-Golomb data is read one code at the cursor (:meth:`BitReader.read_ue`:
+headers, inter frames, anything irregular) or tokenised whole — the code at
+*every* bit, :meth:`BitReader.ue_table` — for :mod:`.entropy`'s I-frame parse.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["BitWriter", "BitReader", "DecodeError", "CorruptStreamError",
            "TruncatedStreamError", "SegmentMetadataError"]
@@ -79,6 +85,8 @@ _MAX_UE_PREFIX = 64
 # Bytes that always hold one whole code from any bit offset:
 # 7 + prefix + 1 + suffix bits, rounded up.
 _UE_WINDOW = (7 + 2 * _MAX_UE_PREFIX + 1 + 7) // 8
+# Longest prefix ``ue_table`` decodes: 7 + 57 bits fit one 64-bit window.
+_TABLE_PREFIX = 28
 
 
 class BitReader:
@@ -88,6 +96,7 @@ class BitReader:
         self._data = data
         self._pos = 0  # bit position
         self._end = len(data) * 8
+        self._ue_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def read_bit(self) -> int:
         pos = self._pos
@@ -139,6 +148,48 @@ class BitReader:
         """Signed Exp-Golomb code (H.264 mapping: 0, 1, -1, 2, -2, ...)."""
         code = self.read_ue()
         return (code + 1) >> 1 if code & 1 else -(code >> 1)
+
+    def ue_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(value, after)`` of the Exp-Golomb code starting at *every* bit
+        of the ``n``-bit payload; built on first use and kept.
+
+        ``value[p]`` (``p < n``) is what :meth:`read_ue` returns at bit
+        ``p`` and ``after[p]`` the bit it stops at.  A code the table does
+        not hold (over 28 prefix zeros, or cut off by the end of the data,
+        as at ``p == n``) has ``after[p] == n + 1``, its own image too:
+        following ``after`` ends there, and every bit passed on the way
+        but the last starts a code :meth:`read_ue` reads alike.
+        """
+        if self._ue_table is None:
+            raw = np.frombuffer(self._data, dtype=np.uint8)
+            n = self._end
+            bits = np.unpackbits(raw)
+            # The 1 ending the prefix that starts at each bit: the ones
+            # before a bit number the first one at or after it.
+            ones = np.append(np.flatnonzero(bits.view(np.bool_)), 2 * n)
+            rank = np.cumsum(bits, dtype=np.int32) - bits
+            lead = ones.astype(np.int32).take(rank)
+            zeros = lead - np.arange(n, dtype=np.int32)
+            after = np.full(n + 2, n + 1)
+            np.add(lead, zeros + 1, out=after[:n])
+            after[:n][(zeros > _TABLE_PREFIX) | (after[:n] > n)] = n + 1
+            # 64 bits from each byte on, big-endian, then from each bit on:
+            # the code is the top ``2 * zeros + 1`` of them.
+            padded = np.concatenate([raw, np.zeros(8, dtype=np.uint8)])
+            code = np.repeat(np.ascontiguousarray(
+                np.lib.stride_tricks.sliding_window_view(padded, 8)[:len(raw)]
+            ).view(">u8").ravel().astype(np.uint64), 8)
+            code <<= np.tile(np.arange(8, dtype=np.uint8), len(raw))
+            code >>= (63 - 2 * np.minimum(zeros, _TABLE_PREFIX)).astype(
+                np.uint8)
+            value = code.astype(np.int32)
+            value -= 1
+            self._ue_table = value, after
+        return self._ue_table
+
+    def seek(self, bit_position: int) -> None:
+        """Move the cursor to a bit already known to lie in the data."""
+        self._pos = bit_position
 
     @property
     def bits_remaining(self) -> int:

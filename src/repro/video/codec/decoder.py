@@ -1,10 +1,10 @@
 """Video decoder with a decoded-picture buffer and an I-frame enhancement hook.
 
-A frame is decoded in three passes rather than block by block: one
-sequential *parse* of its bits into level/mode/vector arrays (where every
-grammar check lives), one batched *transform + motion compensation* over
-the whole frame, and — for I frames — *intra prediction by anti-diagonal
-wavefront*.  See docs/codec.md, "Decoding in three passes".
+A frame is decoded in three passes rather than block by block: one *parse*
+of its bits into level/mode/vector arrays (every grammar check lives there;
+array passes for an I frame, a walk otherwise), one batched *transform +
+motion compensation* over the frame, and — for I frames — *intra prediction*
+on one anti-diagonal wavefront for Y, U and V.  See docs/codec.md.
 
 This is the integration point of client-side dcSR (Figure 6): after an I
 frame is reconstructed into the DPB, an optional ``i_frame_hook`` is invoked
@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import numpy as np
-
 from ..frame import YuvFrame
 from .bitstream import (BitReader, CorruptStreamError, DecodeError,
                         SegmentMetadataError, TruncatedStreamError)
@@ -32,7 +30,7 @@ from .motion import MB, predict_frame, vectors_leave_frame
 from .quant import MAX_CRF, qp_for_frame_type
 from .residual import (add_residual, blocks_to_plane,
                        parse_inter_macroblocks, parse_intra_blocks,
-                       reconstruct_plane_intra)
+                       reconstruct_intra)
 
 __all__ = [
     "DecodeError",
@@ -265,21 +263,11 @@ class Decoder:
     def _decode_intra(
         reader: BitReader, width: int, height: int, qp: int,
     ) -> YuvFrame:
-        """Parse all three planes, then transform and rebuild each plane by
+        """Parse all three planes, then transform and rebuild them on one
         wavefront."""
         n_luma = (height // BLOCK) * (width // BLOCK)
-        n_chroma = n_luma // 4
-        modes, coded, levels = parse_intra_blocks(reader, n_luma + 2 * n_chroma)
-        planes = []
-        start = 0
-        for count, shrink in ((n_luma, 1), (n_chroma, 2), (n_chroma, 2)):
-            stop = start + count
-            lo, hi = np.searchsorted(coded, (start, stop))
-            planes.append(reconstruct_plane_intra(
-                modes[start:stop], coded[lo:hi] - start, levels[lo:hi], qp,
-                height // shrink, width // shrink))
-            start = stop
-        return YuvFrame(*planes)
+        parsed = parse_intra_blocks(reader, n_luma * 3 // 2)
+        return YuvFrame(*reconstruct_intra(*parsed, qp, height, width))
 
     @staticmethod
     def _decode_inter(

@@ -23,6 +23,7 @@ __all__ = [
     "decode_coeff_block",
     "read_block_levels",
     "scatter_levels",
+    "read_led_blocks",
 ]
 
 
@@ -151,3 +152,70 @@ def decode_coeff_block(reader: BitReader, n: int = 8) -> np.ndarray:
     if not len(coded):
         return np.zeros((n, n), dtype=np.int64)
     return block_levels[0].reshape(n, n)
+
+
+# ------------------------------------------------------- vectorised parse
+
+def _follow(jump: np.ndarray, start: int, count: int) -> np.ndarray:
+    """``start, jump[start], jump[jump[start]], ...`` by pointer doubling,
+    up to ``count`` elements or ``jump``'s last index (its own image)."""
+    chain = np.array([start])
+    while True:
+        chain = np.concatenate([chain, jump.take(chain)])
+        if len(chain) >= count or chain[-1] == len(jump) - 1:
+            return chain[:count]
+        jump = jump.take(jump)
+
+
+def read_led_blocks(
+    reader: BitReader, n_blocks: int, n: int = 8,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``n_blocks`` coefficient blocks, each led by one ``ue`` — an intra
+    frame's block data — parsed without a per-symbol loop.
+
+    Such data is Exp-Golomb codes end to end: the codes in use are the
+    chain of :meth:`BitReader.ue_table`'s ``after`` from the cursor, the
+    blocks' leads a chain over those (``k`` coefficients make ``2 + 2 * k``
+    codes), and runs become zigzag positions by a segmented cumulative
+    sum.  Returns ``(leads, coded, levels)``, the last two as
+    :func:`scatter_levels` builds them, with the reader past the last
+    block — or ``None``, reader untouched, where a code is beyond the
+    table or the grammar is broken: the caller walks those bits code by
+    code, and that walk says what, if anything, is wrong.
+    """
+    n_coeffs = n * n
+    value, after = reader.ue_table()
+    at = _follow(after, reader.bit_position, n_blocks * (2 + 2 * n_coeffs) + 1)
+    # The last bit before the sentinel is where the table gave up.
+    at = at[:max(np.searchsorted(at, len(after) - 1) - 1, 0)]
+    codes = value[at]
+    n_codes = len(codes)
+    if n_codes < 2:
+        return None
+    # Lead to next lead, in code indices; past ``n_codes`` is an overrun.
+    hop = np.full(n_codes + 2, n_codes + 1)
+    hop[:n_codes - 1] = np.minimum(
+        np.arange(2, n_codes + 1) + 2 * np.minimum(codes[1:], n_codes),
+        n_codes + 1)
+    first = _follow(hop, 0, n_blocks + 1)
+    if len(first) <= n_blocks or first[-1] > n_codes:
+        return None
+    first, stop = first[:-1], first[-1]
+    leads, counts = codes[first], codes[first + 1]
+    if counts.max() > n_coeffs:
+        return None
+    coded = np.flatnonzero(counts)
+    counts = counts[coded]
+    start = np.cumsum(counts) - counts      # a block's first coefficient
+    run_at = (np.repeat(first[coded] + 2 - 2 * start, counts)
+              + 2 * np.arange(counts.sum()))
+    ends = np.cumsum(codes[run_at] + 1, dtype=np.int64)
+    scan = ends - np.repeat(ends[start] - codes[run_at[start]], counts)
+    if scan.max(initial=0) >= n_coeffs:
+        return None
+    level = codes[run_at + 1].astype(np.int64)
+    levels = np.zeros((len(coded), n_coeffs), dtype=np.int64)
+    levels[np.repeat(np.arange(len(coded)), counts), zigzag_order(n)[scan]] = (
+        np.where(level & 1, (level + 1) >> 1, -(level >> 1)))
+    reader.seek(int(after[at[stop - 1]]))
+    return leads.astype(np.intp), coded, levels

@@ -17,6 +17,7 @@ exactly the neighbour samples it would have seen.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -24,8 +25,8 @@ import numpy as np
 from .dct import BLOCK
 
 __all__ = ["MODE_DC", "MODE_V", "MODE_H", "INTRA_MODES", "predict_block",
-           "choose_mode", "wavefront", "neighbours", "predict_blocks",
-           "choose_modes"]
+           "choose_mode", "wavefront", "stacked_wavefront", "neighbours",
+           "predict_blocks", "choose_modes"]
 
 MODE_DC = 0
 MODE_V = 1
@@ -41,6 +42,28 @@ def wavefront(n_rows: int, n_cols: int) -> Iterator[tuple[np.ndarray, np.ndarray
     for d in range(n_rows + n_cols - 1):
         by = np.arange(max(0, d - n_cols + 1), min(d, n_rows - 1) + 1)
         yield by, d - by
+
+
+@functools.lru_cache(maxsize=8)
+def stacked_wavefront(*grids: tuple[int, int]) -> list[tuple[np.ndarray, ...]]:
+    """One wavefront over several planes stored as one stack of blocks,
+    each plane (``(rows, cols)`` in ``grids``) in raster order: step ``d``
+    is diagonal ``d`` of every plane that has one, as ``(index, top, left,
+    has_top, has_left)`` — the blocks' places in the stack and their upper
+    and left neighbours' (arbitrary where the flag says there is none).
+    Cached: the arrays are shared, never written.
+    """
+    steps: dict[int, list[tuple[np.ndarray, ...]]] = {}
+    base = 0
+    for rows, cols in grids:
+        for d, (by, bx) in enumerate(wavefront(rows, cols)):
+            index = base + by * cols + bx
+            steps.setdefault(d, []).append((
+                index, index - cols * (by > 0), index - (bx > 0),
+                by > 0, bx > 0))
+        base += rows * cols
+    return [tuple(np.concatenate(column) for column in zip(*steps[d]))
+            for d in sorted(steps)]
 
 
 def neighbours(

@@ -3,15 +3,18 @@
 A frame is handled in whole-frame passes rather than block by block:
 
 - **parse** (:func:`parse_intra_blocks`, :func:`parse_inter_macroblocks`):
-  one sequential walk over the frame's bits yields the quantised levels of
-  every 8x8 block that has any, plus intra modes or B modes / motion
-  vectors.  Every grammar check is made here, at the bit that violates it.
+  the frame's bits become the quantised levels of every 8x8 block that has
+  any, plus intra modes or B modes / motion vectors.  Inter frames are one
+  sequential walk; an intra frame, Exp-Golomb codes end to end, is parsed
+  in array passes (:func:`.entropy.read_led_blocks`) and walked only where
+  those balk.  Every grammar error is raised by the walk, at its bit.
 - **transform** (:func:`transformed`): dequantisation and the inverse DCT
   run over all coded blocks of the frame, a large slab at a time.
-- **intra reconstruction** (:func:`reconstruct_plane_intra`,
+- **intra reconstruction** (:func:`reconstruct_intra`,
   :func:`encode_plane_intra`): spatial prediction needs the reconstructed
   neighbours, so it advances by anti-diagonal wavefront
-  (:mod:`~repro.video.codec.intra`), one vectorised step per diagonal.
+  (:mod:`~repro.video.codec.intra`), one vectorised step per diagonal —
+  in the decoder one step for diagonal ``d`` of Y, U and V together.
 - **inter reconstruction** (:func:`add_residual`): the motion-compensated
   prediction arrives macroblock-major from
   :func:`~repro.video.codec.motion.predict_frame`; the residual of the coded
@@ -31,10 +34,10 @@ import numpy as np
 
 from .bitstream import BitReader, BitWriter, CorruptStreamError
 from .dct import BLOCK, forward_dct, from_blocks, inverse_dct, to_blocks
-from .entropy import (encode_coeff_block, read_block_levels, scatter_levels,
-                      write_ue)
+from .entropy import (encode_coeff_block, read_block_levels, read_led_blocks,
+                      scatter_levels, write_ue)
 from .intra import (INTRA_MODES, choose_modes, neighbours, predict_blocks,
-                    wavefront)
+                    stacked_wavefront, wavefront)
 from .motion import MB
 from .quant import dequantize, quantize
 
@@ -43,7 +46,7 @@ __all__ = [
     "parse_intra_blocks",
     "parse_inter_macroblocks",
     "transformed",
-    "reconstruct_plane_intra",
+    "reconstruct_intra",
     "encode_plane_intra",
     "macroblock_blocks",
     "add_residual",
@@ -72,7 +75,14 @@ def parse_intra_blocks(
     """Read ``n_blocks`` intra blocks: ``ue(mode)`` + coefficients each.
 
     Returns ``(modes, coded, levels)`` with ``modes`` of shape ``(n_blocks,)``.
+    The array passes return only a frame they find nothing wrong with; any
+    other is walked from its first bit, which decides what is raised where.
     """
+    frame_start = reader.bit_position
+    parsed = read_led_blocks(reader, n_blocks)
+    if parsed is not None and parsed[0].max() < len(INTRA_MODES):
+        return parsed
+    reader.seek(frame_start)
     read_ue = reader.read_ue
     modes: list[int] = []
     positions: list[int] = []
@@ -152,25 +162,35 @@ def blocks_to_plane(blocks: np.ndarray) -> np.ndarray:
 
 # -------------------------------------------------------------------- intra
 
-def reconstruct_plane_intra(
+def reconstruct_intra(
     modes: np.ndarray, coded: np.ndarray, levels: np.ndarray, qp: int,
     height: int, width: int,
-) -> np.ndarray:
-    """Rebuild an intra plane from its parsed blocks (raster block order,
-    ``coded`` counted from the plane's first block); returns uint8."""
-    rows, cols = height // BLOCK, width // BLOCK
-    modes = modes.reshape(rows, cols)
-    residual = np.zeros((rows * cols, BLOCK, BLOCK))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rebuild an intra frame's Y, U and V planes (uint8) from its parsed
+    blocks, each plane's in raster order, one plane after the other.
+
+    One wavefront advances all three: a block sees the neighbour rows its
+    own plane's wavefront shows it, and :func:`predict_blocks` treats it
+    the same whatever else shares the call.
+    """
+    grids = tuple((height // shrink // BLOCK, width // shrink // BLOCK)
+                  for shrink in (1, 2, 2))
+    # Holds a block's residual until its step, its samples from then on.
+    recon = np.zeros((len(modes), BLOCK, BLOCK))
     for index, blocks in transformed(coded, levels, qp):
-        residual[index] = blocks
-    residual = residual.reshape(rows, cols, BLOCK, BLOCK)
-    recon = np.zeros((rows, cols, BLOCK, BLOCK))
-    for by, bx in wavefront(rows, cols):
-        preds = predict_blocks(*neighbours(recon, by, bx))
-        pred = preds[modes[by, bx], np.arange(len(by))]
+        recon[index] = blocks
+    for index, top, left, has_top, has_left in stacked_wavefront(*grids):
+        preds = predict_blocks(np.ascontiguousarray(recon[top, -1, :]),
+                               np.ascontiguousarray(recon[left, :, -1]),
+                               has_top, has_left)
+        pred = preds[modes[index], np.arange(len(index))]
+        pred += recon[index]
         # Clipped per step: the next diagonal predicts from these samples.
-        recon[by, bx] = np.clip(pred + residual[by, bx], 0, 255)
-    return blocks_to_plane(recon)
+        recon[index] = np.clip(pred, 0, 255, out=pred)
+    bounds = np.cumsum([0] + [rows * cols for rows, cols in grids])
+    return tuple(
+        blocks_to_plane(recon[lo:hi].reshape(rows, cols, BLOCK, BLOCK))
+        for lo, hi, (rows, cols) in zip(bounds, bounds[1:], grids))
 
 
 def encode_plane_intra(writer: BitWriter, plane: np.ndarray, qp: int) -> np.ndarray:

@@ -82,5 +82,6 @@ def yuv420_to_rgb(frame: YuvFrame) -> np.ndarray:
     b = y + 2.0 * (1.0 - _KB) * cb
     g = (y - _KR * r - _KB * b) / _KG
 
-    rgb = np.stack([r, g, b], axis=-1) / 255.0
-    return np.clip(rgb, 0.0, 1.0).astype(np.float32)
+    rgb = np.stack([r, g, b], axis=-1)      # float32, and this call's own
+    rgb /= 255.0
+    return np.clip(rgb, 0.0, 1.0, out=rgb)

@@ -142,6 +142,30 @@ class TestYuvRgbConversion:
         assert abs(float(back[0].mean()) - 1.0) < 0.02
         assert float(back[1].mean()) < 0.02
 
+    def test_yuv_to_rgb_is_the_out_of_place_formula_without_its_copies(self):
+        """The result is scaled and clipped in place; dtype and values are
+        those of the ``np.clip(stack / 255).astype(float32)`` it replaced,
+        out-of-gamut samples included, and the planes are left alone."""
+        rng = np.random.default_rng(8)
+        yuv = YuvFrame(rng.integers(0, 256, (16, 24)),
+                       rng.integers(0, 256, (8, 12)),
+                       rng.integers(0, 256, (8, 12)))
+        before = yuv.copy()
+        y = yuv.y.astype(np.float32)
+        cb = upsample_chroma(yuv.u.astype(np.float32)) - 128.0
+        cr = upsample_chroma(yuv.v.astype(np.float32)) - 128.0
+        r = y + 2.0 * (1.0 - 0.299) * cr
+        b = y + 2.0 * (1.0 - 0.114) * cb
+        g = (y - 0.299 * r - 0.114 * b) / 0.587
+        expected = np.clip(np.stack([r, g, b], axis=-1) / 255.0,
+                           0.0, 1.0).astype(np.float32)
+        got = yuv420_to_rgb(yuv)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.flags.owndata and got.flags.writeable
+        assert (expected == 0.0).any() and (expected == 1.0).any()
+        assert np.array_equal(got, expected)
+        assert yuv == before
+
     @given(hnp.arrays(np.float32, (4, 4, 3),
                       elements=st.floats(0, 1, width=32)))
     @settings(max_examples=25, deadline=None)
