@@ -122,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "VAR to bicubic upscaling (fast path; default "
                            "off = bitwise-identical output)")
     play.add_argument("--sr-batch", type=int, default=None, metavar="N",
-                      help="segment pipeline workers: decode and enhance "
+                      help="segment pipeline threads: decode and enhance "
                            "N segments concurrently, each on its own "
-                           "decoder and SR engines (fast path; needs "
-                           "--prefetch >= 1; default 1)")
+                           "decoder and SR engine (fast path; default 1)")
     play.add_argument("--reuse", action="store_true",
                       help="temporal tile reuse: emit the previous "
                            "frame's SR output for tiles whose decoded "

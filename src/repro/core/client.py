@@ -40,7 +40,10 @@ model-cache hit rate, and the peak number of frames resident at once.
 from __future__ import annotations
 
 import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -85,10 +88,10 @@ class FastPathConfig:
 
     Passing a config to :class:`DcsrClient` routes every SR inference
     through the tiled NHWC :class:`~repro.sr.engine.InferenceEngine`
-    instead of the reference forward, and — with ``prefetch > 0`` —
-    overlaps download + decode + SR of upcoming segments with emission of
-    the current one on a slot-bounded worker pool.  ``None`` (the default
-    client behaviour) is the fully serial reference path.
+    instead of the reference forward, and — with ``prefetch + sr_batch >
+    1`` — overlaps download + decode + SR of upcoming segments with
+    emission of the current one on a window-bounded thread pool.  ``None``
+    (the default client behaviour) is the fully serial reference path.
 
     Parameters
     ----------
@@ -103,13 +106,16 @@ class FastPathConfig:
         the 2-core reference box.  1 keeps SR in the decoding thread.
     prefetch:
         How many *future* segments may sit fully decoded in the pipeline
-        while the current segment plays.  0 produces every segment inline
-        on the caller's thread (fast SR only, no worker).  Memory grows
-        by up to ``prefetch`` segments of decoded frames.
+        while the current segment plays.  A pool of ``sr_batch`` threads
+        produces segments whenever ``prefetch + sr_batch > 1``; at the
+        defaults every segment is produced inline on the caller's thread
+        (fast SR only, no thread).  Memory grows by up to ``prefetch +
+        sr_batch - 1`` segments of decoded frames.
     calibrate:
-        Measure the fast-over-reference speedup once per session on the
-        first enhanced frame (one extra reference inference, excluded
-        from stage accounting) and report it as
+        Measure the fast-over-reference speedup once per session, on the
+        first enhanced frame of the first segment (in segment order) that
+        fetched a model and its payload — one extra reference inference,
+        excluded from stage accounting — and report it as
         ``PlaybackTelemetry.fast_path_speedup``.
     precision:
         SR kernel precision: ``fp32`` (default, bitwise-identical to the
@@ -125,26 +131,25 @@ class FastPathConfig:
         of the model.  ``None`` (default) disables the gate entirely —
         output stays bitwise identical to the ungated engine.
     sr_batch:
-        Number of segment pipeline workers.  1 (default) runs one
-        worker strictly in segment order.  ``> 1`` (requires
-        ``prefetch >= 1``) decodes up to ``sr_batch`` segments
-        concurrently, each worker on a private decoder and private
-        engines; nothing is merged across workers (dcSR enhances about
-        one frame per GOP, and measured sessions found next to nothing
-        to merge — see ``docs/performance.md``).  Downloads stay
-        serialized in segment order, so the simulated network consumes
-        its schedule exactly as the serial client does.  Does not
-        compose with a joint controller, which needs segment *n*'s
-        feedback before it fetches *n + 1*.
+        Number of pool threads producing segments.  1 (default) produces
+        strictly in segment order.  ``> 1`` decodes up to ``sr_batch``
+        segments concurrently, each on a decoder and an engine built for
+        that segment alone; nothing is merged across segments (dcSR
+        enhances about one frame per GOP, and measured sessions found
+        next to nothing to merge — see ``docs/performance.md``).
+        Downloads stay serialized in segment order, so the simulated
+        network consumes its schedule exactly as the serial client does.
+        Does not compose with a joint controller, which needs segment
+        *n*'s feedback before it fetches *n + 1*.
     reuse:
         Optional temporal tile reuse: a
         :class:`~repro.sr.engine.TileReuseConfig`, ``True`` (exact mode),
         or a bare max-abs-diff tolerance float.  Tiles whose decoded LR
         content matches the previous frame emit the cached SR output
-        instead of running the conv stack; the cache resets at every
-        segment boundary so seeks and concealment stay correct.  Exact
-        mode is bitwise-identical to playing without reuse, at any
-        ``sr_batch``: a pipeline worker decodes whole segments in order
+        instead of running the conv stack; every segment starts on a
+        fresh engine with an empty cache, so seeks and concealment stay
+        correct.  Exact mode is bitwise-identical to playing without
+        reuse, at any ``sr_batch``: a segment is decoded whole, in order,
         on its own engine, which is all the ordering reuse relies on.
     kernel:
         SR conv kernel: ``"shift"`` (default, the tap-decomposed NHWC
@@ -166,23 +171,19 @@ class FastPathConfig:
 
     def validate(self, controller=None) -> None:
         """Every field and mode-combination check in one place, given
-        the joint ``controller`` the session runs under (if any).  The
-        engine knobs go through the engine's own check, so what a config
-        accepts is exactly what an engine can be built with."""
+        the joint ``controller`` (or its name) the session runs under, if
+        any.  The engine knobs go through the engine's own check, so what
+        a config accepts is exactly what an engine can be built with."""
         check_engine_knobs(self.tile, self.sr_threads, self.precision,
                            self.skip_gate, self.reuse, self.kernel)
         if self.prefetch < 0:
             raise ValueError(f"prefetch must be >= 0, got {self.prefetch}")
         if self.sr_batch < 1:
             raise ValueError(f"sr_batch must be >= 1, got {self.sr_batch}")
-        if self.sr_batch > 1:
-            if self.prefetch < 1:
-                raise ValueError(
-                    "sr_batch > 1 needs the pipeline: set prefetch >= 1")
-            if controller is not None:
-                raise ValueError(
-                    "a joint controller needs each segment's feedback "
-                    "before the next fetch: sr_batch > 1 cannot give it")
+        if self.sr_batch > 1 and controller is not None:
+            raise ValueError(
+                "a joint controller needs each segment's feedback "
+                "before the next fetch: sr_batch > 1 cannot give it")
 
 
 #: Engine-factory knobs of a session without a fast path.
@@ -375,9 +376,9 @@ class DcsrClient:
     fast_path:
         Optional :class:`FastPathConfig`.  ``None`` (default) keeps the
         serial reference engine; a config switches SR to the tiled NHWC
-        fast path and, with ``prefetch > 0``, pipelines
-        download + decode + SR of upcoming segments on a slot-bounded
-        worker pool.  Frame order, concealment/fallback semantics, and
+        fast path and, with ``prefetch + sr_batch > 1``, pipelines
+        download + decode + SR of upcoming segments on a window-bounded
+        thread pool.  Frame order, concealment/fallback semantics, and
         the accounting contract are identical either way.
     obs:
         Optional :class:`~repro.obs.Observability` session the client
@@ -410,7 +411,7 @@ class DcsrClient:
         ``None`` (the default) keeps the pre-controller code path
         bit-for-bit: no context is built, no energy is modelled, and the
         output frames are identical to a client without the feature.
-        Composes with ``prefetch`` (one pipeline worker runs
+        Composes with ``prefetch`` (one pool thread runs
         fetch → decode → feedback strictly in order, bitwise-equal to the
         serial controlled session) but not with ``sr_batch > 1``.
     """
@@ -436,34 +437,8 @@ class DcsrClient:
         self._fast = fast_path
         self.obs = obs or Observability(root_name="client")
         self._session = None
-        self._engines: dict[tuple[int, str], InferenceEngine] = {}
         self._speedup_sample = 0.0
         self.last_result: PlaybackResult | None = None
-
-    def _engine_for(self, model: EDSR, precision: str | None,
-                    engines: dict) -> InferenceEngine:
-        """The per-(model, precision) engine in ``engines``, built on
-        first use: the one factory behind label engines and controller
-        tier engines, so every :class:`FastPathConfig` knob reaches both.
-        ``precision`` is a controller's decided precision; ``None`` means
-        a label engine at the fast path's own.
-
-        Engines live with whoever decodes, not on the model, so a shared
-        package's models are never mutated and concurrent sessions stay
-        independent.  ``engines`` is the client's own dict on the inline
-        source and a private dict per pipeline worker: an engine's
-        ``stats`` and reuse cache are per-call state, so two threads must
-        not share one.
-        """
-        fast = self._fast or _REFERENCE_KNOBS
-        key = (id(model), precision or fast.precision)
-        engine = engines.get(key)
-        if engine is None:
-            engine = engines[key] = InferenceEngine(
-                model, tile=fast.tile, threads=fast.sr_threads, obs=self.obs,
-                precision=key[1], skip_gate=fast.skip_gate, reuse=fast.reuse,
-                kernel=fast.kernel)
-        return engine
 
     def play(self, reference_frames: np.ndarray | None = None) -> PlaybackResult:
         """Stream every segment; optionally score against ``reference_frames``.
@@ -498,7 +473,6 @@ class DcsrClient:
         result = result if result is not None else PlaybackResult()
         self.last_result = result
         self._speedup_sample = 0.0
-        self._engines = {}
         self._stage.reset()
         fps = package.encoded.fps
         telemetry = PlaybackTelemetry(native_fps=fps, obs=self.obs)
@@ -545,99 +519,83 @@ class DcsrClient:
         conceal; ``resident[1]``, read once the segment has emitted, is
         the most decoded frames alive at once since the previous one did.
 
-        ``prefetch == 0`` produces each segment inline on the caller's
-        thread.  Anything else runs ``sr_batch`` workers, each with a
-        private :class:`~repro.video.codec.Decoder` and private engines,
-        so a worker decodes and enhances whole segments exactly as the
-        inline source would and shares no per-call state with the others.
-        The pool's contract:
+        Every segment comes from one step, ``produce(index)``:
 
-        - Fetches are turn-ordered: a worker claims the next segment and
-          runs its fetch stage under one lock, so the network consumes
-          its latency/failure schedule exactly as inline; only decode +
-          SR overlap.  A single worker runs fetch → decode → feedback
-          strictly in order, which lets a joint controller ride along.
-        - At most ``prefetch + sr_batch`` decoded segments are resident:
-          a worker takes a slot before claiming, and the slot frees when
-          the consumer comes back for the next segment.
-        - A worker error surfaces at its segment index: earlier segments
-          are yielded normally, then the error re-raises here.
+        - a turn-ordered fetch: segment *i* fetches once *i − 1* has, so
+          the network consumes its latency/failure schedule exactly as a
+          serial session does, and the first segment in that order that
+          fetched a model and its payload is the session's calibrating one;
+        - :meth:`_decode_stage`, on a decoder and an engine built for that
+          segment alone.
+
+        The caller's thread runs it when ``prefetch + sr_batch == 1``.
+        Otherwise ``sr_batch`` pool threads run it behind a window of at
+        most ``prefetch + sr_batch`` futures, topped up when the consumer
+        comes back for the next segment, so at most that many decoded
+        segments are resident and only decode + SR overlap.  One pool
+        thread runs fetch → decode → feedback strictly in order, which
+        lets a joint controller ride along.  An error re-raises at its
+        segment's index, after every earlier segment was yielded.
         """
-        from ..video.codec import Decoder
-
         package = self.package
         pairs = list(zip(package.segments, package.encoded.segments))
-        hook_display_only = not package.manifest.enhance_in_loop
-        if prefetch == 0:
-            decoder = Decoder(hook_display_only=hook_display_only)
-            for segment, encoded_segment in pairs:
-                fetched = self._fetch_stage(segment, encoded_segment)
-                decoded = self._decode_stage(segment, encoded_segment,
-                                             fetched, decoder, self._engines)
-                yield segment, fetched, decoded, (0, len(decoded or ()))
-            return
-
-        stop = threading.Event()
-        slots = threading.Semaphore(prefetch + sr_batch)
-        fetch_lock = threading.Lock()
-        unclaimed = iter(enumerate(pairs))
-        done_cv = threading.Condition()
-        done: dict[int, tuple] = {}
+        turn = threading.Condition()    # guards the four below
+        fetched_upto = 0                # segments whose fetch has run
+        calibrate = self._fast is not None and self._fast.calibrate
+        closed = False          # set on close: wakes turns that never come
         resident = [0, 0]       # decoded frames alive: now / at the peak
 
-        def worker() -> None:
-            decoder = Decoder(hook_display_only=hook_display_only)
-            engines = {}
-            while not stop.is_set():
-                if not slots.acquire(timeout=0.05):
-                    continue            # re-check stop while no slot is free
-                try:
-                    with fetch_lock:
-                        claim = next(unclaimed, None)
-                        if claim is None:
-                            slots.release()
-                            return
-                        index, (segment, encoded_segment) = claim
-                        fetched = self._fetch_stage(segment, encoded_segment)
-                    decoded = self._decode_stage(segment, encoded_segment,
-                                                 fetched, decoder, engines)
-                except BaseException as exc:   # surfaced on main thread
-                    fetched, decoded = exc, None
-                with done_cv:
-                    resident[0] += len(decoded or ())
-                    resident[1] = max(resident)
-                    done[index] = (fetched, decoded)
-                    done_cv.notify_all()
-                if isinstance(fetched, BaseException):
-                    return
+        def produce(index):
+            nonlocal fetched_upto, calibrate
+            segment, encoded_segment = pairs[index]
+            with turn:
+                turn.wait_for(lambda: closed or fetched_upto == index)
+                if closed:
+                    return None
+            # Only the thread whose turn it is gets here, so the fetch
+            # holds no lock (and never blocks the consumer or a close).
+            fetched = self._fetch_stage(segment, encoded_segment)
+            with turn:
+                fetched_upto += 1
+                turn.notify_all()
+                calibrates = calibrate and fetched.model is not None \
+                    and fetched.seg_t.status != "concealed"
+                calibrate = calibrate and not calibrates
+            decoded = self._decode_stage(segment, encoded_segment, fetched,
+                                         calibrates)
+            with turn:
+                resident[0] += len(decoded or ())
+                resident[1] = max(resident)
+            return fetched, decoded
 
-        workers = [threading.Thread(target=worker, name=f"dcsr-segment-{i}",
-                                    daemon=True) for i in range(sr_batch)]
-        for thread in workers:
-            thread.start()
+        bound = prefetch + sr_batch
+        pool = (ThreadPoolExecutor(sr_batch, thread_name_prefix="dcsr-segment")
+                if bound > 1 else None)
+
+        def submit(index) -> Future:
+            if pool is not None:
+                return pool.submit(produce, index)
+            done = Future()             # inline: produced right here
+            done.set_result(produce(index))
+            return done
+
+        unsubmitted = iter(range(len(pairs)))
+        window = deque()
         try:
-            for index, (segment, _) in enumerate(pairs):
-                with done_cv:
-                    while index not in done:
-                        done_cv.wait(0.1)
-                        if index not in done \
-                                and not any(t.is_alive() for t in workers):
-                            raise RuntimeError(
-                                f"pipeline workers exited without "
-                                f"producing segment {index}")
-                    fetched, decoded = done.pop(index)
-                if isinstance(fetched, BaseException):
-                    raise fetched
+            for segment, _ in pairs:
+                window.extend(map(submit,
+                                  islice(unsubmitted, bound - len(window))))
+                fetched, decoded = window.popleft().result()
                 yield segment, fetched, decoded, resident
-                with done_cv:
+                with turn:
                     resident[0] -= len(decoded or ())
                     resident[1] = resident[0]
-                slots.release()
         finally:
-            stop.set()
-            for thread in workers:
-                while thread.is_alive():
-                    thread.join(timeout=0.05)
+            with turn:
+                closed = True
+                turn.notify_all()
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Session internals.
@@ -677,13 +635,14 @@ class DcsrClient:
                                stage="download", **attrs)
 
     def _decode_stage(self, segment, encoded_segment, fetched: SegmentFetch,
-                      decoder, engines: dict):
+                      calibrate: bool):
         """Stage 3: decode with the SR hook in the loop, then release the
-        model pin and feed the realized inference count back.  Thread-safe
-        given a ``decoder`` and an ``engines`` dict no concurrent caller
-        shares (decode workers run this concurrently).  Returns ``None``
-        when the segment must conceal."""
-        from ..video.codec import DecodeError
+        model pin and feed the realized inference count back.  The decoder
+        and the hook's engine are built here for this segment alone, so
+        concurrent calls share no per-call state.  ``calibrate`` marks the
+        session's calibrating segment.  Returns ``None`` when the segment
+        must conceal."""
+        from ..video.codec import DecodeError, Decoder
 
         package = self.package
         seg_t = fetched.seg_t
@@ -693,11 +652,11 @@ class DcsrClient:
                 # Passthrough fallback decodes with no hook at all —
                 # bit-identical to the plain (LOW) decode.
                 decision = fetched.decision
-                decoder.i_frame_hook = (
-                    None if fetched.model is None
-                    else self._timed_hook(
+                decoder = Decoder(
+                    None if fetched.model is None else self._timed_hook(
                         fetched.model, seg_t,
-                        decision.precision if decision else None, engines))
+                        decision.precision if decision else None, calibrate),
+                    hook_display_only=not package.manifest.enhance_in_loop)
                 # The decode span nests the hook's sr/color spans (same
                 # thread), so its staged self-time equals decode_s below.
                 with self.obs.tracer.span("decode", parent=self._session,
@@ -768,24 +727,26 @@ class DcsrClient:
                               where="display")
 
     def _timed_hook(self, model, seg_t: SegmentPlayback,
-                    precision: str | None, engines: dict):
+                    precision: str | None, calibrate: bool):
         """Figure 6's enhancement hook with per-stage timing attached.
 
-        With a :class:`FastPathConfig`, SR runs on the tiled NHWC engine;
-        the first enhanced frame of the session optionally times the
-        reference forward once on the same input (output discarded) to
-        report the measured speedup.  Calibration seconds are measurement
-        overhead and are excluded from stage accounting.  A controller's
-        decided ``precision`` always runs on an engine at that precision.
+        With a :class:`FastPathConfig`, or a controller's decided
+        ``precision``, SR runs on a tiled NHWC engine built here with
+        every fast-path knob — one engine per segment, so its reuse cache
+        starts empty at the segment (GOP) boundary, where seeks and
+        concealment land, and a shared package's models are never
+        mutated.  ``calibrate`` times the reference forward once, on the
+        segment's first enhanced frame (output discarded), to report the
+        measured speedup; those seconds are measurement overhead and are
+        excluded from stage accounting.
         """
-        use_engine = precision is not None or self._fast is not None
-        engine = (self._engine_for(model, precision, engines)
-                  if use_engine else None)
-        if engine is not None:
-            # One hook per segment: a segment boundary is a GOP boundary
-            # (and where seeks/concealment land), so cross-segment content
-            # coincidence must never be mistaken for temporal continuity.
-            engine.reset_reuse()
+        engine = None
+        if precision is not None or self._fast is not None:
+            fast = self._fast or _REFERENCE_KNOBS
+            engine = InferenceEngine(
+                model, tile=fast.tile, threads=fast.sr_threads, obs=self.obs,
+                precision=precision or fast.precision,
+                skip_gate=fast.skip_gate, reuse=fast.reuse, kernel=fast.kernel)
         tracer = self.obs.tracer
         clock = tracer.clock
 
@@ -793,6 +754,7 @@ class DcsrClient:
             # Runs inside the decode span (same thread), so the sr span
             # and the recorded color span nest under it automatically and
             # decode's staged self-time excludes them.
+            nonlocal calibrate
             t0 = clock.now()
             rgb = yuv420_to_rgb(frame)
             color_s = clock.now() - t0
@@ -802,11 +764,11 @@ class DcsrClient:
                 sr_s = sp.elapsed
             else:
                 ref_s = None
-                if self._fast is not None and self._fast.calibrate \
-                        and not self._speedup_sample:
+                if calibrate:
                     # Calibration is measurement overhead: no span, so it
                     # stays inside decode self-time, exactly as decode_s
                     # accounts it.
+                    calibrate = False
                     r0 = clock.now()
                     model.enhance(rgb)          # output discarded
                     ref_s = clock.now() - r0

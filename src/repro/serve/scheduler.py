@@ -233,6 +233,11 @@ class FleetConfig:
         if self.controller != "off" and not self.devices:
             raise ValueError("a joint controller needs --device classes "
                              "(energy has no meaning without a power model)")
+        if self.mode == "playback" and self.fast_path is not None \
+                and self.controller != "off":
+            # Each playback session's client runs this check; trace
+            # sessions ignore ``fast_path``.
+            self.fast_path.validate(self.controller)
         if self.power_budget_w is not None and self.power_budget_w <= 0:
             raise ValueError("power_budget_w must be > 0 (or None)")
         arrival_times(self)     # validates the arrival spec eagerly

@@ -34,10 +34,10 @@ scipy's ``sgemm`` wrapper holds the GIL, and a GEMM that spans a tile is
 large enough for BLAS to split across its own threads instead.
 
 An engine has one owner at a time — :attr:`InferenceEngine.stats` is
-per-call state and the reuse cache follows one frame stream — so each of
-the client's concurrent segment workers builds its own.  Engines of one
-model share only the model: its packed weights are a pure function of the
-checkpoint, so packing them twice under a race yields the same taps.
+per-call state and the reuse cache follows one frame stream — so the
+client builds one per segment, whichever thread decodes it.  Engines of
+one model share only the model: its packed weights are a pure function of
+the checkpoint, so packing them twice under a race yields the same taps.
 """
 
 from __future__ import annotations

@@ -97,17 +97,28 @@ class TestClientController:
                            get_device("jetson")),
                        fast_path=FastPathConfig(prefetch=2, sr_batch=2))
 
-    def test_tier_engines_come_from_the_engine_factory(self, tiered_package):
+    def test_tier_engines_come_from_the_engine_factory(self, tiered_package,
+                                                       monkeypatch):
         """Regression: tier engines were built beside the label-engine
         factory and dropped ``reuse``."""
+        import repro.core.client as client_mod
+
+        built = []
+
+        class Recording(client_mod.InferenceEngine):
+            def __init__(self, model, **knobs):
+                super().__init__(model, **knobs)
+                built.append(self)
+
+        monkeypatch.setattr(client_mod, "InferenceEngine", Recording)
         client = DcsrClient(
             tiered_package,
             controller=FixedController(get_device("desktop"), tier="dcSR-1",
                                        precision="int8"),
             fast_path=FastPathConfig(tile=24, reuse=True, kernel="blocked"))
         client.play()
-        assert client._engines
-        for engine in client._engines.values():
+        assert built
+        for engine in built:
             assert engine.precision == "int8"    # the decision's, not fp32
             assert engine.reuse is not None
             assert engine.kernel == "blocked" and engine.tile == 24
@@ -160,6 +171,17 @@ class TestFleetController:
     def test_unknown_device_rejected(self):
         with pytest.raises(ValueError):
             FleetConfig(sessions=2, devices=("toaster",))
+
+    def test_playback_fleet_rejects_controller_with_sr_batch(self):
+        """Every playback session's client rejects a controller with
+        ``sr_batch > 1``, so the fleet does too, before any session;
+        trace sessions ignore ``fast_path`` and keep accepting it."""
+        fast = FastPathConfig(prefetch=2, sr_batch=2)
+        with pytest.raises(ValueError, match="sr_batch"):
+            FleetConfig(controller="greedy", devices=("jetson",),
+                        fast_path=fast)
+        FleetConfig(mode="trace", controller="greedy", devices=("jetson",),
+                    fast_path=fast)
 
     def test_device_cycle(self):
         config = FleetConfig(sessions=5, devices=("jetson", "laptop"))

@@ -63,10 +63,23 @@ class TestFastPathConfig:
         with pytest.raises(ValueError):
             DcsrClient(package, fast_path=FastPathConfig(prefetch=-1))
 
-    def test_defaults_do_not_build_engines(self, package, small_clip):
-        client = DcsrClient(package)
-        client.play(small_clip.frames)
-        assert client._engines == {}
+    def test_defaults_do_not_build_engines(self, package, small_clip,
+                                           monkeypatch):
+        import repro.core.client as client_mod
+
+        built = []
+
+        class Recording(client_mod.InferenceEngine):
+            def __init__(self, model, **knobs):
+                built.append(knobs)
+                super().__init__(model, **knobs)
+
+        monkeypatch.setattr(client_mod, "InferenceEngine", Recording)
+        DcsrClient(package).play(small_clip.frames)
+        assert built == []
+        # The stand-in is the factory a fast-path session builds through.
+        DcsrClient(package, fast_path=FastPathConfig()).play()
+        assert built
 
 
 class TestPrefetchEquivalence:
@@ -154,16 +167,15 @@ class TestQuantizedGatedPlayback:
             FastPathConfig(skip_gate=-0.5)
         with pytest.raises(ValueError):
             FastPathConfig(sr_batch=0)
-        with pytest.raises(ValueError):
-            # segment workers are the prefetch pipeline's workers
-            FastPathConfig(sr_batch=2, prefetch=0)
 
     def test_sr_batch_bitwise_equals_prefetch(self, package, small_clip):
+        """``sr_batch`` composes with any ``prefetch``, 0 included: the
+        pool runs whenever ``prefetch + sr_batch > 1``."""
         base = _play(package, small_clip.frames,
                      FastPathConfig(tile=24, prefetch=2))
-        for sr_batch in (2, 3):
+        for prefetch, sr_batch in ((2, 2), (2, 3), (0, 2)):
             batched = _play(package, small_clip.frames,
-                            FastPathConfig(tile=24, prefetch=2,
+                            FastPathConfig(tile=24, prefetch=prefetch,
                                            sr_batch=sr_batch))
             assert base.frame_types == batched.frame_types
             for a, b in zip(base.frames, batched.frames):

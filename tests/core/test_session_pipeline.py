@@ -9,6 +9,7 @@ every engine, and construction-time validation.
 """
 
 import sys
+import threading
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from repro.core import (
     DcsrClient,
+    DownloadError,
     FastPathConfig,
     NetworkConfig,
     RetryPolicy,
@@ -108,6 +110,60 @@ class TestSlotBound:
         assert set(threading.enumerate()) == before
         frames.close()
 
+    def test_mid_session_close_returns_and_leaves_no_thread(
+            self, uniform_package):
+        """A pool thread can start segment *k* while *k − 1* is being
+        cancelled: its fetch turn then never comes, and only the close
+        flag lets it return.  Closing after the first frame, 30 times,
+        with the threads' bytecode interleaved: every close returns and
+        no segment thread outlives it."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(30):
+                frames = DcsrClient(uniform_package, fast_path=FastPathConfig(
+                    prefetch=2, sr_batch=6)).iter_frames()
+                next(frames)
+                assert _bounded(frames.close) is None
+                assert not _segment_threads()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_fetch_wakes_the_turns_behind_it(self, uniform_package):
+        """Strict mode: segment 0's model fetch raises, so the turns the
+        segments queued behind it wait for never come.  The session must
+        still raise and shut its pool down, not hang."""
+        network = SimulatedNetwork(NetworkConfig(fail_rate=1.0, seed=0))
+        client = DcsrClient(uniform_package, network=network,
+                            retry=RetryPolicy(retries=0, backoff_s=0.0),
+                            fast_path=FastPathConfig(prefetch=2, sr_batch=6))
+        assert isinstance(_bounded(client.play), DownloadError)
+        assert not _segment_threads()
+
+
+def _segment_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("dcsr-segment")]
+
+
+def _bounded(call, timeout=30.0):
+    """Run ``call`` on a daemon thread and return what it raised (or
+    ``None``) — failing, instead of hanging the suite, if it has not
+    returned within ``timeout`` seconds."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:        # handed back to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{call} did not return"
+    return raised[0] if raised else None
+
 
 class TestConsumerSideBookkeeping:
     def test_abandoned_pipeline_reports_only_emitted_segments(self, package):
@@ -164,7 +220,7 @@ class TestKnobsReachEveryEngine:
         monkeypatch.setattr(client_mod, "InferenceEngine", Recording)
         knobs = dict(tile=24, precision="fp16", skip_gate=1e-4, reuse=True,
                      kernel="blocked")
-        for pipeline in (dict(), dict(prefetch=2),
+        for pipeline in (dict(), dict(prefetch=2), dict(sr_batch=2),
                          dict(prefetch=2, sr_batch=2)):
             built.clear()
             DcsrClient(package, fast_path=FastPathConfig(
@@ -208,6 +264,36 @@ class TestEngineOwnership:
             assert len(pooled_frames) == len(frames)
             for ours, theirs in zip(pooled_frames, frames):
                 assert np.array_equal(ours, theirs)
+
+
+class TestCalibration:
+    def test_reference_forward_runs_once_per_session(self, uniform_package,
+                                                     monkeypatch):
+        """Calibration is the session's, not each thread's: the first
+        segment in segment order that fetched a model and its payload
+        runs the reference forward, whichever thread decodes it, so every
+        pipeline calibrates on the same frame.  A slowed forward keeps the
+        pool threads overlapping, where once per thread used to show."""
+        forward = EDSR.enhance
+        inputs = []
+
+        def slow_forward(model, rgb):
+            inputs.append(rgb.copy())
+            time.sleep(0.05)
+            return forward(model, rgb)
+
+        monkeypatch.setattr(EDSR, "enhance", slow_forward)
+        calibrated = []
+        for pipeline in (dict(), dict(prefetch=2),
+                         dict(prefetch=2, sr_batch=4)):
+            inputs.clear()
+            result = DcsrClient(uniform_package, fast_path=FastPathConfig(
+                **pipeline)).play()
+            assert len(inputs) == 1, pipeline
+            assert result.telemetry.fast_path_speedup > 0
+            calibrated.append(inputs[0])
+        for frame in calibrated[1:]:
+            assert np.array_equal(frame, calibrated[0])
 
 
 #: Engine knobs no engine can be built with, as ``InferenceEngine``
