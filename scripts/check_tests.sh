@@ -39,6 +39,10 @@
 #     repro.serve, repro.net or repro.cli from them would cycle the
 #     layer graph.  Nor does any library layer (those five plus obs,
 #     serve, net) import repro.bench, which sits just under the CLI.
+#     Nor does src/repro/abr/ import repro.core or repro.control (nor
+#     anything above them): core sessions play on its PlayoutClock and
+#     control's bridge adapts to its policies, so core -> control -> abr
+#     must stay acyclic.
 #     Nor do the link modules (core/network.py, serve/netpool.py,
 #     net/transport.py) mention Observability or a metrics registry:
 #     a link counts in its own stats, the session ledger feeds metrics.
@@ -64,6 +68,14 @@
 #     anomaly class ending as the scalar reference does, no
 #     BitReader.read_ue call after an intact I frame's header, fused
 #     Y/U/V wavefront equal to the per-plane one (seconds).
+#   - tests/abr/test_playout_reference.py — the ABR simulator on the
+#     shared PlayoutClock: over 2,000 seeded sessions (ladders with
+#     segments beyond the buffer cap and videos shorter than the startup
+#     buffer, constant / step / random-walk traces) the same decisions
+#     and, to 1e-12 relative, the same rebuffer, startup, energy and bits
+#     as the simulator's own recurrence kept in
+#     tests/abr/reference_simulate.py; buffer-threshold policies replay
+#     the reference's choices (seconds).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -87,6 +99,7 @@ GUARDS=(
     tests/serve/test_pool_reference.py
     tests/nn/test_shift_reference.py
     tests/codec/test_vector_parse.py
+    tests/abr/test_playout_reference.py
 )
 
 run_guards() {

@@ -2,13 +2,15 @@
 
 Bitrate ladders measured with the real codec, network traces, classic
 throughput/buffer policies, a dcSR-aware policy that budgets micro-model
-downloads and targets *enhanced* quality, and a session simulator.
+downloads and targets *enhanced* quality, and a session simulator on the
+playout clock every streaming session shares.
 """
 
 from .ladder import BitrateLadder, QualityLevel, build_ladder
 from .policies import (AbrPolicy, BufferAbr, DcsrAwareAbr, JointChoice,
-                       JointPolicy, ThroughputAbr)
-from .simulate import AbrSessionResult, qoe_score, simulate_session
+                       ThroughputAbr)
+from .simulate import (AbrSessionResult, PlayoutClock, qoe_score,
+                       simulate_session)
 from .trace import NetworkTrace, constant_trace, random_walk_trace, step_trace
 
 __all__ = [
@@ -20,7 +22,7 @@ __all__ = [
     "BufferAbr",
     "DcsrAwareAbr",
     "JointChoice",
-    "JointPolicy",
+    "PlayoutClock",
     "AbrSessionResult",
     "simulate_session",
     "qoe_score",

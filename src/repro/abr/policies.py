@@ -18,11 +18,19 @@ import numpy as np
 from .ladder import BitrateLadder
 
 __all__ = ["AbrPolicy", "ThroughputAbr", "BufferAbr", "DcsrAwareAbr",
-           "JointChoice", "JointPolicy"]
+           "JointChoice"]
 
 
 class AbrPolicy:
-    """Base policy: pick a level for the next segment."""
+    """Base policy: pick the next segment's rung (and SR configuration).
+
+    ``simulate_session`` asks :meth:`choose_joint` once per segment and
+    reports the segment's realized energy to :meth:`feedback`.  A
+    rung-only policy implements :meth:`choose` (and :meth:`extra_bits`),
+    which the default :meth:`choose_joint` wraps with SR off; a joint
+    policy overrides :meth:`choose_joint`, owing the model download of
+    the configuration it chose.
+    """
 
     name = "base"
 
@@ -35,6 +43,18 @@ class AbrPolicy:
     def extra_bits(self, segment: int, level: int) -> float:
         """Side-channel bytes the policy knows it must also fetch (models)."""
         return 0.0
+
+    def choose_joint(
+        self, ladder: BitrateLadder, segment: int,
+        throughput_estimate_bps: float, buffer_s: float,
+    ) -> JointChoice:
+        level = self.choose(ladder, segment, throughput_estimate_bps,
+                            buffer_s)
+        return JointChoice(level=level,
+                           extra_bits=self.extra_bits(segment, level))
+
+    def feedback(self, energy_j: float, seconds: float) -> None:
+        """Realized energy of the segment just played (default: ignored)."""
 
 
 @dataclass(frozen=True)
@@ -58,35 +78,6 @@ class JointChoice:
     @property
     def sr_enabled(self) -> bool:
         return self.tier is not None
-
-
-class JointPolicy(AbrPolicy):
-    """ABR policy that also decides the SR configuration per segment.
-
-    The one-dimensional :meth:`AbrPolicy.choose` call site generalizes to
-    :meth:`choose_joint`, whose ``extra_bits`` side-channel is tier- and
-    precision-aware (the model download the *chosen* configuration owes,
-    not a per-level table).  ``simulate_session`` drives joint policies
-    through this method, credits ``quality_bonus_db`` on top of the rung
-    quality, accumulates ``energy_j``, and calls :meth:`feedback` with the
-    segment's realized energy so budget-tracking policies stay honest.
-    """
-
-    name = "joint"
-
-    def choose_joint(
-        self, ladder: BitrateLadder, segment: int,
-        throughput_estimate_bps: float, buffer_s: float,
-    ) -> JointChoice:
-        raise NotImplementedError
-
-    def choose(self, ladder, segment, throughput_estimate_bps, buffer_s):
-        """Interop with rung-only call sites: the joint choice's rung."""
-        return self.choose_joint(ladder, segment, throughput_estimate_bps,
-                                 buffer_s).level
-
-    def feedback(self, energy_j: float, seconds: float) -> None:
-        """Realized energy of the segment just played (default: ignored)."""
 
 
 class ThroughputAbr(AbrPolicy):

@@ -1,6 +1,6 @@
 """Adapter between the joint controller and the ABR session simulator.
 
-:class:`LadderControllerPolicy` is a :class:`~repro.abr.JointPolicy` that
+:class:`LadderControllerPolicy` is a joint :class:`~repro.abr.AbrPolicy` that
 builds a :class:`~repro.control.ControlContext` from the ladder at every
 segment boundary, lets a :class:`~repro.control.JointController` pick the
 (rung, tier, SR-mode) tuple, and tracks which checkpoints the session has
@@ -10,7 +10,7 @@ already downloaded so model bits are charged exactly once per
 
 from __future__ import annotations
 
-from ..abr.policies import JointChoice, JointPolicy
+from ..abr.policies import AbrPolicy, JointChoice
 from .context import ControlContext, tier_options
 from .controller import JointController
 
@@ -43,7 +43,7 @@ def iframe_counts(encoded) -> list[int]:
             for segment in encoded.segments]
 
 
-class LadderControllerPolicy(JointPolicy):
+class LadderControllerPolicy(AbrPolicy):
     """Drive a :class:`JointController` through ``abr.simulate_session``.
 
     ``manifest`` supplies the per-segment model labels and the published

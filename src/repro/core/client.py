@@ -203,9 +203,9 @@ class PlaybackTelemetry:
 
     ``download`` seconds are *simulated* network time (including retries
     and backoff); ``decode``/``sr``/``color`` are measured wall time.
-    ``stall_seconds`` comes from a simple playout clock: each segment must
-    be ready by the time the previous one finishes displaying at
-    ``native_fps``, and lateness accrues as a stall.
+    ``stall_seconds`` comes from the shared :class:`~repro.abr.PlayoutClock`:
+    each segment must be ready by the time the previous one finishes
+    displaying at ``native_fps``, and lateness accrues as a stall.
     """
 
     native_fps: float = 0.0
@@ -488,7 +488,7 @@ class DcsrClient:
         # Each segment's decode+SR seconds are charged serially (measured
         # wall time cannot be attributed across overlapping workers), so
         # reported stalls are conservative.
-        playout = PlayoutClock(fps, window=prefetch + sr_batch - 1)
+        playout = PlayoutClock(window=prefetch + sr_batch - 1)
         held: list[YuvFrame | None] = [None]
         source = self._segments(prefetch, sr_batch)
         try:

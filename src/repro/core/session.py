@@ -6,7 +6,8 @@ parts that touch only *bytes and simulated seconds* live here, so every
 session engine runs the same code: :class:`FetchStage` (stages 1-2:
 controller decision, model or tier checkpoint acquire, segment download,
 ``fallback``/``concealed`` transitions, byte/second/attempt accounting,
-energy feedback) and :class:`PlayoutClock` (the startup/stall recurrence).
+energy feedback) and :class:`~repro.abr.PlayoutClock` (the startup/stall
+recurrence the ABR simulator plays on too, here with no player bounds).
 :class:`~repro.core.client.DcsrClient` puts a real decode stage between
 ``fetch`` and ``release``; the fleet simulator's trace-mode sessions
 (:mod:`repro.serve.scheduler`) put nothing there.  The stage records no
@@ -29,6 +30,7 @@ import weakref
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+from ..abr.simulate import PlayoutClock
 from ..control import (ControlContext, ControlDecision, JointController,
                        segment_energy, segment_iframe_count, tier_options)
 from .cache import ModelCache
@@ -42,73 +44,6 @@ __all__ = ["PLAYBACK_STAGES", "PlayoutClock", "SegmentPlayback",
 #: and inside the SR hook).
 PLAYBACK_STAGES = ("download", "decode", "sr", "color")
 _STAGE_SECONDS = {name: attrgetter(f"{name}_s") for name in PLAYBACK_STAGES}
-
-
-class PlayoutClock:
-    """The playout recurrence, shared by the client and the fleet
-    simulator's trace-mode sessions.
-
-    Segment ``i`` starts downloading once segment ``i-1`` has downloaded
-    *and* the pipeline has room — segment ``i-1-window`` fully computed,
-    ``window`` being how many finished segments may queue ahead of the
-    one playing.  It is *ready* ``compute`` seconds (decode + SR +
-    colour) after it has downloaded and segment ``i-1`` is ready, and it
-    *should* be ready by the time segment ``i-1`` finishes displaying at
-    ``fps``: the first ready time is the startup delay, later lateness
-    accrues as stall seconds, and an early segment pushes the next
-    deadline out by exactly its display duration (no credit accumulates).
-    ``window = 0`` is the serial session: each segment is ready
-    ``download + compute`` seconds after the previous one.
-
-    The recurrence is pure arithmetic over simulated (or measured)
-    seconds, so two runs fed identical per-segment seconds produce
-    bit-identical stall numbers.
-    """
-
-    def __init__(self, fps: float, window: int = 0):
-        if fps <= 0:
-            raise ValueError(f"fps must be > 0, got {fps}")
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
-        self.fps = float(fps)
-        self.window = int(window)
-        #: Session clock: when the most recent segment became ready.
-        self.position_s = 0.0
-        self.startup_s = 0.0
-        self.stall_s = 0.0
-        #: Seconds pipelining saved against the serial session (download
-        #: of upcoming segments hidden under compute of earlier ones).
-        self.overlap_s = 0.0
-        self._dl_done = 0.0
-        self._serial_s = 0.0
-        self._finish_times: list[float] = []
-        self._next_deadline: float | None = None
-
-    def segment_ready(self, download_s: float, n_frames: int,
-                      compute_s: float = 0.0) -> None:
-        """Advance past one segment that took ``download_s`` to fetch and
-        ``compute_s`` to decode, and displays for ``n_frames / fps``."""
-        finish_times = self._finish_times
-        gated = len(finish_times) - 1 - self.window
-        start = self._dl_done
-        if gated >= 0 and finish_times[gated] > start:
-            start = finish_times[gated]         # waited for pipeline room
-        dl_done = self._dl_done = start + download_s
-        if self.position_s > dl_done:
-            dl_done = self.position_s           # waited for segment i-1
-        comp_done = self.position_s = dl_done + compute_s
-        finish_times.append(comp_done)
-        # Same association as comp_done, so a serial session's overlap is
-        # exactly 0.0, not a rounding residue.
-        self._serial_s = self._serial_s + download_s + compute_s
-        self.overlap_s = self._serial_s - comp_done
-        deadline = self._next_deadline
-        if deadline is None:
-            self.startup_s = deadline = comp_done
-        elif comp_done > deadline:
-            self.stall_s += comp_done - deadline
-            deadline = comp_done
-        self._next_deadline = deadline + n_frames / self.fps
 
 
 @dataclass
@@ -162,7 +97,8 @@ def record_segment(result, telemetry, playout: PlayoutClock,
         result.skipped_segments.append(seg_t.index)
     elif seg_t.status == "fallback":
         result.fallback_segments.append(seg_t.index)
-    playout.segment_ready(seg_t.download_s, seg_t.n_frames,
+    playout.segment_ready(seg_t.download_s,
+                          seg_t.n_frames / telemetry.native_fps,
                           seg_t.decode_s + seg_t.sr_s + seg_t.color_s)
     telemetry.startup_seconds = playout.startup_s
     telemetry.stall_seconds = playout.stall_s

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..abr.simulate import stall_ratio as playout_stall_ratio
 from ..devices import DeviceSpec, inference_seconds, sr_power_draw
 from ..devices.power import PowerTimeline, playback_power_schedule, simulate_power
 from ..sr.edsr import EDSR
@@ -85,17 +86,15 @@ def startup_comparison(package, big_model_bytes: int,
 
 
 def stall_ratio(telemetry: PlaybackTelemetry) -> float:
-    """Fraction of the viewing session spent stalled.
+    """Fraction of the viewing session spent stalled
+    (:func:`repro.abr.simulate.stall_ratio`).
 
     Media time is what the playout clock owes the viewer
     (frames / native fps); stalls extend the session beyond it.
     """
     n_frames = sum(seg.n_frames for seg in telemetry.segments)
     media_s = n_frames / telemetry.native_fps if telemetry.native_fps > 0 else 0.0
-    session_s = media_s + telemetry.stall_seconds
-    if session_s <= 0:
-        return 0.0
-    return telemetry.stall_seconds / session_s
+    return playout_stall_ratio(telemetry.stall_seconds, media_s)
 
 
 def session_goodput_bps(result: PlaybackResult) -> float:

@@ -291,7 +291,7 @@ class HttpTransport(Link):
         if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
             raise OriginUnreachable(f"/{path}: malformed status line "
                                     f"{lines[0]!r}")
-        status = int(parts[1])
+        status = _count(parts[1], "status code", path)
         response_headers: dict[str, str] = {}
         for line in lines[1:]:
             name, _, value = line.partition(":")
@@ -306,13 +306,21 @@ class HttpTransport(Link):
         length = headers.get("content-length")
         if length is not None:
             return await asyncio.wait_for(
-                reader.readexactly(int(length)), self.timeout_s)
+                reader.readexactly(_count(length, "Content-Length", path)),
+                self.timeout_s)
         body = b""
         while True:
             chunk = await asyncio.wait_for(reader.read(65536), self.timeout_s)
             if not chunk:
                 return body
             body += chunk
+
+
+def _count(text: str, what: str, path: str) -> int:
+    """A response head's non-negative integer field, or a typed error."""
+    if not text.strip().isdecimal():
+        raise OriginUnreachable(f"/{path}: malformed {what} {text!r}")
+    return int(text)
 
 
 def mirror_package(transport: HttpTransport, dest: str | Path) -> Path:

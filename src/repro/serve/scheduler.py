@@ -644,7 +644,7 @@ class FleetSimulator:
         fps = package.encoded.fps
         telemetry = PlaybackTelemetry(native_fps=fps, obs=self.obs)
         result = PlaybackResult(telemetry=telemetry)
-        playout = PlayoutClock(fps)
+        playout = PlayoutClock()
 
         for segment, encoded_segment in zip(package.segments,
                                             package.encoded.segments):

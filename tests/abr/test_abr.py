@@ -17,6 +17,7 @@ from repro.abr import (
     simulate_session,
     step_trace,
 )
+from repro.abr.simulate import MAX_BUFFER_S
 
 
 def _ladder(n_segments=6, seconds=2.0):
@@ -223,7 +224,7 @@ class TestSimulation:
         assert result.levels[-1] > result.levels[0]
 
     def test_oversized_segment_clamps_drain_and_books_rebuffer(self):
-        """Regression: a segment longer than ``max_buffer_s`` used to drive
+        """Regression: a segment longer than the buffer cap used to drive
         the buffer negative in the buffer-full wait and feed that negative
         value to the policy.  The drain must clamp to the buffered amount,
         the remainder must surface as rebuffering, and the policy must
@@ -235,11 +236,9 @@ class TestSimulation:
                 seen_buffers.append(buffer_s)
                 return super().choose(ladder, segment, estimate, buffer_s)
 
-        seg_s, max_buffer = 10.0, 8.0
+        seg_s, max_buffer = 10.0, MAX_BUFFER_S
         ladder = _ladder(n_segments=4, seconds=seg_s)
-        result = simulate_session(ladder, SpyAbr(), constant_trace(50e6),
-                                  startup_buffer_s=2.0,
-                                  max_buffer_s=max_buffer)
+        result = simulate_session(ladder, SpyAbr(), constant_trace(50e6))
         assert all(b >= 0.0 for b in seen_buffers)
         # Every steady-state segment forces at least (seg_s - max_buffer)
         # of stall: even a full drain cannot make room for an oversized
@@ -251,11 +250,6 @@ class TestSimulation:
         good = simulate_session(_ladder(), ThroughputAbr(), constant_trace(20e6))
         bad = simulate_session(_ladder(), ThroughputAbr(), constant_trace(0.3e6))
         assert qoe_score(good) > qoe_score(bad)
-
-    def test_invalid_ema(self):
-        with pytest.raises(ValueError):
-            simulate_session(_ladder(), ThroughputAbr(), constant_trace(1e6),
-                             throughput_ema=0.0)
 
     def test_dcsr_aware_same_quality_less_bits(self):
         """The paper's pitch: with enhancement credited, dcSR-aware ABR

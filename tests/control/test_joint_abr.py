@@ -1,14 +1,14 @@
-"""JointPolicy plumbing through the ABR simulator, and the
+"""Joint-choice plumbing through the ABR simulator, and the
 tier/precision-aware ``extra_bits`` fix in :class:`DcsrAwareAbr`."""
 
 import numpy as np
 import pytest
 
 from repro.abr import (
+    AbrPolicy,
     BitrateLadder,
     DcsrAwareAbr,
     JointChoice,
-    JointPolicy,
     QualityLevel,
     constant_trace,
     simulate_session,
@@ -54,7 +54,7 @@ def _record(tier, size, gain):
                            gain_db=gain)
 
 
-class _AlwaysJoint(JointPolicy):
+class _AlwaysJoint(AbrPolicy):
     """Minimal joint policy: rung 1, fixed bonus/energy, tier on segment 0."""
 
     def __init__(self):
@@ -83,25 +83,33 @@ class TestJointSimulate:
         # Realized energy flows back once per segment.
         assert policy.feedback_log == [(2.0, 2.0)] * 6
 
-    def test_choose_interop_returns_joint_level(self):
-        ladder = _ladder()
-        assert _AlwaysJoint().choose(ladder, 0, 4e6, 5.0) == 1
-
     def test_stall_ratio_and_quality_per_joule(self):
         policy = _AlwaysJoint()
         result = simulate_session(_ladder(), policy, constant_trace(4e6))
         assert result.played_seconds == pytest.approx(12.0)
         assert result.stall_ratio == pytest.approx(
-            result.rebuffer_seconds / 12.0)
+            result.rebuffer_seconds / (12.0 + result.rebuffer_seconds))
         assert result.quality_per_joule == pytest.approx(
             result.mean_quality / result.energy_joules)
+
+    def test_stall_ratio_of_a_stalling_session(self):
+        """2 s segments that take 2.5 s to download: startup at 2.5, then
+        each later segment is 0.5 s late; the stall share of the viewing
+        session is stall / (media + stall)."""
+        from repro.abr import ThroughputAbr
+        result = simulate_session(_ladder(), ThroughputAbr(),
+                                  constant_trace(0.4e6))
+        assert result.levels == [2] * 6
+        assert result.startup_seconds == 2.5
+        assert result.rebuffer_seconds == 5 * 0.5
+        assert result.stall_ratio == 2.5 / (12.0 + 2.5)
 
     def test_rung_only_policy_reports_zero_energy(self):
         from repro.abr import ThroughputAbr
         result = simulate_session(_ladder(), ThroughputAbr(),
                                   constant_trace(4e6))
         assert result.energy_joules == 0.0
-        assert result.tiers == []
+        assert result.tiers == [None] * 6
         assert result.played_seconds == pytest.approx(12.0)
 
 

@@ -9,6 +9,11 @@ down duck-typed instead).  This test walks each package's ASTs and fails
 on any import of ``repro.serve``, ``repro.net`` or ``repro.cli``,
 absolute or relative, at module level or inside a function.
 
+``repro.abr`` sits below ``repro.control`` (the bridge adapts a
+controller to it) and ``repro.core`` (whose sessions play on its
+:class:`~repro.abr.PlayoutClock`): it may import neither, nor anything
+above them, or ``core -> control -> abr`` would cycle.
+
 ``repro.bench`` (workloads and result printers) sits just under the CLI:
 no library layer may import it, the serving and transport layers and
 ``repro.obs`` included — the two pure helpers they once borrowed from it
@@ -37,6 +42,7 @@ BANNED_RELATIVE = ("serve", "net", "cli", "bench")
 #: package -> what it must not import.  The upper library layers may
 #: import each other downward (serve -> net -> core), but not the bench.
 BANS = {**{package: BANNED_RELATIVE for package in LOWER_LAYERS},
+        "repro.abr": ("core", "control") + BANNED_RELATIVE,
         "repro.obs": ("bench",), "repro.serve": ("bench",),
         "repro.net": ("bench",)}
 #: The link modules, as (package, file).

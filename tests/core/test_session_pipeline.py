@@ -348,10 +348,10 @@ class TestPlayoutWindow:
         """``window=0`` reproduces the serial accumulation bit for bit
         on simulated (compute-free) inputs, and saves nothing."""
         downloads = [0.31, 0.07, 1.9, 0.0, 0.45]
-        clock = PlayoutClock(10.0)
+        clock = PlayoutClock()
         position, deadline, stall = 0.0, None, 0.0
         for seconds in downloads:
-            clock.segment_ready(seconds, 4)
+            clock.segment_ready(seconds, 4 / 10.0)
             position += seconds
             if deadline is None:
                 deadline = position
@@ -364,9 +364,9 @@ class TestPlayoutWindow:
 
     def test_wider_window_hides_downloads_under_compute(self):
         def run(window):
-            clock = PlayoutClock(10.0, window=window)
+            clock = PlayoutClock(window=window)
             for _ in range(4):
-                clock.segment_ready(1.0, 10, compute_s=1.0)
+                clock.segment_ready(1.0, 10 / 10.0, compute_s=1.0)
             return clock
 
         serial, piped = run(0), run(2)
@@ -379,6 +379,62 @@ class TestPlayoutWindow:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PlayoutClock(0.0)
+            PlayoutClock(max_buffer_s=0.0)
         with pytest.raises(ValueError):
-            PlayoutClock(10.0, window=-1)
+            PlayoutClock(window=-1)
+
+
+class TestPlayoutBounds:
+    """The player's two bounds: a startup buffer and a buffer cap."""
+
+    def test_startup_waits_for_the_startup_buffer(self):
+        clock = PlayoutClock(startup_buffer_s=3.0)
+        clock.segment_ready(1.0, 2.0)
+        assert clock.buffer_s(1.0) == 2.0        # queued, not playing
+        clock.segment_ready(1.0, 2.0)
+        assert clock.startup_s == 2.0
+        # The first deadline: both queued segments have displayed.
+        assert clock.buffer_s(2.0) == 4.0
+        clock.segment_ready(5.0, 2.0)
+        assert clock.stall_s == 7.0 - 6.0
+
+    def test_stream_shorter_than_the_buffer_starts_at_last_ready(self):
+        clock = PlayoutClock(startup_buffer_s=5.0)
+        clock.segment_ready(0.5, 1.0)
+        clock.segment_ready(0.25, 1.0)
+        assert clock.startup_s == 0.75
+        assert clock.stall_s == 0.0
+
+    def test_buffer_room_gates_only_once_playing(self):
+        clock = PlayoutClock(startup_buffer_s=4.0, max_buffer_s=3.0)
+        assert clock.download_start(2.0) == 0.0
+        clock.segment_ready(0.5, 2.0)
+        # 2 s queued + 2 s more exceeds the cap, but nothing plays yet.
+        assert clock.download_start(2.0) == 0.5
+        clock.segment_ready(0.5, 2.0)
+        assert clock.startup_s == 1.0
+        # Playing: 4 s buffered until 5.0; room for 2 s more at 4.0.
+        assert clock.download_start(2.0) == 5.0 + 2.0 - 3.0
+
+    def test_segment_longer_than_the_cap_stalls(self):
+        clock = PlayoutClock(max_buffer_s=8.0)
+        clock.segment_ready(1.0, 10.0)
+        assert clock.download_start(10.0) == 11.0 + 10.0 - 8.0
+        clock.segment_ready(1.0, 10.0)
+        assert clock.stall_s == 10.0 - 8.0 + 1.0
+
+    def test_buffer_is_never_negative(self):
+        clock = PlayoutClock(max_buffer_s=8.0)
+        clock.segment_ready(1.0, 10.0)
+        assert clock.buffer_s(11.0) == 0.0
+        assert clock.buffer_s(100.0) == 0.0
+        clock.segment_ready(1.0, 10.0)           # stalled to 14.0
+        assert clock.buffer_s(13.0) == 11.0
+        assert clock.buffer_s(30.0) == 0.0
+
+    @pytest.mark.parametrize("cap, start", [(1.5, 6.5), (2.5, 6.0)])
+    def test_cap_and_window_take_the_later_gate(self, cap, start):
+        clock = PlayoutClock(window=0, max_buffer_s=cap)
+        clock.segment_ready(1.0, 1.0, compute_s=5.0)    # ready at 6.0
+        # Pipeline room at 6.0; buffer room at 6.0 + 1.0 + 1.0 - cap.
+        assert clock.download_start(1.0) == start
