@@ -13,6 +13,7 @@ client actually runs (He-init models can show ~2e-5 reassociation noise;
 trained ones sit orders of magnitude below the 1e-5 bar).
 """
 
+import functools
 import os
 import time
 
@@ -50,6 +51,13 @@ def _trained_model():
     return model
 
 
+def _reference_enhance(model, frame):
+    """The NCHW oracle: the training forward on one transposed frame,
+    clipped as the engine clips (``tests/sr/reference_forward.py``)."""
+    out = model.forward(frame.transpose(2, 0, 1)[None])[0].transpose(1, 2, 0)
+    return np.clip(out, 0.0, 1.0)
+
+
 def _fps(fn, frame, repeats):
     best = min(_timed(fn, frame) for _ in range(repeats))
     return 1.0 / max(best, 1e-9)
@@ -71,8 +79,9 @@ def test_sr_inference_fast_path(benchmark):
         for h, w, label in SIZES:
             frame = np.random.default_rng(h).random((h, w, 3),
                                                     dtype=np.float32)
-            ref = model.enhance(frame)
-            ref_fps = _fps(model.enhance, frame, repeats)
+            reference = functools.partial(_reference_enhance, model)
+            ref = reference(frame)
+            ref_fps = _fps(reference, frame, repeats)
             whole = InferenceEngine(model)
             whole_out = whole.enhance(frame)
             whole_fps = _fps(whole.enhance, frame, repeats)

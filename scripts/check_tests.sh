@@ -26,6 +26,10 @@
 #   - tests/nn/test_no_quant_in_training.py — no packed weight in the
 #     training path (optimizer, SR trainer, gradient checker, losses):
 #     packing — where a reduced precision lives — is inference-only.
+#     And the other direction: no call in src/repro passes a training=
+#     keyword, and .forward( is called only from repro/nn/,
+#     repro/features/, sr/edsr.py and sr/trainer.py — a trained model
+#     runs through InferenceEngine, never a layer's caching forward.
 #   - tests/sr/test_no_unbounded_reuse.py — no unbounded temporal reuse
 #     cache in library code: every TileReuseCache must carry an explicit
 #     entry budget (an unbounded cache is a per-session memory leak).

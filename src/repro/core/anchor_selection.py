@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..sr.edsr import EDSR
+from ..sr.engine import InferenceEngine
 from ..video.codec import Decoder, EncodedSegment, EncodedVideo
 from ..video.frame import YuvFrame
 from ..video.quality import psnr_yuv
@@ -40,14 +41,14 @@ class AnchorPlan:
 
 
 def _segment_quality(
-    segment: EncodedSegment, width: int, height: int, model: EDSR,
-    references: list[YuvFrame], anchors: set,
+    segment: EncodedSegment, width: int, height: int,
+    engine: InferenceEngine, references: list[YuvFrame], anchors: set,
 ) -> float:
     """Mean luma PSNR of one segment decoded with ``anchors`` enhanced."""
 
     def hook(frame: YuvFrame, display: int, ftype: str):
         if display in anchors:
-            return enhance_yuv_frame(model, frame)
+            return enhance_yuv_frame(engine, frame)
         return None
 
     decoder = Decoder(anchor_hook=hook)
@@ -66,6 +67,7 @@ def evaluate_anchor_set(
     anchors: set,
 ) -> float:
     """Mean luma PSNR of the whole video with ``anchors`` enhanced."""
+    engine = InferenceEngine(model)
     totals = []
     for segment in encoded.segments:
         refs = [rgb_to_yuv420(reference_frames[t])
@@ -73,7 +75,7 @@ def evaluate_anchor_set(
         seg_anchors = {a for a in anchors
                        if segment.start <= a < segment.start + segment.n_frames}
         quality = _segment_quality(segment, encoded.width, encoded.height,
-                                   model, refs, seg_anchors)
+                                   engine, refs, seg_anchors)
         totals.append((quality, segment.n_frames))
     weight = sum(n for _, n in totals)
     return float(sum(q * n for q, n in totals) / weight)
@@ -94,6 +96,7 @@ def select_anchors(
         raise ValueError("budget_per_segment must be >= 0")
     plan = AnchorPlan()
     weighted = []
+    engine = InferenceEngine(model)
 
     for segment in encoded.segments:
         refs = [rgb_to_yuv420(reference_frames[t])
@@ -102,14 +105,14 @@ def select_anchors(
                       if info.ftype in ("I", "P")]
         chosen: set = set()
         current = _segment_quality(segment, encoded.width, encoded.height,
-                                   model, refs, chosen)
+                                   engine, refs, chosen)
         while len(chosen) < budget_per_segment:
             best_candidate, best_quality = None, current
             for candidate in candidates:
                 if candidate in chosen:
                     continue
                 quality = _segment_quality(
-                    segment, encoded.width, encoded.height, model, refs,
+                    segment, encoded.width, encoded.height, engine, refs,
                     chosen | {candidate})
                 if quality > best_quality + min_gain_db:
                     best_candidate, best_quality = candidate, quality

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sr import EDSR, EdsrConfig, SrTrainConfig, train_sr
+from ..sr import EDSR, EdsrConfig, InferenceEngine, SrTrainConfig, train_sr
 from ..video import yuv420_to_rgb
 from ..video.codec import Decoder
 from ..video.quality import psnr, ssim
@@ -91,7 +91,7 @@ def play_nas(
 ) -> PlaybackResult:
     """NAS playback: download the big model once, SR every decoded frame."""
     return _play(package, Decoder(), reference_frames, baseline,
-                 enhance=baseline.model.enhance)
+                 enhance=InferenceEngine(baseline.model).enhance)
 
 
 def play_nemo(
@@ -99,8 +99,10 @@ def play_nemo(
     reference_frames: np.ndarray | None = None,
 ) -> PlaybackResult:
     """NEMO playback: big model applied to I frames only, via the DPB hook."""
+    engine = InferenceEngine(baseline.model)
+
     def hook(frame, display):
-        return enhance_yuv_frame(baseline.model, frame)
+        return enhance_yuv_frame(engine, frame)
 
     return _play(package, Decoder(i_frame_hook=hook), reference_frames,
                  baseline)
@@ -121,10 +123,11 @@ def play_nemo_adaptive(
 
     plan = select_anchors(package.encoded, baseline.model, reference_frames,
                           budget_per_segment=budget_per_segment)
+    engine = InferenceEngine(baseline.model)
 
     def hook(frame, display, ftype):
         if display in plan.anchors:
-            return enhance_yuv_frame(baseline.model, frame)
+            return enhance_yuv_frame(engine, frame)
         return None
 
     return _play(package, Decoder(anchor_hook=hook), reference_frames,

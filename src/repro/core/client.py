@@ -50,7 +50,6 @@ import numpy as np
 
 from ..control import JointController
 from ..obs import Observability, format_table
-from ..sr.edsr import EDSR
 from ..sr.engine import InferenceEngine, check_engine_knobs
 from ..video import rgb_to_yuv420, yuv420_to_rgb
 from ..video.frame import YuvFrame
@@ -74,11 +73,10 @@ __all__ = [
     "enhance_yuv_frame",
 ]
 
-def enhance_yuv_frame(model: EDSR, frame: YuvFrame) -> YuvFrame:
-    """Steps 2-5 of Figure 6: YUV -> RGB, SR, RGB -> YUV."""
-    rgb = yuv420_to_rgb(frame)
-    enhanced = model.enhance(rgb)
-    return rgb_to_yuv420(enhanced)
+def enhance_yuv_frame(engine: InferenceEngine, frame: YuvFrame) -> YuvFrame:
+    """Steps 2-5 of Figure 6: YUV -> RGB, SR, RGB -> YUV.  ``engine`` is
+    built once per model and reused for every frame it enhances."""
+    return rgb_to_yuv420(engine.enhance(yuv420_to_rgb(frame)))
 
 
 @dataclass(frozen=True)
@@ -86,12 +84,13 @@ class FastPathConfig:
     """Client inference fast-path knobs (``cli play --tile/--sr-threads/
     --prefetch``).
 
-    Passing a config to :class:`DcsrClient` routes every SR inference
-    through the tiled NHWC :class:`~repro.sr.engine.InferenceEngine`
-    instead of the reference forward, and — with ``prefetch + sr_batch >
-    1`` — overlaps download + decode + SR of upcoming segments with
-    emission of the current one on a window-bounded thread pool.  ``None``
-    (the default client behaviour) is the fully serial reference path.
+    Every SR inference of a :class:`DcsrClient` session runs on a
+    :class:`~repro.sr.engine.InferenceEngine` built from these knobs, one
+    per enhanced segment; with ``prefetch + sr_batch > 1`` the session
+    also overlaps download + decode + SR of upcoming segments with
+    emission of the current one on a window-bounded thread pool.  A
+    client given no config plays with ``FastPathConfig(calibrate=False)``:
+    whole-frame fp32 SR, produced inline on the caller's thread.
 
     Parameters
     ----------
@@ -112,16 +111,17 @@ class FastPathConfig:
         (fast SR only, no thread).  Memory grows by up to ``prefetch +
         sr_batch - 1`` segments of decoded frames.
     calibrate:
-        Measure the fast-over-reference speedup once per session, on the
-        first enhanced frame of the first segment (in segment order) that
-        fetched a model and its payload — one extra reference inference,
-        excluded from stage accounting — and report it as
-        ``PlaybackTelemetry.fast_path_speedup``.
+        Measure what the knobs buy over the default engine once per
+        session, on the first enhanced frame of the first segment (in
+        segment order) that fetched a model and its payload — one extra
+        whole-frame fp32 engine inference, excluded from stage accounting
+        — and report the ratio as ``PlaybackTelemetry.fast_path_speedup``.
     precision:
-        SR kernel precision: ``fp32`` (default, bitwise-identical to the
-        reference forward), ``fp16`` (half-rounded operands, fp32
-        accumulate), or ``int8`` (per-output-channel symmetric weight
-        quantization).  Reduced precisions also shrink the model bytes a
+        SR kernel precision: ``fp32`` (default; within 1e-5 of the
+        model's NCHW training forward, not bitwise-equal to it), ``fp16``
+        (half-rounded operands, fp32 accumulate), or ``int8``
+        (per-output-channel symmetric weight quantization).  Reduced
+        precisions also shrink the model bytes a
         session downloads — accounting uses the manifest's
         :meth:`~repro.core.manifest.VideoManifest.model_size_for`.
     skip_gate:
@@ -186,10 +186,6 @@ class FastPathConfig:
                 "before the next fetch: sr_batch > 1 cannot give it")
 
 
-#: Engine-factory knobs of a session without a fast path.
-_REFERENCE_KNOBS = FastPathConfig()
-
-
 @dataclass
 class PlaybackTelemetry:
     """Where one playback session's time went (client mirror of
@@ -217,7 +213,8 @@ class PlaybackTelemetry:
     download_attempts: int = 0
     peak_resident_frames: int = 0
     cache_hit_rate: float = 0.0
-    #: SR tiles executed across the session (0 = whole-frame / no fast path).
+    #: SR (frame, tile) pairs the model ran on across the session (one
+    #: per inference at whole-frame).
     tile_count: int = 0
     #: Tiles the variance gate routed to bicubic instead of the model
     #: (0 unless a :attr:`FastPathConfig.skip_gate` is set).
@@ -230,8 +227,8 @@ class PlaybackTelemetry:
     #: Simulated playout seconds saved by pipelining download of segment
     #: n+1 under compute of segment n (0 without prefetch).
     prefetch_overlap_seconds: float = 0.0
-    #: Measured fast-over-reference SR speedup from the per-session
-    #: calibration frame (0 = not calibrated).
+    #: What the session's engine knobs bought over the default engine,
+    #: measured on the calibration frame (0 = not calibrated).
     fast_path_speedup: float = 0.0
     #: Realized rail energy over the session from the device power model
     #: (0 unless the client runs with a joint controller).
@@ -282,7 +279,7 @@ class PlaybackTelemetry:
             lines.append(
                 f"  fastpath   {self.tile_count} tiles{skipped}, "
                 f"{self.sr_gflops:.2f} GFLOP/s, "
-                f"{self.fast_path_speedup:.1f}x vs reference, "
+                f"{self.fast_path_speedup:.1f}x vs default engine, "
                 f"overlap {self.prefetch_overlap_seconds:.3f}s")
         if self.energy_joules:
             n_frames = sum(s.n_frames for s in self.segments)
@@ -374,12 +371,13 @@ class DcsrClient:
         When ``True``, a segment whose micro model cannot be fetched
         plays unenhanced (passthrough) instead of raising.
     fast_path:
-        Optional :class:`FastPathConfig`.  ``None`` (default) keeps the
-        serial reference engine; a config switches SR to the tiled NHWC
-        fast path and, with ``prefetch + sr_batch > 1``, pipelines
-        download + decode + SR of upcoming segments on a window-bounded
-        thread pool.  Frame order, concealment/fallback semantics, and
-        the accounting contract are identical either way.
+        Optional :class:`FastPathConfig`: the knobs of every segment's
+        SR engine and, with ``prefetch + sr_batch > 1``, a window-bounded
+        thread pool that pipelines download + decode + SR of upcoming
+        segments.  ``None`` (default) is ``FastPathConfig(calibrate=False)``
+        — whole-frame fp32, serial, uncalibrated.  Frame order,
+        concealment/fallback semantics, and the accounting contract are
+        identical under every config.
     obs:
         Optional :class:`~repro.obs.Observability` session the client
         records its spans and metrics into (default: a fresh one).  The
@@ -425,16 +423,14 @@ class DcsrClient:
                  model_cache: ModelCache | None = None,
                  span_attrs: dict | None = None,
                  controller: JointController | None = None):
-        if fast_path is not None:
-            fast_path.validate(controller)
+        self._fast = fast_path or FastPathConfig(calibrate=False)
+        self._fast.validate(controller)
         self.package = package
         self._stage = FetchStage(
-            package, network, retry, fallback,
-            precision=fast_path.precision if fast_path is not None else "fp32",
+            package, network, retry, fallback, precision=self._fast.precision,
             cache_capacity=cache_capacity, model_cache=model_cache,
             controller=controller)
         self._span_attrs = dict(span_attrs or {})
-        self._fast = fast_path
         self.obs = obs or Observability(root_name="client")
         self._session = None
         self._speedup_sample = 0.0
@@ -483,8 +479,7 @@ class DcsrClient:
         self._session = self.obs.tracer.begin(
             "play", segments=len(package.segments), **self._span_attrs)
 
-        fast = self._fast or _REFERENCE_KNOBS
-        prefetch, sr_batch = fast.prefetch, fast.sr_batch
+        prefetch, sr_batch = self._fast.prefetch, self._fast.sr_batch
         # Each segment's decode+SR seconds are charged serially (measured
         # wall time cannot be attributed across overlapping workers), so
         # reported stalls are conservative.
@@ -541,7 +536,7 @@ class DcsrClient:
         pairs = list(zip(package.segments, package.encoded.segments))
         turn = threading.Condition()    # guards the four below
         fetched_upto = 0                # segments whose fetch has run
-        calibrate = self._fast is not None and self._fast.calibrate
+        calibrate = self._fast.calibrate
         closed = False          # set on close: wakes turns that never come
         resident = [0, 0]       # decoded frames alive: now / at the peak
 
@@ -730,23 +725,22 @@ class DcsrClient:
                     precision: str | None, calibrate: bool):
         """Figure 6's enhancement hook with per-stage timing attached.
 
-        With a :class:`FastPathConfig`, or a controller's decided
-        ``precision``, SR runs on a tiled NHWC engine built here with
-        every fast-path knob — one engine per segment, so its reuse cache
-        starts empty at the segment (GOP) boundary, where seeks and
-        concealment land, and a shared package's models are never
-        mutated.  ``calibrate`` times the reference forward once, on the
-        segment's first enhanced frame (output discarded), to report the
-        measured speedup; those seconds are measurement overhead and are
-        excluded from stage accounting.
+        SR runs on a tiled NHWC engine built here with every fast-path
+        knob (a controller's decided ``precision`` wins over the
+        config's) — one engine per segment, so its reuse cache starts
+        empty at the segment (GOP) boundary, where seeks and concealment
+        land, and a shared package's models are never mutated.
+        ``calibrate`` times one whole-frame fp32 forward on a default
+        engine, after the segment's first enhanced frame (output
+        discarded), to report what the knobs bought over it; those
+        seconds are measurement overhead and are excluded from stage
+        accounting.
         """
-        engine = None
-        if precision is not None or self._fast is not None:
-            fast = self._fast or _REFERENCE_KNOBS
-            engine = InferenceEngine(
-                model, tile=fast.tile, threads=fast.sr_threads, obs=self.obs,
-                precision=precision or fast.precision,
-                skip_gate=fast.skip_gate, reuse=fast.reuse, kernel=fast.kernel)
+        fast = self._fast
+        engine = InferenceEngine(
+            model, tile=fast.tile, threads=fast.sr_threads, obs=self.obs,
+            precision=precision or fast.precision,
+            skip_gate=fast.skip_gate, reuse=fast.reuse, kernel=fast.kernel)
         tracer = self.obs.tracer
         clock = tracer.clock
 
@@ -758,31 +752,24 @@ class DcsrClient:
             t0 = clock.now()
             rgb = yuv420_to_rgb(frame)
             color_s = clock.now() - t0
-            if engine is None:
-                with tracer.span("sr", stage="sr", display=display) as sp:
-                    enhanced = model.enhance(rgb)
-                sr_s = sp.elapsed
-            else:
-                ref_s = None
-                if calibrate:
-                    # Calibration is measurement overhead: no span, so it
-                    # stays inside decode self-time, exactly as decode_s
-                    # accounts it.
-                    calibrate = False
-                    r0 = clock.now()
-                    model.enhance(rgb)          # output discarded
-                    ref_s = clock.now() - r0
-                with tracer.span("sr", stage="sr", display=display) as sp:
-                    enhanced = engine.enhance(rgb)
-                sr_s = sp.elapsed
-                if ref_s is not None:
-                    self._speedup_sample = ref_s / max(sr_s, 1e-9)
-                sp.attrs["tiles"] = engine.stats.tile_count
-                sp.attrs["flops"] = engine.stats.flops
-                seg_t.sr_tiles += engine.stats.tile_count
-                seg_t.sr_skipped_tiles += engine.stats.skipped_tiles
-                seg_t.sr_reused_tiles += engine.stats.reused_tiles
-                seg_t.sr_flops += engine.stats.flops
+            with tracer.span("sr", stage="sr", display=display) as sp:
+                enhanced = engine.enhance(rgb)
+            sr_s = sp.elapsed
+            if calibrate:
+                # Calibration is measurement overhead: no span, so it
+                # stays inside decode self-time, exactly as decode_s
+                # accounts it.  It runs second, so a first call's one-off
+                # costs (the BLAS import) land in the SR stage, not here.
+                calibrate = False
+                r0 = clock.now()
+                InferenceEngine(model).enhance(rgb)     # output discarded
+                self._speedup_sample = (clock.now() - r0) / max(sr_s, 1e-9)
+            sp.attrs["tiles"] = engine.stats.tile_count
+            sp.attrs["flops"] = engine.stats.flops
+            seg_t.sr_tiles += engine.stats.tile_count
+            seg_t.sr_skipped_tiles += engine.stats.skipped_tiles
+            seg_t.sr_reused_tiles += engine.stats.reused_tiles
+            seg_t.sr_flops += engine.stats.flops
             t2 = clock.now()
             out = rgb_to_yuv420(enhanced)
             color_total = color_s + (clock.now() - t2)

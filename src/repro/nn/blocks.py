@@ -31,8 +31,8 @@ class ResidualBlock(Layer):
             Scale(res_scale),
         )
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        return x + self.body.forward(x, training=training)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x + self.body.forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out + self.body.backward(grad_out)
@@ -70,8 +70,8 @@ class Upsampler(Layer):
         self.body = Sequential(*stages)
         self.scale = scale
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        return self.body.forward(x, training=training)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.body.forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self.body.backward(grad_out)
@@ -86,8 +86,8 @@ class GlobalSkip(Layer):
     def __init__(self, body: Layer):
         self.inner = body
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        return x + self.inner.forward(x, training=training)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x + self.inner.forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out + self.inner.backward(grad_out)

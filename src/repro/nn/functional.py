@@ -1,6 +1,8 @@
-"""Stateless numerical primitives shared by the layers.
+"""Stateless numerical primitives shared by the layers and the inference
+engine.
 
-All image tensors use the NCHW layout: ``(batch, channels, height, width)``.
+The layers' tensors use the NCHW layout ``(batch, channels, height,
+width)``; the engine's conv kernels (below ``conv2d_backward``) run NHWC.
 
 The convolution here is implemented with ``sliding_window_view`` plus
 ``tensordot`` in the forward pass, and with the classic "full convolution of
@@ -20,11 +22,8 @@ __all__ = [
     "unpad2d",
     "conv2d_forward",
     "conv2d_backward",
-    "conv_output_size",
-    "im2col",
     "PackedConvWeight",
     "pack_conv_weight",
-    "conv2d_gemm",
     "conv2d_shift_nhwc",
     "conv2d_shift_padded",
     "pad_nhwc",
@@ -42,17 +41,6 @@ __all__ = [
     "nearest_upsample",
     "nearest_downsample_grad",
 ]
-
-
-def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Output spatial size of a convolution along one axis."""
-    out = (size + 2 * padding - kernel) // stride + 1
-    if out <= 0:
-        raise ValueError(
-            f"convolution output size is non-positive: size={size}, "
-            f"kernel={kernel}, stride={stride}, padding={padding}"
-        )
-    return out
 
 
 def pad2d(x: np.ndarray, padding: int) -> np.ndarray:
@@ -160,22 +148,20 @@ def conv2d_backward(
 
 
 # ---------------------------------------------------------------------------
-# GEMM inference fast path.
+# Inference kernels.
 #
-# ``conv2d_forward`` stays the reference and training implementation; the
-# functions below are the inference-only path.  Three kernels share one
-# packed operand (:class:`PackedConvWeight`) and one fused epilogue:
+# ``conv2d_forward`` above is the training conv (and, through
+# ``EDSR.forward``, the oracle tests hold the engine to); the functions
+# below are the kernels of ``repro.sr.InferenceEngine``, their one caller
+# in the library.  Two kernels share one packed operand
+# (:class:`PackedConvWeight`) and one fused epilogue — both stride 1 /
+# 'same' over NHWC activations, both within float32 reassociation of
+# ``conv2d_forward``, neither bitwise-equal to it:
 #
-# - :func:`conv2d_gemm` — classic im2col + one BLAS matmul over NCHW
-#   tensors.  At fp32 it reproduces ``conv2d_forward`` *bitwise* because
-#   the packed operands use exactly the ``(Cin, KH, KW)`` contraction order
-#   and operand layouts ``tensordot`` reduces to internally, so the same
-#   sgemm runs on the same bits.  General stride/padding; used by
-#   ``Conv2d`` inference.
 # - :func:`conv2d_shift_nhwc` — one GEMM per kernel tap; the KH*KW-times-
 #   larger im2col matrix is never built, at the price of a different
-#   summation order (float32 reassociation, a few ULP per layer).  Stride
-#   1 / 'same' only — the SR engine's kernel.  Activations sit
+#   summation order (float32 reassociation, a few ULP per layer).  The
+#   engine's default kernel.  Activations sit
 #   *padded-stride*: pixels are rows of a flat ``(L, C)`` buffer, each
 #   image row followed by ``2*pad`` zero pixels, with ``pad*(W+2*pad) +
 #   pad`` zero rows before and after — so a tap is one contiguous run for
@@ -227,18 +213,16 @@ INT8_EXACT_ACC_BOUND = 2 ** 24
 
 @dataclass(frozen=True)
 class PackedConvWeight:
-    """A conv kernel pre-packed for the GEMM fast path at one precision.
+    """A conv kernel pre-packed for the inference kernels at one precision.
 
     Built once per weight version (:attr:`~repro.nn.tensor.Parameter.version`)
     and reused across frames; see ``Conv2d.packed``.  Operands are float32
     arrays constrained to ``precision``'s grid (see the comment above).
+    Training never reads it: ``conv2d_forward`` takes the live weight.
     """
 
-    #: ``(Cout, Cin*KH*KW)`` — the kernel flattened in im2col K-order.
-    mat: np.ndarray
-    #: ``(Cin*KH*KW, Cout)`` C-contiguous — the right-hand GEMM operand
-    #: (at fp32 the same bits ``tensordot`` feeds to sgemm in
-    #: ``conv2d_forward``).
+    #: ``(Cin*KH*KW, Cout)`` C-contiguous — the kernel in im2col K-order,
+    #: the right-hand operand of the blocked im2col GEMM.
     mat_t: np.ndarray
     #: ``(KH, KW, Cin, Cout)`` — per-tap matrices for the NHWC shift kernel.
     taps: np.ndarray
@@ -251,7 +235,7 @@ class PackedConvWeight:
 
     @property
     def out_channels(self) -> int:
-        return self.mat.shape[0]
+        return self.taps.shape[3]
 
     @property
     def in_channels(self) -> int:
@@ -287,10 +271,8 @@ def pack_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
     elif precision != "fp32":
         raise ValueError(f"unknown precision {precision!r}; "
                          f"expected one of {PRECISIONS}")
-    mat = q.reshape(cout, cin * kh * kw)
     return PackedConvWeight(
-        mat=mat,
-        mat_t=np.ascontiguousarray(mat.T),
+        mat_t=np.ascontiguousarray(q.reshape(cout, cin * kh * kw).T),
         taps=np.ascontiguousarray(q.transpose(2, 3, 1, 0)),
         bias=None if bias is None else np.ascontiguousarray(
             bias, dtype=np.float32),
@@ -320,21 +302,6 @@ def _quantize_activations(
     return xq, scale.astype(np.float32)
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1,
-           padding: int = 0) -> tuple[np.ndarray, int, int]:
-    """Unfold NCHW ``x`` into a ``(N*OH*OW, Cin*KH*KW)`` patch matrix.
-
-    Column order is ``(Cin, KH, KW)`` — the contraction order of
-    ``conv2d_forward`` — so ``col @ packed.mat_t`` matches the reference
-    bitwise.  Returns ``(col, OH, OW)``.
-    """
-    xp = pad2d(x, padding)
-    win = _windows(xp, kh, kw, stride)            # (N, Cin, OH, OW, KH, KW)
-    n, cin, oh, ow = win.shape[:4]
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, cin * kh * kw)
-    return col, oh, ow
-
-
 def _apply_epilogue(out: np.ndarray, packed: PackedConvWeight,
                     x_scale: np.ndarray | None, relu: bool,
                     residual: np.ndarray | None, res_scale: float,
@@ -355,30 +322,6 @@ def _apply_epilogue(out: np.ndarray, packed: PackedConvWeight,
     if residual is not None:
         out += residual
     return out
-
-
-def conv2d_gemm(
-    x: np.ndarray, packed: PackedConvWeight, stride: int = 1,
-    padding: int = 0, relu: bool = False,
-    residual: np.ndarray | None = None, res_scale: float = 1.0,
-) -> np.ndarray:
-    """im2col + single-GEMM convolution over NCHW tensors.
-
-    With an fp32 ``packed`` it is bitwise-equal to ``conv2d_forward``
-    followed by the (optional) ReLU / ``residual + res_scale * out``
-    epilogue, without retaining anything for a backward pass.
-    """
-    kh, kw = packed.kernel
-    cin = packed.in_channels
-    if x.shape[1] != cin:
-        raise ValueError(f"input has {x.shape[1]} channels, kernel expects {cin}")
-    xq, x_scale = _quantize_activations(x, packed.precision)
-    col, oh, ow = im2col(xq, kh, kw, stride, padding)
-    out = col @ packed.mat_t                       # (N*OH*OW, Cout)
-    out = out.reshape(x.shape[0], oh, ow, packed.out_channels)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    return _apply_epilogue(out, packed, x_scale, relu, residual, res_scale,
-                           channel_axis=1)
 
 
 def pad_nhwc(x: np.ndarray, pad: int) -> np.ndarray:
@@ -452,8 +395,8 @@ def conv2d_shift_nhwc(
     residual: np.ndarray | None = None, res_scale: float = 1.0,
 ) -> np.ndarray:
     """:func:`conv2d_shift_padded` over plain NHWC tensors (taken as
-    float32): pad in, convolve, crop out.  Epilogues are fused as in
-    :func:`conv2d_gemm`; the bits are the per-row kernel's (see above)."""
+    float32): pad in, convolve, crop out, with the same fused epilogues;
+    the bits are the per-row kernel's (see above)."""
     pad, w = max(packed.kernel) // 2, x.shape[2]
     if residual is not None:
         residual = pad_nhwc(residual, pad)
@@ -474,8 +417,7 @@ def conv2d_shift_nhwc(
 # scratch stays inside a fixed budget (:data:`IM2COL_SCRATCH_BYTES`,
 # default 256 KiB — comfortably L2-resident).  Each block is an
 # independent slice of the same GEMM: the sliding windows of an NHWC
-# image flatten in the same ``(Cin, KH, KW)`` K-order ``im2col`` uses,
-# against the same ``packed.mat_t`` operand.
+# image flatten in the ``(Cin, KH, KW)`` K-order of ``packed.mat_t``.
 #
 # Exactness caveat, learned the hard way: BLAS sgemm output *depends on
 # M*.  OpenBLAS switches micro-kernel / threading partition below a

@@ -1,22 +1,19 @@
-"""Layer library.
+"""Layer library — the training framework.
 
 Every layer implements:
 
-- ``forward(x, training=True)`` — compute the output.  With
-  ``training=True`` (the default) it caches whatever the backward pass
-  needs on ``self``; with ``training=False`` (or via the ``infer``
-  shorthand) it is **zero-retention**: no activations, masks, or packed
-  inputs are kept alive, so inference holds no training state.
+- ``forward(x)`` — compute the output and cache on ``self`` whatever the
+  backward pass needs;
 - ``backward(grad_out)`` — accumulate parameter gradients and return the
   gradient with respect to the layer input;
 - ``parameters()`` — yield the layer's :class:`~repro.nn.tensor.Parameter`
   objects.
 
 Layers are single-use per step: ``backward`` must follow the matching
-``forward(x, training=True)``.  ``Sequential`` composes layers into
-networks.  ``Conv2d`` additionally routes inference through the packed
-im2col GEMM kernel (:func:`repro.nn.functional.conv2d_gemm`), which is
-bitwise-equal to the reference ``conv2d_forward``.
+``forward``.  ``Sequential`` composes layers into networks.  Inference on
+a trained model runs elsewhere: :class:`repro.sr.InferenceEngine` reads
+each ``Conv2d``'s packed weight (:meth:`Conv2d.packed`) and retains
+nothing; the NCHW ``forward`` here is what tests hold the engine to.
 """
 
 from __future__ import annotations
@@ -51,12 +48,8 @@ __all__ = [
 class Layer:
     """Base class for all layers."""
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Zero-retention forward: no state is cached for a backward pass."""
-        return self.forward(x, training=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -71,12 +64,12 @@ class Layer:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def __call__(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        return self.forward(x, training=training)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)
 
 
 class Identity(Layer):
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -123,7 +116,9 @@ class Conv2d(Layer):
         self._packed_key: tuple[int, int] | None = None
 
     def packed(self, precision: str = "fp32") -> F.PackedConvWeight:
-        """The kernel pre-packed for the GEMM inference path.
+        """The kernel pre-packed for the inference kernels — what
+        :class:`~repro.sr.InferenceEngine` runs every conv on (this
+        layer's own ``forward`` never reads it).
 
         ``"fp16"``/``"int8"`` pack onto the reduced-precision grid (see
         :func:`repro.nn.functional.pack_conv_weight` — scales derive
@@ -146,10 +141,7 @@ class Conv2d(Layer):
                 self.weight.data, bias, precision)
         return entry
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training:
-            return F.conv2d_gemm(x, self.packed(),
-                                 stride=self.stride, padding=self.padding)
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         return F.conv2d_forward(
             x, self.weight.data,
@@ -192,9 +184,8 @@ class Dense(Layer):
         self.bias = Parameter(winit.zeros((out_features,)), name=f"{name}.bias")
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if training:
-            self._x = x
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
         return x @ self.weight.data + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -212,9 +203,7 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training:
-            return np.maximum(x, 0.0)
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return x * self._mask
 
@@ -226,9 +215,7 @@ class LeakyReLU(Layer):
     def __init__(self, slope: float = 0.2):
         self.slope = float(slope)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training:
-            return np.where(x > 0, x, self.slope * x)
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return np.where(self._mask, x, self.slope * x)
 
@@ -237,25 +224,22 @@ class LeakyReLU(Layer):
 
 
 class Sigmoid(Layer):
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         # Numerically stable logistic: exp(-|x|) <= 1 never overflows, and
         # one clip + one exp serve both branches.
         z = np.exp(-np.abs(np.clip(x, -60, 60)))
-        y = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(np.float32)
-        if training:
-            self._y = y
-        return y
+        self._y = np.where(x >= 0, 1.0 / (1.0 + z),
+                           z / (1.0 + z)).astype(np.float32)
+        return self._y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out * self._y * (1.0 - self._y)
 
 
 class Tanh(Layer):
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        y = np.tanh(x)
-        if training:
-            self._y = y
-        return y
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._y = np.tanh(x)
+        return self._y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out * (1.0 - self._y * self._y)
@@ -264,9 +248,8 @@ class Tanh(Layer):
 class Flatten(Layer):
     """Flatten all but the batch axis."""
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if training:
-            self._shape = x.shape
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -279,9 +262,8 @@ class Reshape(Layer):
     def __init__(self, shape: tuple):
         self.shape = tuple(shape)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if training:
-            self._in_shape = x.shape
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._in_shape = x.shape
         return x.reshape((x.shape[0],) + self.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -296,7 +278,7 @@ class PixelShuffle(Layer):
             raise ValueError("scale must be >= 1")
         self.scale = int(scale)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return F.pixel_shuffle(x, self.scale)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -309,7 +291,7 @@ class NearestUpsample(Layer):
     def __init__(self, scale: int):
         self.scale = int(scale)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return F.nearest_upsample(x, self.scale)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -322,7 +304,7 @@ class AvgPool2d(Layer):
     def __init__(self, kernel: int):
         self.kernel = int(kernel)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return F.avg_pool2d_forward(x, self.kernel)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -335,7 +317,7 @@ class Scale(Layer):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return x * self.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -351,9 +333,9 @@ class Sequential(Layer):
     def append(self, layer: Layer) -> None:
         self.layers.append(layer)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
-            x = layer.forward(x, training=training)
+            x = layer.forward(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

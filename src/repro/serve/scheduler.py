@@ -132,9 +132,10 @@ class FleetConfig:
     fast_path:
         Optional :class:`~repro.core.client.FastPathConfig` every
         playback-mode session plays with (tiling, quantized kernels, the
-        skip gate, temporal reuse).  ``None`` keeps the reference SR
-        path.  Ignored in trace mode — see ``sr_demand_factor`` (``cli
-        serve --mode trace`` refuses ``--reuse`` rather than ignore it).
+        skip gate, temporal reuse).  ``None`` plays a client's default,
+        ``FastPathConfig(calibrate=False)``.  Ignored in trace mode —
+        see ``sr_demand_factor`` (``cli serve --mode trace`` refuses
+        ``--reuse`` rather than ignore it).
     sr_demand_factor:
         Trace mode's model of the client fast path: the fraction of a
         session's *nominal* per-I-frame SR FLOPs it would actually

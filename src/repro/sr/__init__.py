@@ -1,7 +1,6 @@
 """Super-resolution: EDSR models, training, configurations, and the
 minimum-working-model search."""
 
-from .bicubic import BicubicSR
 from .configs import (
     DCSR_CONFIGS,
     MICRO_TIERS,
@@ -52,7 +51,6 @@ __all__ = [
     "ReuseCalibration",
     "calibrate_reuse",
     "receptive_field_radius",
-    "BicubicSR",
     "DCSR_CONFIGS",
     "MICRO_TIERS",
     "TIER_NAMES",

@@ -58,7 +58,12 @@ class EdsrConfig:
 
 
 class EDSR(nn.Layer):
-    """The EDSR network as a composable :class:`~repro.nn.layers.Layer`."""
+    """The EDSR network as a composable :class:`~repro.nn.layers.Layer`.
+
+    ``forward``/``backward`` are the training pass over NCHW batches.
+    Frames are enhanced by :class:`~repro.sr.InferenceEngine`, built once
+    per model and reused across frames.
+    """
 
     def __init__(self, config: EdsrConfig | None = None, seed: int = 0):
         self.config = config or EdsrConfig()
@@ -85,11 +90,11 @@ class EDSR(nn.Layer):
 
     # ----------------------------------------------------------- Layer API
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         x = x - _PIXEL_SHIFT
-        x = self.head.forward(x, training=training)
-        x = self.body.forward(x, training=training)
-        x = self.tail.forward(x, training=training)
+        x = self.head.forward(x)
+        x = self.body.forward(x)
+        x = self.tail.forward(x)
         return x + _PIXEL_SHIFT
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -114,25 +119,3 @@ class EDSR(nn.Layer):
 
     def size_mb(self) -> float:
         return nn.model_size_mb(self)
-
-    def enhance(self, rgb: np.ndarray) -> np.ndarray:
-        """Enhance one ``(H, W, 3)`` RGB float frame; returns the same layout
-        (scaled spatially by ``config.scale``)."""
-        if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise ValueError(f"expected (H, W, 3) RGB frame, got {rgb.shape}")
-        # asarray: only converts when the frame is not float32 already; the
-        # transposed view needs no copy (the conv pads into a fresh array).
-        batch = np.asarray(rgb, dtype=np.float32).transpose(2, 0, 1)[None]
-        out = self.forward(batch, training=False)
-        out = np.clip(out[0].transpose(1, 2, 0), 0.0, 1.0)
-        return out.astype(np.float32, copy=False)
-
-    def enhance_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Enhance ``(N, H, W, 3)`` frames at once."""
-        if frames.ndim != 4 or frames.shape[3] != 3:
-            raise ValueError(f"expected (N, H, W, 3) frames, got {frames.shape}")
-        batch = np.ascontiguousarray(frames.transpose(0, 3, 1, 2),
-                                     dtype=np.float32)
-        out = self.forward(batch, training=False)
-        out = np.clip(out.transpose(0, 2, 3, 1), 0.0, 1.0)
-        return out.astype(np.float32, copy=False)

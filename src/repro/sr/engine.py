@@ -1,11 +1,15 @@
-"""Tiled client-side inference engine for micro EDSR models.
+"""Tiled inference engine for EDSR models — the one way a trained model runs.
 
-This is the fast path behind real-time playback (the paper's >30 FPS
-client claim): the training framework's per-layer NCHW forward is replaced
-by a single NHWC sweep over the network using the tap-decomposed GEMM
-kernel (:func:`repro.nn.functional.conv2d_shift_padded`) with the bias /
-ReLU / residual epilogues fused into each convolution.  Three properties
-make it fast on CPU:
+Everything that enhances a frame — client sessions with or without fast
+path knobs, the NAS/NEMO baselines, anchor selection, ``evaluate_sr`` and
+calibration — runs here, behind the paper's >30 FPS client claim.  The
+layer library only trains: its per-layer NCHW forward caches activations
+for backward and is what tests hold this engine to (within 1e-5, not
+bitwise).  The engine is a single NHWC sweep over the network using the
+tap-decomposed GEMM kernel
+(:func:`repro.nn.functional.conv2d_shift_padded`) with the bias / ReLU /
+residual epilogues fused into each convolution.  Three properties make it
+fast on CPU:
 
 - **NHWC end to end, padded once** — an ``(H, W, 3)`` RGB frame is copied
   into the kernel's padded-stride layout (zero padding inside the row
@@ -27,7 +31,7 @@ Tiling splits the frame into a grid of tiles, each expanded by a halo of
 receptive field of every retained output pixel, cropping the halo after
 inference reproduces whole-frame output exactly (up to float32
 reassociation, well below the guaranteed 1e-5); frame borders keep the
-reference zero-padding because there the tile edge *is* the frame edge.
+model's zero padding because there the tile edge *is* the frame edge.
 Tiles bound peak working-set memory and are independent, so they can fan
 out across a thread pool — which overlaps the elementwise passes only:
 scipy's ``sgemm`` wrapper holds the GIL, and a GEMM that spans a tile is
@@ -287,7 +291,7 @@ class InferenceEngine:
         ``dcsr_sr_flops_total`` / ``dcsr_sr_skipped_tiles_total``
         counters (per-call numbers stay in :attr:`stats`).
     precision:
-        ``"fp32"`` (default, bitwise-identical to the original engine),
+        ``"fp32"`` (default; within 1e-5 of the model's NCHW ``forward``),
         ``"fp16"`` or ``"int8"`` — every conv runs on operands packed at
         that precision (:func:`repro.nn.functional.pack_conv_weight`),
         cached per precision on each layer.
@@ -616,8 +620,9 @@ class InferenceEngine:
         return out
 
     def enhance(self, rgb: np.ndarray) -> np.ndarray:
-        """Fast-path counterpart of :meth:`EDSR.enhance` — same contract,
-        ``(H, W, 3)`` float RGB in and out."""
+        """Enhance one ``(H, W, 3)`` float RGB frame; returns the same
+        layout, scaled spatially by ``config.scale`` and clipped to
+        [0, 1]."""
         if rgb.ndim != 3 or rgb.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) RGB frame, got {rgb.shape}")
         x = np.asarray(rgb, dtype=np.float32)[None]
@@ -625,7 +630,7 @@ class InferenceEngine:
         return np.clip(out, 0.0, 1.0, out=out)
 
     def enhance_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Fast-path counterpart of :meth:`EDSR.enhance_batch`."""
+        """:meth:`enhance` over ``(N, H, W, 3)`` frames at once."""
         if frames.ndim != 4 or frames.shape[3] != 3:
             raise ValueError(f"expected (N, H, W, 3) frames, got {frames.shape}")
         out = self.infer_nhwc(np.asarray(frames, dtype=np.float32))

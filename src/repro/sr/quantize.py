@@ -73,7 +73,7 @@ def calibrate_quantized(
     model was trained on (at most ``max_frames`` are used; calibration
     needs representative content, not the whole cluster).  Returns
     ``{precision: CalibrationResult}``.  ``"fp32"`` is accepted as a
-    precision: its row is the reference forward itself (delta exactly 0,
+    precision: its row is the fp32 engine pass itself (delta exactly 0,
     full checkpoint size), not a second fp32 pass.
     """
     lq = np.asarray(lq_frames, dtype=np.float32)[:max_frames]

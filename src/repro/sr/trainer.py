@@ -16,6 +16,7 @@ from .. import nn
 from ..obs import wall_clock
 from ..video.quality import psnr, ssim
 from .edsr import EDSR
+from .engine import InferenceEngine
 from .patches import sample_patch_pairs
 
 __all__ = ["SrTrainConfig", "SrHistory", "train_sr", "evaluate_sr",
@@ -112,8 +113,9 @@ def train_sr(
 def evaluate_sr(
     model: EDSR, lr_frames: np.ndarray, hr_frames: np.ndarray,
 ) -> dict[str, float]:
-    """Full-frame evaluation: mean PSNR/SSIM of enhanced vs ground truth."""
-    enhanced = model.enhance_batch(lr_frames)
+    """Full-frame evaluation: mean PSNR/SSIM of enhanced vs ground truth,
+    enhanced by the inference engine the client runs."""
+    enhanced = InferenceEngine(model).enhance_batch(lr_frames)
     psnrs = [psnr(e, h) for e, h in zip(enhanced, hr_frames)]
     ssims = [ssim(e, h) for e, h in zip(enhanced, hr_frames)]
     return {"psnr": float(np.mean(psnrs)), "ssim": float(np.mean(ssims))}

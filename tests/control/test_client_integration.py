@@ -115,7 +115,8 @@ class TestClientController:
             tiered_package,
             controller=FixedController(get_device("desktop"), tier="dcSR-1",
                                        precision="int8"),
-            fast_path=FastPathConfig(tile=24, reuse=True, kernel="blocked"))
+            fast_path=FastPathConfig(tile=24, reuse=True, kernel="blocked",
+                                     calibrate=False))
         client.play()
         assert built
         for engine in built:

@@ -1,12 +1,12 @@
 """Fast-path playback: prefetch pipeline equivalence and telemetry.
 
-The contract: enabling :class:`FastPathConfig` (tiled engine, worker
-threads, prefetch) is purely a *performance* change — frames, quality
-metrics, byte accounting, and degradation semantics must match the serial
-PR-2 engine.  Prefetch vs no-prefetch on the fast path is asserted
-bitwise; fast path vs reference forward is asserted at the uint8 level
-with a 1-LSB tolerance (float32 reassociation can flip a quantization
-boundary).
+The contract: the :class:`FastPathConfig` knobs (tiles, worker threads,
+prefetch) are purely a *performance* change — frames, quality metrics,
+byte accounting, and degradation semantics must match the serial
+session on the default engine, which is what a client given no config
+plays.  Prefetch vs no-prefetch is asserted bitwise; tiled vs whole-frame
+at the uint8 level with a 1-LSB tolerance (float32 reassociation can flip
+a quantization boundary).
 """
 
 import numpy as np
@@ -63,23 +63,47 @@ class TestFastPathConfig:
         with pytest.raises(ValueError):
             DcsrClient(package, fast_path=FastPathConfig(prefetch=-1))
 
-    def test_defaults_do_not_build_engines(self, package, small_clip,
-                                           monkeypatch):
-        import repro.core.client as client_mod
+    def test_no_fast_path_plays_the_default_engine(self, package,
+                                                    small_clip):
+        """A client given no config plays ``FastPathConfig(calibrate=
+        False)``: same frames bit for bit, same engine telemetry."""
+        plain = _play(package, small_clip.frames)
+        default = _play(package, small_clip.frames,
+                        FastPathConfig(calibrate=False))
+        assert len(plain.frames) == len(default.frames) == small_clip.n_frames
+        for a, b in zip(plain.frames, default.frames):
+            assert np.array_equal(a, b)
+        assert plain.psnr_per_frame == default.psnr_per_frame
+        for t in (plain.telemetry, default.telemetry):
+            assert t.tile_count == plain.sr_inferences > 0
+            assert t.sr_gflops > 0
+            assert t.fast_path_speedup == 0      # uncalibrated
 
-        built = []
 
-        class Recording(client_mod.InferenceEngine):
-            def __init__(self, model, **knobs):
-                built.append(knobs)
-                super().__init__(model, **knobs)
+class TestOneInferencePath:
+    def test_nothing_runs_the_training_forward(self, package, small_clip,
+                                               monkeypatch):
+        """Sessions, both baselines, anchor selection and the min-model
+        score enhance through ``InferenceEngine``: none reaches the
+        layers' caching ``EDSR.forward``."""
+        from repro.core import (BigModelBaseline, play_nas, play_nemo,
+                                select_anchors)
+        from repro.sr import EDSR, evaluate_sr
 
-        monkeypatch.setattr(client_mod, "InferenceEngine", Recording)
-        DcsrClient(package).play(small_clip.frames)
-        assert built == []
-        # The stand-in is the factory a fast-path session builds through.
-        DcsrClient(package, fast_path=FastPathConfig()).play()
-        assert built
+        def training_only(model, x):
+            raise AssertionError("EDSR.forward ran outside training")
+
+        model = package.models[package.manifest.model_label_for(0)]
+        monkeypatch.setattr(EDSR, "forward", training_only)
+        frames = small_clip.frames
+        played = DcsrClient(package).play(frames)
+        assert played.sr_inferences > 0
+        baseline = BigModelBaseline(model=model)
+        assert play_nemo(package, baseline, frames).sr_inferences > 0
+        assert play_nas(package, baseline, frames).sr_inferences \
+            == len(frames)
+        select_anchors(package.encoded, model, frames, budget_per_segment=1)
+        assert evaluate_sr(model, frames[:2], frames[:2])["psnr"] > 0
 
 
 class TestPrefetchEquivalence:
@@ -276,14 +300,6 @@ class TestFastPathTelemetry:
         assert t.fast_path_speedup > 0          # calibration ran
         assert t.prefetch_overlap_seconds >= 0
         assert any("fastpath" in line for line in t.summary_lines())
-
-    def test_serial_reference_leaves_fields_zero(self, package, small_clip):
-        result = _play(package, small_clip.frames)
-        t = result.telemetry
-        assert t.tile_count == 0
-        assert t.sr_gflops == 0
-        assert t.fast_path_speedup == 0
-        assert all("fastpath" not in line for line in t.summary_lines())
 
     def test_calibration_can_be_disabled(self, package, small_clip):
         result = _play(package, small_clip.frames,

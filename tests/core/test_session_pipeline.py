@@ -223,8 +223,9 @@ class TestKnobsReachEveryEngine:
         for pipeline in (dict(), dict(prefetch=2), dict(sr_batch=2),
                          dict(prefetch=2, sr_batch=2)):
             built.clear()
+            # Uncalibrated: the calibration engine is knobless by design.
             DcsrClient(package, fast_path=FastPathConfig(
-                sr_threads=2, **knobs, **pipeline)).play()
+                sr_threads=2, calibrate=False, **knobs, **pipeline)).play()
             assert built
             for engine_knobs in built:
                 assert engine_knobs["threads"] == 2
@@ -271,18 +272,26 @@ class TestCalibration:
                                                      monkeypatch):
         """Calibration is the session's, not each thread's: the first
         segment in segment order that fetched a model and its payload
-        runs the reference forward, whichever thread decodes it, so every
-        pipeline calibrates on the same frame.  A slowed forward keeps the
-        pool threads overlapping, where once per thread used to show."""
-        forward = EDSR.enhance
+        runs the calibration forward — a whole-frame fp32 engine built
+        with no knobs — whichever thread decodes it, so every pipeline
+        calibrates on the same frame.  A slowed forward keeps the pool
+        threads overlapping, where once per thread used to show."""
+        import repro.core.client as client_mod
+
         inputs = []
 
-        def slow_forward(model, rgb):
-            inputs.append(rgb.copy())
-            time.sleep(0.05)
-            return forward(model, rgb)
+        class Recording(client_mod.InferenceEngine):
+            def __init__(self, model, **knobs):
+                super().__init__(model, **knobs)
+                self.calibrates = not knobs
 
-        monkeypatch.setattr(EDSR, "enhance", slow_forward)
+            def enhance(self, rgb):
+                if self.calibrates:
+                    inputs.append(rgb.copy())
+                    time.sleep(0.05)
+                return super().enhance(rgb)
+
+        monkeypatch.setattr(client_mod, "InferenceEngine", Recording)
         calibrated = []
         for pipeline in (dict(), dict(prefetch=2),
                          dict(prefetch=2, sr_batch=4)):

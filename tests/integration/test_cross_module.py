@@ -92,6 +92,7 @@ class TestPipelineDeterminism:
         models applied through the raw decoder hook."""
         from repro.core import DcsrClient
         from repro.core.client import enhance_yuv_frame
+        from repro.sr import InferenceEngine
         from repro.video import yuv420_to_rgb
 
         client_frames = DcsrClient(package).play().frames
@@ -100,9 +101,9 @@ class TestPipelineDeterminism:
         display_only = not package.manifest.enhance_in_loop
         for seg, enc_seg in zip(package.segments, package.encoded.segments):
             label = package.manifest.model_label_for(seg.index)
-            model = package.models[label]
+            engine = InferenceEngine(package.models[label])
             decoder = Decoder(
-                i_frame_hook=lambda f, d, m=model: enhance_yuv_frame(m, f),
+                i_frame_hook=lambda f, d, e=engine: enhance_yuv_frame(e, f),
                 hook_display_only=display_only)
             for item in decoder.decode_segment(enc_seg, package.encoded.width,
                                                package.encoded.height):

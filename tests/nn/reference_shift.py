@@ -63,9 +63,9 @@ def conv2d_shift_nhwc(
 
     One ``(W, Cin) @ (Cin, Cout)`` GEMM per kernel tap, accumulated over
     shifted views of the zero-padded input (quantized once per conv at a
-    reduced precision).  Epilogues are fused as in :func:`conv2d_gemm`;
-    fp32 output differs from the reference only by float32 reassociation
-    (a few ULP per layer).
+    reduced precision).  Epilogues are fused (bias, ReLU, residual);
+    fp32 output differs from ``conv2d_forward`` only by float32
+    reassociation (a few ULP per layer).
     """
     kh, kw = packed.kernel
     n, h, w, cin = x.shape

@@ -15,6 +15,8 @@ import pytest
 
 from repro.nn import functional as F
 
+from ..sr.reference_forward import reference_enhance
+
 
 def _case(rng, cin, cout, k, h, w, n=1):
     x = rng.standard_normal((n, h, w, cin)).astype(np.float32)
@@ -45,14 +47,14 @@ class TestBlockedEqualsUnblocked:
     def test_bitwise_equals_shift_kernel(self):
         """Same packed weights, same fp32 accumulation order per output
         element: the blocked GEMM and the tap-decomposed shift kernel
-        may differ by reassociation, but both must match the reference
-        forward; blocked must match its own unblocked run bitwise."""
+        may differ by reassociation, but both must match the NCHW
+        training conv; blocked must match its own unblocked run bitwise."""
         rng = np.random.default_rng(1)
         x, weight, bias = _case(rng, 8, 8, 3, 24, 24, n=2)
         packed = F.pack_conv_weight(weight, bias)
         blocked = F.conv2d_im2col_nhwc(x, packed, block_rows=5)
-        ref = F.conv2d_gemm(x.transpose(0, 3, 1, 2), packed,
-                            padding=1).transpose(0, 2, 3, 1)
+        ref = F.conv2d_forward(x.transpose(0, 3, 1, 2), weight, bias,
+                               padding=1).transpose(0, 2, 3, 1)
         assert np.abs(blocked - ref).max() <= 1e-5
 
     def test_fused_epilogues_match_shift_kernel(self):
@@ -154,7 +156,7 @@ class TestEngineKernelSelection:
         model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8), seed=9)
         frame = np.random.default_rng(10).random((30, 40, 3),
                                                  dtype=np.float32)
-        ref = model.enhance(frame)
+        ref = reference_enhance(model, frame)
         out = InferenceEngine(model, kernel="blocked").enhance(frame)
         assert np.abs(out - ref).max() <= 2e-5
 

@@ -8,21 +8,6 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 
 
-class TestConvOutputSize:
-    def test_same_padding_stride1(self):
-        assert F.conv_output_size(16, 3, 1, 1) == 16
-
-    def test_no_padding(self):
-        assert F.conv_output_size(16, 3, 1, 0) == 14
-
-    def test_stride2(self):
-        assert F.conv_output_size(16, 3, 2, 1) == 8
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
-            F.conv_output_size(2, 5, 1, 0)
-
-
 class TestPad:
     def test_pad_unpad_roundtrip(self):
         x = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)

@@ -1,7 +1,7 @@
-"""Static guard: the training path never touches a packed weight.
+"""Static guard: training and inference stay apart, in both directions.
 
-Packed weights — the only carrier of a reduced precision — are an
-*inference-only* artifact: gradients flow through the fp32 parameters
+The training path never touches a packed weight.  Packed weights — the
+only carrier of a reduced precision — are an *inference-only* artifact: gradients flow through the fp32 parameters
 and ``conv2d_forward``/``conv2d_backward``, and the per-channel scales
 are derived from the parameters at packaging/inference time.  Training
 needs no packed weight at all, so if the optimizer, the SR trainer, the
@@ -9,6 +9,14 @@ losses or the numerical gradient checker ever referenced the packing
 surface, training could silently optimize against a rounded forward — a
 bug class this AST walk makes structurally impossible (mirrors
 ``tests/serve/test_no_threads.py``).
+
+Nor does inference touch the training forward.  The layers have one
+``forward``, which caches activations for ``backward``; a trained model
+runs through :class:`repro.sr.InferenceEngine`.  So no call in
+``src/repro`` passes a ``training=`` keyword (the layers have no
+inference mode to select), and ``.forward(`` is called only by the layer
+library, the feature models (which train), the EDSR network itself and
+the SR trainer.
 """
 
 import ast
@@ -75,9 +83,55 @@ def test_guard_catches_an_attribute_call(tmp_path):
     assert len(_violations(bad)) == 2
 
 
+#: The only places a layer's caching forward may be called from.
+FORWARD_CALLERS = ("nn/", "features/", "sr/edsr.py", "sr/trainer.py")
+
+SRC = Path(repro.nn.__file__).parent.parent
+
+
+def _inference_violations(path: Path, rel: str) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    forward_allowed = rel.startswith(FORWARD_CALLERS)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(kw.arg == "training" for kw in node.keywords):
+            out.append(f"{rel}:{node.lineno} passes training=")
+        if (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "forward" and not forward_allowed):
+            out.append(f"{rel}:{node.lineno} calls .forward(")
+    return out
+
+
+def test_inference_never_runs_the_training_forward():
+    sources = sorted(SRC.rglob("*.py"))
+    assert len(sources) > 50, SRC
+    problems = [v for path in sources
+                for v in _inference_violations(
+                    path, path.relative_to(SRC).as_posix())]
+    assert not problems, (
+        "a trained model runs through repro.sr.InferenceEngine, never "
+        "through a layer's caching forward:\n  " + "\n  ".join(problems))
+
+
+def test_inference_guard_catches_a_training_keyword(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("out = model.forward(x, training=False)\n"
+                   "out = layer(x, training=False)\n")
+    assert len(_inference_violations(bad, "sr/edsr.py")) == 2
+
+
+def test_inference_guard_catches_a_forward_call(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("out = model.forward(batch)\n")
+    assert _inference_violations(bad, "core/client.py")
+    assert not _inference_violations(bad, "sr/trainer.py")
+
+
 def test_training_forward_passes_training_flag():
-    """``Conv2d.forward(training=True)`` must route through the fp32
-    packed weights regardless of what inference callers asked for."""
+    """``Conv2d.forward`` must run on the live fp32 weights whatever
+    precision an inference caller packed."""
     import numpy as np
 
     from repro.nn.layers import Conv2d
@@ -85,7 +139,6 @@ def test_training_forward_passes_training_flag():
     conv = Conv2d(3, 4, 3, rng=np.random.default_rng(0))
     conv.packed("int8")                 # warm an inference-only cache
     x = np.random.default_rng(1).normal(size=(1, 3, 5, 5)).astype(np.float32)
-    out_train = conv.forward(x, training=True)
-    ref = Conv2d(3, 4, 3, rng=np.random.default_rng(0)).forward(
-        x, training=True)
+    out_train = conv.forward(x)
+    ref = Conv2d(3, 4, 3, rng=np.random.default_rng(0)).forward(x)
     assert np.array_equal(out_train, ref)

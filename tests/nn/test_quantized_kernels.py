@@ -1,10 +1,10 @@
 """Reduced-precision convolution: fp16/int8 packed weights through the
-GEMM and shift kernels.
+engine's two kernels.
 
 Two layers of contract:
 
-- **Kernel parity** — the im2col GEMM and the tap-decomposed NHWC
-  shift kernel compute the same quantized function: *exactly* for int8
+- **Kernel parity** — the blocked im2col GEMM and the tap-decomposed
+  NHWC shift kernel compute the same quantized function: *exactly* for int8
   (integer-valued float32 operands make the accumulation order
   irrelevant below the exact-accumulate bound), and to fp32
   reassociation noise for fp16 (operands are rounded once up front, but
@@ -81,7 +81,8 @@ class TestQuantizeConvWeight:
         _, weight, bias = _rand_case(5)
         packed = F.pack_conv_weight(weight, bias)
         assert packed.precision == "fp32" and packed.scales is None
-        assert np.array_equal(packed.mat, weight.reshape(4, -1))
+        assert np.array_equal(packed.mat_t, weight.reshape(4, -1).T)
+        assert np.array_equal(packed.taps, weight.transpose(2, 3, 1, 0))
 
     def test_reconstruction_is_deterministic(self):
         """Clients rebuild scales from fp32 weights: same input, same
@@ -95,20 +96,20 @@ class TestQuantizeConvWeight:
 
 
 class TestKernelParity:
-    """GEMM and shift kernels agree exactly for every precision."""
+    """The blocked GEMM and the shift kernel agree: exactly at int8, to
+    reassociation noise at fp16."""
 
     @pytest.mark.parametrize("precision", ["fp16", "int8"])
     @pytest.mark.parametrize("relu", [False, True])
     def test_gemm_matches_shift(self, precision, relu):
         x, weight, bias = _rand_case(10)
         qw = F.pack_conv_weight(weight, bias, precision)
-        gemm = F.conv2d_gemm(x, qw, padding=1, relu=relu)
+        gemm = F.conv2d_im2col_nhwc(_to_nhwc(x), qw, relu=relu)
         shift = F.conv2d_shift_nhwc(_to_nhwc(x), qw, relu=relu)
         if precision == "int8":
-            assert np.array_equal(gemm, shift.transpose(0, 3, 1, 2))
+            assert np.array_equal(gemm, shift)
         else:
-            np.testing.assert_allclose(gemm, shift.transpose(0, 3, 1, 2),
-                                       atol=1e-5, rtol=1e-5)
+            np.testing.assert_allclose(gemm, shift, atol=1e-5, rtol=1e-5)
 
     @pytest.mark.parametrize("precision", ["fp16", "int8"])
     def test_residual_epilogue_matches(self, precision):
@@ -116,29 +117,29 @@ class TestKernelParity:
         res = np.random.default_rng(12).normal(
             size=(2, 4, 6, 7)).astype(np.float32)
         qw = F.pack_conv_weight(weight, bias, precision)
-        gemm = F.conv2d_gemm(x, qw, padding=1, residual=res, res_scale=0.5)
+        gemm = F.conv2d_im2col_nhwc(_to_nhwc(x), qw, residual=_to_nhwc(res),
+                                    res_scale=0.5)
         shift = F.conv2d_shift_nhwc(_to_nhwc(x), qw, residual=_to_nhwc(res),
                                     res_scale=0.5)
         if precision == "int8":
-            assert np.array_equal(gemm, shift.transpose(0, 3, 1, 2))
+            assert np.array_equal(gemm, shift)
         else:
-            np.testing.assert_allclose(gemm, shift.transpose(0, 3, 1, 2),
-                                       atol=1e-5, rtol=1e-5)
+            np.testing.assert_allclose(gemm, shift, atol=1e-5, rtol=1e-5)
 
     def test_fp16_close_to_fp32(self):
         x, weight, bias = _rand_case(13)
-        ref = F.conv2d_gemm(x, F.pack_conv_weight(weight, bias), padding=1)
-        qw = F.pack_conv_weight(weight, bias, "fp16")
-        out = F.conv2d_gemm(x, qw, padding=1)
+        x = _to_nhwc(x)
+        ref = F.conv2d_shift_nhwc(x, F.pack_conv_weight(weight, bias))
+        out = F.conv2d_shift_nhwc(x, F.pack_conv_weight(weight, bias, "fp16"))
         # Operand rounding only: error bounded by a few half-precision ulps
         # through a depth-27 accumulation.
         assert np.max(np.abs(out - ref)) < 2e-2
 
     def test_int8_error_bounded_by_scales(self):
         x, weight, bias = _rand_case(14)
-        ref = F.conv2d_gemm(x, F.pack_conv_weight(weight, bias), padding=1)
-        qw = F.pack_conv_weight(weight, bias, "int8")
-        out = F.conv2d_gemm(x, qw, padding=1)
+        x = _to_nhwc(x)
+        ref = F.conv2d_shift_nhwc(x, F.pack_conv_weight(weight, bias))
+        out = F.conv2d_shift_nhwc(x, F.pack_conv_weight(weight, bias, "int8"))
         rel = np.max(np.abs(out - ref)) / max(np.max(np.abs(ref)), 1e-6)
         assert rel < 0.05
 
@@ -156,10 +157,13 @@ class TestInt8BatchInvariance:
         return x, F.pack_conv_weight(weight, bias, "int8")
 
     def test_gemm(self):
+        """The unblocked GEMM (one matmul per image) with a fused ReLU."""
         x, packed = self._frames()
-        batch = F.conv2d_gemm(x, packed, padding=1, relu=True)
+        x = _to_nhwc(x)
+        batch = F.conv2d_im2col_nhwc(x, packed, relu=True, block_rows=0)
         for i in range(len(x)):
-            single = F.conv2d_gemm(x[i:i + 1], packed, padding=1, relu=True)
+            single = F.conv2d_im2col_nhwc(x[i:i + 1], packed, relu=True,
+                                          block_rows=0)
             assert np.array_equal(batch[i], single[0])
 
     @pytest.mark.parametrize("kernel", [F.conv2d_shift_nhwc,

@@ -1,4 +1,4 @@
-"""Tests for the EDSR model, configurations, and baselines."""
+"""Tests for the EDSR model and its configurations."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from repro.nn.gradcheck import check_layer_gradients
 from repro.sr import (
     EDSR,
-    BicubicSR,
     DCSR_CONFIGS,
     EdsrConfig,
+    InferenceEngine,
     RESOLUTIONS,
     TABLE1_FILTERS,
     TABLE1_RESBLOCKS,
@@ -65,21 +65,22 @@ class TestEdsrModel:
     def test_enhance_frame_interface(self):
         model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4))
         frame = np.random.default_rng(5).uniform(size=(16, 24, 3)).astype(np.float32)
-        out = model.enhance(frame)
+        out = InferenceEngine(model).enhance(frame)
         assert out.shape == frame.shape
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_enhance_rejects_bad_shape(self):
-        model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4))
+        engine = InferenceEngine(EDSR(EdsrConfig(n_resblocks=1, n_filters=4)))
         with pytest.raises(ValueError):
-            model.enhance(np.zeros((16, 24), np.float32))
+            engine.enhance(np.zeros((16, 24), np.float32))
         with pytest.raises(ValueError):
-            model.enhance_batch(np.zeros((2, 16, 24), np.float32))
+            engine.enhance_batch(np.zeros((2, 16, 24), np.float32))
 
     def test_enhance_batch(self):
         model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4, scale=2))
         frames = np.random.default_rng(6).uniform(size=(3, 8, 8, 3)).astype(np.float32)
-        assert model.enhance_batch(frames).shape == (3, 16, 16, 3)
+        assert InferenceEngine(model).enhance_batch(frames).shape \
+            == (3, 16, 16, 3)
 
     def test_size_grows_with_config(self):
         small = EDSR(EdsrConfig(n_resblocks=2, n_filters=8))
@@ -139,27 +140,3 @@ class TestModelSizeTable:
         small = table[(4, 64)]
         large = table[(8, 64)]
         assert 2.5 < large / small < 4.5
-
-
-class TestBicubic:
-    def test_identity_at_scale1(self):
-        sr = BicubicSR(1)
-        frame = np.random.default_rng(7).uniform(size=(8, 8, 3)).astype(np.float32)
-        np.testing.assert_array_equal(sr.enhance(frame), frame)
-
-    def test_upscale_shape(self):
-        sr = BicubicSR(2)
-        frame = np.random.default_rng(8).uniform(size=(8, 8, 3)).astype(np.float32)
-        assert sr.enhance(frame).shape == (16, 16, 3)
-
-    def test_zero_download(self):
-        assert BicubicSR(2).size_bytes() == 0
-
-    def test_batch(self):
-        sr = BicubicSR(2)
-        frames = np.random.default_rng(9).uniform(size=(2, 8, 8, 3)).astype(np.float32)
-        assert sr.enhance_batch(frames).shape == (2, 16, 16, 3)
-
-    def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            BicubicSR(0)

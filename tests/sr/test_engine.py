@@ -6,12 +6,15 @@ whole-frame bitwise-comparable (<= 1e-5), and thread count never changes
 a single bit (tiles write disjoint output regions).
 """
 
+import functools
 import time
 
 import numpy as np
 import pytest
 
 from repro.sr import EDSR, EdsrConfig, InferenceEngine, receptive_field_radius
+
+from .reference_forward import reference_enhance
 
 
 def _frame(rng, h=24, w=32):
@@ -38,7 +41,7 @@ class TestEngineEquivalence:
             config = _random_config(rng)
             model = EDSR(config, seed=trial)
             frame = _frame(rng)
-            ref = model.enhance(frame)                     # reference path
+            ref = reference_enhance(model, frame)          # NCHW oracle
             whole = InferenceEngine(model).enhance(frame)
             assert whole.shape == ref.shape
             assert np.abs(whole - ref).max() <= 2e-5, config
@@ -145,7 +148,7 @@ class TestHaloAndStats:
             p.data -= 0.05
         after = engine.enhance(frame)
         assert not np.array_equal(before, after)
-        assert np.abs(after - model.enhance(frame)).max() <= 2e-5
+        assert np.abs(after - reference_enhance(model, frame)).max() <= 2e-5
 
 
 class TestFlopAccounting:
@@ -274,9 +277,10 @@ class TestFastPathTiming:
         frame = np.random.default_rng(19).random((360, 640, 3),
                                                  dtype=np.float32)
         engine = InferenceEngine(model)
-        model.enhance(frame)                               # warm caches
+        reference = functools.partial(reference_enhance, model)
+        reference(frame)                                   # warm caches
         engine.enhance(frame)
-        ref_s = min(_timed(model.enhance, frame) for _ in range(2))
+        ref_s = min(_timed(reference, frame) for _ in range(2))
         fast_s = min(_timed(engine.enhance, frame) for _ in range(2))
         assert fast_s <= ref_s, (fast_s, ref_s)
 
