@@ -61,10 +61,10 @@
 #     every other serve test compares a run with itself).
 #   - tests/nn/test_shift_reference.py — the SR conv kernel's arithmetic:
 #     output equal, bit for bit, to the per-row kernel it replaced
-#     (tests/nn/reference_shift.py) over a seeded sweep of shapes,
-#     channels, kernel sizes, precisions and epilogues, one in-place
-#     sgemm per tap and frame, zero pad pixels after every layer
-#     (seconds).
+#     (tests/nn/reference_shift.py) over a seeded sweep of shapes (tile
+#     and frame sized included), channels, kernel sizes, precisions and
+#     epilogues, one in-place sgemm per tap and frame, no frame-sized
+#     copy in the epilogue, zero pad pixels after every layer (seconds).
 #   - tests/codec/test_vector_parse.py — the I-frame decode's array
 #     passes: (modes, coded, levels, end bit) equal to the per-symbol walk
 #     kept in tests/codec/reference_intra.py on every I frame of the oracle
@@ -80,6 +80,13 @@
 #     as the simulator's own recurrence kept in
 #     tests/abr/reference_simulate.py; buffer-threshold policies replay
 #     the reference's choices (seconds).
+#   - tests/sr/test_gate_statistic.py — the skip gate's statistic: the
+#     tile variance equal, bit for bit, to
+#     interior.mean(axis=3).var(axis=(1, 2)) on every tile of a 352x640
+#     frame at tile 128, tile 12 on 30x40, one-pixel tiles, N in {1, 3}
+#     and strided views; a gated engine whose tile variances straddle
+#     the threshold runs and skips the same tiles and returns the same
+#     bits as with that expression (seconds).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -104,6 +111,7 @@ GUARDS=(
     tests/nn/test_shift_reference.py
     tests/codec/test_vector_parse.py
     tests/abr/test_playout_reference.py
+    tests/sr/test_gate_statistic.py
 )
 
 run_guards() {

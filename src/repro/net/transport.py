@@ -308,12 +308,12 @@ class HttpTransport(Link):
             return await asyncio.wait_for(
                 reader.readexactly(_count(length, "Content-Length", path)),
                 self.timeout_s)
-        body = b""
-        while True:
-            chunk = await asyncio.wait_for(reader.read(65536), self.timeout_s)
-            if not chunk:
-                return body
-            body += chunk
+        # No length: read to EOF, joined once (``+=`` per chunk is quadratic).
+        chunks = []
+        while chunk := await asyncio.wait_for(reader.read(65536),
+                                              self.timeout_s):
+            chunks.append(chunk)
+        return b"".join(chunks)
 
 
 def _count(text: str, what: str, path: str) -> int:

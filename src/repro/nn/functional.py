@@ -200,8 +200,10 @@ def conv2d_backward(
 #
 # Every kernel quantizes its input once, runs its GEMMs, dequantizes the
 # accumulator, then applies the bias / ReLU / ``res_scale`` / residual
-# epilogue in float32 (:func:`_apply_epilogue`) while the activation is
-# hot in cache, so residual skip paths never lose precision.
+# epilogue in float32 (:func:`_apply_epilogue`), so residual skip paths
+# never lose precision.  A frame's activation (~11 MB) is not cache-hot;
+# each pass runs over image rows, ``(rows, width*Cout)``, not the 8- or
+# 12-wide channel loops that made it slow.
 
 #: Precisions understood by ``pack_conv_weight`` / the inference engine.
 PRECISIONS = ("fp32", "fp16", "int8")
@@ -233,6 +235,9 @@ class PackedConvWeight:
     #: ``(Cout,)`` per-output-channel weight scales (int8 only).
     scales: np.ndarray | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", {})
+
     @property
     def out_channels(self) -> int:
         return self.taps.shape[3]
@@ -240,6 +245,17 @@ class PackedConvWeight:
     @property
     def in_channels(self) -> int:
         return self.taps.shape[2]
+
+    def rows(self, width: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(scales, bias)`` repeated across one ``width``-pixel row: the
+        per-channel vectors of the epilogue's row view, built once per
+        width."""
+        rows = self._rows.get(width)
+        if rows is None:
+            rows = self._rows[width] = tuple(
+                None if v is None else np.tile(v, width)
+                for v in (self.scales, self.bias))
+        return rows
 
 
 def pack_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
@@ -295,32 +311,40 @@ def _quantize_activations(
         return x, None
     if precision == "fp16":
         return x.astype(np.float16).astype(np.float32), None
-    amax = np.abs(x).reshape(len(x), -1).max(axis=1, initial=0.0)
+    flat = x.reshape(len(x), -1)      # max|x| without an |x| temporary
+    amax = np.maximum(flat.max(axis=1, initial=0.0),
+                      -flat.min(axis=1, initial=0.0))
     amax = amax.astype(np.float64).reshape((-1,) + (1,) * (x.ndim - 1))
     scale = np.where(amax > 0.0, amax / 127.0, 1.0)
-    xq = np.rint(x * (1.0 / scale).astype(np.float32))
+    xq = x * (1.0 / scale).astype(np.float32)
+    np.rint(xq, out=xq)
     return xq, scale.astype(np.float32)
 
 
 def _apply_epilogue(out: np.ndarray, packed: PackedConvWeight,
                     x_scale: np.ndarray | None, relu: bool,
                     residual: np.ndarray | None, res_scale: float,
-                    channel_axis: int) -> np.ndarray:
+                    width: int) -> np.ndarray:
     """Fused conv epilogue: int8 dequantization of the accumulator, bias
     add, then ReLU, then ``res_scale`` and the residual skip add — all in
-    place on ``out``."""
-    shape = [1] * out.ndim
-    shape[channel_axis] = packed.out_channels
-    if packed.scales is not None:
-        out *= x_scale * packed.scales.reshape(shape)
-    if packed.bias is not None:
-        out += packed.bias.reshape(shape)
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    if res_scale != 1.0:
-        out *= res_scale
-    if residual is not None:
-        out += residual
+    place on ``out``, ``N`` frames of ``width``-pixel rows, each viewed as
+    ``(rows, width*Cout)``.  Per frame: numpy copies a non-contiguous
+    in-place operand (a padded-stride batch) it cannot prove overlap-free."""
+    n = len(out)
+    scales, bias = packed.rows(width)
+    if scales is not None:
+        scales = x_scale.reshape(n, 1) * scales
+    for f, rows in enumerate(out.reshape(n, -1, width * packed.out_channels)):
+        if scales is not None:
+            rows *= scales[f]
+        if bias is not None:
+            rows += bias
+        if relu:
+            np.maximum(rows, 0.0, out=rows)
+        if res_scale != 1.0:
+            rows *= res_scale
+        if residual is not None:
+            rows += residual[f].reshape(rows.shape)
     return out
 
 
@@ -384,8 +408,7 @@ def conv2d_shift_padded(
                           c=body[frame].T, overwrite_c=1)
     if residual is not None:
         residual = residual[:, lead:lead + m]
-    _apply_epilogue(body, packed, x_scale, relu, residual, res_scale,
-                    channel_axis=2)
+    _apply_epilogue(body, packed, x_scale, relu, residual, res_scale, wp)
     body.reshape(n, -1, wp, packed.out_channels)[:, :, w:] = 0.0
     return out
 
@@ -500,7 +523,7 @@ def conv2d_im2col_nhwc(
     out = np.empty((n, h, w, packed.out_channels), dtype=np.float32)
     _im2col_nhwc_blocked(xp, packed.mat_t, out, kh, kw, rows)
     return _apply_epilogue(out, packed, x_scale, relu, residual, res_scale,
-                           channel_axis=3)
+                           w)
 
 
 def pixel_shuffle(x: np.ndarray, scale: int) -> np.ndarray:

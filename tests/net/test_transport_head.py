@@ -1,10 +1,11 @@
-"""A malformed response head fails the transport *typed*.
+"""Response heads the origin never sends, from a canned loopback peer.
 
 A peer that answers with a non-numeric status code or a non-numeric or
 negative ``Content-Length`` must surface as :class:`OriginUnreachable` —
 a :class:`~repro.core.network.DownloadError`, so retry, concealment and
 fallback engage — never as the ``ValueError`` of a bare ``int()`` or
-``readexactly(-5)``."""
+``readexactly(-5)``.  A head without ``Content-Length`` is legal: the
+body runs to the peer's close."""
 
 import asyncio
 
@@ -22,11 +23,14 @@ def canned_origin(net_loop):
     given response head and closes; stopped at teardown."""
     servers = []
 
-    def serve(head: bytes) -> str:
+    def serve(head: bytes, body_chunks: tuple[bytes, ...] = ()) -> str:
         async def answer(reader, writer):
             await reader.readuntil(b"\r\n\r\n")
             writer.write(head)
             await writer.drain()
+            for chunk in body_chunks:
+                writer.write(chunk)
+                await writer.drain()
             writer.close()
             await writer.wait_closed()
 
@@ -53,3 +57,15 @@ def test_malformed_head_is_origin_unreachable(net_loop, canned_origin, head):
         transport.download("segment", 0, 64)
     assert isinstance(err.value, DownloadError)
     assert transport.stats.failures == 1
+
+
+def test_body_without_content_length_reads_to_close(net_loop, canned_origin):
+    """Several reads' worth of body, written in uneven pieces, then EOF."""
+    chunks = tuple(bytes([i]) * size for i, size in
+                   enumerate((70_000, 1, 65_536, 200_000, 3)))
+    url = canned_origin(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n",
+                        chunks)
+    transport = HttpTransport(url, loop=net_loop, timeout_s=5.0)
+    status, headers, body = transport.get("segments/segment-0000.bin")
+    assert status == 200 and "content-length" not in headers
+    assert body == b"".join(chunks)

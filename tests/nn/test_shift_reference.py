@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ SHAPES = [(1, 1, 1), (3, 1, 1), (1, 2, 3), (3, 2, 2), (1, 1, 9), (1, 9, 1),
 #: Frame-sized: every channel pair below takes the in-place path.
 FRAME_SHAPE = (2, 341, 330)
 FRAME_CHANNELS = [(3, 12), (12, 12), (12, 3), (8, 8), (1, 12)]
+#: A 128-pixel tile plus the halo of a two-block dcSR model, two frames:
+#: the shape the tiled int8 workloads run every conv at.
+TILE_SHAPE = (2, 142, 156)
+TILE_CHANNELS = [(3, 8), (8, 8), (8, 3)]
+
+
+def _epilogues(res):
+    """Every combination the engine fuses, ``res_scale`` included."""
+    return ({}, {"relu": True}, {"residual": res, "res_scale": 0.1},
+            {"relu": True, "residual": res})
 
 
 def _packed(rng, cin, cout, k, precision, bias=True):
@@ -69,9 +80,7 @@ def test_kernel_returns_the_reference_kernels_bits(precision, k):
         packed = _packed(rng, cin, cout, k, precision, bias=(h + w) % 2 == 0)
         x = rng.standard_normal((n, h, w, cin)).astype(np.float32)
         res = rng.standard_normal((n, h, w, cout)).astype(np.float32)
-        for epilogue in ({}, {"relu": True},
-                         {"residual": res, "res_scale": 0.1},
-                         {"relu": True, "residual": res}):
+        for epilogue in _epilogues(res):
             _assert_same(F.conv2d_shift_nhwc(x, packed, **epilogue),
                          reference_shift.conv2d_shift_nhwc(
                              x, packed, **epilogue), packed)
@@ -87,8 +96,23 @@ def test_frame_sized_kernel_returns_the_reference_kernels_bits(precision, k):
         packed = _packed(rng, cin, cout, k, precision)
         x = rng.standard_normal((n, h, w, cin)).astype(np.float32)
         res = rng.standard_normal((n, h, w, cout)).astype(np.float32)
-        for epilogue in ({"relu": True},
-                         {"residual": res, "res_scale": 0.1}):
+        for epilogue in _epilogues(res):
+            _assert_same(F.conv2d_shift_nhwc(x, packed, **epilogue),
+                         reference_shift.conv2d_shift_nhwc(
+                             x, packed, **epilogue), packed)
+
+
+@pytest.mark.parametrize("precision", F.PRECISIONS)
+def test_tile_sized_kernel_returns_the_reference_kernels_bits(precision):
+    """The shapes the tiled workloads run, with and without a bias: the
+    epilogue's per-channel vectors repeat across 158-pixel padded rows."""
+    rng = np.random.default_rng(300 + len(precision))
+    n, h, w = TILE_SHAPE
+    for (cin, cout), bias in itertools.product(TILE_CHANNELS, (True, False)):
+        packed = _packed(rng, cin, cout, 3, precision, bias=bias)
+        x = rng.standard_normal((n, h, w, cin)).astype(np.float32)
+        res = rng.standard_normal((n, h, w, cout)).astype(np.float32)
+        for epilogue in _epilogues(res):
             _assert_same(F.conv2d_shift_nhwc(x, packed, **epilogue),
                          reference_shift.conv2d_shift_nhwc(
                              x, packed, **epilogue), packed)
@@ -177,6 +201,30 @@ def test_tile_sized_taps_are_one_call_each_too(sgemm_calls):
     assert len(sgemm_calls) == 5 * 5 * 3
     assert all(c is None and result.shape == (8, 6 * 10)
                for c, result in sgemm_calls)
+
+
+@pytest.mark.parametrize("precision", ["fp32", "int8"])
+def test_epilogue_of_a_batch_makes_no_copy_of_the_output(precision):
+    """Viewed as rows, a whole padded-stride batch is not contiguous, and
+    numpy copies a non-contiguous in-place ufunc operand it cannot prove
+    free of self-overlap: a frame-sized temporary per pass.  Peak memory
+    of a conv over three frames is its output plus, at int8, the input's
+    codes."""
+    rng = np.random.default_rng(18)
+    n, h, w = 3, 120, 140
+    packed = _packed(rng, 8, 12, 3, precision)
+    buf = F.pad_nhwc(rng.standard_normal((n, h, w, 8)), 1)
+    res = F.pad_nhwc(rng.standard_normal((n, h, w, 12)), 1)
+    epilogue = {"relu": True, "residual": res, "res_scale": 0.5}
+    F.conv2d_shift_padded(buf, w, 1, packed, **epilogue)
+    tracemalloc.start()
+    try:
+        out = F.conv2d_shift_padded(buf, w, 1, packed, **epilogue)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    codes = buf.nbytes if precision == "int8" else 0
+    assert peak < out.nbytes + codes + out.nbytes // 4, (peak, out.nbytes)
 
 
 # ------------------------------------------------------ the layout contract
