@@ -145,7 +145,6 @@ def test_sr_quantized_gated_fast_path(benchmark):
     multi-frame batching, so the acceptance assertion (>= 1.5x over the
     fp32 whole-frame fast path) is pinned to the gated int8 row.
     """
-    from repro.sr import SkipGateConfig
     from repro.video.quality import psnr
     from repro.video.sampling import downscale, upscale
 
@@ -157,7 +156,6 @@ def test_sr_quantized_gated_fast_path(benchmark):
     hr = np.stack(clip.frames[:4])
     lq = np.stack([upscale(downscale(f, 2), 2) for f in hr])
     frame, pristine = lq[0], hr[0]
-    gate = SkipGateConfig(GATE_THRESHOLD)
 
     def experiment():
         plain = InferenceEngine(model)
@@ -177,15 +175,16 @@ def test_sr_quantized_gated_fast_path(benchmark):
             fps = _fps(engine.enhance, frame, repeats)
             rows.append([f"{precision} whole", fps, fps / base_fps])
 
-        gated32 = InferenceEngine(model, tile=GATE_TILE, skip_gate=gate)
+        gated32 = InferenceEngine(model, tile=GATE_TILE,
+                                  skip_gate=GATE_THRESHOLD)
         gated32.enhance(frame)
         skip_ratio = gated32.stats.skipped_tiles / max(
             gated32.stats.skipped_tiles + gated32.stats.tile_count, 1)
         fps = _fps(gated32.enhance, frame, repeats)
         rows.append(["fp32 gated t128", fps, fps / base_fps])
 
-        gated8 = InferenceEngine(model, tile=GATE_TILE, skip_gate=gate,
-                                 precision="int8")
+        gated8 = InferenceEngine(model, tile=GATE_TILE,
+                                 skip_gate=GATE_THRESHOLD, precision="int8")
         gated8_out = gated8.enhance(frame)
         quality["int8_gated"] = {
             "psnr": float(psnr(gated8_out, pristine)),
@@ -195,7 +194,8 @@ def test_sr_quantized_gated_fast_path(benchmark):
         rows.append(["int8 gated t128", fps, fps / base_fps])
 
         batch_engine = InferenceEngine(model, tile=GATE_TILE,
-                                       skip_gate=gate, precision="int8")
+                                       skip_gate=GATE_THRESHOLD,
+                                       precision="int8")
         batch_s = min(_timed(batch_engine.enhance_batch, lq)
                       for _ in range(repeats))
         fps = len(lq) / max(batch_s, 1e-9)
@@ -290,28 +290,27 @@ def test_sr_temporal_reuse_fast_path(benchmark):
     fp32 whole -> int8 gated -> + exact temporal reuse -> + blocked GEMM,
     with the acceptance bar (>= 30 FPS single-thread) pinned to the
     reuse rows."""
-    from repro.sr import SkipGateConfig
     from repro.video.quality import psnr
 
     model = _trained_model()
     repeats = 2 if FAST else 3
     lq, hr = _static_background_sequence()
-    gate = SkipGateConfig(GATE_THRESHOLD)
 
     def experiment():
         plain = InferenceEngine(model)
         base_fps = _sequence_fps(plain, lq, repeats)
         rows = [["fp32 whole", base_fps, 1.0]]
 
-        gated8 = InferenceEngine(model, tile=GATE_TILE, skip_gate=gate,
-                                 precision="int8")
+        gated8 = InferenceEngine(model, tile=GATE_TILE,
+                                 skip_gate=GATE_THRESHOLD, precision="int8")
         exact_out = np.stack([gated8.enhance(f) for f in lq])
         psnr_exact = float(psnr(exact_out, hr))
         fps = _sequence_fps(gated8, lq, repeats)
         rows.append(["int8 gated t128", fps, fps / base_fps])
 
-        reuse8 = InferenceEngine(model, tile=GATE_TILE, skip_gate=gate,
-                                 precision="int8", reuse=True)
+        reuse8 = InferenceEngine(model, tile=GATE_TILE,
+                                 skip_gate=GATE_THRESHOLD, precision="int8",
+                                 reuse=True)
         reuse_out, reused, total = [], 0, 0
         for frame in lq:
             reuse_out.append(reuse8.enhance(frame))
@@ -325,15 +324,16 @@ def test_sr_temporal_reuse_fast_path(benchmark):
         fps = _sequence_fps(reuse8, lq, repeats)
         rows.append(["int8 gated+reuse", fps, fps / base_fps])
 
-        blocked = InferenceEngine(model, tile=GATE_TILE, skip_gate=gate,
-                                  precision="int8", reuse=True,
-                                  kernel="blocked")
+        blocked = InferenceEngine(model, tile=GATE_TILE,
+                                  skip_gate=GATE_THRESHOLD, precision="int8",
+                                  reuse=True, kernel="blocked")
         fps = _sequence_fps(blocked, lq, repeats)
         rows.append(["int8 gated+reuse+blocked", fps, fps / base_fps])
 
         # Reuse off reproduces the PR-7 engine bit for bit.
-        off = InferenceEngine(model, tile=GATE_TILE, skip_gate=gate,
-                              precision="int8", reuse=None)
+        off = InferenceEngine(model, tile=GATE_TILE,
+                              skip_gate=GATE_THRESHOLD, precision="int8",
+                              reuse=None)
         off_out = np.stack([off.enhance(f) for f in lq])
         bitwise_off = bool(np.array_equal(off_out, exact_out))
         return (rows, reuse_rate, psnr_exact, psnr_reuse, bitwise_reuse,

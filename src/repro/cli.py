@@ -24,6 +24,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .devices import DEVICES
+    from .sr import RESOLUTIONS
+
     parser = argparse.ArgumentParser(
         prog="repro-dcsr",
         description="dcSR: data-centric super resolution (CoNEXT 2021 reproduction)")
@@ -128,14 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument("--reuse", action="store_true",
                       help="temporal tile reuse: emit the previous "
                            "frame's SR output for tiles whose decoded "
-                           "content did not change (fast path; exact "
-                           "mode, bitwise-identical output)")
-    play.add_argument("--reuse-tol", type=float, default=None,
-                      metavar="DIFF",
-                      help="near-static reuse: also reuse tiles whose "
-                           "max abs diff vs the previous frame is <= "
-                           "DIFF in [0,1] units (implies --reuse; "
-                           "carries a measurable PSNR cost)")
+                           "content did not change (fast path; "
+                           "bitwise-identical output)")
     play.add_argument("--sr-kernel", choices=("shift", "blocked"),
                       default=None,
                       help="conv kernel for the fast path: shift "
@@ -213,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--reuse", action="store_true",
                        help="playback mode: enable exact temporal tile "
                             "reuse in every session's SR engine")
-    serve.add_argument("--reuse-tol", type=float, default=None,
-                       metavar="DIFF",
-                       help="playback mode: tolerance-mode reuse (implies "
-                            "--reuse; see `play --reuse-tol`)")
     serve.add_argument("--sr-demand-factor", type=float, default=1.0,
                        metavar="F",
                        help="trace mode: scale each session's modeled SR "
@@ -258,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "on startup)")
 
     plan = sub.add_parser("plan", help="device feasibility table")
-    plan.add_argument("--device", default="jetson",
-                      help="jetson / laptop / desktop")
-    plan.add_argument("--resolution", default="1080p",
-                      help="720p / 1080p / 4k")
+    plan.add_argument("--device", default="jetson", type=str.lower,
+                      choices=sorted(DEVICES))
+    plan.add_argument("--resolution", default="1080p", type=str.lower,
+                      choices=sorted(RESOLUTIONS))
     plan.add_argument("--segment-frames", type=int, default=30)
     return parser
 
@@ -408,8 +401,7 @@ def _cmd_play(args) -> int:
     typed = {"tile": args.tile, "sr_threads": args.sr_threads,
              "prefetch": args.prefetch, "precision": args.precision,
              "skip_gate": args.skip_gate, "sr_batch": args.sr_batch,
-             "reuse": args.reuse_tol if args.reuse_tol is not None
-             else (True if args.reuse else None),
+             "reuse": True if args.reuse else None,
              "kernel": args.sr_kernel}
     typed = {name: value for name, value in typed.items()
              if value is not None}
@@ -491,17 +483,15 @@ def _cmd_serve(args) -> int:
 
     package = load_package(args.package)
     reference = _load_clip(args.reference).frames if args.reference else None
-    reuse = (args.reuse_tol if args.reuse_tol is not None
-             else (True if args.reuse else None))
     fast_path = None
-    if reuse is not None:
+    if args.reuse:
         if args.mode != "playback":
-            print("--reuse/--reuse-tol configure the sessions' SR engines "
-                  "and need --mode playback (trace mode runs no SR)",
+            print("--reuse configures the sessions' SR engines and needs "
+                  "--mode playback (trace mode runs no SR)",
                   file=sys.stderr)
             return 2
         from .core import FastPathConfig
-        fast_path = FastPathConfig(reuse=reuse)
+        fast_path = FastPathConfig(reuse=True)
     devices = tuple(d.strip() for d in args.device.split(",") if d.strip()) \
         if args.device else ()
     config = FleetConfig(
@@ -584,7 +574,7 @@ def _cmd_plan(args) -> int:
     from .sr import EDSR, RESOLUTIONS, big_model_config, dcsr_config
 
     device = get_device(args.device)
-    res = RESOLUTIONS[args.resolution.lower()]
+    res = RESOLUTIONS[args.resolution]
     print(f"{device.name} @ {res.name} "
           f"(segment = {args.segment_frames} frames)")
     candidates = [("NAS/NEMO", EDSR(big_model_config(res.name)))]

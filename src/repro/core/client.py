@@ -125,11 +125,11 @@ class FastPathConfig:
         session downloads — accounting uses the manifest's
         :meth:`~repro.core.manifest.VideoManifest.model_size_for`.
     skip_gate:
-        Optional per-tile variance gate: a
-        :class:`~repro.sr.engine.SkipGateConfig` (or a bare threshold
-        float) that routes low-detail tiles to bicubic upscaling instead
-        of the model.  ``None`` (default) disables the gate entirely —
-        output stays bitwise identical to the ungated engine.
+        Optional per-tile variance threshold (a float >= 0) below which
+        low-detail tiles are upscaled bicubically instead of by the model
+        (see :class:`~repro.sr.engine.InferenceEngine`).  ``None``
+        (default) disables the gate entirely — output stays bitwise
+        identical to the ungated engine.
     sr_batch:
         Number of pool threads producing segments.  1 (default) produces
         strictly in segment order.  ``> 1`` decodes up to ``sr_batch``
@@ -142,15 +142,14 @@ class FastPathConfig:
         Does not compose with a joint controller, which needs segment
         *n*'s feedback before it fetches *n + 1*.
     reuse:
-        Optional temporal tile reuse: a
-        :class:`~repro.sr.engine.TileReuseConfig`, ``True`` (exact mode),
-        or a bare max-abs-diff tolerance float.  Tiles whose decoded LR
-        content matches the previous frame emit the cached SR output
+        ``True`` turns on temporal tile reuse (``None`` or ``False``, the
+        default, leaves it off).  Tiles whose decoded LR content is
+        bitwise-equal to the previous frame's emit the cached SR output
         instead of running the conv stack; every segment starts on a
         fresh engine with an empty cache, so seeks and concealment stay
-        correct.  Exact mode is bitwise-identical to playing without
-        reuse, at any ``sr_batch``: a segment is decoded whole, in order,
-        on its own engine, which is all the ordering reuse relies on.
+        correct.  Reuse is bitwise-identical to playing without it, at
+        any ``sr_batch``: a segment is decoded whole, in order, on its own
+        engine, which is all the ordering reuse relies on.
     kernel:
         SR conv kernel: ``"shift"`` (default, the tap-decomposed NHWC
         kernel) or ``"blocked"`` (cache-blocked im2col GEMM).
@@ -161,9 +160,9 @@ class FastPathConfig:
     prefetch: int = 0
     calibrate: bool = True
     precision: str = "fp32"
-    skip_gate: object | None = None
+    skip_gate: float | None = None
     sr_batch: int = 1
-    reuse: object | None = None
+    reuse: bool | None = None
     kernel: str = "shift"
 
     def __post_init__(self):

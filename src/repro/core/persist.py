@@ -152,14 +152,22 @@ def save_package(package, root: str | Path) -> Path:
         meta["tier_model_configs"] = {
             tier: _model_configs(models)
             for tier, models in tier_models.items()}
-    with open(root / MANIFEST_PATH, "w") as handle:
-        json.dump(meta, handle, indent=2)
-
     for segment in package.encoded.segments:
         (root / segment_path(segment.index)).write_bytes(segment.payload)
     for tier, models in [(None, package.models), *tier_models.items()]:
         for label, model in models.items():
             nn.save_model(model, root / model_path(label, tier))
+    # The manifest goes last and whole (temp file + rename, as in
+    # TrainingCache.put): a save that fails part-way leaves no manifest
+    # pointing at payloads that were never written.
+    tmp = root / f".{MANIFEST_PATH}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(meta, handle, indent=2)
+        tmp.replace(root / MANIFEST_PATH)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return root
 
 

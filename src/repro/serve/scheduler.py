@@ -140,11 +140,12 @@ class FleetConfig:
         Trace mode's model of the client fast path: the fraction of a
         session's *nominal* per-I-frame SR FLOPs it would actually
         execute (1.0 = ungated reference compute; a gated + reusing
-        client measured at, say, 60% skipped and 30% reused demands
-        0.1).  Trace sessions do no media compute, but they report the
-        modeled demand per segment (``SegmentPlayback.sr_flops``) and
-        the fleet aggregates it — so ``cli serve`` capacity numbers
-        reflect what reuse/gating save across thousands of sessions.
+        client measured in playback mode at, say, 60% skipped and 30%
+        reused demands 0.1).  Trace sessions do no media compute, but
+        they report the modeled demand per segment
+        (``SegmentPlayback.sr_flops``) and the fleet aggregates it — so
+        ``cli serve`` capacity numbers reflect what reuse/gating save
+        across thousands of sessions.
     devices:
         Per-session device classes (keys of
         :data:`repro.devices.DEVICES`): session ``i`` plays on
@@ -161,9 +162,9 @@ class FleetConfig:
     power_budget_w:
         Session-average power budget handed to each controller (watts);
         ``None`` = unconstrained.
-    controller_tier / controller_precision:
-        The pinned SR configuration of ``controller="fixed"`` (ignored
-        by ``"greedy"``).
+    controller_tier:
+        The pinned SR tier of ``controller="fixed"`` (ignored by
+        ``"greedy"``); it runs at fp32.
     seed:
         Fleet seed: drives the arrival schedule and derives each
         session's private failure-RNG stream.
@@ -189,7 +190,6 @@ class FleetConfig:
     controller: str = "off"
     power_budget_w: float | None = None
     controller_tier: str | None = None
-    controller_precision: str = "fp32"
     seed: int = 0
 
     def device_name_for(self, session_id: int) -> str | None:
@@ -451,8 +451,7 @@ class FleetSimulator:
         return build_controller(
             self.config.controller, get_device(device_name),
             power_budget_w=self.config.power_budget_w,
-            tier=self.config.controller_tier,
-            precision=self.config.controller_precision)
+            tier=self.config.controller_tier)
 
     def _nominal_flops(self, label: int) -> float:
         """Nominal FLOPs of one full-frame forward of ``label``'s base
@@ -664,7 +663,7 @@ class FleetSimulator:
                 # instead: one forward per I-frame (dcSR enhances
                 # I-frames only), scaled by sr_demand_factor — the fleet
                 # knob for fast-path savings (skip gate + temporal reuse)
-                # measured in playback mode or via calibrate_reuse.
+                # measured in playback mode.
                 # Under a controller the tier's own FLOPs replace the
                 # base model's, and an SR-off decision demands nothing.
                 flops = (self._nominal_flops(fetched.label)

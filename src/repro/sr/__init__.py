@@ -17,10 +17,8 @@ from .configs import (
 )
 from .edsr import EDSR, EdsrConfig
 from .engine import (ENGINE_KERNELS, EngineStats, InferenceEngine,
-                     SkipGateConfig, TileReuseCache, TileReuseConfig,
-                     receptive_field_radius)
-from .quantize import (QUANT_PRECISIONS, CalibrationResult, ReuseCalibration,
-                       calibrate_quantized, calibrate_reuse)
+                     TileReuseCache, receptive_field_radius)
+from .quantize import QUANT_PRECISIONS, CalibrationResult, calibrate_quantized
 from .min_model import (
     MinModelSearch,
     config_grid,
@@ -41,15 +39,11 @@ __all__ = [
     "EdsrConfig",
     "InferenceEngine",
     "EngineStats",
-    "SkipGateConfig",
-    "TileReuseConfig",
     "TileReuseCache",
     "ENGINE_KERNELS",
     "QUANT_PRECISIONS",
     "CalibrationResult",
     "calibrate_quantized",
-    "ReuseCalibration",
-    "calibrate_reuse",
     "receptive_field_radius",
     "DCSR_CONFIGS",
     "MICRO_TIERS",

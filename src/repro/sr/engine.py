@@ -59,9 +59,9 @@ from ..nn import functional as F
 from ..video.sampling import upscale
 from .edsr import _PIXEL_SHIFT, EDSR, EdsrConfig
 
-__all__ = ["InferenceEngine", "EngineStats", "SkipGateConfig",
-           "TileReuseConfig", "TileReuseCache", "ENGINE_KERNELS",
-           "check_engine_knobs", "receptive_field_radius"]
+__all__ = ["InferenceEngine", "EngineStats", "TileReuseCache",
+           "REUSE_MAX_TILES", "ENGINE_KERNELS", "check_engine_knobs",
+           "receptive_field_radius"]
 
 #: Conv kernels the engine can route the fused plan through: the
 #: tap-decomposed shift kernel (default) or the cache-blocked im2col GEMM.
@@ -92,58 +92,11 @@ def receptive_field_radius(config: EdsrConfig) -> int:
     return int(math.ceil(radius - 1e-9))
 
 
-@dataclass(frozen=True)
-class SkipGateConfig:
-    """Content gate that routes low-detail tiles around the network.
-
-    Before running a tile through the model, the engine measures the
-    variance of the tile's channel-mean ("luma") interior per frame; tiles
-    whose variance falls below ``var_threshold`` carry too little texture
-    for SR to improve and are upscaled bicubically (scale 1: passed
-    through) instead.  ``var_threshold`` is in squared [0, 1] intensity
-    units: flat synthetic backgrounds sit below 1e-5 while natural texture
-    measures 1e-3 and up, so the 2e-4 default skips only genuinely flat
-    content.  Skipped work is visible as :attr:`EngineStats.skipped_tiles`
-    and the ``dcsr_sr_skipped_tiles_total`` counter.
-    """
-
-    var_threshold: float = 2e-4
-
-    def __post_init__(self):
-        if self.var_threshold < 0.0:
-            raise ValueError("var_threshold must be >= 0")
-
-
-@dataclass(frozen=True)
-class TileReuseConfig:
-    """Temporal reuse gate: emit the previous frame's SR output for tiles
-    whose decoded LR content did not change.
-
-    ``tolerance`` is the max-abs-diff (in [0, 1] intensity units) under
-    which a tile still counts as "the same content".  At the default
-    ``0.0`` the engine reuses only on *bitwise-identical* LR content, which
-    makes the enhanced output bitwise-identical to running without reuse;
-    a small positive tolerance (e.g. ``2/255``) also reuses across sensor /
-    codec noise on near-static content and carries a calibrated PSNR
-    budget (see :func:`repro.sr.calibrate_reuse`), mirroring how quantized
-    precisions carry theirs.
-
-    ``max_tiles`` bounds the cache (LRU eviction); it is the number of
-    resident tile entries, each holding one halo-expanded LR region and
-    its SR output.  The budget is mandatory — an unbounded cache in a
-    long-lived player session is a memory leak, and a tier-1 guard rejects
-    unbounded construction in non-test code.
-    """
-
-    tolerance: float = 0.0
-    max_tiles: int = 256
-
-    def __post_init__(self):
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be >= 0")
-        if self.max_tiles is None or int(self.max_tiles) < 1:
-            raise ValueError("max_tiles must be a positive tile budget "
-                             "(the reuse cache is always bounded)")
+#: Entry budget of every engine's temporal reuse cache: resident tile
+#: entries, each one halo-expanded LR region and its SR output.  It covers
+#: one 352x640 frame's grid at 32-pixel tiles; an unbounded cache in a
+#: long-lived player session would be a memory leak.
+REUSE_MAX_TILES = 256
 
 
 @dataclass
@@ -158,7 +111,7 @@ class _ReuseEntry:
 
 def _tile_fingerprint(interior: np.ndarray) -> int:
     """Cheap rolling hash (crc32) over a tile's interior bytes — the
-    quick-reject for exact-mode cache lookups."""
+    quick-reject for cache lookups."""
     return zlib.crc32(np.ascontiguousarray(interior))
 
 
@@ -240,13 +193,14 @@ class EngineStats:
 
 
 def check_engine_knobs(tile, threads, precision, skip_gate, reuse, kernel):
-    """Check an engine's arguments; return ``(skip_gate, reuse)`` coerced
-    to a :class:`SkipGateConfig` / :class:`TileReuseConfig` (or ``None``).
+    """Check an engine's arguments, raising on the first bad one.
 
     The one copy of these checks: :class:`InferenceEngine` runs it at
     construction and :meth:`repro.core.client.FastPathConfig.validate`
     when a config is built, so a bad knob fails before a session downloads
-    anything rather than inside its first I frame's hook.
+    anything rather than inside its first I frame's hook.  ``skip_gate``
+    is a variance threshold >= 0 or ``None``; ``reuse`` is a bool or
+    ``None`` — a number there is a ``TypeError``, not a mode.
     """
     if tile is not None and tile < 1:
         raise ValueError("tile must be >= 1 pixel")
@@ -258,21 +212,16 @@ def check_engine_knobs(tile, threads, precision, skip_gate, reuse, kernel):
     if kernel not in ENGINE_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; "
                          f"expected one of {ENGINE_KERNELS}")
-    if isinstance(skip_gate, (int, float)) and not isinstance(skip_gate, bool):
-        skip_gate = SkipGateConfig(var_threshold=float(skip_gate))
-    if skip_gate is not None and not isinstance(skip_gate, SkipGateConfig):
-        raise TypeError("skip_gate must be a SkipGateConfig, a float "
-                        "threshold, or None")
-    if reuse is True:
-        reuse = TileReuseConfig()
-    elif reuse is False:
-        reuse = None
-    elif isinstance(reuse, (int, float)):
-        reuse = TileReuseConfig(tolerance=float(reuse))
-    if reuse is not None and not isinstance(reuse, TileReuseConfig):
-        raise TypeError("reuse must be a TileReuseConfig, a float "
-                        "tolerance, a bool, or None")
-    return skip_gate, reuse
+    if skip_gate is not None:
+        if isinstance(skip_gate, bool) \
+                or not isinstance(skip_gate, (int, float)):
+            raise TypeError(f"skip_gate must be a float variance threshold "
+                            f"or None, got {skip_gate!r}")
+        if skip_gate < 0.0:
+            raise ValueError(f"skip_gate var_threshold must be >= 0, "
+                             f"got {skip_gate}")
+    if reuse is not None and not isinstance(reuse, bool):
+        raise TypeError(f"reuse must be True, False or None, got {reuse!r}")
 
 
 class InferenceEngine:
@@ -304,15 +253,21 @@ class InferenceEngine:
         that precision (:func:`repro.nn.functional.pack_conv_weight`),
         cached per precision on each layer.
     skip_gate:
-        ``None`` (default — off) or a :class:`SkipGateConfig` / plain
-        variance threshold routing low-detail tiles to bicubic upscaling.
+        ``None`` (default — off) or a variance threshold: before running
+        a tile the engine measures the variance of its channel-mean
+        ("luma") interior per frame, and tiles below the threshold carry
+        too little texture for SR to improve, so they are upscaled
+        bicubically (scale 1: passed through) instead.  The threshold is
+        in squared [0, 1] intensity units: flat synthetic backgrounds sit
+        below 1e-5 while natural texture measures 1e-3 and up.  ``0.0``
+        skips nothing.
     reuse:
-        ``None`` (default — off) or a :class:`TileReuseConfig` / ``True``
-        (exact mode) / plain float tolerance enabling the temporal tile
-        reuse cache.  The three gates share one dispatch path per tile:
-        ``reuse`` (emit cached SR output for unchanged content) →
+        ``True`` enables the temporal tile reuse cache (at most
+        :data:`REUSE_MAX_TILES` entries); ``None`` or ``False`` (default)
+        leaves it off.  The three gates share one dispatch path per tile:
+        ``reuse`` (emit cached SR output for bitwise-unchanged content) →
         ``skip`` (bicubic for low-detail) → the (possibly quantized) conv
-        stack.  Exact mode is bitwise-identical to running without reuse.
+        stack.  Reuse is bitwise-identical to running without it.
     kernel:
         ``"shift"`` (default, the tap-decomposed kernel — bitwise-identical
         to previous engines) or ``"blocked"`` — the cache-blocked im2col
@@ -321,11 +276,10 @@ class InferenceEngine:
 
     def __init__(self, model: EDSR, tile: int | None = None,
                  threads: int = 1, obs=None, precision: str = "fp32",
-                 skip_gate: SkipGateConfig | float | None = None,
-                 reuse: TileReuseConfig | float | bool | None = None,
-                 kernel: str = "shift"):
-        skip_gate, reuse = check_engine_knobs(tile, threads, precision,
-                                              skip_gate, reuse, kernel)
+                 skip_gate: float | None = None,
+                 reuse: bool | None = None, kernel: str = "shift"):
+        check_engine_knobs(tile, threads, precision, skip_gate, reuse,
+                           kernel)
         self.model = model
         self.tile = tile
         self.threads = int(threads)
@@ -334,8 +288,7 @@ class InferenceEngine:
         self.skip_gate = skip_gate
         self.reuse = reuse
         self.kernel = kernel
-        self.reuse_cache = (TileReuseCache(reuse.max_tiles)
-                            if reuse is not None else None)
+        self.reuse_cache = TileReuseCache(REUSE_MAX_TILES) if reuse else None
         self.halo = receptive_field_radius(model.config)
         self.scale = model.config.scale
         self.stats = EngineStats()
@@ -483,23 +436,22 @@ class InferenceEngine:
 
         The one execution path: every (frame, tile) pair is routed between
         the reuse cache, bicubic upscaling, and the conv stack.  Temporal
-        reuse runs first (a tile whose halo-expanded LR content matches
-        the previous anchor emits the anchor's SR output), the variance
+        reuse runs first (a tile whose halo-expanded LR content equals the
+        previous frame's emits that frame's SR output), the variance
         skip gate next (bicubic for low-detail tiles), and whatever
         survives runs through the GEMM kernels in one stacked forward.
         With both gates off every pair runs, and a frame that fits one
         tile is the one-span case of the same loop.
 
-        Exact-mode reuse (tolerance 0) is bitwise-identical to running
-        without reuse at every precision: content is compared over the
-        *halo-expanded* region — everything the tile's output depends on —
-        the batched GEMMs compute each frame's slice independently and
-        int8 activations are quantized per frame, so removing reused
-        frames from the batch does not change the surviving frames' bits.
-        Within a batch, frame ``i`` compares against the most recent
-        anchor (the last frame that produced fresh output), so tolerance
-        mode measures drift against real content, not an accumulating
-        chain of approximations.
+        Reuse is bitwise-identical to running without it at every
+        precision: content is compared over the *halo-expanded* region —
+        everything the tile's output depends on — the batched GEMMs
+        compute each frame's slice independently and int8 activations are
+        quantized per frame, so removing reused frames from the batch does
+        not change the surviving frames' bits.  A hit's input equals the
+        input it replays bit for bit, so frame ``i`` of a batch compares
+        against frame ``i - 1`` (frame 0 against the cache entry from the
+        previous call), however long a chain of hits precedes it.
         """
         n, h, w, _ = x.shape
         s = self.scale
@@ -507,7 +459,6 @@ class InferenceEngine:
         halo = self.halo
         gate = self.skip_gate
         cache = self.reuse_cache
-        tolerance = self.reuse.tolerance if self.reuse is not None else 0.0
         spans = self._tile_spans(h, w)
         # One ungated span: every frame runs and the forward's result *is*
         # the output — no buffer to crop into, no copy.
@@ -518,13 +469,6 @@ class InferenceEngine:
         ran = [0] * len(spans)
         hits = [0] * len(spans)
         flops = [0.0] * len(spans)
-
-        def matches(a: np.ndarray, b: np.ndarray) -> bool:
-            if a.shape != b.shape:
-                return False
-            if tolerance == 0.0:
-                return bool(np.array_equal(a, b))
-            return bool(np.max(np.abs(a - b)) <= tolerance)
 
         def run_tile(item):
             nonlocal out
@@ -538,42 +482,29 @@ class InferenceEngine:
             ry = slice((y0 - ey0) * s, (y1 - ey0) * s)
             rx = slice((x0 - ex0) * s, (x1 - ex0) * s)
 
-            # Gate 1: temporal reuse.  Each frame compares against the
-            # current anchor — the cache entry from the previous call, then
-            # the last in-batch frame that produced fresh output.
+            # Gate 1: temporal reuse.  Frame 0 compares against the cache
+            # entry from the previous call, every later frame against the
+            # frame before it.
             fresh = np.ones(n, dtype=bool)
-            anchor_of = np.full(n, -1, dtype=np.int64)   # -2 = cache entry
-            entry = None
             if cache is not None:
                 key = (y0, y1, x0, x1)
                 entry = cache.get(key)
-                anchor_region = entry.region if entry is not None else None
-                anchor_idx = -2
-                for fi in range(n):
-                    if anchor_region is None:
-                        anchor_region, anchor_idx = region[fi], fi
-                        continue
-                    hit = False
-                    if anchor_idx == -2 and tolerance == 0.0:
-                        # crc32 interior fingerprint quick-rejects before
-                        # the full halo-region compare confirms.
-                        hit = (entry.fingerprint
-                               == _tile_fingerprint(interior[fi])
-                               and matches(region[fi], anchor_region))
-                    else:
-                        hit = matches(region[fi], anchor_region)
-                    if hit:
-                        fresh[fi] = False
-                        anchor_of[fi] = anchor_idx
-                    else:
-                        anchor_region, anchor_idx = region[fi], fi
+                if entry is not None:
+                    # crc32 interior fingerprint quick-rejects before the
+                    # full halo-region compare confirms.
+                    fresh[0] = not (
+                        entry.fingerprint == _tile_fingerprint(interior[0])
+                        and np.array_equal(region[0], entry.region))
+                for fi in range(1, n):
+                    fresh[fi] = not np.array_equal(region[fi],
+                                                   region[fi - 1])
 
             # Gate 2: the variance skip gate, on fresh frames only.
             run = fresh
             skip = np.zeros(n, dtype=bool)
             if gate is not None:
                 variance = _tile_variance(interior)
-                skip = fresh & (variance < gate.var_threshold)
+                skip = fresh & (variance < gate)
                 run = fresh & ~skip
 
             # Gate 3: the conv stack on whatever survived, in one batch.
@@ -596,15 +527,14 @@ class InferenceEngine:
                     out[fi, oy, ox, :] = upscale(interior[fi], s)
             if cache is None:
                 return
-            for fi in np.nonzero(~fresh)[0]:
-                src = anchor_of[fi]
-                out[fi, oy, ox, :] = (entry.output if src == -2
-                                      else out[src, oy, ox, :])
-            if anchor_idx != -2:
+            for fi in np.nonzero(~fresh)[0]:     # in order: chains resolve
+                out[fi, oy, ox, :] = (out[fi - 1, oy, ox, :] if fi
+                                      else entry.output)
+            if fresh.any():
                 cache.put(key, _ReuseEntry(
-                    fingerprint=_tile_fingerprint(interior[anchor_idx]),
-                    region=region[anchor_idx].copy(),
-                    output=out[anchor_idx, oy, ox, :].copy()))
+                    fingerprint=_tile_fingerprint(interior[-1]),
+                    region=region[-1].copy(),
+                    output=out[-1, oy, ox, :].copy()))
 
         items = list(enumerate(spans))
         if self.threads > 1 and len(spans) > 1:

@@ -27,11 +27,10 @@ import numpy as np
 from .. import nn
 from ..video.quality import psnr
 from .edsr import EDSR
-from .engine import InferenceEngine, TileReuseConfig
+from .engine import InferenceEngine
 
 __all__ = ["QUANT_PRECISIONS", "CALIBRATION_FRAMES", "CalibrationResult",
-           "clamped_psnr", "calibrate_quantized", "ReuseCalibration",
-           "calibrate_reuse"]
+           "clamped_psnr", "calibrate_quantized"]
 
 #: The reduced precisions the calibration pass measures by default.
 QUANT_PRECISIONS = ("fp16", "int8")
@@ -101,59 +100,3 @@ def calibrate_quantized(
             psnr_quant=psnr_quant,
         )
     return results
-
-
-@dataclass(frozen=True)
-class ReuseCalibration:
-    """One (model, reuse tolerance) calibration measurement.
-
-    Mirrors :class:`CalibrationResult` for the temporal reuse gate: the
-    tolerance a session plays with carries a *measured* PSNR budget, not a
-    hoped-for one.  ``reuse_rate`` is the fraction of (frame, tile) pairs
-    emitted from the cache on the calibration sequence; at tolerance 0 the
-    delta is exactly 0.0 by construction (exact reuse is bitwise).
-    """
-
-    tolerance: float
-    reuse_rate: float
-    delta_db: float
-    psnr_exact: float
-    psnr_reuse: float
-
-
-def calibrate_reuse(
-    model: EDSR, lq_frames: np.ndarray, hr_frames: np.ndarray,
-    tolerance: float, tile: int | None = None, max_frames: int = 8,
-) -> ReuseCalibration:
-    """Measure the PSNR cost and hit rate of tolerance-mode reuse.
-
-    ``lq_frames`` must be a temporally ordered ``(N, H, W, 3)`` sequence —
-    reuse is a cross-frame gate, so calibration needs consecutive frames,
-    unlike the per-frame quantization pass.  The frames run through one
-    engine with the reuse cache enabled (and once without), and the delta
-    is ``PSNR(no-reuse out, reference) - PSNR(reuse out, reference)``.
-    """
-    lq = np.asarray(lq_frames, dtype=np.float32)[:max_frames]
-    hr = np.asarray(hr_frames, dtype=np.float32)[:max_frames]
-    if lq.ndim != 4 or hr.ndim != 4:
-        raise ValueError("calibration frames must be (N, H, W, 3) batches")
-    if len(lq) < 2:
-        raise ValueError("reuse calibration needs at least two consecutive "
-                         "frames")
-
-    exact_out = InferenceEngine(model, tile=tile).enhance_batch(lq)
-    psnr_exact = clamped_psnr(exact_out, hr)
-
-    engine = InferenceEngine(model, tile=tile,
-                             reuse=TileReuseConfig(tolerance=tolerance))
-    reuse_out = engine.enhance_batch(lq)
-    stats = engine.stats
-    total = stats.tile_count + stats.skipped_tiles + stats.reused_tiles
-    psnr_reuse = clamped_psnr(reuse_out, hr)
-    return ReuseCalibration(
-        tolerance=float(tolerance),
-        reuse_rate=stats.reused_tiles / max(total, 1),
-        delta_db=psnr_exact - psnr_reuse,
-        psnr_exact=psnr_exact,
-        psnr_reuse=psnr_reuse,
-    )

@@ -413,5 +413,5 @@ class TestTemporalReusePlayback:
         assert t.tile_count + t.skipped_tiles + t.reused_tiles > 0
 
     def test_reuse_validation(self):
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(TypeError, match="reuse must be"):
             FastPathConfig(reuse=-0.5)

@@ -119,3 +119,42 @@ class TestPersistence:
         (root / "manifest.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError):
             load_package(root)
+
+
+class TestAtomicSave:
+    """The manifest is what makes a directory a package, so it is written
+    last and whole: a save that fails part-way leaves nothing loadable."""
+
+    def test_failed_payload_write_leaves_no_manifest(self, package, tmp_path,
+                                                     monkeypatch):
+        import repro.nn as nn
+
+        real_save, calls = nn.save_model, []
+
+        def save_model(model, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_save(model, path)
+
+        monkeypatch.setattr(nn, "save_model", save_model)
+        root = tmp_path / "pkg"
+        with pytest.raises(OSError, match="disk full"):
+            save_package(package, root)
+        assert not (root / "manifest.json").exists()
+        with pytest.raises(FileNotFoundError, match="no manifest"):
+            load_package(root)
+
+    def test_failed_manifest_write_leaves_no_partial_file(self, package,
+                                                          tmp_path,
+                                                          monkeypatch):
+        def dump(obj, handle, **kwargs):
+            handle.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump)
+        root = tmp_path / "pkg"
+        with pytest.raises(OSError, match="disk full"):
+            save_package(package, root)
+        assert sorted(p.name for p in root.iterdir()) == ["models",
+                                                          "segments"]

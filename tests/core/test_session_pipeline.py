@@ -314,9 +314,14 @@ BAD_ENGINE_KNOBS = [
     (dict(precision="fp64"), ValueError, "unknown precision"),
     (dict(kernel="winograd"), ValueError, "unknown kernel"),
     (dict(skip_gate="x"), TypeError, "skip_gate must be"),
+    (dict(skip_gate=True), TypeError, "skip_gate must be"),
     (dict(skip_gate=-1.0), ValueError, "var_threshold must be >= 0"),
+    # reuse is a switch: a number is not a mode, 0 and 1 included.
     (dict(reuse="yes"), TypeError, "reuse must be"),
-    (dict(reuse=-0.5), ValueError, "tolerance must be >= 0"),
+    (dict(reuse=-0.5), TypeError, "reuse must be"),
+    (dict(reuse=0.5), TypeError, "reuse must be"),
+    (dict(reuse=1), TypeError, "reuse must be"),
+    (dict(reuse=0), TypeError, "reuse must be"),
 ]
 
 BAD_KNOB_IDS = [f"{name}={value}" for knobs, _, _ in BAD_ENGINE_KNOBS

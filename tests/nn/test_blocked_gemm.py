@@ -161,15 +161,14 @@ class TestEngineKernelSelection:
         assert np.abs(out - ref).max() <= 2e-5
 
     def test_blocked_engine_composes_with_quant_gate_and_reuse(self):
-        from repro.sr import (EDSR, EdsrConfig, InferenceEngine,
-                              SkipGateConfig)
+        from repro.sr import EDSR, EdsrConfig, InferenceEngine
 
         model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8), seed=11)
         frame = np.random.default_rng(12).random((48, 64, 3),
                                                  dtype=np.float32)
         engine = InferenceEngine(model, tile=16, kernel="blocked",
                                  precision="int8", reuse=True,
-                                 skip_gate=SkipGateConfig(1e-6))
+                                 skip_gate=1e-6)
         first = engine.enhance(frame)
         second = engine.enhance(frame)
         assert engine.stats.reused_tiles == 12

@@ -8,7 +8,7 @@ the scrape sees the same partition the engine computed.
 import numpy as np
 
 from repro.obs import Observability, prometheus_text
-from repro.sr import EDSR, EdsrConfig, InferenceEngine, SkipGateConfig
+from repro.sr import EDSR, EdsrConfig, InferenceEngine
 
 
 def _scrape_value(text: str, name: str) -> float:
@@ -25,7 +25,7 @@ def _run_engine(obs):
     frame = np.zeros((48, 64, 3), dtype=np.float32)
     frame[:16, :32] = np.random.default_rng(22).random((16, 32, 3))
     engine = InferenceEngine(model, tile=16, reuse=True,
-                             skip_gate=SkipGateConfig(1e-4), obs=obs)
+                             skip_gate=1e-4, obs=obs)
     engine.enhance(frame)
     engine.enhance(frame)
     return engine

@@ -191,13 +191,11 @@ class TestPerFrameStats:
         """The gate decides per (frame, tile) pair of a batched call: the
         flat frame's grid is skipped, the textured frame's grid runs, and
         the call's counters partition the pairs."""
-        from repro.sr import SkipGateConfig
-
         model = EDSR(EdsrConfig(n_resblocks=1, n_filters=4), seed=26)
         frames = np.zeros((2, 20, 20, 3), dtype=np.float32)
         frames[0] = np.random.default_rng(27).random((20, 20, 3))
         engine = InferenceEngine(model, tile=10,
-                                 skip_gate=SkipGateConfig(1e-4))
+                                 skip_gate=1e-4)
         engine.enhance_batch(frames)
         agg = engine.stats
         assert agg.frames == 2

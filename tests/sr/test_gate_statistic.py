@@ -11,7 +11,7 @@ oracle is the old expression, ``interior.mean(axis=3).var(axis=(1, 2))``.
 import numpy as np
 import pytest
 
-from repro.sr import EDSR, EdsrConfig, InferenceEngine, SkipGateConfig
+from repro.sr import EDSR, EdsrConfig, InferenceEngine
 from repro.sr import engine as engine_module
 
 
@@ -102,7 +102,7 @@ def test_gate_decisions_straddling_the_threshold(monkeypatch, precision):
 
     def run():
         engine = InferenceEngine(model, tile=20, precision=precision,
-                                 skip_gate=SkipGateConfig(threshold))
+                                 skip_gate=threshold)
         return engine.enhance_batch(frames), engine.stats
 
     out, stats = run()

@@ -21,7 +21,6 @@ from repro.sr import (
     EDSR,
     EdsrConfig,
     InferenceEngine,
-    SkipGateConfig,
     calibrate_quantized,
 )
 from repro.video.sampling import upscale
@@ -62,7 +61,7 @@ class TestFp32IsBitwiseDefault:
         frame = _noise_frame(tier + 20)
         plain = InferenceEngine(model, tile=10).enhance(frame)
         gated_engine = InferenceEngine(model, tile=10,
-                                       skip_gate=SkipGateConfig(0.0))
+                                       skip_gate=0.0)
         gated = gated_engine.enhance(frame)
         assert np.array_equal(plain, gated)
         assert gated_engine.stats.skipped_tiles == 0
@@ -129,7 +128,7 @@ class TestSkipGate:
         model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8), seed=0)
         frame = _noise_frame(42, h=30, w=40)
         plain = InferenceEngine(model, tile=10).enhance(frame)
-        engine = InferenceEngine(model, tile=10, skip_gate=SkipGateConfig())
+        engine = InferenceEngine(model, tile=10, skip_gate=2e-4)
         gated = engine.enhance(frame)
         assert engine.stats.skipped_tiles == 0
         assert np.array_equal(plain, gated)
@@ -138,7 +137,7 @@ class TestSkipGate:
         model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8), seed=1)
         frame = np.full((20, 30, 3), 0.5, dtype=np.float32)
         engine = InferenceEngine(model, tile=10,
-                                 skip_gate=SkipGateConfig(1e-6))
+                                 skip_gate=1e-6)
         out = engine.enhance(frame)
         assert engine.stats.tile_count == 0
         assert engine.stats.skipped_tiles == 6
@@ -150,7 +149,7 @@ class TestSkipGate:
         model = EDSR(config, seed=2)
         frame = np.full((16, 20, 3), 0.25, dtype=np.float32)
         engine = InferenceEngine(model, tile=8,
-                                 skip_gate=SkipGateConfig(1e-6))
+                                 skip_gate=1e-6)
         out = engine.enhance(frame)
         assert engine.stats.tile_count == 0
         assert out.shape == (32, 40, 3)
@@ -163,7 +162,7 @@ class TestSkipGate:
         frame = np.full((20, 40, 3), 0.5, dtype=np.float32)
         frame[:, 20:] = _noise_frame(7, h=20, w=20)
         engine = InferenceEngine(model, tile=10,
-                                 skip_gate=SkipGateConfig(1e-4))
+                                 skip_gate=1e-4)
         out = engine.enhance(frame)
         stats = engine.stats
         assert stats.skipped_tiles == 4      # the flat half of a 2x4 grid
@@ -177,6 +176,6 @@ class TestSkipGate:
 
     def test_gate_threshold_validation(self):
         with pytest.raises(ValueError):
-            SkipGateConfig(-1.0)
+            InferenceEngine(EDSR(EdsrConfig(1, 4), seed=0), skip_gate=-1.0)
         with pytest.raises(TypeError):
             InferenceEngine(EDSR(EdsrConfig(1, 4), seed=0), skip_gate="hi")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.bench import load_results
-from repro.sr import EDSR, EdsrConfig, InferenceEngine, SkipGateConfig
+from repro.sr import EDSR, EdsrConfig, InferenceEngine
 
 pytestmark = pytest.mark.timing
 
@@ -45,7 +45,7 @@ def test_reuse_session_fps_holds_half_the_committed_baseline():
 
     model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8), seed=40)
     engine = InferenceEngine(model, tile=128, precision="int8",
-                             skip_gate=SkipGateConfig(1e-3), reuse=True)
+                             skip_gate=1e-3, reuse=True)
     frames = _session_frames()
     engine.enhance(frames[0])                      # warm packed weights
 

@@ -1,19 +1,17 @@
 """Temporal tile reuse: bitwise-exact cache hits, precise invalidation,
-bounded memory, and calibrated tolerance mode.
+and bounded memory.
 
-The central property mirrors the engine suite's: exact-mode reuse must be
+The central property mirrors the engine suite's: reuse must be
 *invisible* in the output bits — an engine with ``reuse`` enabled emits
 exactly the frames a reuse-free engine would, it just runs fewer tiles.
-Tolerance mode trades bits for hits, and ``calibrate_reuse`` measures the
-PSNR price so a session plays with a known budget.
 """
 
 import numpy as np
 import pytest
 
-from repro.sr import (EDSR, EdsrConfig, InferenceEngine, SkipGateConfig,
-                      TileReuseCache, TileReuseConfig, calibrate_reuse,
+from repro.sr import (EDSR, EdsrConfig, InferenceEngine, TileReuseCache,
                       receptive_field_radius)
+from repro.sr import engine as engine_mod
 
 H, W, TILE = 48, 64, 16           # 3x4 tile grid (12 tiles) at tile=16
 
@@ -104,7 +102,7 @@ class TestInvariantAndStats:
         frame = np.zeros((H, W, 3), dtype=np.float32)
         frame[:TILE, :TILE] = _frame(6)[:TILE, :TILE]
         engine = InferenceEngine(model, tile=TILE, reuse=True,
-                                 skip_gate=SkipGateConfig(1e-4))
+                                 skip_gate=1e-4)
         engine.enhance_batch(np.stack([frame, frame]))
         stats = engine.stats
         assert _total(stats) == 2 * 12
@@ -125,21 +123,23 @@ class TestInvariantAndStats:
 
 
 class TestBoundedCache:
-    def test_lru_never_exceeds_budget_and_peak_is_tracked(self):
-        engine = InferenceEngine(_model(), tile=TILE,
-                                 reuse=TileReuseConfig(max_tiles=4))
+    def test_lru_never_exceeds_budget_and_peak_is_tracked(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(engine_mod, "REUSE_MAX_TILES", 4)
+        engine = InferenceEngine(_model(), tile=TILE, reuse=True)
         frame = _frame(9)
         engine.enhance(frame)
         assert len(engine.reuse_cache) <= 4
         assert engine.reuse_cache.peak_resident == 4
 
-    def test_thrashing_cache_reuses_nothing_but_stays_correct(self):
+    def test_thrashing_cache_reuses_nothing_but_stays_correct(self,
+                                                              monkeypatch):
         """Budget below the 12-tile grid: sequential insertion evicts
         every entry before its next lookup — zero hits, right bits."""
+        monkeypatch.setattr(engine_mod, "REUSE_MAX_TILES", 4)
         model = _model()
         frame = _frame(10)
-        engine = InferenceEngine(model, tile=TILE,
-                                 reuse=TileReuseConfig(max_tiles=4))
+        engine = InferenceEngine(model, tile=TILE, reuse=True)
         engine.enhance(frame)
         out = engine.enhance(frame)
         assert engine.stats.reused_tiles == 0
@@ -169,62 +169,9 @@ class TestBoundedCache:
         assert cache.peak_resident == 2
 
 
-class TestToleranceMode:
-    def test_small_noise_reused_within_tolerance(self):
-        model = _model()
-        rng = np.random.default_rng(13)
-        frame = _frame(14)
-        noisy = np.clip(frame + rng.uniform(-0.004, 0.004,
-                                            frame.shape).astype(np.float32),
-                        0.0, 1.0)
-        engine = InferenceEngine(model, tile=TILE, reuse=0.01)
-        engine.enhance(frame)
-        engine.enhance(noisy)
-        assert engine.stats.reused_tiles == 12
-
-    def test_noise_beyond_tolerance_recomputes(self):
-        model = _model()
-        frame = _frame(15)
-        far = np.clip(frame + 0.05, 0.0, 1.0)
-        engine = InferenceEngine(model, tile=TILE, reuse=0.01)
-        engine.enhance(frame)
-        engine.enhance(far)
-        assert engine.stats.reused_tiles == 0
-
-    def test_calibrated_delta_stays_in_budget(self):
-        """The acceptance budget: on a slowly drifting sequence the
-        tolerance-mode PSNR cost is measured and bounded (|delta| <=
-        0.3 dB), with a real hit rate to show for it."""
-        model = _model()
-        rng = np.random.default_rng(16)
-        base = rng.random((H, W, 3), dtype=np.float32)
-        frames, hrs = [], []
-        for i in range(6):
-            jitter = rng.uniform(-0.003, 0.003, base.shape).astype(np.float32)
-            lq = np.clip(base + jitter, 0.0, 1.0)
-            frames.append(lq)
-            hrs.append(np.clip(lq * 1.01, 0.0, 1.0))
-        cal = calibrate_reuse(model, np.stack(frames), np.stack(hrs),
-                              tolerance=0.01, tile=TILE)
-        assert cal.reuse_rate > 0.5
-        assert abs(cal.delta_db) <= 0.3
-        # Exact mode is free by construction.
-        exact = calibrate_reuse(model, np.stack([base, base]),
-                                np.stack([hrs[0], hrs[0]]),
-                                tolerance=0.0, tile=TILE)
-        assert exact.delta_db == 0.0
-        assert exact.reuse_rate > 0.0
-
-
 class TestValidation:
     def test_rejects_bad_reuse_configs(self):
         model = _model()
-        with pytest.raises(ValueError, match="tolerance"):
-            TileReuseConfig(tolerance=-0.1)
-        with pytest.raises(ValueError, match="max_tiles"):
-            TileReuseConfig(max_tiles=0)
-        with pytest.raises(ValueError, match="max_tiles"):
-            TileReuseConfig(max_tiles=None)
         with pytest.raises(TypeError, match="reuse"):
             InferenceEngine(model, reuse="yes")
         with pytest.raises(ValueError, match="kernel"):
@@ -255,7 +202,7 @@ class TestComposition:
         model = _model()
         frame = _frame(18)
         engine = InferenceEngine(model, tile=TILE, precision="int8",
-                                 reuse=True, skip_gate=SkipGateConfig(1e-6))
+                                 reuse=True, skip_gate=1e-6)
         first = engine.enhance(frame)
         second = engine.enhance(frame)
         assert engine.stats.reused_tiles == 12

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,23 @@ class TestParser:
         assert args.workers == 1
         assert args.backend == "process"
         assert args.train_cache is None
+
+    def test_docs_cover_every_long_flag(self):
+        """docs/cli.md mentions exactly the ``--flags`` the parser
+        registers: a new flag gets documented, a removed one leaves the
+        docs with it."""
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        registered = {flag for sub in subparsers.choices.values()
+                      for action in sub._actions
+                      if not isinstance(action, argparse._HelpAction)
+                      for flag in action.option_strings
+                      if flag.startswith("--")}
+        docs = Path(__file__).parents[1] / "docs" / "cli.md"
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                                    docs.read_text()))
+        assert sorted(registered - documented) == []
+        assert sorted(documented - registered) == []
 
     def test_prepare_parallel_flags(self):
         args = build_parser().parse_args(
@@ -105,7 +125,7 @@ class TestPrepareInfoPlay:
 
 
 class TestServe:
-    @pytest.mark.parametrize("flags", [["--reuse"], ["--reuse-tol", "0.01"]])
+    @pytest.mark.parametrize("flags", [["--reuse"]])
     def test_trace_mode_refuses_reuse(self, package_dir, flags, capsys):
         """Trace sessions run no SR engine, so ``--reuse`` used to print
         capacity numbers the flag never touched.  It is answered like
@@ -232,3 +252,19 @@ class TestPlan:
     def test_plan_desktop_no_oom(self, capsys):
         assert main(["plan", "--device", "desktop", "--resolution", "4k"]) == 0
         assert "OOM" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, valid", [
+        (["--resolution", "8k"], "'1080p', '4k', '720p'"),
+        (["--device", "phone"], "'desktop', 'jetson', 'laptop'"),
+    ])
+    def test_plan_rejects_an_unknown_name(self, flags, valid, capsys):
+        """A bad name is a usage error listing the valid ones (exit 2),
+        not a KeyError or ValueError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["plan"] + flags)
+        assert exc.value.code == 2
+        assert valid in capsys.readouterr().err
+
+    def test_plan_names_are_case_insensitive(self, capsys):
+        assert main(["plan", "--device", "Jetson", "--resolution", "4K"]) == 0
+        assert "OOM" in capsys.readouterr().out
