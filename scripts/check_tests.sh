@@ -87,6 +87,13 @@
 #     and strided views; a gated engine whose tile variances straddle
 #     the threshold runs and skips the same tiles and returns the same
 #     bits as with that expression (seconds).
+#   - tests/codec/test_frame_search.py — the encoder's whole-frame motion
+#     search: vector, SAD and mode equal to the per-macroblock search kept
+#     in tests/codec/scalar_reference.py over a seeded sweep (32x16,
+#     48x64, 48x80 and one 352x640 frame; search range 1, 3, 7, 20;
+#     half-pel on and off; P and B; constant, flat and striped frames
+#     where offsets tie; B frames with equal references), and its peak
+#     allocation at 352x640, +/-20 bounded by tracemalloc (seconds).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -112,6 +119,7 @@ GUARDS=(
     tests/codec/test_vector_parse.py
     tests/abr/test_playout_reference.py
     tests/sr/test_gate_statistic.py
+    tests/codec/test_frame_search.py
 )
 
 run_guards() {

@@ -25,7 +25,7 @@ from .encoder import (
     Encoder,
 )
 from .gop import FramePlan, count_types, plan_segment
-from .motion import MB, chroma_vector, compensate, motion_search
+from .motion import MB
 from .ratecontrol import RateControlResult, bitrate_of, encode_to_target_size
 from .quant import (
     MAX_CRF,
@@ -52,9 +52,6 @@ __all__ = [
     "qp_from_crf",
     "qstep_from_qp",
     "frequency_weights",
-    "motion_search",
-    "compensate",
-    "chroma_vector",
     "FramePlan",
     "plan_segment",
     "count_types",

@@ -56,13 +56,22 @@ class BitWriter:
             self._n_acc = 0
 
     def write_bits(self, value: int, n_bits: int) -> None:
-        """Write the ``n_bits`` low bits of ``value``, MSB first."""
+        """Write the ``n_bits`` low bits of ``value``, MSB first.
+
+        The value is shifted into the accumulator whole, and the whole
+        bytes it completes are flushed in one step.
+        """
         if n_bits < 0:
             raise ValueError("n_bits must be non-negative")
-        if value < 0 or (n_bits < 64 and value >> n_bits):
+        if value < 0 or value >> n_bits:
             raise ValueError(f"value {value} does not fit in {n_bits} bits")
-        for shift in range(n_bits - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        acc = (self._acc << n_bits) | value
+        n_acc = self._n_acc + n_bits
+        if n_acc >= 8:
+            whole, n_acc = n_acc >> 3, n_acc & 7
+            self._bytes += (acc >> n_acc).to_bytes(whole, "big")
+            acc &= (1 << n_acc) - 1
+        self._acc, self._n_acc = acc, n_acc
 
     def write_uint(self, value: int, n_bits: int = 32) -> None:
         """Fixed-width unsigned integer."""

@@ -22,8 +22,7 @@ from .dct import BLOCK, forward_dct, to_blocks
 from .deblock import deblock_frame
 from .entropy import encode_coeff_block, write_se, write_ue
 from .gop import FramePlan, plan_segment
-from .motion import (MB, compensate, compensate_halfpel, motion_search,
-                     motion_search_halfpel, predict_frame, vectors_leave_frame)
+from .motion import MB, predict_frame, search_frame, vectors_leave_frame
 from .quant import qp_for_frame_type, qp_from_crf, quantize
 from .residual import (add_residual, blocks_to_plane, encode_plane_intra,
                        macroblock_blocks)
@@ -245,20 +244,15 @@ class Encoder:
         """Motion-compensated coding against one (P) or two (B) references.
 
         Macroblocks of an inter frame depend on the references only, never
-        on each other, so after the per-macroblock search the whole frame
-        is predicted at once, and the residual is transformed, written and
-        reconstructed a band of macroblocks at a time — all through the
-        routines the decoder uses.
+        on each other, so the whole frame is searched and predicted at
+        once, and the residual is transformed, written and reconstructed a
+        band of macroblocks at a time — all through the routines the
+        decoder uses.
         """
         height, width = frame.size
         half_pel = self.config.half_pel
-        choices = [self._choose_prediction(frame, refs, y0, x0)
-                   for y0 in range(0, height, MB)
-                   for x0 in range(0, width, MB)]
-        modes = np.array([mode for mode, _ in choices], dtype=np.intp)
-        mvs = np.zeros((len(choices), 2, 2), dtype=np.int64)
-        for k, (_, vectors) in enumerate(choices):
-            mvs[k, :len(vectors)] = vectors
+        modes, mvs, _ = search_frame(frame.y, [ref.y for ref in refs],
+                                     self.config.search_range, half_pel)
         # A refined vector whose chroma compensation would leave the frame
         # (a rare alignment corner) falls back to its integer-pel part.
         mvs[vectors_leave_frame(height, width, modes, mvs, half_pel)] &= ~1
@@ -293,31 +287,3 @@ class Encoder:
         return YuvFrame(*(
             blocks_to_plane(plane.reshape(rows, cols, *plane.shape[1:]))
             for plane in prediction))
-
-    def _choose_prediction(
-        self, frame: YuvFrame, refs: list[YuvFrame], y0: int, x0: int,
-    ) -> tuple[int, list[tuple[int, int]]]:
-        """Search one macroblock; returns its ``(mode, motion vectors)``.
-
-        With half-pel enabled, motion vectors are in half-pel units.
-        """
-        search = self.config.search_range
-        half_pel = self.config.half_pel
-        searcher = motion_search_halfpel if half_pel else motion_search
-        candidates = []  # (sad, mode, mvs)
-        for ref_idx, ref in enumerate(refs):
-            dy, dx, sad = searcher(ref.y, frame.y, y0, x0, search)
-            candidates.append((sad, ref_idx, [(dy, dx)]))
-        if len(refs) == 2:
-            # Bidirectional: average the two best unidirectional predictions.
-            (_, _, mv_f), (_, _, mv_b) = candidates[0], candidates[1]
-            comp = compensate_halfpel if half_pel else compensate
-            pred_bi = 0.5 * (
-                comp(refs[0].y, y0, x0, *mv_f[0], MB, MB)
-                + comp(refs[1].y, y0, x0, *mv_b[0], MB, MB))
-            sad_bi = float(np.abs(
-                frame.y[y0:y0 + MB, x0:x0 + MB].astype(np.float64) - pred_bi
-            ).sum())
-            candidates.append((sad_bi, 2, [mv_f[0], mv_b[0]]))
-        _, mode, mvs = min(candidates, key=lambda c: c[0])
-        return mode, mvs

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter, CorruptStreamError
+from .bitstream import (_MAX_UE_PREFIX, BitReader, BitWriter,
+                        CorruptStreamError)
 
 __all__ = [
     "write_ue",
@@ -28,13 +29,17 @@ __all__ = [
 
 
 def write_ue(writer: BitWriter, value: int) -> None:
-    """Unsigned Exp-Golomb code."""
+    """Unsigned Exp-Golomb code: ``value + 1`` in binary after one zero per
+    bit past its first, written in one call.  Values whose prefix the
+    reader would reject (over ``_MAX_UE_PREFIX`` zeros) raise here."""
     if value < 0:
         raise ValueError(f"ue(v) requires v >= 0, got {value}")
     code = value + 1
     n_bits = code.bit_length()
-    writer.write_bits(0, n_bits - 1)  # prefix zeros
-    writer.write_bits(code, n_bits)
+    if n_bits - 1 > _MAX_UE_PREFIX:
+        raise ValueError(f"ue(v) takes v < 2**{_MAX_UE_PREFIX + 1} - 1, "
+                         f"got {value}")
+    writer.write_bits(code, 2 * n_bits - 1)
 
 
 def read_ue(reader: BitReader) -> int:

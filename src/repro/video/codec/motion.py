@@ -1,15 +1,17 @@
 """Block motion estimation and compensation (P/B-frame coding).
 
-Full-search block matching over a +/-R window with SAD cost, fully
-vectorised per macroblock via ``sliding_window_view``.  Motion vectors are
-restricted so the compensated block stays inside the reference frame (no
-border extension), which keeps encoder and decoder bit-exactly in sync.
+Full-search block matching over a +/-R window with SAD cost.  Motion
+vectors are restricted so the compensated block stays inside the reference
+frame (no border extension), which keeps encoder and decoder bit-exactly in
+sync.
 
-The search works one macroblock at a time (:func:`compensate`,
-:func:`compensate_halfpel`); once every macroblock has its mode and
-vectors, :func:`predict_frame` builds the whole frame's prediction —
-batched gathers per (reference, half-pel phase) — and is the single routine
-the encoder's reconstruction and the decoder share.
+Search and prediction both work on the whole frame.  :func:`search_frame`
+chooses every macroblock's mode and vectors in array passes — one per
+vertical offset and band of macroblock rows for the integer search, one
+per half-pel refinement, one for the bidirectional cost.
+:func:`predict_frame` then builds the frame's prediction — batched gathers
+per (reference, half-pel phase) — and is the single routine the encoder's
+reconstruction and the decoder share.
 """
 
 from __future__ import annotations
@@ -18,143 +20,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..frame import YuvFrame
+from .dct import to_blocks
 
-__all__ = ["MB", "motion_search", "compensate", "chroma_vector",
-           "motion_search_halfpel", "compensate_halfpel",
-           "chroma_vector_halfpel", "vectors_leave_frame", "predict_frame"]
+__all__ = ["MB", "search_frame", "vectors_leave_frame", "predict_frame"]
 
 MB = 16  # luma macroblock size
 # Macroblocks compensated per batch: bounds the gathered windows (and their
 # interpolation temporaries) at ~0.6 MB of float64.
 _SLAB = 256
-
-
-def motion_search(
-    reference: np.ndarray, target: np.ndarray, y: int, x: int,
-    search_range: int = 7, mb: int = MB,
-) -> tuple[int, int, float]:
-    """Find the best motion vector for the macroblock at ``(y, x)``.
-
-    Parameters
-    ----------
-    reference:
-        Reconstructed reference luma plane (float or uint8).
-    target:
-        Current frame's luma plane.
-    y, x:
-        Top-left corner of the macroblock in the current frame.
-
-    Returns
-    -------
-    (dy, dx, sad):
-        Displacement into the reference and the matching SAD.
-    """
-    h, w = reference.shape
-    block = target[y:y + mb, x:x + mb].astype(np.int32)
-    y_lo = max(0, y - search_range)
-    y_hi = min(h - mb, y + search_range)
-    x_lo = max(0, x - search_range)
-    x_hi = min(w - mb, x + search_range)
-    region = reference[y_lo:y_hi + mb, x_lo:x_hi + mb].astype(np.int32)
-    windows = sliding_window_view(region, (mb, mb))  # (ny, nx, mb, mb)
-    sads = np.abs(windows - block[None, None]).sum(axis=(2, 3))
-    flat = int(np.argmin(sads))
-    iy, ix = divmod(flat, sads.shape[1])
-    best_y, best_x = y_lo + iy, x_lo + ix
-    return best_y - y, best_x - x, float(sads[iy, ix])
-
-
-def compensate(
-    reference: np.ndarray, y: int, x: int, dy: int, dx: int,
-    height: int, width: int,
-) -> np.ndarray:
-    """Extract the motion-compensated prediction block from ``reference``."""
-    sy, sx = y + dy, x + dx
-    h, w = reference.shape
-    if sy < 0 or sx < 0 or sy + height > h or sx + width > w:
-        raise ValueError(
-            f"motion vector ({dy}, {dx}) at ({y}, {x}) leaves the reference "
-            f"frame of size {(h, w)}"
-        )
-    return reference[sy:sy + height, sx:sx + width].astype(np.float64)
-
-
-def chroma_vector(dy: int, dx: int) -> tuple[int, int]:
-    """Derive the 4:2:0 chroma motion vector from a luma vector.
-
-    Integer division with rounding toward negative infinity on both encoder
-    and decoder keeps them in sync.
-    """
-    return dy // 2, dx // 2
-
-
-# --------------------------------------------------------------- half-pel
-
-
-def compensate_halfpel(
-    reference: np.ndarray, y: int, x: int, dy_hp: int, dx_hp: int,
-    height: int, width: int,
-) -> np.ndarray:
-    """Motion compensation with half-pel vectors (units of 1/2 pixel).
-
-    Half-pel positions are bilinearly interpolated (the H.264 6-tap filter
-    simplified to 2-tap, which is exact for our synthetic content and keeps
-    encoder/decoder trivially in sync).
-    """
-    base_y, frac_y = dy_hp >> 1, dy_hp & 1
-    base_x, frac_x = dx_hp >> 1, dx_hp & 1
-    sy, sx = y + base_y, x + base_x
-    h, w = reference.shape
-    need_h = height + (1 if frac_y else 0)
-    need_w = width + (1 if frac_x else 0)
-    if sy < 0 or sx < 0 or sy + need_h > h or sx + need_w > w:
-        raise ValueError(
-            f"half-pel vector ({dy_hp}, {dx_hp}) at ({y}, {x}) leaves the "
-            f"reference frame of size {(h, w)}")
-    block = reference[sy:sy + need_h, sx:sx + need_w].astype(np.float64)
-    if frac_y:
-        block = 0.5 * (block[:-1, :] + block[1:, :])
-    if frac_x:
-        block = 0.5 * (block[:, :-1] + block[:, 1:])
-    return block
-
-
-def motion_search_halfpel(
-    reference: np.ndarray, target: np.ndarray, y: int, x: int,
-    search_range: int = 7, mb: int = MB,
-) -> tuple[int, int, float]:
-    """Integer full search plus half-pel refinement.
-
-    Returns ``(dy_hp, dx_hp, sad)`` with the vector in half-pel units.
-    """
-    int_dy, int_dx, best_sad = motion_search(reference, target, y, x,
-                                             search_range, mb)
-    block = target[y:y + mb, x:x + mb].astype(np.float64)
-    best = (2 * int_dy, 2 * int_dx)
-    for ddy in (-1, 0, 1):
-        for ddx in (-1, 0, 1):
-            if ddy == 0 and ddx == 0:
-                continue
-            cand = (2 * int_dy + ddy, 2 * int_dx + ddx)
-            try:
-                pred = compensate_halfpel(reference, y, x, cand[0], cand[1],
-                                          mb, mb)
-            except ValueError:
-                continue
-            sad = float(np.abs(block - pred).sum())
-            if sad < best_sad:
-                best, best_sad = cand, sad
-    return best[0], best[1], best_sad
-
-
-def chroma_vector_halfpel(dy_hp: int, dx_hp: int) -> tuple[int, int]:
-    """Chroma half-pel vector from a luma half-pel vector.
-
-    The chroma plane is half resolution, so the displacement in chroma
-    pixels is a quarter of the luma half-pel units; rounding to the nearest
-    half-pel with floor division keeps both sides deterministic.
-    """
-    return dy_hp // 2, dx_hp // 2
+# Bytes of one band's integer-search temporaries: the search takes as many
+# macroblock rows at a time as fit (at least one).
+_SEARCH_BYTES = 1 << 20
 
 
 # ------------------------------------------------------------ whole frame
@@ -206,8 +82,8 @@ def _gather(
     """``(K, size, size)`` compensated blocks of one reference plane.
 
     Blocks sharing a half-sample phase are gathered together and
-    interpolated as one batch (rows first, then columns, like
-    :func:`compensate_halfpel`), so no full-frame half-pel plane is built.
+    interpolated as one batch — the average of the two rows, then of the
+    two columns — so no full-frame half-pel plane is built.
     """
     corner, phase = _sources(origins, vectors, half_pel)
     out = np.empty((len(origins), size, size))
@@ -240,7 +116,7 @@ def predict_frame(
     that reference with the slot-0 vector, mode 2 averages reference 0 at
     slot 0 and reference 1 at slot 1.  With ``half_pel`` vectors are in
     half-pel units and bilinear interpolation applies.  Chroma vectors are
-    the luma vectors floor-halved (:func:`chroma_vector`).
+    the luma vectors floor-halved.
     """
     height, width = refs[0].y.shape
     leaving = vectors_leave_frame(height, width, modes, mvs, half_pel)
@@ -270,3 +146,171 @@ def predict_frame(
                     pred[idx[bi]] = 0.5 * (pred[idx[bi]] + blocks[bi])
         prediction.append(pred)
     return prediction[0], prediction[1], prediction[2]
+
+
+# ----------------------------------------------------------------- search
+
+
+def _integer_search(
+    reference: np.ndarray, target: np.ndarray, search_range: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-search integer vectors and SADs of every macroblock.
+
+    With |a - b| = 2 max(a, b) - a - b, one ``maximum`` per vertical offset
+    covers every horizontal offset of a band of macroblock rows (the
+    reference, padded by the window, seen through a strided view), two
+    reductions take its 16x16 block sums, and the reference's own block
+    sums come from one integral image.  The window is clamped to the frame,
+    offsets whose block leaves it are masked, and one ``argmin`` per band
+    scans the offsets in ascending ``(dy, dx)`` row-major order: a tie goes
+    to the first, as in a scan of each macroblock's clipped window.
+
+    Returns ``(n_mb, 2)`` vectors and ``(n_mb,)`` int64 SADs in raster
+    macroblock order.
+    """
+    height, width = target.shape
+    rows, cols = height // MB, width // MB
+    ry, rx = min(search_range, height - MB), min(search_range, width - MB)
+    ny, nx = 2 * ry + 1, 2 * rx + 1
+    padded = np.zeros((height + 2 * ry, width + 2 * rx), dtype=np.uint16)
+    padded[ry:ry + height, rx:rx + width] = reference
+    # [dx + rx, padded row, x]: each padded row shifted by every dx.
+    shifted = sliding_window_view(padded, width, axis=1).transpose(1, 0, 2)
+    integral = np.zeros((height + 2 * ry + 1, width + 2 * rx + 1),
+                        dtype=np.int32)
+    np.cumsum(np.cumsum(padded, axis=0, dtype=np.int32), axis=1,
+              out=integral[1:, 1:])
+    corner_sums = integral[MB:, MB:] - integral[:-MB, MB:]
+    corner_sums -= integral[MB:, :-MB]
+    corner_sums += integral[:-MB, :-MB]
+    # [dx + rx, padded row, macroblock column]: the shifted blocks' sums.
+    ref_sums = sliding_window_view(corner_sums, nx, axis=1)[:, :width:MB]
+    ref_sums = ref_sums.transpose(2, 0, 1)
+    target16 = target.astype(np.uint16)
+    target_sums = target16.reshape(rows, MB, cols, MB).sum(
+        axis=(1, 3), dtype=np.int64)
+    tops = np.arange(0, height, MB) + np.arange(-ry, ry + 1)[:, None]
+    lefts = np.arange(0, width, MB) + np.arange(-rx, rx + 1)[:, None]
+    off_rows = (tops < 0) | (tops > height - MB)       # [dy + ry, row]
+    off_cols = (lefts < 0) | (lefts > width - MB)      # [dx + rx, column]
+
+    band = max(1, _SEARCH_BYTES // (nx * (2 * MB * width + 9 * ny * cols)))
+    maxima = np.empty((nx, band * MB, width), dtype=np.uint16)
+    row_sums = np.empty((nx, band, width), dtype=np.uint16)
+    costs = np.empty((ny, nx, band, cols), dtype=np.int64)
+    vectors = np.empty((rows, cols, 2), dtype=np.int64)
+    sads = np.empty((rows, cols), dtype=np.int64)
+    for r0 in range(0, rows, band):
+        r1 = min(r0 + band, rows)
+        n, y0, y1 = r1 - r0, r0 * MB, r1 * MB
+        most, summed = maxima[:, :y1 - y0], row_sums[:, :n]
+        cost = costs[:, :, :n]
+        for iy in range(ny):
+            np.maximum(target16[y0:y1], shifted[:, y0 + iy:y1 + iy], out=most)
+            # A column of 16 samples sums to at most 16 * 255: a uint16.
+            np.add.reduce(most.reshape(nx, n, MB, width), axis=2,
+                          dtype=np.uint16, out=summed)
+            np.add.reduce(summed.reshape(nx, n, cols, MB), axis=3,
+                          dtype=np.int64, out=cost[iy])
+            cost[iy] *= 2
+            cost[iy] -= ref_sums[:, y0 + iy:y1 + iy:MB]
+        cost -= target_sums[r0:r1]
+        cost[off_rows[:, None, r0:r1, None] | off_cols[None, :, None, :]] = (
+            np.iinfo(np.int64).max)
+        flat = cost.reshape(ny * nx, n, cols)
+        sads[r0:r1] = flat.min(axis=0)
+        vectors[r0:r1, :, 0], vectors[r0:r1, :, 1] = np.divmod(
+            flat.argmin(axis=0), nx)
+    vectors -= (ry, rx)
+    return vectors.reshape(-1, 2), sads.reshape(-1)
+
+
+def _compensated_sads(
+    blocks: np.ndarray, refs: list[np.ndarray], origins: np.ndarray,
+    vectors: list[np.ndarray], half_pel: bool,
+) -> np.ndarray:
+    """float64 SAD of each target block against its compensated block in
+    the one reference, or against the mean of the two (``refs[i]`` read at
+    ``vectors[i]``), gathered ``_SLAB`` macroblocks at a time."""
+    out = np.empty(len(blocks))
+    for start in range(0, len(blocks), _SLAB):
+        part = slice(start, start + _SLAB)
+        pred = _gather(refs[0], origins[part], vectors[0][part], MB, half_pel)
+        if len(refs) == 2:
+            pred += _gather(refs[1], origins[part], vectors[1][part], MB,
+                            half_pel)
+            pred *= 0.5
+        pred -= blocks[part]
+        out[part] = np.abs(pred, out=pred).sum(axis=(1, 2))
+    return out
+
+
+def _refine_halfpel(
+    reference: np.ndarray, blocks: np.ndarray, origins: np.ndarray,
+    vectors: np.ndarray, sads: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half-pel refinement of integer vectors, every macroblock at once.
+
+    The 8 half-pel neighbours of each integer vector are tried in
+    ``(ddy, ddx)`` row-major order; one replaces the best so far only with
+    a strictly lower SAD, and one whose block leaves the frame is skipped.
+    Returns vectors in half-pel units and their float64 SADs.
+    """
+    limit = np.array(reference.shape) - MB
+    best, best_sad = 2 * vectors, sads.astype(np.float64)
+    for ddy in (-1, 0, 1):
+        for ddx in (-1, 0, 1):
+            if ddy == 0 and ddx == 0:
+                continue
+            candidate = 2 * vectors + (ddy, ddx)
+            corner, phase = _sources(origins, candidate, True)
+            inside = np.flatnonzero(
+                ((corner >= 0) & (corner + phase <= limit)).all(axis=1))
+            sad = _compensated_sads(blocks[inside], [reference],
+                                    origins[inside], [candidate[inside]], True)
+            wins = sad < best_sad[inside]
+            better = inside[wins]
+            best[better] = candidate[better]
+            best_sad[better] = sad[wins]
+    return best, best_sad
+
+
+def search_frame(
+    target: np.ndarray, refs: list[np.ndarray], search_range: int,
+    half_pel: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Choose the prediction of every macroblock of luma plane ``target``.
+
+    Each reference plane in ``refs`` (one for P, two for B; all uint8) gets
+    a full integer search over +/-``search_range``, refined to half-pel
+    when ``half_pel``.  With two references the bidirectional cost is that
+    of the mean of the two best predictions, and the mode is the first
+    minimum of (forward, backward, bidirectional).  Every SAD is exact in
+    float64 — samples are integers and predictions multiples of 1/8 — so
+    only the order of the comparisons decides ties.
+
+    Returns ``modes`` and ``mvs`` as in :func:`vectors_leave_frame` (slot 1
+    zero unless bidirectional) and the chosen prediction's float64 SAD, in
+    raster macroblock order.
+    """
+    height, width = target.shape
+    origins = _mb_origins(height, width)
+    blocks = to_blocks(target, MB).reshape(-1, MB, MB)
+    found = []
+    for ref in refs:
+        vectors, sads = _integer_search(ref, target, search_range)
+        if half_pel:
+            vectors, sads = _refine_halfpel(ref, blocks, origins, vectors,
+                                            sads)
+        found.append((vectors, sads.astype(np.float64, copy=False)))
+    mvs = np.zeros((len(origins), 2, 2), dtype=np.int64)
+    if len(refs) == 1:
+        mvs[:, 0] = found[0][0]
+        return np.zeros(len(origins), dtype=np.intp), mvs, found[0][1]
+    (fwd, sad_f), (bwd, sad_b) = found
+    sad_bi = _compensated_sads(blocks, refs, origins, [fwd, bwd], half_pel)
+    costs = np.stack([sad_f, sad_b, sad_bi], axis=1)
+    modes = costs.argmin(axis=1)
+    mvs[:, 0] = np.where(modes[:, None] == 1, bwd, fwd)
+    mvs[modes == 2, 1] = bwd[modes == 2]
+    return modes, mvs, costs[np.arange(len(modes)), modes]

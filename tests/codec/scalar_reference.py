@@ -1,5 +1,6 @@
-"""Scalar reference decoder: the block-at-a-time interpreter the codec
-shipped with before decode was batched per frame.
+"""Scalar reference codec: the block-at-a-time decoder the codec shipped
+with before decode was batched per frame, and the macroblock-at-a-time
+motion search the encoder ran before it searched whole frames.
 
 One Python call per bit, one ``predict_block`` and one einsum IDCT per 8x8
 block, one ``compensate_halfpel`` per macroblock plane, one deblocking pass
@@ -7,12 +8,16 @@ per edge.  It is slow and obviously sequential, which is what makes it an
 oracle: ``test_decode_oracle.py`` and ``test_decode_fuzz.py`` require the
 production decoder to return the same planes and ``n_bits`` (or to fail on
 the same inputs).  It reads through ``BitReader``'s public API only and
-raises plain ``ValueError`` / ``EOFError``.
+raises plain ``ValueError`` / ``EOFError``.  Likewise
+``test_frame_search.py`` requires ``motion.search_frame`` to return the
+vectors, SADs and modes of :func:`choose_prediction`, one macroblock at a
+time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.video.codec.bitstream import BitReader
 from repro.video.codec.dct import BLOCK, dct_matrix
@@ -112,6 +117,25 @@ def decode_plane_intra(reader: BitReader, height: int, width: int,
 
 # ------------------------------------------------------------------- motion
 
+def motion_search(reference, target, y, x, search_range=7, mb=MB):
+    """Integer full search of the macroblock at ``(y, x)`` over its window
+    clipped to the frame; ``np.argmin`` takes the first minimum in
+    ``(dy, dx)`` row-major order.  Returns ``(dy, dx, sad)``."""
+    h, w = reference.shape
+    block = target[y:y + mb, x:x + mb].astype(np.int32)
+    y_lo = max(0, y - search_range)
+    y_hi = min(h - mb, y + search_range)
+    x_lo = max(0, x - search_range)
+    x_hi = min(w - mb, x + search_range)
+    region = reference[y_lo:y_hi + mb, x_lo:x_hi + mb].astype(np.int32)
+    windows = sliding_window_view(region, (mb, mb))  # (ny, nx, mb, mb)
+    sads = np.abs(windows - block[None, None]).sum(axis=(2, 3))
+    flat = int(np.argmin(sads))
+    iy, ix = divmod(flat, sads.shape[1])
+    best_y, best_x = y_lo + iy, x_lo + ix
+    return best_y - y, best_x - x, float(sads[iy, ix])
+
+
 def compensate(reference, y, x, dy, dx, height, width):
     sy, sx = y + dy, x + dx
     h, w = reference.shape
@@ -119,6 +143,11 @@ def compensate(reference, y, x, dy, dx, height, width):
         raise ValueError(f"motion vector ({dy}, {dx}) at ({y}, {x}) leaves "
                          f"the reference frame of size {(h, w)}")
     return reference[sy:sy + height, sx:sx + width].astype(np.float64)
+
+
+def chroma_vector(dy, dx):
+    """4:2:0 chroma vector of a luma vector: floor division on both sides."""
+    return dy // 2, dx // 2
 
 
 def compensate_halfpel(reference, y, x, dy_hp, dx_hp, height, width):
@@ -137,6 +166,57 @@ def compensate_halfpel(reference, y, x, dy_hp, dx_hp, height, width):
     if frac_x:
         block = 0.5 * (block[:, :-1] + block[:, 1:])
     return block
+
+
+def motion_search_halfpel(reference, target, y, x, search_range=7, mb=MB):
+    """Integer full search, then the 8 half-pel neighbours in ``(ddy, ddx)``
+    row-major order, each kept only if strictly better.  Returns
+    ``(dy_hp, dx_hp, sad)`` with the vector in half-pel units."""
+    int_dy, int_dx, best_sad = motion_search(reference, target, y, x,
+                                             search_range, mb)
+    block = target[y:y + mb, x:x + mb].astype(np.float64)
+    best = (2 * int_dy, 2 * int_dx)
+    for ddy in (-1, 0, 1):
+        for ddx in (-1, 0, 1):
+            if ddy == 0 and ddx == 0:
+                continue
+            cand = (2 * int_dy + ddy, 2 * int_dx + ddx)
+            try:
+                pred = compensate_halfpel(reference, y, x, cand[0], cand[1],
+                                          mb, mb)
+            except ValueError:
+                continue
+            sad = float(np.abs(block - pred).sum())
+            if sad < best_sad:
+                best, best_sad = cand, sad
+    return best[0], best[1], best_sad
+
+
+def chroma_vector_halfpel(dy_hp, dx_hp):
+    """Chroma half-pel vector of a luma half-pel vector (floor-halved)."""
+    return dy_hp // 2, dx_hp // 2
+
+
+def choose_prediction(target, refs, y0, x0, search_range, half_pel):
+    """One macroblock's ``(mode, vectors, sad)`` against luma planes
+    ``refs`` (one for P, two for B): the best of forward, backward and the
+    mean of the two, the first minimum winning a tie."""
+    searcher = motion_search_halfpel if half_pel else motion_search
+    candidates = []  # (sad, mode, vectors)
+    for ref_idx, ref in enumerate(refs):
+        dy, dx, sad = searcher(ref, target, y0, x0, search_range)
+        candidates.append((sad, ref_idx, [(dy, dx)]))
+    if len(refs) == 2:
+        (_, _, mv_f), (_, _, mv_b) = candidates[0], candidates[1]
+        comp = compensate_halfpel if half_pel else compensate
+        pred_bi = 0.5 * (comp(refs[0], y0, x0, *mv_f[0], MB, MB)
+                         + comp(refs[1], y0, x0, *mv_b[0], MB, MB))
+        sad_bi = float(np.abs(
+            target[y0:y0 + MB, x0:x0 + MB].astype(np.float64) - pred_bi
+        ).sum())
+        candidates.append((sad_bi, 2, [mv_f[0], mv_b[0]]))
+    sad, mode, vectors = min(candidates, key=lambda c: c[0])
+    return mode, vectors, sad
 
 
 def predict_from_refs(refs, mode, mvs, y0, x0, half_pel):

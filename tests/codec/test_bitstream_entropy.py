@@ -48,6 +48,23 @@ class TestBitWriterReader:
         with pytest.raises(ValueError):
             BitWriter().write_bits(-1, 4)
 
+    @pytest.mark.parametrize("value,n_bits", [
+        (1 << 70, 64), (1 << 64, 64), (1 << 65, 65), (1, 0), (2**100, 99)])
+    def test_value_too_big_raises_at_every_width(self, value, n_bits):
+        w = BitWriter()
+        with pytest.raises(ValueError):
+            w.write_bits(value, n_bits)
+        assert w.bit_length == 0
+
+    @pytest.mark.parametrize("n_bits", [63, 64, 65, 129])
+    def test_widest_value_roundtrips(self, n_bits):
+        w = BitWriter()
+        w.write_bit(1)
+        w.write_bits((1 << n_bits) - 1, n_bits)
+        r = BitReader(w.getvalue())
+        assert r.read_bit() == 1
+        assert r.read_bits(n_bits) == (1 << n_bits) - 1
+
     def test_bit_length_tracks(self):
         w = BitWriter()
         assert w.bit_length == 0
@@ -71,6 +88,29 @@ class TestBitWriterReader:
         assert r.bits_remaining == 8
         r.read_bits(3)
         assert r.bits_remaining == 5
+
+    @given(st.integers(0, 7),
+           st.lists(st.tuples(st.integers(0, 2**140), st.integers(0, 130)),
+                    max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_property_write_bits_matches_per_bit_writer(self, lead, runs):
+        """One-shot ``write_bits`` gives the bytes and ``bit_length`` of a
+        writer that appends one bit at a time, from any bit offset and at
+        any width, 0 and >= 64 included."""
+        w, bits = BitWriter(), []
+        for bit in range(lead):
+            w.write_bit(bit & 1)
+            bits.append(bit & 1)
+        for value, n_bits in runs:
+            value &= (1 << n_bits) - 1
+            w.write_bits(value, n_bits)
+            bits.extend((value >> shift) & 1
+                        for shift in range(n_bits - 1, -1, -1))
+        assert w.bit_length == len(bits)
+        bits += [0] * (-len(bits) % 8)
+        assert w.getvalue() == bytes(
+            int("".join(map(str, bits[i:i + 8])), 2)
+            for i in range(0, len(bits), 8))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
     @settings(max_examples=30, deadline=None)
@@ -98,6 +138,23 @@ class TestExpGolomb:
     def test_ue_negative_raises(self):
         with pytest.raises(ValueError):
             write_ue(BitWriter(), -1)
+
+    @pytest.mark.parametrize("value", [2**64 - 1, 2**65 - 2])
+    def test_ue_roundtrips_at_the_reader_prefix_limit(self, value):
+        """64 prefix zeros: the longest code ``read_ue`` accepts."""
+        w = BitWriter()
+        w.write_bits(0b101, 3)
+        write_ue(w, value)
+        assert w.bit_length == 3 + 129
+        r = BitReader(w.getvalue())
+        assert r.read_bits(3) == 0b101
+        assert read_ue(r) == value
+
+    def test_ue_past_the_reader_prefix_limit_raises_at_write(self):
+        w = BitWriter()
+        with pytest.raises(ValueError):
+            write_ue(w, 2**65 - 1)
+        assert w.bit_length == 0
 
     def test_ue_code_lengths(self):
         """Small values use fewer bits (the point of Exp-Golomb)."""

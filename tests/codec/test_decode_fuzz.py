@@ -118,6 +118,13 @@ def test_mutated_streams_decode_or_raise_decode_error(seed, n_mutations):
     assert outcomes["decoded"] and outcomes["raised"], outcomes
 
 
+def _write_wide_se(writer, value):
+    """se(value) for a positive ``value`` of any size: from 2**64 on its
+    prefix is longer than ``write_ue`` will write, which is the point."""
+    code = 2 * value                    # ue(2 * value - 1) + 1
+    writer.write_bits(code, 2 * code.bit_length() - 1)
+
+
 def test_exp_golomb_window_read_matches_bit_by_bit():
     """``BitReader.read_ue`` finds the terminating 1 in a byte window; on
     sparse random bytes (long zero prefixes, early ends) it must return the
@@ -143,7 +150,7 @@ def test_exp_golomb_window_read_matches_bit_by_bit():
 
     for value in (2 ** 63, 2 ** 64):
         writer = BitWriter()
-        write_se(writer, value)
+        _write_wide_se(writer, value)
         write_se(writer, 0)
         writer.write_bit(1)
         with pytest.raises(CorruptStreamError):
@@ -151,7 +158,7 @@ def test_exp_golomb_window_read_matches_bit_by_bit():
         writer = BitWriter()
         for code in (1, 0):             # one nonzero, zero run
             write_ue(writer, code)
-        write_se(writer, value)
+        _write_wide_se(writer, value)
         with pytest.raises(CorruptStreamError):
             decode_coeff_block(BitReader(writer.getvalue()))
 

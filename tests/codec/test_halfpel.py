@@ -5,7 +5,7 @@ import pytest
 
 from repro.video import detect_segments, make_video, psnr_yuv, rgb_to_yuv420
 from repro.video.codec import CodecConfig, Decoder, Encoder
-from repro.video.codec.motion import (
+from .scalar_reference import (
     chroma_vector_halfpel,
     compensate,
     compensate_halfpel,
@@ -77,7 +77,7 @@ class TestSearchHalfpel:
         assert sad < 1e-6
 
     def test_never_worse_than_integer_search(self):
-        from repro.video.codec.motion import motion_search
+        from .scalar_reference import motion_search
         rng = np.random.default_rng(4)
         ref = rng.integers(0, 255, size=(64, 64)).astype(np.uint8)
         target = rng.integers(0, 255, size=(64, 64)).astype(np.uint8)

@@ -16,9 +16,6 @@ from repro.video.codec import (
     qstep_from_qp,
     qp_from_crf,
     frequency_weights,
-    motion_search,
-    compensate,
-    chroma_vector,
     plan_segment,
     count_types,
 )
@@ -29,6 +26,8 @@ from repro.video.codec.intra import (
     choose_mode,
     predict_block,
 )
+
+from .scalar_reference import chroma_vector, compensate, motion_search
 
 
 class TestDct:

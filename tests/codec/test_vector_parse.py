@@ -106,11 +106,18 @@ def test_full_size_frame_parses_as_the_walk_does(frame_segment):
 
 # ------------------------------------------- (b) one stream per anomaly
 
+def _ue(writer, value):
+    """ue(value) of any size: ``write_ue`` refuses a prefix over 64 zeros,
+    and the "prefix of 65 zeros" stream needs one."""
+    code = value + 1
+    writer.write_bits(code, 2 * code.bit_length() - 1)
+
+
 def _block(writer, mode=0, pairs=(), count=None):
     write_ue(writer, mode)
     write_ue(writer, len(pairs) if count is None else count)
     for run, level in pairs:
-        write_ue(writer, run)
+        _ue(writer, run)
         write_se(writer, level)
 
 

@@ -296,16 +296,16 @@ def test_kernel_beats_the_reference_kernel_at_frame_size():
     rng = np.random.default_rng(17)
     packed = _packed(rng, 12, 12, 3, "fp32")
     x = rng.standard_normal((1, 352, 640, 12)).astype(np.float32)
-
-    def best(fn, repeats=5):
-        fn(x, packed, relu=True)
-        times = []
-        for _ in range(repeats):
+    kernels = (F.conv2d_shift_nhwc, reference_shift.conv2d_shift_nhwc)
+    # Interleaved, so a burst of load on a shared machine lands on both
+    # kernels alike; the best of 15 each is what the kernel can do.
+    times = ([], [])
+    for kernel in kernels:
+        kernel(x, packed, relu=True)
+    for _ in range(15):
+        for kernel, runs in zip(kernels, times):
             start = time.perf_counter()
-            fn(x, packed, relu=True)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    new = best(F.conv2d_shift_nhwc)
-    old = best(reference_shift.conv2d_shift_nhwc)
+            kernel(x, packed, relu=True)
+            runs.append(time.perf_counter() - start)
+    new, old = min(times[0]), min(times[1])
     assert old / new >= 1.3, (old, new)
