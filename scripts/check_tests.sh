@@ -65,13 +65,17 @@
 #     and frame sized included), channels, kernel sizes, precisions and
 #     epilogues, one in-place sgemm per tap and frame, no frame-sized
 #     copy in the epilogue, zero pad pixels after every layer (seconds).
-#   - tests/codec/test_vector_parse.py — the I-frame decode's array
-#     passes: (modes, coded, levels, end bit) equal to the per-symbol walk
-#     kept in tests/codec/reference_intra.py on every I frame of the oracle
-#     and fuzz streams and one 352x640 frame, one hand-built stream per
-#     anomaly class ending as the scalar reference does, no
-#     BitReader.read_ue call after an intact I frame's header, fused
-#     Y/U/V wavefront equal to the per-plane one (seconds).
+#   - tests/codec/test_vector_parse.py — the decode's array passes: an
+#     I frame's (modes, coded, levels, end bit) equal to the per-symbol
+#     walk kept in tests/codec/reference_intra.py, a P or B frame's
+#     (modes, mvs, coded, levels, end bit) equal to the one kept in
+#     tests/codec/reference_inter.py, without a fallback, on every frame
+#     of the oracle and fuzz streams and on 352x640 I, P and B frames; one
+#     hand-built stream per anomaly class (intra and inter) ending as the
+#     scalar reference does; on 2,000 seeded random bit strings the inter
+#     passes return only what the walk returns, and fall back wherever it
+#     raises; BitReader.read_ue calls for frame headers
+#     only; fused Y/U/V wavefront equal to the per-plane one (seconds).
 #   - tests/abr/test_playout_reference.py — the ABR simulator on the
 #     shared PlayoutClock: over 2,000 seeded sessions (ladders with
 #     segments beyond the buffer cap and videos shorter than the startup

@@ -5,8 +5,8 @@ compressed segment sizes used in the bandwidth experiments (Figure 10) are
 measured, not estimated.
 
 Exp-Golomb data is read one code at the cursor (:meth:`BitReader.read_ue`:
-headers, inter frames, anything irregular) or tokenised whole — the code at
-*every* bit, :meth:`BitReader.ue_table` — for :mod:`.entropy`'s I-frame parse.
+headers, anything irregular) or tokenised whole — the code at *every* bit,
+:meth:`BitReader.ue_table` — for the frame parses' array passes.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ class BitReader:
         self._data = data
         self._pos = 0  # bit position
         self._end = len(data) * 8
-        self._ue_table: tuple[np.ndarray, np.ndarray] | None = None
+        #: Per-bit tables of the payload, built on first use and kept.
+        self.tables: dict[str, object] = {}
 
     def read_bit(self) -> int:
         pos = self._pos
@@ -169,7 +170,7 @@ class BitReader:
         following ``after`` ends there, and every bit passed on the way
         but the last starts a code :meth:`read_ue` reads alike.
         """
-        if self._ue_table is None:
+        if "ue" not in self.tables:
             raw = np.frombuffer(self._data, dtype=np.uint8)
             n = self._end
             bits = np.unpackbits(raw)
@@ -179,7 +180,7 @@ class BitReader:
             rank = np.cumsum(bits, dtype=np.int32) - bits
             lead = ones.astype(np.int32).take(rank)
             zeros = lead - np.arange(n, dtype=np.int32)
-            after = np.full(n + 2, n + 1)
+            after = np.full(n + 2, n + 1, dtype=np.int32)
             np.add(lead, zeros + 1, out=after[:n])
             after[:n][(zeros > _TABLE_PREFIX) | (after[:n] > n)] = n + 1
             # 64 bits from each byte on, big-endian, then from each bit on:
@@ -193,8 +194,8 @@ class BitReader:
                 np.uint8)
             value = code.astype(np.int32)
             value -= 1
-            self._ue_table = value, after
-        return self._ue_table
+            self.tables["ue"] = value, after
+        return self.tables["ue"]
 
     def seek(self, bit_position: int) -> None:
         """Move the cursor to a bit already known to lie in the data."""

@@ -41,29 +41,31 @@ def _filter_edges(plane: np.ndarray, qp: int, axis: int, block: int) -> None:
 
     An edge touches the two samples on each side of it, so with edges at
     least four samples apart no two edges share a sample and every edge of
-    the axis is filtered in one vectorised step.
+    the axis is filtered in one vectorised step, on contiguous copies of
+    the lines ``p1 p0 | q0 q1`` — strided views of the plane, every
+    ``block``-th line from an offset — written back at the end.
     """
     alpha, tc = deblock_strength(qp)
     lines = plane if axis == 0 else plane.T     # edges lie between lines
-    edges = np.arange(block, lines.shape[0], block)
-    # An edge on the plane's last line has no q1; q0 stands in for it.
-    outer = np.minimum(edges + 1, lines.shape[0] - 1)
-    p1, p0, q0, q1 = (lines[edges - 2], lines[edges - 1], lines[edges],
-                      lines[outer])
+    views = [lines[block + offset::block] for offset in (-2, -1, 0, 1)]
+    views[:2] = [view[:len(views[2])] for view in views[:2]]
+    p1, p0, q0, q1 = (np.array(view) for view in views)
+    # An edge on the plane's last line has no q1: q0 stands in for it in
+    # the artifact test, and no q1 is written there.
+    inner, near = q0[:len(q1)], slice(len(q1))
 
     step = q0 - p0
     # Artifact test: small boundary step, locally flat on both sides.
-    smooth = (np.abs(step) < alpha) & (np.abs(p1 - p0) < alpha) & (
-        np.abs(q1 - q0) < alpha)
+    smooth = (np.abs(step) < alpha) & (np.abs(p1 - p0) < alpha)
+    smooth[near] &= np.abs(q1 - inner) < alpha
     delta = np.clip(step / 4.0, -tc, tc) * smooth
     p0 += delta
     q0 -= delta
     # Soft second-tap correction pulls p1/q1 toward the filtered edge.
     p1 += np.clip((p0 - p1) / 4.0, -tc / 2, tc / 2) * smooth
-    q1 -= np.clip((q1 - q0) / 4.0, -tc / 2, tc / 2) * smooth
-    lines[edges - 2], lines[edges - 1] = p1, p0
-    lines[outer] = q1
-    lines[edges] = q0       # after q1: wins where q0 stood in for it
+    q1 -= np.clip((q1 - inner) / 4.0, -tc / 2, tc / 2) * smooth[near]
+    for view, line in zip(views, (p1, p0, q0, q1)):
+        view[...] = line
 
 
 def deblock_plane(plane: np.ndarray, qp: int, block: int = BLOCK) -> np.ndarray:
@@ -80,7 +82,8 @@ def deblock_plane(plane: np.ndarray, qp: int, block: int = BLOCK) -> np.ndarray:
     work = plane.astype(np.float64)
     _filter_edges(work, qp, axis=1, block=block)
     _filter_edges(work, qp, axis=0, block=block)
-    return np.clip(np.rint(work), 0, 255).astype(np.uint8)
+    np.rint(work, out=work)
+    return np.clip(work, 0, 255, out=work).astype(np.uint8)
 
 
 def deblock_frame(frame: YuvFrame, qp: int) -> YuvFrame:

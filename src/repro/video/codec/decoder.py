@@ -1,10 +1,10 @@
 """Video decoder with a decoded-picture buffer and an I-frame enhancement hook.
 
 A frame is decoded in three passes rather than block by block: one *parse*
-of its bits into level/mode/vector arrays (every grammar check lives there;
-array passes for an I frame, a walk otherwise), one batched *transform +
-motion compensation* over the frame, and — for I frames — *intra prediction*
-on one anti-diagonal wavefront for Y, U and V.  See docs/codec.md.
+of its bits into level/mode/vector arrays (array passes; every grammar
+check lives there), one batched *transform + motion compensation* over the
+frame, and — for I frames — *intra prediction* on one anti-diagonal
+wavefront for Y, U and V.  See docs/codec.md.
 
 This is the integration point of client-side dcSR (Figure 6): after an I
 frame is reconstructed into the DPB, an optional ``i_frame_hook`` is invoked
@@ -26,7 +26,7 @@ from .bitstream import (BitReader, CorruptStreamError, DecodeError,
 from .dct import BLOCK
 from .deblock import deblock_frame
 from .encoder import EncodedSegment, EncodedVideo
-from .motion import MB, predict_frame, vectors_leave_frame
+from .motion import MB, _predict_inside, vectors_leave_frame
 from .quant import MAX_CRF, qp_for_frame_type
 from .residual import (add_residual, blocks_to_plane,
                        parse_inter_macroblocks, parse_intra_blocks,
@@ -285,7 +285,7 @@ class Decoder:
             raise CorruptStreamError(
                 f"corrupt stream: motion vectors {mvs[k].tolist()} of "
                 f"macroblock {k} leave the reference frame")
-        prediction = predict_frame(refs, modes, mvs, half_pel)
+        prediction = _predict_inside(refs, modes, mvs, half_pel)
         add_residual(prediction, coded, levels, qp)
         return YuvFrame(*(
             blocks_to_plane(plane.reshape(rows, cols, *plane.shape[1:]))

@@ -22,7 +22,7 @@ from .dct import BLOCK, forward_dct, to_blocks
 from .deblock import deblock_frame
 from .entropy import encode_coeff_block, write_se, write_ue
 from .gop import FramePlan, plan_segment
-from .motion import MB, predict_frame, search_frame, vectors_leave_frame
+from .motion import MB, _predict_inside, search_frame, vectors_leave_frame
 from .quant import qp_for_frame_type, qp_from_crf, quantize
 from .residual import (add_residual, blocks_to_plane, encode_plane_intra,
                        macroblock_blocks)
@@ -257,7 +257,7 @@ class Encoder:
         # (a rare alignment corner) falls back to its integer-pel part.
         mvs[vectors_leave_frame(height, width, modes, mvs, half_pel)] &= ~1
 
-        prediction = predict_frame(refs, modes, mvs, half_pel)
+        prediction = _predict_inside(refs, modes, mvs, half_pel)
         rows, cols = height // MB, width // MB
         original = [to_blocks(plane, size).reshape(-1, size, size)
                     for plane, size in zip((frame.y, frame.u, frame.v),

@@ -172,6 +172,32 @@ def _follow(jump: np.ndarray, start: int, count: int) -> np.ndarray:
         jump = jump.take(jump)
 
 
+def _block_levels(
+    codes: np.ndarray, count_at: np.ndarray, n: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`scatter_levels`'s ``(coded, levels)`` of the blocks whose
+    ``ue(n_nonzero)`` is code ``count_at[b]``, pairs after it (``coded`` in
+    ``count_at`` order), or ``None`` if a count or zigzag position is big."""
+    n_coeffs = n * n
+    counts = codes[count_at]
+    if counts.max(initial=0) > n_coeffs:
+        return None
+    coded = np.flatnonzero(counts)
+    counts = counts[coded]
+    start = np.cumsum(counts) - counts      # a block's first coefficient
+    run_at = (np.repeat(count_at[coded] + 1 - 2 * start, counts)
+              + 2 * np.arange(counts.sum()))
+    ends = np.cumsum(codes[run_at] + 1, dtype=np.int64)
+    scan = ends - np.repeat(ends[start] - codes[run_at[start]], counts)
+    if scan.max(initial=0) >= n_coeffs:
+        return None
+    level = codes[run_at + 1].astype(np.int64)
+    levels = np.zeros((len(coded), n_coeffs), dtype=np.int64)
+    levels[np.repeat(np.arange(len(coded)), counts), zigzag_order(n)[scan]] = (
+        np.where(level & 1, (level + 1) >> 1, -(level >> 1)))
+    return coded, levels
+
+
 def read_led_blocks(
     reader: BitReader, n_blocks: int, n: int = 8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -179,10 +205,9 @@ def read_led_blocks(
     frame's block data — parsed without a per-symbol loop.
 
     Such data is Exp-Golomb codes end to end: the codes in use are the
-    chain of :meth:`BitReader.ue_table`'s ``after`` from the cursor, the
-    blocks' leads a chain over those (``k`` coefficients make ``2 + 2 * k``
-    codes), and runs become zigzag positions by a segmented cumulative
-    sum.  Returns ``(leads, coded, levels)``, the last two as
+    chain of :meth:`BitReader.ue_table`'s ``after`` from the cursor, and
+    the blocks' leads a chain over those (``k`` coefficients make ``2 + 2 *
+    k`` codes).  Returns ``(leads, coded, levels)``, the last two as
     :func:`scatter_levels` builds them, with the reader past the last
     block — or ``None``, reader untouched, where a code is beyond the
     table or the grammar is broken: the caller walks those bits code by
@@ -206,21 +231,27 @@ def read_led_blocks(
     if len(first) <= n_blocks or first[-1] > n_codes:
         return None
     first, stop = first[:-1], first[-1]
-    leads, counts = codes[first], codes[first + 1]
-    if counts.max() > n_coeffs:
+    parsed = _block_levels(codes, first + 1, n)
+    if parsed is None:
         return None
-    coded = np.flatnonzero(counts)
-    counts = counts[coded]
-    start = np.cumsum(counts) - counts      # a block's first coefficient
-    run_at = (np.repeat(first[coded] + 2 - 2 * start, counts)
-              + 2 * np.arange(counts.sum()))
-    ends = np.cumsum(codes[run_at] + 1, dtype=np.int64)
-    scan = ends - np.repeat(ends[start] - codes[run_at[start]], counts)
-    if scan.max(initial=0) >= n_coeffs:
-        return None
-    level = codes[run_at + 1].astype(np.int64)
-    levels = np.zeros((len(coded), n_coeffs), dtype=np.int64)
-    levels[np.repeat(np.arange(len(coded)), counts), zigzag_order(n)[scan]] = (
-        np.where(level & 1, (level + 1) >> 1, -(level >> 1)))
     reader.seek(int(after[at[stop - 1]]))
-    return leads.astype(np.intp), coded, levels
+    return codes[first].astype(np.intp), *parsed
+
+
+def _block_ends(value: np.ndarray, after: np.ndarray,
+               n_coeffs: int = 64) -> np.ndarray:
+    """Per bit of a :meth:`BitReader.ue_table` (or a slice of one), where a
+    block whose ``ue(n_nonzero)`` starts there ends — ``after`` taken ``1 +
+    2n`` times by pointer doubling — or the sentinel if n > ``n_coeffs``."""
+    ends = after.copy()
+    pairs = np.zeros_like(after)
+    pairs[:len(value)] = value
+    wide = np.flatnonzero(pairs > n_coeffs)
+    pairs[wide] = 0
+    jump = after.take(after)                # one (run, level) pair
+    for bit in range(n_coeffs.bit_length()):
+        # ``after**(2 * 2**bit)`` where the bit is set; a mask would branch.
+        ends += (jump.take(ends) - ends) * ((pairs >> bit) & 1)
+        jump = jump.take(jump)
+    ends[wide] = len(after) - 1
+    return ends

@@ -10,14 +10,15 @@ chooses every macroblock's mode and vectors in array passes — one per
 vertical offset and band of macroblock rows for the integer search, one
 per half-pel refinement, one for the bidirectional cost.
 :func:`predict_frame` then builds the frame's prediction — batched gathers
-per (reference, half-pel phase) — and is the single routine the encoder's
-reconstruction and the decoder share.
+per (reference, half-pel phase), summed as exact integers — through the
+one routine the encoder's reconstruction and the decoder share; each of
+them checks its vectors once, with :func:`vectors_leave_frame`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..frame import YuvFrame
 from .dct import to_blocks
@@ -25,9 +26,9 @@ from .dct import to_blocks
 __all__ = ["MB", "search_frame", "vectors_leave_frame", "predict_frame"]
 
 MB = 16  # luma macroblock size
-# Macroblocks compensated per batch: bounds the gathered windows (and their
-# interpolation temporaries) at ~0.6 MB of float64.
-_SLAB = 256
+# Macroblocks compensated per batch: bounds the gathered windows and their
+# uint16 sums at ~0.5 MB.
+_SLAB = 512
 # Bytes of one band's integer-search temporaries: the search takes as many
 # macroblock rows at a time as fit (at least one).
 _SEARCH_BYTES = 1 << 20
@@ -62,45 +63,39 @@ def vectors_leave_frame(
     bidirectional (mode 2) macroblocks only.  Luma and the derived chroma
     vectors are both tested, the latter against the half-size planes.
     """
-    origins = _mb_origins(height, width)
-    leaving = np.zeros(len(modes), dtype=bool)
-    for slot in (0, 1):
-        bad = np.zeros_like(leaving)
-        for shrink in (1, 2):       # luma, then 4:2:0 chroma
-            corner, phase = _sources(origins // shrink,
-                                     mvs[:, slot] // shrink, half_pel)
-            limit = np.array([height, width]) // shrink - MB // shrink
-            bad |= ((corner < 0) | (corner + phase > limit)).any(axis=1)
-        leaving |= bad if slot == 0 else bad & (modes == 2)
-    return leaving
+    shrink = np.array([1, 2])[:, None, None, None]     # luma, 4:2:0 chroma
+    corner, phase = _sources(_mb_origins(height, width)[:, None] // shrink,
+                             mvs // shrink, half_pel)
+    limit = np.array([height, width]) // shrink - MB // shrink
+    bad = ((corner < 0) | (corner + phase > limit)).any(axis=(0, 3))
+    return bad[:, 0] | (bad[:, 1] & (modes == 2))    # [macroblock, slot]
 
 
-def _gather(
-    plane: np.ndarray, origins: np.ndarray, vectors: np.ndarray, size: int,
-    half_pel: bool,
-) -> np.ndarray:
-    """``(K, size, size)`` compensated blocks of one reference plane.
-
-    Blocks sharing a half-sample phase are gathered together and
-    interpolated as one batch — the average of the two rows, then of the
-    two columns — so no full-frame half-pel plane is built.
+def _add_compensated(
+    acc: np.ndarray, rows: np.ndarray, planes: np.ndarray,
+    origins: np.ndarray, vectors: np.ndarray, half_pel: bool,
+) -> None:
+    """Add four times the compensated blocks of ``(n, h, w)`` planes that
+    share vectors (U and V) into uint16 ``acc[:, rows]``: an exact sum,
+    ``4a``, ``2(a + b)`` or ``a + b + c + d``.  Blocks sharing a half-pel
+    phase are gathered from one strided window view and summed as a batch.
     """
+    size = acc.shape[-1]
     corner, phase = _sources(origins, vectors, half_pel)
-    out = np.empty((len(origins), size, size))
+    n, height, width = planes.shape
     phase_code = 2 * phase[:, 0] + phase[:, 1]
     for code in np.unique(phase_code).tolist():
+        chosen = np.flatnonzero(phase_code == code)
         fy, fx = divmod(code, 2)
-        chosen = phase_code == code
-        windows = sliding_window_view(plane, (size + fy, size + fx))[
-            corner[chosen, 0], corner[chosen, 1]]
-        if fy:
-            windows = windows[:, :-1, :].astype(np.float64) + windows[:, 1:, :]
-            windows *= 0.5
-        if fx:
-            windows = windows[:, :, :-1].astype(np.float64) + windows[:, :, 1:]
-            windows *= 0.5
-        out[chosen] = windows
-    return out
+        windows = as_strided(
+            planes, (n, height - size - fy + 1, width - size - fx + 1,
+                     size + fy, size + fx),
+            planes.strides + planes.strides[1:])[
+                :, corner[chosen, 0], corner[chosen, 1]]
+        # Rows, then columns: a whole-pel block is added to itself.
+        windows = np.add(windows[:, :, :size], windows[:, :, fy:fy + size],
+                         dtype=np.uint16)
+        acc[:, rows[chosen]] += windows[..., :size] + windows[..., fx:]
 
 
 def predict_frame(
@@ -125,27 +120,33 @@ def predict_frame(
         raise ValueError(
             f"motion vectors {mvs[k].tolist()} of macroblock {k} leave the "
             f"reference frame of size {(height, width)}")
+    return _predict_inside(refs, modes, mvs, half_pel)
+
+
+def _predict_inside(
+    refs: list[YuvFrame], modes: np.ndarray, mvs: np.ndarray, half_pel: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`predict_frame` for vectors known to stay inside: each plane
+    accumulated as exact uint16 sums (four times each reference's block)
+    and scaled to float64 once, by 1/4, or 1/8 where bidirectional."""
+    height, width = refs[0].y.shape
     origins = _mb_origins(height, width)
     both = modes == 2
-    prediction = []
-    for name, shrink in (("y", 1), ("u", 2), ("v", 2)):
-        size = MB // shrink
-        pred = np.empty((len(modes), size, size))
-        for r, ref in enumerate(refs):
-            uses = np.flatnonzero(both | (modes == r))
-            vectors = np.where(both[:, None], mvs[:, r], mvs[:, 0])
-            for start in range(0, len(uses), _SLAB):
-                idx = uses[start:start + _SLAB]
-                blocks = _gather(getattr(ref, name), origins[idx] // shrink,
-                                 vectors[idx] // shrink, size, half_pel)
-                if r == 0:
-                    pred[idx] = blocks
-                else:
-                    bi = both[idx]
-                    pred[idx[~bi]] = blocks[~bi]
-                    pred[idx[bi]] = 0.5 * (pred[idx[bi]] + blocks[bi])
-        prediction.append(pred)
-    return prediction[0], prediction[1], prediction[2]
+    luma = np.zeros((1, len(modes), MB, MB), dtype=np.uint16)
+    chroma = np.zeros((2, len(modes), MB // 2, MB // 2), dtype=np.uint16)
+    for r, ref in enumerate(refs):
+        uses = np.flatnonzero(both | (modes == r))
+        vectors = np.where(both[uses, None], mvs[uses, r], mvs[uses, 0])
+        sources = ((luma, ref.y[None], 1),
+                   (chroma, np.stack([ref.u, ref.v]), 2))
+        for start in range(0, len(uses), _SLAB):
+            part = slice(start, start + _SLAB)
+            idx = uses[part]
+            for acc, planes, shrink in sources:
+                _add_compensated(acc, idx, planes, origins[idx] // shrink,
+                                 vectors[part] // shrink, half_pel)
+    scale = np.where(both, 0.125, 0.25)[:, None, None]
+    return luma[0] * scale, chroma[0] * scale, chroma[1] * scale
 
 
 # ----------------------------------------------------------------- search
@@ -231,17 +232,18 @@ def _compensated_sads(
 ) -> np.ndarray:
     """float64 SAD of each target block against its compensated block in
     the one reference, or against the mean of the two (``refs[i]`` read at
-    ``vectors[i]``), gathered ``_SLAB`` macroblocks at a time."""
+    ``vectors[i]``), ``_SLAB`` macroblocks at a time — exact, in integers
+    at the scale of :func:`_add_compensated`'s sums, then divided back."""
+    scale = 4 * len(refs)
     out = np.empty(len(blocks))
     for start in range(0, len(blocks), _SLAB):
         part = slice(start, start + _SLAB)
-        pred = _gather(refs[0], origins[part], vectors[0][part], MB, half_pel)
-        if len(refs) == 2:
-            pred += _gather(refs[1], origins[part], vectors[1][part], MB,
-                            half_pel)
-            pred *= 0.5
-        pred -= blocks[part]
-        out[part] = np.abs(pred, out=pred).sum(axis=(1, 2))
+        pred = np.zeros((1,) + blocks[part].shape, dtype=np.uint16)
+        for ref, vec in zip(refs, vectors):
+            _add_compensated(pred, np.arange(len(pred[0])), ref[None],
+                             origins[part], vec[part], half_pel)
+        diff = pred[0] - scale * blocks[part].astype(np.int32)
+        out[part] = np.abs(diff, out=diff).sum(axis=(1, 2)) / scale
     return out
 
 

@@ -4,10 +4,9 @@ A frame is handled in whole-frame passes rather than block by block:
 
 - **parse** (:func:`parse_intra_blocks`, :func:`parse_inter_macroblocks`):
   the frame's bits become the quantised levels of every 8x8 block that has
-  any, plus intra modes or B modes / motion vectors.  Inter frames are one
-  sequential walk; an intra frame, Exp-Golomb codes end to end, is parsed
-  in array passes (:func:`.entropy.read_led_blocks`) and walked only where
-  those balk.  Every grammar error is raised by the walk, at its bit.
+  any, plus intra modes or B modes / motion vectors, in array passes over
+  per-bit tables, walked code by code only where those balk.  Every
+  grammar error is raised by the walk, at its bit.
 - **transform** (:func:`transformed`): dequantisation and the inverse DCT
   run over all coded blocks of the frame, a large slab at a time.
 - **intra reconstruction** (:func:`reconstruct_intra`,
@@ -34,8 +33,9 @@ import numpy as np
 
 from .bitstream import BitReader, BitWriter, CorruptStreamError
 from .dct import BLOCK, forward_dct, from_blocks, inverse_dct, to_blocks
-from .entropy import (encode_coeff_block, read_block_levels, read_led_blocks,
-                      scatter_levels, write_ue)
+from .entropy import (_block_ends, _block_levels, _follow, encode_coeff_block,
+                      read_block_levels, read_led_blocks, scatter_levels,
+                      write_ue)
 from .intra import (INTRA_MODES, choose_modes, neighbours, predict_blocks,
                     stacked_wavefront, wavefront)
 from .motion import MB
@@ -97,6 +97,81 @@ def parse_intra_blocks(
             *scatter_levels(positions, values))
 
 
+def _macroblock_ends(reader: BitReader, start: int) -> tuple:
+    """``(origin, value, after, p_ends, b_ends)`` from the first inter
+    frame's bit ``origin`` on, counted from it: the ``ue_table`` slice and
+    where a P and a B macroblock starting at each bit ends, or ``after``'s
+    sentinel (its last index, its own image) if the grammar breaks."""
+    tables = reader.tables.get("macroblocks")
+    if tables is not None and tables[0] <= start:
+        return tables
+    value, after = reader.ue_table()
+    value, after = value[start:], after[start:] - start
+    n, sentinel = len(value), len(after) - 1
+    # Past a skip flag at each bit: ue(0) if set, six blocks if clear.
+    blocks = _block_ends(value, after)
+    two = blocks.take(blocks)
+    coded = two.take(two.take(two))[1:n + 1]
+    bit = np.arange(1, n + 1, dtype=np.int32)
+    past_flag = np.full(len(after), sentinel, dtype=np.int32)
+    past_flag[:n] = coded + (bit - coded) * (after[:n] == bit)
+    # P: two se, then the flag.  B: ue(mode), then 2 se, 4 for mode 2.
+    two = after.take(after)
+    flag = two.take(after)
+    both = np.flatnonzero(value == 2)
+    flag[both] = two.take(flag[both])
+    flag[:n][value > 2] = sentinel
+    reader.tables["macroblocks"] = tables = (
+        start, value, after, past_flag.take(two), past_flag.take(flag))
+    return tables
+
+
+def _read_macroblocks(
+    reader: BitReader, n_mb: int, bidirectional: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`parse_inter_macroblocks` in array passes, or ``None`` (reader
+    untouched) wherever the walk might differ.  The coded macroblocks'
+    block data, end to end, is one chain of codes, its leads one over it."""
+    origin, value, after, *ends = _macroblock_ends(reader, reader.bit_position)
+    ends = memoryview(ends[bidirectional])
+    bounds = [reader.bit_position - origin]
+    for _ in range(n_mb):
+        bounds.append(ends[bounds[-1]])
+    if bounds[-1] == len(ends) - 1:
+        return None
+    bounds = np.array(bounds, dtype=np.int32)
+    # [macroblock, code]: the header's codes and the flag after them.
+    head = [bounds[:-1]]
+    for _ in range(6):
+        head.append(after.take(head[-1]))
+    head = np.array(head).T
+    codes = value.take(head, mode="clip").astype(np.int64)
+    modes = codes[:, 0] * bidirectional
+    vectors = codes[:, bidirectional:bidirectional + 4]
+    vectors[:, 2:] *= (modes == 2)[:, None]
+    vectors = np.where(vectors & 1, (vectors + 1) >> 1, -(vectors >> 1))
+    flags = head[np.arange(n_mb), bidirectional + 2 + 2 * (modes == 2)]
+    coded_mb = np.flatnonzero(after.take(flags) != flags + 1)
+    # Bit ``c`` of the coded macroblocks' block data is bit ``c + shift[c]``.
+    sizes = bounds[coded_mb + 1] - flags[coded_mb] - 1
+    total = int(sizes.sum())
+    shift = np.repeat(flags[coded_mb] + 1 - (np.cumsum(sizes) - sizes), sizes)
+    bits = shift + np.arange(total)
+    jump = np.append(np.minimum(after.take(bits) - shift, total), total)
+    chain = _follow(jump, 0, total + 1)
+    codes = value.take(bits.take(chain[:np.searchsorted(chain, total)]))
+    hop = np.append(np.minimum(np.arange(1, len(codes) + 1) + 2 * codes,
+                               len(codes)), len(codes))
+    leads = _follow(hop, 0, BLOCKS_PER_MB * len(coded_mb))
+    parsed = _block_levels(codes, leads, BLOCK)
+    if parsed is None:
+        return None
+    blocks = BLOCKS_PER_MB * coded_mb[:, None] + np.arange(BLOCKS_PER_MB)
+    reader.seek(origin + int(bounds[-1]))
+    return (modes.astype(np.intp), vectors.reshape(n_mb, 2, 2),
+            blocks.reshape(-1)[parsed[0]], parsed[1])
+
+
 def parse_inter_macroblocks(
     reader: BitReader, n_mb: int, bidirectional: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -105,9 +180,12 @@ def parse_inter_macroblocks(
     Returns ``(modes, mvs, coded, levels)``: per macroblock the prediction
     mode (0 forward, 1 backward, 2 bidirectional; always 0 in a P frame) and
     its ``(2, 2)`` motion vectors ``[slot, (dy, dx)]`` (slot 1 is used by
-    mode 2 only), then the levels of the frame's
-    ``n_mb * BLOCKS_PER_MB`` blocks.
+    mode 2 only), then the levels of the frame's ``n_mb * BLOCKS_PER_MB``
+    blocks.  A frame the array passes balk at is walked code by code.
     """
+    parsed = _read_macroblocks(reader, n_mb, bidirectional)
+    if parsed is not None:
+        return parsed
     read_ue, read_se, read_bit = reader.read_ue, reader.read_se, reader.read_bit
     modes: list[int] = []
     mvs: list[tuple[int, int, int, int]] = []

@@ -7,6 +7,8 @@ from repro.video import detect_segments, make_video, psnr_yuv, rgb_to_yuv420
 from repro.video.codec import CodecConfig, Decoder, Encoder
 from repro.video.codec.deblock import deblock_plane, deblock_strength
 
+from . import scalar_reference as ref
+
 
 class TestDeblockPlane:
     def test_requires_uint8(self):
@@ -59,6 +61,43 @@ class TestDeblockPlane:
         out = deblock_plane(plane, 30)
         assert out.dtype == np.uint8
         assert out.shape == plane.shape
+
+
+def _content(kind: str, shape, rng) -> np.ndarray:
+    """A flat plane, 8x8 blocks of near-equal levels with a little noise
+    (the artifact the filter smooths), or uniform noise."""
+    if kind == "flat":
+        return np.full(shape, 117, dtype=np.uint8)
+    if kind == "random":
+        return rng.integers(0, 256, shape).astype(np.uint8)
+    rows, cols = -(-shape[0] // 8), -(-shape[1] // 8)
+    levels = np.repeat(np.repeat(rng.integers(96, 128, (rows, cols)), 8, 0),
+                       8, 1)[:shape[0], :shape[1]]
+    return (levels + rng.integers(-2, 3, shape)).astype(np.uint8)
+
+
+class TestDeblockMatchesScalarReference:
+    """``deblock_plane`` filters every edge of an axis through strided views
+    of the plane; ``scalar_reference.deblock_plane`` filters one edge at a
+    time.  Bit for bit the same at every size, QP and kind of content —
+    17x25 and 9x9 put edges on the last line and column, where q0 stands
+    in for the missing q1."""
+
+    @pytest.mark.parametrize("shape", [(9, 9), (17, 25), (48, 64),
+                                       (176, 320), (352, 640)],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_equals_the_per_edge_filter(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        changed = 0
+        for kind in ("flat", "blocky", "random"):
+            plane = _content(kind, shape, rng)
+            for qp in [*range(0, 51, 3), 51]:
+                got = deblock_plane(plane, qp)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, ref.deblock_plane(plane, qp)), (
+                    kind, qp)
+                changed += not np.array_equal(got, plane)
+        assert changed      # the sweep reaches the filter, not only its test
 
 
 class TestDeblockInLoop:

@@ -26,6 +26,7 @@ import pytest
 from repro.video import make_video
 from repro.video.codec import (CodecConfig, Decoder, Encoder, forward_dct,
                                inverse_dct)
+from repro.video.codec import motion
 from repro.video.codec.motion import MB, predict_frame, vectors_leave_frame
 from repro.video.frame import YuvFrame
 from repro.video.segment import Segment
@@ -149,6 +150,38 @@ def test_predict_frame_matches_per_macroblock_compensation(half_pel):
                     continue
                 for plane, block in zip(planes, want):  # macroblock-major
                     assert np.array_equal(plane[k], block)
+
+
+def test_predict_frame_matches_per_macroblock_compensation_across_slabs():
+    """At 352x640 — 880 macroblocks, so every reference's macroblocks take
+    more than one ``motion._SLAB`` — with every half-pel phase and mode 2
+    mixed in, ``predict_frame`` equals the per-macroblock compensation."""
+    rng = np.random.default_rng(12)
+    height, width = 352, 640
+    refs = [YuvFrame(rng.integers(0, 256, (height, width)),
+                     rng.integers(0, 256, (height // 2, width // 2)),
+                     rng.integers(0, 256, (height // 2, width // 2)))
+            for _ in range(2)]
+    origins = [(y0, x0) for y0 in range(0, height, MB)
+               for x0 in range(0, width, MB)]
+    n_mb = len(origins)
+    for n_refs in (1, 2):
+        modes = (rng.integers(0, 3, n_mb) if n_refs == 2
+                 else np.zeros(n_mb, dtype=np.intp))
+        mvs = rng.integers(-12, 13, (n_mb, 2, 2))
+        mvs[vectors_leave_frame(height, width, modes, mvs, True)] = 0
+        for r in range(n_refs):
+            assert ((modes == r) | (modes == 2)).sum() > motion._SLAB
+        used = np.concatenate([mvs[:, 0], mvs[modes == 2, 1]]) & 1
+        assert set((2 * used[:, 0] + used[:, 1]).tolist()) == {0, 1, 2, 3}
+        planes = predict_frame(refs[:n_refs], modes, mvs, True)
+        for k, ((y0, x0), mode, vectors) in enumerate(zip(origins, modes,
+                                                          mvs)):
+            want = ref.predict_from_refs(
+                refs[:n_refs], int(mode),
+                [tuple(v) for v in vectors.tolist()], y0, x0, True)
+            for plane, block in zip(planes, want):  # macroblock-major
+                assert np.array_equal(plane[k], block)
 
 
 class TestTransformMatchesEinsum:
