@@ -98,6 +98,13 @@
 #     half-pel on and off; P and B; constant, flat and striped frames
 #     where offsets tie; B frames with equal references), and its peak
 #     allocation at 352x640, +/-20 bounded by tracemalloc (seconds).
+#   - tests/test_cli_configs.py — the CLI's flag-to-config mapping: for a
+#     table of play/serve argv (every flag, the flagless runs, explicit
+#     defaults such as --fail-rate 0 and --sr-kernel shift) the configs,
+#     network, retry policy and controller arguments handed to
+#     DcsrClient / FleetSimulator equal the recorded ones; the library
+#     constructors are replaced by recorders, so it builds no package
+#     and plays nothing (about a second).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -124,6 +131,7 @@ GUARDS=(
     tests/abr/test_playout_reference.py
     tests/sr/test_gate_statistic.py
     tests/codec/test_frame_search.py
+    tests/test_cli_configs.py
 )
 
 run_guards() {

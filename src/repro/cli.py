@@ -13,6 +13,7 @@ End-to-end workflow from a shell::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -65,180 +66,90 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--train-cache", default=None, metavar="DIR",
                       help="content-addressed training cache directory; "
                            "rebuilds with unchanged clusters skip training")
-    prep.add_argument("--trace-out", default=None, metavar="FILE",
-                      help="write the build's span tree as JSON")
-    prep.add_argument("--metrics-out", default=None, metavar="FILE",
-                      help="write the build's metrics in Prometheus "
-                           "text format")
+    _add_shared_flags(prep, "build", session=False)
 
     info = sub.add_parser("info", help="inspect a stored package")
     info.add_argument("package", help="package directory")
 
-    play = sub.add_parser("play", help="stream a stored package")
+    # A ``play``/``serve`` flag that fills a config field is a view of it:
+    # its ``dest`` is the field name and its default SUPPRESS (the
+    # parser's ``argument_default``), so only what the user typed reaches
+    # ``config_from_args`` and the dataclass default is the only default.
+    play = sub.add_parser("play", help="stream a stored package",
+                          argument_default=argparse.SUPPRESS)
     play.add_argument("package", nargs="?", default=None,
                       help="package directory (omit with --url)")
     play.add_argument("--url", default=None, metavar="URL",
-                      help="stream from a real dcSR origin (see "
-                           "`serve-origin`) instead of a local package: "
-                           "the package is mirrored over HTTP and every "
-                           "download crosses an actual socket")
+                      help="mirror the package from a running "
+                           "`serve-origin` and download over real sockets")
     play.add_argument("--mirror", default=None, metavar="DIR",
                       help="directory the --url package is mirrored into "
                            "(default: a fresh temporary directory)")
     play.add_argument("--timeout", type=float, default=5.0, metavar="S",
-                      help="per-read stall budget for --url downloads "
-                           "(default 5s)")
-    play.add_argument("--reference", default=None,
-                      help="original video .npz for quality scoring")
-    play.add_argument("--fail-rate", type=float, default=0.0,
-                      help="injected per-download failure probability "
-                           "(simulated network; 0 disables)")
-    play.add_argument("--latency", type=float, default=0.0,
-                      help="simulated per-request latency in seconds")
-    play.add_argument("--bandwidth", type=float, default=None,
-                      help="simulated link bandwidth in bit/s "
-                           "(default: instantaneous)")
-    play.add_argument("--retries", type=int, default=3,
-                      help="retry budget per download (with backoff)")
-    play.add_argument("--fallback", action="store_true",
-                      help="play segments whose model fetch fails through "
-                           "a passthrough enhancer instead of raising")
-    play.add_argument("--net-seed", type=int, default=0,
+                      help="per-read stall budget for --url downloads")
+    play.add_argument("--net-seed", type=int, dest="seed",
                       help="failure-injection RNG seed")
-    play.add_argument("--tile", type=int, default=None, metavar="PX",
-                      help="SR tile edge in pixels (fast path; bounds peak "
-                           "memory, default whole-frame)")
-    play.add_argument("--sr-threads", type=int, default=None, metavar="N",
-                      help="worker threads for tiled SR (fast path; "
-                           "default 1)")
-    play.add_argument("--prefetch", type=int, default=None, metavar="N",
-                      help="segments to download+decode ahead of SR "
-                           "(fast path; default 0 = serial)")
+    play.add_argument("--tile", type=int, metavar="PX",
+                      help="SR tile edge in pixels (default whole-frame)")
+    play.add_argument("--sr-threads", type=int, metavar="N",
+                      help="worker threads for tiled SR")
+    play.add_argument("--prefetch", type=int, metavar="N",
+                      help="segments to download+decode ahead of SR")
     play.add_argument("--precision", choices=("fp32", "fp16", "int8"),
-                      default=None,
-                      help="SR kernel precision (fast path; quantized "
-                           "kernels also shrink model downloads when the "
-                           "manifest carries calibration records)")
-    play.add_argument("--skip-gate", type=float, default=None,
-                      metavar="VAR",
+                      help="SR kernel precision (quantized kernels also "
+                           "shrink calibrated model downloads)")
+    play.add_argument("--skip-gate", type=float, metavar="VAR",
                       help="route SR tiles whose luma variance is below "
-                           "VAR to bicubic upscaling (fast path; default "
-                           "off = bitwise-identical output)")
-    play.add_argument("--sr-batch", type=int, default=None, metavar="N",
-                      help="segment pipeline threads: decode and enhance "
-                           "N segments concurrently, each on its own "
-                           "decoder and SR engine (fast path; default 1)")
-    play.add_argument("--reuse", action="store_true",
-                      help="temporal tile reuse: emit the previous "
-                           "frame's SR output for tiles whose decoded "
-                           "content did not change (fast path; "
-                           "bitwise-identical output)")
-    play.add_argument("--sr-kernel", choices=("shift", "blocked"),
-                      default=None,
-                      help="conv kernel for the fast path: shift "
-                           "(tap-decomposed, default) or blocked "
-                           "(cache-blocked im2col GEMM)")
-    play.add_argument("--controller", choices=("greedy", "fixed", "off"),
-                      default="off",
-                      help="joint (SR tier + precision) controller at "
-                           "every segment boundary; needs --device "
-                           "(default off = pre-controller path, "
-                           "bitwise-identical)")
+                           "VAR to bicubic upscaling (default off)")
+    play.add_argument("--sr-batch", type=int, metavar="N",
+                      help="segment pipeline threads, each segment on its "
+                           "own decoder and SR engine")
+    play.add_argument("--sr-kernel", dest="kernel",
+                      choices=("shift", "blocked"),
+                      help="SR conv kernel: tap-decomposed shift or "
+                           "cache-blocked im2col GEMM")
     play.add_argument("--device", default=None,
-                      help="client device class for the power model: "
-                           "jetson / laptop / desktop")
-    play.add_argument("--power-budget", type=float, default=None,
-                      metavar="WATTS",
-                      help="session-average power budget the controller "
-                           "must respect (default: unconstrained)")
-    play.add_argument("--controller-tier", default=None, metavar="TIER",
-                      help="pinned tier for --controller fixed "
-                           "(e.g. dcSR-2; default: SR off)")
-    play.add_argument("--trace-out", default=None, metavar="FILE",
-                      help="write the session's span tree as JSON")
-    play.add_argument("--metrics-out", default=None, metavar="FILE",
-                      help="write the session's metrics in Prometheus "
-                           "text format")
+                      help="device power model: jetson / laptop / desktop")
+    _add_shared_flags(play, "session")
 
     serve = sub.add_parser(
-        "serve", help="simulate a fleet of concurrent streaming sessions")
+        "serve", help="simulate a fleet of concurrent streaming sessions",
+        argument_default=argparse.SUPPRESS)
     serve.add_argument("package", help="package directory")
-    serve.add_argument("--sessions", type=int, default=4,
+    serve.add_argument("--sessions", type=int,
                        help="number of viewer sessions to simulate")
     serve.add_argument("--mode", choices=("playback", "trace"),
-                       default="playback",
-                       help="playback = full media sessions; trace = "
-                            "byte-trace replicas (thousand-session scale)")
-    serve.add_argument("--arrival", default="all", metavar="SPEC",
-                       help="arrival schedule: all | poisson:<rate> | "
-                            "uniform:<gap-seconds>")
-    serve.add_argument("--bandwidth", type=float, default=None,
-                       help="shared uplink bandwidth in bit/s, split "
-                            "fairly among active transfers "
-                            "(default: instantaneous)")
-    serve.add_argument("--latency", type=float, default=0.0,
-                       help="simulated per-request latency in seconds")
-    serve.add_argument("--fail-rate", type=float, default=0.0,
-                       help="injected per-download failure probability")
-    serve.add_argument("--retries", type=int, default=3,
-                       help="retry budget per download (with backoff)")
-    serve.add_argument("--rate-limit", type=float, default=None,
-                       metavar="BPS",
-                       help="per-session token-bucket rate cap in bit/s "
-                            "(default: uncapped)")
-    serve.add_argument("--edges", type=int, default=1,
-                       help="edge caches in the CDN hierarchy; sessions "
-                            "shard across them by id")
+                       help="full media sessions or byte-trace replicas")
+    serve.add_argument("--arrival", metavar="SPEC",
+                       help="all | poisson:<rate> | uniform:<gap-seconds>")
+    serve.add_argument("--rate-limit", type=float, dest="rate_limit_bps",
+                       metavar="BPS", help="per-session token-bucket cap")
+    serve.add_argument("--edges", type=int,
+                       help="edge caches; sessions shard across them by id")
     serve.add_argument("--cache-admission",
                        choices=("always", "second-hit", "size-aware"),
-                       default="always",
                        help="edge cache admission policy for missed models")
-    serve.add_argument("--cache-capacity", type=int, default=None,
-                       metavar="N",
+    serve.add_argument("--cache-capacity", type=int, metavar="N",
                        help="per-edge model cache bound (default unbounded)")
-    serve.add_argument("--max-sessions", type=int, default=None, metavar="N",
-                       help="admission-control concurrency limit "
-                            "(default: admit everyone)")
+    serve.add_argument("--max-sessions", type=int, metavar="N",
+                       help="concurrent-session cap (default unlimited)")
     serve.add_argument("--admission", choices=("queue", "reject"),
-                       default="queue",
                        help="what to do with arrivals over --max-sessions")
-    serve.add_argument("--fallback", action="store_true",
-                       help="sessions play segments whose model fetch "
-                            "fails unenhanced instead of raising")
-    serve.add_argument("--seed", type=int, default=0,
+    serve.add_argument("--seed", type=int,
                        help="fleet seed (arrivals + per-session failures)")
-    serve.add_argument("--reuse", action="store_true",
-                       help="playback mode: enable exact temporal tile "
-                            "reuse in every session's SR engine")
-    serve.add_argument("--sr-demand-factor", type=float, default=1.0,
-                       metavar="F",
+    serve.add_argument("--sr-demand-factor", type=float, metavar="F",
                        help="trace mode: scale each session's modeled SR "
-                            "FLOP demand by F in [0, 1] (the measured "
-                            "fast-path savings from skip gate + reuse)")
-    serve.add_argument("--device", default=None, metavar="LIST",
-                       help="per-session device classes, cycled by "
-                            "session id: e.g. 'jetson,laptop,desktop'; "
-                            "enables fleet energy accounting")
-    serve.add_argument("--controller", choices=("greedy", "fixed", "off"),
-                       default="off",
-                       help="per-session joint SR controller (needs "
-                            "--device; default off)")
-    serve.add_argument("--power-budget", type=float, default=None,
-                       metavar="WATTS",
-                       help="session-average power budget per controller")
-    serve.add_argument("--controller-tier", default=None, metavar="TIER",
-                       help="pinned tier for --controller fixed")
-    serve.add_argument("--reference", default=None,
-                       help="original video .npz for quality scoring")
-    serve.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="write the fleet's span tree as JSON")
-    serve.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write the fleet's metrics in Prometheus "
-                            "text format")
+                            "FLOP demand by F in [0, 1]")
+    serve.add_argument("--device", dest="devices", metavar="LIST",
+                       type=lambda text: tuple(
+                           name.strip() for name in text.split(",")
+                           if name.strip()),
+                       help="device classes cycled by session id, e.g. "
+                            "'jetson,laptop,desktop'")
     serve.add_argument("--origin", default=None, metavar="URL",
-                       help="playback mode: every session downloads over "
-                            "real sockets from a running `serve-origin` "
-                            "at URL instead of the simulated pool")
+                       help="playback mode: download over real sockets "
+                            "from a running `serve-origin`")
+    _add_shared_flags(serve, "fleet")
 
     origin = sub.add_parser(
         "serve-origin",
@@ -257,6 +168,66 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=sorted(RESOLUTIONS))
     plan.add_argument("--segment-frames", type=int, default=30)
     return parser
+
+
+def _add_shared_flags(parser, scope: str, session: bool = True) -> None:
+    """Declare the flags ``play`` and ``serve`` share on ``parser``, or
+    with ``session=False`` only the two exports ``prepare`` takes too;
+    ``scope`` names what the exports describe."""
+    add = parser.add_argument
+    if session:
+        add("--reference", default=None,
+            help="original video .npz for quality scoring")
+        add("--fail-rate", type=float,
+            help="injected per-download failure probability")
+        add("--latency", type=float, dest="latency_s", metavar="S",
+            help="simulated per-request latency in seconds")
+        add("--bandwidth", type=float, dest="bandwidth_bps", metavar="BPS",
+            help="simulated link bandwidth in bit/s (default instantaneous)")
+        add("--retries", type=int, help="retry budget per download")
+        add("--fallback", action="store_true",
+            help="play segments whose model fetch fails unenhanced")
+        add("--reuse", action="store_true",
+            help="replay the previous frame's SR output for unchanged "
+                 "tiles (bitwise-identical; serve: --mode playback)")
+        add("--controller", choices=("greedy", "fixed", "off"),
+            help="joint SR tier + precision controller; needs --device")
+        add("--power-budget", type=float, dest="power_budget_w",
+            metavar="WATTS", help="session-average controller power budget")
+        add("--controller-tier", metavar="TIER",
+            help="pinned tier for --controller fixed (default: SR off)")
+    add("--trace-out", default=None, metavar="FILE",
+        help=f"write the {scope}'s span tree as JSON")
+    add("--metrics-out", default=None, metavar="FILE",
+        help=f"write the {scope}'s metrics in Prometheus text format")
+
+
+def config_from_args(cls, args, **fields):
+    """A ``cls`` from the flags the user typed plus ``fields``, or ``None``
+    when there are neither.  An untyped flag is absent from ``args``, so
+    the dataclass default fills it, and an explicit invalid value
+    (``--sr-batch 0``) reaches the config's own check."""
+    fields.update((field.name, getattr(args, field.name))
+                  for field in dataclasses.fields(cls) if field.name in args)
+    return cls(**fields) if fields else None
+
+
+def _shapes_link(config) -> bool:
+    """Whether a ``NetworkConfig`` or ``FleetConfig`` (or ``None``) sets a
+    simulated-link field off its dataclass default."""
+    if config is None:
+        return False
+    default = type(config)()
+    return any(getattr(config, name, None) != getattr(default, name, None)
+               for name in ("fail_rate", "latency_s", "bandwidth_bps",
+                            "rate_limit_bps"))
+
+
+def _usage_error(args, exc) -> int:
+    """Report a rejected flag value or combination the way argparse
+    reports a malformed flag: on stderr, rc 2."""
+    print(f"repro-dcsr {args.command}: error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _cmd_generate(args) -> int:
@@ -379,6 +350,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_play(args) -> int:
+    from .control import build_controller
     from .core import (
         DcsrClient,
         FastPathConfig,
@@ -387,36 +359,39 @@ def _cmd_play(args) -> int:
         SimulatedNetwork,
         load_package,
     )
-
+    from .devices import get_device
     from .obs import Observability
 
-    if (args.package is None) == (args.url is None):
-        print("play needs exactly one source: a package directory "
-              "or --url", file=sys.stderr)
-        return 2
-    # Only what the user typed reaches the config: its own defaults fill
-    # the rest, and an explicit invalid value (``--sr-batch 0``) reaches
-    # its checks instead of being mistaken for "unset" — here, before
-    # anything is mirrored or downloaded.
-    typed = {"tile": args.tile, "sr_threads": args.sr_threads,
-             "prefetch": args.prefetch, "precision": args.precision,
-             "skip_gate": args.skip_gate, "sr_batch": args.sr_batch,
-             "reuse": True if args.reuse else None,
-             "kernel": args.sr_kernel}
-    typed = {name: value for name, value in typed.items()
-             if value is not None}
-    fast = FastPathConfig(**typed) if typed else None
+    # Every config is built, the controller included, before anything is
+    # loaded, mirrored or downloaded.
+    try:
+        if (args.package is None) == (args.url is None):
+            raise ValueError("play needs exactly one source: a package "
+                             "directory or --url")
+        fast = config_from_args(FastPathConfig, args)
+        link = config_from_args(NetworkConfig, args)
+        retry = config_from_args(RetryPolicy, args) or RetryPolicy()
+        if args.url is not None and _shapes_link(link):
+            raise ValueError(
+                "--fail-rate/--latency/--bandwidth shape the simulated "
+                "network; with --url, faults and timing come from the wire "
+                "(put a chaos proxy in front to inject them)")
+        controller = None
+        if "controller" in args and args.controller != "off":
+            if args.device is None:
+                raise ValueError("--controller needs --device "
+                                 "(the power model)")
+            controller = build_controller(
+                args.controller, get_device(args.device),
+                power_budget_w=getattr(args, "power_budget_w", None),
+                tier=getattr(args, "controller_tier", None))
+        if fast is not None:
+            fast.validate(controller)
+    except (ValueError, TypeError) as exc:
+        return _usage_error(args, exc)
     obs = Observability(root_name="play")
     reference = _load_clip(args.reference).frames if args.reference else None
-    network = None
     if args.url is not None:
-        if args.fail_rate > 0 or args.latency > 0 \
-                or args.bandwidth is not None:
-            print("--fail-rate/--latency/--bandwidth shape the simulated "
-                  "network; with --url, faults and timing come from the "
-                  "wire (put a chaos proxy in front to inject them)",
-                  file=sys.stderr)
-            return 2
         import tempfile
 
         from .net import HttpTransport, mirror_package
@@ -427,26 +402,9 @@ def _cmd_play(args) -> int:
         print(f"mirrored {args.url} -> {mirror_dir}")
     else:
         package = load_package(args.package)
-        if args.fail_rate > 0 or args.latency > 0 \
-                or args.bandwidth is not None:
-            network = SimulatedNetwork(NetworkConfig(
-                fail_rate=args.fail_rate, latency_s=args.latency,
-                bandwidth_bps=args.bandwidth, seed=args.net_seed))
-    controller = None
-    if args.controller != "off":
-        if args.device is None:
-            print("--controller needs --device (the power model)",
-                  file=sys.stderr)
-            return 2
-        from .control import build_controller
-        from .devices import get_device
-
-        controller = build_controller(
-            args.controller, get_device(args.device),
-            power_budget_w=args.power_budget, tier=args.controller_tier)
-    client = DcsrClient(package, network=network,
-                        retry=RetryPolicy(retries=args.retries),
-                        fallback=args.fallback, fast_path=fast,
+        network = SimulatedNetwork(link) if _shapes_link(link) else None
+    client = DcsrClient(package, network=network, retry=retry,
+                        fallback="fallback" in args, fast_path=fast,
                         obs=obs, controller=controller)
     try:
         result = client.play(reference)
@@ -477,50 +435,28 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .core import load_package
+    from .core import FastPathConfig, load_package
     from .obs import Observability
     from .serve import FleetConfig, FleetSimulator
 
+    try:
+        config = config_from_args(
+            FleetConfig, args,
+            fast_path=config_from_args(FastPathConfig, args))
+        if args.origin is not None and config.mode != "playback":
+            raise ValueError("--origin drives real downloads and needs "
+                             "--mode playback")
+        if args.origin is not None and _shapes_link(config):
+            raise ValueError(
+                "--fail-rate/--latency/--bandwidth/--rate-limit shape the "
+                "simulated pool; with --origin, timing comes from the wire")
+    except (ValueError, TypeError) as exc:
+        return _usage_error(args, exc)
     package = load_package(args.package)
     reference = _load_clip(args.reference).frames if args.reference else None
-    fast_path = None
-    if args.reuse:
-        if args.mode != "playback":
-            print("--reuse configures the sessions' SR engines and needs "
-                  "--mode playback (trace mode runs no SR)",
-                  file=sys.stderr)
-            return 2
-        from .core import FastPathConfig
-        fast_path = FastPathConfig(reuse=True)
-    devices = tuple(d.strip() for d in args.device.split(",") if d.strip()) \
-        if args.device else ()
-    config = FleetConfig(
-        sessions=args.sessions, mode=args.mode, arrival=args.arrival,
-        bandwidth_bps=args.bandwidth, latency_s=args.latency,
-        fail_rate=args.fail_rate, retries=args.retries,
-        rate_limit_bps=args.rate_limit, edges=args.edges,
-        cache_admission=args.cache_admission,
-        cache_capacity=args.cache_capacity,
-        max_sessions=args.max_sessions, admission=args.admission,
-        fallback=args.fallback, seed=args.seed,
-        fast_path=fast_path, sr_demand_factor=args.sr_demand_factor,
-        devices=devices, controller=args.controller,
-        power_budget_w=args.power_budget,
-        controller_tier=args.controller_tier,
-    )
     obs = Observability(root_name="serve")
     network_factory = None
     if args.origin is not None:
-        if args.mode != "playback":
-            print("--origin drives real downloads and needs "
-                  "--mode playback", file=sys.stderr)
-            return 2
-        if args.fail_rate > 0 or args.latency > 0 \
-                or args.bandwidth is not None or args.rate_limit is not None:
-            print("--fail-rate/--latency/--bandwidth/--rate-limit shape "
-                  "the simulated pool; with --origin, timing comes from "
-                  "the wire", file=sys.stderr)
-            return 2
         from .net import HttpTransport
 
         def network_factory(session_id: int, arrival_s: float):

@@ -81,8 +81,10 @@ def enhance_yuv_frame(engine: InferenceEngine, frame: YuvFrame) -> YuvFrame:
 
 @dataclass(frozen=True)
 class FastPathConfig:
-    """Client inference fast-path knobs (``cli play --tile/--sr-threads/
-    --prefetch``).
+    """Client inference fast-path knobs: ``cli play`` parses ``--tile``,
+    ``--sr-threads``, ``--prefetch``, ``--precision``, ``--skip-gate``,
+    ``--sr-batch``, ``--reuse`` and ``--sr-kernel`` (``kernel``) straight
+    into these fields.
 
     Every SR inference of a :class:`DcsrClient` session runs on a
     :class:`~repro.sr.engine.InferenceEngine` built from these knobs, one

@@ -80,8 +80,7 @@ def _trace(layer: nn.Layer, shape: tuple, acc: dict) -> tuple:
         acc["flops"] += 2 * in_f * out_f + out_f
         _record_activation(acc, (out_f,))
         return (out_f,)
-    if isinstance(layer, (nn.ReLU, nn.LeakyReLU, nn.Sigmoid, nn.Tanh,
-                          nn.Scale)):
+    if isinstance(layer, (nn.ReLU, nn.Sigmoid, nn.Tanh, nn.Scale)):
         acc["flops"] += _shape_size(shape)
         return shape
     if isinstance(layer, nn.PixelShuffle):
@@ -95,16 +94,10 @@ def _trace(layer: nn.Layer, shape: tuple, acc: dict) -> tuple:
         out = (c, h * layer.scale, w * layer.scale)
         _record_activation(acc, out)
         return out
-    if isinstance(layer, nn.AvgPool2d):
-        c, h, w = shape
-        acc["flops"] += _shape_size(shape)
-        return (c, h // layer.kernel, w // layer.kernel)
     if isinstance(layer, nn.Flatten):
         return (_shape_size(shape),)
     if isinstance(layer, nn.Reshape):
         return layer.shape
-    if isinstance(layer, nn.Identity):
-        return shape
     # Unknown composite: try common attribute conventions before giving up.
     for attr in ("body", "inner"):
         if hasattr(layer, attr):

@@ -8,13 +8,10 @@ backward pass is verified against finite differences in the test suite.
 
 from .blocks import GlobalSkip, ResidualBlock, Upsampler
 from .layers import (
-    AvgPool2d,
     Conv2d,
     Dense,
     Flatten,
-    Identity,
     Layer,
-    LeakyReLU,
     NearestUpsample,
     PixelShuffle,
     ReLU,
@@ -42,18 +39,15 @@ from .tensor import Parameter
 __all__ = [
     "Parameter",
     "Layer",
-    "Identity",
     "Conv2d",
     "Dense",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
     "Tanh",
     "Flatten",
     "Reshape",
     "PixelShuffle",
     "NearestUpsample",
-    "AvgPool2d",
     "Scale",
     "Sequential",
     "ResidualBlock",

@@ -36,8 +36,6 @@ __all__ = [
     "pixel_shuffle",
     "pixel_unshuffle",
     "pixel_shuffle_nhwc",
-    "avg_pool2d_forward",
-    "avg_pool2d_backward",
     "nearest_upsample",
     "nearest_downsample_grad",
 ]
@@ -561,22 +559,6 @@ def pixel_shuffle_nhwc(x: np.ndarray, scale: int) -> np.ndarray:
     x = x.reshape(n, h, w, cout, r, r)
     x = x.transpose(0, 1, 4, 2, 5, 3)  # (N, H, r, W, r, Cout)
     return np.ascontiguousarray(x).reshape(n, h * r, w * r, cout)
-
-
-def avg_pool2d_forward(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Non-overlapping average pooling (stride == kernel)."""
-    n, c, h, w = x.shape
-    if h % kernel != 0 or w % kernel != 0:
-        raise ValueError(f"spatial dims ({h}, {w}) not divisible by pool {kernel}")
-    x = x.reshape(n, c, h // kernel, kernel, w // kernel, kernel)
-    return x.mean(axis=(3, 5))
-
-
-def avg_pool2d_backward(grad_out: np.ndarray, kernel: int) -> np.ndarray:
-    """Backward of :func:`avg_pool2d_forward`: spread gradient uniformly."""
-    scale = 1.0 / (kernel * kernel)
-    g = np.repeat(np.repeat(grad_out, kernel, axis=2), kernel, axis=3)
-    return g * scale
 
 
 def nearest_upsample(x: np.ndarray, scale: int) -> np.ndarray:

@@ -28,18 +28,15 @@ from .tensor import Parameter
 
 __all__ = [
     "Layer",
-    "Identity",
     "Conv2d",
     "Dense",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
     "Tanh",
     "Flatten",
     "Reshape",
     "PixelShuffle",
     "NearestUpsample",
-    "AvgPool2d",
     "Scale",
     "Sequential",
 ]
@@ -66,14 +63,6 @@ class Layer:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
-
-
-class Identity(Layer):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out
 
 
 class Conv2d(Layer):
@@ -211,18 +200,6 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class LeakyReLU(Layer):
-    def __init__(self, slope: float = 0.2):
-        self.slope = float(slope)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.slope * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_out, self.slope * grad_out)
-
-
 class Sigmoid(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         # Numerically stable logistic: exp(-|x|) <= 1 never overflows, and
@@ -296,19 +273,6 @@ class NearestUpsample(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return F.nearest_downsample_grad(grad_out, self.scale)
-
-
-class AvgPool2d(Layer):
-    """Non-overlapping average pooling."""
-
-    def __init__(self, kernel: int):
-        self.kernel = int(kernel)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return F.avg_pool2d_forward(x, self.kernel)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.avg_pool2d_backward(grad_out, self.kernel)
 
 
 class Scale(Layer):

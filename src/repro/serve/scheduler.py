@@ -88,7 +88,8 @@ FLEET_MODES = ("playback", "trace")
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Shape of one fleet run (``cli serve`` mirrors these knobs).
+    """Shape of one fleet run: ``cli serve`` parses its flags straight
+    into these fields (``--reuse`` into ``fast_path``).
 
     Parameters
     ----------
@@ -133,9 +134,9 @@ class FleetConfig:
         Optional :class:`~repro.core.client.FastPathConfig` every
         playback-mode session plays with (tiling, quantized kernels, the
         skip gate, temporal reuse).  ``None`` plays a client's default,
-        ``FastPathConfig(calibrate=False)``.  Ignored in trace mode —
-        see ``sr_demand_factor`` (``cli serve --mode trace`` refuses
-        ``--reuse`` rather than ignore it).
+        ``FastPathConfig(calibrate=False)``.  Rejected in trace mode,
+        whose sessions run no SR: ``sr_demand_factor`` models the fast
+        path there.
     sr_demand_factor:
         Trace mode's model of the client fast path: the fraction of a
         session's *nominal* per-I-frame SR FLOPs it would actually
@@ -234,10 +235,12 @@ class FleetConfig:
         if self.controller != "off" and not self.devices:
             raise ValueError("a joint controller needs --device classes "
                              "(energy has no meaning without a power model)")
-        if self.mode == "playback" and self.fast_path is not None \
-                and self.controller != "off":
-            # Each playback session's client runs this check; trace
-            # sessions ignore ``fast_path``.
+        if self.fast_path is not None and self.mode != "playback":
+            raise ValueError(
+                "fast_path configures the sessions' SR engines and needs "
+                "--mode playback (trace sessions run no SR)")
+        if self.fast_path is not None and self.controller != "off":
+            # Each playback session's client runs this check.
             self.fast_path.validate(self.controller)
         if self.power_budget_w is not None and self.power_budget_w <= 0:
             raise ValueError("power_budget_w must be > 0 (or None)")

@@ -197,24 +197,6 @@ class TestPixelShuffle:
         np.testing.assert_array_equal(x, y)
 
 
-class TestPooling:
-    def test_avg_pool_constant(self):
-        x = np.full((1, 2, 4, 4), 3.0, dtype=np.float32)
-        y = F.avg_pool2d_forward(x, 2)
-        np.testing.assert_allclose(y, 3.0)
-        assert y.shape == (1, 2, 2, 2)
-
-    def test_avg_pool_grad_spreads(self):
-        g = np.ones((1, 1, 2, 2), dtype=np.float32)
-        gx = F.avg_pool2d_backward(g, 2)
-        np.testing.assert_allclose(gx, 0.25)
-        assert gx.shape == (1, 1, 4, 4)
-
-    def test_avg_pool_indivisible_raises(self):
-        with pytest.raises(ValueError):
-            F.avg_pool2d_forward(np.zeros((1, 1, 5, 4), np.float32), 2)
-
-
 class TestUpsample:
     def test_nearest_upsample_values(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)

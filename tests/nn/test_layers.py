@@ -36,9 +36,6 @@ class TestGradients:
     def test_relu(self):
         check_layer_gradients(nn.ReLU(), _x((2, 3, 4, 4)) + 0.05, RNG)
 
-    def test_leaky_relu(self):
-        check_layer_gradients(nn.LeakyReLU(0.1), _x((2, 8)) + 0.05, RNG)
-
     def test_sigmoid(self):
         check_layer_gradients(nn.Sigmoid(), _x((2, 5)), RNG)
 
@@ -56,9 +53,6 @@ class TestGradients:
 
     def test_nearest_upsample(self):
         check_layer_gradients(nn.NearestUpsample(2), _x((1, 2, 3, 3)), RNG)
-
-    def test_avg_pool(self):
-        check_layer_gradients(nn.AvgPool2d(2), _x((1, 2, 4, 4)), RNG)
 
     def test_scale(self):
         check_layer_gradients(nn.Scale(0.3), _x((2, 4)), RNG)
@@ -85,12 +79,6 @@ class TestGradients:
 
 
 class TestSemantics:
-    def test_identity(self):
-        x = _x((2, 3))
-        layer = nn.Identity()
-        assert layer.forward(x) is x
-        assert layer.backward(x) is x
-
     def test_relu_clamps_negative(self):
         y = nn.ReLU().forward(np.array([[-1.0, 2.0]], dtype=np.float32))
         np.testing.assert_array_equal(y, [[0.0, 2.0]])

@@ -71,6 +71,62 @@ class TestParser:
         assert sorted(registered - documented) == []
         assert sorted(documented - registered) == []
 
+    def test_docs_tables_match_each_subcommand(self):
+        """Each ``## `<cmd>` `` table of docs/cli.md lists exactly the
+        flags that subcommand registers, and each numeric or backticked
+        Default cell is the flag's effective default: the parser's, or
+        for a SUPPRESS-ed flag its config field's.  ``off``/``∞``/``—``/
+        ``auto`` stand for ``None``/``False``/``()``; other prose
+        (``required``, ``temp dir``) is not checked."""
+        import dataclasses
+
+        from repro.core import FastPathConfig, NetworkConfig, RetryPolicy
+        from repro.serve import FleetConfig
+
+        # play's --fallback and controller flags share dest and default
+        # with the FleetConfig fields serve fills.
+        configs = {"play": (FastPathConfig, NetworkConfig, RetryPolicy,
+                            FleetConfig),
+                   "serve": (FleetConfig, FastPathConfig)}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        docs = (Path(__file__).parents[1] / "docs" / "cli.md").read_text()
+        sections = dict(re.findall(r"^## `([\w-]+)`.*?\n(.*?)(?=^## |\Z)",
+                                   docs, re.M | re.S))
+        assert sorted(sections) == sorted(subparsers.choices)
+        for command, parser in subparsers.choices.items():
+            effective = {}
+            for action in parser._actions:
+                if not action.option_strings \
+                        or isinstance(action, argparse._HelpAction):
+                    continue
+                default = action.default
+                if default is argparse.SUPPRESS:
+                    default = next(field.default
+                                   for cls in configs[command]
+                                   for field in dataclasses.fields(cls)
+                                   if field.name == action.dest)
+                effective[action.option_strings[0]] = default
+            documented = {}
+            for flags, cells in re.findall(r"^\| (`--.*?) \| (.*?) \|",
+                                           sections[command], re.M):
+                flags = re.findall(r"`(--[a-z0-9-]+)`", flags)
+                cells = [cell.strip() for cell in cells.split(",")]
+                documented.update(zip(flags, cells * len(flags)
+                                      if len(cells) == 1 else cells))
+            assert sorted(documented) == sorted(effective), command
+            for flag, cell in documented.items():
+                default = effective[flag]
+                where = (command, flag, cell, default)
+                if cell in ("off", "∞", "—", "auto"):
+                    assert default is None or default is False \
+                        or default == (), where
+                elif cell.startswith("`"):
+                    assert cell.strip("`") == default, where
+                elif re.fullmatch(r"[\d.]+", cell):
+                    assert not isinstance(default, bool), where
+                    assert float(cell) == default, where
+
     def test_prepare_parallel_flags(self):
         args = build_parser().parse_args(
             ["prepare", "v.npz", "--out", "pkg", "--workers", "4",
@@ -136,6 +192,46 @@ class TestServe:
         assert rc == 2
         assert "--mode playback" in captured.err
         assert "completed" not in captured.out
+
+
+class TestConfigErrors:
+    """A value or combination a config rejects is a usage error: rc 2
+    and the config's own message on stderr, raised while the configs are
+    built — before the (here nonexistent) package is loaded."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["play", "--controller", "greedy", "--device", "bogus"],
+         "unknown device 'bogus'"),
+        (["play", "--controller", "greedy", "--device", "jetson",
+          "--sr-batch", "2"], "sr_batch > 1"),
+        (["play", "--tile", "0"], "tile must be >= 1"),
+        (["play", "--controller", "greedy"], "--controller needs --device"),
+        (["serve", "--sessions", "0"], "sessions must be >= 1, got 0"),
+        (["serve", "--device", "bogus"], "unknown device 'bogus'"),
+        (["serve", "--mode", "trace", "--reuse"], "--mode playback"),
+    ])
+    def test_rejected_before_the_package_loads(self, tmp_path, argv,
+                                               message, capsys):
+        missing = str(tmp_path / "no-such-package")
+        assert main(argv[:1] + [missing] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert f"repro-dcsr {argv[0]}: error:" in err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_a_playback_error_still_propagates(self, package_dir,
+                                              monkeypatch):
+        """Only config construction is a usage error: a ``DecodeError``
+        (a ``ValueError``) raised while playing is not."""
+        from repro.core import DcsrClient
+        from repro.video.codec.bitstream import DecodeError
+
+        def play(self, reference=None):
+            raise DecodeError("corrupt stream")
+
+        monkeypatch.setattr(DcsrClient, "play", play)
+        with pytest.raises(DecodeError, match="corrupt stream"):
+            main(["play", str(package_dir)])
 
 
 class TestPrepareParallel:
