@@ -35,7 +35,7 @@
 #     entry budget (an unbounded cache is a per-session memory leak).
 #   - tests/net/test_no_threads_net.py — no threading in src/repro/net/:
 #     the real transport's loopback topology (client + origin on one
-#     event loop) and the chaos proxy's connection<->attempt mapping
+#     event loop) and the chaos proxy's request<->attempt mapping
 #     require a single thread of control.
 #   - tests/control/test_no_upward_imports.py — no upward imports from
 #     src/repro/{control,core,sr,nn,video}/: they are consumed by the

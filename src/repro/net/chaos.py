@@ -7,13 +7,26 @@ against :class:`~repro.core.network.SimulatedNetwork`'s injected failures
 — are proven over actual TCP.
 
 Fault selection mirrors the simulated network's schedule semantics, one
-*connection* standing in for one download attempt (the transport opens a
-fresh connection per request precisely to make this mapping exact):
+*request* standing in for one download attempt (the transport sends
+each attempt as one request, and resends one only when a reused
+connection ends before any response byte or answers with the origin's
+idle-timeout ``408``; the proxy forwards neither of those to a request
+it has drawn a fault for, so no fault is spent on a resend):
 
-1. an explicit ``schedule`` (one fault name per accepted connection, in
-   accept order) for exact-scenario tests;
+1. an explicit ``schedule`` (one fault name per proxied request, in
+   request order) for exact-scenario tests;
 2. a seeded RNG once the schedule is exhausted, drawing faults with the
    configured rates.
+
+Each client connection gets its own upstream connection and carries
+requests one at a time; every upstream response is framed by the
+request's method, its status and its ``Content-Length`` (the
+transport's own framing rule).  When the origin has closed that
+upstream connection while it sat idle — it answers the next request
+with a ``408``, or with nothing — the request goes out again on a new
+upstream connection before its response is forwarded.  ``"ok"``
+forwards the response and waits for the connection's next request;
+every other fault ends the connection.
 
 Faults (applied to the upstream *response*, after forwarding the request
 verbatim — the request always reaches the origin, as a mid-transfer CDN
@@ -29,9 +42,9 @@ failure would):
   held open) until the client's read timeout fires, surfacing as
   :class:`~repro.net.StalledRead`;
 - ``"ok"``        — pass through untouched (plus ``latency_s``, like
-  every other connection).
+  every other request).
 
-Same seed ⇒ same per-connection fault assignment ⇒ — because the client
+Same seed ⇒ same per-request fault assignment ⇒ — because the client
 downloads serially — the same segments concealed and the same models
 fallen back on, end to end over real sockets.
 """
@@ -46,6 +59,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..obs import Observability
+from .transport import TransportError, _body_length, _parse_head
 
 __all__ = ["FAULTS", "ChaosConfig", "ChaosProxy"]
 
@@ -57,7 +71,7 @@ FAULTS = ("ok", "reset", "truncate", "stall")
 class ChaosConfig:
     """Fault mix and shaping of one proxy.
 
-    Rates are per-connection probabilities once the explicit schedule is
+    Rates are per-request probabilities once the explicit schedule is
     exhausted; they must sum to at most 1 (the remainder passes clean).
     ``latency_s`` is real asyncio sleep before the response head is
     forwarded — keep it tiny in tests.  ``stall_hold_s`` bounds how long
@@ -96,8 +110,8 @@ class ChaosProxy:
     config:
         Fault rates, latency, and the RNG seed.
     schedule:
-        Optional explicit per-connection fault plan (names from
-        :data:`FAULTS`), consumed in accept order before the RNG takes
+        Optional explicit per-request fault plan (names from
+        :data:`FAULTS`), consumed in request order before the RNG takes
         over — the exact analogue of ``SimulatedNetwork``'s
         ``failure_schedule``.
     host / port:
@@ -122,8 +136,12 @@ class ChaosProxy:
         self.host = host
         self.port = int(port)
         self._server: asyncio.AbstractServer | None = None
-        #: Connections accepted so far (== schedule position).
+        #: Connections accepted so far.
         self.connections = 0
+        #: Requests proxied so far (== schedule position).
+        self.requests = 0
+        #: Live client connection -> the task serving it.
+        self._live: dict[asyncio.StreamWriter, asyncio.Task] = {}
         #: fault name -> count, for assertions and telemetry.
         self.faults_injected: dict[str, int] = {name: 0 for name in FAULTS}
 
@@ -137,8 +155,15 @@ class ChaosProxy:
         return self
 
     async def stop(self) -> None:
+        """Close the listener and every client connection, and wait for
+        their handlers to finish.  The connections are aborted, not
+        closed, so a client that stopped reading cannot hold this up."""
         if self._server is not None:
             self._server.close()
+            for writer in self._live:
+                writer.transport.abort()
+            await asyncio.gather(*self._live.values(),
+                                 return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -155,10 +180,10 @@ class ChaosProxy:
     # ------------------------------------------------------- fault schedule
 
     def _next_fault(self) -> str:
-        """The fault for the next connection: schedule first, then RNG —
+        """The fault for the next request: schedule first, then RNG —
         exactly the simulated network's two-source semantics."""
-        if self.connections < len(self._schedule):
-            return self._schedule[self.connections]
+        if self.requests < len(self._schedule):
+            return self._schedule[self.requests]
         cfg = self.config
         if cfg.reset_rate or cfg.truncate_rate or cfg.stall_rate:
             draw = self._rng.random()
@@ -174,8 +199,8 @@ class ChaosProxy:
         self.faults_injected[fault] += 1
         if self.obs is not None:
             self.obs.metrics.counter(
-                "dcsr_chaos_connections_total",
-                "Proxied connections by injected fault",
+                "dcsr_chaos_requests_total",
+                "Proxied requests by injected fault",
             ).inc(fault=fault)
 
     # ------------------------------------------------------------- handling
@@ -199,71 +224,110 @@ class ChaosProxy:
             return b""
 
     @staticmethod
-    async def _read_response(reader: asyncio.StreamReader):
-        """The upstream response, split into (head, body) so faults can
-        cut inside the body.  The transport forces ``Connection: close``,
-        so body-until-EOF is exact."""
+    async def _read_response(reader: asyncio.StreamReader, request: bytes):
+        """The upstream response to ``request`` as ``(head, status, body,
+        framed)``, split so faults can cut inside the body.  The body is
+        framed as the transport frames it; a head without a length (or
+        one that does not parse, ``status`` ``None``) runs to EOF, and
+        ``framed`` is false: the upstream connection is then spent."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
-            return bytes(exc.partial), b""
-        body = b""
-        while True:
-            chunk = await reader.read(65536)
-            if not chunk:
-                return head, body
-            body += chunk
+            return bytes(exc.partial), None, b"", False
+        method, _, rest = request.decode("latin-1").partition(" ")
+        path = rest.split(" ", 1)[0].lstrip("/")
+        try:
+            status, headers = _parse_head(head, path)
+            size = _body_length(method, status, headers, path)
+        except TransportError:
+            status, size = None, None
+        if size is None:
+            return head, status, await reader.read(), False
+        try:
+            return head, status, await reader.readexactly(size), True
+        except asyncio.IncompleteReadError as exc:
+            return head, status, bytes(exc.partial), False
+
+    async def _exchange(self, upstream, request: bytes, reused: bool):
+        """Send ``request`` on the ``upstream`` connection and read the
+        response as ``(head, body, framed)`` — or ``None`` when a
+        ``reused`` connection turns out to have been closed by the origin
+        while it sat idle (it answers with its idle-timeout ``408``, or
+        not at all)."""
+        reader, writer = upstream
+        try:
+            writer.write(request)
+            await writer.drain()
+            head, status, body, framed = await self._read_response(
+                reader, request)
+        except ConnectionError:
+            if reused:
+                return None
+            raise
+        if reused and (not head or status == 408):
+            return None
+        return head, body, framed
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        fault = self._next_fault()
         self.connections += 1
-        self._note(fault)
-        upstream_writer = None
+        self._live[writer] = asyncio.current_task()
+        upstream = None
         try:
-            request = await self._read_request(reader)
-            if not request:
-                return
-            upstream_reader, upstream_writer = await asyncio.open_connection(
-                self.upstream_host, self.upstream_port)
-            upstream_writer.write(request)
-            await upstream_writer.drain()
-            head, body = await self._read_response(upstream_reader)
+            while request := await self._read_request(reader):
+                fault = self._next_fault()
+                self.requests += 1
+                self._note(fault)
+                response = None
+                if upstream is not None:
+                    response = await self._exchange(upstream, request,
+                                                    reused=True)
+                    if response is None:      # closed by the origin
+                        await _close(upstream[1])
+                        upstream = None
+                if upstream is None:
+                    upstream = await asyncio.open_connection(
+                        self.upstream_host, self.upstream_port)
+                    response = await self._exchange(upstream, request,
+                                                    reused=False)
+                head, body, framed = response
 
-            if self.config.latency_s:
-                await asyncio.sleep(self.config.latency_s)
+                if self.config.latency_s:
+                    await asyncio.sleep(self.config.latency_s)
 
-            if fault == "ok":
-                writer.write(head + body)
-                await writer.drain()
-                return
-            partial = body[:len(body) // 2]
-            if fault == "truncate":
+                if fault == "ok":
+                    writer.write(head)
+                    writer.write(body)
+                    await writer.drain()
+                    if framed:
+                        continue              # wait for the next request
+                    return
+                partial = body[:len(body) // 2]
                 writer.write(head + partial)
                 await writer.drain()
-                return                        # clean FIN, short body
-            if fault == "reset":
-                writer.write(head + partial)
-                await writer.drain()
-                self._force_reset(writer)
-                return
-            # stall: deliver a prefix, then go silent until the client
-            # gives up (its read timeout) or the hold budget expires.
-            writer.write(head + partial)
-            await writer.drain()
-            try:
-                await asyncio.wait_for(reader.read(1),
-                                       self.config.stall_hold_s)
-            except asyncio.TimeoutError:
-                pass
+                if fault == "reset":
+                    self._force_reset(writer)
+                elif fault == "stall":
+                    # Go silent until the client gives up (its read
+                    # timeout) or the hold budget expires.
+                    try:
+                        await asyncio.wait_for(reader.read(1),
+                                               self.config.stall_hold_s)
+                    except asyncio.TimeoutError:
+                        pass
+                return                        # every other fault ends it
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass                              # either side went away
         finally:
-            for w in (upstream_writer, writer):
-                if w is None:
-                    continue
-                try:
-                    w.close()
-                    await w.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
+            del self._live[writer]
+            if upstream is not None:
+                await _close(upstream[1])
+            await _close(writer)
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    try:
+        writer.close()
+        await writer.wait_closed()
+    except (ConnectionResetError, BrokenPipeError, OSError):
+        pass

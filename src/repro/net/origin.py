@@ -16,9 +16,10 @@ client actually leans on:
   ``bytes=-n`` forms; a syntactically valid but unsatisfiable range is
   ``416`` with ``Content-Range: bytes */size``, a malformed header is
   ignored per RFC 9110 and answered with the full ``200``);
-- **keep-alive** connection reuse (closed on ``Connection: close`` or
-  client EOF), **pipelining** (requests written back to back are read
-  one head at a time and answered in order) and **HEAD**.
+- **keep-alive** connection reuse (closed on ``Connection: close``,
+  client EOF, the idle timeout or :meth:`DcsrOrigin.stop`),
+  **pipelining** (requests written back to back are read one head at a
+  time and answered in order) and **HEAD**.
 
 Every request lands in the origin's :class:`~repro.obs.Observability`
 registry (``dcsr_origin_requests_total`` by method/status,
@@ -111,6 +112,9 @@ class DcsrOrigin:
         self._etags: dict[Path, tuple[tuple[int, int], str]] = {}
         self.host = self.config.host
         self.port = self.config.port
+        #: Live connection -> the task serving it, so :meth:`stop` can
+        #: close keep-alive connections a client still holds open.
+        self._live: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -124,9 +128,18 @@ class DcsrOrigin:
         return self
 
     async def stop(self) -> None:
-        """Close the listener and wait for it to wind down."""
+        """Close the listener and every connection being served, and wait
+        for their handlers to finish (``Server.close`` alone leaves an
+        idle keep-alive connection, and its handler, alive).  The
+        connections are aborted, not closed: a client that stopped
+        reading a large body would otherwise hold this up until it read
+        the rest.  An idle connection still ends with a plain FIN."""
         if self._server is not None:
             self._server.close()
+            for writer in self._live:
+                writer.transport.abort()
+            await asyncio.gather(*self._live.values(),
+                                 return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -327,6 +340,7 @@ class DcsrOrigin:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._live[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -356,6 +370,7 @@ class DcsrOrigin:
         except (ConnectionResetError, BrokenPipeError):
             pass                              # client went away mid-write
         finally:
+            del self._live[writer]
             writer.close()
             try:
                 await writer.wait_closed()

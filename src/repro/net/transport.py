@@ -20,10 +20,28 @@ Design notes:
   shared with an in-process :class:`~repro.net.DcsrOrigin` (the loopback
   test topology), the same ``run_until_complete`` call runs the server's
   handler coroutines too.
-- **One connection per request.**  Requests carry ``Connection: close``,
-  so a fault-injection proxy can key its per-connection fault schedule
-  one-to-one to download attempts, mirroring ``SimulatedNetwork``'s
-  per-attempt failure schedule.
+- **Pooled keep-alive connections.**  Idle connections to the origin
+  wait in a LIFO pool; a request takes the most recently used one that
+  is still open, or opens a new one, so the pool never holds more
+  connections than the transport once had requests in flight.  A
+  connection goes back only after a complete response framed by
+  ``Content-Length`` (or a bodiless HEAD/304) whose head does not say
+  ``Connection: close``; a typed error, a timeout, a partial body or a
+  body read to EOF closes it.  :meth:`HttpTransport.close` closes the
+  pooled sockets.
+- **Stale connections.**  The origin may close an idle connection (its
+  ``idle_timeout_s``, which it announces with an unsolicited ``408``).
+  A reused connection whose request cannot be sent, that is closed or
+  reset before the transport has read any byte of the response, or
+  whose first response is that ``408``, sends its GET/HEAD once more on
+  a fresh connection; the resend is part of the same attempt.  Every
+  other failure — a reset after the first response byte included — is a
+  typed error of that attempt, so a fault-injection proxy that draws one
+  fault per request maps one-to-one onto download attempts, mirroring
+  ``SimulatedNetwork``'s per-attempt failure schedule.
+- **Bounded buffers.**  A body is read in pieces of what the stream has
+  buffered, never with one body-sized ``readexactly``, so an idle
+  pooled connection keeps no body-sized read buffer.
 - **Time domains.**  Measured wall seconds of each transfer are returned
   to the caller *and* advanced onto :attr:`clock` (a
   :class:`~repro.obs.SimulatedClock`), so retry backoff — which the
@@ -51,6 +69,9 @@ from ..core.network import DownloadError, Link, NetworkConfig
 from ..core.persist import (MANIFEST_PATH, make_package_dirs, model_path,
                             segment_path)
 from ..obs import wall_clock
+
+#: Read size for a body that runs to EOF.
+_BODY_CHUNK = 64 << 10
 
 __all__ = [
     "TransportError",
@@ -87,6 +108,14 @@ class HttpStatusError(TransportError):
         self.status = int(status)
 
 
+class _StaleConnection(Exception):
+    """A pooled connection the peer closed while it sat idle."""
+
+
+class _NoResponse(Exception):
+    """The peer hung up before the transport read any response byte."""
+
+
 class HttpTransport(Link):
     """Real-socket drop-in for :class:`~repro.core.network.SimulatedNetwork`.
 
@@ -101,12 +130,14 @@ class HttpTransport(Link):
         throughput hint (``None`` = unknown).  Failure injection fields
         are ignored: real faults come from the wire (or the chaos proxy).
     timeout_s:
-        Per-read (and connect) stall budget; an attempt that stays
+        Stall budget of the connect, of sending a request and reading
+        its response head, and of each body read; an attempt that stays
         silent this long raises :class:`StalledRead`.
     loop:
         Optional event loop to drive.  Tests share one loop between the
         transport and an in-process origin; by default the transport
-        owns a private loop and closes it on :meth:`close`.
+        owns a private loop and closes it on :meth:`close`.  On either
+        loop, :meth:`close` closes the pooled keep-alive connections.
     """
 
     def __init__(self, base_url: str, *, config: NetworkConfig | None = None,
@@ -137,6 +168,9 @@ class HttpTransport(Link):
         self.last_payload: bytes | None = None
         #: 304-revalidation hits across the transport's lifetime.
         self.revalidated = 0
+        #: Idle keep-alive connections, most recently used last.
+        self._idle: list[tuple[asyncio.StreamReader,
+                               asyncio.StreamWriter]] = []
 
     # ----------------------------------------------------------- event loop
 
@@ -150,7 +184,15 @@ class HttpTransport(Link):
         return self.loop.run_until_complete(coro)
 
     def close(self) -> None:
-        """Release the private event loop (no-op on a shared loop)."""
+        """Close every pooled connection and release the private event
+        loop (a shared loop stays open)."""
+        writers = [writer for _reader, writer in self._idle]
+        self._idle = []
+        if self._loop is not None and not self._loop.is_closed():
+            for writer in writers:
+                writer.close()
+            if writers and not self._loop.is_running():
+                self._run(_wait_all_closed(writers))
         if self._owns_loop and self._loop is not None:
             self._loop.close()
             self._loop = None
@@ -224,7 +266,7 @@ class HttpTransport(Link):
 
     async def request(self, method: str, path: str,
                       headers: dict[str, str] | None = None):
-        """One HTTP/1.1 request over a fresh connection.
+        """One HTTP/1.1 request on a pooled keep-alive connection.
 
         Returns ``(status, lowercase-header dict, body)``; maps every
         socket-level failure onto the typed transport errors.
@@ -234,13 +276,31 @@ class HttpTransport(Link):
             f"{method} /{path} HTTP/1.1",
             f"Host: {self.host}:{self.port}",
             "User-Agent: dcsr-transport/1",
-            "Connection: close",
         ]
         request_lines += [f"{k}: {v}" for k, v in (headers or {}).items()]
         payload = "\r\n".join(request_lines).encode("latin-1") + b"\r\n\r\n"
+        connection = self._idle_connection()
+        if connection is not None:
+            try:
+                return await self._exchange(connection, method, path,
+                                            payload, reused=True)
+            except _StaleConnection:
+                pass                          # closed while idle: resend
+        return await self._exchange(await self._connect(), method, path,
+                                    payload, reused=False)
 
+    def _idle_connection(self):
+        """The most recently pooled connection still open, or ``None``."""
+        while self._idle:
+            reader, writer = self._idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            writer.close()
+        return None
+
+    async def _connect(self):
         try:
-            reader, writer = await asyncio.wait_for(
+            return await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port),
                 self.timeout_s)
         except asyncio.TimeoutError:
@@ -249,13 +309,36 @@ class HttpTransport(Link):
         except OSError as exc:
             raise OriginUnreachable(
                 f"cannot reach {self.host}:{self.port}: {exc}") from exc
+
+    async def _exchange(self, connection, method: str, path: str,
+                        payload: bytes, reused: bool):
+        """Send one request on ``connection`` and read its response; the
+        connection goes back to the pool only if it stays usable."""
+        reader, writer = connection
+        resendable = reused and method in ("GET", "HEAD")
+        reusable = False
         try:
-            writer.write(payload)
-            await asyncio.wait_for(writer.drain(), self.timeout_s)
-            status, response_headers = await self._read_head(reader, path)
-            body = await self._read_body(reader, response_headers, path,
-                                         head_only=(method == "HEAD"
-                                                    or status == 304))
+            try:
+                head = await asyncio.wait_for(
+                    _send(connection, payload, path), self.timeout_s)
+            except _NoResponse as exc:
+                if resendable:
+                    raise _StaleConnection from exc
+                if exc.__cause__ is not None:
+                    raise exc.__cause__       # typed by the clauses below
+                raise TruncatedBody(
+                    f"/{path} closed before response head") from None
+            status, response_headers = _parse_head(head, path)
+            if resendable and status == 408:
+                # The origin's idle timeout: it answered 408 to no
+                # request of ours, then closed.
+                raise _StaleConnection
+            size = _body_length(method, status, response_headers, path)
+            body = await self._read_body(reader, size)
+            reusable = (size is not None and response_headers.get(
+                "connection", "").lower() != "close")
+        except TransportError:
+            raise
         except asyncio.TimeoutError:
             raise StalledRead(f"read of /{path} stalled past "
                               f"{self.timeout_s:g}s") from None
@@ -270,50 +353,96 @@ class HttpTransport(Link):
             raise OriginUnreachable(f"I/O error reading /{path}: "
                                     f"{exc}") from exc
         finally:
-            writer.close()
-            # wait_closed can itself surface the peer's RST; the response
-            # (or typed error) is already decided by then.
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            if reusable:
+                self._idle.append(connection)
+            else:
+                writer.close()
+                # wait_closed can itself surface the peer's RST; the
+                # response (or typed error) is already decided by then.
+                await _wait_closed(writer)
         return status, response_headers, body
 
-    async def _read_head(self, reader: asyncio.StreamReader, path: str):
-        try:
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), self.timeout_s)
-        except asyncio.IncompleteReadError:
-            raise TruncatedBody(
-                f"/{path} closed before response head") from None
-        lines = head[:-4].decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise OriginUnreachable(f"/{path}: malformed status line "
-                                    f"{lines[0]!r}")
-        status = _count(parts[1], "status code", path)
-        response_headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            response_headers[name.strip().lower()] = value.strip()
-        return status, response_headers
-
     async def _read_body(self, reader: asyncio.StreamReader,
-                         headers: dict[str, str], path: str,
-                         head_only: bool) -> bytes:
-        if head_only:
-            return b""
-        length = headers.get("content-length")
-        if length is not None:
-            return await asyncio.wait_for(
-                reader.readexactly(_count(length, "Content-Length", path)),
-                self.timeout_s)
-        # No length: read to EOF, joined once (``+=`` per chunk is quadratic).
+                         size: int | None) -> bytes:
+        """A body of ``size`` bytes, or up to EOF when ``size`` is
+        ``None``, taken piece by piece as the stream buffers it: the
+        stream's buffer stays bounded by the reader's limit, not by the
+        body."""
         chunks = []
-        while chunk := await asyncio.wait_for(reader.read(65536),
-                                              self.timeout_s):
+        if size is None:
+            # Joined once at the end (``+=`` per chunk is quadratic).
+            while chunk := await asyncio.wait_for(reader.read(_BODY_CHUNK),
+                                                  self.timeout_s):
+                chunks.append(chunk)
+            return b"".join(chunks)
+        remaining = size
+        while remaining:
+            chunk = await asyncio.wait_for(reader.read(remaining),
+                                           self.timeout_s)
+            if not chunk:
+                raise asyncio.IncompleteReadError(b"".join(chunks), size)
             chunks.append(chunk)
+            remaining -= len(chunk)
         return b"".join(chunks)
+
+
+async def _send(connection, payload: bytes, path: str) -> bytes:
+    """Send one request and read the head of its response.  The first
+    response byte is read on its own, so a peer that closes or resets
+    the connection before it raises :class:`_NoResponse`, and one that
+    does so later does not."""
+    reader, writer = connection
+    try:
+        writer.write(payload)
+        await writer.drain()
+        first = await reader.read(1)
+    except ConnectionError as exc:
+        raise _NoResponse from exc
+    if not first:
+        raise _NoResponse
+    try:
+        return first + await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError:
+        raise TruncatedBody(
+            f"/{path} closed before response head") from None
+
+
+def _parse_head(head: bytes, path: str):
+    """``(status, lowercase-header dict)`` of one response head."""
+    lines = head[:-4].decode("latin-1").split("\r\n")
+    parts = lines[0].split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise OriginUnreachable(f"/{path}: malformed status line "
+                                f"{lines[0]!r}")
+    status = _count(parts[1], "status code", path)
+    response_headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        response_headers[name.strip().lower()] = value.strip()
+    return status, response_headers
+
+
+def _body_length(method: str, status: int, headers: dict[str, str],
+                 path: str) -> int | None:
+    """How a response to ``method`` is framed: its body length (0 for
+    HEAD and 304), or ``None`` when no ``Content-Length`` frames it and
+    the body runs to EOF."""
+    if method == "HEAD" or status == 304:
+        return 0
+    length = headers.get("content-length")
+    return None if length is None else _count(length, "Content-Length", path)
+
+
+async def _wait_closed(writer: asyncio.StreamWriter) -> None:
+    try:
+        await writer.wait_closed()
+    except OSError:
+        pass
+
+
+async def _wait_all_closed(writers: list[asyncio.StreamWriter]) -> None:
+    for writer in writers:
+        await _wait_closed(writer)
 
 
 def _count(text: str, what: str, path: str) -> int:

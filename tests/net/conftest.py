@@ -54,3 +54,27 @@ def origin(net_loop, package_dir):
     net_loop.run_until_complete(served.start())
     yield served
     net_loop.run_until_complete(served.stop())
+
+
+@pytest.fixture()
+def chaos(net_loop, origin):
+    """Factory for (proxy, transport) pairs in front of the live origin;
+    everything built here is torn down through the leak-guarded loop:
+    transports closed, proxies stopped."""
+    from repro.net import ChaosProxy, HttpTransport
+
+    built = []
+
+    def build(schedule=None, config=None, timeout_s=0.25):
+        proxy = ChaosProxy(origin.host, origin.port, config=config,
+                           schedule=schedule)
+        net_loop.run_until_complete(proxy.start())
+        transport = HttpTransport(proxy.base_url, loop=net_loop,
+                                  timeout_s=timeout_s)
+        built.append((proxy, transport))
+        return proxy, transport
+
+    yield build
+    for proxy, transport in built:
+        transport.close()
+        net_loop.run_until_complete(proxy.stop())

@@ -1,13 +1,13 @@
 """End-to-end fault injection: full ``DcsrClient.play()`` sessions over
 real TCP through the chaos proxy.
 
-The proxy's per-connection fault schedule maps 1:1 onto the client's
-serial download attempts (the transport opens one connection per
-request), so these tests steer faults at exact attempts: a reset at the
-first download exercises retry/backoff, a truncated model checkpoint
-lands the segment in ``fallback_segments``, a stalled segment read hits
-the client's timeout and is concealed (``skipped_segments``) — and a
-seeded fault mix replays bit-identically."""
+The proxy's per-request fault schedule maps 1:1 onto the client's
+serial download attempts (each attempt is one request, on a pooled
+keep-alive connection), so these tests steer faults at exact attempts:
+a reset at the first download exercises retry/backoff, a truncated model
+checkpoint lands the segment in ``fallback_segments``, a stalled segment
+read hits the client's timeout and is concealed (``skipped_segments``) —
+and a seeded fault mix replays bit-identically."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from repro.core import DcsrClient, RetryPolicy, load_package
 from repro.core.network import DownloadError
 from repro.net import (
     ChaosConfig,
-    ChaosProxy,
-    HttpTransport,
     OriginUnreachable,
     StalledRead,
     TruncatedBody,
@@ -32,26 +30,6 @@ def net_package(package_dir):
     return load_package(package_dir)
 
 
-@pytest.fixture()
-def chaos(net_loop, origin):
-    """Factory for (proxy, transport) pairs in front of the live origin;
-    everything built here is torn down through the leak-guarded loop."""
-    built = []
-
-    def build(schedule=None, config=None, timeout_s=0.25):
-        proxy = ChaosProxy(origin.host, origin.port, config=config,
-                           schedule=schedule)
-        net_loop.run_until_complete(proxy.start())
-        built.append(proxy)
-        transport = HttpTransport(proxy.base_url, loop=net_loop,
-                                  timeout_s=timeout_s)
-        return proxy, transport
-
-    yield build
-    for proxy in built:
-        net_loop.run_until_complete(proxy.stop())
-
-
 class TestTypedFaults:
     def test_each_fault_maps_to_its_error(self, chaos):
         proxy, transport = chaos(schedule=["truncate", "reset", "stall"])
@@ -60,10 +38,27 @@ class TestTypedFaults:
                 transport.download("segment", 0, 64)
             assert isinstance(err.value, DownloadError)
             assert err.value.seconds >= 0.0
-        # Schedule exhausted, rates zero: the next connection is clean.
+        # Schedule exhausted, rates zero: the next request is clean.
         assert transport.download("segment", 0, 64) >= 0.0
         assert proxy.faults_injected["ok"] == 1
         assert transport.stats.failures == 3
+
+    def test_one_fault_per_request_in_request_order(self, chaos):
+        # One transport: the two clean requests share a connection, the
+        # truncated one ends it, the last request opens the second.
+        proxy, transport = chaos(schedule=["ok", "ok", "truncate", "ok"])
+        outcomes = []
+        for path in ("manifest.json", "segments/segment-0000.bin",
+                     "segments/segment-0001.bin", "models/model-00.npz"):
+            try:
+                assert transport.get(path)[0] == 200
+                outcomes.append("ok")
+            except TruncatedBody:
+                outcomes.append("truncate")
+        assert outcomes == ["ok", "ok", "truncate", "ok"]
+        assert (proxy.requests, proxy.connections) == (4, 2)
+        assert proxy.faults_injected == {"ok": 3, "reset": 0,
+                                         "truncate": 1, "stall": 0}
 
     def test_stall_burns_the_read_timeout(self, chaos):
         proxy, transport = chaos(schedule=["stall"], timeout_s=0.2)
@@ -90,7 +85,7 @@ class TestPlaybackPaths:
             kind="model") > 0
 
     def test_truncated_model_lands_in_fallback(self, chaos, net_package):
-        # Connection 0 is the first model checkpoint (the client fetches
+        # Request 0 is the first model checkpoint (the client fetches
         # the model before its first segment); with no retry budget and
         # fallback on, its segment plays unenhanced.
         proxy, transport = chaos(schedule=["truncate"])
@@ -104,7 +99,7 @@ class TestPlaybackPaths:
         assert proxy.faults_injected["truncate"] == 1
 
     def test_stalled_segment_is_concealed(self, chaos, net_package):
-        # Connection 0 = model, connection 1 = segment 0: the stalled
+        # Request 0 = model, request 1 = segment 0: the stalled
         # segment read times out and the client conceals it.
         proxy, transport = chaos(schedule=["ok", "stall"])
         result = DcsrClient(net_package, network=transport,

@@ -2,7 +2,7 @@
 
 The real transport's loopback test topology (client and origin sharing
 one event loop, chaos proxy in between) and the 1:1 mapping between
-chaos-proxy connections and download attempts both require a single
+chaos-proxy requests and download attempts both require a single
 thread of control.  Unlike the serve-layer guard (which tolerates
 ``threading.Lock``), this one bans *any* ``threading`` import: the net
 package has no shared mutable state that isn't loop-confined, so a lock

@@ -18,7 +18,8 @@ SEGMENT = "segments/segment-0000.bin"
 
 @pytest.fixture()
 def transport(net_loop, origin):
-    return HttpTransport(origin.base_url, loop=net_loop)
+    with HttpTransport(origin.base_url, loop=net_loop) as client:
+        yield client
 
 
 class TestRange:
@@ -84,6 +85,7 @@ class TestETag:
             assert status == 200
             assert body == b'{"built": 2, "rotated": true}'
             assert headers["etag"] != etag
+            client.close()
         finally:
             net_loop.run_until_complete(served.stop())
 

@@ -96,6 +96,7 @@ class _HttpCase:
         self.origin = DcsrOrigin(package_dir)
         loop.run_until_complete(self.origin.start())
         self._proxies = []
+        self._transports = []
 
     def make(self, failures=()):
         schedule = ["reset" if fails else "ok" for fails in failures]
@@ -103,7 +104,9 @@ class _HttpCase:
                            schedule=schedule)
         self.loop.run_until_complete(proxy.start())
         self._proxies.append(proxy)
-        return HttpTransport(proxy.base_url, loop=self.loop, timeout_s=2.0)
+        self._transports.append(
+            HttpTransport(proxy.base_url, loop=self.loop, timeout_s=2.0))
+        return self._transports[-1]
 
     def disk(self, kind, key) -> bytes:
         path = segment_path(key) if kind == "segment" else model_path(key)
@@ -113,6 +116,8 @@ class _HttpCase:
         return network.last_payload
 
     def close(self):
+        for transport in self._transports:
+            transport.close()
         for proxy in self._proxies:
             self.loop.run_until_complete(proxy.stop())
         self.loop.run_until_complete(self.origin.stop())
@@ -230,6 +235,7 @@ def test_playback_bitwise_equal_across_transports(net_loop, package_dir,
     mirrored = load_package(mirror_package(transport, tmp_path / "mirror"))
     http_result = DcsrClient(mirrored, network=transport,
                              retry=RetryPolicy(retries=0)).play()
+    transport.close()
     net_loop.run_until_complete(origin.stop())
 
     sim = SimulatedNetwork(NetworkConfig())
