@@ -12,6 +12,18 @@ client actually leans on:
 - **ETag / If-None-Match** revalidation (strong ETags derived from file
   content, so a package rebuild changes them and a 304 can never serve
   stale bytes);
+- a **file table** keyed by URL path: each served file's resolved path,
+  confined to the package root when the entry was made, with its
+  identity ``(st_dev, st_ino, st_mtime_ns, st_size)`` and ETag.  A
+  request opens the recorded path and checks the descriptor with one
+  ``fstat``; a different identity, or a failed open, resolves and
+  confines the URL path once more, so a replaced, rewritten or deleted
+  file and a directory swapped for a symlink out of the root are all
+  noticed.  Bytes come only from a descriptor whose inode was resolved
+  inside the root; the ETag hash and the body come from that one
+  descriptor, and a GET reads exactly the span it serves (HEAD, 304 and
+  416 read nothing).  Paths answered ``404`` are never entered, so the
+  table holds at most one entry per file in the package;
 - **Range** requests (single ``bytes=a-b`` / ``bytes=a-`` / suffix
   ``bytes=-n`` forms; a syntactically valid but unsatisfiable range is
   ``416`` with ``Content-Range: bytes */size``, a malformed header is
@@ -20,6 +32,10 @@ client actually leans on:
   client EOF, the idle timeout or :meth:`DcsrOrigin.stop`),
   **pipelining** (requests written back to back are read one head at a
   time and answered in order) and **HEAD**.
+
+The wait for a request head runs under an ``asyncio.timeout`` deadline
+(``idle_timeout_s``), which costs no task per request the way
+``asyncio.wait_for`` does.
 
 Every request lands in the origin's :class:`~repro.obs.Observability`
 registry (``dcsr_origin_requests_total`` by method/status,
@@ -30,10 +46,14 @@ socket.
 from __future__ import annotations
 
 import asyncio
+import errno
 import hashlib
 import json
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ..obs import Observability
 
@@ -48,6 +68,34 @@ _REASONS = {
     416: "Range Not Satisfiable", 431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+#: Non-blocking, so a FIFO swapped in for a file cannot stall the loop
+#: in ``open``; reads of a regular file ignore the flag.
+_OPEN_FLAGS = os.O_RDONLY | os.O_NONBLOCK
+#: ``open`` errors that mean "no such file here" (a ``404``).
+_MISSING = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
+
+
+class _File(NamedTuple):
+    """One file table entry: a file the origin has served."""
+
+    path: str                      # resolved, inside root when entered
+    identity: tuple[int, int, int, int]   # st_dev, st_ino, mtime, size
+    etag: str
+    content_type: str
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def _read(fd: int, start: int, length: int) -> bytes:
+    """``length`` bytes of ``fd`` from ``start``; a file that shrank
+    since its ``fstat`` raises (the request is answered ``500``)."""
+    data = os.pread(fd, length, start)
+    if len(data) != length:
+        raise OSError(f"file shrank while served: read {len(data)} of "
+                      f"{length} bytes")
+    return data
 
 
 @dataclass(frozen=True)
@@ -92,7 +140,7 @@ class DcsrOrigin:
         ``models/``), as written by
         :func:`repro.core.persist.save_package`.  Any file under it is
         servable; paths are resolved and confined to ``root``, so
-        traversal (``..``) cannot escape.
+        traversal (``..``) and symlinks out of ``root`` cannot escape.
     config:
         Listener shape; defaults to loopback on an ephemeral port.
     obs:
@@ -107,9 +155,13 @@ class DcsrOrigin:
         self.config = config or OriginConfig()
         self.obs = obs or Observability(root_name="origin")
         self._server: asyncio.AbstractServer | None = None
-        #: path -> (stat signature, etag); invalidated when the file
-        #: changes, so a package rebuild rotates the ETag.
-        self._etags: dict[Path, tuple[tuple[int, int], str]] = {}
+        #: The file table: URL path (without its leading ``/``) -> the
+        #: file it was last served from.  Only canonical paths of regular
+        #: files are entered, never a ``404``.
+        self._files: dict[str, _File] = {}
+        #: ``root`` with a trailing separator: what every confined
+        #: resolved path starts with.
+        self._root_prefix = os.path.join(str(self.root), "")
         self.host = self.config.host
         self.port = self.config.port
         #: Live connection -> the task serving it, so :meth:`stop` can
@@ -178,27 +230,54 @@ class DcsrOrigin:
                 "Response body bytes sent by the origin",
             ).inc(n_bytes)
 
-    def etag_for(self, path: Path) -> str:
-        """Strong ETag of one file: content hash, cached by stat signature."""
-        stat = path.stat()
-        signature = (stat.st_mtime_ns, stat.st_size)
-        cached = self._etags.get(path)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:32]
-        etag = f'"{digest}"'
-        self._etags[path] = (signature, etag)
-        return etag
-
-    def _resolve(self, url_path: str) -> Path | None:
-        """Map a request path to a file under ``root`` (or ``None``)."""
+    def _open(self, url_path: str) -> tuple[int, _File, bytes | None] | None:
+        """Open the regular file ``url_path`` names under ``root``:
+        ``(descriptor, entry, content)``, or ``None`` for a ``404``.
+        ``content`` is the whole file when this call hashed it (a new or
+        changed file), else ``None``.  The caller closes the descriptor."""
         relative = url_path.lstrip("/")
+        entry = self._files.get(relative)
+        if entry is not None:
+            try:
+                fd = os.open(entry.path, _OPEN_FLAGS)
+            except OSError:
+                pass                          # gone: resolve once more
+            else:
+                if _identity(os.fstat(fd)) == entry.identity:
+                    return fd, entry, None
+                os.close(fd)
+            del self._files[relative]
         if not relative or "\x00" in relative:
             return None
-        candidate = (self.root / relative).resolve()
-        if not candidate.is_relative_to(self.root):
-            return None                       # traversal attempt
-        return candidate if candidate.is_file() else None
+        named = self._root_prefix + relative
+        path = os.path.realpath(named)
+        if not path.startswith(self._root_prefix):
+            return None                       # traversal or symlink out
+        try:
+            fd = os.open(path, _OPEN_FLAGS)
+        except OSError as exc:
+            if exc.errno in _MISSING:
+                return None
+            raise
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                os.close(fd)
+                return None
+            content = _read(fd, 0, st.st_size)
+        except OSError:
+            os.close(fd)
+            raise
+        digest = hashlib.sha256(content).hexdigest()[:32]
+        content_type = ("application/json"
+                        if os.path.splitext(path)[1] == ".json"
+                        else "application/octet-stream")
+        entry = _File(path, _identity(st), f'"{digest}"', content_type)
+        if path == named:
+            # An alias (``a/../b``, a symlink inside root) is served but
+            # not entered, so the table stays one entry per file.
+            self._files[relative] = entry
+        return fd, entry, content
 
     # ------------------------------------------------------------- requests
 
@@ -207,9 +286,9 @@ class DcsrOrigin:
         (a pipelined request) stay in the reader for the next call;
         ``idle_timeout_s`` bounds the wait for the whole head."""
         try:
-            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
-                                          self.config.idle_timeout_s)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(self.config.idle_timeout_s):
+                head = await reader.readuntil(b"\r\n\r\n")
+        except TimeoutError:
             raise _BadRequest(408, "idle connection") from None
         except asyncio.LimitOverrunError:
             raise _BadRequest(431, "request head too large") from None
@@ -302,26 +381,30 @@ class DcsrOrigin:
             }).encode()
             return 200, [("Content-Type", "application/json"),
                          ("Content-Length", str(len(body)))], body
-        target = self._resolve(path)
-        if target is None:
+        opened = self._open(path)
+        if opened is None:
             body = b"not found"
             return 404, [("Content-Type", "text/plain"),
                          ("Content-Length", str(len(body)))], body
+        try:
+            return self._file_response(method, headers, *opened)
+        finally:
+            os.close(opened[0])
 
-        etag = self.etag_for(target)
-        content_type = ("application/json" if target.suffix == ".json"
-                        else "application/octet-stream")
-        base = [("ETag", etag), ("Accept-Ranges", "bytes"),
-                ("Content-Type", content_type)]
-
+    def _file_response(self, method: str, headers: dict[str, str], fd: int,
+                       entry: _File, content: bytes | None):
+        """``(status, headers, body)`` of one open file: the body is the
+        span served, read from ``fd`` unless ``content`` holds it."""
+        base = [("ETag", entry.etag), ("Accept-Ranges", "bytes"),
+                ("Content-Type", entry.content_type)]
         candidates = headers.get("if-none-match")
         if candidates is not None:
             tags = [t.strip() for t in candidates.split(",")]
-            if "*" in tags or etag in tags:
+            if "*" in tags or entry.etag in tags:
                 return 304, base + [("Content-Length", "0")], b""
 
-        data = target.read_bytes()
-        size = len(data)
+        size = entry.identity[3]                  # st_size
+        status, start, end = 200, 0, size - 1
         range_header = headers.get("range")
         if range_header is not None:
             try:
@@ -331,12 +414,16 @@ class DcsrOrigin:
                     ("Content-Range", f"bytes */{size}"),
                     ("Content-Length", "0")], b""
             if span is not None:
-                start, end = span
-                body = data[start:end + 1]
-                return 206, base + [
-                    ("Content-Range", f"bytes {start}-{end}/{size}"),
-                    ("Content-Length", str(len(body)))], body
-        return 200, base + [("Content-Length", str(size))], data
+                status, (start, end) = 206, span
+                base.append(("Content-Range", f"bytes {start}-{end}/{size}"))
+        length = end - start + 1
+        if method == "HEAD":
+            body = b""
+        elif content is not None:
+            body = content if length == size else content[start:end + 1]
+        else:
+            body = _read(fd, start, length)
+        return status, base + [("Content-Length", str(length))], body
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:

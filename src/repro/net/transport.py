@@ -41,7 +41,13 @@ Design notes:
   ``SimulatedNetwork``'s per-attempt failure schedule.
 - **Bounded buffers.**  A body is read in pieces of what the stream has
   buffered, never with one body-sized ``readexactly``, so an idle
-  pooled connection keeps no body-sized read buffer.
+  pooled connection keeps no body-sized read buffer.  A body that
+  arrives in one piece is returned as it is, without a join.
+- **Deadlines.**  Every stall budget is an ``asyncio.timeout`` context
+  around the awaits it bounds — the connect, the request and its
+  response head, and the body, whose one deadline moves ``timeout_s``
+  past each piece that arrives — not an ``asyncio.wait_for``, which
+  runs its awaitable as a new task on every call.
 - **Time domains.**  Measured wall seconds of each transfer are returned
   to the caller *and* advanced onto :attr:`clock` (a
   :class:`~repro.obs.SimulatedClock`), so retry backoff — which the
@@ -300,10 +306,9 @@ class HttpTransport(Link):
 
     async def _connect(self):
         try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                self.timeout_s)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(self.timeout_s):
+                return await asyncio.open_connection(self.host, self.port)
+        except TimeoutError:
             raise StalledRead(
                 f"connect to {self.host}:{self.port} timed out") from None
         except OSError as exc:
@@ -319,8 +324,8 @@ class HttpTransport(Link):
         reusable = False
         try:
             try:
-                head = await asyncio.wait_for(
-                    _send(connection, payload, path), self.timeout_s)
+                async with asyncio.timeout(self.timeout_s):
+                    head = await _send(connection, payload, path)
             except _NoResponse as exc:
                 if resendable:
                     raise _StaleConnection from exc
@@ -339,7 +344,7 @@ class HttpTransport(Link):
                 "connection", "").lower() != "close")
         except TransportError:
             raise
-        except asyncio.TimeoutError:
+        except TimeoutError:
             raise StalledRead(f"read of /{path} stalled past "
                               f"{self.timeout_s:g}s") from None
         except asyncio.IncompleteReadError as exc:
@@ -367,23 +372,29 @@ class HttpTransport(Link):
         """A body of ``size`` bytes, or up to EOF when ``size`` is
         ``None``, taken piece by piece as the stream buffers it: the
         stream's buffer stays bounded by the reader's limit, not by the
-        body."""
+        body.  One deadline covers the body and moves ``timeout_s``
+        past each piece, so every read has the whole stall budget."""
+        if size == 0:
+            return b""
+        loop = asyncio.get_running_loop()
         chunks = []
-        if size is None:
-            # Joined once at the end (``+=`` per chunk is quadratic).
-            while chunk := await asyncio.wait_for(reader.read(_BODY_CHUNK),
-                                                  self.timeout_s):
-                chunks.append(chunk)
-            return b"".join(chunks)
         remaining = size
-        while remaining:
-            chunk = await asyncio.wait_for(reader.read(remaining),
-                                           self.timeout_s)
-            if not chunk:
-                raise asyncio.IncompleteReadError(b"".join(chunks), size)
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+        async with asyncio.timeout(self.timeout_s) as deadline:
+            while True:
+                chunk = await reader.read(
+                    _BODY_CHUNK if remaining is None else remaining)
+                if not chunk:
+                    if remaining is None:
+                        break
+                    raise asyncio.IncompleteReadError(b"".join(chunks), size)
+                chunks.append(chunk)
+                if remaining is not None:
+                    remaining -= len(chunk)
+                    if not remaining:
+                        break
+                deadline.reschedule(loop.time() + self.timeout_s)
+        # Joined once at the end (``+=`` per chunk is quadratic).
+        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 async def _send(connection, payload: bytes, path: str) -> bytes:

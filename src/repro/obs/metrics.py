@@ -26,13 +26,6 @@ DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
                    60.0)
 
 
-def _label_key(labels: dict) -> tuple:
-    for key in labels:
-        if not _LABEL_RE.match(key):
-            raise ValueError(f"invalid label name {key!r}")
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
 class _Metric:
     """Shared plumbing: a named family of label-keyed series."""
 
@@ -45,6 +38,22 @@ class _Metric:
         self.help = help
         self._lock = lock
         self._series: dict[tuple, float | list] = {}
+        #: Label-name tuples, in call order, that already passed the
+        #: name check: a hot-path update re-checks no name.
+        self._valid_names: set[tuple] = set()
+
+    def _key(self, labels: dict) -> tuple:
+        """The series key of ``labels``: sorted ``(name, str(value))``
+        pairs, after checking each label name."""
+        if not labels:
+            return ()
+        names = tuple(labels)
+        if names not in self._valid_names:
+            for name in names:
+                if not _LABEL_RE.match(name):
+                    raise ValueError(f"invalid label name {name!r}")
+            self._valid_names.add(names)
+        return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
     def series(self) -> dict[tuple, float | list]:
         """Snapshot of ``{label_key: value}`` (label_key is a sorted
@@ -62,12 +71,12 @@ class Counter(_Metric):
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease "
                              f"(inc by {value})")
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + float(value)
 
     def value(self, **labels) -> float:
-        return float(self._series.get(_label_key(labels), 0.0))
+        return float(self._series.get(self._key(labels), 0.0))
 
 
 class Gauge(_Metric):
@@ -77,15 +86,15 @@ class Gauge(_Metric):
 
     def set(self, value: float, **labels) -> None:
         with self._lock:
-            self._series[_label_key(labels)] = float(value)
+            self._series[self._key(labels)] = float(value)
 
     def inc(self, value: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + float(value)
 
     def value(self, **labels) -> float:
-        return float(self._series.get(_label_key(labels), 0.0))
+        return float(self._series.get(self._key(labels), 0.0))
 
 
 class Histogram(_Metric):
@@ -106,7 +115,7 @@ class Histogram(_Metric):
         self.buckets = tuple(float(b) for b in buckets)
 
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             series = self._series.get(key)
             if series is None:
@@ -118,11 +127,11 @@ class Histogram(_Metric):
             series[-1] += 1
 
     def count(self, **labels) -> int:
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(self._key(labels))
         return int(series[-1]) if series else 0
 
     def sum(self, **labels) -> float:
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(self._key(labels))
         return float(series[-2]) if series else 0.0
 
 

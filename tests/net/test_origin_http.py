@@ -1,10 +1,12 @@
 """HTTP/1.1 semantics of the asyncio origin, property-tested over a
 real loopback socket: Range (single, open-ended, suffix, 416), strong
 ETags with If-None-Match revalidation and rotation on package rebuild,
-HEAD, traversal protection, keep-alive, and concurrent interleaving on
-one event loop."""
+the file table (deleted, replaced and symlinked-away files), HEAD,
+traversal protection, keep-alive, and concurrent interleaving on one
+event loop."""
 
 import asyncio
+import os
 import random
 
 import pytest
@@ -94,6 +96,81 @@ class TestETag:
         second = transport.fetch("manifest", "")
         assert first == second
         assert transport.revalidated == 1
+
+
+@pytest.fixture()
+def tree_origin(net_loop, tmp_path):
+    """``(root, transport, origin)``: an origin serving a small writable
+    tree (``root``, inside ``tmp_path``), and a transport pointed at it."""
+    root = tmp_path / "root"
+    (root / "segments").mkdir(parents=True)
+    (root / "segments" / "a.bin").write_bytes(b"inside root")
+    served = DcsrOrigin(root)
+    net_loop.run_until_complete(served.start())
+    try:
+        with HttpTransport(served.base_url, loop=net_loop) as client:
+            yield root, client, served
+    finally:
+        net_loop.run_until_complete(served.stop())
+
+
+class TestFileTable:
+    """The origin remembers each file it served by identity; every change
+    on disk between two requests must show in the second answer."""
+
+    def test_deleted_file_is_404(self, tree_origin):
+        root, client, _origin = tree_origin
+        assert client.get("segments/a.bin")[0] == 200
+        (root / "segments" / "a.bin").unlink()
+        assert client.get("segments/a.bin")[0] == 404
+
+    def test_replaced_file_serves_new_bytes_and_etag(self, tree_origin):
+        root, client, _origin = tree_origin
+        status, headers, body = client.get("segments/a.bin")
+        assert (status, body) == (200, b"inside root")
+        old_etag = headers["etag"]
+        staged = root / "staged.bin"
+        staged.write_bytes(b"rebuilt!!!!")        # same size, new inode
+        os.replace(staged, root / "segments" / "a.bin")
+        status, headers, body = client.get(
+            "segments/a.bin", {"If-None-Match": old_etag})
+        assert (status, body) == (200, b"rebuilt!!!!")
+        assert headers["etag"] != old_etag
+
+    def test_directory_swapped_for_symlink_out_of_root_is_404(
+            self, tree_origin, tmp_path):
+        root, client, _origin = tree_origin
+        assert client.get("segments/a.bin")[0] == 200
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "a.bin").write_bytes(b"outside root")
+        (root / "segments").rename(root / "segments-old")
+        (root / "segments").symlink_to(outside, target_is_directory=True)
+        status, _headers, body = client.get("segments/a.bin")
+        assert status == 404 and b"outside" not in body
+
+    def test_404_is_not_remembered(self, tree_origin):
+        root, client, _origin = tree_origin
+        assert client.get("segments/b.bin")[0] == 404
+        (root / "segments" / "b.bin").write_bytes(b"late")
+        status, _headers, body = client.get("segments/b.bin")
+        assert (status, body) == (200, b"late")
+
+    def test_directory_is_404(self, tree_origin):
+        _root, client, _origin = tree_origin
+        assert client.get("segments")[0] == 404
+
+    def test_table_holds_one_entry_per_served_file(self, tree_origin):
+        """Aliases are served but not entered, and 404s never are, so
+        no request sequence grows the table past the package's files."""
+        _root, client, origin = tree_origin
+        for path in ("segments/a.bin", "segments/../segments/a.bin",
+                     "segments/./a.bin", "segments//a.bin"):
+            status, _headers, body = client.get(path)
+            assert (status, body) == (200, b"inside root"), path
+        for i in range(5):
+            assert client.get(f"segments/missing-{i}.bin")[0] == 404
+        assert list(origin._files) == ["segments/a.bin"]
 
 
 async def _read_response(reader):

@@ -33,6 +33,21 @@ class TestCounter:
         with pytest.raises(ValueError, match="label"):
             counter.inc(**{"bad-name": 1})
 
+    def test_invalid_label_name_rejected_on_every_call(self):
+        """Valid label names are remembered; an invalid one never is,
+        alone or next to names that already passed."""
+        counter = MetricsRegistry().counter("dcsr_x_total")
+        counter.inc(ok="1")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="label"):
+                counter.inc(**{"bad-name": 1})
+            with pytest.raises(ValueError, match="label"):
+                counter.inc(**{"ok": "1", "bad-name": 1})
+            with pytest.raises(ValueError, match="label"):
+                counter.value(**{"bad-name": 1})
+        counter.inc(ok="1")
+        assert counter.series() == {(("ok", "1"),): 2.0}
+
 
 class TestGauge:
     def test_set_is_last_write_wins(self):
