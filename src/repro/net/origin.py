@@ -35,7 +35,9 @@ client actually leans on:
 
 The wait for a request head runs under an ``asyncio.timeout`` deadline
 (``idle_timeout_s``), which costs no task per request the way
-``asyncio.wait_for`` does.
+``asyncio.wait_for`` does.  A response whose body is at most 64 KiB
+goes out in one ``write`` with its head, so one ``send``; a larger body
+is written on its own rather than copied into a join.
 
 Every request lands in the origin's :class:`~repro.obs.Observability`
 registry (``dcsr_origin_requests_total`` by method/status,
@@ -73,6 +75,9 @@ _REASONS = {
 _OPEN_FLAGS = os.O_RDONLY | os.O_NONBLOCK
 #: ``open`` errors that mean "no such file here" (a ``404``).
 _MISSING = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
+#: A body up to this size goes out in one write with its head (one
+#: ``send``); a larger one is written on its own rather than copied.
+_JOIN_BYTES = 64 << 10
 
 
 class _File(NamedTuple):
@@ -360,11 +365,12 @@ class DcsrOrigin:
         lines.append(
             f"Connection: {'keep-alive' if keep_alive else 'close'}")
         payload = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
-        sent = 0
-        writer.write(payload)
-        if body and not head_only:
+        sent = 0 if head_only else len(body)
+        if sent > _JOIN_BYTES:
+            writer.write(payload)             # a join would copy the body
             writer.write(body)
-            sent = len(body)
+        else:
+            writer.write(payload + body if sent else payload)
         await writer.drain()
         return sent
 

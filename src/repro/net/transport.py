@@ -39,15 +39,18 @@ Design notes:
   typed error of that attempt, so a fault-injection proxy that draws one
   fault per request maps one-to-one onto download attempts, mirroring
   ``SimulatedNetwork``'s per-attempt failure schedule.
-- **Bounded buffers.**  A body is read in pieces of what the stream has
-  buffered, never with one body-sized ``readexactly``, so an idle
-  pooled connection keeps no body-sized read buffer.  A body that
-  arrives in one piece is returned as it is, without a join.
-- **Deadlines.**  Every stall budget is an ``asyncio.timeout`` context
-  around the awaits it bounds — the connect, the request and its
-  response head, and the body, whose one deadline moves ``timeout_s``
-  past each piece that arrives — not an ``asyncio.wait_for``, which
-  runs its awaitable as a new task on every call.
+- **Bounded buffers, bodies received in place.**  Each connection is
+  one :class:`asyncio.BufferedProtocol`: ``recv_into`` fills its 64 KiB
+  head buffer until a head is complete, then the body's own
+  ``bytearray`` — the body ``request`` returns, copied out of the kernel
+  once.  Bytes after a response wait in the head buffer for the next.
+  A body buffer starts at ``Content-Length`` but at most
+  :data:`_BODY_CAP` (8 MiB) and doubles only as bytes fill it, so a
+  lying ``Content-Length`` costs at most that cap.
+- **Deadlines.**  One ``loop.call_at`` watchdog per exchange: the
+  request and its response head share one ``timeout_s``, and the body's
+  deadline moves ``timeout_s`` past each piece that arrives.  Expiry
+  aborts the connection and raises :class:`StalledRead`.
 - **Time domains.**  Measured wall seconds of each transfer are returned
   to the caller *and* advanced onto :attr:`clock` (a
   :class:`~repro.obs.SimulatedClock`), so retry backoff — which the
@@ -76,8 +79,11 @@ from ..core.persist import (MANIFEST_PATH, make_package_dirs, model_path,
                             segment_path)
 from ..obs import wall_clock
 
-#: Read size for a body that runs to EOF.
-_BODY_CHUNK = 64 << 10
+#: A connection's head buffer: the largest response head accepted, and
+#: the first allocation of a body that runs to EOF.
+_HEAD_BYTES = 64 << 10
+#: The most body buffer allocated before body bytes arrive to fill it.
+_BODY_CAP = 8 << 20
 
 __all__ = [
     "TransportError",
@@ -118,10 +124,6 @@ class _StaleConnection(Exception):
     """A pooled connection the peer closed while it sat idle."""
 
 
-class _NoResponse(Exception):
-    """The peer hung up before the transport read any response byte."""
-
-
 class HttpTransport(Link):
     """Real-socket drop-in for :class:`~repro.core.network.SimulatedNetwork`.
 
@@ -137,8 +139,8 @@ class HttpTransport(Link):
         are ignored: real faults come from the wire (or the chaos proxy).
     timeout_s:
         Stall budget of the connect, of sending a request and reading
-        its response head, and of each body read; an attempt that stays
-        silent this long raises :class:`StalledRead`.
+        its response head, and of the wait for each piece of a body; an
+        attempt that stays silent this long raises :class:`StalledRead`.
     loop:
         Optional event loop to drive.  Tests share one loop between the
         transport and an in-process origin; by default the transport
@@ -168,15 +170,14 @@ class HttpTransport(Link):
         self._owns_loop = loop is None
         #: path -> (etag, body): If-None-Match revalidation cache.  A 304
         #: replays the cached body without a second transfer.
-        self._validators: dict[str, tuple[str, bytes]] = {}
-        #: Body of the most recent successful download (contract tests
-        #: compare it bitwise against the on-disk artifact).
-        self.last_payload: bytes | None = None
+        self._validators: dict[str, tuple[str, bytearray]] = {}
+        #: The most recent successful download's body, as received
+        #: (contract tests compare it bitwise against the on-disk file).
+        self.last_payload: bytearray | None = None
         #: 304-revalidation hits across the transport's lifetime.
         self.revalidated = 0
         #: Idle keep-alive connections, most recently used last.
-        self._idle: list[tuple[asyncio.StreamReader,
-                               asyncio.StreamWriter]] = []
+        self._idle: list[_Connection] = []
 
     # ----------------------------------------------------------- event loop
 
@@ -192,13 +193,12 @@ class HttpTransport(Link):
     def close(self) -> None:
         """Close every pooled connection and release the private event
         loop (a shared loop stays open)."""
-        writers = [writer for _reader, writer in self._idle]
-        self._idle = []
+        connections, self._idle = self._idle, []
         if self._loop is not None and not self._loop.is_closed():
-            for writer in writers:
-                writer.close()
-            if writers and not self._loop.is_running():
-                self._run(_wait_all_closed(writers))
+            for connection in connections:
+                connection.transport.close()
+            if connections and not self._loop.is_running():
+                self._run(asyncio.gather(*(c.closed for c in connections)))
         if self._owns_loop and self._loop is not None:
             self._loop.close()
             self._loop = None
@@ -242,17 +242,18 @@ class HttpTransport(Link):
 
     # ------------------------------------------------------------ HTTP core
 
-    def fetch(self, kind: str, key: int | str) -> bytes:
-        """Synchronous raw fetch (no attempt accounting): the payload
-        bytes of one artifact.  Package mirroring and tests use this;
-        playback accounting goes through :meth:`download`."""
+    def fetch(self, kind: str, key: int | str) -> bytearray:
+        """Synchronous raw fetch (no attempt accounting): one artifact's
+        bytes, in the buffer they were received into.  Package mirroring
+        and tests use this; playback goes through :meth:`download`."""
         return self._run(self._fetch(self.path_for(kind, key)))
 
     def get(self, path: str, headers: dict[str, str] | None = None):
-        """Synchronous single request: ``(status, headers, body)``."""
+        """Synchronous single request: ``(status, headers, body)``, the
+        body a ``bytearray``."""
         return self._run(self.request("GET", path, headers))
 
-    async def _fetch(self, path: str) -> bytes:
+    async def _fetch(self, path: str) -> bytearray:
         headers = {}
         cached = self._validators.get(path)
         if cached is not None:
@@ -274,8 +275,9 @@ class HttpTransport(Link):
                       headers: dict[str, str] | None = None):
         """One HTTP/1.1 request on a pooled keep-alive connection.
 
-        Returns ``(status, lowercase-header dict, body)``; maps every
-        socket-level failure onto the typed transport errors.
+        Returns ``(status, lowercase-header dict, body)``, the body the
+        ``bytearray`` it was received into; maps every socket-level
+        failure onto the typed transport errors.
         """
         path = path.lstrip("/")
         request_lines = [
@@ -295,127 +297,235 @@ class HttpTransport(Link):
         return await self._exchange(await self._connect(), method, path,
                                     payload, reused=False)
 
-    def _idle_connection(self):
-        """The most recently pooled connection still open, or ``None``."""
+    def _idle_connection(self) -> _Connection | None:
+        """The last pooled connection still usable, or ``None``."""
         while self._idle:
-            reader, writer = self._idle.pop()
-            if not (reader.at_eof() or writer.is_closing()):
-                return reader, writer
-            writer.close()
+            connection = self._idle.pop()
+            if connection.usable:
+                return connection
+            connection.transport.close()
         return None
 
-    async def _connect(self):
+    async def _connect(self) -> _Connection:
+        loop = asyncio.get_running_loop()
         try:
             async with asyncio.timeout(self.timeout_s):
-                return await asyncio.open_connection(self.host, self.port)
+                _transport, connection = await loop.create_connection(
+                    lambda: _Connection(loop, self.timeout_s),
+                    self.host, self.port)
         except TimeoutError:
             raise StalledRead(
                 f"connect to {self.host}:{self.port} timed out") from None
         except OSError as exc:
             raise OriginUnreachable(
                 f"cannot reach {self.host}:{self.port}: {exc}") from exc
+        return connection
 
-    async def _exchange(self, connection, method: str, path: str,
-                        payload: bytes, reused: bool):
-        """Send one request on ``connection`` and read its response; the
-        connection goes back to the pool only if it stays usable."""
-        reader, writer = connection
+    async def _exchange(self, connection: _Connection, method: str,
+                        path: str, payload: bytes, reused: bool):
+        """Send one request on ``connection`` and receive its response;
+        the connection goes back to the pool only if it stays usable."""
         resendable = reused and method in ("GET", "HEAD")
         reusable = False
         try:
-            try:
-                async with asyncio.timeout(self.timeout_s):
-                    head = await _send(connection, payload, path)
-            except _NoResponse as exc:
-                if resendable:
-                    raise _StaleConnection from exc
-                if exc.__cause__ is not None:
-                    raise exc.__cause__       # typed by the clauses below
-                raise TruncatedBody(
-                    f"/{path} closed before response head") from None
-            status, response_headers = _parse_head(head, path)
+            status, response_headers, body = await connection.exchange(
+                payload, method, path, resendable)
             if resendable and status == 408:
                 # The origin's idle timeout: it answered 408 to no
                 # request of ours, then closed.
                 raise _StaleConnection
-            size = _body_length(method, status, response_headers, path)
-            body = await self._read_body(reader, size)
-            reusable = (size is not None and response_headers.get(
+            reusable = (connection.framed and response_headers.get(
                 "connection", "").lower() != "close")
-        except TransportError:
-            raise
-        except TimeoutError:
-            raise StalledRead(f"read of /{path} stalled past "
-                              f"{self.timeout_s:g}s") from None
-        except asyncio.IncompleteReadError as exc:
-            raise TruncatedBody(
-                f"/{path} truncated: got {len(exc.partial)} bytes of a "
-                f"promised body") from exc
-        except ConnectionResetError as exc:
-            raise OriginUnreachable(
-                f"connection reset reading /{path}") from exc
-        except OSError as exc:
-            raise OriginUnreachable(f"I/O error reading /{path}: "
-                                    f"{exc}") from exc
         finally:
             if reusable:
                 self._idle.append(connection)
             else:
-                writer.close()
-                # wait_closed can itself surface the peer's RST; the
-                # response (or typed error) is already decided by then.
-                await _wait_closed(writer)
+                connection.transport.close()
+                await connection.closed
         return status, response_headers, body
 
-    async def _read_body(self, reader: asyncio.StreamReader,
-                         size: int | None) -> bytes:
-        """A body of ``size`` bytes, or up to EOF when ``size`` is
-        ``None``, taken piece by piece as the stream buffers it: the
-        stream's buffer stays bounded by the reader's limit, not by the
-        body.  One deadline covers the body and moves ``timeout_s``
-        past each piece, so every read has the whole stall budget."""
-        if size == 0:
-            return b""
-        loop = asyncio.get_running_loop()
-        chunks = []
-        remaining = size
-        async with asyncio.timeout(self.timeout_s) as deadline:
-            while True:
-                chunk = await reader.read(
-                    _BODY_CHUNK if remaining is None else remaining)
-                if not chunk:
-                    if remaining is None:
-                        break
-                    raise asyncio.IncompleteReadError(b"".join(chunks), size)
-                chunks.append(chunk)
-                if remaining is not None:
-                    remaining -= len(chunk)
-                    if not remaining:
-                        break
-                deadline.reschedule(loop.time() + self.timeout_s)
-        # Joined once at the end (``+=`` per chunk is quadratic).
-        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
+class _Connection(asyncio.BufferedProtocol):
+    """One keep-alive connection that receives each response in place.
+    Whatever ends an exchange — its response, the peer's close or reset,
+    a malformed head, the watchdog — settles the one future
+    :meth:`exchange` awaits; a failure also aborts the connection."""
 
-async def _send(connection, payload: bytes, path: str) -> bytes:
-    """Send one request and read the head of its response.  The first
-    response byte is read on its own, so a peer that closes or resets
-    the connection before it raises :class:`_NoResponse`, and one that
-    does so later does not."""
-    reader, writer = connection
-    try:
-        writer.write(payload)
-        await writer.drain()
-        first = await reader.read(1)
-    except ConnectionError as exc:
-        raise _NoResponse from exc
-    if not first:
-        raise _NoResponse
-    try:
-        return first + await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
-        raise TruncatedBody(
-            f"/{path} closed before response head") from None
+    def __init__(self, loop: asyncio.AbstractEventLoop, timeout_s: float):
+        self._loop = loop
+        self._timeout_s = timeout_s
+        self.transport: asyncio.Transport | None = None
+        self._head = bytearray(_HEAD_BYTES)
+        self._held = 0                    # bytes waiting in ``_head``
+        self._body: bytearray | None = None   # being filled, or None
+        self._filled = 0
+        self._size: int | None = None     # Content-Length; None: to EOF
+        #: Whether the last response was framed by ``Content-Length``.
+        self.framed = False
+        self._ended = False               # the peer closed or reset
+        self._lost: BaseException | None = None
+        self._response: asyncio.Future | None = None
+        self._watchdog: asyncio.TimerHandle | None = None
+        self._deadline = 0.0
+        self._method, self._path, self._resendable = "", "", False
+        self._parsed: tuple[int, dict[str, str]] = (0, {})
+        #: Resolved once the socket is closed.
+        self.closed = loop.create_future()
+
+    @property
+    def usable(self) -> bool:
+        """Worth a request: the peer has not hung up, or it left bytes
+        to read first (an idle-timeout ``408``)."""
+        return not self._ended or self._held > 0
+
+    async def exchange(self, payload: bytes, method: str, path: str,
+                       resendable: bool):
+        """Send one request and receive ``(status, headers, body)``.
+        ``resendable`` turns a close or reset before any response byte
+        into :class:`_StaleConnection`."""
+        self._method, self._path, self._resendable = method, path, resendable
+        self._response = response = self._loop.create_future()
+        self.transport.write(payload)
+        self._deadline = self._loop.time() + self._timeout_s
+        self._watchdog = self._loop.call_at(self._deadline, self._expire)
+        self._advance()                   # bytes or an end seen while idle
+        try:
+            status, headers, body = await response
+        finally:
+            self._watchdog.cancel()
+            self._response = self._body = None
+        # A body read to EOF drops its unused capacity here: during the
+        # EOF callback the transport still holds a view of the buffer.
+        del body[self._filled:]
+        return status, headers, body
+
+    # ------------------------------------------------ asyncio protocol
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._body is None:
+            return memoryview(self._head)[self._held:]
+        if self._filled == len(self._body):   # filled: double, up to size
+            grow = len(self._body)
+            self._body.extend(bytes(
+                min(grow, self._size - self._filled) if self.framed else grow))
+        return memoryview(self._body)[self._filled:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._body is None:
+            self._held += nbytes
+            self._advance()
+            return
+        self._filled += nbytes
+        self._deadline = self._loop.time() + self._timeout_s
+        if self._filled == self._size:
+            self._finish()
+
+    def eof_received(self) -> None:
+        self._end(None)                   # None: the transport closes
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed.set_result(None)
+        self._end(exc)
+
+    # ------------------------------------------------------- exchange
+
+    def _end(self, exc: BaseException | None) -> None:
+        if not self._ended:
+            self._ended, self._lost = True, exc
+            self._advance()
+
+    def _advance(self) -> None:
+        """Move the exchange in flight on with what has arrived."""
+        response = self._response
+        if response is None or response.done():
+            if self._held == len(self._head):   # junk between responses
+                self._held = 0
+                self.transport.abort()
+            return
+        if self._body is None:
+            end = self._head.find(b"\r\n\r\n", 0, self._held)
+            if end >= 0:
+                self._begin_body(end + 4)
+            elif self._ended:
+                error = (self._io_error() if self._lost is not None else
+                         TruncatedBody(f"/{self._path} closed before "
+                                       f"response head"))
+                self._fail(_StaleConnection() if self._resendable
+                           and not self._held else error)
+            elif self._held == len(self._head):
+                self._fail(OriginUnreachable(
+                    f"/{self._path}: response head over "
+                    f"{len(self._head)} bytes"))
+        elif self._ended:
+            if self._lost is not None:
+                self._fail(self._io_error())
+            elif not self.framed:
+                self._finish()
+            else:
+                self._fail(TruncatedBody(
+                    f"/{self._path} truncated: got {self._filled} bytes "
+                    f"of a promised body"))
+
+    def _begin_body(self, end: int) -> None:
+        """Parse the head that ends at ``end`` and move the body bytes
+        that came with it into a new body buffer."""
+        try:
+            self._parsed = status, headers = _parse_head(self._head[:end],
+                                                         self._path)
+            size = _body_length(self._method, status, headers, self._path)
+        except TransportError as exc:
+            self._fail(exc)
+            return
+        self.framed = size is not None
+        self._size = size
+        arrived = self._held - end
+        if self.framed:
+            arrived = min(arrived, size)
+            body = bytearray(min(size, _BODY_CAP))
+        else:
+            body = bytearray(_HEAD_BYTES)
+        body[:arrived] = memoryview(self._head)[end:end + arrived]
+        rest = self._head[end + arrived:self._held]
+        self._head[:len(rest)] = rest
+        self._held = len(rest)
+        self._body, self._filled = body, arrived
+        self._deadline = self._loop.time() + self._timeout_s
+        if arrived == size:
+            self._finish()
+        elif self._ended:
+            self._advance()
+
+    def _finish(self) -> None:
+        body, self._body = self._body, None
+        self._watchdog.cancel()
+        if not self._response.done():     # else cancelled by the caller
+            self._response.set_result((*self._parsed, body))
+
+    def _fail(self, error: Exception) -> None:
+        self._body = None
+        self._watchdog.cancel()
+        if not self._response.done():
+            self._response.set_exception(error)
+        self.transport.abort()
+
+    def _expire(self) -> None:
+        if self._loop.time() < self._deadline:   # a piece arrived since
+            self._watchdog = self._loop.call_at(self._deadline, self._expire)
+        else:
+            self._fail(StalledRead(f"read of /{self._path} stalled past "
+                                   f"{self._timeout_s:g}s"))
+
+    def _io_error(self) -> OriginUnreachable:
+        exc = self._lost
+        error = OriginUnreachable(
+            f"connection reset reading /{self._path}"
+            if isinstance(exc, ConnectionResetError)
+            else f"I/O error reading /{self._path}: {exc}")
+        error.__cause__ = exc
+        return error
 
 
 def _parse_head(head: bytes, path: str):
@@ -442,18 +552,6 @@ def _body_length(method: str, status: int, headers: dict[str, str],
         return 0
     length = headers.get("content-length")
     return None if length is None else _count(length, "Content-Length", path)
-
-
-async def _wait_closed(writer: asyncio.StreamWriter) -> None:
-    try:
-        await writer.wait_closed()
-    except OSError:
-        pass
-
-
-async def _wait_all_closed(writers: list[asyncio.StreamWriter]) -> None:
-    for writer in writers:
-        await _wait_closed(writer)
 
 
 def _count(text: str, what: str, path: str) -> int:

@@ -299,3 +299,55 @@ class TestRequestHead:
                                  1) == [(408, b"")]
         finally:
             net_loop.run_until_complete(slow.stop())
+
+
+class TestResponseWrites:
+    """A response with a body of at most 64 KiB leaves in one write with
+    its head; a larger body is written on its own, not joined."""
+
+    @pytest.fixture()
+    def counted(self, net_loop, tmp_path):
+        """``(transport, writes)``: an origin whose connections record
+        the size of every ``write``, and a transport pointed at it."""
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "small.bin").write_bytes(b"s" * 5000)
+        (root / "edge.bin").write_bytes(b"e" * (64 << 10))
+        (root / "large.bin").write_bytes(b"l" * ((64 << 10) + 1))
+        served = DcsrOrigin(root)
+        handle = served._handle_connection
+        writes = []
+
+        async def counting(reader, writer):
+            write = writer.write
+
+            def recorded(data):
+                writes.append(len(data))
+                write(data)
+
+            writer.write = recorded
+            await handle(reader, writer)
+
+        served._handle_connection = counting
+        net_loop.run_until_complete(served.start())
+        try:
+            with HttpTransport(served.base_url, loop=net_loop) as client:
+                yield client, writes
+        finally:
+            net_loop.run_until_complete(served.stop())
+
+    @pytest.mark.parametrize("method, path, n_writes", [
+        ("GET", "small.bin", 1),
+        ("GET", "edge.bin", 1),
+        ("HEAD", "large.bin", 1),
+        ("GET", "large.bin", 2),
+    ])
+    def test_writes_per_response(self, net_loop, counted, method, path,
+                                 n_writes):
+        client, writes = counted
+        status, headers, body = net_loop.run_until_complete(
+            client.request(method, path))
+        assert status == 200
+        assert len(writes) == n_writes
+        size = int(headers["content-length"])
+        assert len(body) == (0 if method == "HEAD" else size)
