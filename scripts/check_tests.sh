@@ -2,11 +2,12 @@
 # Tiered test gate, as documented in docs/testing.md.
 #
 #   tier 1  fast correctness suite — the merge gate; excludes anything
-#           marked tier2 or timing.  Runs the static source guards
-#           (below) first and the executable-docs suite explicitly, so a
-#           broken fenced example or a thread sneaking into the serve
-#           layer fails the merge gate even if someone narrows the
-#           pytest selection.
+#           marked tier2 or timing.  Builds the SR conv kernel first (a
+#           missing or failing C compiler stops the gate with its
+#           stderr), then runs the source guards (below) and the
+#           executable-docs suite explicitly, so a broken fenced example
+#           or a thread sneaking into the serve layer fails the merge
+#           gate even if someone narrows the pytest selection.
 #   tier 2  slower, benchmark-adjacent tests plus wall-clock timing
 #           guards; run before release or after touching hot paths
 #   net     real-socket tests (loopback asyncio origin, chaos proxy,
@@ -63,8 +64,17 @@
 #     output equal, bit for bit, to the per-row kernel it replaced
 #     (tests/nn/reference_shift.py) over a seeded sweep of shapes (tile
 #     and frame sized included), channels, kernel sizes, precisions and
-#     epilogues, one in-place sgemm per tap and frame, no frame-sized
-#     copy in the epilogue, zero pad pixels after every layer (seconds).
+#     epilogues, sums of zero products +0.0 as uint32, one native call
+#     per conv and frame and no sgemm / np.matmul in an engine forward,
+#     no frame-sized copy in the epilogue, zero pad pixels after every
+#     layer (seconds).
+#   - tests/nn/test_native_kernel.py — the compiled kernel's build and
+#     ISA contract: each variant this host builds (AVX-512, AVX2+FMA,
+#     scalar fmaf) returns the reference bits as uint32 over a reduced
+#     sweep; NaN and inf pixels land where the reference puts them; four
+#     threads' first conv in a fresh process builds once; a trace-mode
+#     fleet process never builds or loads it; a missing or failing
+#     compiler is a KernelBuildError with the command and its stderr.
 #   - tests/codec/test_vector_parse.py — the decode's array passes: an
 #     I frame's (modes, coded, levels, end bit) equal to the per-symbol
 #     walk kept in tests/codec/reference_intra.py, a P or B frame's
@@ -127,12 +137,18 @@ GUARDS=(
     tests/core/test_build_digests.py
     tests/serve/test_pool_reference.py
     tests/nn/test_shift_reference.py
+    tests/nn/test_native_kernel.py
     tests/codec/test_vector_parse.py
     tests/abr/test_playout_reference.py
     tests/sr/test_gate_statistic.py
     tests/codec/test_frame_search.py
     tests/test_cli_configs.py
 )
+
+build_kernel() {
+    echo "== SR conv kernel build =="
+    python -c "from repro.nn import native; print(native.build())"
+}
 
 run_guards() {
     echo "== guards =="
@@ -141,6 +157,7 @@ run_guards() {
 }
 
 run_tier1() {
+    build_kernel
     run_guards
     echo "== tier 1: fast correctness gate =="
     python -m pytest -x -q --strict-markers -m "not tier2 and not timing"

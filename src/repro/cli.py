@@ -13,6 +13,7 @@ End-to-end workflow from a shell::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -84,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "`serve-origin` and download over real sockets")
     play.add_argument("--mirror", default=None, metavar="DIR",
                       help="directory the --url package is mirrored into "
-                           "(default: a fresh temporary directory)")
+                           "(default: a fresh temporary directory, removed "
+                           "after the session)")
     play.add_argument("--timeout", type=float, default=5.0, metavar="S",
                       help="per-read stall budget for --url downloads")
     play.add_argument("--net-seed", type=int, dest="seed",
@@ -391,26 +393,30 @@ def _cmd_play(args) -> int:
         return _usage_error(args, exc)
     obs = Observability(root_name="play")
     reference = _load_clip(args.reference).frames if args.reference else None
-    if args.url is not None:
-        import tempfile
-
-        from .net import HttpTransport, mirror_package
-
-        network = HttpTransport(args.url, timeout_s=args.timeout)
-        mirror_dir = args.mirror or tempfile.mkdtemp(prefix="dcsr-mirror-")
-        package = load_package(mirror_package(network, mirror_dir))
-        print(f"mirrored {args.url} -> {mirror_dir}")
-    else:
-        package = load_package(args.package)
-        network = SimulatedNetwork(link) if _shapes_link(link) else None
-    client = DcsrClient(package, network=network, retry=retry,
-                        fallback="fallback" in args, fast_path=fast,
-                        obs=obs, controller=controller)
-    try:
-        result = client.play(reference)
-    finally:
+    with contextlib.ExitStack() as cleanup:
         if args.url is not None:
-            network.close()
+            import shutil
+            import tempfile
+
+            from .net import HttpTransport, mirror_package
+
+            network = HttpTransport(args.url, timeout_s=args.timeout)
+            cleanup.callback(network.close)
+            mirror_dir, note = args.mirror, ""
+            if mirror_dir is None:      # ours: removed after the session
+                mirror_dir = tempfile.mkdtemp(prefix="dcsr-mirror-")
+                cleanup.callback(shutil.rmtree, mirror_dir,
+                                 ignore_errors=True)
+                note = " (temporary, removed after the session)"
+            package = load_package(mirror_package(network, mirror_dir))
+            print(f"mirrored {args.url} -> {mirror_dir}{note}")
+        else:
+            package = load_package(args.package)
+            network = SimulatedNetwork(link) if _shapes_link(link) else None
+        client = DcsrClient(package, network=network, retry=retry,
+                            fallback="fallback" in args, fast_path=fast,
+                            obs=obs, controller=controller)
+        result = client.play(reference)
     if controller is not None:
         tiers = [d.tier or "off" for d in controller.decisions]
         print(f"controller: {args.controller} on {args.device}, "

@@ -101,10 +101,11 @@ class FastPathConfig:
         expanded by the model's receptive-field halo, so output equals
         whole-frame inference; smaller tiles bound peak SR memory.
     sr_threads:
-        Thread-pool width tiles fan out across.  The conv GEMMs hold the
-        GIL (scipy's ``sgemm`` wrapper), so tile threads overlap only the
-        elementwise passes: measured at most 1x the one-thread rate on
-        the 2-core reference box.  1 keeps SR in the decoding thread.
+        Thread-pool width tiles fan out across.  The conv kernel releases
+        the GIL, so tiles run side by side: on the 2-vCPU reference box
+        two threads measured 0.9-1.9x the one-thread rate, depending on
+        whether its second vCPU was free.  1 keeps SR in the decoding
+        thread.
     prefetch:
         How many *future* segments may sit fully decoded in the pipeline
         while the current segment plays.  A pool of ``sr_batch`` threads
@@ -760,7 +761,8 @@ class DcsrClient:
                 # Calibration is measurement overhead: no span, so it
                 # stays inside decode self-time, exactly as decode_s
                 # accounts it.  It runs second, so a first call's one-off
-                # costs (the BLAS import) land in the SR stage, not here.
+                # costs (loading the conv kernel) land in the SR stage,
+                # not here.
                 calibrate = False
                 r0 = clock.now()
                 InferenceEngine(model).enhance(rgb)     # output discarded

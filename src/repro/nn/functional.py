@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import native
+
 __all__ = [
     "pad2d",
     "unpad2d",
@@ -156,33 +158,35 @@ def conv2d_backward(
 # 'same' over NHWC activations, both within float32 reassociation of
 # ``conv2d_forward``, neither bitwise-equal to it:
 #
-# - :func:`conv2d_shift_nhwc` — one GEMM per kernel tap; the KH*KW-times-
-#   larger im2col matrix is never built, at the price of a different
+# - :func:`conv2d_shift_nhwc` — the taps summed one by one; the KH*KW-
+#   times-larger im2col matrix is never built, at the price of a different
 #   summation order (float32 reassociation, a few ULP per layer).  The
 #   engine's default kernel.  Activations sit
 #   *padded-stride*: pixels are rows of a flat ``(L, C)`` buffer, each
 #   image row followed by ``2*pad`` zero pixels, with ``pad*(W+2*pad) +
 #   pad`` zero rows before and after — so a tap is one contiguous run for
-#   all pixels at once and a conv is KH*KW sgemm calls accumulated in
-#   place by BLAS (tile-sized ones by a numpy add), not KH*KW*H row GEMMs
-#   plus a frame-sized add pass.  Same bits as that per-row kernel
-#   (``tests/nn/reference_shift.py``): same taps, K = Cin in one
-#   micro-kernel pass whatever M is, ``C += AB`` rounding as ``acc += tmp``
-#   did.  This rests on the BLAS build; the reference sweep and the
-#   engine-digest canary pin it.  (Cout = 1 went to sgemv, whose sums
-#   depend on the row count: 1e-6-close only.)
+#   all pixels at once.  A conv is one call per frame of a compiled kernel
+#   (``_shift_conv.c``, built by :mod:`repro.nn.native` on first use) that
+#   keeps the arithmetic of the per-tap sgemm sequence it replaced, and so
+#   the bits of the per-row kernel before that
+#   (``tests/nn/reference_shift.py``): per tap an FMA chain over Cin from
+#   +0 — what a BLAS micro-kernel computes for K = Cin — then the taps
+#   added in row-major order, one rounding each, then the epilogue below,
+#   fused, in :func:`_apply_epilogue`'s order.  The reference sweep and
+#   the engine digests pin it.  (Cout = 1 went to sgemv in the per-row
+#   kernel, whose sums depend on the row count: 1e-6-close only.)
 # - :func:`conv2d_im2col_nhwc` — the cache-blocked im2col GEMM (below).
 #
-# Precision rides in the packed weight.  numpy has no int8 GEMM, so both
-# reduced precisions run the accumulation through the same float32 sgemm
-# as fp32 — but on operands constrained to the reduced-precision grid,
+# Precision rides in the packed weight.  Both reduced precisions run the
+# accumulation through the same float32 arithmetic as fp32 — but on
+# operands constrained to the reduced-precision grid,
 # which makes the arithmetic *bit-exact* to what dedicated hardware
 # kernels would produce:
 #
 # - ``fp16``: weights and activations are rounded to the nearest float16
 #   (round-to-nearest-even) and the products accumulate in float32.  Every
-#   float16 value is exactly representable in float32, so fp32 sgemm over
-#   fp16-rounded operands computes exactly the fp16-multiplicand /
+#   float16 value is exactly representable in float32, so fp32 sums over
+#   fp16-rounded operands compute exactly the fp16-multiplicand /
 #   fp32-accumulator GEMM of tensor-core style mixed precision.
 # - ``int8``: weights use symmetric per-output-channel scales
 #   ``s[o] = max|w[o]| / 127`` and activations a dynamic *per-frame* scale
@@ -196,12 +200,13 @@ def conv2d_backward(
 #   ``acc * (s_x[n] * s[o])`` is therefore bitwise what an
 #   int8xint8->int32 kernel with per-channel dequant would return.
 #
-# Every kernel quantizes its input once, runs its GEMMs, dequantizes the
-# accumulator, then applies the bias / ReLU / ``res_scale`` / residual
-# epilogue in float32 (:func:`_apply_epilogue`), so residual skip paths
-# never lose precision.  A frame's activation (~11 MB) is not cache-hot;
-# each pass runs over image rows, ``(rows, width*Cout)``, not the 8- or
-# 12-wide channel loops that made it slow.
+# Every kernel quantizes its input once (in numpy), sums its taps,
+# dequantizes the accumulator, then applies the bias / ReLU /
+# ``res_scale`` / residual epilogue in float32, so residual skip paths
+# never lose precision.  The shift kernel does the epilogue per pixel in
+# registers; the im2col kernel in :func:`_apply_epilogue`, whose passes
+# run over image rows, ``(rows, width*Cout)``, not the 8- or 12-wide
+# channel loops that made it slow.
 
 #: Precisions understood by ``pack_conv_weight`` / the inference engine.
 PRECISIONS = ("fp32", "fp16", "int8")
@@ -326,8 +331,8 @@ def _apply_epilogue(out: np.ndarray, packed: PackedConvWeight,
     """Fused conv epilogue: int8 dequantization of the accumulator, bias
     add, then ReLU, then ``res_scale`` and the residual skip add — all in
     place on ``out``, ``N`` frames of ``width``-pixel rows, each viewed as
-    ``(rows, width*Cout)``.  Per frame: numpy copies a non-contiguous
-    in-place operand (a padded-stride batch) it cannot prove overlap-free."""
+    ``(rows, width*Cout)``.  The compiled shift kernel runs the same steps
+    in the same order per pixel."""
     n = len(out)
     scales, bias = packed.rows(width)
     if scales is not None:
@@ -371,43 +376,40 @@ def conv2d_shift_padded(
 ) -> np.ndarray:
     """Tap-decomposed convolution (stride 1, 'same') from one padded-stride
     buffer of ``w``-pixel image rows to a new one (``residual`` likewise):
-    ``KH*KW`` sgemm calls per frame, each over every pixel of the frame.
-    The pad pixels of the output rows come out as wrapped-around sums and
-    are zeroed again last — the next conv's taps, and its int8 ``amax``,
-    read them as padding."""
-    # Bound on first use: scipy.linalg costs ~6 MB of RSS at import, which
-    # processes that never run SR (fleet, origin) must not pay.
-    from scipy.linalg.blas import sgemm
+    one call of the compiled kernel per frame, which sums the taps and
+    runs the epilogue.  The pad pixels of the output are zero — the next
+    conv's taps, and its int8 ``amax``, read them as padding."""
     kh, kw = packed.kernel
     n, length, cin = buf.shape
+    cout = packed.out_channels
     if cin != packed.in_channels or pad < max(kh, kw) // 2:
         raise ValueError(f"input has {cin} channels padded by {pad}, kernel "
                          f"expects {packed.in_channels} and {kh}x{kw} taps")
     wp = w + 2 * pad
-    lead = pad * wp + pad
-    m = length - 2 * lead
+    if length < 2 * (pad * wp + pad) or (length - 2 * pad) % wp:
+        raise ValueError(f"{length} pixels are no padded-stride frame of "
+                         f"{w}-pixel rows padded by {pad}")
+    if residual is not None and residual.shape != (n, length, cout):
+        raise ValueError(f"residual of shape {residual.shape} for an output "
+                         f"of {(n, length, cout)}")
     xq, x_scale = _quantize_activations(buf, packed.precision)
-    out = np.zeros((n, length, packed.out_channels), dtype=np.float32)
-    body = out[:, lead:lead + m]
-    # Up to ~1e6 multiply-adds OpenBLAS runs an unpacked small-matrix
-    # kernel whose beta=1 form is 2-4x slower than its beta=0 form; there
-    # (the activation is cache-resident) numpy adds the tap instead.
-    small = m * cin * packed.out_channels <= 1_000_000
-    for frame in range(n):
-        for i in range(kh):
-            for j in range(kw):
-                start = lead + (i - kh // 2) * wp + j - kw // 2
-                tap, run = packed.taps[i, j].T, xq[frame, start:start + m].T
-                if small:
-                    body[frame] += sgemm(1.0, tap, run).T
-                else:   # F-ordered views: f2py passes pointers, no copies;
-                    # beta=0 first spares a read of untouched pages.
-                    sgemm(1.0, tap, run, beta=float(i + j > 0),
-                          c=body[frame].T, overwrite_c=1)
+    xq = np.ascontiguousarray(xq, dtype=np.float32)
+    out = np.empty((n, length, cout), dtype=np.float32)
+    dq = None
+    if packed.scales is not None:
+        dq = x_scale.reshape(n, 1) * packed.scales      # (n, Cout) float32
     if residual is not None:
-        residual = residual[:, lead:lead + m]
-    _apply_epilogue(body, packed, x_scale, relu, residual, res_scale, wp)
-    body.reshape(n, -1, wp, packed.out_channels)[:, :, w:] = 0.0
+        residual = np.ascontiguousarray(residual, dtype=np.float32)
+    conv = native.conv_function()
+    bias = None if packed.bias is None else packed.bias.ctypes.data
+    for f in range(n):
+        status = conv(xq[f].ctypes.data, packed.taps.ctypes.data,
+                      None if dq is None else dq[f].ctypes.data, bias,
+                      None if residual is None else residual[f].ctypes.data,
+                      out[f].ctypes.data, length, w, pad, kh, kw, cin, cout,
+                      bool(relu), res_scale)
+        if status:
+            raise MemoryError("the conv kernel could not allocate its taps")
     return out
 
 

@@ -1,0 +1,123 @@
+"""Build and load the compiled SR conv kernel (``_shift_conv.c``).
+
+The kernel is compiled with the system ``cc`` for the host it runs on, the
+first time a conv needs it — never at import, so processes that run no SR
+(fleet, origin) neither build nor load it.  The shared library is cached
+under ``$XDG_CACHE_HOME/repro-dcsr`` (default ``~/.cache``), named by a
+hash of the source, the compiler's ``--version``, the flags and the host's
+CPU flags, so a new compiler, a changed source or another CPU gets its own
+build.  It is written under a temporary name and ``os.replace``-d into
+place, so concurrent first uses in several processes are safe; a lock
+makes threads of one process build once.  ``ctypes`` releases the GIL for
+the length of each call.
+
+There is no fallback: when no compiler is found or the build fails,
+:class:`KernelBuildError` carries the command and the compiler's stderr.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import threading
+from pathlib import Path
+
+__all__ = ["KernelBuildError", "SOURCE", "FLAGS", "cache_dir", "build",
+           "load", "conv_function"]
+
+SOURCE = Path(__file__).with_name("_shift_conv.c")
+#: ``-ffp-contract=off`` holds the bits: without it GCC fuses the
+#: epilogue's dequant multiply and bias add (and the ``res_scale`` multiply
+#: and residual add) into one FMA each.
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+COMPILER = "cc"
+
+
+class KernelBuildError(RuntimeError):
+    """The conv kernel could not be compiled: no compiler, or it failed."""
+
+    def __init__(self, command: list[str], stderr: str):
+        self.command = command
+        self.stderr = stderr
+        super().__init__(f"building the SR conv kernel failed: "
+                         f"{' '.join(command)}\n{stderr}")
+
+
+_lock = threading.Lock()
+_conv = None
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro-dcsr"
+
+
+def _run(command: list[str]) -> subprocess.CompletedProcess:
+    try:
+        proc = subprocess.run(command, capture_output=True, text=True)
+    except OSError as exc:
+        raise KernelBuildError(command, str(exc)) from exc
+    if proc.returncode:
+        raise KernelBuildError(command, proc.stderr)
+    return proc
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("flags"):
+                    return line
+    except OSError:
+        pass
+    return platform.machine() + platform.processor()
+
+
+def build(directory: Path | None = None,
+          defines: tuple[str, ...] = ()) -> Path:
+    """Compile the kernel into ``directory`` (the cache by default) unless
+    that build is already there; ``defines`` are extra ``-D`` macros (the
+    tests rule ISA variants out with them).  Returns the library's path."""
+    directory = cache_dir() if directory is None else Path(directory)
+    flags = list(FLAGS) + [f"-D{name}" for name in defines]
+    version = _run([COMPILER, "--version"]).stdout
+    key = hashlib.sha256("\0".join(
+        [SOURCE.read_text(), version, *flags, _cpu_flags()]).encode())
+    path = directory / f"shift_conv-{key.hexdigest()[:16]}.so"
+    if path.exists():
+        return path
+    directory.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        _run([COMPILER, *flags, "-o", str(tmp), str(SOURCE), "-lm"])
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
+def load(path: Path):
+    """The library's ``shift_conv`` entry point, typed."""
+    lib = ctypes.CDLL(str(path))
+    ptr, long = ctypes.c_void_p, ctypes.c_long
+    fn = lib.shift_conv
+    fn.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, long, long, long, long,
+                   long, long, long, ctypes.c_int, ctypes.c_float]
+    fn.restype = ctypes.c_int
+    lib.shift_conv_isa.restype = ctypes.c_char_p
+    fn.isa = lib.shift_conv_isa().decode()
+    return fn
+
+
+def conv_function():
+    """The process's kernel, built and loaded on the first call."""
+    global _conv
+    if _conv is None:
+        with _lock:
+            if _conv is None:
+                _conv = load(build())
+    return _conv

@@ -16,8 +16,9 @@ fast on CPU:
   stride) and every intermediate stays there until the final crop: no
   layer pads, crops or transposes (only a pixel shuffle re-lays out).
 - **No im2col materialization** — there each kernel tap is one contiguous
-  run of pixels, so a 3x3 conv is nine ``(H*(W+2), Cin) @ (Cin, Cout)``
-  GEMMs that BLAS accumulates in place, not a 9x-inflated patch matrix.
+  run of pixels, so a conv is one call of a compiled kernel per frame
+  that sums the nine taps of every pixel in registers and runs the
+  epilogue on the way out, not a 9x-inflated patch matrix.
 - **Zero retention** — nothing is cached for a backward pass; peak memory
   is a handful of activation-sized buffers (and with tiling, a handful of
   *tile*-sized buffers).
@@ -33,9 +34,10 @@ inference reproduces whole-frame output exactly (up to float32
 reassociation, well below the guaranteed 1e-5); frame borders keep the
 model's zero padding because there the tile edge *is* the frame edge.
 Tiles bound peak working-set memory and are independent, so they can fan
-out across a thread pool — which overlaps the elementwise passes only:
-scipy's ``sgemm`` wrapper holds the GIL, and a GEMM that spans a tile is
-large enough for BLAS to split across its own threads instead.
+out across a thread pool.  The kernel is single-threaded and ``ctypes``
+releases the GIL for each call, so tile threads run convs side by side;
+on the 2-vCPU benchmark host two of them measured 0.9-1.9x one,
+depending on whether its second vCPU was free.
 
 An engine has one owner at a time — :attr:`InferenceEngine.stats` is
 per-call state and the reuse cache follows one frame stream — so the

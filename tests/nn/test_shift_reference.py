@@ -1,22 +1,22 @@
-"""The padded-stride shift kernel held to the per-row kernel it replaced.
+"""The compiled shift kernel held to the per-row kernel it replaced.
 
 ``conv2d_shift_nhwc`` used to issue one ``np.matmul`` per tap on a shifted
 4-D view (``N * H`` row GEMMs) and sum the taps through a scratch; it now
-lays activations out with the padding inside the row stride and lets BLAS
-accumulate one sgemm per tap in place.  Three things hold it to the old
-behaviour:
+lays activations out with the padding inside the row stride and makes one
+call of a compiled kernel per frame, which keeps BLAS's arithmetic: an FMA
+chain over ``Cin`` from +0 per tap, the taps added in order, then the
+epilogue.  Three things hold it to the old behaviour:
 
 - ``reference_shift.conv2d_shift_nhwc`` keeps the old body verbatim; over a
   seeded sweep of shapes, channel counts, kernel sizes, precisions and
   epilogues the new kernel must return the same float32s (``array_equal``,
-  not ``allclose``).  One documented exception: with ``Cout = 1`` numpy
+  not ``allclose``; where every product is zero, the same bits, sign of
+  zero included).  One documented exception: with ``Cout = 1`` numpy
   routed the old per-row product to sgemv, whose rounding depends on the
   row count, so fp32/fp16 are held to 1e-6 there (int8 stays exact).
-- the f2py ``sgemm`` wrapper must work in place on frame-sized taps — it
-  silently copies a ``c`` that is not F-contiguous float32, which would
-  keep the bits and lose the speed — and must be called ``KH * KW * N``
-  times per conv at every size, so a return to per-row dispatch fails on
-  a count, not on a stopwatch.
+- a conv is one native call per frame at every size, and an engine
+  forward calls neither ``sgemm`` nor ``np.matmul``, so a return to a
+  per-tap or per-row dispatch fails on a count, not on a stopwatch.
 - the pad pixels of every intermediate of an engine forward are zero: the
   next conv's taps and the int8 ``amax`` read them as padding.
 """
@@ -33,6 +33,7 @@ import pytest
 import scipy.linalg.blas
 
 from repro.nn import functional as F
+from repro.nn import native
 from repro.sr import EDSR, EdsrConfig, InferenceEngine
 
 from . import reference_shift
@@ -160,47 +161,81 @@ def test_float64_input_is_taken_as_float32(precision):
         x64.astype(np.float32), packed, relu=True), packed)
 
 
-# ------------------------------------------------------- how BLAS is called
+@pytest.mark.parametrize("precision", F.PRECISIONS)
+def test_sums_of_zero_products_are_positive_zero(precision):
+    """BLAS starts each chain from +0, so a sum of zero products is +0.0
+    even where every product is -0.0 (zero input, negative weights, no
+    bias); ``array_equal`` cannot see the sign of a zero, uint32 can."""
+    rng = np.random.default_rng(10)
+    weight = -np.abs(rng.standard_normal((8, 3, 3, 3))).astype(np.float32)
+    packed = F.pack_conv_weight(weight, None, precision)
+    x = np.zeros((2, 7, 9, 3), np.float32)
+    x[1, :, 4:] = rng.standard_normal((7, 5, 3))
+    new = F.conv2d_shift_nhwc(x, packed)
+    old = reference_shift.conv2d_shift_nhwc(x, packed)
+    assert np.array_equal(new.view(np.uint32), old.view(np.uint32))
+    assert not np.signbit(new[0]).any()
 
-@pytest.fixture
-def sgemm_calls(monkeypatch):
-    """Every ``sgemm`` call of the kernel, as (c it was given, result)."""
-    real, calls = scipy.linalg.blas.sgemm, []
 
-    def wrapped(alpha, a, b, **kwargs):
-        result = real(alpha, a, b, **kwargs)
-        calls.append((kwargs.get("c"), result))
-        return result
+# ----------------------------------------------- how the kernel is called
 
-    monkeypatch.setattr(scipy.linalg.blas, "sgemm", wrapped)
+def _record_native_calls(monkeypatch) -> list:
+    """From here on: every call of the compiled kernel, by its arguments;
+    ``sgemm`` and ``np.matmul`` fail the test if anything calls them."""
+    real, calls = native.conv_function(), []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("the conv path called a BLAS GEMM")
+
+    monkeypatch.setattr(native, "conv_function", lambda: counting)
+    monkeypatch.setattr(scipy.linalg.blas, "sgemm", no_blas)
+    monkeypatch.setattr(np, "matmul", no_blas)
     return calls
 
 
 @pytest.mark.parametrize("precision", ["fp32", "int8"])
-def test_frame_sized_taps_accumulate_in_place(sgemm_calls, precision):
-    """Above ~1e6 multiply-adds per tap BLAS accumulates into the output
-    buffer itself: one call per tap and frame, each spanning every pixel
-    of the frame (pad pixels included), none through a copy."""
+def test_frame_sized_conv_is_one_native_call_per_frame(monkeypatch,
+                                                       precision):
+    """Each call spans every pixel of its frame; the output pointers
+    step one frame apart."""
     rng = np.random.default_rng(11)
     n, h, w, k = 2, 100, 110, 3
     packed = _packed(rng, 8, 12, k, precision)
     buf = F.pad_nhwc(rng.standard_normal((n, h, w, 8)), k // 2)
+    calls = _record_native_calls(monkeypatch)
     out = F.conv2d_shift_padded(buf, w, k // 2, packed, relu=True)
-    assert len(sgemm_calls) == k * k * n
-    for c, result in sgemm_calls:
-        assert c.shape == (12, h * (w + 2))
-        assert np.shares_memory(result, c) and np.shares_memory(c, out)
+    assert len(calls) == n
+    assert [call[5] - out.ctypes.data for call in calls] == [
+        f * out[0].nbytes for f in range(n)]
+    assert all(call[6:9] == (buf.shape[1], w, k // 2) for call in calls)
 
 
-def test_tile_sized_taps_are_one_call_each_too(sgemm_calls):
-    """Below it numpy adds each tap (OpenBLAS's small-matrix kernel is
-    slow at beta=1) — still one GEMM per tap and frame, not one per row."""
+def test_tile_sized_conv_is_one_native_call_per_frame_too(monkeypatch):
     rng = np.random.default_rng(12)
     packed = _packed(rng, 3, 8, 5, "fp32")
-    F.conv2d_shift_nhwc(rng.standard_normal((3, 6, 6, 3)), packed)
-    assert len(sgemm_calls) == 5 * 5 * 3
-    assert all(c is None and result.shape == (8, 6 * 10)
-               for c, result in sgemm_calls)
+    x = rng.standard_normal((3, 6, 6, 3))
+    calls = _record_native_calls(monkeypatch)
+    F.conv2d_shift_nhwc(x, packed)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("precision", F.PRECISIONS)
+def test_engine_forward_calls_no_blas(monkeypatch, precision):
+    """A whole-frame forward of a two-block x2 model (head, four body
+    convs, body tail, upsampler, output) over three frames: 8 convs, 24
+    native calls, no GEMM."""
+    model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8, scale=2), seed=19)
+    engine = InferenceEngine(model, precision=precision)
+    frames = np.random.default_rng(20).random((3, 12, 14, 3),
+                                              dtype=np.float32)
+    expected = engine.enhance_batch(frames)
+    calls = _record_native_calls(monkeypatch)
+    assert np.array_equal(engine.enhance_batch(frames), expected)
+    assert len(calls) == 8 * 3
 
 
 @pytest.mark.parametrize("precision", ["fp32", "int8"])
@@ -286,13 +321,13 @@ def test_packages_that_run_no_sr_do_not_import_scipy_linalg():
 
 @pytest.mark.timing
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="half the gain is BLAS's own second thread")
+                    reason="measured on two cores only")
 def test_kernel_beats_the_reference_kernel_at_frame_size():
-    """(1, 352, 640, 12) fp32, pad + crop + ReLU included: measured 18 ms
-    against 34 ms for the per-row kernel on two cores.  A GEMM that spans
-    the frame is also the first one big enough for BLAS to split across
-    its threads; pinned to one (``OPENBLAS_NUM_THREADS=1``) the same pair
-    reads 24 ms against 27 ms and this guard does not hold."""
+    """(1, 352, 640, 12) fp32, pad + crop + ReLU included: measured
+    10-13 ms against 27-36 ms for the per-row kernel on two cores, with
+    one BLAS thread (``OPENBLAS_NUM_THREADS=1``) or two alike — the
+    compiled kernel is single-threaded, and the per-row GEMMs are too
+    small for BLAS to split."""
     rng = np.random.default_rng(17)
     packed = _packed(rng, 12, 12, 3, "fp32")
     x = rng.standard_normal((1, 352, 640, 12)).astype(np.float32)
