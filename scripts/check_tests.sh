@@ -4,19 +4,22 @@
 #   tier 1  fast correctness suite — the merge gate; excludes anything
 #           marked tier2 or timing.  Builds the SR conv kernel first (a
 #           missing or failing C compiler stops the gate with its
-#           stderr), then runs the source guards (below) and the
-#           executable-docs suite explicitly, so a broken fenced example
-#           or a thread sneaking into the serve layer fails the merge
-#           gate even if someone narrows the pytest selection.
+#           stderr), then runs the source guards (below), then the
+#           perfbench tier (a removed or renamed public name the
+#           benchmark uses fails the merge gate, not the benchmark run),
+#           and the executable-docs suite explicitly, so a broken fenced
+#           example or a thread sneaking into the serve layer fails the
+#           merge gate even if someone narrows the pytest selection.
 #   tier 2  slower, benchmark-adjacent tests plus wall-clock timing
 #           guards; run before release or after touching hot paths
 #   net     real-socket tests (loopback asyncio origin, chaos proxy,
 #           dual-transport contract suite); marked `net`, run on
 #           ephemeral ports with a leaked-task guard
 #   perfbench  the benchmark's own tests (perfbench/tests, outside the
-#           tier-1 testpaths): the only in-repo check that every name
-#           perfbench/ imports from repro still exists and that each
-#           workload still runs end to end at smoke size
+#           tier-1 testpaths; about 25 s, also run by tier 1): the only
+#           in-repo check that every name perfbench/ imports from repro
+#           still exists and that each workload still runs end to end at
+#           smoke size
 #
 # Guards (run first so violations fail in seconds; each guard lives in
 # exactly one place — its test file — and this script only decides when
@@ -159,6 +162,7 @@ run_guards() {
 run_tier1() {
     build_kernel
     run_guards
+    run_perfbench
     echo "== tier 1: fast correctness gate =="
     python -m pytest -x -q --strict-markers -m "not tier2 and not timing"
     echo "== tier 1: executable docs =="
@@ -185,6 +189,6 @@ case "$tier" in
     tier2) run_tier2 ;;
     net)   run_net ;;
     perfbench) run_perfbench ;;
-    all)   run_tier1; run_tier2; run_net; run_perfbench ;;
+    all)   run_tier1; run_tier2; run_net ;;
     *) echo "usage: $0 [tier1|tier2|net|perfbench|all]" >&2; exit 2 ;;
 esac

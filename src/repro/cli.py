@@ -139,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="what to do with arrivals over --max-sessions")
     serve.add_argument("--seed", type=int,
                        help="fleet seed (arrivals + per-session failures)")
-    serve.add_argument("--sr-demand-factor", type=float, metavar="F",
-                       help="trace mode: scale each session's modeled SR "
-                            "FLOP demand by F in [0, 1]")
     serve.add_argument("--device", dest="devices", metavar="LIST",
                        type=lambda text: tuple(
                            name.strip() for name in text.split(",")

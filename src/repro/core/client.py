@@ -1,6 +1,6 @@
 """Client-side dcSR (Section 3.2, Figure 6): the streaming session engine.
 
-Plays a :class:`~repro.core.server.DcsrPackage` segment by segment as a
+Plays a :class:`~repro.core.persist.StoredPackage` segment by segment as a
 bounded-memory generator session (:meth:`DcsrClient.iter_frames`):
 
 1. check the manifest's model label against the cache; download the micro
@@ -56,7 +56,7 @@ from ..video.frame import YuvFrame
 from ..video.quality import psnr, ssim
 from .cache import CacheStats, ModelCache
 from .network import DownloadError, Network, RetryPolicy
-from .server import DcsrPackage
+from .persist import StoredPackage
 from .session import (PLAYBACK_STAGES, FetchStage, PlayoutClock,
                       SegmentFetch, SegmentPlayback, count_downloads,
                       record_segment)
@@ -355,10 +355,8 @@ class DcsrClient:
     Parameters
     ----------
     package:
-        The :class:`~repro.core.server.DcsrPackage` (or duck-typed
-        :class:`~repro.core.persist.StoredPackage`) to stream.
-    cache_capacity:
-        Optional LRU bound on the model cache.
+        The :class:`~repro.core.persist.StoredPackage` to stream (a
+        freshly built :class:`~repro.core.server.DcsrPackage` is one).
     network:
         Optional :class:`~repro.core.network.Network` (a
         :class:`~repro.core.network.SimulatedNetwork`, a fleet pool
@@ -387,15 +385,15 @@ class DcsrClient:
         stage's ledger when a session ends — completed, aborted or
         abandoned — and labelled with ``span_attrs``.
     model_cache:
-        Optional *shared* :class:`~repro.core.cache.ModelCache` (a store
-        several clients are given, or one edge of a
-        :class:`repro.serve.CacheHierarchy`).  When given, Algorithm 1
-        runs against it through this client's own ``session(fetch)`` view
-        — a model another session already downloaded is a hit here, and
-        the entry is refcount-pinned for the duration of each segment so
-        eviction can never drop a model mid-SR.  ``cache_capacity`` is
-        ignored (the shared cache carries its own bound).  ``None`` gives
-        the client a private store bounded by ``cache_capacity``.
+        Optional :class:`~repro.core.cache.ModelCache`: a store several
+        clients are given, one edge of a
+        :class:`repro.serve.CacheHierarchy`, or a private bounded one
+        (``ModelCache(capacity=N)``).  Algorithm 1 runs against it
+        through this client's own ``session(fetch)`` view — a model
+        another session already downloaded is a hit here, and the entry
+        is refcount-pinned for the duration of each segment so eviction
+        can never drop a model mid-SR.  ``None`` gives the client a
+        private unbounded store.
     span_attrs:
         Extra attributes stamped on the session's ``play`` span and, as
         labels, on its download counters (fleet runs tag each session's
@@ -416,7 +414,7 @@ class DcsrClient:
         serial controlled session) but not with ``sr_batch > 1``.
     """
 
-    def __init__(self, package: DcsrPackage, cache_capacity: int | None = None,
+    def __init__(self, package: StoredPackage,
                  network: Network | None = None,
                  retry: RetryPolicy | None = None,
                  fallback: bool = False,
@@ -430,8 +428,7 @@ class DcsrClient:
         self.package = package
         self._stage = FetchStage(
             package, network, retry, fallback, precision=self._fast.precision,
-            cache_capacity=cache_capacity, model_cache=model_cache,
-            controller=controller)
+            model_cache=model_cache, controller=controller)
         self._span_attrs = dict(span_attrs or {})
         self.obs = obs or Observability(root_name="client")
         self._session = None

@@ -74,11 +74,9 @@ def make_package_dirs(root: str | Path) -> Path:
 
 @dataclass
 class StoredPackage:
-    """The client-facing subset of a package, loaded from disk.
-
-    Duck-type compatible with :class:`~repro.core.server.DcsrPackage` for
-    :class:`~repro.core.client.DcsrClient`.
-    """
+    """The client-facing package: what :func:`load_package` reads back,
+    and the base of the freshly built
+    :class:`~repro.core.server.DcsrPackage`."""
 
     manifest: VideoManifest
     encoded: EncodedVideo

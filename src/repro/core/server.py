@@ -72,7 +72,7 @@ from .parallel import (
     run_tasks,
     stage_timer,
 )
-from .persist import TrainingCache
+from .persist import StoredPackage, TrainingCache
 
 __all__ = ["ServerConfig", "DcsrPackage", "build_package", "prepare_video"]
 
@@ -128,26 +128,16 @@ class ServerConfig:
     train_cache_dir: str | None = None
 
 
-@dataclass
-class DcsrPackage:
-    """Everything the server publishes for one video."""
+@dataclass(kw_only=True)
+class DcsrPackage(StoredPackage):
+    """Everything the server publishes for one video: the client-facing
+    package plus the build's server-side products."""
 
-    manifest: VideoManifest
-    encoded: EncodedVideo
-    models: dict[int, EDSR]
     features: np.ndarray              # (n_segments, latent_dim)
     selection: KSelection
     vae: ConvVAE
-    segments: list[Segment]
     decoded_low: DecodedVideo         # the client-visible LQ reference
     telemetry: BuildTelemetry | None = None
-    #: tier name -> label -> model, for packages built with
-    #: :attr:`ServerConfig.model_tiers` (empty otherwise).
-    tier_models: dict[str, dict[int, EDSR]] = field(default_factory=dict)
-
-    @property
-    def n_models(self) -> int:
-        return len(self.models)
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from ..control import (ControlContext, ControlDecision, JointController,
                        segment_energy, segment_iframe_count, tier_options)
 from .cache import ModelCache
 from .network import DownloadError, Network, RetryPolicy, download_with_retry
+from .persist import StoredPackage
 
 __all__ = ["PLAYBACK_STAGES", "PlayoutClock", "SegmentPlayback",
            "SegmentFetch", "FetchStage", "record_segment", "count_downloads"]
@@ -139,18 +140,15 @@ class FetchStage:
         As for :class:`~repro.core.client.DcsrClient`.
     precision:
         Which published checkpoint precision label models download at.
-    cache_capacity / model_cache:
+    model_cache:
         The :class:`~repro.core.cache.ModelCache` the session's models live
-        in: a shared store (or CDN edge) when given — ``cache_capacity`` is
-        then ignored, the store carries its own bound — else a private one
-        with that LRU bound.  Either way each session works through its own
-        :class:`~repro.core.cache.CacheSession` view.
+        in: a shared store (or CDN edge), or a bounded private one, when
+        given, else an unbounded private one.  Either way each session
+        works through its own :class:`~repro.core.cache.CacheSession` view.
     controller:
         Optional :class:`~repro.control.JointController` consulted at
-        every segment boundary.
-    device:
-        The device whose power model :meth:`feedback` costs segments on
-        (default: the controller's; ``None`` disables energy modelling).
+        every segment boundary.  :meth:`feedback` costs segments on its
+        device's power model; without one it models no energy.
 
     :meth:`fetch` consumes the network's deterministic schedule (model
     acquire, then segment), so callers MUST invoke it in segment order,
@@ -160,22 +158,19 @@ class FetchStage:
     :meth:`settle` folds into a result.
     """
 
-    def __init__(self, package, network: Network | None = None,
+    def __init__(self, package: StoredPackage, network: Network | None = None,
                  retry: RetryPolicy | None = None, fallback: bool = False, *,
-                 precision: str = "fp32", cache_capacity: int | None = None,
+                 precision: str = "fp32",
                  model_cache: ModelCache | None = None,
-                 controller: JointController | None = None, device=None):
+                 controller: JointController | None = None):
         self.package = package
         self.network = network
         self.retry = retry
         self.fallback = bool(fallback)
         self.precision = precision
         self.controller = controller
-        self.device = device if device is not None \
-            else getattr(controller, "device", None)
         # ``is None``, not ``or``: a store that is still empty is falsy.
-        self._store = (ModelCache(capacity=cache_capacity)
-                       if model_cache is None else model_cache)
+        self._store = ModelCache() if model_cache is None else model_cache
         # The cache calls back into the stage; a weak reference keeps the
         # pair out of a reference cycle, so a finished session (and its
         # network) is freed at once, not by the cycle collector.
@@ -255,27 +250,24 @@ class FetchStage:
         if fetched.model is not None and fetched.decision is None:
             self.cache.release(fetched.label)
 
-    def feedback(self, fetched: SegmentFetch, sr_inferences: int,
-                 flops_per_inference: float | None = None) -> None:
+    def feedback(self, fetched: SegmentFetch, sr_inferences: int) -> None:
         """Close the loop after the decode stage: cost the segment's
-        *realized* ``sr_inferences`` on the device power model, add it to
-        the ledger, and feed it back into the controller's budget state.
-        ``flops_per_inference`` defaults to the decided option's."""
-        if self.device is None:
+        *realized* ``sr_inferences`` at the decided option's FLOPs on the
+        controller's device, add it to the ledger, and feed it back into
+        the controller's budget state.  A no-op without a controller."""
+        if self.controller is None:
             return
         decision = fetched.decision
         sr_on = decision is not None and decision.sr_enabled
-        if flops_per_inference is None:
-            flops_per_inference = (decision.option.flops_per_inference
-                                   if sr_on else 0.0)
         seconds = fetched.seg_t.n_frames / self.package.encoded.fps
-        energy = segment_energy(self.device, seconds, flops_per_inference,
-                                sr_inferences).energy_j
+        energy = segment_energy(
+            self.controller.device, seconds,
+            decision.option.flops_per_inference if sr_on else 0.0,
+            sr_inferences).energy_j
         self.energy_joules += energy
         if sr_on and sr_inferences:
             self.sr_segments += 1
-        if self.controller is not None:
-            self.controller.feedback(energy, seconds)
+        self.controller.feedback(energy, seconds)
 
     def settle(self, result, telemetry) -> None:
         """Fold the session ledger and cache statistics into ``result``

@@ -4,11 +4,12 @@ does.
 :class:`HttpTransport` is the production-shaped half of the network seam:
 the :class:`repro.core.network.Network` contract the whole client stack
 is written against — ``download(kind, key, n_bytes) -> seconds``, a
-``clock``, ``stats`` and ``config`` — backed by real TCP sockets instead
-of a simulated schedule.  It is a :class:`repro.core.network.Link` whose
-one attempt is a wall-timed socket fetch, so ``DcsrClient``, the model
-caches, retry/backoff, and the fleet simulator's playback mode run
-unmodified over either transport; the transport contract suite
+``clock``, ``stats`` and a default ``config`` (no bandwidth hint) —
+backed by real TCP sockets instead of a simulated schedule.  It is a
+:class:`repro.core.network.Link` whose one attempt is a wall-timed
+socket fetch, so ``DcsrClient``, the model caches, retry/backoff, and
+the fleet simulator's playback mode run unmodified over either
+transport; the transport contract suite
 (``tests/net/test_transport_contract.py``) holds them to identical
 behavior.
 
@@ -62,6 +63,12 @@ Design notes:
   (:class:`OriginUnreachable`, :class:`TruncatedBody`,
   :class:`StalledRead`, :class:`HttpStatusError`), so the client's
   existing retry / concealment / fallback paths engage with no changes.
+- **One full GET per download, no body cache.**  Whether a model is
+  downloaded at all is the model cache's decision (Algorithm 1), so
+  every ``download`` and ``fetch`` transfers its artifact and the
+  transport keeps no body beyond :attr:`HttpTransport.last_payload`.
+  The origin still answers ``If-None-Match`` with a bodiless 304 to a
+  caller of :meth:`HttpTransport.request` that sends one.
 - **No telemetry of its own.**  Like every link, the transport counts
   attempts only in :attr:`stats` (``bytes_delivered`` is wire bytes);
   the session's download counters come from the fetch stage's ledger in
@@ -74,7 +81,7 @@ import asyncio
 import json
 from pathlib import Path
 
-from ..core.network import DownloadError, Link, NetworkConfig
+from ..core.network import DownloadError, Link
 from ..core.persist import (MANIFEST_PATH, make_package_dirs, model_path,
                             segment_path)
 from ..obs import wall_clock
@@ -132,11 +139,6 @@ class HttpTransport(Link):
     base_url:
         Origin root, e.g. ``http://127.0.0.1:8123``.  Only ``http`` is
         supported (the origin is stdlib-only too).
-    config:
-        Optional :class:`~repro.core.network.NetworkConfig` carried for
-        duck-type parity — consumers read ``config.bandwidth_bps`` as a
-        throughput hint (``None`` = unknown).  Failure injection fields
-        are ignored: real faults come from the wire (or the chaos proxy).
     timeout_s:
         Stall budget of the connect, of sending a request and reading
         its response head, and of the wait for each piece of a body; an
@@ -148,8 +150,7 @@ class HttpTransport(Link):
         loop, :meth:`close` closes the pooled keep-alive connections.
     """
 
-    def __init__(self, base_url: str, *, config: NetworkConfig | None = None,
-                 timeout_s: float = 5.0,
+    def __init__(self, base_url: str, *, timeout_s: float = 5.0,
                  loop: asyncio.AbstractEventLoop | None = None):
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
@@ -163,19 +164,14 @@ class HttpTransport(Link):
             raise ValueError(f"no host in {base_url!r}")
         self.host = host
         self.port = int(port) if port else 80
-        super().__init__(config)
+        super().__init__()
         self.timeout_s = float(timeout_s)
         self._wall = wall_clock()
         self._loop = loop
         self._owns_loop = loop is None
-        #: path -> (etag, body): If-None-Match revalidation cache.  A 304
-        #: replays the cached body without a second transfer.
-        self._validators: dict[str, tuple[str, bytearray]] = {}
         #: The most recent successful download's body, as received
         #: (contract tests compare it bitwise against the on-disk file).
         self.last_payload: bytearray | None = None
-        #: 304-revalidation hits across the transport's lifetime.
-        self.revalidated = 0
         #: Idle keep-alive connections, most recently used last.
         self._idle: list[_Connection] = []
 
@@ -254,21 +250,10 @@ class HttpTransport(Link):
         return self._run(self.request("GET", path, headers))
 
     async def _fetch(self, path: str) -> bytearray:
-        headers = {}
-        cached = self._validators.get(path)
-        if cached is not None:
-            headers["If-None-Match"] = cached[0]
-        status, response_headers, body = await self.request(
-            "GET", path, headers)
-        if status == 304 and cached is not None:
-            self.revalidated += 1
-            return cached[1]
+        status, _headers, body = await self.request("GET", path)
         if status != 200:
             raise HttpStatusError(
                 f"origin answered {status} for /{path}", status=status)
-        etag = response_headers.get("etag")
-        if etag:
-            self._validators[path] = (etag, body)
         return body
 
     async def request(self, method: str, path: str,

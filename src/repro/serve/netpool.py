@@ -21,7 +21,8 @@ Each session draws a :class:`PooledNetwork` from the pool: a
 
 - its **own failure RNG stream**, seeded from ``(pool seed, session id)``,
   so the injected failure/latency schedule of a session is bit-identical
-  across runs regardless of how the OS interleaves session threads;
+  across runs and independent of how other sessions' transfers interleave
+  with it on the fleet's event loop;
 - its **own simulated clock** (per-session time domain), offset by the
   session's arrival time when mapped onto the pool timeline;
 - optionally its **own token bucket** (``rate_limit_bps``): a per-session
@@ -96,16 +97,15 @@ class SharedNetworkPool:
         Optional per-session token-bucket rate cap in bit/s: each
         session's transfers drain a private
         :class:`~repro.serve.events.TokenBucket` refilling at this rate
-        (burst = ``rate_limit_burst_bits``, default one second's worth)
-        before joining the fair-share pool.  ``None`` disables the
-        limiter entirely — the pre-limiter arithmetic is untouched, so
-        existing single-link reductions stay bit-identical.
+        (burst = one second's worth) before joining the fair-share
+        pool.  ``None`` disables the limiter entirely — the pre-limiter
+        arithmetic is untouched, so existing single-link reductions stay
+        bit-identical.
     """
 
     def __init__(self, bandwidth_bps: float | None = None,
                  latency_s: float = 0.0, fail_rate: float = 0.0,
-                 seed: int = 0, rate_limit_bps: float | None = None,
-                 rate_limit_burst_bits: float | None = None):
+                 seed: int = 0, rate_limit_bps: float | None = None):
         # Validation is delegated to NetworkConfig (same error messages).
         NetworkConfig(fail_rate=fail_rate, bandwidth_bps=bandwidth_bps,
                       latency_s=latency_s, seed=seed)
@@ -117,7 +117,6 @@ class SharedNetworkPool:
         self.fail_rate = fail_rate
         self.seed = seed
         self.rate_limit_bps = rate_limit_bps
-        self.rate_limit_burst_bits = rate_limit_burst_bits
         self._lock = threading.Lock()
         #: Starts and ends (pool timeline, each list sorted) of the charged
         #: transfers, minus what the watermark pruned.  Boundaries, not
@@ -143,8 +142,7 @@ class SharedNetworkPool:
             fail_rate=self.fail_rate, bandwidth_bps=self.bandwidth_bps,
             latency_s=self.latency_s,
             seed=self.session_seed(self.seed, session_id))
-        bucket = (TokenBucket(self.rate_limit_bps,
-                              burst_bits=self.rate_limit_burst_bits)
+        bucket = (TokenBucket(self.rate_limit_bps)
                   if self.rate_limit_bps is not None else None)
         return PooledNetwork(self, session_id, arrival_s, config, bucket)
 

@@ -62,7 +62,7 @@ from ..core.client import (
     PlaybackTelemetry,
 )
 from ..core.network import RetryPolicy
-from ..core.server import DcsrPackage
+from ..core.persist import StoredPackage
 from ..core.session import (FetchStage, PlayoutClock, count_downloads,
                             record_segment)
 from ..core.streaming import session_goodput_bps, stall_ratio
@@ -135,18 +135,7 @@ class FleetConfig:
         playback-mode session plays with (tiling, quantized kernels, the
         skip gate, temporal reuse).  ``None`` plays a client's default,
         ``FastPathConfig(calibrate=False)``.  Rejected in trace mode,
-        whose sessions run no SR: ``sr_demand_factor`` models the fast
-        path there.
-    sr_demand_factor:
-        Trace mode's model of the client fast path: the fraction of a
-        session's *nominal* per-I-frame SR FLOPs it would actually
-        execute (1.0 = ungated reference compute; a gated + reusing
-        client measured in playback mode at, say, 60% skipped and 30%
-        reused demands 0.1).  Trace sessions do no media compute, but
-        they report the modeled demand per segment
-        (``SegmentPlayback.sr_flops``) and the fleet aggregates it — so
-        ``cli serve`` capacity numbers reflect what reuse/gating save
-        across thousands of sessions.
+        whose sessions run no SR.
     devices:
         Per-session device classes (keys of
         :data:`repro.devices.DEVICES`): session ``i`` plays on
@@ -186,7 +175,6 @@ class FleetConfig:
     admission: str = "queue"
     fallback: bool = False
     fast_path: FastPathConfig | None = None
-    sr_demand_factor: float = 1.0
     devices: tuple[str, ...] = ()
     controller: str = "off"
     power_budget_w: float | None = None
@@ -203,9 +191,6 @@ class FleetConfig:
         if self.fast_path is not None \
                 and not isinstance(self.fast_path, FastPathConfig):
             raise TypeError("fast_path must be a FastPathConfig or None")
-        if not 0.0 <= self.sr_demand_factor <= 1.0:
-            raise ValueError(f"sr_demand_factor must be in [0, 1], "
-                             f"got {self.sr_demand_factor}")
         if self.sessions < 1:
             raise ValueError(f"sessions must be >= 1, got {self.sessions}")
         if self.mode not in FLEET_MODES:
@@ -335,8 +320,7 @@ class FleetTelemetry:
     #: Simulated seconds sessions idled in their token buckets.
     rate_limit_wait_s: float = 0.0
     #: SR FLOPs across sessions: executed (playback mode, where gates and
-    #: reuse reduce it directly) or modeled nominal demand scaled by
-    #: :attr:`FleetConfig.sr_demand_factor` (trace mode).
+    #: reuse reduce it directly) or modeled nominal demand (trace mode).
     total_sr_flops: float = 0.0
     #: Simulated rail energy summed across sessions (device classes
     #: configured), and mean session quality per joule when measurable.
@@ -419,7 +403,7 @@ class FleetSimulator:
     :attr:`cache` and :attr:`pool` what the sessions left behind.
     """
 
-    def __init__(self, package: DcsrPackage, config: FleetConfig,
+    def __init__(self, package: StoredPackage, config: FleetConfig,
                  obs: Observability | None = None,
                  network_factory=None):
         if network_factory is not None and config.mode != "playback":
@@ -599,16 +583,19 @@ class FleetSimulator:
             # descriptors) that outlives the session unless released here.
             if factory is not None:
                 network.close()
-        device_name = self.config.device_name_for(shell.session_id)
-        if controller is None and device_name is not None:
-            # Device class without a controller: the client modeled no
-            # energy itself, so cost the realized playback (one nominal
-            # forward per executed inference) on the session's device.
-            self._model_session_energy(result.telemetry, device_name)
+        self._model_session_energy(result.telemetry, shell.session_id,
+                                   controller)
         return result
 
     def _model_session_energy(self, telemetry: PlaybackTelemetry,
-                              device_name: str) -> None:
+                              session_id: int,
+                              controller: JointController | None) -> None:
+        """Cost a settled session without a controller on its device
+        class, if it has one: one nominal forward per executed inference.
+        (A controller's fetch stage costs each segment as it goes.)"""
+        device_name = self.config.device_name_for(session_id)
+        if controller is not None or device_name is None:
+            return
         device = get_device(device_name)
         fps = self.package.encoded.fps
         manifest = self.package.manifest
@@ -632,18 +619,18 @@ class FleetSimulator:
         so sessions interleave in sim-time order (the pool's charges
         arrive causally sorted, and the watermark can prune dead
         intervals), the modelled SR demand, and one ``session`` span.
+        Energy is costed as in a playback session.
         """
         package = self.package
         config = self.config
         network = self.pool.session(shell.session_id,
                                     arrival_s=shell.start_s)
-        device_name = config.device_name_for(shell.session_id)
+        controller = self._controller_for(shell.session_id)
         stage = FetchStage(
             package, network, RetryPolicy(retries=config.retries),
             config.fallback,
             model_cache=self.cache.edge_for(shell.session_id),
-            controller=self._controller_for(shell.session_id),
-            device=get_device(device_name) if device_name else None)
+            controller=controller)
         fps = package.encoded.fps
         telemetry = PlaybackTelemetry(native_fps=fps, obs=self.obs)
         result = PlaybackResult(telemetry=telemetry)
@@ -663,25 +650,20 @@ class FleetSimulator:
             if seg_t.status == "ok" \
                     and (decision is None or decision.sr_enabled):
                 # No decode/SR runs, so model the segment's SR demand
-                # instead: one forward per I-frame (dcSR enhances
-                # I-frames only), scaled by sr_demand_factor — the fleet
-                # knob for fast-path savings (skip gate + temporal reuse)
-                # measured in playback mode.
-                # Under a controller the tier's own FLOPs replace the
-                # base model's, and an SR-off decision demands nothing.
+                # instead: one nominal forward per I-frame (dcSR enhances
+                # I-frames only).  Under a controller the tier's own FLOPs
+                # replace the base model's, and an SR-off decision
+                # demands nothing.
                 flops = (self._nominal_flops(fetched.label)
                          if decision is None
                          else decision.option.flops_per_inference)
                 seg_t.sr_inferences = fetched.n_inferences
-                seg_t.sr_flops = (flops * fetched.n_inferences
-                                  * config.sr_demand_factor)
-            if stage.device is not None:
-                stage.feedback(fetched, seg_t.sr_inferences,
-                               seg_t.sr_flops / seg_t.sr_inferences
-                               if seg_t.sr_inferences else 0.0)
+                seg_t.sr_flops = flops * fetched.n_inferences
+            stage.feedback(fetched, seg_t.sr_inferences)
             record_segment(result, telemetry, playout, seg_t)
 
         stage.settle(result, telemetry)
+        self._model_session_energy(telemetry, shell.session_id, controller)
         count_downloads(self.obs.metrics, stage.download_ledger,
                         session=shell.session_id)
         # One span per session (per-download spans would dominate memory

@@ -104,9 +104,9 @@ class CacheHierarchy(Generic[M]):
     - ``"always"`` — classic insert-on-miss (the flat-cache behaviour);
     - ``"second-hit"`` — store only on a label's second request at that
       edge, keeping one-hit wonders from evicting popular models;
-    - ``"size-aware"`` — store only models no larger than
-      ``admit_bytes`` (default: the mean model size), keeping a few
-      oversized models from flushing a small edge.
+    - ``"size-aware"`` — store only models no larger than the mean of
+      ``model_sizes`` (:attr:`admit_bytes`), keeping a few oversized
+      models from flushing a small edge.
 
     With ``edges=1`` and ``admission="always"`` the hierarchy reduces to
     the flat shared cache: same hits, same downloads, same bytes.
@@ -120,33 +120,27 @@ class CacheHierarchy(Generic[M]):
     admission:
         One of :data:`ADMISSION_POLICIES`.
     model_sizes:
-        ``label -> bytes`` map (the manifest's); required semantics only
-        for ``size-aware``.
-    admit_bytes:
-        Size-aware threshold; defaults to the mean of ``model_sizes``.
+        ``label -> bytes`` map (the manifest's); required by
+        ``size-aware``.
     """
 
     def __init__(self, edges: int = 1, edge_capacity: int | None = None,
                  admission: str = "always",
-                 model_sizes: dict[int, int] | None = None,
-                 admit_bytes: float | None = None):
+                 model_sizes: dict[int, int] | None = None):
         if edges < 1:
             raise ValueError(f"edges must be >= 1, got {edges}")
         if admission not in ADMISSION_POLICIES:
             raise ValueError(f"admission must be one of "
                              f"{ADMISSION_POLICIES}, got {admission!r}")
-        if admission == "size-aware" and not model_sizes \
-                and admit_bytes is None:
-            raise ValueError("size-aware admission needs model_sizes "
-                             "or an explicit admit_bytes")
+        if admission == "size-aware" and not model_sizes:
+            raise ValueError("size-aware admission needs model_sizes")
         self.admission = admission
         self.edges: list[EdgeBinding[M]] = [
             EdgeBinding(self, index, edge_capacity) for index in range(edges)]
         self.model_sizes = dict(model_sizes or {})
-        if admit_bytes is None and self.model_sizes:
-            admit_bytes = (sum(self.model_sizes.values())
-                           / len(self.model_sizes))
-        self.admit_bytes = admit_bytes
+        self.admit_bytes = (sum(self.model_sizes.values())
+                            / len(self.model_sizes)
+                            if self.model_sizes else None)
         self._edge_requests: list[dict[int, int]] = [
             {} for _ in range(edges)]
         self._shielded: set[int] = set()
@@ -207,8 +201,7 @@ class CacheHierarchy(Generic[M]):
         if self.admission == "second-hit":
             return self._edge_requests[edge_index].get(label, 0) >= 2
         size = self.model_sizes.get(label)
-        return size is None or self.admit_bytes is None \
-            or size <= self.admit_bytes
+        return size is None or size <= self.admit_bytes
 
 
 class EdgeBinding(ModelCache[M]):

@@ -109,13 +109,15 @@ class TestCachePressure:
         """Worst-case memory pressure: every distinct label re-downloads,
         but playback output is unchanged."""
         unbounded = DcsrClient(package).play(small_clip.frames)
-        bounded = DcsrClient(package, cache_capacity=1).play(small_clip.frames)
+        bounded = DcsrClient(package, model_cache=ModelCache(capacity=1)
+                             ).play(small_clip.frames)
         for a, b in zip(unbounded.frames, bounded.frames):
             np.testing.assert_array_equal(a, b)
         assert bounded.cache_stats.downloads >= unbounded.cache_stats.downloads
         assert bounded.model_bytes >= unbounded.model_bytes
 
     def test_eviction_count_consistent(self, package):
-        result = DcsrClient(package, cache_capacity=1).play()
+        result = DcsrClient(package,
+                            model_cache=ModelCache(capacity=1)).play()
         stats = result.cache_stats
         assert stats.evictions == max(0, stats.downloads - 1)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     DcsrClient,
+    ModelCache,
     ServerConfig,
     bandwidth_of,
     build_package,
@@ -117,7 +118,8 @@ class TestClientPlayback:
         assert i_mean(dcsr) > i_mean(low) + 0.5
 
     def test_bounded_cache_still_plays(self, package, small_clip):
-        result = DcsrClient(package, cache_capacity=1).play(small_clip.frames)
+        result = DcsrClient(package, model_cache=ModelCache(capacity=1)
+                            ).play(small_clip.frames)
         assert len(result.frames) == small_clip.n_frames
         assert result.cache_stats.downloads >= package.n_models
 

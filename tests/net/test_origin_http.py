@@ -91,12 +91,6 @@ class TestETag:
         finally:
             net_loop.run_until_complete(served.stop())
 
-    def test_transport_replays_cached_body_on_304(self, transport):
-        first = transport.fetch("manifest", "")
-        second = transport.fetch("manifest", "")
-        assert first == second
-        assert transport.revalidated == 1
-
 
 @pytest.fixture()
 def tree_origin(net_loop, tmp_path):

@@ -1,6 +1,7 @@
 """``play --url`` mirrors the package before it plays: into ``--mirror DIR``
 when given (kept), else into a temporary directory that ``play`` made and
-removes after the session, on error too."""
+removes after the session, on error too.  The session then downloads
+over the transport that mirrored it, every download a full transfer."""
 
 import os
 import subprocess
@@ -8,7 +9,29 @@ import sys
 
 import pytest
 
+from repro.core import DcsrClient, load_package
+from repro.net import HttpTransport, mirror_package
+
 pytestmark = pytest.mark.net
+
+
+def test_session_after_mirror_transfers_every_download(net_loop, origin,
+                                                        tmp_path):
+    """What ``play --url`` does, in process: the transport that mirrored
+    the package holds no copy of it, so each of the session's downloads
+    is a 200 that moves the artifact's on-disk bytes, never a 304."""
+    with HttpTransport(origin.base_url, loop=net_loop) as transport:
+        mirror = mirror_package(transport, tmp_path / "mirror")
+        result = DcsrClient(load_package(mirror), network=transport).play()
+        downloaded = [("segment", s.index) for s in result.telemetry.segments]
+        downloaded += [("model", label) for label in result.model_downloads]
+        on_disk = sum((mirror / transport.path_for(kind, key)).stat().st_size
+                      for kind, key in downloaded)
+        assert result.model_downloads
+        assert transport.stats.attempts == len(downloaded)
+        assert transport.stats.bytes_delivered == on_disk
+    requests = origin.obs.metrics.counter("dcsr_origin_requests_total")
+    assert {dict(key)["status"] for key in requests.series()} == {"200"}
 
 
 @pytest.fixture

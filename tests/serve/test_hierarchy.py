@@ -126,7 +126,6 @@ class TestAdmissionPolicies:
     def test_size_aware_requires_sizes_or_threshold(self):
         with pytest.raises(ValueError, match="size-aware"):
             CacheHierarchy(admission="size-aware")
-        CacheHierarchy(admission="size-aware", admit_bytes=500)  # explicit ok
 
     def test_admission_never_changes_what_sessions_receive(self):
         for policy in ADMISSION_POLICIES:

@@ -164,7 +164,7 @@ def run(monkeypatch, tmp_path):
 
 PLAY = {"source": ("package", "PKG"), "network": None,
         "retry": RetryPolicy(), "fallback": False, "fast_path": None,
-        "controller": None, "cache_capacity": None, "model_cache": None,
+        "controller": None, "model_cache": None,
         "span_attrs": None, "reference": None, "outputs": []}
 
 PLAY_CASES = [
@@ -276,8 +276,6 @@ SERVE_CASES = [
     (["--fallback"], FleetConfig(fallback=True)),
     (["--seed", "9"], FleetConfig(seed=9)),
     (["--reuse"], FleetConfig(fast_path=FastPathConfig(reuse=True))),
-    (["--mode", "trace", "--sr-demand-factor", "0.4"],
-     FleetConfig(mode="trace", sr_demand_factor=0.4)),
     (["--device", "jetson, laptop,"],
      FleetConfig(devices=("jetson", "laptop"))),
     (["--device", "jetson", "--controller", "greedy",
@@ -294,15 +292,13 @@ SERVE_CASES = [
       "--retries", "2", "--rate-limit", "2e4", "--edges", "4",
       "--cache-admission", "size-aware", "--cache-capacity", "3",
       "--max-sessions", "50", "--admission", "queue", "--fallback",
-      "--seed", "3", "--sr-demand-factor", "0", "--device", "laptop",
-      "--controller", "greedy"],
+      "--seed", "3", "--device", "laptop", "--controller", "greedy"],
      FleetConfig(mode="trace", sessions=400, arrival="uniform:0.5",
                  bandwidth_bps=3e4, latency_s=0.01, fail_rate=0.2,
                  retries=2, rate_limit_bps=2e4, edges=4,
                  cache_admission="size-aware", cache_capacity=3,
                  max_sessions=50, fallback=True, seed=3,
-                 sr_demand_factor=0.0, devices=("laptop",),
-                 controller="greedy")),
+                 devices=("laptop",), controller="greedy")),
 ]
 
 SERVE_OTHER_CASES = [
@@ -327,3 +323,12 @@ def test_serve(run, flags, config):
 def test_serve_outputs_and_origin(run, flags, expected):
     assert run(["serve", "PKG"] + flags) \
         == {**SERVE, "config": FleetConfig(), **expected}
+
+
+def test_sr_demand_factor_is_a_usage_error(run, capsys):
+    """The flag was removed: argparse refuses it before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "PKG", "--mode", "trace", "--sr-demand-factor", "0.4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sr-demand-factor" \
+        in capsys.readouterr().err
