@@ -2,9 +2,9 @@
 # Tiered test gate, as documented in docs/testing.md.
 #
 #   tier 1  fast correctness suite — the merge gate; excludes anything
-#           marked tier2 or timing.  Builds the SR conv kernel first (a
-#           missing or failing C compiler stops the gate with its
-#           stderr), then runs the source guards (below), then the
+#           marked tier2 or timing.  Builds the native library (the SR
+#           conv and colour kernels) first (a missing or failing C
+#           compiler stops the gate with its stderr), then runs the source guards (below), then the
 #           perfbench tier (a removed or renamed public name the
 #           benchmark uses fails the merge gate, not the benchmark run),
 #           and the executable-docs suite explicitly, so a broken fenced
@@ -50,7 +50,9 @@
 #     Nor does src/repro/abr/ import repro.core or repro.control (nor
 #     anything above them): core sessions play on its PlayoutClock and
 #     control's bridge adapts to its policies, so core -> control -> abr
-#     must stay acyclic.
+#     must stay acyclic.  Nor does src/repro/native/ (the compiled
+#     kernels' build and load, the bottom layer) import any other repro
+#     package.
 #     Nor do the link modules (core/network.py, serve/netpool.py,
 #     net/transport.py) mention Observability or a metrics registry:
 #     a link counts in its own stats, the session ledger feeds metrics.
@@ -71,13 +73,22 @@
 #     per conv and frame and no sgemm / np.matmul in an engine forward,
 #     no frame-sized copy in the epilogue, zero pad pixels after every
 #     layer (seconds).
-#   - tests/nn/test_native_kernel.py — the compiled kernel's build and
-#     ISA contract: each variant this host builds (AVX-512, AVX2+FMA,
-#     scalar fmaf) returns the reference bits as uint32 over a reduced
-#     sweep; NaN and inf pixels land where the reference puts them; four
-#     threads' first conv in a fresh process builds once; a trace-mode
-#     fleet process never builds or loads it; a missing or failing
-#     compiler is a KernelBuildError with the command and its stderr.
+#   - tests/nn/test_native_kernel.py — the native library's build and
+#     the conv kernel's ISA contract: each variant this host builds
+#     (AVX-512, AVX2+FMA, scalar fmaf) returns the reference bits as
+#     uint32 over a reduced sweep; NaN and inf pixels land where the
+#     reference puts them; four threads' first conv, or first colour
+#     conversion, in a fresh process builds one library once; a
+#     trace-mode fleet process never builds or loads it; a missing or
+#     failing compiler is a KernelBuildError with the command and its
+#     stderr.
+#   - tests/video/test_color_native.py — the compiled colour conversion:
+#     both directions equal, bit for bit, to the numpy formulas kept in
+#     tests/video/color_reference.py (RGB as uint32, YUV as uint8) at
+#     2x2, 48x64, 352x640 and 720x1280, on .5 rounding ties, clipped
+#     chroma, 0 and 255, overshoots, strided and float64 input and
+#     decoded frames; validate_rgb's bounds to the float32 and NaN; two
+#     threads converting at once (seconds).
 #   - tests/codec/test_vector_parse.py — the decode's array passes: an
 #     I frame's (modes, coded, levels, end bit) equal to the per-symbol
 #     walk kept in tests/codec/reference_intra.py, a P or B frame's
@@ -141,6 +152,7 @@ GUARDS=(
     tests/serve/test_pool_reference.py
     tests/nn/test_shift_reference.py
     tests/nn/test_native_kernel.py
+    tests/video/test_color_native.py
     tests/codec/test_vector_parse.py
     tests/abr/test_playout_reference.py
     tests/sr/test_gate_statistic.py
@@ -149,8 +161,8 @@ GUARDS=(
 )
 
 build_kernel() {
-    echo "== SR conv kernel build =="
-    python -c "from repro.nn import native; print(native.build())"
+    echo "== native library build (SR conv + colour kernels) =="
+    python -c "from repro import native; print(native.build())"
 }
 
 run_guards() {

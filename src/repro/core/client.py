@@ -758,8 +758,8 @@ class DcsrClient:
                 # Calibration is measurement overhead: no span, so it
                 # stays inside decode self-time, exactly as decode_s
                 # accounts it.  It runs second, so a first call's one-off
-                # costs (loading the conv kernel) land in the SR stage,
-                # not here.
+                # costs (loading the native library, paid by the first
+                # colour conversion above) never land here.
                 calibrate = False
                 r0 = clock.now()
                 InferenceEngine(model).enhance(rgb)     # output discarded

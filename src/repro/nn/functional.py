@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import native
+from .. import native
 
 __all__ = [
     "pad2d",
@@ -166,9 +166,9 @@ def conv2d_backward(
 #   image row followed by ``2*pad`` zero pixels, with ``pad*(W+2*pad) +
 #   pad`` zero rows before and after — so a tap is one contiguous run for
 #   all pixels at once.  A conv is one call per frame of a compiled kernel
-#   (``_shift_conv.c``, built by :mod:`repro.nn.native` on first use) that
-#   keeps the arithmetic of the per-tap sgemm sequence it replaced, and so
-#   the bits of the per-row kernel before that
+#   (``_shift_conv.c``, in :mod:`repro.native`'s library) that keeps
+#   the arithmetic of the per-tap sgemm sequence it replaced, and so the
+#   bits of the per-row kernel before that
 #   (``tests/nn/reference_shift.py``): per tap an FMA chain over Cin from
 #   +0 — what a BLAS micro-kernel computes for K = Cin — then the taps
 #   added in row-major order, one rounding each, then the epilogue below,
@@ -400,7 +400,7 @@ def conv2d_shift_padded(
         dq = x_scale.reshape(n, 1) * packed.scales      # (n, Cout) float32
     if residual is not None:
         residual = np.ascontiguousarray(residual, dtype=np.float32)
-    conv = native.conv_function()
+    conv = native.library().shift_conv
     bias = None if packed.bias is None else packed.bias.ctypes.data
     for f in range(n):
         status = conv(xq[f].ctypes.data, packed.taps.ctypes.data,

@@ -2,11 +2,9 @@
 and the block codec."""
 
 from .color import (
-    downsample_chroma,
     rgb_float_to_uint8,
     rgb_to_yuv420,
     rgb_uint8_to_float,
-    upsample_chroma,
     yuv420_to_rgb,
 )
 from .frame import FrameType, YuvFrame, validate_rgb
@@ -29,8 +27,6 @@ __all__ = [
     "yuv420_to_rgb",
     "rgb_float_to_uint8",
     "rgb_uint8_to_float",
-    "downsample_chroma",
-    "upsample_chroma",
     "psnr",
     "ssim",
     "ms_ssim",

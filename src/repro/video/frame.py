@@ -30,17 +30,26 @@ class FrameType:
     ALL = (I, P, B)
 
 
-def validate_rgb(rgb: np.ndarray) -> np.ndarray:
-    """Check an RGB float frame and return it as float32.
+_RANGE_ERROR = "RGB frame values must lie in [0, 1]"
 
-    Raises ``ValueError`` for wrong rank, channel count, or range.
-    """
+
+def _as_rgb(rgb) -> np.ndarray:
+    """``rgb`` as an array, checked to be ``(H, W, 3)``."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) RGB frame, got shape {rgb.shape}")
-    rgb = rgb.astype(np.float32, copy=False)
-    if float(rgb.min()) < -1e-3 or float(rgb.max()) > 1.0 + 1e-3:
-        raise ValueError("RGB frame values must lie in [0, 1]")
+    return rgb
+
+
+def validate_rgb(rgb: np.ndarray) -> np.ndarray:
+    """Check an RGB float frame and return it as float32.
+
+    Raises ``ValueError`` for wrong rank, channel count, or range; a NaN
+    sample is out of range.  Overshoots up to 1e-3 are clipped.
+    """
+    rgb = _as_rgb(rgb).astype(np.float32, copy=False)
+    if not (float(rgb.min()) >= -1e-3 and float(rgb.max()) <= 1.0 + 1e-3):
+        raise ValueError(_RANGE_ERROR)
     return np.clip(rgb, 0.0, 1.0)
 
 

@@ -19,6 +19,10 @@ no library layer may import it, the serving and transport layers and
 ``repro.obs`` included — the two pure helpers they once borrowed from it
 lazily (``format_table``, ``cdf_points``) live in ``repro.obs`` now.
 
+``repro.native`` (the compiled kernels' build and load) is the bottom
+layer: ``repro.nn`` and ``repro.video`` call into it, and it imports no
+other ``repro`` package.
+
 Links sit below telemetry: the three modules that implement
 ``repro.core.network.Network`` move bytes on a clock and count attempts
 in their own ``stats``; what a session downloaded is rendered into the
@@ -44,7 +48,10 @@ BANNED_RELATIVE = ("serve", "net", "cli", "bench")
 BANS = {**{package: BANNED_RELATIVE for package in LOWER_LAYERS},
         "repro.abr": ("core", "control") + BANNED_RELATIVE,
         "repro.obs": ("bench",), "repro.serve": ("bench",),
-        "repro.net": ("bench",)}
+        "repro.net": ("bench",),
+        "repro.native": ("abr", "clustering", "control", "core", "devices",
+                         "features", "nn", "obs", "sr", "video")
+        + BANNED_RELATIVE}
 #: The link modules, as (package, file).
 LINK_MODULES = (("repro.core", "network.py"), ("repro.serve", "netpool.py"),
                 ("repro.net", "transport.py"))

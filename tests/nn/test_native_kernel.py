@@ -1,18 +1,20 @@
-"""The compiled conv kernel's build and ISA contract.
+"""The native library's build and the conv kernel's ISA contract.
 
-``repro.nn.native`` compiles ``_shift_conv.c`` on the first conv and caches
-the library; the kernel has an AVX-512, an AVX2+FMA and a scalar ``fmaf``
-variant of one arithmetic chain.  Held here:
+``repro.native`` compiles ``_shift_conv.c`` and ``_color.c`` into one
+library the first time either is needed and caches it; the conv kernel has
+an AVX-512, an AVX2+FMA and a scalar ``fmaf`` variant of one arithmetic
+chain.  Held here:
 
 - every variant this host can build returns the reference kernel's bits
   (``tests/nn/reference_shift.py``) over a reduced sweep, compared as
   uint32, specialised and generic channel pairs alike;
 - NaN and inf pixels come out where the reference puts them, through the
   ReLU and the residual add;
-- a fresh process whose first conv comes from four threads at once builds
-  the library once, and the four outputs agree;
+- a fresh process whose first native call is a conv, or a colour
+  conversion, from four threads at once builds the library once, leaves
+  one library in the cache, and the four outputs agree;
 - a process running a trace-mode fleet never builds or loads it;
-- a missing compiler is a :class:`~repro.nn.native.KernelBuildError`
+- a missing compiler is a :class:`~repro.native.KernelBuildError`
   carrying the command.
 """
 
@@ -25,8 +27,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro import native
 from repro.nn import functional as F
-from repro.nn import native
 
 from . import reference_shift
 
@@ -59,10 +61,10 @@ def _assert_same_bits(new, old, packed):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_each_isa_variant_returns_the_reference_bits(monkeypatch, tmp_path,
                                                      variant):
-    kernel = native.load(native.build(tmp_path, VARIANTS[variant]))
-    if kernel.isa != variant:
-        pytest.skip(f"this host builds {kernel.isa}, not {variant}")
-    monkeypatch.setattr(native, "_conv", kernel)
+    lib = native.load(native.build(tmp_path, VARIANTS[variant]))
+    if lib.isa != variant:
+        pytest.skip(f"this host builds {lib.isa}, not {variant}")
+    monkeypatch.setattr(native, "_lib", lib)
     rng = np.random.default_rng(30)
     for k, precision, (cin, cout), (n, h, w) in itertools.product(
             (1, 3, 5), F.PRECISIONS, CHANNELS, SHAPES):
@@ -103,9 +105,11 @@ def test_nan_and_inf_pixels_propagate_as_in_the_reference(precision):
 
 
 FIRST_USE = """
-import json, threading
+import json, sys, threading
 import numpy as np
-from repro.nn import functional as F, native
+from repro import native
+from repro.nn import functional as F
+from repro.video import rgb_to_yuv420, yuv420_to_rgb
 
 compiles, real_run = [], native._run
 def counting(command):
@@ -118,11 +122,16 @@ rng = np.random.default_rng(32)
 packed = F.pack_conv_weight(
     rng.standard_normal((12, 12, 3, 3)).astype(np.float32), None)
 x = rng.standard_normal((1, 40, 50, 12)).astype(np.float32)
+rgb = rng.random((40, 50, 3), dtype=np.float32)
+calls = {
+    "conv": lambda: F.conv2d_shift_nhwc(x, packed, relu=True),
+    "colour": lambda: yuv420_to_rgb(rgb_to_yuv420(rgb)),
+}
 barrier, outs = threading.Barrier(4), [None] * 4
-def first_conv(i):
+def first_call(i):
     barrier.wait()
-    outs[i] = F.conv2d_shift_nhwc(x, packed, relu=True)
-threads = [threading.Thread(target=first_conv, args=(i,)) for i in range(4)]
+    outs[i] = calls[sys.argv[1]]()
+threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
 for t in threads:
     t.start()
 for t in threads:
@@ -132,8 +141,8 @@ print(json.dumps({"compiles": len(compiles),
 """
 
 
-def test_first_conv_from_four_threads_builds_once(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", FIRST_USE],
+def _first_use_builds_once(tmp_path, first):
+    proc = subprocess.run([sys.executable, "-c", FIRST_USE, first],
                           env=_env(tmp_path), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -142,15 +151,23 @@ def test_first_conv_from_four_threads_builds_once(tmp_path):
     assert len(built) == 1 and built[0].suffix == ".so"
 
 
+def test_first_conv_from_four_threads_builds_once(tmp_path):
+    _first_use_builds_once(tmp_path, "conv")
+
+
+def test_first_colour_conversion_from_four_threads_builds_once(tmp_path):
+    _first_use_builds_once(tmp_path, "colour")
+
+
 TRACE_FLEET = """
 import sys
 import repro.serve, repro.core, repro.net
-from repro.nn import native
+from repro import native
 fleet = repro.serve.FleetSimulator(
     repro.core.load_package(sys.argv[1]),
     repro.serve.FleetConfig(sessions=3, mode="trace")).run()
 assert fleet.telemetry.total_sr_flops > 0
-sys.exit(native._conv is not None or native.cache_dir().exists())
+sys.exit(native._lib is not None or native.cache_dir().exists())
 """
 
 
@@ -175,7 +192,7 @@ def test_missing_compiler_is_a_typed_error(monkeypatch, tmp_path):
 def test_failed_build_carries_the_compilers_stderr(monkeypatch, tmp_path):
     broken = tmp_path / "broken.c"
     broken.write_text("int shift_conv(void) { return }\n")
-    monkeypatch.setattr(native, "SOURCE", broken)
+    monkeypatch.setattr(native, "SOURCES", (broken,))
     with pytest.raises(native.KernelBuildError) as info:
         native.build(tmp_path / "lib")
     assert str(broken) in info.value.command

@@ -27,13 +27,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg.blas
 
+from repro import native
 from repro.nn import functional as F
-from repro.nn import native
 from repro.sr import EDSR, EdsrConfig, InferenceEngine
 
 from . import reference_shift
@@ -182,7 +183,7 @@ def test_sums_of_zero_products_are_positive_zero(precision):
 def _record_native_calls(monkeypatch) -> list:
     """From here on: every call of the compiled kernel, by its arguments;
     ``sgemm`` and ``np.matmul`` fail the test if anything calls them."""
-    real, calls = native.conv_function(), []
+    real, calls = native.library().shift_conv, []
 
     def counting(*args):
         calls.append(args)
@@ -191,7 +192,8 @@ def _record_native_calls(monkeypatch) -> list:
     def no_blas(*args, **kwargs):
         raise AssertionError("the conv path called a BLAS GEMM")
 
-    monkeypatch.setattr(native, "conv_function", lambda: counting)
+    monkeypatch.setattr(native, "library",
+                        lambda: types.SimpleNamespace(shift_conv=counting))
     monkeypatch.setattr(scipy.linalg.blas, "sgemm", no_blas)
     monkeypatch.setattr(np, "matmul", no_blas)
     return calls

@@ -8,14 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from repro.video import (
     YuvFrame,
-    downsample_chroma,
     rgb_float_to_uint8,
     rgb_to_yuv420,
     rgb_uint8_to_float,
-    upsample_chroma,
     validate_rgb,
     yuv420_to_rgb,
 )
+
+from .color_reference import downsample_chroma, upsample_chroma
 
 
 class TestYuvFrame:
@@ -75,6 +75,20 @@ class TestValidateRgb:
     def test_clips_epsilon_overshoot(self):
         out = validate_rgb(np.full((2, 2, 3), 1.0005))
         assert out.max() <= 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_sample(self, bad):
+        """``float(rgb.min())`` of a frame holding a NaN is NaN, which
+        compares False both ways: the check must not read that as in
+        range, here or in the conversion's own pass."""
+        rgb = np.full((4, 6, 3), 0.5, np.float32)
+        rgb[3, 5, 1] = bad
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            validate_rgb(rgb)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            rgb_to_yuv420(rgb)
+        with pytest.raises(ValueError):
+            rgb_float_to_uint8(rgb)
 
 
 class TestUint8Conversion:
