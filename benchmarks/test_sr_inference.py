@@ -139,11 +139,12 @@ def test_sr_quantized_gated_fast_path(benchmark):
     by a bicubic down/up round trip, the degradation the micro models
     are trained to invert.
 
-    Quantization on a pure-numpy BLAS substrate is speed-neutral (int8
-    runs through the same fp32 GEMMs; its win is the ~4x model-download
-    shrink).  The measured speedup comes from the variance skip gate and
-    multi-frame batching, so the acceptance assertion (>= 1.5x over the
-    fp32 whole-frame fast path) is pinned to the gated int8 row.
+    A reduced precision is a download format: the engine dequantizes the
+    fp16/int8 weights once and runs the fp32 kernels, so its win is the
+    smaller model download, not speed.  The measured speedup comes from
+    the variance skip gate and multi-frame batching, so the acceptance
+    assertion (>= 1.5x over the fp32 whole-frame fast path) is pinned to
+    the gated int8 row.
     """
     from repro.video.quality import psnr
     from repro.video.sampling import downscale, upscale
@@ -378,11 +379,11 @@ def test_sr_temporal_reuse_fast_path(benchmark):
 def test_blocked_gemm_block_size_sweep(benchmark):
     """Cache-blocked im2col across block sizes on a 352x640 activation.
 
-    fp32 is held to reassociation tolerance against the unblocked run
-    (BLAS sgemm picks kernels by M, so bitwise equality across block
-    sizes is unguaranteeable); int8 is asserted bitwise at every size
-    (integer accumulation below 2^24 is order-independent).  The sweep
-    records where the scratch-budget-derived default lands."""
+    Every precision is held to reassociation tolerance against the
+    unblocked run (BLAS sgemm picks kernels by M, so bitwise equality
+    across block sizes is unguaranteeable; an int8 pack holds dequantized
+    float32 weights).  The sweep records where the scratch-budget-derived
+    default lands."""
     from repro.nn import functional as F
 
     rng = np.random.default_rng(11)
@@ -408,12 +409,13 @@ def test_blocked_gemm_block_size_sweep(benchmark):
             fp32_max_diff = float(np.abs(out - reference).max())
             assert fp32_max_diff <= 1e-5, (block_rows, fp32_max_diff)
             out_int8 = F.conv2d_im2col_nhwc(x, qw, block_rows=block_rows)
-            assert np.array_equal(out_int8, ref_int8), block_rows
+            int8_max_diff = float(np.abs(out_int8 - ref_int8).max())
+            assert int8_max_diff <= 1e-5, (block_rows, int8_max_diff)
             best = min(_timed(lambda f: F.conv2d_im2col_nhwc(
                 x, packed, block_rows=block_rows), None)
                 for _ in range(repeats))
             rows.append([label, block_rows, flops / best / 1e9,
-                         fp32_max_diff])
+                         fp32_max_diff, int8_max_diff])
         return rows
 
     rows = run_once(benchmark, experiment)
@@ -421,7 +423,8 @@ def test_blocked_gemm_block_size_sweep(benchmark):
     print_table("Blocked im2col GEMM: block-size sweep "
                 f"(352x640x{cin} -> {cout}, 3x3, "
                 f"budget {F.IM2COL_SCRATCH_BYTES // 1024} KiB)",
-                ["block", "rows", "GFLOP/s", "fp32 max|diff|"], rows)
+                ["block", "rows", "GFLOP/s", "fp32 max|diff|",
+                 "int8 max|diff|"], rows)
 
     results = dict(load_results("sr_inference") or {})
     results["blocked_gemm"] = {
@@ -429,9 +432,9 @@ def test_blocked_gemm_block_size_sweep(benchmark):
         "scratch_bytes": F.IM2COL_SCRATCH_BYTES,
         "budget_block_rows": default_rows,
         "sweep": [{"label": r[0], "block_rows": r[1], "gflops": r[2],
-                   "fp32_max_diff_vs_unblocked": r[3]}
+                   "fp32_max_diff_vs_unblocked": r[3],
+                   "int8_max_diff_vs_unblocked": r[4]}
                   for r in rows],
-        "int8_bitwise_equal_to_unblocked": True,
-        "fp32_tolerance_vs_unblocked": 1e-5,
+        "tolerance_vs_unblocked": 1e-5,
     }
     save_results("sr_inference", results)

@@ -10,6 +10,8 @@
 #           and the executable-docs suite explicitly, so a broken fenced
 #           example or a thread sneaking into the serve layer fails the
 #           merge gate even if someone narrows the pytest selection.
+#           Each tier-1 test runs once: the full pass --ignores the guard
+#           files and tests/test_docs.py, which their own steps ran.
 #   tier 2  slower, benchmark-adjacent tests plus wall-clock timing
 #           guards; run before release or after touching hot paths
 #   net     real-socket tests (loopback asyncio origin, chaos proxy,
@@ -71,8 +73,8 @@
 #     and frame sized included), channels, kernel sizes, precisions and
 #     epilogues, sums of zero products +0.0 as uint32, one native call
 #     per conv and frame and no sgemm / np.matmul in an engine forward,
-#     no frame-sized copy in the epilogue, zero pad pixels after every
-#     layer (seconds).
+#     no copy of the input and no frame-sized copy in the epilogue at any
+#     precision, zero pad pixels after every layer (seconds).
 #   - tests/nn/test_native_kernel.py — the native library's build and
 #     the conv kernel's ISA contract: each variant this host builds
 #     (AVX-512, AVX2+FMA, scalar fmaf) returns the reference bits as
@@ -171,14 +173,17 @@ run_guards() {
         "${GUARDS[@]}"
 }
 
+DOCS=tests/test_docs.py
+
 run_tier1() {
     build_kernel
     run_guards
     run_perfbench
-    echo "== tier 1: fast correctness gate =="
-    python -m pytest -x -q --strict-markers -m "not tier2 and not timing"
+    echo "== tier 1: fast correctness gate (guards and docs excluded) =="
+    python -m pytest -x -q --strict-markers -m "not tier2 and not timing" \
+        "${GUARDS[@]/#/--ignore=}" --ignore="$DOCS"
     echo "== tier 1: executable docs =="
-    python -m pytest -x -q --strict-markers tests/test_docs.py
+    python -m pytest -x -q --strict-markers "$DOCS"
 }
 
 run_tier2() {

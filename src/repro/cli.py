@@ -98,8 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument("--prefetch", type=int, metavar="N",
                       help="segments to download+decode ahead of SR")
     play.add_argument("--precision", choices=("fp32", "fp16", "int8"),
-                      help="SR kernel precision (quantized kernels also "
-                           "shrink calibrated model downloads)")
+                      help="model download precision (fp16/int8 shrink "
+                           "calibrated model downloads; SR runs fp32 "
+                           "on the dequantized weights)")
     play.add_argument("--skip-gate", type=float, metavar="VAR",
                       help="route SR tiles whose luma variance is below "
                            "VAR to bicubic upscaling (default off)")

@@ -120,13 +120,15 @@ class FastPathConfig:
         whole-frame fp32 engine inference, excluded from stage accounting
         — and report the ratio as ``PlaybackTelemetry.fast_path_speedup``.
     precision:
-        SR kernel precision: ``fp32`` (default; within 1e-5 of the
-        model's NCHW training forward, not bitwise-equal to it), ``fp16``
-        (half-rounded operands, fp32 accumulate), or ``int8``
-        (per-output-channel symmetric weight quantization).  Reduced
-        precisions also shrink the model bytes a
-        session downloads — accounting uses the manifest's
-        :meth:`~repro.core.manifest.VideoManifest.model_size_for`.
+        The checkpoint format the session downloads its models in:
+        ``fp32`` (default; within 1e-5 of the model's NCHW training
+        forward, not bitwise-equal to it), ``fp16`` (every parameter
+        rounded to half) or ``int8`` (per-output-channel symmetric weight
+        codes, float32 biases).  A reduced precision shrinks the model
+        bytes a session downloads — accounting uses the manifest's
+        :meth:`~repro.core.manifest.VideoManifest.model_size_for` — and
+        is dequantized once when packed: SR runs the fp32 kernel at every
+        precision, at fp32 speed.
     skip_gate:
         Optional per-tile variance threshold (a float >= 0) below which
         low-detail tiles are upscaled bicubically instead of by the model

@@ -35,9 +35,8 @@ __all__ = ["KernelBuildError", "SOURCES", "FLAGS", "cache_dir", "build",
 SOURCES = (Path(__file__).with_name("_shift_conv.c"),
            Path(__file__).with_name("_color.c"))
 #: ``-ffp-contract=off`` holds the bits: without it GCC fuses the conv
-#: epilogue's dequant multiply and bias add (and the ``res_scale`` multiply
-#: and residual add) into one FMA each, and the colour formulas' products
-#: into their sums.
+#: epilogue's ``res_scale`` multiply and residual add into one FMA, and
+#: the colour formulas' products into their sums.
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 COMPILER = "cc"
 
@@ -114,8 +113,8 @@ def load(path: Path) -> ctypes.CDLL:
     variant it was built with."""
     lib = ctypes.CDLL(str(path))
     ptr, long = ctypes.c_void_p, ctypes.c_long
-    lib.shift_conv.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, long, long,
-                               long, long, long, long, long, ctypes.c_int,
+    lib.shift_conv.argtypes = [ptr, ptr, ptr, ptr, ptr, long, long, long,
+                               long, long, long, long, ctypes.c_int,
                                ctypes.c_float]
     lib.yuv420_to_rgb.argtypes = [ptr, ptr, ptr, ptr, long, long]
     lib.rgb_to_yuv420.argtypes = [ptr, ptr, ptr, ptr, long, long]

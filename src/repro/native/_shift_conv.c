@@ -1,7 +1,7 @@
 /*
  * The SR engine's convolution (repro.nn.functional.conv2d_shift_padded):
  * stride 1, 'same', over one frame of the padded-stride layout, with the
- * dequant / bias / ReLU / res_scale / residual epilogue fused in.
+ * bias / ReLU / res_scale / residual epilogue fused in.
  *
  * Layout: pixels are the rows of a flat (length, C) buffer; each of the
  * frame's h image rows is followed by 2*pad zero pixels, and the image
@@ -15,12 +15,11 @@
  *     that starts from +0 (what a BLAS micro-kernel computes for K = Cin);
  *   - the taps are added in (i, j) row-major order, one rounding each:
  *     c = acc_0, then c = c + acc_t;
- *   - the epilogue multiplies by the dequant factor, adds the bias, takes
- *     the ReLU (NaN kept, -0 to +0, as numpy's maximum(v, 0)), multiplies
- *     by res_scale and adds the residual, one rounding per step.
- * Build with -ffp-contract=off, or the compiler fuses each of the
- * epilogue's multiply-add pairs (dequant and bias, res_scale and residual)
- * into one FMA and the bits move.
+ *   - the epilogue adds the bias, takes the ReLU (NaN kept, -0 to +0, as
+ *     numpy's maximum(v, 0)), multiplies by res_scale and adds the
+ *     residual, one rounding per step.
+ * Build with -ffp-contract=off, or the compiler fuses the epilogue's
+ * res_scale multiply and residual add into one FMA and the bits move.
  *
  * Three variants compute that chain, lanes across output channels:
  * AVX-512, AVX2+FMA and scalar fmaf.  The widest one the compiler targets
@@ -101,9 +100,8 @@ typedef int vmask;
 
 /* One conv over one frame, its operands laid out for the vector width. */
 typedef struct {
-    const float *x;     /* (length, cin) input codes */
+    const float *x;     /* (length, cin) input */
     const float *w;     /* (ntaps, cin, nv*VW) taps, lanes past cout zero */
-    const float *dq;    /* (nv*VW) dequant factors, 1 without int8 */
     const float *bias;  /* (nv*VW) bias, -0 without one */
     const float *res;   /* (length, cout) residual, or NULL */
     float *out;         /* (length, cout) */
@@ -141,7 +139,7 @@ INLINE void tap_sums(const conv_t *a, long q, long t, long v0, long cin,
 /* Output pixels q..q+np-1, vectors v0..v0+nv-1: the taps in order, then
  * the epilogue, then the store.  c and acc hold np*nv vectors each.  An
  * absent epilogue step runs on a neutral operand, which returns every
- * float unchanged (x*1 and x + -0), so the steps need no branches. */
+ * float unchanged (x + -0 and x*1), so the steps need no branches. */
 INLINE void pixels(const conv_t *a, long q, long v0, long cin, long nv,
                    long np, vec *c, vec *acc)
 {
@@ -159,8 +157,7 @@ INLINE void pixels(const conv_t *a, long q, long v0, long cin, long nv,
             const long lane0 = (v0 + v) * VW;
             const long at = (q + p) * a->cout + lane0;
             const int part = a->partial && v0 + v == a->nv - 1;
-            vec r = VMUL(c[p * nv + v], VLOAD(a->dq + lane0));
-            r = VADD(r, VLOAD(a->bias + lane0));
+            vec r = VADD(c[p * nv + v], VLOAD(a->bias + lane0));
             if (a->relu)
                 r = VRELU(r);
             vec res = VSET1(-0.0f);
@@ -237,19 +234,19 @@ const char *shift_conv_isa(void)
 }
 
 /* One conv over one frame of ``length`` pixels (h image rows of w pixels,
- * padded by ``pad``).  x: (length, cin) codes; taps: (kh, kw, cin, cout);
- * dq: (cout) dequant factors or NULL; bias: (cout) or NULL; res: (length,
- * cout) or NULL; out: (length, cout), written everywhere (zero outside
- * the image).  Returns 0, or -1 when out of memory. */
-int shift_conv(const float *x, const float *taps, const float *dq,
-               const float *bias, const float *res, float *out,
+ * padded by ``pad``).  x: (length, cin); taps: (kh, kw, cin, cout);
+ * bias: (cout) or NULL; res: (length, cout) or NULL; out: (length, cout),
+ * written everywhere (zero outside the image).  Returns 0, or -1 when out
+ * of memory. */
+int shift_conv(const float *x, const float *taps, const float *bias,
+               const float *res, float *out,
                long length, long w, long pad, long kh, long kw, long cin,
                long cout, int relu, float res_scale)
 {
     const long wp = w + 2 * pad, lead = pad * wp + pad;
     const long h = (length - 2 * lead) / wp;
     const long nv = (cout + VW - 1) / VW, ntaps = kh * kw;
-    float *packed = calloc((size_t)((ntaps * cin + 2) * nv * VW),
+    float *packed = calloc((size_t)((ntaps * cin + 1) * nv * VW),
                            sizeof(float));
     long *offs = malloc((size_t)ntaps * sizeof(long));
     if (!packed || !offs) {
@@ -257,11 +254,9 @@ int shift_conv(const float *x, const float *taps, const float *dq,
         free(offs);
         return -1;
     }
-    float *dq_v = packed + ntaps * cin * nv * VW, *bias_v = dq_v + nv * VW;
-    for (long i = 0; i < nv * VW; i++) {
-        dq_v[i] = dq && i < cout ? dq[i] : 1.0f;
+    float *bias_v = packed + ntaps * cin * nv * VW;
+    for (long i = 0; i < nv * VW; i++)
         bias_v[i] = bias && i < cout ? bias[i] : -0.0f;
-    }
     for (long t = 0; t < ntaps; t++) {
         offs[t] = (t / kw - kh / 2) * wp + t % kw - kw / 2;
         for (long ci = 0; ci < cin; ci++)
@@ -270,7 +265,7 @@ int shift_conv(const float *x, const float *taps, const float *dq,
     }
     const long tail = cout - (nv - 1) * VW;
     const conv_t a = {
-        .x = x, .w = packed, .dq = dq_v, .bias = bias_v, .res = res,
+        .x = x, .w = packed, .bias = bias_v, .res = res,
         .out = out, .offs = offs, .ntaps = ntaps, .cin = cin, .cout = cout,
         .nv = nv, .partial = tail < VW, .last = LANES(tail),
         .relu = relu, .res_scale = res_scale,

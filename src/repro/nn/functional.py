@@ -34,7 +34,6 @@ __all__ = [
     "im2col_block_rows",
     "conv2d_im2col_nhwc",
     "PRECISIONS",
-    "INT8_EXACT_ACC_BOUND",
     "pixel_shuffle",
     "pixel_unshuffle",
     "pixel_shuffle_nhwc",
@@ -177,43 +176,22 @@ def conv2d_backward(
 #   kernel, whose sums depend on the row count: 1e-6-close only.)
 # - :func:`conv2d_im2col_nhwc` — the cache-blocked im2col GEMM (below).
 #
-# Precision rides in the packed weight.  Both reduced precisions run the
-# accumulation through the same float32 arithmetic as fp32 — but on
-# operands constrained to the reduced-precision grid,
-# which makes the arithmetic *bit-exact* to what dedicated hardware
-# kernels would produce:
+# Precision is a property of the checkpoint a client downloads, not a
+# second arithmetic.  :func:`pack_conv_weight` rebuilds from the fp32
+# weights what that checkpoint carries (``nn.quantized_size_bytes``
+# prices it) — fp16 weights and bias rounded to half; int8 weights as
+# per-output-channel codes times their scale, the bias kept in float32 —
+# and dequantizes them once, so every conv at every precision runs the
+# same float32 kernels on float32 activations.
 #
-# - ``fp16``: weights and activations are rounded to the nearest float16
-#   (round-to-nearest-even) and the products accumulate in float32.  Every
-#   float16 value is exactly representable in float32, so fp32 sums over
-#   fp16-rounded operands compute exactly the fp16-multiplicand /
-#   fp32-accumulator GEMM of tensor-core style mixed precision.
-# - ``int8``: weights use symmetric per-output-channel scales
-#   ``s[o] = max|w[o]| / 127`` and activations a dynamic *per-frame* scale
-#   ``s_x[n] = max|x[n]| / 127`` (so an ``(N, ...)`` call equals N
-#   single-frame calls bit for bit); both are rounded to integer codes in
-#   [-127, 127] stored as float32.  Products and partial sums are then
-#   integers, and float32 adds integers exactly while the running sum
-#   stays below 2^24 — guaranteed by requiring
-#   ``Cin*KH*KW * 127^2 < 2^24`` at pack time (Cin*KH*KW <= 1040, ample
-#   for micro-EDSR's 3x3/16-filter convs).  The dequantized output
-#   ``acc * (s_x[n] * s[o])`` is therefore bitwise what an
-#   int8xint8->int32 kernel with per-channel dequant would return.
-#
-# Every kernel quantizes its input once (in numpy), sums its taps,
-# dequantizes the accumulator, then applies the bias / ReLU /
-# ``res_scale`` / residual epilogue in float32, so residual skip paths
-# never lose precision.  The shift kernel does the epilogue per pixel in
-# registers; the im2col kernel in :func:`_apply_epilogue`, whose passes
-# run over image rows, ``(rows, width*Cout)``, not the 8- or 12-wide
-# channel loops that made it slow.
+# Every kernel sums its taps, then applies the bias / ReLU / ``res_scale``
+# / residual epilogue in float32.  The shift kernel does the epilogue per
+# pixel in registers; the im2col kernel in :func:`_apply_epilogue`, whose
+# passes run over image rows, ``(rows, width*Cout)``, not the 8- or
+# 12-wide channel loops that made it slow.
 
 #: Precisions understood by ``pack_conv_weight`` / the inference engine.
 PRECISIONS = ("fp32", "fp16", "int8")
-
-#: Largest integer magnitude float32 carries exactly; the int8 reduction
-#: ``Cin*KH*KW * 127^2`` must stay strictly below it.
-INT8_EXACT_ACC_BOUND = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -221,9 +199,10 @@ class PackedConvWeight:
     """A conv kernel pre-packed for the inference kernels at one precision.
 
     Built once per weight version (:attr:`~repro.nn.tensor.Parameter.version`)
-    and reused across frames; see ``Conv2d.packed``.  Operands are float32
-    arrays constrained to ``precision``'s grid (see the comment above).
-    Training never reads it: ``conv2d_forward`` takes the live weight.
+    and reused across frames; see ``Conv2d.packed``.  Operands are float32,
+    at a reduced precision already dequantized from what its checkpoint
+    ships (see the comment above).  Training never reads it:
+    ``conv2d_forward`` takes the live weight.
     """
 
     #: ``(Cin*KH*KW, Cout)`` C-contiguous — the kernel in im2col K-order,
@@ -231,12 +210,9 @@ class PackedConvWeight:
     mat_t: np.ndarray
     #: ``(KH, KW, Cin, Cout)`` — per-tap matrices for the NHWC shift kernel.
     taps: np.ndarray
-    #: Bias stays float32 — it is added after dequantization.
     bias: np.ndarray | None
     kernel: tuple[int, int]
     precision: str = "fp32"
-    #: ``(Cout,)`` per-output-channel weight scales (int8 only).
-    scales: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "_rows", {})
@@ -249,97 +225,65 @@ class PackedConvWeight:
     def in_channels(self) -> int:
         return self.taps.shape[2]
 
-    def rows(self, width: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(scales, bias)`` repeated across one ``width``-pixel row: the
-        per-channel vectors of the epilogue's row view, built once per
-        width."""
-        rows = self._rows.get(width)
-        if rows is None:
-            rows = self._rows[width] = tuple(
-                None if v is None else np.tile(v, width)
-                for v in (self.scales, self.bias))
-        return rows
+    def rows(self, width: int) -> np.ndarray | None:
+        """The bias repeated across one ``width``-pixel row — the
+        epilogue's row view of it, built once per width — or ``None``."""
+        if self.bias is None:
+            return None
+        row = self._rows.get(width)
+        if row is None:
+            row = self._rows[width] = np.tile(self.bias, width)
+        return row
 
 
 def pack_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
                      precision: str = "fp32") -> PackedConvWeight:
     """Pack a ``(Cout, Cin, KH, KW)`` kernel for the inference kernels.
 
-    fp16 rounds the weights to the float16 grid; int8 derives symmetric
-    per-output-channel scales ``max|w[o]| / 127`` and stores integer codes.
-    Raises ``ValueError`` for unknown precisions and when the int8
-    reduction depth would overflow exact float32 integer accumulation.
+    A reduced precision packs what a client rebuilds from that precision's
+    checkpoint: fp16 rounds the weights and the bias to half; int8 keeps
+    ``clip(rint(w / s), -127, 127) * s`` with symmetric per-output-channel
+    scales ``s = max|w[o]| / 127`` and a float32 bias.  Raises
+    ``ValueError`` for unknown precisions.
     """
     cout, cin, kh, kw = weight.shape
-    scales = None
-    # Explicit copy: a view of the live weight would silently track later
-    # in-place updates, defeating version-keyed cache invalidation.
+    # Explicit copies: a view of the live weight would silently track
+    # later in-place updates, defeating version-keyed cache invalidation.
     q = weight.astype(np.float32, copy=True)
+    b = None if bias is None else np.array(bias, dtype=np.float32)
     if precision == "fp16":
         q = q.astype(np.float16).astype(np.float32)
+        if b is not None:
+            b = b.astype(np.float16).astype(np.float32)
     elif precision == "int8":
-        depth = cin * kh * kw
-        if depth * 127 * 127 >= INT8_EXACT_ACC_BOUND:
-            raise ValueError(
-                f"int8 reduction depth Cin*KH*KW = {depth} overflows exact "
-                f"float32 integer accumulation (needs depth * 127^2 < 2^24, "
-                f"i.e. depth <= {INT8_EXACT_ACC_BOUND // (127 * 127)})")
         amax = np.abs(q).reshape(cout, -1).max(axis=1)
         scales = np.where(amax > 0.0, amax / 127.0, 1.0).astype(np.float32)
-        q = np.clip(np.rint(q / scales[:, None, None, None]), -127.0, 127.0)
+        scales = scales[:, None, None, None]
+        codes = np.clip(np.rint(q / scales), -127, 127).astype(np.int8)
+        q = codes * scales
     elif precision != "fp32":
         raise ValueError(f"unknown precision {precision!r}; "
                          f"expected one of {PRECISIONS}")
     return PackedConvWeight(
         mat_t=np.ascontiguousarray(q.reshape(cout, cin * kh * kw).T),
         taps=np.ascontiguousarray(q.transpose(2, 3, 1, 0)),
-        bias=None if bias is None else np.ascontiguousarray(
-            bias, dtype=np.float32),
+        bias=b,
         kernel=(kh, kw),
         precision=precision,
-        scales=scales,
     )
 
 
-def _quantize_activations(
-        x: np.ndarray, precision: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Constrain an ``(N, ...)`` activation batch to the precision's grid.
-
-    Returns ``(xq, scale)``: fp32 passes through and fp16 rounds, both with
-    no scale; int8 returns integer codes plus the dynamic scale of each
-    frame, shaped ``(N, 1, ...)`` — one quantizer per frame, so no frame
-    of a batch depends on its neighbours.
-    """
-    if precision == "fp32":
-        return x, None
-    if precision == "fp16":
-        return x.astype(np.float16).astype(np.float32), None
-    flat = x.reshape(len(x), -1)      # max|x| without an |x| temporary
-    amax = np.maximum(flat.max(axis=1, initial=0.0),
-                      -flat.min(axis=1, initial=0.0))
-    amax = amax.astype(np.float64).reshape((-1,) + (1,) * (x.ndim - 1))
-    scale = np.where(amax > 0.0, amax / 127.0, 1.0)
-    xq = x * (1.0 / scale).astype(np.float32)
-    np.rint(xq, out=xq)
-    return xq, scale.astype(np.float32)
-
-
-def _apply_epilogue(out: np.ndarray, packed: PackedConvWeight,
-                    x_scale: np.ndarray | None, relu: bool,
+def _apply_epilogue(out: np.ndarray, packed: PackedConvWeight, relu: bool,
                     residual: np.ndarray | None, res_scale: float,
                     width: int) -> np.ndarray:
-    """Fused conv epilogue: int8 dequantization of the accumulator, bias
-    add, then ReLU, then ``res_scale`` and the residual skip add — all in
-    place on ``out``, ``N`` frames of ``width``-pixel rows, each viewed as
-    ``(rows, width*Cout)``.  The compiled shift kernel runs the same steps
-    in the same order per pixel."""
+    """Fused conv epilogue: bias add, then ReLU, then ``res_scale`` and the
+    residual skip add — all in place on ``out``, ``N`` frames of
+    ``width``-pixel rows, each viewed as ``(rows, width*Cout)``.  The
+    compiled shift kernel runs the same steps in the same order per
+    pixel."""
     n = len(out)
-    scales, bias = packed.rows(width)
-    if scales is not None:
-        scales = x_scale.reshape(n, 1) * scales
+    bias = packed.rows(width)
     for f, rows in enumerate(out.reshape(n, -1, width * packed.out_channels)):
-        if scales is not None:
-            rows *= scales[f]
         if bias is not None:
             rows += bias
         if relu:
@@ -378,7 +322,7 @@ def conv2d_shift_padded(
     buffer of ``w``-pixel image rows to a new one (``residual`` likewise):
     one call of the compiled kernel per frame, which sums the taps and
     runs the epilogue.  The pad pixels of the output are zero — the next
-    conv's taps, and its int8 ``amax``, read them as padding."""
+    conv's taps read them as padding."""
     kh, kw = packed.kernel
     n, length, cin = buf.shape
     cout = packed.out_channels
@@ -392,19 +336,14 @@ def conv2d_shift_padded(
     if residual is not None and residual.shape != (n, length, cout):
         raise ValueError(f"residual of shape {residual.shape} for an output "
                          f"of {(n, length, cout)}")
-    xq, x_scale = _quantize_activations(buf, packed.precision)
-    xq = np.ascontiguousarray(xq, dtype=np.float32)
+    buf = np.ascontiguousarray(buf, dtype=np.float32)
     out = np.empty((n, length, cout), dtype=np.float32)
-    dq = None
-    if packed.scales is not None:
-        dq = x_scale.reshape(n, 1) * packed.scales      # (n, Cout) float32
     if residual is not None:
         residual = np.ascontiguousarray(residual, dtype=np.float32)
     conv = native.library().shift_conv
     bias = None if packed.bias is None else packed.bias.ctypes.data
     for f in range(n):
-        status = conv(xq[f].ctypes.data, packed.taps.ctypes.data,
-                      None if dq is None else dq[f].ctypes.data, bias,
+        status = conv(buf[f].ctypes.data, packed.taps.ctypes.data, bias,
                       None if residual is None else residual[f].ctypes.data,
                       out[f].ctypes.data, length, w, pad, kh, kw, cin, cout,
                       bool(relu), res_scale)
@@ -447,12 +386,9 @@ def conv2d_shift_nhwc(
 # shape threshold (measured: M >= ~2560 for K=72, N=8 lands in one
 # regime, smaller M in another), so two fp32 GEMMs over the same operand
 # rows can differ in the last ulp when their M differs.  Consequences:
-#   - fp32/fp16 blocked output matches unblocked within reassociation
-#     tolerance (<= ~5e-6 at unit-scale operands), NOT bitwise in
-#     general — asserted at 1e-5 in tests/nn/test_blocked_gemm.py.
-#   - int8 blocked output IS bitwise-equal to unblocked (and to the
-#     shift kernel) at every block size: integer-valued operands
-#     accumulate exactly under 2^24, so summation order cannot matter.
+#   blocked output matches unblocked within reassociation tolerance
+#   (<= ~5e-6 at unit-scale operands), NOT bitwise in general, at every
+#   precision — asserted at 1e-5 in tests/nn/test_blocked_gemm.py.
 
 #: Scratch budget (bytes) for the blocked im2col patch matrix; sized to
 #: stay L2-resident on commodity cores.
@@ -507,10 +443,7 @@ def conv2d_im2col_nhwc(
     row ranges of one GEMM, but BLAS selects M-dependent fp32 kernels, so
     the blocked result matches the unblocked one (and ``conv2d_forward``)
     within reassociation tolerance — not bitwise; see the module comment
-    above.  With an int8 ``packed`` the accumulation is exact, so every
-    block size is bitwise-identical (and equal to the shift kernel).
-    Activations are quantized once per conv and epilogues fused, as in
-    :func:`conv2d_shift_nhwc`.
+    above.  Epilogues are fused, as in :func:`conv2d_shift_nhwc`.
     """
     kh, kw = packed.kernel
     n, h, w, cin = x.shape
@@ -518,12 +451,10 @@ def conv2d_im2col_nhwc(
         raise ValueError(f"input has {cin} channels, kernel expects "
                          f"{packed.in_channels}")
     rows = _resolve_block_rows(block_rows, h, w, cin, kh, kw)
-    xq, x_scale = _quantize_activations(x, packed.precision)
-    xp = np.pad(xq, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
+    xp = np.pad(x, [(0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
     out = np.empty((n, h, w, packed.out_channels), dtype=np.float32)
     _im2col_nhwc_blocked(xp, packed.mat_t, out, kh, kw, rows)
-    return _apply_epilogue(out, packed, x_scale, relu, residual, res_scale,
-                           w)
+    return _apply_epilogue(out, packed, relu, residual, res_scale, w)
 
 
 def pixel_shuffle(x: np.ndarray, scale: int) -> np.ndarray:

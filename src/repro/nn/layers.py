@@ -109,14 +109,13 @@ class Conv2d(Layer):
         :class:`~repro.sr.InferenceEngine` runs every conv on (this
         layer's own ``forward`` never reads it).
 
-        ``"fp16"``/``"int8"`` pack onto the reduced-precision grid (see
-        :func:`repro.nn.functional.pack_conv_weight` — scales derive
-        deterministically from the fp32 weights, so clients recompute them
-        rather than downloading a second checkpoint).  Each precision is
+        ``"fp16"``/``"int8"`` pack the weights that precision's checkpoint
+        carries, dequantized to float32 once (see
+        :func:`repro.nn.functional.pack_conv_weight`).  Each precision is
         packed once and cached; any weight or bias update (tracked through
         :attr:`Parameter.version`) invalidates every cached precision, so
         a model that trains between inferences always infers with fresh
-        taps and fresh scales.
+        taps.
         """
         key = (self.weight.version,
                self.bias.version if self.bias is not None else -1)

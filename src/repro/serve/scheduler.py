@@ -132,7 +132,7 @@ class FleetConfig:
         raising), as in :class:`~repro.core.client.DcsrClient`.
     fast_path:
         Optional :class:`~repro.core.client.FastPathConfig` every
-        playback-mode session plays with (tiling, quantized kernels, the
+        playback-mode session plays with (tiling, checkpoint precision, the
         skip gate, temporal reuse).  ``None`` plays a client's default,
         ``FastPathConfig(calibrate=False)``.  Rejected in trace mode,
         whose sessions run no SR.

@@ -251,9 +251,11 @@ class InferenceEngine:
         counters (per-call numbers stay in :attr:`stats`).
     precision:
         ``"fp32"`` (default; within 1e-5 of the model's NCHW ``forward``),
-        ``"fp16"`` or ``"int8"`` — every conv runs on operands packed at
-        that precision (:func:`repro.nn.functional.pack_conv_weight`),
-        cached per precision on each layer.
+        ``"fp16"`` or ``"int8"`` — the checkpoint format the weights are
+        taken from: every conv runs the fp32 kernels on that precision's
+        dequantized weights (:func:`repro.nn.functional.pack_conv_weight`,
+        cached per precision on each layer), so the output is the fp32
+        engine's on a model holding those weights.
     skip_gate:
         ``None`` (default — off) or a variance threshold: before running
         a tile the engine measures the variance of its channel-mean
@@ -268,8 +270,7 @@ class InferenceEngine:
         :data:`REUSE_MAX_TILES` entries); ``None`` or ``False`` (default)
         leaves it off.  The three gates share one dispatch path per tile:
         ``reuse`` (emit cached SR output for bitwise-unchanged content) →
-        ``skip`` (bicubic for low-detail) → the (possibly quantized) conv
-        stack.  Reuse is bitwise-identical to running without it.
+        ``skip`` (bicubic for low-detail) → the conv stack.  Reuse is bitwise-identical to running without it.
     kernel:
         ``"shift"`` (default, the tap-decomposed kernel — bitwise-identical
         to previous engines) or ``"blocked"`` — the cache-blocked im2col
@@ -447,10 +448,9 @@ class InferenceEngine:
 
         Reuse is bitwise-identical to running without it at every
         precision: content is compared over the *halo-expanded* region —
-        everything the tile's output depends on — the batched GEMMs
-        compute each frame's slice independently and int8 activations are
-        quantized per frame, so removing reused frames from the batch does
-        not change the surviving frames' bits.  A hit's input equals the
+        everything the tile's output depends on — and the kernels compute
+        each frame of a batch independently, so removing reused frames
+        from the batch does not change the surviving frames' bits.  A hit's input equals the
         input it replays bit for bit, so frame ``i`` of a batch compares
         against frame ``i - 1`` (frame 0 against the cache entry from the
         previous call), however long a chain of hits precedes it.

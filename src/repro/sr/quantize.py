@@ -12,10 +12,12 @@ The results land in the manifest
 operator) can pick a precision against a stated quality budget instead
 of a hoped-for one.
 
-Scales never leave the server: int8 per-output-channel weight scales and
-fp16 rounding both derive deterministically from the fp32 weights
-(``Conv2d.packed(precision)``), so the checkpoint a client downloads is
-sufficient to reconstruct bit-identical quantized kernels.
+A reduced precision is a download format, not a compute mode: the
+client rebuilds the weights its checkpoint carries — int8 codes times
+their per-output-channel scales, or half-rounded fp16 parameters
+(``Conv2d.packed(precision)``) — and runs the fp32 engine on them, so
+the delta measured here is the delta of the fp32 kernels on those
+weights, bit for bit what a client reproduces.
 """
 
 from __future__ import annotations

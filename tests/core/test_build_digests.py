@@ -9,7 +9,10 @@ recorded from the sequential bodies of the last commit that had both
 build — K selection, ``k_override``, shot and fixed-length splits,
 quantization, two model tiers, in-loop validation, a cold and a warm
 training cache — and is checked here at ``workers=1``, ``thread x2`` and
-``process x2``.
+``process x2``.  The ``manifest`` and ``saved`` digests of ``select-k``
+and ``tiers`` were re-recorded once since, when reduced precisions became
+download formats (weights dequantized at pack time, fp32 kernels): the
+calibrated fp16/int8 ``delta_db`` values moved, and nothing else did.
 
 Trained weights depend on the BLAS build, so the file also records a
 canary sgemm digest; on a different BLAS the suite skips instead of

@@ -52,7 +52,7 @@ def _env(tmp_path) -> dict:
 
 
 def _assert_same_bits(new, old, packed):
-    if packed.out_channels == 1 and packed.precision != "int8":
+    if packed.out_channels == 1:
         np.testing.assert_allclose(new, old, rtol=1e-6, atol=1e-6)
     else:
         assert np.array_equal(new.view(np.uint32), old.view(np.uint32))

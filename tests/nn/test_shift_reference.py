@@ -13,12 +13,12 @@ epilogue.  Three things hold it to the old behaviour:
   not ``allclose``; where every product is zero, the same bits, sign of
   zero included).  One documented exception: with ``Cout = 1`` numpy
   routed the old per-row product to sgemv, whose rounding depends on the
-  row count, so fp32/fp16 are held to 1e-6 there (int8 stays exact).
+  row count, so every precision is held to 1e-6 there.
 - a conv is one native call per frame at every size, and an engine
   forward calls neither ``sgemm`` nor ``np.matmul``, so a return to a
   per-tap or per-row dispatch fails on a count, not on a stopwatch.
 - the pad pixels of every intermediate of an engine forward are zero: the
-  next conv's taps and the int8 ``amax`` read them as padding.
+  next conv's taps read them as padding.
 """
 
 import itertools
@@ -67,7 +67,7 @@ def _packed(rng, cin, cout, k, precision, bias=True):
 def _assert_same(new, old, packed):
     assert new.dtype == old.dtype == np.float32
     assert new.shape == old.shape and new.flags.c_contiguous
-    if packed.out_channels == 1 and packed.precision != "int8":
+    if packed.out_channels == 1:
         np.testing.assert_allclose(new, old, rtol=1e-6, atol=1e-6)
     else:
         assert np.array_equal(new, old)
@@ -122,8 +122,8 @@ def test_tile_sized_kernel_returns_the_reference_kernels_bits(precision):
 
 @pytest.mark.parametrize("precision", F.PRECISIONS)
 def test_zero_frame_inside_a_batch(precision):
-    """An all-zero frame has no int8 scale of its own (amax 0 -> scale 1)
-    and must not disturb its neighbours' quantizers."""
+    """An all-zero frame between two others: the bias alone, the
+    neighbours untouched."""
     rng = np.random.default_rng(7)
     packed = _packed(rng, 8, 12, 3, precision)
     x = rng.standard_normal((3, 9, 11, 8)).astype(np.float32)
@@ -211,9 +211,9 @@ def test_frame_sized_conv_is_one_native_call_per_frame(monkeypatch,
     calls = _record_native_calls(monkeypatch)
     out = F.conv2d_shift_padded(buf, w, k // 2, packed, relu=True)
     assert len(calls) == n
-    assert [call[5] - out.ctypes.data for call in calls] == [
+    assert [call[4] - out.ctypes.data for call in calls] == [
         f * out[0].nbytes for f in range(n)]
-    assert all(call[6:9] == (buf.shape[1], w, k // 2) for call in calls)
+    assert all(call[5:8] == (buf.shape[1], w, k // 2) for call in calls)
 
 
 def test_tile_sized_conv_is_one_native_call_per_frame_too(monkeypatch):
@@ -240,13 +240,13 @@ def test_engine_forward_calls_no_blas(monkeypatch, precision):
     assert len(calls) == 8 * 3
 
 
-@pytest.mark.parametrize("precision", ["fp32", "int8"])
+@pytest.mark.parametrize("precision", F.PRECISIONS)
 def test_epilogue_of_a_batch_makes_no_copy_of_the_output(precision):
     """Viewed as rows, a whole padded-stride batch is not contiguous, and
     numpy copies a non-contiguous in-place ufunc operand it cannot prove
     free of self-overlap: a frame-sized temporary per pass.  Peak memory
-    of a conv over three frames is its output plus, at int8, the input's
-    codes."""
+    of a conv over three frames is its output, at every precision: no
+    copy of the input either."""
     rng = np.random.default_rng(18)
     n, h, w = 3, 120, 140
     packed = _packed(rng, 8, 12, 3, precision)
@@ -260,8 +260,7 @@ def test_epilogue_of_a_batch_makes_no_copy_of_the_output(precision):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    codes = buf.nbytes if precision == "int8" else 0
-    assert peak < out.nbytes + codes + out.nbytes // 4, (peak, out.nbytes)
+    assert peak < out.nbytes + out.nbytes // 4, (peak, out.nbytes)
 
 
 # ------------------------------------------------------ the layout contract

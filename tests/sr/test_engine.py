@@ -205,11 +205,11 @@ class TestPerFrameStats:
 
 
 class TestInt8BatchInvariance:
-    """int8 activations take one scale per frame, so an ``(N, ...)`` call
-    is N single-frame calls bit for bit.  It used to take one scale over
-    the batch (max |delta| 0.3 on an untrained model), which also broke
-    exact-mode reuse over a batch: dropping a reused frame changed the
-    survivors' scale."""
+    """An int8 engine scales no activation, so an ``(N, ...)`` call is N
+    single-frame calls bit for bit.  It used to take one activation scale
+    over the batch (max |delta| 0.3 on an untrained model), which also
+    broke exact-mode reuse over a batch: dropping a reused frame changed
+    the survivors' scale."""
 
     def _setup(self):
         model = EDSR(EdsrConfig(n_resblocks=2, n_filters=8), seed=30)
