@@ -131,6 +131,11 @@
 #     DcsrClient / FleetSimulator equal the recorded ones; the library
 #     constructors are replaced by recorders, so it builds no package
 #     and plays nothing (about a second).
+#   - tests/test_public_surface.py — every public module-level function
+#     and class in src/repro is reached from code that runs outside the
+#     tests (repro.cli, perfbench/, benchmarks/, examples/, the python
+#     blocks of README and docs), or is listed, with its reason, as a
+#     test oracle kept on purpose (static, about a second).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test
@@ -160,6 +165,7 @@ GUARDS=(
     tests/sr/test_gate_statistic.py
     tests/codec/test_frame_search.py
     tests/test_cli_configs.py
+    tests/test_public_surface.py
 )
 
 build_kernel() {

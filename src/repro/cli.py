@@ -134,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge cache admission policy for missed models")
     serve.add_argument("--cache-capacity", type=int, metavar="N",
                        help="per-edge model cache bound (default unbounded)")
-    serve.add_argument("--max-sessions", type=int, metavar="N",
-                       help="concurrent-session cap (default unlimited)")
-    serve.add_argument("--admission", choices=("queue", "reject"),
-                       help="what to do with arrivals over --max-sessions")
     serve.add_argument("--seed", type=int,
                        help="fleet seed (arrivals + per-session failures)")
     serve.add_argument("--device", dest="devices", metavar="LIST",

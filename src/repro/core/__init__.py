@@ -1,7 +1,7 @@
 """The dcSR system: server pipeline, client decoder integration, model
 caching, baselines, and streaming accounting."""
 
-from .anchor_selection import AnchorPlan, evaluate_anchor_set, select_anchors
+from .anchor_selection import AnchorPlan, select_anchors
 from .baselines import (
     BigModelBaseline,
     play_low,
@@ -90,7 +90,6 @@ __all__ = [
     "play_low",
     "AnchorPlan",
     "select_anchors",
-    "evaluate_anchor_set",
     "BandwidthUsage",
     "bandwidth_of",
     "normalized_usage",

@@ -28,7 +28,7 @@ from ..video.quality import psnr_yuv
 from ..video import rgb_to_yuv420
 from .client import enhance_yuv_frame
 
-__all__ = ["AnchorPlan", "evaluate_anchor_set", "select_anchors"]
+__all__ = ["AnchorPlan", "select_anchors"]
 
 
 @dataclass
@@ -60,25 +60,6 @@ def _segment_quality(
         if np.isfinite(value):
             values.append(value)
     return float(np.mean(values)) if values else 100.0
-
-
-def evaluate_anchor_set(
-    encoded: EncodedVideo, model: EDSR, reference_frames: np.ndarray,
-    anchors: set,
-) -> float:
-    """Mean luma PSNR of the whole video with ``anchors`` enhanced."""
-    engine = InferenceEngine(model)
-    totals = []
-    for segment in encoded.segments:
-        refs = [rgb_to_yuv420(reference_frames[t])
-                for t in range(segment.start, segment.start + segment.n_frames)]
-        seg_anchors = {a for a in anchors
-                       if segment.start <= a < segment.start + segment.n_frames}
-        quality = _segment_quality(segment, encoded.width, encoded.height,
-                                   engine, refs, seg_anchors)
-        totals.append((quality, segment.n_frames))
-    weight = sum(n for _, n in totals)
-    return float(sum(q * n for q, n in totals) / weight)
 
 
 def select_anchors(

@@ -451,12 +451,14 @@ def _calibrate_models(
 def _validate_in_loop(package: DcsrPackage, clip: VideoClip) -> bool:
     """Server-side quality validation of in-loop enhancement.
 
-    Simulates both client modes against the pristine original and keeps
-    in-loop propagation only when it wins: on high-motion content the
-    motion-compensated enhancement delta can land in the wrong place and
-    drag P/B frames below the plain decode (cf. NEMO's per-anchor quality
-    validation).  Display-only enhancement is the drift-free floor — it can
-    only improve the I frames it touches.
+    Plays the package in both client modes against the pristine original
+    and keeps in-loop propagation when the in-loop session's mean PSNR is at
+    least the display-only session's (cf. NEMO's per-anchor quality
+    validation): on high-motion content the motion-compensated enhancement
+    delta can land in the wrong place and drag P/B frames down.  Neither
+    mode is a floor — an enhanced I frame can score below its plain decode
+    in either — so neither is compared with the plain decode here; that
+    floor is ROADMAP item 11.
     """
     from .client import DcsrClient
 

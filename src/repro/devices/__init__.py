@@ -6,7 +6,6 @@ from .latency import (
     RETAINED_MAPS,
     InferenceCost,
     OutOfMemory,
-    fits_in_memory,
     inference_seconds,
     playback_fps,
     profile_at_resolution,
@@ -27,7 +26,6 @@ __all__ = [
     "OutOfMemory",
     "inference_seconds",
     "profile_at_resolution",
-    "fits_in_memory",
     "playback_fps",
     "RETAINED_MAPS",
     "CONVERSION_S_PER_MPIXEL",

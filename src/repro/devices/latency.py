@@ -21,7 +21,7 @@ from .flops import ModelProfile, trace_model
 from .specs import DeviceSpec
 
 __all__ = ["InferenceCost", "profile_at_resolution", "inference_seconds",
-           "fits_in_memory", "playback_fps", "OutOfMemory"]
+           "playback_fps", "OutOfMemory"]
 
 #: Retained intermediate feature maps assumed for the inference runtime
 #: (live input + output of the widest layer, plus skip/workspace overhead).
@@ -79,16 +79,6 @@ def inference_seconds(
     conversion_s = CONVERSION_S_PER_MPIXEL * res.pixels / 1e6
     return InferenceCost(profile=profile, seconds=compute_s + conversion_s,
                          memory_bytes=memory)
-
-
-def fits_in_memory(
-    model: nn.Layer, resolution: str | Resolution, device: DeviceSpec,
-) -> bool:
-    try:
-        inference_seconds(model, resolution, device)
-        return True
-    except OutOfMemory:
-        return False
 
 
 def playback_fps(

@@ -52,6 +52,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,6 +79,9 @@ _MISSING = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
 #: A body up to this size goes out in one write with its head (one
 #: ``send``); a larger one is written on its own rather than copied.
 _JOIN_BYTES = 64 << 10
+#: One byte-range spec: positions are ASCII digits only (``int`` would
+#: also take ``1_0``, ``+3`` and inner spaces).
+_RANGE_SPEC = re.compile(r"([0-9]*)-([0-9]*)")
 
 
 class _File(NamedTuple):
@@ -333,22 +337,21 @@ class DcsrOrigin:
         """
         if not header.startswith("bytes="):
             return None
-        spec = header[len("bytes="):].strip()
-        if "," in spec or not spec:
+        match = _RANGE_SPEC.fullmatch(header[len("bytes="):].strip())
+        if match is None:
             return None                       # multi-range unsupported
-        first, dash, last = spec.partition("-")
-        if not dash:
-            return None
-        try:
-            if not first:                     # suffix: bytes=-n
-                n = int(last)
-                if n <= 0:
-                    raise _BadRequest(416, "empty suffix range")
-                return max(0, size - n), size - 1
-            start = int(first)
-            end = int(last) if last else size - 1
-        except ValueError:
-            return None
+        first, last = match.groups()
+        if not first:                         # suffix: bytes=-n
+            if not last:
+                return None
+            n = int(last)
+            if n <= 0:
+                raise _BadRequest(416, "empty suffix range")
+            if size == 0:
+                raise _BadRequest(416, "suffix range of an empty body")
+            return max(0, size - n), size - 1
+        start = int(first)
+        end = int(last) if last else size - 1
         if start >= size:
             raise _BadRequest(416, f"range start {start} beyond size {size}")
         if start > end:

@@ -22,7 +22,7 @@ from .layers import (
     Tanh,
 )
 from .losses import kl_standard_normal, l1_loss, mse_loss, vae_loss
-from .optim import SGD, Adam, CosineLR, Optimizer, StepLR, clip_grad_norm
+from .optim import Adam, Optimizer, StepLR, clip_grad_norm
 from .serialize import (
     deserialize_from_bytes,
     load_model,
@@ -58,10 +58,8 @@ __all__ = [
     "kl_standard_normal",
     "vae_loss",
     "Optimizer",
-    "SGD",
     "Adam",
     "StepLR",
-    "CosineLR",
     "clip_grad_norm",
     "state_dict",
     "load_state_dict",

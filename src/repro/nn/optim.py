@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineLR", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "StepLR", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
@@ -40,28 +40,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
 
 
 class Adam(Optimizer):
@@ -111,23 +89,3 @@ class StepLR:
     def step(self) -> None:
         self.epoch += 1
         self.optimizer.lr = self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineLR:
-    """Cosine-anneal the LR from its initial value to ``min_lr``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0):
-        if total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-        self.optimizer = optimizer
-        self.total_epochs = int(total_epochs)
-        self.min_lr = float(min_lr)
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch = min(self.epoch + 1, self.total_epochs)
-        frac = self.epoch / self.total_epochs
-        self.optimizer.lr = self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1.0 + np.cos(np.pi * frac)
-        )

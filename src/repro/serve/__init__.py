@@ -18,7 +18,7 @@ Everything in this package scales the single-viewer pieces of
 - :class:`FleetSimulator` — N sessions (full
   :class:`~repro.core.client.DcsrClient` playback, or byte-trace
   replicas for thousand-session runs) over all of the above, with
-  seeded arrivals, admission control, and fleet telemetry.
+  seeded arrivals and fleet telemetry.
 
 Dependencies run one way: ``repro.serve`` imports ``repro.core`` /
 ``repro.sr`` / ``repro.obs``; nothing below imports ``repro.serve``

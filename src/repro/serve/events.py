@@ -105,12 +105,6 @@ class EventLoop:
                        (max(float(when), self.now), next(self._seq),
                         action, label))
 
-    def call_later(self, delay: float, action: Callable[[], None],
-                   label: str = "") -> None:
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        self.call_at(self.now + delay, action, label)
-
     def spawn(self, gen: Generator, at: float | None = None,
               name: str = "") -> Process:
         """Register a generator as a process; first resumed at ``at``."""

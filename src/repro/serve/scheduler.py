@@ -22,8 +22,8 @@ thread count.  Two session engines share that loop:
 
 - ``mode="playback"`` (default) — each session is a full
   :class:`~repro.core.client.DcsrClient` playing real media (decode, SR,
-  per-frame quality).  Sessions execute at their admitted start instants
-  in deterministic order; a fleet of one is bitwise-equal to a plain
+  per-frame quality).  Sessions execute at their arrival instants in
+  deterministic order; a fleet of one is bitwise-equal to a plain
   client on a dedicated link.
 - ``mode="trace"`` — each session is a lightweight generator that
   replays the package's *byte trace* (manifest model sizes + encoded
@@ -32,18 +32,10 @@ thread count.  Two session engines share that loop:
   interleave per segment in sim-time order, which is what makes
   5,000–10,000-session runs practical and gives the fair-share pool a
   causally ordered charge sequence.
-
-Admission control is pure simulated time.  Each session plays for
-``n_frames / fps`` simulated seconds; with ``max_sessions = c`` the
-fleet behaves as a c-server queue over the arrival schedule — the
-``queue`` policy delays a session's start until a slot frees (M/D/c
-style), while ``reject`` turns it away when all ``c`` slots are busy at
-its arrival instant.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -121,12 +113,6 @@ class FleetConfig:
         (``always`` / ``second-hit`` / ``size-aware``).
     cache_capacity:
         LRU bound per edge cache (``None`` = unbounded).
-    max_sessions / admission:
-        Session admission control: at most ``max_sessions`` sessions
-        play concurrently (in simulated time); an arrival beyond that is
-        queued until a slot frees (``"queue"``) or turned away
-        (``"reject"``).  ``max_sessions=None`` admits everyone at their
-        arrival instant.
     fallback:
         Per-session model-fetch fallback (play unenhanced instead of
         raising), as in :class:`~repro.core.client.DcsrClient`.
@@ -171,8 +157,6 @@ class FleetConfig:
     edges: int = 1
     cache_admission: str = "always"
     cache_capacity: int | None = None
-    max_sessions: int | None = None
-    admission: str = "queue"
     fallback: bool = False
     fast_path: FastPathConfig | None = None
     devices: tuple[str, ...] = ()
@@ -196,17 +180,12 @@ class FleetConfig:
         if self.mode not in FLEET_MODES:
             raise ValueError(
                 f"mode must be one of {FLEET_MODES}, got {self.mode!r}")
-        if self.admission not in ("queue", "reject"):
-            raise ValueError(
-                f"admission must be 'queue' or 'reject', got {self.admission!r}")
         if self.cache_admission not in ADMISSION_POLICIES:
             raise ValueError(
                 f"cache_admission must be one of {ADMISSION_POLICIES}, "
                 f"got {self.cache_admission!r}")
         if self.edges < 1:
             raise ValueError(f"edges must be >= 1, got {self.edges}")
-        if self.max_sessions is not None and self.max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1 (or None)")
         if self.rate_limit_bps is not None and self.rate_limit_bps <= 0:
             raise ValueError("rate_limit_bps must be > 0 (or None)")
         for name in self.devices:
@@ -277,13 +256,7 @@ class SessionResult:
 
     session_id: int
     arrival_s: float
-    start_s: float              # == arrival_s unless queued by admission
-    status: str                 # completed | rejected
     result: PlaybackResult | None = None
-
-    @property
-    def queue_wait_s(self) -> float:
-        return self.start_s - self.arrival_s
 
 
 @dataclass
@@ -292,8 +265,6 @@ class FleetTelemetry:
 
     sessions: int = 0
     completed: int = 0
-    rejected: int = 0
-    queue_wait_s: float = 0.0           # summed across queued sessions
     aggregate_goodput_bps: float = 0.0  # delivered bits / summed download s
     mean_session_goodput_bps: float = 0.0
     #: Edge hits over *all* model requests, failed fetches included
@@ -334,8 +305,7 @@ class FleetTelemetry:
         """Printable fleet summary (CLI ``serve``), via the shared
         :func:`~repro.obs.format_table` renderer."""
         rows = [
-            ["sessions", f"{self.completed}/{self.sessions} completed"
-             + (f", {self.rejected} rejected" if self.rejected else "")],
+            ["sessions", f"{self.completed}/{self.sessions} completed"],
             ["goodput", f"{self.aggregate_goodput_bps / 1e6:.2f} Mbit/s "
              f"aggregate, {self.mean_session_goodput_bps / 1e6:.2f} mean"],
             ["cache", f"{self.cache_hit_rate:.0%} edge hit rate, "
@@ -364,9 +334,6 @@ class FleetTelemetry:
         if self.cache_admission_denied:
             rows.append(["admission(edge)",
                          f"{self.cache_admission_denied} models not stored"])
-        if self.queue_wait_s:
-            rows.append(["admission",
-                         f"{self.queue_wait_s:.2f}s total queue wait"])
         lines = [f"fleet of {self.sessions} sessions:"]
         lines += ["  " + line
                   for line in format_table("", ["metric", "value"],
@@ -385,7 +352,7 @@ class FleetResult:
                                repr=False, compare=False)
 
     def completed(self) -> list[SessionResult]:
-        return [s for s in self.sessions if s.status == "completed"]
+        return [s for s in self.sessions if s.result is not None]
 
 
 class FleetSimulator:
@@ -457,45 +424,11 @@ class FleetSimulator:
             self._flops_cache[label] = flops
         return flops
 
-    # -------------------------------------------------------------- admission
-
-    def session_duration_s(self) -> float:
-        """Simulated seconds one session occupies an admission slot."""
-        encoded = self.package.encoded
-        n_frames = sum(seg.n_frames for seg in encoded.segments)
-        return n_frames / encoded.fps
-
-    def admit(self, arrivals: list[float]) -> list[SessionResult]:
-        """Admission control over the arrival schedule (pure sim time).
-
-        Returns one :class:`SessionResult` shell per session, in session
-        order: rejected sessions are final, admitted ones carry their
-        effective ``start_s`` and are run by :meth:`run`.
-        """
-        c = self.config.max_sessions
-        duration = self.session_duration_s()
-        out = []
-        if c is None:
-            return [SessionResult(i, a, a, "completed")
-                    for i, a in enumerate(arrivals)]
-        # c servers, each holding the sim time it next comes free.
-        servers = [0.0] * c
-        heapq.heapify(servers)
-        for i, a in enumerate(arrivals):
-            free = servers[0]
-            if self.config.admission == "reject" and free > a:
-                out.append(SessionResult(i, a, a, "rejected"))
-                continue
-            start = max(a, heapq.heappop(servers))
-            heapq.heappush(servers, start + duration)
-            out.append(SessionResult(i, a, start, "completed"))
-        return out
-
     # -------------------------------------------------------------- execution
 
     def run(self, reference: np.ndarray | None = None,
             trace_events: bool = False) -> FleetResult:
-        """Drive every admitted session on one event loop; return
+        """Drive every session on one event loop; return
         fleet-wide results.
 
         ``reference`` (the pristine frames) enables per-frame quality
@@ -505,13 +438,8 @@ class FleetSimulator:
         compare two histories for bitwise equality).
         """
         config = self.config
-        shells = self.admit(arrival_times(config))
-        admitted = [s for s in shells if s.status == "completed"]
-        for shell in shells:
-            if shell.status == "rejected":
-                self.obs.metrics.counter(
-                    "dcsr_fleet_rejected_total",
-                    "Sessions turned away by admission control").inc()
+        shells = [SessionResult(i, a)
+                  for i, a in enumerate(arrival_times(config))]
 
         # Built per run, like the loop: a pool carried over would charge
         # this run against the previous run's transfers (and, with its
@@ -526,12 +454,12 @@ class FleetSimulator:
             fail_rate=config.fail_rate, seed=config.seed,
             rate_limit_bps=config.rate_limit_bps)
         loop = self.loop = EventLoop(trace=trace_events)
-        for shell in admitted:
+        for shell in shells:
             if config.mode == "trace":
-                loop.spawn(self._trace_session(shell), at=shell.start_s,
+                loop.spawn(self._trace_session(shell), at=shell.arrival_s,
                            name=f"session-{shell.session_id}")
             else:
-                loop.call_at(shell.start_s,
+                loop.call_at(shell.arrival_s,
                              self._playback_action(shell, reference),
                              label=f"session-{shell.session_id}")
         loop.run()
@@ -543,27 +471,27 @@ class FleetSimulator:
     # ------------------------------------------------------ playback sessions
 
     def _playback_action(self, shell: SessionResult, reference):
-        """One playback session as a single event at its start instant.
+        """One playback session as a single event at its arrival instant.
 
         A full client session runs inline when the loop reaches
-        ``start_s``: sessions execute in deterministic (start, session)
+        ``arrival_s``: sessions execute in deterministic (arrival, session)
         order, and every simulated quantity each one records is anchored
         at its own arrival offset on the pool timeline — exactly the
         causal model the threaded scheduler computed, minus the
         nondeterministic charge interleaving.
         """
         def action() -> None:
-            self.pool.advance_watermark(shell.start_s)
+            self.pool.advance_watermark(shell.arrival_s)
             shell.result = self._run_session(shell, reference)
         return action
 
     def _run_session(self, shell: SessionResult,
                      reference) -> PlaybackResult:
         factory = self.network_factory
-        network = (factory(shell.session_id, shell.start_s)
+        network = (factory(shell.session_id, shell.arrival_s)
                    if factory is not None
                    else self.pool.session(shell.session_id,
-                                          arrival_s=shell.start_s))
+                                          arrival_s=shell.arrival_s))
         controller = self._controller_for(shell.session_id)
         client = DcsrClient(
             self.package,
@@ -624,7 +552,7 @@ class FleetSimulator:
         package = self.package
         config = self.config
         network = self.pool.session(shell.session_id,
-                                    arrival_s=shell.start_s)
+                                    arrival_s=shell.arrival_s)
         controller = self._controller_for(shell.session_id)
         stage = FetchStage(
             package, network, RetryPolicy(retries=config.retries),
@@ -640,7 +568,7 @@ class FleetSimulator:
                                             package.encoded.segments):
             # Wake exactly when this session's link is next free: charges
             # hit the pool in global sim-time order across all sessions.
-            now = yield Until(shell.start_s + network.clock.now())
+            now = yield Until(shell.arrival_s + network.clock.now())
             self.pool.advance_watermark(now)
 
             fetched = stage.fetch(segment, encoded_segment)
@@ -683,8 +611,6 @@ class FleetSimulator:
         completed = fleet.completed()
         t.sessions = config.sessions
         t.completed = len(completed)
-        t.rejected = sum(1 for s in fleet.sessions if s.status == "rejected")
-        t.queue_wait_s = sum(s.queue_wait_s for s in completed)
         cache = self.cache.stats
         t.cache_hit_rate = cache.hit_rate
         t.cache_downloads = cache.downloads

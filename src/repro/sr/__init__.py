@@ -21,11 +21,10 @@ from .engine import (ENGINE_KERNELS, EngineStats, InferenceEngine,
 from .quantize import QUANT_PRECISIONS, CalibrationResult, calibrate_quantized
 from .min_model import (
     MinModelSearch,
-    config_grid,
     find_minimum_working_model,
     model_size_table,
 )
-from .patches import frames_to_nchw, sample_patch_pairs
+from .patches import sample_patch_pairs
 from .trainer import (
     SrHistory,
     SrTrainConfig,
@@ -63,9 +62,7 @@ __all__ = [
     "evaluate_sr",
     "training_flops_estimate",
     "sample_patch_pairs",
-    "frames_to_nchw",
     "MinModelSearch",
-    "config_grid",
     "find_minimum_working_model",
     "model_size_table",
 ]

@@ -16,21 +16,8 @@ from .configs import TABLE1_FILTERS, TABLE1_RESBLOCKS
 from .edsr import EDSR, EdsrConfig
 from .trainer import SrTrainConfig, evaluate_sr, train_sr
 
-__all__ = ["config_grid", "model_size_table", "MinModelSearch",
+__all__ = ["model_size_table", "MinModelSearch",
            "find_minimum_working_model"]
-
-
-def config_grid(
-    filters: tuple[int, ...] = TABLE1_FILTERS,
-    resblocks: tuple[int, ...] = TABLE1_RESBLOCKS,
-    scale: int = 1,
-) -> list[EdsrConfig]:
-    """All (n_filters, n_resblocks) combinations, ascending by model size."""
-    configs = [
-        EdsrConfig(n_resblocks=rb, n_filters=f, scale=scale)
-        for f in filters for rb in resblocks
-    ]
-    return sorted(configs, key=lambda c: EDSR(c).size_bytes())
 
 
 def model_size_table(
@@ -68,7 +55,7 @@ def find_minimum_working_model(
     """Find the smallest configuration within ``tolerance_db`` of the big
     model's PSNR on the same frames.
 
-    ``grid`` must be sorted ascending by size (see :func:`config_grid`).
+    ``grid`` must be sorted ascending by size.
     Falls back to the best-scoring candidate if none reaches the target
     (the paper then deploys K = 1).
     """

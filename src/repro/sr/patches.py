@@ -8,14 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_patch_pairs", "frames_to_nchw"]
-
-
-def frames_to_nchw(frames: np.ndarray) -> np.ndarray:
-    """Convert ``(N, H, W, 3)`` RGB frames to NCHW float32."""
-    if frames.ndim != 4 or frames.shape[-1] != 3:
-        raise ValueError(f"expected (N, H, W, 3) frames, got {frames.shape}")
-    return np.ascontiguousarray(frames.transpose(0, 3, 1, 2)).astype(np.float32)
+__all__ = ["sample_patch_pairs"]
 
 
 def sample_patch_pairs(

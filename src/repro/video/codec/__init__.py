@@ -24,9 +24,8 @@ from .encoder import (
     EncodedVideo,
     Encoder,
 )
-from .gop import FramePlan, count_types, plan_segment
+from .gop import FramePlan, plan_segment
 from .motion import MB
-from .ratecontrol import RateControlResult, bitrate_of, encode_to_target_size
 from .quant import (
     MAX_CRF,
     dequantize,
@@ -54,7 +53,6 @@ __all__ = [
     "frequency_weights",
     "FramePlan",
     "plan_segment",
-    "count_types",
     "CodecConfig",
     "EncodedFrameInfo",
     "EncodedSegment",
@@ -68,7 +66,4 @@ __all__ = [
     "TruncatedStreamError",
     "SegmentMetadataError",
     "IFrameHook",
-    "RateControlResult",
-    "encode_to_target_size",
-    "bitrate_of",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "read_se",
     "zigzag_order",
     "encode_coeff_block",
-    "decode_coeff_block",
     "read_block_levels",
     "scatter_levels",
     "read_led_blocks",
@@ -146,17 +145,6 @@ def scatter_levels(
     out = np.zeros((len(coded), n_coeffs), dtype=np.int64)
     out[row, zigzag_order(n)[scan % n_coeffs]] = values
     return coded, out
-
-
-def decode_coeff_block(reader: BitReader, n: int = 8) -> np.ndarray:
-    """Decode one block written by :func:`encode_coeff_block`."""
-    positions: list[int] = []
-    levels: list[int] = []
-    read_block_levels(reader, 0, positions, levels, n * n)
-    coded, block_levels = scatter_levels(positions, levels, n)
-    if not len(coded):
-        return np.zeros((n, n), dtype=np.int64)
-    return block_levels[0].reshape(n, n)
 
 
 # ------------------------------------------------------- vectorised parse

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FramePlan", "plan_segment", "count_types"]
+__all__ = ["FramePlan", "plan_segment"]
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,3 @@ def plan_segment(
             plans.append(FramePlan(display=start + b, ftype="B",
                                    fwd_ref=start + prev, bwd_ref=start + cur))
     return plans
-
-
-def count_types(plans: list[FramePlan]) -> dict[str, int]:
-    """Histogram of frame types in a plan list."""
-    counts = {"I": 0, "P": 0, "B": 0}
-    for plan in plans:
-        counts[plan.ftype] += 1
-    return counts

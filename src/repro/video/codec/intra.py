@@ -22,11 +22,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .dct import BLOCK
-
-__all__ = ["MODE_DC", "MODE_V", "MODE_H", "INTRA_MODES", "predict_block",
-           "choose_mode", "wavefront", "stacked_wavefront", "neighbours",
-           "predict_blocks", "choose_modes"]
+__all__ = ["MODE_DC", "MODE_V", "MODE_H", "INTRA_MODES", "wavefront",
+           "stacked_wavefront", "neighbours", "predict_blocks", "choose_modes"]
 
 MODE_DC = 0
 MODE_V = 1
@@ -122,39 +119,3 @@ def choose_modes(
             .reshape(len(INTRA_MODES), k, -1).sum(axis=2))
     modes = cost.argmin(axis=0)
     return modes, preds[modes, np.arange(k)]
-
-
-def _predict_one(recon: np.ndarray, by: int, bx: int, block: int) -> np.ndarray:
-    """:func:`predict_blocks` for the single block ``(by, bx)`` of a plane."""
-    rows, cols = recon.shape[0] // block, recon.shape[1] // block
-    blocks = (recon[:rows * block, :cols * block].astype(np.float64)
-              .reshape(rows, block, cols, block).swapaxes(1, 2))
-    return predict_blocks(*neighbours(blocks, np.array([by]), np.array([bx])))
-
-
-def predict_block(
-    recon: np.ndarray, by: int, bx: int, mode: int, block: int = BLOCK,
-) -> np.ndarray:
-    """Prediction for the block at block-coordinates ``(by, bx)``.
-
-    ``recon`` is the partially reconstructed plane (float); neighbours above
-    and to the left of the block must be final.
-    """
-    if mode not in INTRA_MODES:
-        raise ValueError(f"unknown intra mode {mode}")
-    return _predict_one(recon, by, bx, block)[mode, 0]
-
-
-def choose_mode(
-    recon: np.ndarray, original: np.ndarray, by: int, bx: int,
-    block: int = BLOCK,
-) -> tuple[int, np.ndarray]:
-    """Pick the intra mode with the lowest SSD against the original block.
-
-    Returns ``(mode, prediction)``.
-    """
-    preds = _predict_one(recon, by, bx, block)
-    y0, x0 = by * block, bx * block
-    target = original[y0:y0 + block, x0:x0 + block].astype(np.float64)
-    modes, chosen = choose_modes(preds, target[None])
-    return int(modes[0]), chosen[0]

@@ -13,28 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import native
-from .frame import _RANGE_ERROR, YuvFrame, _as_rgb, validate_rgb
+from .frame import _RANGE_ERROR, YuvFrame, _as_rgb
 
 __all__ = [
     "rgb_to_yuv420",
     "yuv420_to_rgb",
-    "rgb_float_to_uint8",
-    "rgb_uint8_to_float",
 ]
-
-
-def rgb_float_to_uint8(rgb: np.ndarray) -> np.ndarray:
-    """Quantize a float RGB frame in [0, 1] to uint8 with rounding."""
-    rgb = validate_rgb(rgb)
-    return np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
-
-
-def rgb_uint8_to_float(rgb: np.ndarray) -> np.ndarray:
-    """Dequantize a uint8 RGB frame to float32 in [0, 1]."""
-    rgb = np.asarray(rgb)
-    if rgb.dtype != np.uint8:
-        raise ValueError(f"expected uint8 RGB, got dtype {rgb.dtype}")
-    return (rgb.astype(np.float32) / 255.0)
 
 
 def _status(status: int) -> None:

@@ -17,17 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["YuvFrame", "FrameType", "validate_rgb"]
-
-
-class FrameType:
-    """Frame classification used by the codec (Section 2 of the paper)."""
-
-    I = "I"
-    P = "P"
-    B = "B"
-
-    ALL = (I, P, B)
+__all__ = ["YuvFrame", "validate_rgb"]
 
 
 _RANGE_ERROR = "RGB frame values must lie in [0, 1]"

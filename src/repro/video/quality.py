@@ -11,7 +11,7 @@ from scipy.ndimage import gaussian_filter
 
 from .frame import YuvFrame
 
-__all__ = ["psnr", "ssim", "ms_ssim", "psnr_yuv", "ssim_luma", "mse"]
+__all__ = ["psnr", "ssim", "psnr_yuv", "mse"]
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,81 +75,6 @@ def ssim(
     return float(np.mean(num / den))
 
 
-def _ssim_components(
-    a: np.ndarray, b: np.ndarray, data_range: float, sigma: float,
-    k1: float, k2: float,
-) -> tuple[float, float]:
-    """Mean (luminance*contrast*structure, contrast*structure) maps."""
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
-    truncate = 3.5
-    mu_a = gaussian_filter(a, sigma, truncate=truncate)
-    mu_b = gaussian_filter(b, sigma, truncate=truncate)
-    sigma_a2 = gaussian_filter(a * a, sigma, truncate=truncate) - mu_a ** 2
-    sigma_b2 = gaussian_filter(b * b, sigma, truncate=truncate) - mu_b ** 2
-    sigma_ab = gaussian_filter(a * b, sigma, truncate=truncate) - mu_a * mu_b
-    luminance = (2 * mu_a * mu_b + c1) / (mu_a ** 2 + mu_b ** 2 + c1)
-    cs = (2 * sigma_ab + c2) / (sigma_a2 + sigma_b2 + c2)
-    return float(np.mean(luminance * cs)), float(np.mean(cs))
-
-
-#: Per-scale weights from Wang et al. 2003 (the standard MS-SSIM weights).
-_MS_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
-
-
-def ms_ssim(
-    a: np.ndarray, b: np.ndarray, data_range: float = 1.0,
-    sigma: float = 1.5, k1: float = 0.01, k2: float = 0.03,
-    n_scales: int | None = None,
-) -> float:
-    """Multi-scale SSIM (Wang, Simoncelli & Bovik 2003).
-
-    The image is repeatedly 2x-downsampled; contrast/structure terms are
-    collected at every scale, the luminance term only at the coarsest.  The
-    scale count adapts to the image size (each scale needs enough support
-    for the Gaussian window); ``n_scales`` can cap it explicitly.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim == 3:
-        return float(np.mean([
-            ms_ssim(a[..., c], b[..., c], data_range=data_range, sigma=sigma,
-                    k1=k1, k2=k2, n_scales=n_scales)
-            for c in range(a.shape[2])
-        ]))
-    if a.ndim != 2:
-        raise ValueError(f"expected 2-D or 3-D input, got shape {a.shape}")
-
-    min_side = min(a.shape)
-    feasible = max(1, int(np.log2(min_side / 12)) + 1)
-    scales = min(len(_MS_WEIGHTS), feasible)
-    if n_scales is not None:
-        if n_scales < 1:
-            raise ValueError("n_scales must be >= 1")
-        scales = min(scales, n_scales)
-    weights = np.array(_MS_WEIGHTS[:scales])
-    weights = weights / weights.sum()
-
-    value = 1.0
-    for scale in range(scales):
-        lcs, cs = _ssim_components(a, b, data_range, sigma, k1, k2)
-        if scale == scales - 1:
-            value *= np.sign(lcs) * np.abs(lcs) ** weights[scale]
-        else:
-            value *= np.sign(cs) * np.abs(cs) ** weights[scale]
-            h, w = a.shape
-            a = a[: h - h % 2, : w - w % 2].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-            b = b[: h - h % 2, : w - w % 2].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-    return float(value)
-
-
 def psnr_yuv(a: YuvFrame, b: YuvFrame) -> float:
     """PSNR over the luma plane of two YUV frames (uint8 range)."""
     return psnr(a.y.astype(np.float64), b.y.astype(np.float64), data_range=255.0)
-
-
-def ssim_luma(a: YuvFrame, b: YuvFrame) -> float:
-    """SSIM over the luma plane of two YUV frames (uint8 range)."""
-    return ssim(a.y.astype(np.float64), b.y.astype(np.float64), data_range=255.0)

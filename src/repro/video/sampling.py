@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["resize", "resize_multi", "cubic_kernel", "downscale", "upscale"]
+__all__ = ["resize", "cubic_kernel", "downscale", "upscale"]
 
 
 def cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
@@ -91,13 +91,6 @@ def resize(
     if clip is not None:
         out = np.clip(out, clip[0], clip[1])
     return out.astype(np.float32)
-
-
-def resize_multi(
-    frames: np.ndarray, size: tuple[int, int], method: str = "cubic",
-) -> np.ndarray:
-    """Resize a stack of frames ``(T, H, W[, C])`` to ``size``."""
-    return np.stack([resize(f, size, method=method) for f in frames])
 
 
 def downscale(img: np.ndarray, factor: int, method: str = "cubic") -> np.ndarray:

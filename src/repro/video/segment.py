@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Segment", "frame_difference", "detect_segments",
-           "fixed_length_segments", "segment_lengths"]
+           "fixed_length_segments"]
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,3 @@ def fixed_length_segments(n_frames: int, length: int) -> list[Segment]:
         segments.append(Segment(index=i, start=start,
                                 end=min(start + length, n_frames)))
     return segments
-
-
-def segment_lengths(segments: list[Segment]) -> np.ndarray:
-    return np.array([s.n_frames for s in segments], dtype=np.int64)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.video.codec.bitstream import BitReader, BitWriter
 from repro.video.codec.entropy import (
-    decode_coeff_block,
     encode_coeff_block,
     read_se,
     read_ue,
@@ -15,6 +14,8 @@ from repro.video.codec.entropy import (
     write_ue,
     zigzag_order,
 )
+
+from .scalar_reference import decode_coeff_block
 
 
 class TestBitWriterReader:

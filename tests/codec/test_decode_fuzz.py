@@ -27,7 +27,8 @@ from repro.video.codec import (BitReader, BitWriter, CodecConfig,
                                CorruptStreamError, DecodeError, Decoder,
                                EncodedSegment, EncodedVideo, Encoder,
                                TruncatedStreamError)
-from repro.video.codec.entropy import decode_coeff_block, write_se, write_ue
+from repro.video.codec.entropy import (read_block_levels, scatter_levels,
+                                       write_se, write_ue)
 from repro.video.codec.residual import parse_inter_macroblocks
 from repro.video.segment import Segment
 
@@ -159,8 +160,11 @@ def test_exp_golomb_window_read_matches_bit_by_bit():
         for code in (1, 0):             # one nonzero, zero run
             write_ue(writer, code)
         _write_wide_se(writer, value)
+        positions, levels = [], []
         with pytest.raises(CorruptStreamError):
-            decode_coeff_block(BitReader(writer.getvalue()))
+            read_block_levels(BitReader(writer.getvalue()), 0, positions,
+                              levels)
+            scatter_levels(positions, levels)
 
 
 def test_grammar_violations_are_typed():

@@ -17,14 +17,14 @@ from repro.video.codec import (
     qp_from_crf,
     frequency_weights,
     plan_segment,
-    count_types,
 )
 from repro.video.codec.intra import (
     MODE_DC,
     MODE_H,
     MODE_V,
-    choose_mode,
-    predict_block,
+    choose_modes,
+    neighbours,
+    predict_blocks,
 )
 
 from .scalar_reference import chroma_vector, compensate, motion_search
@@ -112,40 +112,44 @@ class TestQuant:
         assert len(np.unique(levels)) == 1
 
 
+def _predictions(recon, by, bx, b=8):
+    """Every mode's prediction for the block ``(by, bx)`` of ``recon``."""
+    blocks = recon.reshape(recon.shape[0] // b, b, recon.shape[1] // b,
+                           b).swapaxes(1, 2)
+    return predict_blocks(*neighbours(blocks, np.array([by]),
+                                      np.array([bx])))[:, 0]
+
+
 class TestIntraPrediction:
     def test_first_block_dc_default(self):
         recon = np.zeros((16, 16))
-        pred = predict_block(recon, 0, 0, MODE_DC)
+        pred = _predictions(recon, 0, 0)[MODE_DC]
         np.testing.assert_allclose(pred, 128.0)
 
     def test_vertical_copies_top_row(self):
         recon = np.zeros((16, 16))
         recon[7, 8:16] = np.arange(8)
-        pred = predict_block(recon, 1, 1, MODE_V)
+        pred = _predictions(recon, 1, 1)[MODE_V]
         for row in pred:
             np.testing.assert_array_equal(row, np.arange(8))
 
     def test_horizontal_copies_left_col(self):
         recon = np.zeros((16, 16))
         recon[8:16, 7] = np.arange(8)
-        pred = predict_block(recon, 1, 1, MODE_H)
+        pred = _predictions(recon, 1, 1)[MODE_H]
         for col in pred.T:
             np.testing.assert_array_equal(col, np.arange(8))
 
     def test_no_left_neighbor_defaults(self):
         recon = np.zeros((16, 16))
-        pred = predict_block(recon, 1, 0, MODE_H)
+        pred = _predictions(recon, 1, 0)[MODE_H]
         np.testing.assert_allclose(pred, 128.0)
 
     def test_dc_uses_neighbors(self):
         recon = np.zeros((16, 16))
         recon[7, 0:8] = 100.0  # top row of block (1, 0)
-        pred = predict_block(recon, 1, 0, MODE_DC)
+        pred = _predictions(recon, 1, 0)[MODE_DC]
         np.testing.assert_allclose(pred, 100.0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            predict_block(np.zeros((8, 8)), 0, 0, 9)
 
     def test_choose_mode_picks_vertical_for_vertical_pattern(self):
         recon = np.zeros((16, 16))
@@ -153,9 +157,10 @@ class TestIntraPrediction:
         recon[0:8, 0:8] = column_pattern  # block above reconstructed
         original = np.zeros((16, 16))
         original[8:16, 0:8] = column_pattern
-        mode, pred = choose_mode(recon, original, 1, 0)
-        assert mode == MODE_V
-        np.testing.assert_allclose(pred, column_pattern)
+        modes, preds = choose_modes(_predictions(recon, 1, 0)[:, None],
+                                    original[None, 8:16, 0:8])
+        assert modes[0] == MODE_V
+        np.testing.assert_allclose(preds[0], column_pattern)
 
 
 class TestMotion:
@@ -240,7 +245,7 @@ class TestGopPlanning:
 
     def test_no_b_frames_mode(self):
         plans = plan_segment(0, 10, n_b_frames=0)
-        assert count_types(plans) == {"I": 1, "P": 9, "B": 0}
+        assert [p.ftype for p in plans] == ["I"] + ["P"] * 9
 
     def test_extra_i_interval(self):
         plans = plan_segment(0, 30, n_b_frames=0, extra_i_interval=10)

@@ -4,15 +4,29 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    evaluate_anchor_set,
     play_nemo,
     play_nemo_adaptive,
     select_anchors,
 )
 from repro.core.baselines import BigModelBaseline
-from repro.sr import EDSR
+from repro.core.client import enhance_yuv_frame
+from repro.sr import EDSR, InferenceEngine
+from repro.video import psnr_yuv, rgb_to_yuv420
 from repro.video.codec import Decoder
 from repro.video.frame import YuvFrame
+
+
+def _quality_with(encoded, model, reference_frames, anchors):
+    """Mean luma PSNR of the whole video decoded with ``anchors`` enhanced:
+    every frame counts once, as in the selection's frame-weighted mean."""
+    engine = InferenceEngine(model)
+
+    def hook(frame, display, ftype):
+        return enhance_yuv_frame(engine, frame) if display in anchors else None
+
+    decoded = Decoder(anchor_hook=hook).decode_video(encoded)
+    return float(np.mean([psnr_yuv(rgb_to_yuv420(reference_frames[t]), frame)
+                          for t, frame in enumerate(decoded.frames)]))
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +124,7 @@ class TestSelection:
                                                 big_for_anchors):
         plan = select_anchors(package.encoded, big_for_anchors.model,
                               small_clip.frames, budget_per_segment=1)
-        independent = evaluate_anchor_set(
+        independent = _quality_with(
             package.encoded, big_for_anchors.model, small_clip.frames,
             plan.anchors)
         assert np.isclose(independent, plan.quality_db, atol=1e-6)
@@ -118,7 +132,7 @@ class TestSelection:
     def test_selected_beats_empty(self, package, small_clip, big_for_anchors):
         plan = select_anchors(package.encoded, big_for_anchors.model,
                               small_clip.frames, budget_per_segment=2)
-        baseline = evaluate_anchor_set(
+        baseline = _quality_with(
             package.encoded, big_for_anchors.model, small_clip.frames, set())
         if plan.anchors:
             assert plan.quality_db > baseline

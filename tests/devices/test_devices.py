@@ -7,7 +7,6 @@ from repro import nn
 from repro.devices import (
     DEVICES,
     OutOfMemory,
-    fits_in_memory,
     get_device,
     inference_seconds,
     model_forward_flops,
@@ -121,24 +120,24 @@ class TestLatencyModel:
         """The paper's key memory result (Figure 8)."""
         jetson = get_device("jetson")
         big = EDSR(big_model_config("4k"))
-        assert not fits_in_memory(big, "4k", jetson)
         with pytest.raises(OutOfMemory):
             inference_seconds(big, "4k", jetson)
 
     def test_big_models_fit_on_desktop_at_4k(self):
         """Figure 12: discrete GPUs run the big model at 4K."""
         big = EDSR(big_model_config("4k"))
-        assert fits_in_memory(big, "4k", get_device("desktop"))
-        assert fits_in_memory(big, "4k", get_device("laptop"))
+        assert inference_seconds(big, "4k", get_device("desktop")).seconds > 0
+        assert inference_seconds(big, "4k", get_device("laptop")).seconds > 0
 
     def test_dcsr_fits_jetson_at_4k(self):
         model = EDSR(dcsr_config(1, scale=4))
-        assert fits_in_memory(model, "4k", get_device("jetson"))
+        assert inference_seconds(model, "4k", get_device("jetson")).seconds > 0
 
     def test_big_model_fits_jetson_at_1080p(self):
         """NAS runs (slowly) at 1080p on the Jetson — it must not OOM."""
         big = EDSR(big_model_config("1080p"))
-        assert fits_in_memory(big, "1080p", get_device("jetson"))
+        assert inference_seconds(big, "1080p",
+                                 get_device("jetson")).seconds > 0
 
 
 class TestPlaybackFps:

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.net import DcsrOrigin, HttpTransport
+from repro.net.origin import _BadRequest
 
 pytestmark = pytest.mark.net
 
@@ -61,6 +62,24 @@ class TestRange:
         for bad in ("bytes=9-2", "frames=0-1", "bytes=a-b", "bytes="):
             status, headers, body = transport.get(SEGMENT, {"Range": bad})
             assert (status, body) == (200, data), bad
+
+
+class TestParseRange:
+    """``DcsrOrigin.parse_range`` alone: the span a header names in a body
+    of ``size`` bytes, ``None`` for a header to ignore, 416 raised."""
+
+    @pytest.mark.parametrize("header", [
+        "bytes=1_0-2_0", "bytes=+3-9", "bytes=0 -5", "bytes=0- 5",
+        "bytes=-1_0", "bytes=-+5", "bytes=\uff13-5", "bytes=0-\u0663",
+    ])
+    def test_positions_other_than_ascii_digits_are_ignored(self, header):
+        assert DcsrOrigin.parse_range(header, 100) is None
+
+    @pytest.mark.parametrize("header", ["bytes=-5", "bytes=-1"])
+    def test_suffix_range_of_an_empty_body_is_416(self, header):
+        with pytest.raises(_BadRequest) as raised:
+            DcsrOrigin.parse_range(header, 0)
+        assert raised.value.status == 416
 
 
 class TestETag:
@@ -149,6 +168,15 @@ class TestFileTable:
         (root / "segments" / "b.bin").write_bytes(b"late")
         status, _headers, body = client.get("segments/b.bin")
         assert (status, body) == (200, b"late")
+
+    def test_suffix_range_of_an_empty_file_is_416(self, tree_origin):
+        root, client, _origin = tree_origin
+        (root / "segments" / "empty.bin").write_bytes(b"")
+        assert client.get("segments/empty.bin")[::2] == (200, b"")
+        status, headers, body = client.get("segments/empty.bin",
+                                           {"Range": "bytes=-5"})
+        assert (status, body) == (416, b"")
+        assert headers["content-range"] == "bytes */0"
 
     def test_directory_is_404(self, tree_origin):
         _root, client, _origin = tree_origin

@@ -112,7 +112,7 @@ class TestPackedCacheInvalidation:
         p1 = conv.packed()
         out = conv.forward(x)
         conv.backward(np.ones_like(out))
-        nn.SGD(conv.parameters(), lr=0.1).step()
+        nn.Adam(conv.parameters(), lr=0.1).step()
         assert conv.packed() is not p1
         out_after = F.conv2d_shift_nhwc(x.transpose(0, 2, 3, 1),
                                         conv.packed())

@@ -34,10 +34,6 @@ class TestEventLoop:
         loop.run()
         assert seen == [5.0]        # never travels backwards
 
-    def test_call_later_rejects_negative_delay(self):
-        with pytest.raises(ValueError, match="delay"):
-            EventLoop().call_later(-1.0, lambda: None)
-
     def test_run_until_leaves_later_events_queued(self):
         loop = EventLoop()
         seen = []

@@ -1,13 +1,11 @@
-"""Fleet simulator: admission control, arrival schedules, and end-to-end
-multi-session runs over the shared test package.
+"""Fleet simulator: arrival schedules and end-to-end multi-session runs
+over the shared test package.
 
 The integration tests assert the serving-layer value propositions
 directly: cross-session cache amortization (fleet hit rate beats a solo
 session, aggregate model bytes stay below N× solo), per-session span
 attribution in the shared trace, and frames bit-identical to a solo client.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,15 +16,6 @@ from repro.serve import (
     FleetSimulator,
     arrival_times,
 )
-
-
-def _stub_package(n_frames=80, fps=10.0, n_segments=4):
-    """Just enough package for sim-time admission math (no media)."""
-    per = n_frames // n_segments
-    segments = [SimpleNamespace(n_frames=per) for _ in range(n_segments)]
-    return SimpleNamespace(encoded=SimpleNamespace(segments=segments,
-                                                   fps=fps),
-                           manifest=SimpleNamespace(model_sizes={}))
 
 
 class TestArrivalSchedules:
@@ -55,49 +44,8 @@ class TestArrivalSchedules:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="sessions"):
             FleetConfig(sessions=0)
-        with pytest.raises(ValueError, match="admission"):
-            FleetConfig(admission="drop")
-        with pytest.raises(ValueError, match="max_sessions"):
-            FleetConfig(max_sessions=0)
         with pytest.raises(TypeError, match="fast_path"):
             FleetConfig(fast_path="int8")
-
-
-class TestAdmissionControl:
-    def test_unlimited_admits_everyone_at_arrival(self):
-        sim = FleetSimulator(_stub_package(), FleetConfig(sessions=3))
-        shells = sim.admit([0.0, 1.0, 2.0])
-        assert [s.status for s in shells] == ["completed"] * 3
-        assert [s.start_s for s in shells] == [0.0, 1.0, 2.0]
-
-    def test_queue_policy_delays_past_capacity(self):
-        # Each session occupies a slot for 80 frames / 10 fps = 8 s.
-        sim = FleetSimulator(
-            _stub_package(),
-            FleetConfig(sessions=4, max_sessions=2, admission="queue"))
-        shells = sim.admit([0.0, 0.0, 0.0, 0.0])
-        assert [s.status for s in shells] == ["completed"] * 4
-        assert sorted(s.start_s for s in shells) == [0.0, 0.0, 8.0, 8.0]
-        assert sum(s.queue_wait_s for s in shells) == 16.0
-
-    def test_queue_policy_uses_freed_slots(self):
-        sim = FleetSimulator(
-            _stub_package(),
-            FleetConfig(sessions=3, max_sessions=1, admission="queue"))
-        shells = sim.admit([0.0, 1.0, 20.0])
-        # Session 1 waits for session 0's slot (free at t=8); session 2
-        # arrives after everything drained and starts immediately.
-        assert [s.start_s for s in shells] == [0.0, 8.0, 20.0]
-
-    def test_reject_policy_turns_arrivals_away(self):
-        sim = FleetSimulator(
-            _stub_package(),
-            FleetConfig(sessions=4, max_sessions=2, admission="reject"))
-        shells = sim.admit([0.0, 0.0, 1.0, 9.0])
-        assert [s.status for s in shells] == [
-            "completed", "completed", "rejected", "completed"]
-        # The t=9 arrival lands after the first two sessions ended (t=8).
-        assert shells[3].start_s == 9.0
 
 
 class TestFleetIntegration:
@@ -124,19 +72,6 @@ class TestFleetIntegration:
         plays = fleet.obs.tracer.root.find("play")
         assert sorted(span.attrs["session"] for span in plays) == [0, 1]
 
-    def test_rejected_sessions_produce_no_playback(self, package):
-        fleet = FleetSimulator(
-            package,
-            FleetConfig(sessions=3, max_sessions=1,
-                        admission="reject")).run()
-        statuses = [s.status for s in fleet.sessions]
-        assert statuses == ["completed", "rejected", "rejected"]
-        assert fleet.telemetry.rejected == 2
-        assert all(s.result is None for s in fleet.sessions
-                   if s.status == "rejected")
-        assert fleet.obs.metrics.counter(
-            "dcsr_fleet_rejected_total").value() == 2
-
     @pytest.mark.tier2
     def test_fleet_under_contention_still_completes(self, package):
         fleet = FleetSimulator(
@@ -144,10 +79,10 @@ class TestFleetIntegration:
             FleetConfig(sessions=6, arrival="poisson:2.0",
                         bandwidth_bps=1e6, latency_s=0.02, fail_rate=0.2,
                         retries=3, fallback=True, cache_capacity=1,
-                        max_sessions=4, admission="queue", seed=3)).run()
+                        seed=3)).run()
         t = fleet.telemetry
-        assert t.completed + t.rejected == 6
-        assert t.completed >= 4
+        assert t.completed == 6
+        assert t.peak_network_concurrency > 1
         for shell in fleet.completed():
             assert len(shell.result.frames) == sum(
                 seg.n_frames for seg in package.encoded.segments)

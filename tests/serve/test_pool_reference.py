@@ -225,7 +225,7 @@ def fleet_numbers(sim: FleetSimulator, fleet):
     session's stall / download seconds, the fleet and pool counters."""
     t = fleet.telemetry
     sessions = [
-        (s.session_id, s.start_s, s.result.telemetry.stall_seconds,
+        (s.session_id, s.arrival_s, s.result.telemetry.stall_seconds,
          s.result.telemetry.stage_seconds.get("download", 0.0),
          [seg.download_s for seg in s.result.telemetry.segments])
         for s in fleet.completed()]

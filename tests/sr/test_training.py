@@ -7,10 +7,8 @@ from repro.sr import (
     EDSR,
     EdsrConfig,
     SrTrainConfig,
-    config_grid,
     evaluate_sr,
     find_minimum_working_model,
-    frames_to_nchw,
     sample_patch_pairs,
     train_sr,
 )
@@ -69,13 +67,6 @@ class TestPatchSampling:
             sample_patch_pairs(lr, hr, 8, 0, rng)
         with pytest.raises(ValueError):
             sample_patch_pairs(lr, hr, 8, 4, rng, scale=2)
-
-    def test_frames_to_nchw(self):
-        lr, _ = _pairs(n=3)
-        out = frames_to_nchw(lr)
-        assert out.shape == (3, 3, 24, 24)
-        with pytest.raises(ValueError):
-            frames_to_nchw(np.zeros((3, 4, 4), np.float32))
 
 
 class TestTraining:
@@ -148,11 +139,6 @@ class TestTraining:
 
 
 class TestMinimumModel:
-    def test_grid_sorted_by_size(self):
-        grid = config_grid(filters=(4, 8), resblocks=(2, 4))
-        sizes = [EDSR(c).size_bytes() for c in grid]
-        assert sizes == sorted(sizes)
-
     def test_search_returns_working_config(self):
         lr, hr = _pairs(seed=6)
         grid = [EdsrConfig(n_resblocks=1, n_filters=4),

@@ -271,8 +271,6 @@ SERVE_CASES = [
     (["--cache-admission", "second-hit"],
      FleetConfig(cache_admission="second-hit")),
     (["--cache-capacity", "2"], FleetConfig(cache_capacity=2)),
-    (["--max-sessions", "2", "--admission", "reject"],
-     FleetConfig(max_sessions=2, admission="reject")),
     (["--fallback"], FleetConfig(fallback=True)),
     (["--seed", "9"], FleetConfig(seed=9)),
     (["--reuse"], FleetConfig(fast_path=FastPathConfig(reuse=True))),
@@ -291,13 +289,13 @@ SERVE_CASES = [
       "--bandwidth", "3e4", "--latency", "0.01", "--fail-rate", "0.2",
       "--retries", "2", "--rate-limit", "2e4", "--edges", "4",
       "--cache-admission", "size-aware", "--cache-capacity", "3",
-      "--max-sessions", "50", "--admission", "queue", "--fallback",
-      "--seed", "3", "--device", "laptop", "--controller", "greedy"],
+      "--fallback", "--seed", "3", "--device", "laptop",
+      "--controller", "greedy"],
      FleetConfig(mode="trace", sessions=400, arrival="uniform:0.5",
                  bandwidth_bps=3e4, latency_s=0.01, fail_rate=0.2,
                  retries=2, rate_limit_bps=2e4, edges=4,
                  cache_admission="size-aware", cache_capacity=3,
-                 max_sessions=50, fallback=True, seed=3,
+                 fallback=True, seed=3,
                  devices=("laptop",), controller="greedy")),
 ]
 

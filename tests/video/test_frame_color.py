@@ -8,9 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.video import (
     YuvFrame,
-    rgb_float_to_uint8,
     rgb_to_yuv420,
-    rgb_uint8_to_float,
     validate_rgb,
     yuv420_to_rgb,
 )
@@ -87,19 +85,6 @@ class TestValidateRgb:
             validate_rgb(rgb)
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             rgb_to_yuv420(rgb)
-        with pytest.raises(ValueError):
-            rgb_float_to_uint8(rgb)
-
-
-class TestUint8Conversion:
-    def test_roundtrip(self):
-        rgb = np.random.default_rng(1).uniform(size=(4, 4, 3)).astype(np.float32)
-        back = rgb_uint8_to_float(rgb_float_to_uint8(rgb))
-        np.testing.assert_allclose(back, rgb, atol=1.0 / 255.0)
-
-    def test_uint8_to_float_rejects_float(self):
-        with pytest.raises(ValueError):
-            rgb_uint8_to_float(np.zeros((2, 2, 3), np.float32))
 
 
 class TestChroma:

@@ -9,7 +9,6 @@ from repro.video import (
     fixed_length_segments,
     frame_difference,
     make_video,
-    segment_lengths,
 )
 from repro.video.segment import Segment
 from repro.video.synthetic import make_scene, render_frame, scene_schedule
@@ -207,10 +206,6 @@ class TestFixedLength:
             fixed_length_segments(10, 0)
         with pytest.raises(ValueError):
             fixed_length_segments(0, 5)
-
-    def test_segment_lengths_helper(self):
-        segs = fixed_length_segments(10, 4)
-        np.testing.assert_array_equal(segment_lengths(segs), [4, 4, 2])
 
 
 class TestSegmentDataclass:
