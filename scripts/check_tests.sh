@@ -132,7 +132,8 @@
 #     constructors are replaced by recorders, so it builds no package
 #     and plays nothing (about a second).
 #   - tests/test_public_surface.py — every public module-level function
-#     and class in src/repro is reached from code that runs outside the
+#     and class in src/repro, and every public method and property of a
+#     reached public class, is reached from code that runs outside the
 #     tests (repro.cli, perfbench/, benchmarks/, examples/, the python
 #     blocks of README and docs), or is listed, with its reason, as a
 #     test oracle kept on purpose (static, about a second).

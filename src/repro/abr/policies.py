@@ -137,39 +137,18 @@ class DcsrAwareAbr(ThroughputAbr):
 
     def __init__(
         self, enhanced_quality: np.ndarray,
-        model_bits_by_segment: list[float] | None = None,
+        model_bits_by_segment: list[float],
         target_quality_db: float = 0.0, safety: float = 0.85,
         enhanced_level: int | None = None,
-        manifest=None, precision: str = "fp32",
     ):
         """``enhanced_quality[level][segment]`` is the post-SR PSNR;
         ``model_bits_by_segment[s]`` is the model download charged at
         segment ``s`` (zero when cached).  Models are only fetched — and
         only charged — when the client actually plays ``enhanced_level``
         (default: the bottom rung, the one dcSR prepares models for).
-
-        Instead of a precomputed bits table, pass ``manifest`` (a
-        :class:`~repro.core.manifest.VideoManifest`) plus the client's
-        playback ``precision``: each model is then budgeted at its *actual*
-        download size — ``manifest.model_size_for(label, precision)`` —
-        charged at the label's first segment, instead of always charging
-        fp32 bytes even when the client plays a quantized checkpoint.
         """
         super().__init__(safety=safety)
         self.enhanced_quality = np.asarray(enhanced_quality, dtype=np.float64)
-        if (model_bits_by_segment is None) == (manifest is None):
-            raise ValueError(
-                "pass exactly one of model_bits_by_segment or manifest")
-        if manifest is not None:
-            seen: set[int] = set()
-            model_bits_by_segment = []
-            for label in manifest.label_sequence():
-                if label in seen:
-                    model_bits_by_segment.append(0.0)
-                else:
-                    seen.add(label)
-                    model_bits_by_segment.append(
-                        manifest.model_size_for(label, precision) * 8.0)
         self.model_bits_by_segment = list(model_bits_by_segment)
         self.target_quality_db = float(target_quality_db)
         self.enhanced_level = (self.enhanced_quality.shape[0] - 1

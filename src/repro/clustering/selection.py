@@ -27,10 +27,6 @@ class KSelection:
     k_max: int = 0
     result: KMeansResult | None = None
 
-    @property
-    def best_score(self) -> float:
-        return self.scores.get(self.k, float("nan"))
-
 
 def max_k_for_budget(big_model_bytes: int, min_model_bytes: int) -> int:
     """Eq. (3): the largest K whose micro models fit the big-model budget."""

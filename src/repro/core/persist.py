@@ -111,7 +111,7 @@ def save_package(package, root: str | Path) -> Path:
         },
         "segments": [asdict(s) for s in manifest.segments],
         # Per-frame accounting (display, type, coded bits) so loaded
-        # packages keep i_frame_displays / bits_by_type — and so the
+        # packages keep each frame's type and bits_by_type — and so the
         # fleet's trace-mode SR-demand model can count I frames.
         "frame_info": {
             str(s.index): [[f.display, f.ftype, f.n_bits] for f in s.frames]
@@ -237,10 +237,6 @@ class TrainingCache:
 
     def __contains__(self, key: str) -> bool:
         return self.path(key).exists()
-
-    @property
-    def n_entries(self) -> int:
-        return sum(1 for _ in self.root.glob("*.npz"))
 
     def get(self, key: str, config: EdsrConfig) -> EDSR | None:
         """The cached model for ``key``, or ``None`` on a miss."""

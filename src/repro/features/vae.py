@@ -78,9 +78,6 @@ class ConvVAE:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------
 
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

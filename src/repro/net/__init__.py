@@ -2,14 +2,14 @@
 
 Everything else in the repo crosses a function call; this package is the
 production-shaped seam.  :class:`DcsrOrigin` serves a saved package
-directory over stdlib-asyncio HTTP/1.1 (Range, ETag/If-None-Match,
-Content-Length, keep-alive); :class:`HttpTransport` is a drop-in for
-:class:`~repro.core.network.SimulatedNetwork` — same duck-typed
-``download`` surface, same retry/backoff helper, same telemetry counter
-names — so the whole client/cache/fleet stack runs unmodified over real
-sockets.  :class:`ChaosProxy` injects deterministic TCP faults (reset,
-truncation, stalls, latency) between them, mirroring the simulated
-network's schedule semantics.
+directory over stdlib-asyncio HTTP/1.1 (whole-file GET and HEAD,
+Content-Length, keep-alive, pipelining); :class:`HttpTransport` is a
+drop-in for :class:`~repro.core.network.SimulatedNetwork` — same
+duck-typed ``download`` surface, same retry/backoff helper — so the
+whole client/cache/fleet stack runs unmodified over real sockets.
+:class:`ChaosProxy` injects deterministic TCP faults (reset, truncation,
+stalls, latency) between them, mirroring the simulated network's
+schedule semantics.
 
 Layering: ``repro.net`` imports ``repro.core`` and ``repro.obs`` only,
 and is asyncio-only — no ``threading`` (AST-guarded by

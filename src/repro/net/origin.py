@@ -9,29 +9,26 @@ client actually leans on:
 
 - **Content-Length** on every response (the transport verifies it and
   treats a short body as a truncation fault);
-- **ETag / If-None-Match** revalidation (strong ETags derived from file
-  content, so a package rebuild changes them and a 304 can never serve
-  stale bytes);
 - a **file table** keyed by URL path: each served file's resolved path,
   confined to the package root when the entry was made, with its
-  identity ``(st_dev, st_ino, st_mtime_ns, st_size)`` and ETag.  A
-  request opens the recorded path and checks the descriptor with one
-  ``fstat``; a different identity, or a failed open, resolves and
-  confines the URL path once more, so a replaced, rewritten or deleted
-  file and a directory swapped for a symlink out of the root are all
-  noticed.  Bytes come only from a descriptor whose inode was resolved
-  inside the root; the ETag hash and the body come from that one
-  descriptor, and a GET reads exactly the span it serves (HEAD, 304 and
-  416 read nothing).  Paths answered ``404`` are never entered, so the
-  table holds at most one entry per file in the package;
-- **Range** requests (single ``bytes=a-b`` / ``bytes=a-`` / suffix
-  ``bytes=-n`` forms; a syntactically valid but unsatisfiable range is
-  ``416`` with ``Content-Range: bytes */size``, a malformed header is
-  ignored per RFC 9110 and answered with the full ``200``);
+  identity ``(st_dev, st_ino, st_mtime_ns, st_size)``.  A request opens
+  the recorded path and checks the descriptor with one ``fstat``; a
+  different identity, or a failed open, resolves and confines the URL
+  path once more, so a replaced, rewritten or deleted file and a
+  directory swapped for a symlink out of the root are all noticed.
+  Bytes come only from a descriptor whose inode was resolved inside the
+  root; a GET reads the whole file from it, a HEAD reads nothing.
+  Paths answered ``404`` are never entered, so the table holds at most
+  one entry per file in the package;
 - **keep-alive** connection reuse (closed on ``Connection: close``,
   client EOF, the idle timeout or :meth:`DcsrOrigin.stop`),
   **pipelining** (requests written back to back are read one head at a
   time and answered in order) and **HEAD**.
+
+Every response to a file is the whole file.  What to download is the
+model cache's decision (Algorithm 1), so no client sends a conditional
+or range request; a ``Range`` or ``If-None-Match`` header is ignored and
+answered with the full ``200``, as RFC 9110 allows.
 
 The wait for a request head runs under an ``asyncio.timeout`` deadline
 (``idle_timeout_s``), which costs no task per request the way
@@ -49,10 +46,8 @@ from __future__ import annotations
 
 import asyncio
 import errno
-import hashlib
 import json
 import os
-import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,11 +60,9 @@ __all__ = ["OriginConfig", "DcsrOrigin"]
 _SERVER_NAME = "dcsr-origin/1"
 #: Reason phrases for the statuses this origin emits.
 _REASONS = {
-    200: "OK", 204: "No Content", 206: "Partial Content",
-    304: "Not Modified", 400: "Bad Request", 404: "Not Found",
+    200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
-    416: "Range Not Satisfiable", 431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
 }
 #: Non-blocking, so a FIFO swapped in for a file cannot stall the loop
 #: in ``open``; reads of a regular file ignore the flag.
@@ -79,9 +72,6 @@ _MISSING = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
 #: A body up to this size goes out in one write with its head (one
 #: ``send``); a larger one is written on its own rather than copied.
 _JOIN_BYTES = 64 << 10
-#: One byte-range spec: positions are ASCII digits only (``int`` would
-#: also take ``1_0``, ``+3`` and inner spaces).
-_RANGE_SPEC = re.compile(r"([0-9]*)-([0-9]*)")
 
 
 class _File(NamedTuple):
@@ -89,7 +79,6 @@ class _File(NamedTuple):
 
     path: str                      # resolved, inside root when entered
     identity: tuple[int, int, int, int]   # st_dev, st_ino, mtime, size
-    etag: str
     content_type: str
 
 
@@ -97,13 +86,13 @@ def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size
 
 
-def _read(fd: int, start: int, length: int) -> bytes:
-    """``length`` bytes of ``fd`` from ``start``; a file that shrank
-    since its ``fstat`` raises (the request is answered ``500``)."""
-    data = os.pread(fd, length, start)
-    if len(data) != length:
+def _read(fd: int, size: int) -> bytes:
+    """The ``size`` bytes of the file ``fd``; a file that shrank since
+    its ``fstat`` raises (the request is answered ``500``)."""
+    data = os.pread(fd, size, 0)
+    if len(data) != size:
         raise OSError(f"file shrank while served: read {len(data)} of "
-                      f"{length} bytes")
+                      f"{size} bytes")
     return data
 
 
@@ -121,14 +110,18 @@ class OriginConfig:
     max_request_bytes: int = 16384
     #: Seconds to wait for the next complete request head on a
     #: connection before answering 408 and closing it (a dribbled head
-    #: gets no extra time).  ``None`` waits forever (CLI default).
-    idle_timeout_s: float | None = 30.0
+    #: gets no extra time).  Every connection has this deadline: a
+    #: client is outside the program, and an idle one is not kept.
+    idle_timeout_s: float = 30.0
 
     def __post_init__(self):
         if self.max_request_bytes < 1024:
             raise ValueError("max_request_bytes must be >= 1024")
-        if self.idle_timeout_s is not None and self.idle_timeout_s <= 0:
-            raise ValueError("idle_timeout_s must be positive (or None)")
+        if (self.idle_timeout_s is None
+                or not 0 < self.idle_timeout_s < float("inf")):
+            raise ValueError(f"idle_timeout_s must be a positive, finite "
+                             f"number of seconds, got "
+                             f"{self.idle_timeout_s!r}")
 
 
 class _BadRequest(Exception):
@@ -223,7 +216,8 @@ class DcsrOrigin:
 
     @property
     def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        return f"http://{host}:{self.port}"
 
     # ------------------------------------------------------------- plumbing
 
@@ -239,11 +233,10 @@ class DcsrOrigin:
                 "Response body bytes sent by the origin",
             ).inc(n_bytes)
 
-    def _open(self, url_path: str) -> tuple[int, _File, bytes | None] | None:
+    def _open(self, url_path: str) -> tuple[int, _File] | None:
         """Open the regular file ``url_path`` names under ``root``:
-        ``(descriptor, entry, content)``, or ``None`` for a ``404``.
-        ``content`` is the whole file when this call hashed it (a new or
-        changed file), else ``None``.  The caller closes the descriptor."""
+        ``(descriptor, entry)``, or ``None`` for a ``404``.  The caller
+        closes the descriptor."""
         relative = url_path.lstrip("/")
         entry = self._files.get(relative)
         if entry is not None:
@@ -253,7 +246,7 @@ class DcsrOrigin:
                 pass                          # gone: resolve once more
             else:
                 if _identity(os.fstat(fd)) == entry.identity:
-                    return fd, entry, None
+                    return fd, entry
                 os.close(fd)
             del self._files[relative]
         if not relative or "\x00" in relative:
@@ -270,23 +263,21 @@ class DcsrOrigin:
             raise
         try:
             st = os.fstat(fd)
-            if not stat.S_ISREG(st.st_mode):
-                os.close(fd)
-                return None
-            content = _read(fd, 0, st.st_size)
         except OSError:
             os.close(fd)
             raise
-        digest = hashlib.sha256(content).hexdigest()[:32]
+        if not stat.S_ISREG(st.st_mode):
+            os.close(fd)
+            return None
         content_type = ("application/json"
                         if os.path.splitext(path)[1] == ".json"
                         else "application/octet-stream")
-        entry = _File(path, _identity(st), f'"{digest}"', content_type)
+        entry = _File(path, _identity(st), content_type)
         if path == named:
             # An alias (``a/../b``, a symlink inside root) is served but
             # not entered, so the table stays one entry per file.
             self._files[relative] = entry
-        return fd, entry, content
+        return fd, entry
 
     # ------------------------------------------------------------- requests
 
@@ -327,37 +318,6 @@ class DcsrOrigin:
         path = target.split("?", 1)[0]
         return method, path, headers
 
-    @staticmethod
-    def parse_range(header: str, size: int) -> tuple[int, int] | None:
-        """One satisfiable ``(start, end)`` byte range, inclusive.
-
-        ``None`` means "ignore the header, serve the full body" (the RFC's
-        treatment of a malformed or multi-part value); an unsatisfiable
-        but well-formed range raises :class:`_BadRequest` (416).
-        """
-        if not header.startswith("bytes="):
-            return None
-        match = _RANGE_SPEC.fullmatch(header[len("bytes="):].strip())
-        if match is None:
-            return None                       # multi-range unsupported
-        first, last = match.groups()
-        if not first:                         # suffix: bytes=-n
-            if not last:
-                return None
-            n = int(last)
-            if n <= 0:
-                raise _BadRequest(416, "empty suffix range")
-            if size == 0:
-                raise _BadRequest(416, "suffix range of an empty body")
-            return max(0, size - n), size - 1
-        start = int(first)
-        end = int(last) if last else size - 1
-        if start >= size:
-            raise _BadRequest(416, f"range start {start} beyond size {size}")
-        if start > end:
-            return None
-        return start, min(end, size - 1)
-
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        headers: list[tuple[str, str]], body: bytes,
                        *, head_only: bool = False,
@@ -377,8 +337,7 @@ class DcsrOrigin:
         await writer.drain()
         return sent
 
-    def _build_response(self, method: str, path: str,
-                        headers: dict[str, str]):
+    def _build_response(self, method: str, path: str):
         """Route one request: returns ``(status, headers, body)``."""
         if method not in ("GET", "HEAD"):
             return 405, [("Allow", "GET, HEAD"),
@@ -395,44 +354,14 @@ class DcsrOrigin:
             body = b"not found"
             return 404, [("Content-Type", "text/plain"),
                          ("Content-Length", str(len(body)))], body
+        fd, entry = opened
         try:
-            return self._file_response(method, headers, *opened)
+            size = entry.identity[3]              # st_size
+            body = b"" if method == "HEAD" else _read(fd, size)
         finally:
-            os.close(opened[0])
-
-    def _file_response(self, method: str, headers: dict[str, str], fd: int,
-                       entry: _File, content: bytes | None):
-        """``(status, headers, body)`` of one open file: the body is the
-        span served, read from ``fd`` unless ``content`` holds it."""
-        base = [("ETag", entry.etag), ("Accept-Ranges", "bytes"),
-                ("Content-Type", entry.content_type)]
-        candidates = headers.get("if-none-match")
-        if candidates is not None:
-            tags = [t.strip() for t in candidates.split(",")]
-            if "*" in tags or entry.etag in tags:
-                return 304, base + [("Content-Length", "0")], b""
-
-        size = entry.identity[3]                  # st_size
-        status, start, end = 200, 0, size - 1
-        range_header = headers.get("range")
-        if range_header is not None:
-            try:
-                span = self.parse_range(range_header, size)
-            except _BadRequest:
-                return 416, base + [
-                    ("Content-Range", f"bytes */{size}"),
-                    ("Content-Length", "0")], b""
-            if span is not None:
-                status, (start, end) = 206, span
-                base.append(("Content-Range", f"bytes {start}-{end}/{size}"))
-        length = end - start + 1
-        if method == "HEAD":
-            body = b""
-        elif content is not None:
-            body = content if length == size else content[start:end + 1]
-        else:
-            body = _read(fd, start, length)
-        return status, base + [("Content-Length", str(length))], body
+            os.close(fd)
+        return 200, [("Content-Type", entry.content_type),
+                     ("Content-Length", str(size))], body
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -453,7 +382,7 @@ class DcsrOrigin:
                 keep_alive = headers.get("connection", "").lower() != "close"
                 try:
                     status, out_headers, body = self._build_response(
-                        method, path, headers)
+                        method, path)
                 except OSError:               # file vanished mid-request
                     status, out_headers, body = 500, [
                         ("Content-Length", "0")], b""

@@ -67,8 +67,9 @@ Design notes:
   downloaded at all is the model cache's decision (Algorithm 1), so
   every ``download`` and ``fetch`` transfers its artifact and the
   transport keeps no body beyond :attr:`HttpTransport.last_payload`.
-  The origin still answers ``If-None-Match`` with a bodiless 304 to a
-  caller of :meth:`HttpTransport.request` that sends one.
+  A request carries the request line, ``Host``, ``User-Agent`` and the
+  caller's own headers, nothing conditional or ranged; the origin
+  answers every file request with the whole file.
 - **No telemetry of its own.**  Like every link, the transport counts
   attempts only in :attr:`stats` (``bytes_delivered`` is wire bytes);
   the session's download counters come from the fetch stage's ledger in
@@ -80,6 +81,7 @@ from __future__ import annotations
 import asyncio
 import json
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from ..core.network import DownloadError, Link
 from ..core.persist import (MANIFEST_PATH, make_package_dirs, model_path,
@@ -155,15 +157,16 @@ class HttpTransport(Link):
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         self.base_url = base_url.rstrip("/")
-        if not self.base_url.startswith("http://"):
+        url = urlsplit(self.base_url)
+        if url.scheme != "http":
             raise ValueError(f"only http:// origins are supported, "
                              f"got {base_url!r}")
-        authority = self.base_url[len("http://"):].split("/", 1)[0]
-        host, _, port = authority.partition(":")
-        if not host:
+        if not url.hostname:
             raise ValueError(f"no host in {base_url!r}")
-        self.host = host
-        self.port = int(port) if port else 80
+        self.host = url.hostname              # an IPv6 host unbracketed
+        self.port = 80 if url.port is None else url.port
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        self._authority = f"{host}:{self.port}"
         super().__init__()
         self.timeout_s = float(timeout_s)
         self._wall = wall_clock()
@@ -267,7 +270,7 @@ class HttpTransport(Link):
         path = path.lstrip("/")
         request_lines = [
             f"{method} /{path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
+            f"Host: {self._authority}",
             "User-Agent: dcsr-transport/1",
         ]
         request_lines += [f"{k}: {v}" for k, v in (headers or {}).items()]
@@ -300,10 +303,10 @@ class HttpTransport(Link):
                     self.host, self.port)
         except TimeoutError:
             raise StalledRead(
-                f"connect to {self.host}:{self.port} timed out") from None
+                f"connect to {self._authority} timed out") from None
         except OSError as exc:
             raise OriginUnreachable(
-                f"cannot reach {self.host}:{self.port}: {exc}") from exc
+                f"cannot reach {self._authority}: {exc}") from exc
         return connection
 
     async def _exchange(self, connection: _Connection, method: str,

@@ -58,9 +58,6 @@ class Layer:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 

@@ -212,11 +212,6 @@ class TokenBucket:
                 self._tokens + (now - self._updated) * self.rate_bps)
             self._updated = now
 
-    def available_bits(self, now: float) -> float:
-        """Bits the bucket would grant instantly at sim instant ``now``."""
-        self._refill(now)
-        return self._tokens
-
     def consume(self, bits: float, now: float) -> float:
         """Drain ``bits`` at instant ``now``; return the wait in seconds.
 

@@ -88,11 +88,6 @@ class Resolution:
     def pixels(self) -> int:
         return self.width * self.height
 
-    @property
-    def sr_input_pixels(self) -> int:
-        """Pixels the SR body processes (the pre-upsampling resolution)."""
-        return (self.width // self.sr_scale) * (self.height // self.sr_scale)
-
 
 RESOLUTIONS: dict[str, Resolution] = {
     "720p": Resolution("720p", 1280, 720, sr_scale=2),

@@ -202,9 +202,5 @@ class BitReader:
         self._pos = bit_position
 
     @property
-    def bits_remaining(self) -> int:
-        return self._end - self._pos
-
-    @property
     def bit_position(self) -> int:
         return self._pos

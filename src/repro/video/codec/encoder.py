@@ -86,10 +86,6 @@ class EncodedSegment:
     def n_bytes(self) -> int:
         return len(self.payload)
 
-    @property
-    def i_frame_displays(self) -> list[int]:
-        return [f.display for f in self.frames if f.ftype == "I"]
-
 
 @dataclass
 class EncodedVideo:

@@ -33,11 +33,6 @@ class Segment:
     def n_frames(self) -> int:
         return self.end - self.start
 
-    @property
-    def i_frame(self) -> int:
-        """Display index of the segment's leading I frame."""
-        return self.start
-
 
 def frame_difference(frames: np.ndarray) -> np.ndarray:
     """Mean absolute luma difference between consecutive frames.

@@ -214,7 +214,7 @@ class TestSelection:
         points, _ = _blobs(n_per=10, k=3, spread=0.05, seed=15)
         selection = select_k(points, k_max=5)
         assert set(selection.scores) == {2, 3, 4, 5}
-        assert selection.best_score == max(selection.scores.values())
+        assert selection.scores[selection.k] == max(selection.scores.values())
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

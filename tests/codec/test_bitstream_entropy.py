@@ -84,12 +84,6 @@ class TestBitWriterReader:
         with pytest.raises(EOFError):
             r.read_bit()
 
-    def test_bits_remaining(self):
-        r = BitReader(b"\xff")
-        assert r.bits_remaining == 8
-        r.read_bits(3)
-        assert r.bits_remaining == 5
-
     @given(st.integers(0, 7),
            st.lists(st.tuples(st.integers(0, 2**140), st.integers(0, 130)),
                     max_size=24))

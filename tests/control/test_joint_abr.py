@@ -1,13 +1,10 @@
-"""Joint-choice plumbing through the ABR simulator, and the
-tier/precision-aware ``extra_bits`` fix in :class:`DcsrAwareAbr`."""
+"""Joint-choice plumbing through the ABR simulator."""
 
-import numpy as np
 import pytest
 
 from repro.abr import (
     AbrPolicy,
     BitrateLadder,
-    DcsrAwareAbr,
     JointChoice,
     QualityLevel,
     constant_trace,
@@ -34,18 +31,12 @@ class _FakeManifest:
     width = 64
     height = 48
 
-    def __init__(self, labels, tiers=None, sizes=None, quantization=None):
+    def __init__(self, labels, tiers=None):
         self._labels = list(labels)
         self.tiers = tiers or {}
-        self._sizes = sizes or {}
-        self._quantization = quantization or {}
 
     def label_sequence(self):
         return list(self._labels)
-
-    def model_size_for(self, label, precision="fp32"):
-        record = self._quantization.get(label, {}).get(precision)
-        return record if record is not None else self._sizes[label]
 
 
 def _record(tier, size, gain):
@@ -137,28 +128,3 @@ class TestLadderControllerPolicy:
         assert controller.energy_spent_j == pytest.approx(
             result.energy_joules)
 
-
-class TestDcsrAwareExtraBits:
-    def test_exactly_one_source_required(self):
-        quality = np.full((2, 4), 30.0)
-        with pytest.raises(ValueError):
-            DcsrAwareAbr(quality)
-        with pytest.raises(ValueError):
-            DcsrAwareAbr(quality, model_bits_by_segment=[0.0] * 4,
-                         manifest=_FakeManifest([0] * 4, sizes={0: 1000}))
-
-    def test_manifest_charges_actual_size_at_first_segment(self):
-        manifest = _FakeManifest([0, 0, 1, 0], sizes={0: 1000, 1: 2000})
-        policy = DcsrAwareAbr(np.full((2, 4), 30.0), manifest=manifest,
-                              enhanced_level=1)
-        assert policy.model_bits_by_segment == [8000.0, 0.0, 16000.0, 0.0]
-        assert policy.extra_bits(0, 1) == 8000.0
-        assert policy.extra_bits(0, 0) == 0.0   # only the enhanced level
-
-    def test_manifest_precision_shrinks_budget(self):
-        manifest = _FakeManifest(
-            [0, 1], sizes={0: 1000, 1: 2000},
-            quantization={0: {"int8": 300}, 1: {"int8": 500}})
-        policy = DcsrAwareAbr(np.full((2, 2), 30.0), manifest=manifest,
-                              precision="int8")
-        assert policy.model_bits_by_segment == [2400.0, 4000.0]

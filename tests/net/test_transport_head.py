@@ -8,16 +8,19 @@ fallback engage — never as the ``ValueError`` of a bare ``int()`` or
 body runs to the peer's close.  A ``Content-Length`` the peer does not
 deliver allocates no body-sized buffer; the body deadline moves with
 every piece that arrives; bytes after a complete body wait for the next
-request on the pooled connection."""
+request on the pooled connection.  The other direction too: the request
+head the transport writes, and the origin URLs it accepts."""
 
 import asyncio
+import socket
 import tracemalloc
 
 import pytest
 
 from repro.core.network import DownloadError
-from repro.net import (HttpTransport, OriginUnreachable, StalledRead,
-                       TruncatedBody)
+from repro.core.persist import model_path, segment_path
+from repro.net import (DcsrOrigin, HttpTransport, OriginConfig,
+                       OriginUnreachable, StalledRead, TruncatedBody)
 from repro.net import transport as transport_module
 
 pytestmark = pytest.mark.net
@@ -177,3 +180,90 @@ def test_bytes_after_a_body_wait_for_the_next_request(net_loop,
             assert transport.last_payload == b"ok"
     assert transport.stats.attempts == 2
     assert transport.stats.failures == 0
+
+
+def _has_ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+needs_ipv6 = pytest.mark.skipif(not _has_ipv6_loopback(),
+                                reason="no IPv6 loopback")
+
+
+@pytest.mark.parametrize("host", [
+    "127.0.0.1", pytest.param("::1", marks=needs_ipv6)])
+def test_request_head_is_line_host_agent_and_callers_headers(net_loop,
+                                                             host):
+    """Each request head the transport writes holds the request line,
+    ``Host``, ``User-Agent`` and the caller's own headers, nothing else:
+    no download is a conditional or a range request."""
+    heads = []
+
+    async def record(reader, writer):
+        try:
+            while True:
+                heads.append(await reader.readuntil(b"\r\n\r\n"))
+                writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+                await writer.drain()
+        except asyncio.IncompleteReadError:
+            pass                              # the transport hung up
+        finally:
+            writer.close()
+
+    server = net_loop.run_until_complete(
+        asyncio.start_server(record, host, 0))
+    port = server.sockets[0].getsockname()[1]
+    authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+    try:
+        with HttpTransport(f"http://{authority}",
+                           loop=net_loop) as transport:
+            transport.download("segment", 3, 0)
+            transport.fetch("model", 1)
+            net_loop.run_until_complete(transport.request(
+                "HEAD", "manifest.json", {"X-Trace": "7"}))
+    finally:
+        server.close()
+        net_loop.run_until_complete(server.wait_closed())
+    fixed = f"Host: {authority}\r\nUser-Agent: dcsr-transport/1\r\n"
+    assert [head.decode("latin-1") for head in heads] == [
+        f"GET /{segment_path(3)} HTTP/1.1\r\n{fixed}\r\n",
+        f"GET /{model_path(1)} HTTP/1.1\r\n{fixed}\r\n",
+        f"HEAD /manifest.json HTTP/1.1\r\n{fixed}X-Trace: 7\r\n\r\n",
+    ]
+
+
+@needs_ipv6
+def test_ipv6_origin_serves_its_transport(net_loop, package_dir):
+    """``serve-origin --host ::1`` prints a URL its clients can reach."""
+    served = DcsrOrigin(package_dir, OriginConfig(host="::1"))
+    net_loop.run_until_complete(served.start())
+    try:
+        with HttpTransport(served.base_url, loop=net_loop) as client:
+            status, _headers, body = client.get("manifest.json")
+    finally:
+        net_loop.run_until_complete(served.stop())
+    assert status == 200
+    assert body == (package_dir / "manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("url, host, port", [
+    ("http://[::1]:8080", "::1", 8080),
+    ("http://127.0.0.1:8123/", "127.0.0.1", 8123),
+    ("http://origin.example", "origin.example", 80),
+])
+def test_origin_url_gives_host_and_port(url, host, port):
+    transport = HttpTransport(url)
+    assert (transport.host, transport.port) == (host, port)
+    transport.close()
+
+
+@pytest.mark.parametrize("url", ["https://127.0.0.1:8080", "http://",
+                                 "http://::1:8080"])
+def test_unusable_origin_url_is_a_value_error(url):
+    with pytest.raises(ValueError):
+        HttpTransport(url)

@@ -117,7 +117,7 @@ class TestSemantics:
 
     def test_num_parameters(self):
         layer = nn.Conv2d(2, 3, 3)  # 3*2*3*3 + 3 = 57
-        assert layer.num_parameters() == 57
+        assert sum(p.size for p in layer.parameters()) == 57
 
     def test_zero_grad(self):
         layer = nn.Dense(3, 3)

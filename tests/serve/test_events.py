@@ -164,11 +164,13 @@ class TestTokenBucket:
     def test_refills_at_rate_while_idle(self):
         bucket = TokenBucket(rate_bps=1000.0, burst_bits=1000.0)
         bucket.consume(1000.0, now=0.0)
-        assert bucket.available_bits(now=0.25) == pytest.approx(250.0)
+        assert bucket.consume(250.0, now=0.25) == 0.0   # refilled 250
+        assert bucket.consume(1.0, now=0.25) == pytest.approx(1e-3)
 
     def test_refill_caps_at_burst(self):
         bucket = TokenBucket(rate_bps=1000.0, burst_bits=100.0)
-        assert bucket.available_bits(now=1e6) == pytest.approx(100.0)
+        assert bucket.consume(100.0, now=1e6) == 0.0
+        assert bucket.consume(1.0, now=1e6) == pytest.approx(1e-3)
 
     def test_oversized_payload_allowed_with_proportional_wait(self):
         # A payload larger than the burst still goes through: it just

@@ -116,7 +116,6 @@ class TestConfigs:
     def test_resolutions_table(self):
         assert RESOLUTIONS["4k"].sr_scale == 4
         assert RESOLUTIONS["1080p"].pixels == 1920 * 1080
-        assert RESOLUTIONS["720p"].sr_input_pixels == (1280 // 2) * (720 // 2)
 
 
 class TestModelSizeTable:

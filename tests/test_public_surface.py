@@ -1,17 +1,20 @@
 """Public-surface guard: every public name in ``src/repro`` is reached.
 
-A module-level public function or class (no leading underscore) must be
-*reached*: referenced by code that runs outside the test suite.  The
-roots are the executables — ``repro.cli``, ``perfbench/``,
-``benchmarks/``, ``examples/`` and the fenced python blocks of README.md
-and docs/*.md — plus every module-level statement of ``src/repro`` that
-is not a function or class definition (constants, registries, default
+A module-level public function or class (no leading underscore), and
+each public method or property of a public class, must be *reached*:
+referenced by code that runs outside the test suite.  The roots are the
+executables — ``repro.cli``, ``perfbench/``, ``benchmarks/``,
+``examples/`` and the fenced python blocks of README.md and docs/*.md —
+plus every module-level statement of ``src/repro`` that is not a
+function or class definition (constants, registries, default
 arguments).  A definition is reached when a reached piece of code names
 it, read as an identifier or an attribute, anywhere outside the
-definition's own body; reaching a class reaches all of its methods.
-Imports, re-exports and ``__all__`` entries reach nothing.  The guard
-iterates to a fixed point, so a helper called only by an unreached
-function is unreached too.
+definition's own body.  Reaching a class reaches its bases, decorators,
+class-level statements and its dunder and ``_private`` methods; each
+public method is reached on its own, once its class is.  Imports,
+re-exports and ``__all__`` entries reach nothing.  The guard iterates to
+a fixed point, so a helper called only by an unreached function is
+unreached too.
 
 Names are matched by identifier, not resolved to the module they come
 from, so the guard errs towards "reached": two definitions that share a
@@ -20,8 +23,9 @@ name are both reached when either is.
 A name that only its own unit tests call is dead weight: it is read,
 documented and kept working, and no workload moves when it changes.
 Delete it with its tests.  :data:`ALLOWED` lists the few unreached names
-the test suite needs as oracles, each with its reason; an entry that
-stops being unreached, or stops existing, fails the guard too.
+the test suite needs as oracles, each with its reason (the methods of an
+allowed class are allowed with it); an entry that stops being unreached,
+or stops existing, fails the guard too.
 """
 
 import ast
@@ -50,6 +54,9 @@ ALLOWED = {
         "an input of the playout-reference guard (test_playout_reference)",
     "repro.video.frame.validate_rgb":
         "the range check for RGB frames that come from outside the library",
+    "repro.video.synthetic.VideoClip.scene_changes":
+        "the generator's ground-truth shot boundaries, which the scene-cut "
+        "detector tests score against",
 }
 
 
@@ -98,33 +105,67 @@ def _library() -> list[tuple[str, ast.stmt]]:
     return out
 
 
+def _public_methods(cls: ast.ClassDef) -> list[ast.stmt]:
+    """The methods and properties of ``cls`` that must be reached on
+    their own: neither dunder nor ``_private``."""
+    return [statement for statement in cls.body
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not statement.name.startswith("_")]
+
+
 def public_definitions() -> set[str]:
-    return {f"{module}.{statement.name}"
-            for module, statement in _library()
-            if isinstance(statement, _DEFINITION)
-            and not statement.name.startswith("_")}
+    names = set()
+    for module, statement in _library():
+        if (isinstance(statement, _DEFINITION)
+                and not statement.name.startswith("_")):
+            qualname = f"{module}.{statement.name}"
+            names.add(qualname)
+            if isinstance(statement, ast.ClassDef):
+                names |= {f"{qualname}.{method.name}"
+                          for method in _public_methods(statement)}
+    return names
+
+
+def _pending(qualname: str, definition: ast.stmt):
+    """``(qualname, name, names it reaches, members)`` of one definition:
+    once ``name`` is reached, its names are, and its ``members`` (the
+    public methods of a public class, each reached on its own) wait in
+    their turn."""
+    if not (isinstance(definition, ast.ClassDef)
+            and not definition.name.startswith("_")):
+        return qualname, definition.name, _identifiers(definition), []
+    methods = _public_methods(definition)
+    names = set()
+    for node in (*definition.decorator_list, *definition.bases,
+                 *definition.keywords, *definition.body):
+        if node not in methods:
+            names |= _identifiers(node)
+    return qualname, definition.name, names, [
+        _pending(f"{qualname}.{method.name}", method) for method in methods]
 
 
 def unreached() -> set[str]:
-    """Public module-level definitions no executable reaches."""
-    statements = _library()
+    """Public definitions no executable reaches: module-level functions
+    and classes, and the public methods of reached public classes."""
     reached_names = _caller_identifiers()
     pending = []
-    for module, statement in statements:
+    for module, statement in _library():
         if module == "repro.cli" or not isinstance(statement, _DEFINITION):
             reached_names |= _identifiers(statement)
         else:
-            pending.append((module, statement))
+            pending.append(_pending(f"{module}.{statement.name}", statement))
     grew = True
     while grew:
         grew = False
         for item in list(pending):
-            if item[1].name in reached_names:
+            _qualname, name, names, members = item
+            if name in reached_names:
                 pending.remove(item)
-                reached_names |= _identifiers(item[1])
+                reached_names |= names
+                pending += members
                 grew = True
-    return {f"{module}.{statement.name}" for module, statement in pending
-            if not statement.name.startswith("_")}
+    return {qualname for qualname, name, _names, _members in pending
+            if not name.startswith("_")}
 
 
 def test_every_public_definition_is_reached():
@@ -144,8 +185,11 @@ def test_allowlist_names_unreached_definitions():
 
 def test_guard_sees_the_roots():
     """The corpus is not empty, and a root's names count: ``main`` is
-    reached through ``repro.cli`` and ``FleetSimulator`` through perfbench."""
+    reached through ``repro.cli``, ``FleetSimulator`` and its ``run``
+    through perfbench."""
     assert "FleetSimulator" in _caller_identifiers()
     assert len(public_definitions()) > 100
-    assert not {"repro.cli.main", "repro.serve.scheduler.FleetSimulator"} \
-        & unreached()
+    fleet_run = "repro.serve.scheduler.FleetSimulator.run"
+    assert fleet_run in public_definitions()
+    assert not {"repro.cli.main", "repro.serve.scheduler.FleetSimulator",
+                fleet_run} & unreached()

@@ -212,6 +212,3 @@ class TestSegmentDataclass:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             Segment(index=0, start=5, end=5)
-
-    def test_i_frame_is_start(self):
-        assert Segment(index=0, start=3, end=9).i_frame == 3
