@@ -136,7 +136,11 @@
 #     reached public class, is reached from code that runs outside the
 #     tests (repro.cli, perfbench/, benchmarks/, examples/, the python
 #     blocks of README and docs), or is listed, with its reason, as a
-#     test oracle kept on purpose (static, about a second).
+#     test oracle kept on purpose; and every knob (a defaulted parameter
+#     of a public function or method, or a defaulted field of a *Config /
+#     *Policy dataclass) is set by one of those roots or another library
+#     module, or listed in ALLOWED_KNOBS with a reason (static, a few
+#     seconds).
 #
 # --strict-markers turns any unregistered @pytest.mark.<name> into a
 # collection error, so a typo'd tier mark cannot silently drop a test

@@ -72,7 +72,6 @@ class BitrateLadder:
 
 def build_ladder(
     clip: VideoClip, segments: list[Segment], crfs: list[int],
-    n_b_frames: int = 2,
 ) -> BitrateLadder:
     """Encode ``clip`` once per CRF and measure per-segment size/quality.
 
@@ -82,7 +81,7 @@ def build_ladder(
         raise ValueError("need at least one CRF")
     levels = []
     for i, crf in enumerate(sorted(crfs)):
-        encoded = Encoder(CodecConfig(crf=crf, n_b_frames=n_b_frames)).encode(
+        encoded = Encoder(CodecConfig(crf=crf)).encode(
             clip.frames, segments, fps=clip.fps)
         decoded = Decoder().decode_video(encoded)
         level = QualityLevel(level=i, crf=crf)

@@ -80,18 +80,17 @@ class JointChoice:
         return self.tier is not None
 
 
+#: Share of the throughput estimate a segment's bits may use.
+SAFETY = 0.85
+
+
 class ThroughputAbr(AbrPolicy):
-    """Highest rung whose bitrate fits under ``safety * throughput``."""
+    """Highest rung whose bitrate fits under ``SAFETY * throughput``."""
 
     name = "throughput"
 
-    def __init__(self, safety: float = 0.85):
-        if not 0 < safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
-        self.safety = float(safety)
-
     def choose(self, ladder, segment, throughput_estimate_bps, buffer_s):
-        budget = self.safety * throughput_estimate_bps
+        budget = SAFETY * throughput_estimate_bps
         for level in range(ladder.n_levels):  # best quality first
             need = ladder.bitrate_bps(level, segment)
             need += self.extra_bits(segment, level) / ladder.segment_seconds[segment]
@@ -138,21 +137,18 @@ class DcsrAwareAbr(ThroughputAbr):
     def __init__(
         self, enhanced_quality: np.ndarray,
         model_bits_by_segment: list[float],
-        target_quality_db: float = 0.0, safety: float = 0.85,
-        enhanced_level: int | None = None,
+        target_quality_db: float = 0.0,
     ):
         """``enhanced_quality[level][segment]`` is the post-SR PSNR;
         ``model_bits_by_segment[s]`` is the model download charged at
         segment ``s`` (zero when cached).  Models are only fetched — and
-        only charged — when the client actually plays ``enhanced_level``
-        (default: the bottom rung, the one dcSR prepares models for).
+        only charged — when the client plays the bottom rung, the one dcSR
+        prepares models for.
         """
-        super().__init__(safety=safety)
         self.enhanced_quality = np.asarray(enhanced_quality, dtype=np.float64)
         self.model_bits_by_segment = list(model_bits_by_segment)
         self.target_quality_db = float(target_quality_db)
-        self.enhanced_level = (self.enhanced_quality.shape[0] - 1
-                               if enhanced_level is None else int(enhanced_level))
+        self.enhanced_level = self.enhanced_quality.shape[0] - 1
 
     def extra_bits(self, segment: int, level: int) -> float:
         if level == self.enhanced_level:
@@ -160,7 +156,7 @@ class DcsrAwareAbr(ThroughputAbr):
         return 0.0
 
     def choose(self, ladder, segment, throughput_estimate_bps, buffer_s):
-        budget = self.safety * throughput_estimate_bps
+        budget = SAFETY * throughput_estimate_bps
         seconds = ladder.segment_seconds[segment]
         affordable = []
         for level in range(ladder.n_levels):

@@ -162,14 +162,12 @@ class AbrSessionResult:
         return stall_ratio(self.rebuffer_seconds, self.played_seconds)
 
 
-def qoe_score(
-    result: AbrSessionResult, rebuffer_penalty: float = 4.0,
-    switch_penalty: float = 0.5,
-) -> float:
-    """Linear QoE: quality − rebuffering − switching (Pensieve-style)."""
+def qoe_score(result: AbrSessionResult) -> float:
+    """Linear QoE (Pensieve-style): quality − 4 per rebuffered second − 0.5
+    per switch."""
     return (result.mean_quality
-            - rebuffer_penalty * result.rebuffer_seconds
-            - switch_penalty * result.switches)
+            - 4.0 * result.rebuffer_seconds
+            - 0.5 * result.switches)
 
 
 def simulate_session(

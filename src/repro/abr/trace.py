@@ -75,18 +75,18 @@ def step_trace(steps: list[tuple[float, float]]) -> NetworkTrace:
 
 def random_walk_trace(
     mean_bps: float, duration_s: float, seed: int = 0,
-    volatility: float = 0.3, interval_s: float = 2.0,
 ) -> NetworkTrace:
-    """Bursty trace: log-space random walk around ``mean_bps``."""
+    """Bursty trace: a log-space random walk around ``mean_bps`` (steps of
+    standard deviation 0.3), one rate every 2 s."""
     if mean_bps <= 0 or duration_s <= 0:
         raise ValueError("mean bandwidth and duration must be positive")
     rng = np.random.default_rng(seed)
-    n = max(1, int(np.ceil(duration_s / interval_s)))
+    n = max(1, int(np.ceil(duration_s / 2.0)))
     log_rate = np.log(mean_bps) + np.cumsum(
-        rng.normal(0, volatility, size=n))
+        rng.normal(0, 0.3, size=n))
     # Re-centre so the mean stays near the requested value.
     log_rate += np.log(mean_bps) - log_rate.mean()
     return NetworkTrace(
-        boundaries=np.arange(n, dtype=np.float64) * interval_s,
+        boundaries=np.arange(n, dtype=np.float64) * 2.0,
         bandwidth_bps=np.exp(log_rate),
     )

@@ -111,6 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("shift", "blocked"),
                       help="SR conv kernel: tap-decomposed shift or "
                            "cache-blocked im2col GEMM")
+    play.add_argument("--reuse", action="store_true",
+                      help="replay the previous frame's SR output for "
+                           "unchanged tiles (bitwise-identical)")
     play.add_argument("--device", default=None,
                       help="device power model: jetson / laptop / desktop")
     _add_shared_flags(play, "session")
@@ -183,9 +186,6 @@ def _add_shared_flags(parser, scope: str, session: bool = True) -> None:
         add("--retries", type=int, help="retry budget per download")
         add("--fallback", action="store_true",
             help="play segments whose model fetch fails unenhanced")
-        add("--reuse", action="store_true",
-            help="replay the previous frame's SR output for unchanged "
-                 "tiles (bitwise-identical; serve: --mode playback)")
         add("--controller", choices=("greedy", "fixed", "off"),
             help="joint SR tier + precision controller; needs --device")
         add("--power-budget", type=float, dest="power_budget_w",
@@ -435,14 +435,12 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .core import FastPathConfig, load_package
+    from .core import load_package
     from .obs import Observability
     from .serve import FleetConfig, FleetSimulator
 
     try:
-        config = config_from_args(
-            FleetConfig, args,
-            fast_path=config_from_args(FastPathConfig, args))
+        config = config_from_args(FleetConfig, args) or FleetConfig()
         if args.origin is not None and config.mode != "playback":
             raise ValueError("--origin drives real downloads and needs "
                              "--mode playback")

@@ -18,9 +18,7 @@ from .kmeans import KMeansResult, inertia_of, lloyd_iterations
 __all__ = ["global_kmeans", "global_kmeans_path"]
 
 
-def global_kmeans_path(
-    points: np.ndarray, k_max: int, max_iter: int = 100,
-) -> list[KMeansResult]:
+def global_kmeans_path(points: np.ndarray, k_max: int) -> list[KMeansResult]:
     """Solutions for every ``k`` in ``1..k_max`` (index ``k-1``)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -42,15 +40,13 @@ def global_kmeans_path(
         candidates = np.unique(points, axis=0)
         for seed_point in candidates:
             init = np.vstack([base, seed_point[None, :]])
-            result = lloyd_iterations(points, init, max_iter=max_iter)
+            result = lloyd_iterations(points, init)
             if best is None or result.inertia < best.inertia:
                 best = result
         path.append(best)
     return path
 
 
-def global_kmeans(
-    points: np.ndarray, k: int, max_iter: int = 100,
-) -> KMeansResult:
+def global_kmeans(points: np.ndarray, k: int) -> KMeansResult:
     """Global K-means solution for a single ``k``."""
-    return global_kmeans_path(points, k, max_iter=max_iter)[k - 1]
+    return global_kmeans_path(points, k)[k - 1]

@@ -58,14 +58,13 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
     return centroids
 
 
-def lloyd_iterations(
-    points: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
-    tol: float = 1e-7,
-) -> KMeansResult:
-    """Run Lloyd's algorithm to convergence from given centroids."""
+def lloyd_iterations(points: np.ndarray,
+                     centroids: np.ndarray) -> KMeansResult:
+    """Run Lloyd's algorithm from given centroids until the labels stop
+    changing, for at most 100 rounds."""
     centroids = centroids.astype(np.float64).copy()
     labels = assign_labels(points, centroids)
-    for _ in range(max_iter):
+    for _ in range(100):
         for j in range(centroids.shape[0]):
             members = points[labels == j]
             if len(members):
@@ -80,7 +79,6 @@ def lloyd_iterations(
 
 def kmeans(
     points: np.ndarray, k: int, seed: int = 0, n_init: int = 4,
-    max_iter: int = 100,
 ) -> KMeansResult:
     """K-means with ``n_init`` k-means++ restarts; best inertia wins."""
     points = np.asarray(points, dtype=np.float64)
@@ -93,7 +91,7 @@ def kmeans(
     best: KMeansResult | None = None
     for _ in range(n_init):
         init = _kmeans_pp_init(points, k, rng)
-        result = lloyd_iterations(points, init, max_iter=max_iter)
+        result = lloyd_iterations(points, init)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

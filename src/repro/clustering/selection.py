@@ -35,9 +35,7 @@ def max_k_for_budget(big_model_bytes: int, min_model_bytes: int) -> int:
     return max(1, big_model_bytes // min_model_bytes)
 
 
-def select_k(
-    features: np.ndarray, k_max: int, max_iter: int = 100,
-) -> KSelection:
+def select_k(features: np.ndarray, k_max: int) -> KSelection:
     """Pick K by maximum silhouette over ``2..k_max`` (Eq. 2).
 
     ``k_max`` comes from :func:`max_k_for_budget` and is additionally capped
@@ -54,10 +52,10 @@ def select_k(
 
     effective_max = min(k_max, n - 1)
     if effective_max < 2:
-        path = global_kmeans_path(features, 1, max_iter=max_iter)
+        path = global_kmeans_path(features, 1)
         return KSelection(k=1, scores={}, k_max=k_max, result=path[0])
 
-    path = global_kmeans_path(features, effective_max, max_iter=max_iter)
+    path = global_kmeans_path(features, effective_max)
     scores: dict[int, float] = {}
     for k in range(2, effective_max + 1):
         result = path[k - 1]

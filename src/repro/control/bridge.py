@@ -50,23 +50,19 @@ class LadderControllerPolicy(AbrPolicy):
     tier table (duck-typed, see :func:`~repro.control.tier_options`);
     ``encoded`` (the package's encoded video) supplies real per-segment
     I-frame counts via :func:`iframe_counts`, so the controller prices SR
-    energy the way the client actually spends it;
-    ``n_inferences_by_segment`` overrides those counts explicitly.
-    Without either, every segment is priced at one inference — the
-    historical default, which undercharges segments with extra I frames.
+    energy the way the client actually spends it.  Without it, every
+    segment is priced at one inference — the historical default, which
+    undercharges segments with extra I frames.
     """
 
     name = "controller"
 
-    def __init__(self, controller: JointController, manifest,
-                 n_inferences_by_segment: list[int] | None = None,
-                 encoded=None):
+    def __init__(self, controller: JointController, manifest, encoded=None):
         self.controller = controller
         self.manifest = manifest
         self.labels = list(manifest.label_sequence())
-        if n_inferences_by_segment is None and encoded is not None:
-            n_inferences_by_segment = iframe_counts(encoded)
-        self.n_inferences_by_segment = n_inferences_by_segment
+        self.n_inferences_by_segment = (
+            None if encoded is None else iframe_counts(encoded))
         self._downloaded: set[tuple[int, str, str]] = set()
 
     def reset(self) -> None:

@@ -20,6 +20,7 @@ produces the same decision sequence, bit for bit.
 
 from __future__ import annotations
 
+from ..abr.policies import SAFETY
 from ..devices import DeviceSpec
 from .context import ControlContext, ControlDecision, SrOption
 from .energy import segment_energy
@@ -96,38 +97,26 @@ class GreedyKnapsackController(JointController):
     every (rung, tier, precision) candidate that fits the bandwidth budget
     (segment bits + model bits owed) *and* the session power budget;
     (3) among candidates that beat the floor's quality, take the one with
-    the highest quality-uplift-per-SR-joule density.  A thin buffer
-    (below ``panic_buffer_s``, default one segment) forces the cheapest
-    rung with SR off — stall avoidance outranks quality.
+    the highest quality-uplift-per-SR-joule density.  A buffer thinner
+    than one segment forces the cheapest rung with SR off — stall
+    avoidance outranks quality.  The bandwidth budget is the ABR
+    policies' :data:`~repro.abr.policies.SAFETY` share of the throughput.
     """
 
     name = "greedy"
 
-    def __init__(self, device: DeviceSpec,
-                 power_budget_w: float | None = None, safety: float = 0.85,
-                 panic_buffer_s: float | None = None):
-        super().__init__(device, power_budget_w)
-        if not 0 < safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
-        if panic_buffer_s is not None and panic_buffer_s < 0:
-            raise ValueError("panic_buffer_s must be non-negative")
-        self.safety = float(safety)
-        self.panic_buffer_s = panic_buffer_s
-
     def _decide(self, ctx: ControlContext) -> ControlDecision:
         off = ctx.off_option
         off_energy = segment_energy(self.device, ctx.segment_seconds)
-        panic_below = (self.panic_buffer_s if self.panic_buffer_s is not None
-                       else ctx.segment_seconds)
         worst = ctx.n_levels - 1
-        if ctx.buffer_s < panic_below and ctx.segment > 0:
+        if ctx.buffer_s < ctx.segment_seconds and ctx.segment > 0:
             return ControlDecision(
                 segment=ctx.segment, level=worst, option=off,
                 quality_db=ctx.rung_quality_db[worst],
                 energy_j=off_energy.energy_j,
                 download_bits=ctx.rung_bits[worst])
 
-        budget_bits = self.safety * ctx.throughput_bps * ctx.segment_seconds
+        budget_bits = SAFETY * ctx.throughput_bps * ctx.segment_seconds
         floor: ControlDecision | None = None
         upgrades: list[tuple[ControlDecision, float]] = []
         for option in ctx.sr_options:
@@ -198,13 +187,10 @@ class FixedController(JointController):
 
     def __init__(self, device: DeviceSpec, tier: str | None = None,
                  precision: str = "fp32",
-                 power_budget_w: float | None = None, safety: float = 0.85):
+                 power_budget_w: float | None = None):
         super().__init__(device, power_budget_w)
-        if not 0 < safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
         self.tier = tier
         self.precision = precision
-        self.safety = float(safety)
 
     def _option(self, ctx: ControlContext) -> SrOption:
         if self.tier is None:
@@ -215,7 +201,7 @@ class FixedController(JointController):
         return ctx.off_option  # tier not published for this segment
 
     def _decide(self, ctx: ControlContext) -> ControlDecision:
-        budget_bps = self.safety * ctx.throughput_bps
+        budget_bps = SAFETY * ctx.throughput_bps
         level = ctx.n_levels - 1
         for candidate in range(ctx.n_levels):  # best quality first
             if ctx.rung_bits[candidate] / ctx.segment_seconds <= budget_bps:
@@ -240,7 +226,7 @@ CONTROLLER_NAMES = ("greedy", "fixed", "off")
 
 def build_controller(
     name: str, device: DeviceSpec, power_budget_w: float | None = None,
-    tier: str | None = None, precision: str = "fp32", safety: float = 0.85,
+    tier: str | None = None,
 ) -> JointController | None:
     """Controller factory keyed by :data:`CONTROLLER_NAMES`.
 
@@ -248,11 +234,10 @@ def build_controller(
     pre-controller code path", which stays bitwise-identical.
     """
     if name == "greedy":
-        return GreedyKnapsackController(device, power_budget_w=power_budget_w,
-                                        safety=safety)
+        return GreedyKnapsackController(device, power_budget_w=power_budget_w)
     if name == "fixed":
-        return FixedController(device, tier=tier, precision=precision,
-                               power_budget_w=power_budget_w, safety=safety)
+        return FixedController(device, tier=tier,
+                               power_budget_w=power_budget_w)
     if name == "off":
         return None
     raise ValueError(

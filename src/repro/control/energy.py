@@ -35,7 +35,6 @@ class SegmentEnergy:
 def segment_energy(
     device: DeviceSpec, segment_seconds: float,
     flops_per_inference: float = 0.0, n_inferences: int = 0,
-    dt: float = 0.05,
 ) -> SegmentEnergy:
     """Rail energy of playing one segment on ``device``.
 
@@ -56,7 +55,6 @@ def segment_energy(
     watts = sr_power_draw(device, flops_per_inference, infer_s)
     intervals = playback_power_schedule([segment_seconds], n_inferences,
                                         infer_s)
-    timeline = simulate_power(device, segment_seconds, intervals, watts,
-                              dt=dt)
+    timeline = simulate_power(device, segment_seconds, intervals, watts)
     return SegmentEnergy(energy_j=timeline.energy_joules, baseline_j=baseline,
                          infer_seconds=infer_s, sr_watts=watts)

@@ -64,14 +64,14 @@ def _segment_quality(
 
 def select_anchors(
     encoded: EncodedVideo, model: EDSR, reference_frames: np.ndarray,
-    budget_per_segment: int = 2, min_gain_db: float = 0.01,
+    budget_per_segment: int = 2,
 ) -> AnchorPlan:
     """Greedy per-segment anchor selection.
 
     For each segment, candidates are its I and P frames.  Anchors are added
     one at a time, each time picking the candidate with the largest mean-
     PSNR improvement, stopping at ``budget_per_segment`` anchors or when no
-    candidate improves quality by at least ``min_gain_db``.
+    candidate improves quality by more than 0.01 dB.
     """
     if budget_per_segment < 0:
         raise ValueError("budget_per_segment must be >= 0")
@@ -95,7 +95,7 @@ def select_anchors(
                 quality = _segment_quality(
                     segment, encoded.width, encoded.height, engine, refs,
                     chosen | {candidate})
-                if quality > best_quality + min_gain_db:
+                if quality > best_quality + 0.01:
                     best_candidate, best_quality = candidate, quality
             if best_candidate is None:
                 break

@@ -42,7 +42,6 @@ class BigModelBaseline:
 def train_big_model(
     package: DcsrPackage, hr_frames: np.ndarray,
     config: EdsrConfig, train_config: SrTrainConfig | None = None,
-    seed: int = 0,
 ) -> BigModelBaseline:
     """Train the NAS/NEMO big model on *all* frames of the video.
 
@@ -50,7 +49,7 @@ def train_big_model(
     originals.
     """
     lq = np.stack([yuv420_to_rgb(f) for f in package.decoded_low.frames])
-    model = EDSR(config, seed=seed)
+    model = EDSR(config)
     train_sr(model, lq, hr_frames, train_config)
     return BigModelBaseline(model=model)
 

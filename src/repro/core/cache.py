@@ -262,17 +262,17 @@ class CacheSession(Generic[M]):
 
 
 def simulate_caching(
-    label_sequence: list[int], capacity: int | None = None,
+    label_sequence: list[int],
 ) -> tuple[list[bool], CacheStats]:
-    """Dry-run Algorithm 1 over a label sequence.
+    """Dry-run Algorithm 1 over a label sequence, on the paper's unbounded
+    cache.
 
     Returns ``(download_flags, stats)`` where ``download_flags[i]`` says
     whether playing segment ``i`` triggered a model download — the
     walk-through of Figure 7 (labels ``0112223`` download at segments
     0, 1, 3, 6).
     """
-    cache: ModelCache[int] = ModelCache(fetch=lambda label: label,
-                                        capacity=capacity)
+    cache: ModelCache[int] = ModelCache(fetch=lambda label: label)
     flags = []
     for label in label_sequence:
         before = cache.stats.downloads

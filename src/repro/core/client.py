@@ -280,10 +280,12 @@ class PlaybackTelemetry:
                 if self.skipped_tiles else ""
             if self.reused_tiles:
                 skipped += f" ({self.reused_tiles} reused)"
+            # A speedup of 0 means "not measured" (no calibration ran).
+            speedup = (f"{self.fast_path_speedup:.1f}x vs default engine, "
+                       if self.fast_path_speedup else "")
             lines.append(
                 f"  fastpath   {self.tile_count} tiles{skipped}, "
-                f"{self.sr_gflops:.2f} GFLOP/s, "
-                f"{self.fast_path_speedup:.1f}x vs default engine, "
+                f"{self.sr_gflops:.2f} GFLOP/s, {speedup}"
                 f"overlap {self.prefetch_overlap_seconds:.3f}s")
         if self.energy_joules:
             n_frames = sum(s.n_frames for s in self.segments)

@@ -115,7 +115,14 @@ class VideoManifest:
         if missing:
             raise ValueError(f"segments reference unknown model labels {missing}")
         expected_start = 0
-        for seg in sorted(self.segments, key=lambda s: s.index):
+        for position, seg in enumerate(self.segments):
+            if seg.index != position:
+                raise ValueError(
+                    f"segment record {position} has index {seg.index}; "
+                    f"indices must run 0..{len(self.segments) - 1} in order")
+            if seg.n_frames < 1:
+                raise ValueError(f"segment {seg.index} has {seg.n_frames} "
+                                 f"frames")
             if seg.start != expected_start:
                 raise ValueError(
                     f"segment {seg.index} starts at {seg.start}, expected "

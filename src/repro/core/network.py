@@ -29,6 +29,7 @@ stall time in the playback clock, not wall time).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -78,10 +79,10 @@ class NetworkConfig:
     def __post_init__(self):
         if not 0.0 <= self.fail_rate <= 1.0:
             raise ValueError(f"fail_rate must be in [0, 1], got {self.fail_rate}")
-        if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
+        if self.bandwidth_bps is not None and not self.bandwidth_bps > 0:
             raise ValueError("bandwidth_bps must be positive (or None)")
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be non-negative")
+        if not 0 <= self.latency_s < math.inf:
+            raise ValueError("latency_s must be non-negative and finite")
 
 
 @dataclass
@@ -203,27 +204,24 @@ class RetryPolicy:
 
     ``retries`` is the number of *additional* attempts after the first;
     backoff before retry ``i`` (0-based) is
-    ``min(backoff_s * backoff_factor**i, max_backoff_s)`` simulated
-    seconds.
+    ``min(backoff_s * backoff_factor**i, 1.0)`` simulated seconds.
     """
 
     retries: int = 3
     backoff_s: float = 0.05
     backoff_factor: float = 2.0
-    max_backoff_s: float = 1.0
 
     def __post_init__(self):
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff seconds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError("backoff seconds must be non-negative and finite")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError("backoff_factor must be >= 1 and finite")
 
     def delay(self, retry_index: int) -> float:
         """Simulated backoff before the ``retry_index``-th retry."""
-        return min(self.backoff_s * self.backoff_factor ** retry_index,
-                   self.max_backoff_s)
+        return min(self.backoff_s * self.backoff_factor ** retry_index, 1.0)
 
 
 def download_with_retry(

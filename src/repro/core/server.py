@@ -83,8 +83,11 @@ class ServerConfig:
 
     ``micro_config`` is the per-cluster model architecture (found by the
     minimum-working-model search of Appendix A.1; the default is a sensible
-    minimum for the synthetic corpus).  ``big_config`` only enters the K
-    budget (Eq. 3) — it is the single model NAS/NEMO would ship.
+    minimum for the synthetic corpus).  The K budget (Eq. 3) is priced
+    against :data:`~repro.sr.QUALITY_BIG_CONFIG`, the single model NAS/NEMO
+    would ship.  Shots are split at the default thresholds of
+    :func:`~repro.video.detect_segments`, and the VAE embeds 32x32
+    thumbnails into 8 latent dimensions.
 
     ``parallel`` fans the independent stages out over a worker pool (the
     default is one worker, inline); ``train_cache_dir`` enables the
@@ -93,17 +96,12 @@ class ServerConfig:
     """
 
     codec: CodecConfig = field(default_factory=lambda: CodecConfig(crf=45))
-    segment_threshold: float = 0.08
-    min_segment_len: int = 2
     max_segment_len: int | None = None
     fixed_segment_len: int | None = None  # use fixed-length split instead
-    vae_latent_dim: int = 8
-    vae_input_size: int = 32
     vae_train: VaeTrainConfig = field(
         default_factory=lambda: VaeTrainConfig(epochs=30, batch_size=8))
     micro_config: EdsrConfig = field(
         default_factory=lambda: EdsrConfig(n_resblocks=2, n_filters=8))
-    big_config: EdsrConfig = QUALITY_BIG_CONFIG
     sr_train: SrTrainConfig = field(default_factory=SrTrainConfig)
     k_override: int | None = None
     #: Validate per video whether writing enhanced I frames back into the
@@ -186,10 +184,8 @@ def prepare_video(
             segments = fixed_length_segments(clip.n_frames,
                                              config.fixed_segment_len)
         else:
-            segments = detect_segments(
-                clip.frames, threshold=config.segment_threshold,
-                min_length=config.min_segment_len,
-                max_length=config.max_segment_len)
+            segments = detect_segments(clip.frames,
+                                       max_length=config.max_segment_len)
     with stage_timer(telemetry, "encode"):
         encoded = EncodedVideo(width=clip.width, height=clip.height,
                                fps=clip.fps, config=config.codec)
@@ -306,9 +302,8 @@ def _build_package(clip: VideoClip, config: ServerConfig,
     # the server has it), encoder mean as the feature.  Training is one
     # sequential model; the per-I-frame embedding fans out in chunks.
     with stage_timer(telemetry, "embed"):
-        vae = ConvVAE(latent_dim=config.vae_latent_dim,
-                      input_size=config.vae_input_size, seed=config.seed)
-        thumbs = frames_to_batch(hr_i, config.vae_input_size)
+        vae = ConvVAE(seed=config.seed)
+        thumbs = frames_to_batch(hr_i, vae.input_size)
         train_vae(vae, thumbs, config.vae_train, obs=telemetry.obs)
         # Chunk boundaries are fixed by ``chunk_size`` — never by worker
         # count — because BLAS kernels differ by matrix shape, so only
@@ -321,7 +316,7 @@ def _build_package(clip: VideoClip, config: ServerConfig,
 
     # Constrained K selection (Eq. 2-3).
     with stage_timer(telemetry, "cluster"):
-        big_size = EDSR(config.big_config).size_bytes()
+        big_size = EDSR(QUALITY_BIG_CONFIG).size_bytes()
         min_size = EDSR(config.micro_config).size_bytes()
         k_budget = max_k_for_budget(big_size, min_size)
         if config.k_override is not None:

@@ -38,12 +38,11 @@ def bandwidth_of(method: str, result: PlaybackResult) -> BandwidthUsage:
                           model_bytes=result.model_bytes)
 
 
-def normalized_usage(usages: dict[str, BandwidthUsage],
-                     reference: str = "NAS") -> dict[str, float]:
-    """Figure 10's Y axis: total bytes relative to the reference method."""
-    if reference not in usages:
-        raise KeyError(f"reference method {reference!r} not in usages")
-    ref = usages[reference].total_bytes
+def normalized_usage(usages: dict[str, BandwidthUsage]) -> dict[str, float]:
+    """Figure 10's Y axis: total bytes relative to NAS."""
+    if "NAS" not in usages:
+        raise KeyError("reference method 'NAS' not in usages")
+    ref = usages["NAS"].total_bytes
     if ref <= 0:
         raise ValueError("reference usage must be positive")
     return {name: usage.total_bytes / ref for name, usage in usages.items()}
@@ -65,18 +64,13 @@ def startup_delay(
 
 
 def startup_comparison(package, big_model_bytes: int,
-                       bandwidth_bps: float,
-                       precision: str = "fp32") -> dict[str, float]:
-    """Startup delay of each method for one package at a given bandwidth.
-
-    ``precision`` sizes the first micro model a dcSR client downloads:
-    when the manifest carries a calibrated quantization record for it,
-    the smaller quantized checkpoint shortens dcSR's startup (NAS/NEMO
-    still ship their fp32 big model).
-    """
+                       bandwidth_bps: float) -> dict[str, float]:
+    """Startup delay of each method for one package at a given bandwidth:
+    dcSR waits for the first segment and its fp32 micro model, NAS/NEMO
+    for the first segment and their big model."""
     first_segment = package.encoded.segments[0].n_bytes
     first_label = package.manifest.label_sequence()[0]
-    first_micro = package.manifest.model_size_for(first_label, precision)
+    first_micro = package.manifest.model_size_for(first_label)
     return {
         "NAS": startup_delay(bandwidth_bps, first_segment, big_model_bytes),
         "NEMO": startup_delay(bandwidth_bps, first_segment, big_model_bytes),

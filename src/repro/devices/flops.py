@@ -70,9 +70,7 @@ def _trace(layer: nn.Layer, shape: tuple, acc: dict) -> tuple:
         oh = (h + 2 * layer.padding - kh) // layer.stride + 1
         ow = (w + 2 * layer.padding - kw) // layer.stride + 1
         macs = cin * kh * kw * cout * oh * ow
-        acc["flops"] += 2 * macs
-        if layer.bias is not None:
-            acc["flops"] += cout * oh * ow
+        acc["flops"] += 2 * macs + cout * oh * ow       # MACs, then bias
         _record_activation(acc, (cout, oh, ow))
         return (cout, oh, ow)
     if isinstance(layer, nn.Dense):
@@ -137,7 +135,6 @@ def trace_model(model: nn.Layer, input_shape: tuple) -> ModelProfile:
     )
 
 
-def model_forward_flops(model: nn.Layer, height: int, width: int,
-                        channels: int = 3) -> float:
-    """Convenience: forward FLOPs for one ``channels x height x width`` input."""
-    return trace_model(model, (channels, height, width)).flops
+def model_forward_flops(model: nn.Layer, height: int, width: int) -> float:
+    """Convenience: forward FLOPs for one RGB ``height x width`` input."""
+    return trace_model(model, (3, height, width)).flops

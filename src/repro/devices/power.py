@@ -79,12 +79,12 @@ def playback_power_schedule(
 def simulate_power(
     device: DeviceSpec, total_seconds: float,
     sr_intervals: list[tuple[float, float]], sr_watts: float,
-    dt: float = 0.05,
 ) -> PowerTimeline:
-    """Sample the power rail over a playback of ``total_seconds``."""
+    """Sample the power rail every 50 ms over a playback of
+    ``total_seconds``."""
     if total_seconds <= 0:
         raise ValueError("total_seconds must be positive")
-    n = max(2, int(round(total_seconds / dt)) + 1)
+    n = max(2, int(round(total_seconds / 0.05)) + 1)
     times = np.linspace(0.0, total_seconds, n)
     watts = np.full(n, device.power_idle_w + device.power_decode_w)
     for start, duration in sr_intervals:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
+from ..nn.losses import KL_WEIGHT
 from ..video.sampling import resize
 from .vae import ConvVAE
 
@@ -17,18 +18,11 @@ __all__ = ["VaeTrainConfig", "VaeHistory", "train_vae", "frames_to_batch",
 
 @dataclass(frozen=True)
 class VaeTrainConfig:
-    """Hyper-parameters for :func:`train_vae`."""
+    """Hyper-parameters for :func:`train_vae` (Adam at learning rate 2e-3,
+    gradients clipped to norm 10, the loss of :func:`repro.nn.vae_loss`)."""
 
     epochs: int = 40
     batch_size: int = 16
-    learning_rate: float = 2e-3
-    # Eq. (1) weights the reconstruction term with a constant ``c``; a high
-    # effective c (equivalently, a small KL weight) keeps the latents
-    # discriminative — with the summed KL at full weight the tiny thumbnail
-    # posteriors collapse toward the prior and all I frames embed alike.
-    recon_weight: float = 1.0
-    kl_weight: float = 0.05
-    grad_clip: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -74,7 +68,7 @@ def train_vae(
         raise ValueError("need at least one training image")
 
     rng = np.random.default_rng(config.seed)
-    optimizer = nn.Adam(vae.parameters(), lr=config.learning_rate)
+    optimizer = nn.Adam(vae.parameters(), lr=2e-3)
     history = VaeHistory()
     epoch_hist = (obs.metrics.histogram(
         "dcsr_vae_epoch_seconds", "Wall seconds per VAE training epoch")
@@ -91,12 +85,10 @@ def train_vae(
                 optimizer.zero_grad()
                 x_hat, mu, logvar = vae.forward(batch, rng)
                 total, grad_x_hat, grad_mu, grad_logvar = nn.vae_loss(
-                    batch, x_hat, mu, logvar,
-                    recon_weight=config.recon_weight,
-                    kl_weight=config.kl_weight)
-                recon = total - config.kl_weight * nn.kl_standard_normal(mu, logvar)[0]
+                    batch, x_hat, mu, logvar)
+                recon = total - KL_WEIGHT * nn.kl_standard_normal(mu, logvar)[0]
                 vae.backward(grad_x_hat, grad_mu, grad_logvar)
-                nn.clip_grad_norm(vae.parameters(), config.grad_clip)
+                nn.clip_grad_norm(vae.parameters(), 10.0)
                 optimizer.step()
                 epoch_total += total
                 epoch_recon += recon

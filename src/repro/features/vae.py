@@ -26,17 +26,18 @@ class ConvVAE:
 
     The encoder downsamples by 8 with three strided convolutions; a dense
     head produces ``[mu | logvar]``.  The decoder mirrors it with nearest
-    upsampling + convolution stages and a sigmoid output.
+    upsampling + convolution stages and a sigmoid output.  The first conv
+    has 8 channels, doubling at each downsampling.
     """
 
     def __init__(self, latent_dim: int = 8, input_size: int = 32,
-                 base_channels: int = 8, seed: int = 0):
+                 seed: int = 0):
         if input_size % 8 != 0:
             raise ValueError("input_size must be divisible by 8")
         rng = np.random.default_rng(seed)
         self.latent_dim = int(latent_dim)
         self.input_size = int(input_size)
-        c = int(base_channels)
+        c = 8
         spatial = input_size // 8
         self._bottleneck = (4 * c, spatial, spatial)
         flat = 4 * c * spatial * spatial

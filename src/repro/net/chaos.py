@@ -52,6 +52,7 @@ fallen back on, end to end over real sockets.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import socket
 import struct
@@ -94,9 +95,9 @@ class ChaosConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.reset_rate + self.truncate_rate + self.stall_rate > 1.0:
             raise ValueError("fault rates must sum to <= 1")
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be non-negative")
-        if self.stall_hold_s <= 0:
+        if not 0 <= self.latency_s < math.inf:
+            raise ValueError("latency_s must be non-negative and finite")
+        if not self.stall_hold_s > 0:
             raise ValueError("stall_hold_s must be positive")
 
 

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -154,8 +155,9 @@ class HttpTransport(Link):
 
     def __init__(self, base_url: str, *, timeout_s: float = 5.0,
                  loop: asyncio.AbstractEventLoop | None = None):
-        if timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+        if not 0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be positive and finite, "
+                             f"got {timeout_s}")
         self.base_url = base_url.rstrip("/")
         url = urlsplit(self.base_url)
         if url.scheme != "http":

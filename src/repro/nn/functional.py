@@ -395,12 +395,12 @@ def conv2d_shift_nhwc(
 IM2COL_SCRATCH_BYTES = 256 * 1024
 
 
-def im2col_block_rows(w: int, cin: int, kh: int, kw: int,
-                      scratch_bytes: int = IM2COL_SCRATCH_BYTES) -> int:
+def im2col_block_rows(w: int, cin: int, kh: int, kw: int) -> int:
     """Output rows per im2col block such that the ``(rows*W, Cin*KH*KW)``
-    float32 scratch fits in ``scratch_bytes`` (always at least one row)."""
+    float32 scratch fits in :data:`IM2COL_SCRATCH_BYTES` (always at least
+    one row)."""
     bytes_per_row = max(1, w * cin * kh * kw * 4)
-    return max(1, scratch_bytes // bytes_per_row)
+    return max(1, IM2COL_SCRATCH_BYTES // bytes_per_row)
 
 
 def _im2col_nhwc_blocked(xp: np.ndarray, mat_t: np.ndarray, out: np.ndarray,

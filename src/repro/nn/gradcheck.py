@@ -15,9 +15,12 @@ from .layers import Layer
 
 __all__ = ["numerical_gradient", "check_layer_gradients"]
 
+#: Finite-difference step, and the absolute / relative tolerances of a check.
+_EPS, _ATOL, _RTOL = 1e-3, 5e-3, 5e-2
+
 
 def numerical_gradient(
-    fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-3,
+    fn: Callable[[np.ndarray], float], x: np.ndarray,
 ) -> np.ndarray:
     """Central-difference gradient of scalar ``fn`` with respect to ``x``."""
     grad = np.zeros_like(x, dtype=np.float64)
@@ -25,18 +28,17 @@ def numerical_gradient(
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + _EPS
         plus = fn(x)
-        flat[i] = orig - eps
+        flat[i] = orig - _EPS
         minus = fn(x)
         flat[i] = orig
-        gflat[i] = (plus - minus) / (2.0 * eps)
+        gflat[i] = (plus - minus) / (2.0 * _EPS)
     return grad
 
 
 def check_layer_gradients(
     layer: Layer, x: np.ndarray, rng: np.random.Generator,
-    atol: float = 5e-3, rtol: float = 5e-2,
 ) -> None:
     """Verify input and parameter gradients of ``layer`` at point ``x``.
 
@@ -60,7 +62,7 @@ def check_layer_gradients(
 
     # Numerical input gradient.
     num_gx = numerical_gradient(objective, x.copy())
-    _assert_close("input", grad_x, num_gx, atol, rtol)
+    _assert_close("input", grad_x, num_gx)
 
     # Numerical parameter gradients.
     for p, analytic in zip(layer.parameters(), analytic_params):
@@ -73,12 +75,11 @@ def check_layer_gradients(
                 p.data = saved
 
         num_gp = numerical_gradient(p_objective, p.data.copy())
-        _assert_close(p.name, analytic, num_gp, atol, rtol)
+        _assert_close(p.name, analytic, num_gp)
 
 
 def _assert_close(
     label: str, analytic: np.ndarray, numeric: np.ndarray,
-    atol: float, rtol: float,
 ) -> None:
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != numeric.shape:
@@ -86,10 +87,10 @@ def _assert_close(
             f"{label}: analytic shape {analytic.shape} != numeric {numeric.shape}"
         )
     err = np.abs(analytic - numeric)
-    tol = atol + rtol * np.abs(numeric)
+    tol = _ATOL + _RTOL * np.abs(numeric)
     if not np.all(err <= tol):
         worst = float(np.max(err - tol))
         raise AssertionError(
             f"gradient mismatch for {label}: max excess error {worst:.3e} "
-            f"(atol={atol}, rtol={rtol})"
+            f"(atol={_ATOL}, rtol={_RTOL})"
         )

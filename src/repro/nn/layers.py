@@ -81,8 +81,7 @@ class Conv2d(Layer):
     def __init__(
         self, in_channels: int, out_channels: int, kernel_size: int,
         stride: int = 1, padding: int | str = "same",
-        rng: np.random.Generator | None = None, bias: bool = True,
-        name: str = "conv",
+        rng: np.random.Generator | None = None, name: str = "conv",
     ):
         rng = rng if rng is not None else np.random.default_rng(0)
         if padding == "same":
@@ -95,7 +94,7 @@ class Conv2d(Layer):
             winit.he_normal((out_channels, in_channels, kernel_size, kernel_size), rng),
             name=f"{name}.weight",
         )
-        self.bias = Parameter(winit.zeros((out_channels,)), name=f"{name}.bias") if bias else None
+        self.bias = Parameter(winit.zeros((out_channels,)), name=f"{name}.bias")
         self._x: np.ndarray | None = None
         self.needs_input_grad = True
         self._packed: dict[str, F.PackedConvWeight] = {}
@@ -114,25 +113,20 @@ class Conv2d(Layer):
         a model that trains between inferences always infers with fresh
         taps.
         """
-        key = (self.weight.version,
-               self.bias.version if self.bias is not None else -1)
+        key = (self.weight.version, self.bias.version)
         if self._packed_key != key:
             self._packed = {}
             self._packed_key = key
         entry = self._packed.get(precision)
         if entry is None:
-            bias = self.bias.data if self.bias is not None else None
             entry = self._packed[precision] = F.pack_conv_weight(
-                self.weight.data, bias, precision)
+                self.weight.data, self.bias.data, precision)
         return entry
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return F.conv2d_forward(
-            x, self.weight.data,
-            self.bias.data if self.bias is not None else None,
-            stride=self.stride, padding=self.padding,
-        )
+        return F.conv2d_forward(x, self.weight.data, self.bias.data,
+                                stride=self.stride, padding=self.padding)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -143,15 +137,13 @@ class Conv2d(Layer):
             need_input_grad=self.needs_input_grad,
         )
         self.weight.accumulate(grad_w)
-        if self.bias is not None:
-            self.bias.accumulate(grad_b)
+        self.bias.accumulate(grad_b)
         self._x = None
         return grad_x if grad_x is not None else np.zeros(0, dtype=np.float32)
 
     def parameters(self) -> Iterator[Parameter]:
         yield self.weight
-        if self.bias is not None:
-            yield self.bias
+        yield self.bias
 
 
 class Dense(Layer):

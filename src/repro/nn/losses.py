@@ -48,27 +48,33 @@ def kl_standard_normal(mu: np.ndarray, logvar: np.ndarray) -> tuple[float, np.nd
     return value, grad_mu.astype(np.float32), grad_logvar.astype(np.float32)
 
 
+#: Weight of the KL term against the reconstruction term.  Eq. (1)
+#: weights the reconstruction with a constant ``c``; a high effective c
+#: (equivalently, a small KL weight) keeps the latents discriminative —
+#: with the summed KL at full weight the tiny thumbnail posteriors
+#: collapse toward the prior and all I frames embed alike.
+KL_WEIGHT = 0.05
+
+
 def vae_loss(
     x: np.ndarray, x_hat: np.ndarray, mu: np.ndarray, logvar: np.ndarray,
-    recon_weight: float = 1.0, kl_weight: float = 1.0,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The VAE objective of Eq. (1): ``c * ||x - x_hat||^2 + KL``.
+    """The VAE objective of Eq. (1): ``||x - x_hat||^2 + KL_WEIGHT * KL``.
 
     The reconstruction term is *summed* over pixels and averaged over the
-    batch (matching the balance against the summed KL term), then scaled by
-    ``recon_weight`` (the paper's ``c``).
+    batch (matching the balance against the summed KL term).
 
     Returns ``(value, grad_x_hat, grad_mu, grad_logvar)``.
     """
     n = x.shape[0]
     diff = x_hat - x
-    recon = float(recon_weight * np.sum(diff * diff) / n)
-    grad_x_hat = (recon_weight * 2.0 / n) * diff
+    recon = float(np.sum(diff * diff) / n)
+    grad_x_hat = (2.0 / n) * diff
     kl, grad_mu, grad_logvar = kl_standard_normal(mu, logvar)
-    total = recon + kl_weight * kl
+    total = recon + KL_WEIGHT * kl
     return (
         total,
         grad_x_hat.astype(np.float32),
-        (kl_weight * grad_mu).astype(np.float32),
-        (kl_weight * grad_logvar).astype(np.float32),
+        (KL_WEIGHT * grad_mu).astype(np.float32),
+        (KL_WEIGHT * grad_logvar).astype(np.float32),
     )

@@ -42,50 +42,45 @@ class Optimizer:
         raise NotImplementedError
 
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam(Optimizer):
     """Adam (Kingma & Ba 2015) — the optimizer used for both EDSR and VAE."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3):
         super().__init__(params, lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        bc1 = 1.0 - self.beta1 ** self._t
-        bc2 = 1.0 - self.beta2 ** self._t
+        bc1 = 1.0 - _BETA1 ** self._t
+        bc2 = 1.0 - _BETA2 ** self._t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 class StepLR:
-    """Multiply the optimizer LR by ``gamma`` every ``step_size`` epochs."""
+    """Halve the optimizer LR every ``step_size`` epochs."""
 
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
+    def __init__(self, optimizer: Optimizer, step_size: int):
         if step_size < 1:
             raise ValueError("step_size must be >= 1")
         self.optimizer = optimizer
         self.step_size = int(step_size)
-        self.gamma = float(gamma)
         self.base_lr = optimizer.lr
         self.epoch = 0
 
     def step(self) -> None:
         self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.gamma ** (self.epoch // self.step_size)
+        self.optimizer.lr = self.base_lr * 0.5 ** (self.epoch // self.step_size)

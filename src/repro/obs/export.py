@@ -93,16 +93,16 @@ def span_from_dict(data: dict) -> Span:
     )
 
 
-def trace_to_json(trace, indent: int | None = 2) -> str:
-    """The span tree as a JSON document."""
+def trace_to_json(trace) -> str:
+    """The span tree as a JSON document, indented by two spaces."""
     root = _root_of(trace)
     payload = root if isinstance(root, dict) else span_to_dict(root)
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)
 
 
-def write_trace(path: str | Path, trace, indent: int | None = 2) -> Path:
+def write_trace(path: str | Path, trace) -> Path:
     path = Path(path)
-    path.write_text(trace_to_json(trace, indent=indent) + "\n")
+    path.write_text(trace_to_json(trace) + "\n")
     return path
 
 
@@ -237,23 +237,15 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def cdf_points(values: Sequence[float], n_points: int = 11) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) pairs at evenly spaced quantiles.
-
-    Degenerate inputs are well-defined instead of crashing: an empty
-    ``values`` yields ``[]``, and ``n_points=1`` yields the single
-    ``(max, 1.0)`` point (no zero-division on the quantile spacing).
-    """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
+    """(value, cumulative fraction) pairs at the eleven fractions 0, 0.1,
+    ..., 1; an empty ``values`` yields ``[]``."""
     ordered = sorted(values)
     if not ordered:
         return []
-    if n_points == 1:
-        return [(ordered[-1], 1.0)]
     out = []
-    for i in range(n_points):
-        frac = i / (n_points - 1)
+    for i in range(11):
+        frac = i / 10
         idx = min(int(frac * (len(ordered) - 1)), len(ordered) - 1)
         out.append((ordered[idx], frac))
     return out

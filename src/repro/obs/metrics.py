@@ -108,7 +108,7 @@ class Histogram(_Metric):
     kind = "histogram"
 
     def __init__(self, name: str, help: str, lock: threading.Lock,
-                 buckets: tuple = DEFAULT_BUCKETS):
+                 buckets: tuple):
         super().__init__(name, help, lock)
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be a non-empty ascending sequence")

@@ -109,7 +109,7 @@ class SharedNetworkPool:
         # Validation is delegated to NetworkConfig (same error messages).
         NetworkConfig(fail_rate=fail_rate, bandwidth_bps=bandwidth_bps,
                       latency_s=latency_s, seed=seed)
-        if rate_limit_bps is not None and rate_limit_bps <= 0:
+        if rate_limit_bps is not None and not rate_limit_bps > 0:
             raise ValueError(
                 f"rate_limit_bps must be > 0 (or None), got {rate_limit_bps}")
         self.bandwidth_bps = bandwidth_bps

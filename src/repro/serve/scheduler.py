@@ -36,6 +36,7 @@ thread count.  Two session engines share that loop:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -49,11 +50,10 @@ from ..control import (
 )
 from ..core.client import (
     DcsrClient,
-    FastPathConfig,
     PlaybackResult,
     PlaybackTelemetry,
 )
-from ..core.network import RetryPolicy
+from ..core.network import NetworkConfig, RetryPolicy
 from ..core.persist import StoredPackage
 from ..core.session import (FetchStage, PlayoutClock, count_downloads,
                             record_segment)
@@ -81,7 +81,8 @@ FLEET_MODES = ("playback", "trace")
 @dataclass(frozen=True)
 class FleetConfig:
     """Shape of one fleet run: ``cli serve`` parses its flags straight
-    into these fields (``--reuse`` into ``fast_path``).
+    into these fields.  Playback sessions play with a client's default
+    fast path, ``FastPathConfig(calibrate=False)``.
 
     Parameters
     ----------
@@ -116,12 +117,6 @@ class FleetConfig:
     fallback:
         Per-session model-fetch fallback (play unenhanced instead of
         raising), as in :class:`~repro.core.client.DcsrClient`.
-    fast_path:
-        Optional :class:`~repro.core.client.FastPathConfig` every
-        playback-mode session plays with (tiling, checkpoint precision, the
-        skip gate, temporal reuse).  ``None`` plays a client's default,
-        ``FastPathConfig(calibrate=False)``.  Rejected in trace mode,
-        whose sessions run no SR.
     devices:
         Per-session device classes (keys of
         :data:`repro.devices.DEVICES`): session ``i`` plays on
@@ -158,7 +153,6 @@ class FleetConfig:
     cache_admission: str = "always"
     cache_capacity: int | None = None
     fallback: bool = False
-    fast_path: FastPathConfig | None = None
     devices: tuple[str, ...] = ()
     controller: str = "off"
     power_budget_w: float | None = None
@@ -172,9 +166,6 @@ class FleetConfig:
         return self.devices[session_id % len(self.devices)]
 
     def __post_init__(self):
-        if self.fast_path is not None \
-                and not isinstance(self.fast_path, FastPathConfig):
-            raise TypeError("fast_path must be a FastPathConfig or None")
         if self.sessions < 1:
             raise ValueError(f"sessions must be >= 1, got {self.sessions}")
         if self.mode not in FLEET_MODES:
@@ -186,8 +177,14 @@ class FleetConfig:
                 f"got {self.cache_admission!r}")
         if self.edges < 1:
             raise ValueError(f"edges must be >= 1, got {self.edges}")
-        if self.rate_limit_bps is not None and self.rate_limit_bps <= 0:
+        if self.rate_limit_bps is not None and not self.rate_limit_bps > 0:
             raise ValueError("rate_limit_bps must be > 0 (or None)")
+        # The shared uplink's shape and the retry budget, checked as the
+        # pool and every session will check them.
+        NetworkConfig(fail_rate=self.fail_rate,
+                      bandwidth_bps=self.bandwidth_bps,
+                      latency_s=self.latency_s)
+        RetryPolicy(retries=self.retries)
         for name in self.devices:
             if name.lower() not in DEVICES:
                 raise ValueError(f"unknown device {name!r}; "
@@ -199,14 +196,7 @@ class FleetConfig:
         if self.controller != "off" and not self.devices:
             raise ValueError("a joint controller needs --device classes "
                              "(energy has no meaning without a power model)")
-        if self.fast_path is not None and self.mode != "playback":
-            raise ValueError(
-                "fast_path configures the sessions' SR engines and needs "
-                "--mode playback (trace sessions run no SR)")
-        if self.fast_path is not None and self.controller != "off":
-            # Each playback session's client runs this check.
-            self.fast_path.validate(self.controller)
-        if self.power_budget_w is not None and self.power_budget_w <= 0:
+        if self.power_budget_w is not None and not self.power_budget_w > 0:
             raise ValueError("power_budget_w must be > 0 (or None)")
         arrival_times(self)     # validates the arrival spec eagerly
 
@@ -228,9 +218,9 @@ def arrival_times(config: FleetConfig) -> list[float]:
             rate = float(value)
         except ValueError:
             rate = -1.0
-        if rate <= 0:
-            raise ValueError(f"poisson arrival needs a positive rate, "
-                             f"got {spec!r}")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"poisson arrival needs a positive, finite "
+                             f"rate, got {spec!r}")
         rng = random.Random(config.seed)
         times, t = [], 0.0
         for _ in range(n):
@@ -242,9 +232,9 @@ def arrival_times(config: FleetConfig) -> list[float]:
             gap = float(value)
         except ValueError:
             gap = -1.0
-        if gap < 0:
-            raise ValueError(f"uniform arrival needs a non-negative gap, "
-                             f"got {spec!r}")
+        if not 0 <= gap < math.inf:
+            raise ValueError(f"uniform arrival needs a non-negative, "
+                             f"finite gap, got {spec!r}")
         return [i * gap for i in range(n)]
     raise ValueError(f"unknown arrival spec {spec!r} "
                      "(expected 'all', 'poisson:<rate>', or 'uniform:<gap>')")
@@ -499,7 +489,6 @@ class FleetSimulator:
             retry=RetryPolicy(retries=self.config.retries),
             fallback=self.config.fallback,
             obs=self.obs,
-            fast_path=self.config.fast_path,
             model_cache=self.cache.edge_for(shell.session_id),
             span_attrs={"session": shell.session_id},
             controller=controller,

@@ -64,14 +64,13 @@ MICRO_TIERS: dict[str, EdsrConfig] = {
 TIER_NAMES: tuple[str, ...] = tuple(MICRO_TIERS)
 
 
-def micro_tier_config(tier: str, scale: int = 1) -> EdsrConfig:
-    """The :class:`EdsrConfig` of one named micro tier."""
+def micro_tier_config(tier: str) -> EdsrConfig:
+    """The x1 :class:`EdsrConfig` of one named micro tier."""
     base = MICRO_TIERS.get(tier)
     if base is None:
         raise ValueError(
             f"unknown micro tier {tier!r}; choose from {TIER_NAMES}")
-    return EdsrConfig(n_resblocks=base.n_resblocks, n_filters=base.n_filters,
-                      scale=scale)
+    return EdsrConfig(n_resblocks=base.n_resblocks, n_filters=base.n_filters)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ class EdsrConfig:
 
     ``n_resblocks`` and ``n_filters`` control capacity (Table 1);
     ``res_scale`` stabilises very deep stacks (the original paper uses 0.1
-    for its largest models).
+    for its largest models).  Frames are RGB: three channels in and out.
     """
 
     n_resblocks: int = 4
@@ -41,7 +41,6 @@ class EdsrConfig:
     scale: int = 1
     res_scale: float = 1.0
     kernel_size: int = 3
-    in_channels: int = 3
 
     def __post_init__(self):
         if self.n_resblocks < 1 or self.n_filters < 1:
@@ -70,7 +69,7 @@ class EDSR(nn.Layer):
         cfg = self.config
         rng = np.random.default_rng(seed)
 
-        self.head = nn.Conv2d(cfg.in_channels, cfg.n_filters, cfg.kernel_size,
+        self.head = nn.Conv2d(3, cfg.n_filters, cfg.kernel_size,
                               rng=rng, name="head")
         body_layers: list[nn.Layer] = [
             nn.ResidualBlock(cfg.n_filters, cfg.kernel_size,
@@ -84,7 +83,7 @@ class EDSR(nn.Layer):
         self.body = nn.GlobalSkip(nn.Sequential(*body_layers))
         self.tail = nn.Sequential(
             nn.Upsampler(cfg.n_filters, cfg.scale, rng=rng, name="tail.up"),
-            nn.Conv2d(cfg.n_filters, cfg.in_channels, cfg.kernel_size,
+            nn.Conv2d(cfg.n_filters, 3, cfg.kernel_size,
                       rng=rng, name="tail.out"),
         )
 

@@ -219,7 +219,7 @@ def check_engine_knobs(tile, threads, precision, skip_gate, reuse, kernel):
                 or not isinstance(skip_gate, (int, float)):
             raise TypeError(f"skip_gate must be a float variance threshold "
                             f"or None, got {skip_gate!r}")
-        if skip_gate < 0.0:
+        if not skip_gate >= 0.0:
             raise ValueError(f"skip_gate var_threshold must be >= 0, "
                              f"got {skip_gate}")
     if reuse is not None and not isinstance(reuse, bool):
@@ -466,8 +466,7 @@ class InferenceEngine:
         # the output — no buffer to crop into, no copy.
         direct = len(spans) == 1 and gate is None and cache is None
         out = None if direct else np.empty(
-            (n, h * s, w * s, self.model.config.in_channels),
-            dtype=np.float32)
+            (n, h * s, w * s, 3), dtype=np.float32)
         ran = [0] * len(spans)
         hits = [0] * len(spans)
         flops = [0.0] * len(spans)

@@ -20,16 +20,12 @@ __all__ = ["model_size_table", "MinModelSearch",
            "find_minimum_working_model"]
 
 
-def model_size_table(
-    filters: tuple[int, ...] = TABLE1_FILTERS,
-    resblocks: tuple[int, ...] = TABLE1_RESBLOCKS,
-    scale: int = 1,
-) -> dict[tuple[int, int], float]:
-    """Table 1: ``(n_filters, n_resblocks) -> size in MB``."""
+def model_size_table() -> dict[tuple[int, int], float]:
+    """Table 1: ``(n_filters, n_resblocks) -> size in MB`` of the x1
+    models."""
     return {
-        (f, rb): EDSR(EdsrConfig(n_resblocks=rb, n_filters=f,
-                                 scale=scale)).size_mb()
-        for f in filters for rb in resblocks
+        (f, rb): EDSR(EdsrConfig(n_resblocks=rb, n_filters=f)).size_mb()
+        for f in TABLE1_FILTERS for rb in TABLE1_RESBLOCKS
     }
 
 
@@ -50,7 +46,7 @@ class MinModelSearch:
 def find_minimum_working_model(
     lr_frames: np.ndarray, hr_frames: np.ndarray, big_psnr: float,
     grid: list[EdsrConfig], tolerance_db: float = 1.0,
-    train_config: SrTrainConfig | None = None, seed: int = 0,
+    train_config: SrTrainConfig | None = None,
 ) -> MinModelSearch:
     """Find the smallest configuration within ``tolerance_db`` of the big
     model's PSNR on the same frames.
@@ -65,7 +61,7 @@ def find_minimum_working_model(
     evaluated: list[tuple[EdsrConfig, float]] = []
     best: tuple[EdsrConfig, float] | None = None
     for config in grid:
-        model = EDSR(config, seed=seed)
+        model = EDSR(config)
         train_sr(model, lr_frames, hr_frames, train_config)
         score = evaluate_sr(model, lr_frames, hr_frames)["psnr"]
         evaluated.append((config, score))

@@ -65,20 +65,19 @@ def clamped_psnr(a: np.ndarray, b: np.ndarray) -> float:
 def calibrate_quantized(
     model: EDSR, lq_frames: np.ndarray, hr_frames: np.ndarray,
     precisions: tuple[str, ...] = QUANT_PRECISIONS,
-    max_frames: int = CALIBRATION_FRAMES,
 ) -> dict[str, CalibrationResult]:
     """Measure the per-precision PSNR delta and checkpoint size of ``model``.
 
     ``lq_frames`` / ``hr_frames`` are ``(N, H, W, 3)`` float frames — the
     decoded low-quality inputs and pristine references of the cluster the
-    model was trained on (at most ``max_frames`` are used; calibration
+    model was trained on (at most :data:`CALIBRATION_FRAMES` are used; calibration
     needs representative content, not the whole cluster).  Returns
     ``{precision: CalibrationResult}``.  ``"fp32"`` is accepted as a
     precision: its row is the fp32 engine pass itself (delta exactly 0,
     full checkpoint size), not a second fp32 pass.
     """
-    lq = np.asarray(lq_frames, dtype=np.float32)[:max_frames]
-    hr = np.asarray(hr_frames, dtype=np.float32)[:max_frames]
+    lq = np.asarray(lq_frames, dtype=np.float32)[:CALIBRATION_FRAMES]
+    hr = np.asarray(hr_frames, dtype=np.float32)[:CALIBRATION_FRAMES]
     if lq.ndim != 4 or hr.ndim != 4:
         raise ValueError("calibration frames must be (N, H, W, 3) batches")
     if len(lq) == 0:

@@ -25,7 +25,8 @@ __all__ = ["SrTrainConfig", "SrHistory", "train_sr", "evaluate_sr",
 
 @dataclass(frozen=True)
 class SrTrainConfig:
-    """Hyper-parameters for :func:`train_sr`."""
+    """Hyper-parameters for :func:`train_sr`.  The learning rate halves
+    every ``lr_decay_epochs`` epochs; gradients are clipped to norm 5."""
 
     epochs: int = 40
     steps_per_epoch: int = 20
@@ -34,8 +35,6 @@ class SrTrainConfig:
     learning_rate: float = 5e-3
     loss: str = "l1"
     lr_decay_epochs: int = 15
-    lr_decay_gamma: float = 0.5
-    grad_clip: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +82,7 @@ def train_sr(
     loss_fn = nn.l1_loss if config.loss == "l1" else nn.mse_loss
     rng = np.random.default_rng(config.seed)
     optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
-    schedule = nn.StepLR(optimizer, config.lr_decay_epochs,
-                         config.lr_decay_gamma)
+    schedule = nn.StepLR(optimizer, config.lr_decay_epochs)
     patch = min(config.patch_size, lr_frames.shape[1], lr_frames.shape[2])
     clock = wall_clock()
 
@@ -100,7 +98,7 @@ def train_sr(
             pred = model.forward(lr_b)
             loss, grad = loss_fn(pred, hr_b)
             model.backward(grad)
-            nn.clip_grad_norm(model.parameters(), config.grad_clip)
+            nn.clip_grad_norm(model.parameters(), 5.0)
             optimizer.step()
             epoch_loss += loss
             history.n_steps += 1

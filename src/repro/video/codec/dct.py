@@ -15,13 +15,13 @@ __all__ = ["BLOCK", "dct_matrix", "forward_dct", "inverse_dct",
 BLOCK = 8
 
 
-def dct_matrix(n: int = BLOCK) -> np.ndarray:
-    """Orthonormal DCT-II matrix ``D`` such that ``X = D @ x @ D.T``."""
-    k = np.arange(n)[:, None]
-    i = np.arange(n)[None, :]
-    mat = np.cos(np.pi * (2 * i + 1) * k / (2 * n))
+def dct_matrix() -> np.ndarray:
+    """Orthonormal 8x8 DCT-II matrix ``D`` such that ``X = D @ x @ D.T``."""
+    k = np.arange(BLOCK)[:, None]
+    i = np.arange(BLOCK)[None, :]
+    mat = np.cos(np.pi * (2 * i + 1) * k / (2 * BLOCK))
     mat[0, :] *= 1.0 / np.sqrt(2.0)
-    return (mat * np.sqrt(2.0 / n)).astype(np.float64)
+    return (mat * np.sqrt(2.0 / BLOCK)).astype(np.float64)
 
 
 _D = dct_matrix()

@@ -36,18 +36,19 @@ def deblock_strength(qp: int) -> tuple[float, float]:
     return alpha, tc
 
 
-def _filter_edges(plane: np.ndarray, qp: int, axis: int, block: int) -> None:
+def _filter_edges(plane: np.ndarray, qp: int, axis: int) -> None:
     """Filter all block boundaries perpendicular to ``axis``, in place.
 
     An edge touches the two samples on each side of it, so with edges at
-    least four samples apart no two edges share a sample and every edge of
-    the axis is filtered in one vectorised step, on contiguous copies of
-    the lines ``p1 p0 | q0 q1`` — strided views of the plane, every
-    ``block``-th line from an offset — written back at the end.
+    least four samples apart (they are ``BLOCK`` apart) no two edges share
+    a sample and every edge of the axis is filtered in one vectorised step,
+    on contiguous copies of the lines ``p1 p0 | q0 q1`` — strided views of
+    the plane, every ``BLOCK``-th line from an offset — written back at the
+    end.
     """
     alpha, tc = deblock_strength(qp)
     lines = plane if axis == 0 else plane.T     # edges lie between lines
-    views = [lines[block + offset::block] for offset in (-2, -1, 0, 1)]
+    views = [lines[BLOCK + offset::BLOCK] for offset in (-2, -1, 0, 1)]
     views[:2] = [view[:len(views[2])] for view in views[:2]]
     p1, p0, q0, q1 = (np.array(view) for view in views)
     # An edge on the plane's last line has no q1: q0 stands in for it in
@@ -68,7 +69,7 @@ def _filter_edges(plane: np.ndarray, qp: int, axis: int, block: int) -> None:
         view[...] = line
 
 
-def deblock_plane(plane: np.ndarray, qp: int, block: int = BLOCK) -> np.ndarray:
+def deblock_plane(plane: np.ndarray, qp: int) -> np.ndarray:
     """Deblock a reconstructed uint8 plane; returns a new uint8 plane.
 
     Vertical (column) boundaries are filtered first, then horizontal ones,
@@ -76,12 +77,9 @@ def deblock_plane(plane: np.ndarray, qp: int, block: int = BLOCK) -> np.ndarray:
     """
     if plane.dtype != np.uint8:
         raise ValueError(f"expected uint8 plane, got {plane.dtype}")
-    if block < 4:
-        raise ValueError(f"block size {block} puts edges closer than the "
-                         f"four samples each one filters")
     work = plane.astype(np.float64)
-    _filter_edges(work, qp, axis=1, block=block)
-    _filter_edges(work, qp, axis=0, block=block)
+    _filter_edges(work, qp, axis=1)
+    _filter_edges(work, qp, axis=0)
     np.rint(work, out=work)
     return np.clip(work, 0, 255, out=work).astype(np.uint8)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .bitstream import (_MAX_UE_PREFIX, BitReader, BitWriter,
                         CorruptStreamError)
+from .dct import BLOCK
 
 __all__ = [
     "write_ue",
@@ -97,24 +98,27 @@ def encode_coeff_block(writer: BitWriter, coeffs: np.ndarray) -> None:
         prev = pos
 
 
+#: Coefficients of one transform block.
+_N_COEFFS = BLOCK * BLOCK
+
+
 def read_block_levels(
     reader: BitReader, base: int, positions: list[int], levels: list[int],
-    n_coeffs: int = 64,
 ) -> None:
     """Parse one block's run-level pairs into two growing lists.
 
     Each nonzero coefficient appends ``base + zigzag position`` to
     ``positions`` and its value to ``levels``; a frame's blocks share the
-    lists (``base`` advancing by ``n_coeffs``) and :func:`scatter_levels`
+    lists (``base`` advancing by 64) and :func:`scatter_levels`
     turns them into arrays in one step.
     """
     read_ue, read_se = reader.read_ue, reader.read_se
     n_nonzero = read_ue()
-    if n_nonzero > n_coeffs:
+    if n_nonzero > _N_COEFFS:
         raise CorruptStreamError(
-            f"corrupt block: {n_nonzero} nonzeros in {n_coeffs} coefficients")
+            f"corrupt block: {n_nonzero} nonzeros in {_N_COEFFS} coefficients")
     pos = base - 1
-    limit = base + n_coeffs
+    limit = base + _N_COEFFS
     for _ in range(n_nonzero):
         pos += read_ue() + 1
         level = read_se()
@@ -126,24 +130,23 @@ def read_block_levels(
 
 
 def scatter_levels(
-    positions: list[int], levels: list[int], n: int = 8,
+    positions: list[int], levels: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level arrays of the blocks that have any, from the parsed lists.
 
     Returns ``(coded, levels)``: the ascending indices of the blocks with at
-    least one nonzero coefficient, and their ``(len(coded), n * n)``
+    least one nonzero coefficient, and their ``(len(coded), 64)``
     raster-order levels.  Every other block of the frame is all zero.
     """
-    n_coeffs = n * n
     try:
         values = np.array(levels, dtype=np.int64)
     except OverflowError as exc:
         raise CorruptStreamError(
             "corrupt block: coefficient level exceeds 64 bits") from exc
     scan = np.array(positions, dtype=np.intp)
-    coded, row = np.unique(scan // n_coeffs, return_inverse=True)
-    out = np.zeros((len(coded), n_coeffs), dtype=np.int64)
-    out[row, zigzag_order(n)[scan % n_coeffs]] = values
+    coded, row = np.unique(scan // _N_COEFFS, return_inverse=True)
+    out = np.zeros((len(coded), _N_COEFFS), dtype=np.int64)
+    out[row, zigzag_order(BLOCK)[scan % _N_COEFFS]] = values
     return coded, out
 
 
@@ -161,14 +164,13 @@ def _follow(jump: np.ndarray, start: int, count: int) -> np.ndarray:
 
 
 def _block_levels(
-    codes: np.ndarray, count_at: np.ndarray, n: int,
+    codes: np.ndarray, count_at: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """:func:`scatter_levels`'s ``(coded, levels)`` of the blocks whose
     ``ue(n_nonzero)`` is code ``count_at[b]``, pairs after it (``coded`` in
     ``count_at`` order), or ``None`` if a count or zigzag position is big."""
-    n_coeffs = n * n
     counts = codes[count_at]
-    if counts.max(initial=0) > n_coeffs:
+    if counts.max(initial=0) > _N_COEFFS:
         return None
     coded = np.flatnonzero(counts)
     counts = counts[coded]
@@ -177,17 +179,18 @@ def _block_levels(
               + 2 * np.arange(counts.sum()))
     ends = np.cumsum(codes[run_at] + 1, dtype=np.int64)
     scan = ends - np.repeat(ends[start] - codes[run_at[start]], counts)
-    if scan.max(initial=0) >= n_coeffs:
+    if scan.max(initial=0) >= _N_COEFFS:
         return None
     level = codes[run_at + 1].astype(np.int64)
-    levels = np.zeros((len(coded), n_coeffs), dtype=np.int64)
-    levels[np.repeat(np.arange(len(coded)), counts), zigzag_order(n)[scan]] = (
+    levels = np.zeros((len(coded), _N_COEFFS), dtype=np.int64)
+    levels[np.repeat(np.arange(len(coded)), counts),
+           zigzag_order(BLOCK)[scan]] = (
         np.where(level & 1, (level + 1) >> 1, -(level >> 1)))
     return coded, levels
 
 
 def read_led_blocks(
-    reader: BitReader, n_blocks: int, n: int = 8,
+    reader: BitReader, n_blocks: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``n_blocks`` coefficient blocks, each led by one ``ue`` — an intra
     frame's block data — parsed without a per-symbol loop.
@@ -201,9 +204,8 @@ def read_led_blocks(
     table or the grammar is broken: the caller walks those bits code by
     code, and that walk says what, if anything, is wrong.
     """
-    n_coeffs = n * n
     value, after = reader.ue_table()
-    at = _follow(after, reader.bit_position, n_blocks * (2 + 2 * n_coeffs) + 1)
+    at = _follow(after, reader.bit_position, n_blocks * (2 + 2 * _N_COEFFS) + 1)
     # The last bit before the sentinel is where the table gave up.
     at = at[:max(np.searchsorted(at, len(after) - 1) - 1, 0)]
     codes = value[at]
@@ -219,25 +221,24 @@ def read_led_blocks(
     if len(first) <= n_blocks or first[-1] > n_codes:
         return None
     first, stop = first[:-1], first[-1]
-    parsed = _block_levels(codes, first + 1, n)
+    parsed = _block_levels(codes, first + 1)
     if parsed is None:
         return None
     reader.seek(int(after[at[stop - 1]]))
     return codes[first].astype(np.intp), *parsed
 
 
-def _block_ends(value: np.ndarray, after: np.ndarray,
-               n_coeffs: int = 64) -> np.ndarray:
+def _block_ends(value: np.ndarray, after: np.ndarray) -> np.ndarray:
     """Per bit of a :meth:`BitReader.ue_table` (or a slice of one), where a
     block whose ``ue(n_nonzero)`` starts there ends — ``after`` taken ``1 +
-    2n`` times by pointer doubling — or the sentinel if n > ``n_coeffs``."""
+    2n`` times by pointer doubling — or the sentinel if n > 64."""
     ends = after.copy()
     pairs = np.zeros_like(after)
     pairs[:len(value)] = value
-    wide = np.flatnonzero(pairs > n_coeffs)
+    wide = np.flatnonzero(pairs > _N_COEFFS)
     pairs[wide] = 0
     jump = after.take(after)                # one (run, level) pair
-    for bit in range(n_coeffs.bit_length()):
+    for bit in range(_N_COEFFS.bit_length()):
         # ``after**(2 * 2**bit)`` where the bit is set; a mask would branch.
         ends += (jump.take(ends) - ends) * ((pairs >> bit) & 1)
         jump = jump.take(jump)

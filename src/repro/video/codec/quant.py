@@ -57,28 +57,22 @@ def qstep_from_qp(qp: int) -> float:
     return float(0.625 * 2.0 ** ((qp - 4) / 6.0))
 
 
-def frequency_weights(block: int = BLOCK, strength: float = 0.6) -> np.ndarray:
-    """Perceptual weighting matrix: high frequencies quantized more coarsely.
-
-    ``strength = 0`` is a flat matrix (all ones).
-    """
-    i = np.arange(block)[:, None]
-    j = np.arange(block)[None, :]
-    return (1.0 + strength * (i + j) / (2.0 * (block - 1))).astype(np.float64)
+def frequency_weights() -> np.ndarray:
+    """Perceptual 8x8 weighting matrix: high frequencies quantized more
+    coarsely, up to 1.6 times the step."""
+    i = np.arange(BLOCK)[:, None]
+    j = np.arange(BLOCK)[None, :]
+    return (1.0 + 0.6 * (i + j) / (2.0 * (BLOCK - 1))).astype(np.float64)
 
 
 _WEIGHTS = frequency_weights()
 
 
-def quantize(coeffs: np.ndarray, qp: int, weighted: bool = True) -> np.ndarray:
+def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
     """Quantize DCT coefficients to integer levels."""
-    step = qstep_from_qp(qp)
-    divisor = step * (_WEIGHTS if weighted else 1.0)
-    return np.rint(coeffs / divisor).astype(np.int64)
+    return np.rint(coeffs / (qstep_from_qp(qp) * _WEIGHTS)).astype(np.int64)
 
 
-def dequantize(levels: np.ndarray, qp: int, weighted: bool = True) -> np.ndarray:
+def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
     """Reconstruct coefficients from integer levels."""
-    step = qstep_from_qp(qp)
-    divisor = step * (_WEIGHTS if weighted else 1.0)
-    return levels.astype(np.float64) * divisor
+    return levels.astype(np.float64) * (qstep_from_qp(qp) * _WEIGHTS)

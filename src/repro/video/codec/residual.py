@@ -33,9 +33,9 @@ import numpy as np
 
 from .bitstream import BitReader, BitWriter, CorruptStreamError
 from .dct import BLOCK, forward_dct, from_blocks, inverse_dct, to_blocks
-from .entropy import (_block_ends, _block_levels, _follow, encode_coeff_block,
-                      read_block_levels, read_led_blocks, scatter_levels,
-                      write_ue)
+from .entropy import (_N_COEFFS, _block_ends, _block_levels, _follow,
+                      encode_coeff_block, read_block_levels, read_led_blocks,
+                      scatter_levels, write_ue)
 from .intra import (INTRA_MODES, choose_modes, neighbours, predict_blocks,
                     stacked_wavefront, wavefront)
 from .motion import MB
@@ -53,7 +53,6 @@ __all__ = [
     "blocks_to_plane",
 ]
 
-_N_COEFFS = BLOCK * BLOCK
 _LUMA_SIDE = MB // BLOCK
 _LUMA_PER_MB = _LUMA_SIDE ** 2
 #: Coded 8x8 blocks of one macroblock: 2x2 luma, then U, then V.
@@ -163,7 +162,7 @@ def _read_macroblocks(
     hop = np.append(np.minimum(np.arange(1, len(codes) + 1) + 2 * codes,
                                len(codes)), len(codes))
     leads = _follow(hop, 0, BLOCKS_PER_MB * len(coded_mb))
-    parsed = _block_levels(codes, leads, BLOCK)
+    parsed = _block_levels(codes, leads)
     if parsed is None:
         return None
     blocks = BLOCKS_PER_MB * coded_mb[:, None] + np.arange(BLOCKS_PER_MB)

@@ -34,15 +34,13 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
     return float(10.0 * np.log10(data_range * data_range / err))
 
 
-def ssim(
-    a: np.ndarray, b: np.ndarray, data_range: float = 1.0,
-    sigma: float = 1.5, k1: float = 0.01, k2: float = 0.03,
-) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Structural similarity index with a Gaussian window.
 
     ``a`` and ``b`` are 2-D (single channel) or ``(H, W, C)`` (averaged over
-    channels).  Follows Wang et al. 2004 with an 11-tap Gaussian window
-    approximated by ``gaussian_filter`` truncated at 3.5 sigma.
+    channels), in [0, 1].  Follows Wang et al. 2004 (``k1 = 0.01``, ``k2 =
+    0.03``) with an 11-tap Gaussian window approximated by
+    ``gaussian_filter`` at sigma 1.5, truncated at 3.5 sigma.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -50,16 +48,14 @@ def ssim(
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim == 3:
         return float(np.mean([
-            ssim(a[..., c], b[..., c], data_range=data_range,
-                 sigma=sigma, k1=k1, k2=k2)
-            for c in range(a.shape[2])
+            ssim(a[..., c], b[..., c]) for c in range(a.shape[2])
         ]))
     if a.ndim != 2:
         raise ValueError(f"expected 2-D or 3-D input, got shape {a.shape}")
 
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
-    truncate = 3.5
+    c1 = 0.01 ** 2
+    c2 = 0.03 ** 2
+    sigma, truncate = 1.5, 3.5
 
     mu_a = gaussian_filter(a, sigma, truncate=truncate)
     mu_b = gaussian_filter(b, sigma, truncate=truncate)

@@ -1,4 +1,4 @@
-"""Separable bicubic / bilinear image resampling.
+"""Separable bicubic image resampling.
 
 Implemented as two sparse-ish weight matrices (one per axis) applied with
 matrix products, so resizing a frame is two GEMMs per channel — no Python
@@ -14,8 +14,10 @@ import numpy as np
 __all__ = ["resize", "cubic_kernel", "downscale", "upscale"]
 
 
-def cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
-    """Cubic convolution kernel (Keys 1981) with free parameter ``a``."""
+def cubic_kernel(x: np.ndarray) -> np.ndarray:
+    """Cubic convolution kernel (Keys 1981) with free parameter ``a =
+    -0.5``."""
+    a = -0.5
     x = np.abs(x)
     x2 = x * x
     x3 = x2 * x
@@ -27,12 +29,7 @@ def cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
     return out
 
 
-def _linear_kernel(x: np.ndarray) -> np.ndarray:
-    x = np.abs(x)
-    return np.maximum(0.0, 1.0 - x)
-
-
-def _axis_weights(n_in: int, n_out: int, method: str) -> np.ndarray:
+def _axis_weights(n_in: int, n_out: int) -> np.ndarray:
     """Dense (n_out, n_in) resampling matrix for one axis.
 
     Uses pixel-centre alignment: output pixel ``i`` samples input coordinate
@@ -41,23 +38,16 @@ def _axis_weights(n_in: int, n_out: int, method: str) -> np.ndarray:
     """
     if n_in < 1 or n_out < 1:
         raise ValueError("image dimensions must be positive")
-    if method == "cubic":
-        kernel, support = cubic_kernel, 2.0
-    elif method == "linear":
-        kernel, support = _linear_kernel, 1.0
-    else:
-        raise ValueError(f"unknown resampling method {method!r}")
-
     scale = n_in / n_out
     widen = max(scale, 1.0)
     centers = (np.arange(n_out) + 0.5) * scale - 0.5
-    radius = support * widen
+    radius = 2.0 * widen                  # the cubic kernel's support
     lo = np.floor(centers - radius).astype(int)
     width = int(np.ceil(2 * radius)) + 2
     offsets = np.arange(width)
     idx = lo[:, None] + offsets[None, :]  # (n_out, width)
     dist = (idx - centers[:, None]) / widen
-    w = kernel(dist)
+    w = cubic_kernel(dist)
     # Clamp out-of-range taps to the edge pixels (replicate border).
     idx = np.clip(idx, 0, n_in - 1)
     norm = w.sum(axis=1, keepdims=True)
@@ -69,39 +59,34 @@ def _axis_weights(n_in: int, n_out: int, method: str) -> np.ndarray:
     return mat.astype(np.float32)
 
 
-def resize(
-    img: np.ndarray, size: tuple[int, int], method: str = "cubic",
-    clip: tuple[float, float] | None = (0.0, 1.0),
-) -> np.ndarray:
-    """Resize ``img`` to ``size = (H, W)``.
+def resize(img: np.ndarray, size: tuple[int, int]) -> np.ndarray:
+    """Bicubic resize of ``img`` to ``size = (H, W)``.
 
-    ``img`` may be ``(H, W)`` or ``(H, W, C)`` float.  ``clip`` bounds the
-    output range (bicubic overshoots near edges); pass ``None`` to disable.
+    ``img`` may be ``(H, W)`` or ``(H, W, C)`` float.  The output is
+    clipped to [0, 1] (bicubic overshoots near edges).
     """
     img = np.asarray(img, dtype=np.float32)
     if img.ndim not in (2, 3):
         raise ValueError(f"expected 2-D or 3-D image, got shape {img.shape}")
     out_h, out_w = size
-    wh = _axis_weights(img.shape[0], out_h, method)
-    ww = _axis_weights(img.shape[1], out_w, method)
+    wh = _axis_weights(img.shape[0], out_h)
+    ww = _axis_weights(img.shape[1], out_w)
     if img.ndim == 2:
         out = wh @ img @ ww.T
     else:
         out = np.einsum("oi,ijc,pj->opc", wh, img, ww, optimize=True)
-    if clip is not None:
-        out = np.clip(out, clip[0], clip[1])
-    return out.astype(np.float32)
+    return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
-def downscale(img: np.ndarray, factor: int, method: str = "cubic") -> np.ndarray:
+def downscale(img: np.ndarray, factor: int) -> np.ndarray:
     """Downscale by an integer ``factor`` (dimensions must divide evenly)."""
     h, w = img.shape[:2]
     if h % factor or w % factor:
         raise ValueError(f"dimensions {(h, w)} not divisible by factor {factor}")
-    return resize(img, (h // factor, w // factor), method=method)
+    return resize(img, (h // factor, w // factor))
 
 
-def upscale(img: np.ndarray, factor: int, method: str = "cubic") -> np.ndarray:
+def upscale(img: np.ndarray, factor: int) -> np.ndarray:
     """Upscale by an integer ``factor`` (the bicubic SR baseline)."""
     h, w = img.shape[:2]
-    return resize(img, (h * factor, w * factor), method=method)
+    return resize(img, (h * factor, w * factor))

@@ -49,35 +49,41 @@ def frame_difference(frames: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(np.diff(luma, axis=0)), axis=(1, 2))
 
 
+#: Mean absolute luma difference between frames that starts a new shot.
+SHOT_THRESHOLD = 0.08
+#: Frames of the shortest shot; a shorter one merges into its predecessor.
+MIN_SHOT_FRAMES = 2
+
+
 def detect_segments(
-    frames: np.ndarray, threshold: float = 0.08, min_length: int = 2,
-    max_length: int | None = None,
+    frames: np.ndarray, max_length: int | None = None,
 ) -> list[Segment]:
     """Variable-length shot detection.
 
     A new segment begins where the inter-frame difference exceeds
-    ``threshold``.  Segments shorter than ``min_length`` are merged into
-    their predecessor; segments longer than ``max_length`` are split (a real
-    encoder inserts periodic I frames to bound seek latency).
+    :data:`SHOT_THRESHOLD`.  Segments shorter than :data:`MIN_SHOT_FRAMES`
+    are merged into their predecessor; segments longer than ``max_length``
+    are split (a real encoder inserts periodic I frames to bound seek
+    latency).
     """
     n = frames.shape[0]
     diffs = frame_difference(frames)
-    cuts = [0] + [i + 1 for i, d in enumerate(diffs) if d > threshold] + [n]
+    cuts = [0] + [i + 1 for i, d in enumerate(diffs) if d > SHOT_THRESHOLD] + [n]
 
     # Merge too-short segments forward.
     merged = [cuts[0]]
     for c in cuts[1:-1]:
-        if c - merged[-1] >= min_length:
+        if c - merged[-1] >= MIN_SHOT_FRAMES:
             merged.append(c)
     bounds = merged + [n]
-    if bounds[-1] - bounds[-2] < min_length and len(bounds) > 2:
+    if bounds[-1] - bounds[-2] < MIN_SHOT_FRAMES and len(bounds) > 2:
         bounds.pop(-2)
 
     # Enforce max length by splitting over-long shots into even chunks
     # (each <= max_length), as encoders do when bounding seek latency.
     if max_length is not None:
-        if max_length < min_length:
-            raise ValueError("max_length must be >= min_length")
+        if max_length < MIN_SHOT_FRAMES:
+            raise ValueError(f"max_length must be >= {MIN_SHOT_FRAMES}")
         split: list[int] = []
         for a, b in zip(bounds[:-1], bounds[1:]):
             length = b - a

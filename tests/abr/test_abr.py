@@ -117,23 +117,17 @@ class TestLadder:
 class TestPolicies:
     def test_throughput_picks_best_affordable(self):
         ladder = _ladder()
-        policy = ThroughputAbr(safety=1.0)
-        # 2.5 Mbit/s affordable: level 1 (2 Mbit / 2 s = 1 Mbit/s)... level 0
-        # needs 2 Mbit/s -> affordable too.
-        assert policy.choose(ladder, 0, 2.1e6, 0.0) == 0
-        assert policy.choose(ladder, 0, 1.2e6, 0.0) == 1
+        policy = ThroughputAbr()
+        # Level 0 needs 2 Mbit/s (4 Mbit / 2 s), level 1 1 Mbit/s; 85% of
+        # 2.5 Mbit/s affords level 0, 85% of 1.3 Mbit/s level 1.
+        assert policy.choose(ladder, 0, 2.5e6, 0.0) == 0
+        assert policy.choose(ladder, 0, 1.3e6, 0.0) == 1
         assert policy.choose(ladder, 0, 0.1e6, 0.0) == 2
 
     def test_throughput_safety(self):
-        ladder = _ladder()
-        tight = ThroughputAbr(safety=0.5)
-        loose = ThroughputAbr(safety=1.0)
-        assert tight.choose(ladder, 0, 2.1e6, 0.0) >= loose.choose(
-            ladder, 0, 2.1e6, 0.0)
-
-    def test_throughput_validation(self):
-        with pytest.raises(ValueError):
-            ThroughputAbr(safety=0.0)
+        """A rung needs its bitrate within 85% of the estimate: 2.1 Mbit/s
+        does not afford the 2 Mbit/s top rung."""
+        assert ThroughputAbr().choose(_ladder(), 0, 2.1e6, 0.0) == 1
 
     def test_buffer_policy_thresholds(self):
         ladder = _ladder()
@@ -153,7 +147,7 @@ class TestPolicies:
         enhanced = np.array([[40.0] * 6, [36.0] * 6, [35.0] * 6])
         policy = DcsrAwareAbr(enhanced_quality=enhanced,
                               model_bits_by_segment=[0.0] * 6,
-                              target_quality_db=34.0, safety=1.0)
+                              target_quality_db=34.0)
         # Plenty of throughput: plain ABR would take level 0; dcSR-aware
         # takes the cheapest rung that clears the target after enhancement.
         assert policy.choose(ladder, 0, 10e6, 0.0) == 2
@@ -165,7 +159,7 @@ class TestPolicies:
         enhanced = np.array([[40.0] * 6, [36.0] * 6, [35.0] * 6])
         policy = DcsrAwareAbr(enhanced_quality=enhanced,
                               model_bits_by_segment=[8e6] + [0.0] * 5,
-                              target_quality_db=34.0, safety=1.0)
+                              target_quality_db=34.0)
         # Segment 0: the enhanced rung costs model + video > budget, so the
         # policy falls back to the cheapest un-enhanced rung meeting the
         # target (level 1).  Segment 1: model already cached -> bottom rung.
@@ -261,12 +255,12 @@ class TestSimulation:
             [34.5] * 10,   # bottom rung enhanced to near-top quality
         ])
         trace = constant_trace(3e6)
-        plain = simulate_session(ladder, ThroughputAbr(safety=1.0), trace)
+        plain = simulate_session(ladder, ThroughputAbr(), trace)
         aware = simulate_session(
             ladder,
             DcsrAwareAbr(enhanced_quality=enhanced,
                          model_bits_by_segment=[2e5] + [0.0] * 9,
-                         target_quality_db=34.0, safety=1.0),
+                         target_quality_db=34.0),
             trace, quality_table=enhanced)
         assert aware.total_bits < plain.total_bits
         assert aware.mean_quality >= 34.0

@@ -17,6 +17,7 @@ reference run's choices, which checks the recurrence without the tie.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ class _FakeManifest:
         return list(self._labels)
 
 
+class _FakeEncoded:
+    """Duck-typed encoded video: ``counts[s]`` I frames in segment ``s``."""
+
+    def __init__(self, counts):
+        self.segments = [types.SimpleNamespace(
+            frames=[types.SimpleNamespace(ftype="I")] * int(count))
+            for count in counts]
+
+
 def _ladder(rng) -> BitrateLadder:
     if rng.random() < 0.15:
         # Shorter than the startup buffer: playback starts at the end.
@@ -103,7 +113,7 @@ def _bounds(rng):
 
 
 def _throughput(rng, ladder):
-    return ThroughputAbr(safety=rng.uniform(0.5, 1.0))
+    return ThroughputAbr()
 
 
 def _dcsr_aware(rng, ladder):
@@ -112,8 +122,7 @@ def _dcsr_aware(rng, ladder):
         enhanced_quality=np.array([lvl.segment_quality for lvl in
                                    ladder.levels]) + rng.uniform(0, 3, (3, n)),
         model_bits_by_segment=list(rng.choice([0.0, 2e4, 3e5], n)),
-        target_quality_db=rng.uniform(28.0, 40.0),
-        safety=rng.uniform(0.5, 1.0))
+        target_quality_db=rng.uniform(28.0, 40.0))
 
 
 def _fixed_bridge(rng, ladder):
@@ -122,7 +131,7 @@ def _fixed_bridge(rng, ladder):
         FixedController(get_device(str(rng.choice(["jetson", "desktop"]))),
                         tier=tier),
         _FakeManifest(ladder.n_segments, rng),
-        n_inferences_by_segment=list(rng.integers(1, 4, ladder.n_segments)))
+        encoded=_FakeEncoded(rng.integers(1, 4, ladder.n_segments)))
 
 
 def _buffer(rng, ladder):

@@ -47,29 +47,22 @@ class TestCdfPoints:
         assert cdf_points([]) == []
 
     def test_sorted_fractions(self):
-        points = cdf_points([3.0, 1.0, 2.0], n_points=3)
+        points = cdf_points([3.0, 1.0, 2.0])
         values = [v for v, _ in points]
         fracs = [f for _, f in points]
-        assert values == [1.0, 2.0, 3.0]
-        assert fracs == [0.0, 0.5, 1.0]
+        assert values == [1.0] * 5 + [2.0] * 5 + [3.0]
+        assert fracs == [i / 10 for i in range(11)]
 
     def test_point_count(self):
-        points = cdf_points(list(range(100)), n_points=11)
+        points = cdf_points(list(range(100)))
         assert len(points) == 11
 
     def test_single_value_input(self):
-        points = cdf_points([4.2], n_points=5)
-        assert len(points) == 5
+        points = cdf_points([4.2])
+        assert len(points) == 11
         assert all(v == 4.2 for v, _ in points)
         assert points[0][1] == 0.0
         assert points[-1][1] == 1.0
-
-    def test_n_points_one_returns_the_max(self):
-        assert cdf_points([3.0, 1.0, 2.0], n_points=1) == [(3.0, 1.0)]
-
-    def test_n_points_below_one_rejected(self):
-        with pytest.raises(ValueError, match="n_points"):
-            cdf_points([1.0], n_points=0)
 
 
 class TestSaveResults:

@@ -118,17 +118,6 @@ class TestPolicyPricing:
         self._run(policy, 3)
         assert controller.seen_inferences == [3, 1, 2]
 
-    def test_explicit_counts_override_encoded(self):
-        encoded = _Encoded([_Segment(0, 2, ftypes=["I", "I"]),
-                            _Segment(2, 2, ftypes=["I", "P"])])
-        controller = _CapturingController(get_device("desktop"),
-                                          tier="dcSR-1")
-        policy = LadderControllerPolicy(controller, _FakeManifest([0, 0]),
-                                        n_inferences_by_segment=[7, 9],
-                                        encoded=encoded)
-        self._run(policy, 2)
-        assert controller.seen_inferences == [7, 9]
-
     def test_without_encoded_defaults_to_one(self):
         controller = _CapturingController(get_device("desktop"),
                                           tier="dcSR-1")

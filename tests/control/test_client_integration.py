@@ -173,19 +173,6 @@ class TestFleetController:
         with pytest.raises(ValueError):
             FleetConfig(sessions=2, devices=("toaster",))
 
-    def test_playback_fleet_rejects_controller_with_sr_batch(self):
-        """Every playback session's client rejects a controller with
-        ``sr_batch > 1``, so the fleet does too, before any session;
-        trace sessions run no SR, so a trace fleet rejects any
-        ``fast_path``."""
-        fast = FastPathConfig(prefetch=2, sr_batch=2)
-        with pytest.raises(ValueError, match="sr_batch"):
-            FleetConfig(controller="greedy", devices=("jetson",),
-                        fast_path=fast)
-        with pytest.raises(ValueError, match="--mode playback"):
-            FleetConfig(mode="trace", controller="greedy",
-                        devices=("jetson",), fast_path=fast)
-
     def test_device_cycle(self):
         config = FleetConfig(sessions=5, devices=("jetson", "laptop"))
         assert [config.device_name_for(i) for i in range(4)] \

@@ -72,12 +72,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             controller.feedback(-1.0, 2.0)
 
-    def test_bad_safety_rejected(self):
-        with pytest.raises(ValueError):
-            GreedyKnapsackController(JETSON, safety=0.0)
-        with pytest.raises(ValueError):
-            FixedController(JETSON, safety=1.5)
-
 
 class TestSegmentEnergy:
     def test_zero_length_segment_raises(self):

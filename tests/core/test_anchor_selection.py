@@ -37,8 +37,7 @@ def big_for_anchors(package, small_clip, small_config):
     return train_big_model(
         package, small_clip.frames, EdsrConfig(n_resblocks=2, n_filters=10),
         SrTrainConfig(epochs=15, steps_per_epoch=10, batch_size=8,
-                      patch_size=16, learning_rate=5e-3, lr_decay_epochs=6),
-        seed=2)
+                      patch_size=16, learning_rate=5e-3, lr_decay_epochs=6))
 
 
 class TestAnchorHook:

@@ -299,12 +299,23 @@ class TestFastPathTelemetry:
         assert t.sr_gflops > 0
         assert t.fast_path_speedup > 0          # calibration ran
         assert t.prefetch_overlap_seconds >= 0
-        assert any("fastpath" in line for line in t.summary_lines())
+        assert any("fastpath" in line and "x vs default engine" in line
+                   for line in t.summary_lines())
 
     def test_calibration_can_be_disabled(self, package, small_clip):
         result = _play(package, small_clip.frames,
                        FastPathConfig(tile=16, calibrate=False))
         assert result.telemetry.fast_path_speedup == 0
+
+    def test_uncalibrated_summary_claims_no_speedup(self, package,
+                                                    small_clip):
+        """Nothing was measured, so no "0.0x vs default engine"."""
+        result = _play(package, small_clip.frames,
+                       FastPathConfig(tile=16, calibrate=False))
+        [line] = [line for line in result.telemetry.summary_lines()
+                  if "fastpath" in line]
+        assert "GFLOP/s, overlap" in line
+        assert "vs default engine" not in line
 
     def test_whole_frame_counts_one_tile_per_inference(self, package,
                                                        small_clip):

@@ -50,6 +50,23 @@ class TestManifest:
             VideoManifest(video_name="v", width=64, height=48, fps=30.0,
                           crf=51, segments=segments, model_sizes={0: 10})
 
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 0, 5), (0, 5, 5)], "index 0"),          # duplicate index
+        ([(0, 0, 5), (2, 5, 5)], "index 2"),          # index gap
+        ([(1, 0, 5), (0, 5, 5)], "index 1"),          # out of order
+        ([(0, 0, 5), (1, 5, 0)], "0 frames"),
+        ([(0, 0, 5), (1, 5, -3)], "-3 frames"),
+    ], ids=["duplicate", "gap", "order", "zero-frames", "negative-frames"])
+    def test_broken_segment_tables_rejected(self, rows, message):
+        """A manifest from a remote origin is input from outside: a table
+        that would load one segment file twice, skip one, or hold an
+        empty segment is refused."""
+        segments = [SegmentRecord(index=i, start=s, n_frames=n, model_label=0)
+                    for i, s, n in rows]
+        with pytest.raises(ValueError, match=message):
+            VideoManifest(video_name="v", width=64, height=48, fps=30.0,
+                          crf=51, segments=segments, model_sizes={0: 10})
+
 
 class TestModelCache:
     def test_fetch_once_per_label(self):
@@ -127,6 +144,9 @@ class TestFigure7Walkthrough:
     @settings(max_examples=50, deadline=None)
     def test_property_bounded_cache_at_least_distinct(self, labels, capacity):
         """Bounded cache can only download more, never less."""
-        _, stats = simulate_caching(labels, capacity=capacity)
+        cache = ModelCache(fetch=lambda label: label, capacity=capacity)
+        for label in labels:
+            cache.get(label)
+        stats = cache.stats
         assert stats.downloads >= len(set(labels))
         assert stats.downloads <= len(labels)

@@ -16,7 +16,7 @@ from repro.core import (
     train_big_model,
 )
 from repro.features import VaeTrainConfig
-from repro.sr import EdsrConfig, SrTrainConfig
+from repro.sr import QUALITY_BIG_CONFIG, EdsrConfig, SrTrainConfig
 from repro.video import make_video
 from repro.video.codec import CodecConfig
 
@@ -40,14 +40,14 @@ class TestServerPipeline:
         from repro.clustering import max_k_for_budget
         from repro.sr import EDSR
         budget = max_k_for_budget(
-            EDSR(small_config.big_config).size_bytes(),
+            EDSR(QUALITY_BIG_CONFIG).size_bytes(),
             EDSR(small_config.micro_config).size_bytes())
         assert 1 <= package.selection.k <= budget
 
     def test_micro_total_within_big_budget(self, package, small_config):
         """Eq. 3's purpose: deployed micro models never exceed one big model."""
         from repro.sr import EDSR
-        big = EDSR(small_config.big_config).size_bytes()
+        big = EDSR(QUALITY_BIG_CONFIG).size_bytes()
         assert package.manifest.total_model_bytes <= big
 
     def test_recurring_scenes_share_models(self, small_clip, package):
@@ -139,7 +139,7 @@ class TestBaselines:
             EdsrConfig(n_resblocks=2, n_filters=12),
             SrTrainConfig(epochs=30, steps_per_epoch=10, batch_size=8,
                           patch_size=16, learning_rate=5e-3,
-                          lr_decay_epochs=12), seed=1)
+                          lr_decay_epochs=12))
 
     def test_nas_enhances_every_frame(self, package, small_clip, big):
         result = play_nas(package, big, small_clip.frames)
@@ -169,7 +169,7 @@ class TestBaselines:
         """
         from repro.core import BigModelBaseline
         from repro.sr import EDSR
-        big = BigModelBaseline(model=EDSR(small_config.big_config))
+        big = BigModelBaseline(model=EDSR(QUALITY_BIG_CONFIG))
         dcsr = DcsrClient(package).play()
         nas = play_nas(package, big)
         nemo = play_nemo(package, big)
@@ -204,7 +204,7 @@ class TestStartupDelay:
         whole big model — the startup ordering the paper motivates."""
         from repro.core import startup_comparison
         from repro.sr import EDSR
-        big_bytes = EDSR(small_config.big_config).size_bytes()
+        big_bytes = EDSR(QUALITY_BIG_CONFIG).size_bytes()
         delays = startup_comparison(package, big_bytes, bandwidth_bps=1e6)
         assert delays["LOW"] <= delays["dcSR"] < delays["NAS"]
         assert delays["NAS"] == delays["NEMO"]

@@ -27,7 +27,6 @@ from repro.core import (
 )
 from repro.core.session import PlayoutClock
 from repro.features import VaeTrainConfig
-from repro.serve import FleetConfig
 from repro.sr import EDSR, EdsrConfig, InferenceEngine, SrTrainConfig
 from repro.video import make_video
 from repro.video.codec import CodecConfig
@@ -351,10 +350,6 @@ class TestValidationAtConstruction:
     def test_negative_prefetch_fails_in_the_config(self):
         with pytest.raises(ValueError, match="prefetch"):
             FastPathConfig(prefetch=-1)
-
-    def test_fleet_config_rejects_it_before_any_session(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            FleetConfig(fast_path=FastPathConfig(prefetch=-1))
 
 
 class TestPlayoutWindow:

@@ -23,7 +23,7 @@ from repro.sr import EDSR, EdsrConfig, big_model_config, dcsr_config
 class TestFlopsTracing:
     def test_conv_flops_exact(self):
         """A single conv's FLOPs match the closed-form count."""
-        conv = nn.Conv2d(3, 8, 3, bias=True)
+        conv = nn.Conv2d(3, 8, 3)
         profile = trace_model(conv, (3, 10, 10))
         expected = 2 * 3 * 9 * 8 * 10 * 10 + 8 * 10 * 10
         assert profile.flops == expected

@@ -75,14 +75,14 @@ class TestConvVAEStructure:
 
 class TestVAETraining:
     def test_loss_decreases(self):
-        vae = ConvVAE(latent_dim=4, input_size=16, base_channels=4)
+        vae = ConvVAE(latent_dim=4, input_size=16)
         images = _images(12, 16)
         history = train_vae(vae, images, VaeTrainConfig(epochs=15, batch_size=6,
                                                         seed=1))
         assert history.total[-1] < history.total[0]
 
     def test_history_lengths(self):
-        vae = ConvVAE(latent_dim=4, input_size=16, base_channels=4)
+        vae = ConvVAE(latent_dim=4, input_size=16)
         history = train_vae(vae, _images(6, 16),
                             VaeTrainConfig(epochs=5, batch_size=3))
         assert len(history.total) == 5
@@ -118,7 +118,7 @@ class TestVAETraining:
         noisy = rng.uniform(0.4, 1.0, size=(8, 3, 16, 16)).astype(np.float32)
         images = np.clip(np.concatenate([smooth, noisy]), 0, 1)
 
-        vae = ConvVAE(latent_dim=4, input_size=16, base_channels=4, seed=2)
+        vae = ConvVAE(latent_dim=4, input_size=16, seed=2)
         train_vae(vae, images, VaeTrainConfig(epochs=25, batch_size=8, seed=2))
         z = vae.embed(images)
         mu_a, mu_b = z[:8].mean(axis=0), z[8:].mean(axis=0)

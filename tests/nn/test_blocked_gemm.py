@@ -136,10 +136,6 @@ class TestScratchSizing:
             else:
                 assert rows == 1           # floor: always make progress
 
-    def test_custom_budget(self):
-        # 16 float32s per im2col row -> 64 bytes; 256-byte budget -> 4.
-        assert F.im2col_block_rows(16, 1, 1, 1, scratch_bytes=256) == 4
-
     def test_rejects_negative_block_rows(self):
         rng = np.random.default_rng(6)
         x, weight, bias = _case(rng, 3, 4, 3, 8, 8)

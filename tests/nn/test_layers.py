@@ -25,8 +25,8 @@ class TestGradients:
         layer = nn.Conv2d(2, 2, 3, stride=2, padding=1, rng=np.random.default_rng(1))
         check_layer_gradients(layer, _x((1, 2, 6, 6)), RNG)
 
-    def test_conv_no_bias(self):
-        layer = nn.Conv2d(1, 2, 3, bias=False, rng=np.random.default_rng(2))
+    def test_conv_one_input_channel(self):
+        layer = nn.Conv2d(1, 2, 3, rng=np.random.default_rng(2))
         check_layer_gradients(layer, _x((1, 1, 5, 5)), RNG)
 
     def test_dense(self):

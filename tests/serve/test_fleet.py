@@ -10,7 +10,7 @@ attribution in the shared trace, and frames bit-identical to a solo client.
 import numpy as np
 import pytest
 
-from repro.core.client import DcsrClient, FastPathConfig
+from repro.core.client import DcsrClient
 from repro.serve import (
     FleetConfig,
     FleetSimulator,
@@ -44,8 +44,8 @@ class TestArrivalSchedules:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="sessions"):
             FleetConfig(sessions=0)
-        with pytest.raises(TypeError, match="fast_path"):
-            FleetConfig(fast_path="int8")
+        with pytest.raises(ValueError, match="retries"):
+            FleetConfig(retries=-1)
 
 
 class TestFleetIntegration:
@@ -148,20 +148,3 @@ class TestFleetSrDemand:
         assert energy["trace"] > 0.0
         assert energy["trace"] == energy["playback"]
 
-    def test_playback_fast_path_threads_to_every_session(self, package):
-        """A fleet-wide FastPathConfig reaches each session's client: the
-        fleet's frames equal a solo fast-path client's frames bitwise,
-        and executed SR FLOPs land in the rollup."""
-        solo = DcsrClient(
-            package, fast_path=FastPathConfig(reuse=True)).play()
-        fleet = FleetSimulator(
-            package,
-            FleetConfig(sessions=2,
-                        fast_path=FastPathConfig(reuse=True))).run()
-        t = fleet.telemetry
-        assert t.total_sr_flops > 0
-        for shell in fleet.completed():
-            assert shell.result.telemetry.reused_tiles == \
-                solo.telemetry.reused_tiles
-            for ours, theirs in zip(shell.result.frames, solo.frames):
-                assert np.array_equal(ours, theirs)

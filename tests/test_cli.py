@@ -184,13 +184,14 @@ class TestServe:
     @pytest.mark.parametrize("flags", [["--reuse"]])
     def test_trace_mode_refuses_reuse(self, package_dir, flags, capsys):
         """Trace sessions run no SR engine, so ``--reuse`` used to print
-        capacity numbers the flag never touched.  It is answered like
-        ``--origin`` without playback mode: stderr and rc 2."""
-        rc = main(["serve", str(package_dir), "--sessions", "2",
-                   "--mode", "trace"] + flags)
+        capacity numbers the flag never touched.  ``--reuse`` is a
+        ``play`` flag: ``serve`` rejects it as a usage error, rc 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", str(package_dir), "--sessions", "2",
+                  "--mode", "trace"] + flags)
         captured = capsys.readouterr()
-        assert rc == 2
-        assert "--mode playback" in captured.err
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --reuse" in captured.err
         assert "completed" not in captured.out
 
 
@@ -208,7 +209,8 @@ class TestConfigErrors:
         (["play", "--controller", "greedy"], "--controller needs --device"),
         (["serve", "--sessions", "0"], "sessions must be >= 1, got 0"),
         (["serve", "--device", "bogus"], "unknown device 'bogus'"),
-        (["serve", "--mode", "trace", "--reuse"], "--mode playback"),
+        (["serve", "--mode", "trace", "--origin", "http://127.0.0.1:9"],
+         "--mode playback"),
     ])
     def test_rejected_before_the_package_loads(self, tmp_path, argv,
                                                message, capsys):

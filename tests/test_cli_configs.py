@@ -273,7 +273,6 @@ SERVE_CASES = [
     (["--cache-capacity", "2"], FleetConfig(cache_capacity=2)),
     (["--fallback"], FleetConfig(fallback=True)),
     (["--seed", "9"], FleetConfig(seed=9)),
-    (["--reuse"], FleetConfig(fast_path=FastPathConfig(reuse=True))),
     (["--device", "jetson, laptop,"],
      FleetConfig(devices=("jetson", "laptop"))),
     (["--device", "jetson", "--controller", "greedy",
@@ -281,10 +280,9 @@ SERVE_CASES = [
      FleetConfig(devices=("jetson",), controller="greedy",
                  power_budget_w=30.0)),
     (["--device", "desktop", "--controller", "fixed",
-      "--controller-tier", "dcSR-2", "--reuse"],
+      "--controller-tier", "dcSR-2"],
      FleetConfig(devices=("desktop",), controller="fixed",
-                 controller_tier="dcSR-2",
-                 fast_path=FastPathConfig(reuse=True))),
+                 controller_tier="dcSR-2")),
     (["--mode", "trace", "--sessions", "400", "--arrival", "uniform:0.5",
       "--bandwidth", "3e4", "--latency", "0.01", "--fail-rate", "0.2",
       "--retries", "2", "--rate-limit", "2e4", "--edges", "4",
@@ -330,3 +328,37 @@ def test_sr_demand_factor_is_a_usage_error(run, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --sr-demand-factor" \
         in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+NON_FINITE = {
+    "poisson:nan": lambda: FleetConfig(arrival="poisson:nan"),
+    "poisson:inf": lambda: FleetConfig(arrival="poisson:inf"),
+    "uniform:nan": lambda: FleetConfig(arrival="uniform:nan"),
+    "uniform:inf": lambda: FleetConfig(arrival="uniform:inf"),
+    "fleet rate_limit_bps nan": lambda: FleetConfig(rate_limit_bps=NAN),
+    "fleet power_budget_w nan": lambda: FleetConfig(power_budget_w=NAN),
+    "fleet bandwidth_bps nan": lambda: FleetConfig(bandwidth_bps=NAN),
+    "fleet latency_s inf": lambda: FleetConfig(latency_s=INF),
+    "bandwidth_bps nan": lambda: NetworkConfig(bandwidth_bps=NAN),
+    "latency_s nan": lambda: NetworkConfig(latency_s=NAN),
+    "latency_s inf": lambda: NetworkConfig(latency_s=INF),
+    "fail_rate nan": lambda: NetworkConfig(fail_rate=NAN),
+    "backoff_s nan": lambda: RetryPolicy(backoff_s=NAN),
+    "backoff_s inf": lambda: RetryPolicy(backoff_s=INF),
+    "backoff_factor nan": lambda: RetryPolicy(backoff_factor=NAN),
+    "skip_gate nan": lambda: FastPathConfig(skip_gate=NAN),
+    "timeout_s nan": lambda: repro.net.HttpTransport(URL, timeout_s=NAN),
+    "timeout_s inf": lambda: repro.net.HttpTransport(URL, timeout_s=INF),
+}
+
+
+@pytest.mark.parametrize("make", list(NON_FINITE.values()),
+                         ids=list(NON_FINITE))
+def test_non_finite_flag_values_are_rejected(make):
+    """A NaN that a ``play``/``serve`` flag passes through ``float()`` is
+    rejected where the value is checked, and so is an infinite arrival
+    rate or gap, latency, backoff or timeout."""
+    with pytest.raises(ValueError):
+        make()
